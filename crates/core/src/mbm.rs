@@ -12,17 +12,31 @@
 //!   [`QueryGroup::tight_bound_rect`]). Applied only to nodes that pass
 //!   heuristic 2, exactly as the paper recommends (footnote 3: H2 exists to
 //!   save CPU, H3 to save I/O).
-//! * At the leaf level, `mindist(p, M)` filters points before their exact
-//!   aggregate distance is computed.
 //!
-//! The best-first variant is exposed as an *incremental* [`MbmStream`]
-//! yielding group neighbors in ascending `dist(p, Q)` — the building block
-//! F-MQM needs (§4.2), and also how `k` can remain unknown in advance.
+//! On packed snapshots two best-first drivers share two page-scoring steps.
+//! The steps: `score_branches` keys every child of an internal page
+//! (batched `mindist²` to `M`, then H3 for the children that pass H2), and
+//! `score_leaf` computes the exact aggregate distance of a whole leaf in
+//! one fused kernel call straight over the page's lane-padded coordinates.
+//! The drivers:
 //!
-//! The hot path is allocation-free in steady state: node scans run through
-//! the batched `mindist²` kernels of the cursor's [`PageRef`] view
-//! (vectorized on packed snapshots), and all per-query storage — the
-//! best-first heap, the bound buffer, the result list — lives in a
+//! * **bounded top-k** ([`Mbm::k_gnn_in`], the paper's Figure 3.6): a heap
+//!   of *nodes only*; a child is pushed only while its key is below
+//!   `best_dist`, a leaf's distances go straight to the [`KBestList`], and
+//!   the loop ends when the popped key reaches `best_dist`;
+//! * **incremental** ([`MbmStream`]): yields neighbors in ascending
+//!   `dist(p, Q)` with `k` unknown in advance, so it keeps every child and
+//!   every scored point on its heap — the building block of F-MQM (§4.2)
+//!   and of network IER.
+//!
+//! A node is read iff fewer than `k` exact distances `<=` its key have been
+//! seen, under either driver, so both read exactly the same pages. Arena
+//! cursors keep the seed's reference stream (scalar bounds, one lazily
+//! converted `mindist(p, M)` filter key per entry); `packed_equivalence`
+//! pins the bounded loop against it — ids, distance bits, node accesses.
+//!
+//! The hot path is allocation-free in steady state: all per-query storage —
+//! the heaps, the key and distance buffers, the result list — lives in a
 //! reusable [`MbmScratch`] / [`crate::QueryScratch`].
 
 use crate::best_list::KBestList;
@@ -30,8 +44,8 @@ use crate::query::QueryGroup;
 use crate::result::{GnnResult, Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
 use crate::{Aggregate, MemoryGnnAlgorithm, Traversal};
-use gnn_geom::{OrderedF64, Point};
-use gnn_rtree::{LeafEntry, PageId, PageRef, ScratchRef, TreeCursor};
+use gnn_geom::OrderedF64;
+use gnn_rtree::{BranchesRef, LeafEntry, LeafRef, PageId, PageRef, ScratchRef, TreeCursor};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -39,12 +53,6 @@ use std::time::Instant;
 /// Default pre-sizing of the incremental stream's priority queue; covers the
 /// paper-scale workloads without a single regrowth.
 const STREAM_HEAP_CAPACITY: usize = 256;
-
-/// How many pending leaf-run points the packed engine converts to exact
-/// distances per batch. Conversion keys only rise (approx → exact), so the
-/// node-access trace is unaffected; batching merely amortises the kernel
-/// and the run bookkeeping over 16 points.
-const CONVERT_CHUNK: usize = 16;
 
 /// The minimum bounding method.
 #[derive(Debug, Clone, Copy)]
@@ -122,9 +130,13 @@ impl Mbm {
         let mut dist_computations = 0u64;
 
         match self.traversal {
+            Traversal::BestFirst if cursor.is_packed() => {
+                dist_computations += self.bounded_top_k(cursor, group, best, mbm);
+            }
             Traversal::BestFirst => {
-                // The stream ascends, so its first k items are exactly the
-                // k-GNN; pulling a (k+1)-th would only waste node accesses.
+                // Arena reference: the stream ascends, so its first k items
+                // are exactly the k-GNN; pulling a (k+1)-th would only waste
+                // node accesses.
                 let mut stream = MbmStream::with_heuristics_in(cursor, group, self.use_h3, mbm);
                 while best.len() < k {
                     let Some(n) = stream.next() else { break };
@@ -155,6 +167,47 @@ impl Mbm {
         };
         best.drain_sorted_into(out);
         (&*out, stats)
+    }
+
+    /// The paper's best-first MBM (Figure 3.6) over a packed cursor: a heap
+    /// of nodes only, children pushed only while their key is below
+    /// `best_dist`, leaves scored whole into `best`, and the loop over as
+    /// soon as the smallest pending key reaches `best_dist`. Returns the
+    /// distance evaluations performed.
+    fn bounded_top_k(
+        &self,
+        cursor: &TreeCursor<'_>,
+        group: &QueryGroup,
+        best: &mut KBestList,
+        s: &mut MbmScratch,
+    ) -> u64 {
+        let mut evals = 0u64;
+        s.nodes.clear();
+        if !cursor.is_empty() {
+            // The root must always be expanded.
+            s.nodes.push(Reverse((OrderedF64(0.0), cursor.root())));
+        }
+        while let Some(Reverse((key, id))) = s.nodes.pop() {
+            if key.get() >= best.bound() {
+                break; // every pending node is at least this far
+            }
+            match cursor.read(id) {
+                PageRef::Internal(view) => {
+                    evals += s.push_children(&view, group, self.use_h3, best.bound());
+                }
+                PageRef::Leaf(leaf) => {
+                    evals += score_leaf(&leaf, group, &mut s.dists);
+                    for (e, &dist) in leaf.entries().iter().zip(&s.dists) {
+                        best.offer(Neighbor {
+                            id: e.id,
+                            point: e.point,
+                            dist,
+                        });
+                    }
+                }
+            }
+        }
+        evals
     }
 
     /// Opens the incremental best-first stream (always uses heuristic-3
@@ -265,33 +318,66 @@ impl MemoryGnnAlgorithm for Mbm {
     }
 }
 
+/// Keys every child of a packed internal page into `keys` (cleared and
+/// refilled): batched `mindist²(N, M)` over the whole page, then — for the
+/// children that pass heuristic 2 against `bound`, when `use_tight` — the
+/// tight bound through the fused SoA kernel (footnote 3: H3 only where H2
+/// fails to prune). A child at or beyond `bound` keeps its cheap key, which
+/// is already enough to discard it. Returns the distance evaluations
+/// performed.
+fn score_branches(
+    view: &BranchesRef<'_>,
+    group: &QueryGroup,
+    use_tight: bool,
+    bound: f64,
+    keys: &mut Vec<f64>,
+) -> u64 {
+    view.mindist_sq_rect_into(&group.mbr(), keys);
+    let mut evals = view.len() as u64;
+    for (i, key) in keys.iter_mut().enumerate() {
+        let cheap = group.cheap_bound_from_sq(*key);
+        *key = if use_tight && cheap < bound {
+            evals += group.len() as u64;
+            cheap.max(group.tight_bound_rect(&view.mbr(i)))
+        } else {
+            cheap
+        };
+    }
+    evals
+}
+
+/// Exact aggregate distances of a whole packed leaf into `dists` (cleared
+/// and refilled): one fused kernel call straight over the page's own
+/// lane-padded coordinates. Returns the distance evaluations performed.
+fn score_leaf(leaf: &LeafRef<'_>, group: &QueryGroup, dists: &mut Vec<f64>) -> u64 {
+    let (xs, ys) = leaf
+        .coords()
+        .expect("pages of a packed cursor carry their SoA coordinates");
+    group.dist_many_padded(xs, ys, leaf.len(), dists);
+    (leaf.len() * group.len()) as u64
+}
+
 /// Heap element of the incremental stream. Every key is a lower bound on the
 /// aggregate distance of whatever the element may still produce, so popping
 /// in key order yields neighbors in exact ascending order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct StreamItem {
     key: OrderedF64,
-    /// Exact points (2) pop before approximations (1) and nodes (0) on ties,
-    /// surfacing results as early as possible.
+    /// Exact points pop before approximations and nodes on ties, surfacing
+    /// results as early as possible.
     kind: StreamKind,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum StreamKind {
     Node(PageId),
-    /// A data point keyed by its cheap bound; its exact distance is computed
-    /// lazily if and when it reaches the top (the paper's `mindist(p, M)`
-    /// filter: points pruned before that never pay the `n`-distance
-    /// computation).
+    /// Reference (arena) engine only: a data point keyed by its cheap bound;
+    /// its exact distance is computed lazily if and when it reaches the top
+    /// (the paper's `mindist(p, M)` filter: points pruned before that never
+    /// pay the `n`-distance computation).
     PointApprox(LeafEntry),
     /// A data point keyed by its exact aggregate distance.
     PointExact(LeafEntry),
-    /// Packed engine only: a whole leaf's entries, key-sorted ascending in
-    /// [`MbmScratch::runs`], represented in the heap by its unconsumed head
-    /// (one heap item per leaf instead of one per entry). Popping consumes
-    /// the head — equivalent to popping that entry's `PointApprox` — and
-    /// re-inserts the run keyed by the next entry.
-    Run(u32),
 }
 
 impl Eq for StreamItem {}
@@ -306,7 +392,6 @@ impl Ord for StreamItem {
             match k {
                 StreamKind::PointExact(e) => (0, e.id.0),
                 StreamKind::PointApprox(e) => (1, e.id.0),
-                StreamKind::Run(rid) => (1, u64::from(*rid)),
                 StreamKind::Node(p) => (2, u64::from(p.raw())),
             }
         }
@@ -316,28 +401,21 @@ impl Ord for StreamItem {
     }
 }
 
-/// Reusable storage of one incremental MBM stream: the priority queue, the
-/// batched-kernel bound buffers, and the stream's distance-computation
-/// counter and anchor (which must survive suspend/resume cycles — F-MQM
-/// serves its group streams round-robin through [`MbmStream::resume_in`]).
+/// Reusable storage of the MBM drivers: the bounded loop's node heap, the
+/// incremental stream's priority queue and distance-computation counter
+/// (which must survive suspend/resume cycles — F-MQM serves its group
+/// streams round-robin through [`MbmStream::resume_in`]), and the two
+/// page-scoring buffers both drivers share.
 #[derive(Debug, Default)]
 pub struct MbmScratch {
+    /// Bounded top-k: pending nodes by `(key, page id)` — the order nodes
+    /// leave the stream's heap in, too.
+    nodes: BinaryHeap<Reverse<(OrderedF64, PageId)>>,
     heap: BinaryHeap<Reverse<StreamItem>>,
-    bounds: Vec<f64>,
-    bounds2: Vec<f64>,
-    bounds3: Vec<f64>,
-    /// Whether the stream runs the packed fast path (sorted runs, batched
-    /// kernels, anchor keys) or the seed's reference mechanics.
-    fast: bool,
-    /// Packed-engine anchor `(c, dist(c, Q))` for the strengthened point
-    /// keys (SUM only); `None` on the reference (arena) path.
-    anchor: Option<(Point, f64)>,
-    /// Sorted leaf runs (packed engine): per-run `(key, entry)` ascending.
-    runs: Vec<Vec<(f64, LeafEntry)>>,
-    /// Consumption cursor of each run.
-    run_pos: Vec<usize>,
-    /// Recycled run slots.
-    free_runs: Vec<u32>,
+    /// Child keys of the internal page being scored.
+    keys: Vec<f64>,
+    /// Exact distances of the leaf being scored.
+    dists: Vec<f64>,
     dist_computations: u64,
 }
 
@@ -345,37 +423,12 @@ impl MbmScratch {
     /// Scratch pre-sized for a heap of `capacity` pending items.
     pub fn with_capacity(capacity: usize) -> Self {
         MbmScratch {
+            nodes: BinaryHeap::with_capacity(capacity),
             heap: BinaryHeap::with_capacity(capacity),
-            bounds: Vec::with_capacity(64),
-            bounds2: Vec::with_capacity(64),
-            bounds3: Vec::with_capacity(64),
-            fast: false,
-            anchor: None,
-            runs: Vec::new(),
-            run_pos: Vec::new(),
-            free_runs: Vec::new(),
+            keys: Vec::with_capacity(64),
+            dists: Vec::with_capacity(64),
             dist_computations: 0,
         }
-    }
-
-    fn alloc_run(&mut self) -> u32 {
-        if let Some(rid) = self.free_runs.pop() {
-            rid
-        } else {
-            self.runs.push(Vec::new());
-            self.run_pos.push(0);
-            u32::try_from(self.runs.len() - 1).expect("run id overflow")
-        }
-    }
-
-    /// Current heap capacity (diagnostics for the no-regrowth tests).
-    pub fn heap_capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
-    /// Current number of pending heap items (diagnostics).
-    pub fn heap_len(&self) -> usize {
-        self.heap.len()
     }
 
     /// Every internal buffer capacity (for the no-regrowth tests — any
@@ -384,16 +437,12 @@ impl MbmScratch {
     /// `gnn-network`'s) can fold it into their own profiles.
     pub fn capacity_profile(&self) -> impl Iterator<Item = usize> + '_ {
         [
+            self.nodes.capacity(),
             self.heap.capacity(),
-            self.bounds.capacity(),
-            self.bounds2.capacity(),
-            self.bounds3.capacity(),
-            self.runs.capacity(),
-            self.run_pos.capacity(),
-            self.free_runs.capacity(),
+            self.keys.capacity(),
+            self.dists.capacity(),
         ]
         .into_iter()
-        .chain(self.runs.iter().map(Vec::capacity))
     }
 
     /// Point-distance evaluations performed by the stream backed by this
@@ -402,17 +451,35 @@ impl MbmScratch {
         self.dist_computations
     }
 
+    /// The bounded loop's internal-page step: scores the page and pushes the
+    /// children whose key is below `bound` (a child *at* `bound` cannot hold
+    /// a strictly better neighbor). Returns the distance evaluations.
+    fn push_children(
+        &mut self,
+        view: &BranchesRef<'_>,
+        group: &QueryGroup,
+        use_tight: bool,
+        bound: f64,
+    ) -> u64 {
+        let evals = score_branches(view, group, use_tight, bound, &mut self.keys);
+        for (i, &key) in self.keys.iter().enumerate() {
+            if key < bound {
+                self.nodes.push(Reverse((OrderedF64(key), view.child(i))));
+            }
+        }
+        evals
+    }
+
+    /// Queues a stream item.
+    fn push(&mut self, key: f64, kind: StreamKind) {
+        self.heap.push(Reverse(StreamItem {
+            key: OrderedF64(key),
+            kind,
+        }));
+    }
+
     fn reset(&mut self) {
         self.heap.clear();
-        self.bounds.clear();
-        self.bounds2.clear();
-        self.bounds3.clear();
-        self.fast = false;
-        self.anchor = None;
-        self.free_runs.clear();
-        for i in 0..self.runs.len() {
-            self.free_runs.push(i as u32);
-        }
         self.dist_computations = 0;
     }
 }
@@ -498,25 +565,8 @@ impl<'t, 'c, 'g, 's> MbmStream<'t, 'c, 'g, 's> {
         let s = scratch.get();
         s.reset();
         if !cursor.is_empty() {
-            // Packed snapshots run the read-optimized engine: batched
-            // kernels, sorted leaf runs, and — for SUM — point keys
-            // strengthened with the Lemma-1 anchor bound
-            // `W·|p c| − dist(c, Q)` (a valid lower bound for any anchor
-            // `c`, by the triangle inequality). None of this steers node
-            // expansion — a node is read iff its own key beats the k-th
-            // result distance — so node accesses stay identical to the
-            // arena reference path; the fast path only reduces per-point
-            // CPU and priority-queue traffic.
-            s.fast = cursor.is_packed();
-            if s.fast && group.aggregate() == Aggregate::Sum {
-                let c = group.mbr().center();
-                s.anchor = Some((c, group.dist(c)));
-                s.dist_computations += group.len() as u64;
-            }
-            s.heap.push(Reverse(StreamItem {
-                key: OrderedF64(0.0), // root must always be expanded
-                kind: StreamKind::Node(cursor.root()),
-            }));
+            // The root must always be expanded.
+            s.push(0.0, StreamKind::Node(cursor.root()));
         }
         MbmStream {
             cursor,
@@ -549,6 +599,11 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
         let group = self.group;
         let cursor = self.cursor;
         let use_tight = self.use_tight;
+        // Packed pages go through the two shared scoring steps; arena pages
+        // keep the seed's reference mechanics. Neither steers node
+        // expansion — a node is read iff its own key beats the k-th result
+        // distance — so node accesses are identical on both backends.
+        let packed = cursor.is_packed();
         let s = self.scratch.get();
         while let Some(Reverse(item)) = s.heap.pop() {
             match item.kind {
@@ -562,95 +617,14 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
                 StreamKind::PointApprox(e) => {
                     let dist = group.dist(e.point);
                     s.dist_computations += group.len() as u64;
-                    s.heap.push(Reverse(StreamItem {
-                        key: OrderedF64(dist),
-                        kind: StreamKind::PointExact(e),
-                    }));
-                }
-                StreamKind::Run(rid) => {
-                    // The run's head is the global heap minimum: consume a
-                    // chunk starting at it (equivalent to popping those
-                    // entries' `PointApprox` items — exact keys only rise,
-                    // so order and node accesses are unaffected), convert
-                    // the chunk through the batched distance kernel, and
-                    // re-insert the run keyed by its next entry.
-                    let ri = rid as usize;
-                    let pos = s.run_pos[ri];
-                    let end = (pos + CONVERT_CHUNK).min(s.runs[ri].len());
-                    s.bounds.clear();
-                    s.bounds2.clear();
-                    for &(_, e) in &s.runs[ri][pos..end] {
-                        s.bounds.push(e.point.x);
-                        s.bounds2.push(e.point.y);
-                    }
-                    // Pad the staging buffers to the SIMD lane quantum so
-                    // the fused aggregate kernel runs full vectors; the
-                    // sentinels are computed on but truncated at `end-pos`,
-                    // so results stay bit-identical (see gnn_geom::simd).
-                    for _ in end - pos..gnn_geom::simd::pad_len(end - pos) {
-                        s.bounds.push(0.0);
-                        s.bounds2.push(0.0);
-                    }
-                    group.dist_many_padded(&s.bounds, &s.bounds2, end - pos, &mut s.bounds3);
-                    s.dist_computations += ((end - pos) * group.len()) as u64;
-                    for (&(_, e), &dist) in s.runs[ri][pos..end].iter().zip(&s.bounds3) {
-                        s.heap.push(Reverse(StreamItem {
-                            key: OrderedF64(dist),
-                            kind: StreamKind::PointExact(e),
-                        }));
-                    }
-                    s.run_pos[ri] = end;
-                    if end < s.runs[ri].len() {
-                        let next_key = s.runs[ri][end].0;
-                        s.heap.push(Reverse(StreamItem {
-                            key: OrderedF64(next_key),
-                            kind: StreamKind::Run(rid),
-                        }));
-                    } else {
-                        s.free_runs.push(rid);
-                    }
+                    s.push(dist, StreamKind::PointExact(e));
                 }
                 StreamKind::Node(id) => match cursor.read(id) {
-                    PageRef::Leaf(leaf) if s.fast => {
-                        // Packed engine: batched mindist²(p, M) (and |p c|²
-                        // to the anchor) over the whole page, keys sorted
-                        // into a run — one heap item per leaf instead of
-                        // one per entry.
-                        leaf.mindist_sq_rect_into(&group.mbr(), &mut s.bounds);
-                        s.dist_computations += leaf.len() as u64;
-                        let rid = s.alloc_run();
-                        if let Some((c, dist_c)) = s.anchor {
-                            leaf.dist_sq_into(c, &mut s.bounds2);
-                            s.dist_computations += leaf.len() as u64;
-                            let w = group.total_weight();
-                            let run = &mut s.runs[rid as usize];
-                            run.clear();
-                            run.extend(leaf.entries().iter().zip(&s.bounds).zip(&s.bounds2).map(
-                                |((&e, &d2m), &d2c)| {
-                                    let cheap = group.cheap_bound_from_sq(d2m);
-                                    (cheap.max(w * d2c.sqrt() - dist_c), e)
-                                },
-                            ));
-                        } else {
-                            let run = &mut s.runs[rid as usize];
-                            run.clear();
-                            run.extend(
-                                leaf.entries()
-                                    .iter()
-                                    .zip(&s.bounds)
-                                    .map(|(&e, &d2)| (group.cheap_bound_from_sq(d2), e)),
-                            );
-                        }
-                        let run = &mut s.runs[rid as usize];
-                        run.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
-                        if let Some(&(head_key, _)) = run.first() {
-                            s.run_pos[rid as usize] = 0;
-                            s.heap.push(Reverse(StreamItem {
-                                key: OrderedF64(head_key),
-                                kind: StreamKind::Run(rid),
-                            }));
-                        } else {
-                            s.free_runs.push(rid);
+                    PageRef::Leaf(leaf) if packed => {
+                        // `k` is unknown, so every scored point is kept.
+                        s.dist_computations += score_leaf(&leaf, group, &mut s.dists);
+                        for (i, &e) in leaf.entries().iter().enumerate() {
+                            s.push(s.dists[i], StreamKind::PointExact(e));
                         }
                     }
                     PageRef::Leaf(leaf) => {
@@ -658,32 +632,16 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
                         // `mindist(p, M)` filter key per entry, pushed
                         // individually.
                         for &e in leaf.entries() {
-                            let key = group.cheap_bound_point(e.point);
                             s.dist_computations += 1;
-                            s.heap.push(Reverse(StreamItem {
-                                key: OrderedF64(key),
-                                kind: StreamKind::PointApprox(e),
-                            }));
+                            s.push(group.cheap_bound_point(e.point), StreamKind::PointApprox(e));
                         }
                     }
-                    PageRef::Internal(view) if s.fast => {
-                        // Packed engine: batched mindist²(N, M) over the
-                        // whole page; the tight bound (n distances) through
-                        // the fused SoA kernel.
-                        view.mindist_sq_rect_into(&group.mbr(), &mut s.bounds);
-                        s.dist_computations += view.len() as u64;
+                    PageRef::Internal(view) if packed => {
+                        // No `best_dist` to prune with: every child is kept.
+                        s.dist_computations +=
+                            score_branches(&view, group, use_tight, f64::INFINITY, &mut s.keys);
                         for i in 0..view.len() {
-                            let cheap = group.cheap_bound_from_sq(s.bounds[i]);
-                            let key = if use_tight {
-                                s.dist_computations += group.len() as u64;
-                                cheap.max(group.tight_bound_rect(&view.mbr(i)))
-                            } else {
-                                cheap
-                            };
-                            s.heap.push(Reverse(StreamItem {
-                                key: OrderedF64(key),
-                                kind: StreamKind::Node(view.child(i)),
-                            }));
+                            s.push(s.keys[i], StreamKind::Node(view.child(i)));
                         }
                     }
                     PageRef::Internal(view) => {
@@ -698,10 +656,7 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
                             } else {
                                 cheap
                             };
-                            s.heap.push(Reverse(StreamItem {
-                                key: OrderedF64(key),
-                                kind: StreamKind::Node(child),
-                            }));
+                            s.push(key, StreamKind::Node(child));
                         }
                     }
                 },
@@ -752,7 +707,8 @@ mod tests {
     #[test]
     fn all_variants_match_oracle() {
         let tree = random_tree(700, 1);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let packed = tree.freeze();
+        let cursors = [TreeCursor::unbuffered(&tree), TreeCursor::packed(&packed)];
         let variants = [
             Mbm::best_first(),
             Mbm::depth_first(),
@@ -777,12 +733,15 @@ mod tests {
                 let group = random_group(6, seed, Aggregate::Sum);
                 let want = linear_scan_entries(tree.iter(), &group, k);
                 for mbm in variants {
-                    let got = mbm.k_gnn(&cursor, &group, k);
-                    assert_eq!(
-                        got.distances(),
-                        want.distances(),
-                        "{mbm:?} seed={seed} k={k}"
-                    );
+                    for cursor in &cursors {
+                        let got = mbm.k_gnn(cursor, &group, k);
+                        assert_eq!(
+                            got.distances(),
+                            want.distances(),
+                            "{mbm:?} seed={seed} k={k} packed={}",
+                            cursor.is_packed()
+                        );
+                    }
                 }
             }
         }
@@ -823,15 +782,17 @@ mod tests {
     #[test]
     fn max_and_min_aggregates_match_oracle() {
         let tree = random_tree(500, 2);
-        let cursor = TreeCursor::unbuffered(&tree);
-        for agg in [Aggregate::Max, Aggregate::Min] {
-            for seed in 0..5 {
-                let group = random_group(5, 50 + seed, agg);
-                let want = linear_scan_entries(tree.iter(), &group, 4);
-                for mbm in [Mbm::best_first(), Mbm::depth_first()] {
-                    let got = mbm.k_gnn(&cursor, &group, 4);
-                    for (a, b) in got.distances().iter().zip(want.distances()) {
-                        assert!((a - b).abs() < 1e-9, "{agg} seed={seed}");
+        let packed = tree.freeze();
+        for cursor in [TreeCursor::unbuffered(&tree), TreeCursor::packed(&packed)] {
+            for agg in [Aggregate::Max, Aggregate::Min] {
+                for seed in 0..5 {
+                    let group = random_group(5, 50 + seed, agg);
+                    let want = linear_scan_entries(tree.iter(), &group, 4);
+                    for mbm in [Mbm::best_first(), Mbm::depth_first()] {
+                        let got = mbm.k_gnn(&cursor, &group, 4);
+                        for (a, b) in got.distances().iter().zip(want.distances()) {
+                            assert!((a - b).abs() < 1e-9, "{agg} seed={seed}");
+                        }
                     }
                 }
             }
@@ -841,17 +802,18 @@ mod tests {
     #[test]
     fn stream_yields_ascending_and_complete() {
         let tree = random_tree(300, 3);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let packed = tree.freeze();
         let group = random_group(4, 9, Aggregate::Sum);
-        let stream = MbmStream::new(&cursor, &group);
-        let all: Vec<Neighbor> = stream.collect();
-        assert_eq!(all.len(), 300);
-        for w in all.windows(2) {
-            assert!(w[0].dist <= w[1].dist);
-        }
-        // Spot-check exactness of distances.
-        for n in all.iter().step_by(37) {
-            assert!((n.dist - group.dist(n.point)).abs() < 1e-12);
+        for cursor in [TreeCursor::unbuffered(&tree), TreeCursor::packed(&packed)] {
+            let all: Vec<Neighbor> = MbmStream::new(&cursor, &group).collect();
+            assert_eq!(all.len(), 300);
+            for w in all.windows(2) {
+                assert!(w[0].dist <= w[1].dist);
+            }
+            // Exact distances, whichever engine scored the page.
+            for n in &all {
+                assert_eq!(n.dist, group.dist(n.point));
+            }
         }
     }
 
@@ -871,23 +833,25 @@ mod tests {
     #[test]
     fn suspended_stream_resumes_where_it_stopped() {
         let tree = random_tree(400, 12);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let packed = tree.freeze();
         let group = random_group(4, 13, Aggregate::Sum);
-        let want: Vec<f64> = MbmStream::new(&cursor, &group)
-            .take(10)
-            .map(|n| n.dist)
-            .collect();
-        let mut scratch = MbmScratch::default();
-        let mut got = Vec::new();
-        {
-            let mut s = MbmStream::new_in(&cursor, &group, &mut scratch);
-            got.extend(s.by_ref().take(4).map(|n| n.dist));
+        for cursor in [TreeCursor::unbuffered(&tree), TreeCursor::packed(&packed)] {
+            let want: Vec<f64> = MbmStream::new(&cursor, &group)
+                .take(10)
+                .map(|n| n.dist)
+                .collect();
+            let mut scratch = MbmScratch::default();
+            let mut got = Vec::new();
+            {
+                let mut s = MbmStream::new_in(&cursor, &group, &mut scratch);
+                got.extend(s.by_ref().take(4).map(|n| n.dist));
+            }
+            for _ in 0..6 {
+                let mut s = MbmStream::resume_in(&cursor, &group, true, &mut scratch);
+                got.push(s.next().unwrap().dist);
+            }
+            assert_eq!(got, want);
         }
-        for _ in 0..6 {
-            let mut s = MbmStream::resume_in(&cursor, &group, true, &mut scratch);
-            got.push(s.next().unwrap().dist);
-        }
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -909,7 +873,7 @@ mod tests {
     #[test]
     fn weighted_sum_matches_oracle() {
         let tree = random_tree(300, 6);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let packed = tree.freeze();
         let mut rng = StdRng::seed_from_u64(13);
         let pts: Vec<Point> = (0..5)
             .map(|_| Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0))
@@ -917,9 +881,85 @@ mod tests {
         let w: Vec<f64> = (0..5).map(|_| 0.1 + rng.gen::<f64>() * 2.0).collect();
         let group = QueryGroup::weighted_sum(pts, w).unwrap();
         let want = linear_scan_entries(tree.iter(), &group, 3);
+        for cursor in [TreeCursor::unbuffered(&tree), TreeCursor::packed(&packed)] {
+            let got = Mbm::best_first().k_gnn(&cursor, &group, 3);
+            for (a, b) in got.distances().iter().zip(want.distances()) {
+                assert!((a - b).abs() < 1e-9);
+            }
+        }
+    }
+
+    /// Two leaves under one root, one query point at the origin: leaf A
+    /// holds distances {1, √13, 5}, leaf B's MBR starts at distance exactly
+    /// 5 (and holds a point there).
+    fn tie_tree() -> RTree {
+        let pts = [
+            (1.0, 0.0),
+            (2.0, 3.0),
+            (3.0, 4.0),
+            (5.0, 0.0),
+            (6.0, 0.0),
+            (7.0, 1.0),
+        ];
+        RTree::bulk_load(
+            RTreeParams::with_capacity(4),
+            pts.iter()
+                .enumerate()
+                .map(|(i, &(x, y))| LeafEntry::new(PointId(i as u64), Point::new(x, y))),
+        )
+    }
+
+    #[test]
+    fn child_at_best_dist_is_neither_pushed_nor_read() {
+        let packed = tie_tree().freeze();
+        let group = QueryGroup::sum(vec![Point::new(0.0, 0.0)]).unwrap();
+        let probe = TreeCursor::packed(&packed);
+        let PageRef::Internal(root) = probe.read(probe.root()) else {
+            panic!("scenario needs an internal root");
+        };
+        let mut keys = Vec::new();
+        score_branches(&root, &group, true, f64::INFINITY, &mut keys);
+        assert_eq!(keys, [1.0, 5.0], "scenario: child keys");
+
+        // Pop time: after leaf A the 3-best bound is exactly 5 == key(B), so
+        // B is never read — and the tying point inside it is not needed.
+        let cursor = TreeCursor::packed(&packed);
         let got = Mbm::best_first().k_gnn(&cursor, &group, 3);
-        for (a, b) in got.distances().iter().zip(want.distances()) {
-            assert!((a - b).abs() < 1e-9);
+        assert_eq!(got.distances(), [1.0, 13f64.sqrt(), 5.0]);
+        assert_eq!(got.neighbors[2].id, PointId(2));
+        assert_eq!(cursor.stats().logical, 2, "root + leaf A only");
+
+        // Push time: at bound == key(B) only A is queued, and B — failing
+        // heuristic 2 — does not even pay for its tight bound; one ulp above,
+        // both are queued and both pay.
+        let pending = |bound: f64| {
+            let mut s = MbmScratch::default();
+            let evals = s.push_children(&root, &group, true, bound);
+            let mut keys: Vec<f64> = s.nodes.drain().map(|Reverse((k, _))| k.get()).collect();
+            keys.sort_by(f64::total_cmp);
+            (keys, evals)
+        };
+        assert_eq!(pending(5.0), (vec![1.0], 2 + 1));
+        assert_eq!(
+            pending(f64::from_bits(5f64.to_bits() + 1)),
+            (vec![1.0, 5.0], 2 + 2)
+        );
+    }
+
+    #[test]
+    fn bounded_loop_reads_the_pages_the_stream_reads() {
+        let tree = random_tree(3000, 21);
+        let packed = tree.freeze();
+        for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
+            for (seed, k) in [(0u64, 1usize), (1, 8), (2, 64), (3, 3000), (4, 3001)] {
+                let group = random_group(4, 300 + seed, agg);
+                let bc = TreeCursor::packed(&packed);
+                let bounded = Mbm::best_first().k_gnn(&bc, &group, k);
+                let sc = TreeCursor::packed(&packed);
+                let streamed: Vec<Neighbor> = MbmStream::new(&sc, &group).take(k).collect();
+                assert_eq!(bounded.neighbors, streamed, "{agg} k={k}");
+                assert_eq!(bc.stats(), sc.stats(), "{agg} k={k}: node accesses");
+            }
         }
     }
 

@@ -211,8 +211,7 @@ impl QueryGroup {
 
     /// Exact aggregate distances for a batch of points in SoA form:
     /// `out[j] = dist(p_j, Q)`, bit-identical per element to
-    /// [`QueryGroup::dist`] but vectorized across the batch. The packed
-    /// engine converts pending leaf-run points 16 at a time through this.
+    /// [`QueryGroup::dist`] but vectorized across the batch.
     pub fn dist_many(&self, xs: &[f64], ys: &[f64], out: &mut Vec<f64>) {
         use gnn_geom::batch;
         match self.aggregate {
@@ -232,10 +231,10 @@ impl QueryGroup {
 
     /// Lane-padded [`QueryGroup::dist_many`]: `n` logical points whose
     /// coordinate slices hold at least `pad_len(n)` readable lanes (the
-    /// layout of packed-arena leaf runs and padded staging buffers), so the
-    /// SIMD kernels run full vectors with no scalar tail. Exactly `n`
-    /// results are written, bit-identical to the unpadded call on
-    /// `xs[..n]`/`ys[..n]`.
+    /// layout of a packed leaf page's own coordinates — MBM scores a whole
+    /// leaf with one call), so the SIMD kernels run full vectors with no
+    /// scalar tail. Exactly `n` results are written, bit-identical to the
+    /// unpadded call on `xs[..n]`/`ys[..n]`.
     pub fn dist_many_padded(&self, xs: &[f64], ys: &[f64], n: usize, out: &mut Vec<f64>) {
         let k = gnn_geom::batch::BatchKernels::auto();
         match self.aggregate {

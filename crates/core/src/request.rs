@@ -210,6 +210,13 @@ impl QueryRequest {
             return (choice, neighbors, stats, ShardRouting::default());
         }
         let (choice, resolved) = self.resolve(planner);
+        if self.k == 0 {
+            // Nothing to retrieve: answer before any page is read (the
+            // best-k list every algorithm arms cannot hold zero neighbors).
+            scratch.stage_neighbors(&[]);
+            let none = scratch.neighbors();
+            return (choice, none, QueryStats::default(), ShardRouting::default());
+        }
         match target {
             Target::Single(cursor) => {
                 let (neighbors, stats) =

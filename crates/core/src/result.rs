@@ -27,6 +27,11 @@ pub struct QueryStats {
     /// Page reads from the disk-resident query file (F-MQM / F-MBM only).
     pub query_file_pages: u64,
     /// Point-to-point / point-to-rectangle distance evaluations (CPU proxy).
+    /// Counts the evaluations the engine actually **performed**, so —
+    /// unlike node accesses — it depends on the mechanism: the packed
+    /// engine scores whole pages where the arena reference filters and
+    /// converts entry by entry, and the two report different counts for
+    /// the same query.
     pub dist_computations: u64,
     /// Individual nearest neighbors pulled from NN streams (MQM, F-MQM) or
     /// closest pairs consumed (GCP).

@@ -37,8 +37,8 @@ pub struct QueryScratch {
     pub(crate) best: KBestList,
     /// Result staging: `*_in` entry points return a slice of this.
     pub(crate) out: Vec<Neighbor>,
-    /// Primary incremental-MBM stream state (MBM, and SPM/MQM reuse its
-    /// bound buffer indirectly through their own scratches).
+    /// MBM state: the bounded top-k loop's node heap, the primary
+    /// incremental stream's heap, and the page-scoring buffers they share.
     pub(crate) mbm: MbmScratch,
     /// Depth-first sort buffers, one per recursion level.
     pub(crate) df_pool: Vec<Vec<(f64, u32)>>,

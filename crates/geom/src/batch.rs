@@ -182,9 +182,9 @@ pub mod scalar {
     /// The accumulation runs query-point-major, so each `out[j]` is the
     /// plain sequential fold over `i` — **bit-identical** to evaluating the
     /// points one at a time with the same sequential fold — while the inner
-    /// loop vectorizes over the point batch `j`. This is the conversion
-    /// kernel of the packed query engine (a leaf run's pending points are
-    /// evaluated 16 at a time instead of one by one).
+    /// loop vectorizes over the point batch `j`. This is the leaf-scoring
+    /// kernel of the packed query engine (a whole leaf page's points are
+    /// evaluated in one call instead of one by one).
     ///
     /// # Panics
     ///

@@ -147,6 +147,11 @@ impl NetworkSnapshot {
         net: &mut NetworkScratch,
     ) -> (Choice, NetworkGnnStats) {
         let choice = self.resolve(request, planner);
+        if request.k == 0 {
+            // Nothing to retrieve: answer before snapping or expanding.
+            net.out.clear();
+            return (choice, NetworkGnnStats::default());
+        }
         let mut sources = std::mem::take(&mut net.sources);
         self.resolve_sources(request, net, &mut sources);
         let aggregate = request.group.aggregate();

@@ -202,6 +202,15 @@ impl<'t> LeafRef<'t> {
         self.entries
     }
 
+    /// The lane-padded SoA coordinate mirror `(xs, ys)` of the entries —
+    /// `Some` on packed snapshots only. Both slices hold at least
+    /// `pad_len(entries().len())` readable lanes, so a padded kernel can run
+    /// over the page's own storage with no staging copy.
+    #[inline]
+    pub fn coords(&self) -> Option<(&'t [f64], &'t [f64])> {
+        self.xs.zip(self.ys)
+    }
+
     /// `out[i] = |entries[i].point, q|²`, batched over the SoA mirror when
     /// present. `out` is cleared and refilled (capacity reused).
     pub fn dist_sq_into(&self, q: Point, out: &mut Vec<f64>) {

@@ -3,12 +3,18 @@
 //! accesses** on a [`PackedRTree`] snapshot as on the arena [`RTree`] it
 //! was frozen from.
 //!
-//! This is the contract that makes `freeze()` a pure performance lever: the
-//! packed engine's batched kernels, sorted leaf runs and strengthened point
-//! keys change per-point CPU and priority-queue traffic only, never the
-//! search trace. Exact distances are computed by the same
-//! (association-fixed) kernel on both paths, so even the float values are
-//! bit-identical.
+//! This is the contract that makes `freeze()` a pure performance lever. For
+//! best-first MBM the two sides are genuinely different mechanisms: the
+//! packed cursor runs the `best_dist`-bounded top-k loop (a heap of nodes
+//! only, children pruned at push time, leaves scored whole by one fused
+//! kernel call), the arena cursor pulls `k` items from the seed's reference
+//! stream (every child and every entry on one heap, lazily converted
+//! `mindist(p, M)` filter keys). Both read a node iff fewer than `k` exact
+//! distances `<=` its key have been seen, so the search trace is the same;
+//! exact distances are computed by the same (association-fixed) kernel on
+//! both paths, so even the float values are bit-identical. The point-NN
+//! engine under SPM and MQM keeps its sorted leaf runs on packed pages —
+//! per-point CPU and priority-queue traffic only, never the trace.
 
 use gnn::core::QueryScratch;
 use gnn::prelude::*;
@@ -151,7 +157,7 @@ proptest! {
     ) {
         // Padding-focused sweep: dataset sizes straddling the 8-lane
         // padding quantum of the packed arenas (exact multiples and both
-        // neighbors), with capacity-8 pages so leaf runs and branch spans
+        // neighbors), with capacity-8 pages so leaf pages and branch spans
         // land ragged against the vector width. The first points sit at
         // the arena sentinel coordinate (0, 0) — a legitimate location
         // that must keep behaving like data, not like padding.

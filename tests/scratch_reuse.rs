@@ -2,11 +2,11 @@
 //! warm-up pass over a workload, running the same workload again must not
 //! grow any internal buffer — [`QueryScratch::capacity_profile`] has to be
 //! byte-for-byte stable. Since every per-query allocation in the hot path
-//! lives in the scratch (heaps, best lists, bound buffers, leaf runs, sort
-//! pools), a stable profile means steady-state queries perform no heap
-//! allocations at all.
+//! lives in the scratch (the bounded loop's node heap, the stream heap, best
+//! lists, key and distance buffers, sort pools), a stable profile means
+//! steady-state queries perform no heap allocations at all.
 
-use gnn::core::{Planner, QueryScratch};
+use gnn::core::{MbmScratch, Planner, QueryScratch};
 use gnn::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -170,4 +170,71 @@ fn scratch_shrinks_nothing_when_k_varies() {
         },
         "MBM with varying k",
     );
+}
+
+#[test]
+fn bounded_mbm_stays_allocation_free_as_k_swings() {
+    // The bounded top-k loop on a packed cursor, k going 1 → 64 → 1 on
+    // every group: the node heap, the best list and the page-scoring
+    // buffers sized by the k = 64 pass must serve the k = 1 passes around
+    // it, and the other way round nothing may shrink.
+    let data = random_points(4000, 6, 0.0, 100.0);
+    let tree = tree_of(&data);
+    let packed = tree.freeze();
+    let cursor = TreeCursor::packed(&packed);
+    let workload = groups(12, 4, 1100);
+    let mbm = Mbm::best_first();
+    let mut scratch = QueryScratch::new();
+    assert_steady_state(
+        &mut scratch,
+        |s| {
+            for g in &workload {
+                for k in [1usize, 64, 1] {
+                    let (neighbors, _) = mbm.k_gnn_in(&cursor, g, k, s);
+                    assert_eq!(neighbors.len(), k);
+                }
+            }
+        },
+        "bounded MBM with k 1 → 64 → 1",
+    );
+}
+
+#[test]
+fn suspended_streams_resume_without_allocating() {
+    // F-MQM's usage: a stream seeded with `new_in`, dropped, and continued
+    // through `resume_in` one neighbor at a time. Once one full pass has
+    // sized the scratch, replaying the pass must not grow any buffer — on
+    // either backend.
+    let data = random_points(3000, 7, 0.0, 100.0);
+    let tree = tree_of(&data);
+    let packed = tree.freeze();
+    let workload = groups(6, 8, 1300);
+    for (backend, cursor) in [
+        ("arena", TreeCursor::unbuffered(&tree)),
+        ("packed", TreeCursor::packed(&packed)),
+    ] {
+        let mut scratch = MbmScratch::default();
+        let pass = |scratch: &mut MbmScratch| {
+            for g in &workload {
+                let first = MbmStream::new_in(&cursor, g, scratch).next();
+                let mut last = first.expect("non-empty tree").dist;
+                for _ in 0..40 {
+                    let n = MbmStream::resume_in(&cursor, g, true, scratch).next();
+                    let dist = n.expect("3000 points").dist;
+                    assert!(dist >= last, "{backend}: stream went backwards");
+                    last = dist;
+                }
+            }
+        };
+        pass(&mut scratch);
+        let profile: Vec<usize> = scratch.capacity_profile().collect();
+        for round in 0..3 {
+            pass(&mut scratch);
+            assert_eq!(
+                profile,
+                scratch.capacity_profile().collect::<Vec<_>>(),
+                "{backend}: a stream buffer regrew on resume (round {round})"
+            );
+        }
+    }
 }
