@@ -394,1626 +394,6 @@ pub fn run_throughput(quick: bool) -> Vec<ThroughputCell> {
     cells
 }
 
-/// One worker-count measurement of the service-throughput experiment.
-#[derive(Debug, Clone)]
-pub struct ServiceCell {
-    /// Worker threads in the pool.
-    pub workers: usize,
-    /// End-to-end queries/sec of the timed batch (submit → last response),
-    /// best of three passes — the same rule as the sequential baseline.
-    pub qps: f64,
-    /// `qps / sequential_qps` of the same report.
-    pub speedup: f64,
-    /// Median per-query latency, microseconds (bucket upper bound).
-    pub p50_us: f64,
-    /// 95th-percentile latency, microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: f64,
-    /// Total logical node accesses over the timed batch (must equal the
-    /// sequential total — the paper's cost metric is scheduling-invariant).
-    pub na_total: u64,
-    /// Whether ids, distances (bit-identical) and per-query node accesses
-    /// all matched the sequential reference.
-    pub matches_sequential: bool,
-}
-
-impl ServiceCell {
-    /// JSON object form.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"workers\":{},\"qps\":{:.1},\"speedup\":{:.3},\"p50_us\":{:.1},\
-             \"p95_us\":{:.1},\"p99_us\":{:.1},\"na_total\":{},\"matches_sequential\":{}}}",
-            self.workers,
-            self.qps,
-            self.speedup,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.na_total,
-            self.matches_sequential,
-        )
-    }
-}
-
-/// The full service-throughput report (written to `BENCH_service.json`).
-#[derive(Debug, Clone)]
-pub struct ServiceReport {
-    /// Whether the quick (reduced) workload was used.
-    pub quick: bool,
-    /// Dataset name.
-    pub dataset: String,
-    /// Queries in the timed batch.
-    pub queries: usize,
-    /// Query group cardinality.
-    pub n: usize,
-    /// Query MBR area fraction.
-    pub area: f64,
-    /// Neighbors retrieved per query.
-    pub k: usize,
-    /// `std::thread::available_parallelism()` of the machine that ran the
-    /// experiment — scaling can only be judged against this.
-    pub host_parallelism: usize,
-    /// Steady-state queries/sec of the sequential packed baseline
-    /// (`Planner::run_many` through one scratch).
-    pub sequential_qps: f64,
-    /// Total logical node accesses of the sequential run.
-    pub sequential_na: u64,
-    /// One cell per measured worker count.
-    pub cells: Vec<ServiceCell>,
-}
-
-impl ServiceReport {
-    /// The `gnn-service-bench/1` JSON document.
-    pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self.cells.iter().map(ServiceCell::to_json).collect();
-        format!(
-            "{{\n\"schema\":\"gnn-service-bench/1\",\n\"quick\":{},\n\"dataset\":{},\n\
-             \"queries\":{},\n\"n\":{},\n\"area\":{},\n\"k\":{},\n\"host_parallelism\":{},\n\
-             \"sequential\":{{\"qps\":{:.1},\"na_total\":{}}},\n\"service\":[\n{}\n]\n}}\n",
-            self.quick,
-            json_str(&self.dataset),
-            self.queries,
-            self.n,
-            self.area,
-            self.k,
-            self.host_parallelism,
-            self.sequential_qps,
-            self.sequential_na,
-            cells.join(",\n"),
-        )
-    }
-}
-
-/// The service-throughput experiment: the same §5.1 workload is run
-/// sequentially through [`gnn_core::Planner::run_many`] (the PR 2 packed
-/// baseline) and then through a [`gnn_service::Service`] at 1, 2, 4 and 8
-/// workers, asserting along the way that every configuration returns
-/// bit-identical neighbors and node accesses. Queries/sec and the
-/// fixed-bucket latency percentiles are recorded per worker count.
-///
-/// `quick` shrinks the batch (service workers still serve the full
-/// pipeline); the dataset is always full-scale PP.
-pub fn run_service_throughput(quick: bool) -> ServiceReport {
-    use gnn_service::{Service, ServiceConfig};
-
-    let n = 64usize;
-    let area = 0.08f64;
-    let k = defaults::K;
-    let count = if quick { 128 } else { 512 };
-
-    let pts = Dataset::Pp.points(false);
-    let tree = build_tree(&pts);
-    let snapshot = std::sync::Arc::new(tree.freeze());
-
-    let groups: Vec<QueryGroup> = workload_for(&tree, n, area, count, 0x5E12_71CE)
-        .into_iter()
-        .map(|q| QueryGroup::sum(q).expect("valid workload query"))
-        .collect();
-    let planner = gnn_core::Planner::new();
-
-    // Sequential packed baseline. The warm-up pass doubles as the
-    // reference-collection pass (deterministic: every pass returns the
-    // same results), so the timed passes run the pure zero-allocation hot
-    // path with a no-op sink. Best of three keeps a one-off scheduler
-    // hiccup from deflating the baseline every speedup is judged against.
-    let cursor = snapshot.cursor();
-    let mut scratch = QueryScratch::new();
-    let mut sequential_na = 0u64;
-    let mut reference: Vec<Vec<(u64, f64)>> = Vec::with_capacity(count);
-    let mut reference_nas: Vec<u64> = Vec::with_capacity(count);
-    planner.run_many(
-        &cursor,
-        &groups,
-        k,
-        &mut scratch,
-        |_, _, neighbors, stats| {
-            sequential_na += stats.data_tree.logical;
-            reference_nas.push(stats.data_tree.logical);
-            reference.push(neighbors.iter().map(|x| (x.id.0, x.dist)).collect());
-        },
-    );
-    let best_pass = (0..3)
-        .map(|_| {
-            let t0 = Instant::now();
-            planner.run_many(&cursor, &groups, k, &mut scratch, |_, _, _, _| {});
-            t0.elapsed()
-        })
-        .min()
-        .expect("three timed passes");
-    let sequential_qps = count as f64 / best_pass.as_secs_f64();
-
-    let mut cells = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let service = Service::start(
-            std::sync::Arc::clone(&snapshot),
-            ServiceConfig {
-                workers,
-                queue_depth: 256,
-                ..ServiceConfig::default()
-            },
-        );
-        // Workers self-warm their scratch on startup; this untimed batch
-        // additionally warms buffer capacities to the workload's shape.
-        // Best-effort only — the shared queue has no per-worker routing —
-        // and its samples do appear in the latency histogram (a head of up
-        // to 32 warm-shape samples).
-        // Per-request submissions (not `Submission::batch`): this
-        // experiment measures worker scaling, and a shared-traversal batch
-        // would serialize each sub-batch on one worker.
-        let warmup: Vec<_> = groups
-            .iter()
-            .take(32)
-            .map(|g| {
-                service
-                    .submit(gnn_core::QueryRequest::new(g.clone(), k))
-                    .expect("warm-up submit")
-            })
-            .collect();
-        for h in warmup {
-            h.wait().expect("warm-up query");
-        }
-        // Same rules as the sequential baseline: best of three timed
-        // passes (one hiccup must not decide a cell). The first pass's
-        // responses feed the determinism check; the histogram accumulates
-        // every pass.
-        let mut responses: Vec<gnn_core::QueryResponse> = Vec::new();
-        let mut elapsed = std::time::Duration::MAX;
-        for pass in 0..3 {
-            let t0 = Instant::now();
-            let handles: Vec<_> = groups
-                .iter()
-                .map(|g| {
-                    service
-                        .submit(gnn_core::QueryRequest::new(g.clone(), k))
-                        .expect("timed submit")
-                })
-                .collect();
-            let got: Vec<gnn_core::QueryResponse> = handles
-                .into_iter()
-                .map(|h| h.wait().expect("service query"))
-                .collect();
-            elapsed = elapsed.min(t0.elapsed());
-            if pass == 0 {
-                responses = got;
-            }
-        }
-        let stats = service.shutdown();
-
-        let mut na_total = 0u64;
-        let mut matches = responses.len() == reference.len();
-        for (i, r) in responses.iter().enumerate() {
-            na_total += r.stats.data_tree.logical;
-            let got: Vec<(u64, f64)> = r.neighbors.iter().map(|x| (x.id.0, x.dist)).collect();
-            if got != reference[i] || r.stats.data_tree.logical != reference_nas[i] {
-                matches = false;
-            }
-        }
-        let us = |d: Option<std::time::Duration>| d.map_or(0.0, |d| d.as_secs_f64() * 1e6);
-        let qps = count as f64 / elapsed.as_secs_f64();
-        cells.push(ServiceCell {
-            workers,
-            qps,
-            speedup: qps / sequential_qps,
-            p50_us: us(stats.latency.p50()),
-            p95_us: us(stats.latency.p95()),
-            p99_us: us(stats.latency.p99()),
-            na_total,
-            matches_sequential: matches,
-        });
-    }
-
-    ServiceReport {
-        quick,
-        dataset: "PP".into(),
-        queries: count,
-        n,
-        area,
-        k,
-        host_parallelism: std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
-        sequential_qps,
-        sequential_na,
-        cells,
-    }
-}
-
-/// One shard-count measurement of the sharded-serving experiment.
-#[derive(Debug, Clone)]
-pub struct ShardCell {
-    /// Shard count (1 = the unsharded snapshot behind the same engine).
-    pub shards: usize,
-    /// Worker threads (one pool per shard, one worker per pool — thread
-    /// count scales with the shard count; judge against
-    /// `host_parallelism`).
-    pub workers: usize,
-    /// End-to-end queries/sec of the timed batch, best of three passes.
-    pub qps: f64,
-    /// `qps / sequential_qps`.
-    pub speedup: f64,
-    /// Fraction of served queries answered by their primary shard alone
-    /// (the routing-quality metric; 1.0 for the unsharded cell).
-    pub single_shard_fraction: f64,
-    /// Average shards consulted per query (merge fan-out).
-    pub avg_shards_consulted: f64,
-    /// Requests the router queued per shard pool (length = `shards`).
-    pub routed: Vec<u64>,
-    /// Total logical node accesses over the timed batch. Shard trees are
-    /// rebuilt per shard count, so — unlike the worker-count experiment —
-    /// this legitimately differs from `sequential_na`; it is recorded to
-    /// show the NA cost of partitioning.
-    pub na_total: u64,
-    /// Whether ids and distances (bit-identical) matched the **unsharded**
-    /// sequential reference for every query — the tentpole equivalence
-    /// claim, gated by the `sharded_throughput` binary's exit code.
-    pub matches_unsharded: bool,
-}
-
-impl ShardCell {
-    /// JSON object form.
-    pub fn to_json(&self) -> String {
-        let routed: Vec<String> = self.routed.iter().map(u64::to_string).collect();
-        format!(
-            "{{\"shards\":{},\"workers\":{},\"qps\":{:.1},\"speedup\":{:.3},\
-             \"single_shard_fraction\":{:.4},\"avg_shards_consulted\":{:.3},\
-             \"routed\":[{}],\"na_total\":{},\"matches_unsharded\":{}}}",
-            self.shards,
-            self.workers,
-            self.qps,
-            self.speedup,
-            self.single_shard_fraction,
-            self.avg_shards_consulted,
-            routed.join(","),
-            self.na_total,
-            self.matches_unsharded,
-        )
-    }
-}
-
-/// The sharded-serving report (written to `BENCH_shard.json`).
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Whether the quick (reduced batch) mode was used.
-    pub quick: bool,
-    /// Dataset name.
-    pub dataset: String,
-    /// Queries in the timed batch.
-    pub queries: usize,
-    /// Query group cardinality.
-    pub n: usize,
-    /// Query MBR area fraction.
-    pub area: f64,
-    /// Neighbors retrieved per query.
-    pub k: usize,
-    /// Hotspot centers in the skewed workload.
-    pub hotspots: usize,
-    /// Uniform background fraction of the skewed workload.
-    pub background: f64,
-    /// `std::thread::available_parallelism()` of the recording host.
-    pub host_parallelism: usize,
-    /// Steady-state queries/sec of the sequential unsharded baseline.
-    pub sequential_qps: f64,
-    /// Total logical node accesses of the sequential unsharded run.
-    pub sequential_na: u64,
-    /// One cell per shard count.
-    pub cells: Vec<ShardCell>,
-}
-
-impl ShardReport {
-    /// The `gnn-shard-bench/1` JSON document.
-    pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self.cells.iter().map(ShardCell::to_json).collect();
-        format!(
-            "{{\n\"schema\":\"gnn-shard-bench/1\",\n\"quick\":{},\n\"dataset\":{},\n\
-             \"queries\":{},\n\"n\":{},\n\"area\":{},\n\"k\":{},\n\"hotspots\":{},\n\
-             \"background\":{},\n\"host_parallelism\":{},\n\
-             \"sequential\":{{\"qps\":{:.1},\"na_total\":{}}},\n\"sharded\":[\n{}\n]\n}}\n",
-            self.quick,
-            json_str(&self.dataset),
-            self.queries,
-            self.n,
-            self.area,
-            self.k,
-            self.hotspots,
-            self.background,
-            self.host_parallelism,
-            self.sequential_qps,
-            self.sequential_na,
-            cells.join(",\n"),
-        )
-    }
-}
-
-/// The sharded-serving experiment behind `BENCH_shard.json`: the same
-/// fixed-seed **hotspot** workload (skewed traffic is what shard routing is
-/// for) is run sequentially on the unsharded snapshot, then through
-/// [`gnn_service::Service::start_sharded`] at 1, 2, 4 and 8 shards (one
-/// worker pool per shard), asserting along the way that every shard count
-/// returns ids and distances bit-identical to the unsharded reference.
-/// Queries/sec, per-shard routed counts and the single-shard-hit fraction
-/// are recorded per cell.
-pub fn run_sharded_throughput(quick: bool) -> ShardReport {
-    use gnn_datasets::{hotspot_query_workload, HotspotSpec};
-    use gnn_rtree::ShardedSnapshot;
-    use gnn_service::{Service, ServiceConfig};
-    use std::sync::Arc;
-
-    let n = 64usize;
-    // Local-traffic regime: a 1%-area query MBR (10% side) stays well
-    // inside one Hilbert shard most of the time — the workload sharding is
-    // built for. Wider MBRs degrade gracefully into broadcast+merge (the
-    // fan-out column); EXPERIMENTS.md discusses the trade-off.
-    let area = 0.01f64;
-    let k = defaults::K;
-    let hotspots = 16usize;
-    let background = 0.2f64;
-    let count = if quick { 192 } else { 768 };
-
-    let pts = Dataset::Pp.points(false);
-    let tree = build_tree(&pts);
-    let packed = Arc::new(tree.freeze());
-
-    let spec = HotspotSpec {
-        query: QuerySpec {
-            n,
-            area_fraction: area,
-        },
-        hotspots,
-        sigma: 0.02,
-        background,
-    };
-    let groups: Vec<QueryGroup> = hotspot_query_workload(tree.root_mbr(), spec, count, 0x5AAD_ED01)
-        .into_iter()
-        .map(|q| QueryGroup::sum(q).expect("valid workload query"))
-        .collect();
-    let planner = gnn_core::Planner::new();
-
-    // Sequential unsharded baseline + reference fingerprints (warm-up pass
-    // doubles as collection; best of three timed passes).
-    let cursor = packed.cursor();
-    let mut scratch = QueryScratch::new();
-    let mut sequential_na = 0u64;
-    let mut reference: Vec<Vec<(u64, u64)>> = Vec::with_capacity(count);
-    planner.run_many(
-        &cursor,
-        &groups,
-        k,
-        &mut scratch,
-        |_, _, neighbors, stats| {
-            sequential_na += stats.data_tree.logical;
-            reference.push(
-                neighbors
-                    .iter()
-                    .map(|x| (x.id.0, x.dist.to_bits()))
-                    .collect(),
-            );
-        },
-    );
-    let best_pass = (0..3)
-        .map(|_| {
-            let t0 = Instant::now();
-            planner.run_many(&cursor, &groups, k, &mut scratch, |_, _, _, _| {});
-            t0.elapsed()
-        })
-        .min()
-        .expect("three timed passes");
-    let sequential_qps = count as f64 / best_pass.as_secs_f64();
-
-    let mut cells = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        let snapshot = if shards == 1 {
-            Arc::new(ShardedSnapshot::single(Arc::clone(&packed)))
-        } else {
-            Arc::new(packed.partition(shards))
-        };
-        let service = Service::start_sharded(
-            snapshot,
-            ServiceConfig {
-                workers: shards,
-                queue_depth: 256,
-                ..ServiceConfig::default()
-            },
-        );
-        // Workers self-warm on startup; this untimed batch additionally
-        // warms buffer capacities to the workload's shape. Per-request
-        // submissions — the batched variant is measured separately by
-        // `run_batch_throughput`.
-        let warmup: Vec<_> = groups
-            .iter()
-            .take(32)
-            .map(|g| {
-                service
-                    .submit(gnn_core::QueryRequest::new(g.clone(), k))
-                    .expect("warm-up submit")
-            })
-            .collect();
-        for h in warmup {
-            h.wait().expect("warm-up query");
-        }
-        let mut responses: Vec<gnn_core::QueryResponse> = Vec::new();
-        let mut elapsed = std::time::Duration::MAX;
-        for pass in 0..3 {
-            let t0 = Instant::now();
-            let handles: Vec<_> = groups
-                .iter()
-                .map(|g| {
-                    service
-                        .submit(gnn_core::QueryRequest::new(g.clone(), k))
-                        .expect("timed submit")
-                })
-                .collect();
-            let got: Vec<gnn_core::QueryResponse> = handles
-                .into_iter()
-                .map(|h| h.wait().expect("service query"))
-                .collect();
-            elapsed = elapsed.min(t0.elapsed());
-            if pass == 0 {
-                responses = got;
-            }
-        }
-        let stats = service.shutdown();
-
-        let mut na_total = 0u64;
-        let mut matches = responses.len() == reference.len();
-        for (i, r) in responses.iter().enumerate() {
-            na_total += r.stats.data_tree.logical;
-            let got: Vec<(u64, u64)> = r
-                .neighbors
-                .iter()
-                .map(|x| (x.id.0, x.dist.to_bits()))
-                .collect();
-            if got != reference[i] {
-                matches = false;
-            }
-        }
-        let served = stats.queries_served.max(1);
-        cells.push(ShardCell {
-            shards,
-            workers: stats.per_worker.len(),
-            qps: count as f64 / elapsed.as_secs_f64(),
-            speedup: count as f64 / elapsed.as_secs_f64() / sequential_qps,
-            single_shard_fraction: stats.single_shard_hits as f64 / served as f64,
-            avg_shards_consulted: stats
-                .per_shard
-                .iter()
-                .map(|s| s.shards_consulted)
-                .sum::<u64>() as f64
-                / served as f64,
-            routed: stats.per_shard.iter().map(|s| s.routed).collect(),
-            na_total,
-            matches_unsharded: matches,
-        });
-    }
-
-    ShardReport {
-        quick,
-        dataset: "PP".into(),
-        queries: count,
-        n,
-        area,
-        k,
-        hotspots,
-        background,
-        host_parallelism: std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
-        sequential_qps,
-        sequential_na,
-        cells,
-    }
-}
-
-/// One cell of the shared-traversal batch experiment.
-#[derive(Debug, Clone)]
-pub struct BatchCell {
-    /// Shard count of the serving snapshot (1 = unsharded).
-    pub shards: usize,
-    /// Queries per submitted batch.
-    pub batch_size: usize,
-    /// End-to-end queries/sec of the timed workload, best of three passes.
-    pub qps: f64,
-    /// `qps / single_qps` — against the per-query service path on the same
-    /// worker count, so the ratio isolates what batching buys.
-    pub speedup_vs_single: f64,
-    /// Shared-traversal passes executed (per-shard sub-batches each count
-    /// once, so on a sharded snapshot this exceeds the submitted batches).
-    pub batches: u64,
-    /// Mean queries per executed pass.
-    pub mean_batch_size: f64,
-    /// Distinct pages read across all passes (the physical read count of
-    /// the shared cursor).
-    pub unique_pages: u64,
-    /// Pages the same queries read as-if-sequential (sum of per-query
-    /// logical NA — the per-query path's read count).
-    pub sequential_pages: u64,
-    /// `1 - unique/sequential`: the fraction of page reads the shared
-    /// traversal eliminated. The tentpole gate demands ≥ 0.20 at
-    /// `batch_size >= 16` on the unsharded cells.
-    pub savings: f64,
-    /// Whether every response matched the sequential reference — ids and
-    /// distance bits always, and per-query NA too on the unsharded cells
-    /// (shard trees are repacked, so their NA legitimately differs).
-    pub matches_reference: bool,
-}
-
-impl BatchCell {
-    /// JSON object form.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"shards\":{},\"batch_size\":{},\"qps\":{:.1},\
-             \"speedup_vs_single\":{:.3},\"batches\":{},\"mean_batch_size\":{:.2},\
-             \"unique_pages\":{},\"sequential_pages\":{},\"savings\":{:.4},\
-             \"matches_reference\":{}}}",
-            self.shards,
-            self.batch_size,
-            self.qps,
-            self.speedup_vs_single,
-            self.batches,
-            self.mean_batch_size,
-            self.unique_pages,
-            self.sequential_pages,
-            self.savings,
-            self.matches_reference,
-        )
-    }
-}
-
-/// The shared-traversal batch report (written to `BENCH_batch.json`).
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Whether the quick (reduced batch) mode was used.
-    pub quick: bool,
-    /// Dataset name.
-    pub dataset: String,
-    /// Queries in the timed workload.
-    pub queries: usize,
-    /// Query group cardinality.
-    pub n: usize,
-    /// Query MBR area fraction.
-    pub area: f64,
-    /// Neighbors retrieved per query.
-    pub k: usize,
-    /// Hotspot centers in the skewed workload.
-    pub hotspots: usize,
-    /// Uniform background fraction of the skewed workload.
-    pub background: f64,
-    /// `std::thread::available_parallelism()` of the recording host.
-    pub host_parallelism: usize,
-    /// Steady-state queries/sec of the sequential in-process baseline.
-    pub sequential_qps: f64,
-    /// Total logical node accesses of the sequential run — also the page
-    /// budget every cell's `sequential_pages` must reproduce exactly.
-    pub sequential_na: u64,
-    /// Queries/sec of the per-query service path (same snapshot, same
-    /// worker count as the unsharded batch cells).
-    pub single_qps: f64,
-    /// One cell per (shards, batch size).
-    pub cells: Vec<BatchCell>,
-}
-
-impl BatchReport {
-    /// The `gnn-batch-bench/1` JSON document.
-    pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self.cells.iter().map(BatchCell::to_json).collect();
-        format!(
-            "{{\n\"schema\":\"gnn-batch-bench/1\",\n\"quick\":{},\n\"dataset\":{},\n\
-             \"queries\":{},\n\"n\":{},\n\"area\":{},\n\"k\":{},\n\"hotspots\":{},\n\
-             \"background\":{},\n\"host_parallelism\":{},\n\
-             \"sequential\":{{\"qps\":{:.1},\"na_total\":{}}},\n\
-             \"single_qps\":{:.1},\n\"batched\":[\n{}\n]\n}}\n",
-            self.quick,
-            json_str(&self.dataset),
-            self.queries,
-            self.n,
-            self.area,
-            self.k,
-            self.hotspots,
-            self.background,
-            self.host_parallelism,
-            self.sequential_qps,
-            self.sequential_na,
-            self.single_qps,
-            cells.join(",\n"),
-        )
-    }
-
-    /// The tentpole acceptance gate (the `batch_throughput` binary's exit
-    /// code): every cell bit-identical to the sequential reference, and
-    /// every unsharded cell with `batch_size >= 16` saving at least 20% of
-    /// the per-query path's page reads.
-    pub fn gate_passes(&self) -> bool {
-        let gated: Vec<&BatchCell> = self
-            .cells
-            .iter()
-            .filter(|c| c.shards == 1 && c.batch_size >= 16)
-            .collect();
-        self.cells.iter().all(|c| c.matches_reference)
-            && !gated.is_empty()
-            && gated.iter().all(|c| c.savings >= 0.20)
-    }
-}
-
-/// The shared-traversal batch experiment behind `BENCH_batch.json`: the
-/// fixed-seed hotspot workload of the sharding experiment (overlapping
-/// traffic is what traversal sharing is for) is grouped into arrival
-/// batches by [`gnn_datasets::batched_arrivals`] and submitted through
-/// [`Submission::batch`](gnn_service::Submission::batch) at batch sizes 4,
-/// 16 and 64, against a per-query submission baseline on the same snapshot
-/// and worker count. Every cell is checked bit-for-bit against the
-/// sequential reference (ids, distance bits, and — unsharded — per-query
-/// NA: sharing is physical, the logical traversal is untouched), and the
-/// batch ledger's distinct-page counts quantify the reads the shared
-/// cursor eliminated. A 4-shard spot check exercises per-shard sub-batch
-/// routing. The arrival offsets model burst timing for open-loop runs;
-/// this saturation measurement submits batches back-to-back.
-pub fn run_batch_throughput(quick: bool) -> BatchReport {
-    use gnn_datasets::{batched_arrivals, HotspotSpec};
-    use gnn_service::{Service, ServiceConfig, Submission};
-    use std::sync::Arc;
-
-    let n = 64usize;
-    let area = 0.01f64;
-    let k = defaults::K;
-    let hotspots = 16usize;
-    let background = 0.2f64;
-    let count = if quick { 192 } else { 768 };
-    let workers = 2usize;
-
-    let pts = Dataset::Pp.points(false);
-    let tree = build_tree(&pts);
-    let packed = Arc::new(tree.freeze());
-
-    let spec = HotspotSpec {
-        query: QuerySpec {
-            n,
-            area_fraction: area,
-        },
-        hotspots,
-        sigma: 0.02,
-        background,
-    };
-
-    // One batch schedule per batch size. `batched_arrivals` guarantees the
-    // flattened queries are the plain hotspot workload regardless of batch
-    // size, so a single sequential reference covers every cell.
-    let sizes = [4usize, 16, 64];
-    let schedules: Vec<Vec<gnn_datasets::BatchArrival>> = sizes
-        .iter()
-        .map(|&b| batched_arrivals(tree.root_mbr(), spec, count, b, 1_000.0, 0x5AAD_ED01))
-        .collect();
-    let groups: Vec<QueryGroup> = schedules[0]
-        .iter()
-        .flat_map(|b| b.queries.iter())
-        .map(|q| QueryGroup::sum(q.clone()).expect("valid workload query"))
-        .collect();
-    assert_eq!(groups.len(), count);
-    let planner = gnn_core::Planner::new();
-
-    // Sequential baseline + reference fingerprints (warm-up pass doubles
-    // as collection; best of three timed passes).
-    let cursor = packed.cursor();
-    let mut scratch = QueryScratch::new();
-    let mut sequential_na = 0u64;
-    let mut reference: Vec<(Vec<(u64, u64)>, u64)> = Vec::with_capacity(count);
-    planner.run_many(
-        &cursor,
-        &groups,
-        k,
-        &mut scratch,
-        |_, _, neighbors, stats| {
-            sequential_na += stats.data_tree.logical;
-            let prints = neighbors
-                .iter()
-                .map(|x| (x.id.0, x.dist.to_bits()))
-                .collect();
-            reference.push((prints, stats.data_tree.logical));
-        },
-    );
-    let best_pass = (0..3)
-        .map(|_| {
-            let t0 = Instant::now();
-            planner.run_many(&cursor, &groups, k, &mut scratch, |_, _, _, _| {});
-            t0.elapsed()
-        })
-        .min()
-        .expect("three timed passes");
-    let sequential_qps = count as f64 / best_pass.as_secs_f64();
-
-    // Per-query service baseline: same snapshot, same worker count.
-    let single_qps = {
-        let service = Service::start(
-            Arc::clone(&packed),
-            ServiceConfig {
-                workers,
-                queue_depth: 256,
-                ..ServiceConfig::default()
-            },
-        );
-        let submit_all = || -> Vec<_> {
-            groups
-                .iter()
-                .map(|g| {
-                    service
-                        .submit(gnn_core::QueryRequest::new(g.clone(), k))
-                        .expect("baseline submit")
-                })
-                .collect()
-        };
-        for h in submit_all() {
-            h.wait().expect("baseline warm-up query");
-        }
-        let elapsed = (0..3)
-            .map(|_| {
-                let t0 = Instant::now();
-                for h in submit_all() {
-                    h.wait().expect("baseline query");
-                }
-                t0.elapsed()
-            })
-            .min()
-            .expect("three timed passes");
-        service.shutdown();
-        count as f64 / elapsed.as_secs_f64()
-    };
-
-    let mut cells = Vec::new();
-    let mut measure =
-        |shards: usize, batch_size: usize, schedule: &[gnn_datasets::BatchArrival]| {
-            let service = if shards == 1 {
-                Service::start(
-                    Arc::clone(&packed),
-                    ServiceConfig {
-                        workers,
-                        queue_depth: 256,
-                        ..ServiceConfig::default()
-                    },
-                )
-            } else {
-                Service::start_sharded(
-                    Arc::new(packed.partition(shards)),
-                    ServiceConfig {
-                        workers: shards,
-                        queue_depth: 256,
-                        ..ServiceConfig::default()
-                    },
-                )
-            };
-            let batches: Vec<Vec<gnn_core::QueryRequest>> = schedule
-                .iter()
-                .map(|arrival| {
-                    arrival
-                        .queries
-                        .iter()
-                        .map(|q| {
-                            gnn_core::QueryRequest::new(
-                                QueryGroup::sum(q.clone()).expect("valid workload query"),
-                                k,
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            // Warm-up pass (untimed) — per-query singles, deliberately: they
-            // never touch the batch ledger, so the counter snapshot below
-            // covers exactly the three timed passes. (A batched warm-up would
-            // race it: `wait_all` returns on the last reply, but the worker
-            // credits the ledger only after the executor returns.)
-            for batch in &batches {
-                let warmup: Vec<_> = batch
-                    .iter()
-                    .map(|r| service.submit(r.clone()).expect("warm-up submit"))
-                    .collect();
-                for h in warmup {
-                    h.wait().expect("warm-up query");
-                }
-            }
-            let before = service.stats();
-            let mut responses: Vec<gnn_core::QueryResponse> = Vec::new();
-            let mut elapsed = std::time::Duration::MAX;
-            for pass in 0..3 {
-                let t0 = Instant::now();
-                let handles: Vec<_> = batches
-                    .iter()
-                    .map(|batch| {
-                        service
-                            .submit(Submission::batch(batch.clone()))
-                            .expect("batch submit")
-                    })
-                    .collect();
-                let got: Vec<gnn_core::QueryResponse> = handles
-                    .into_iter()
-                    .flat_map(|h| h.wait_all().expect("batch responses"))
-                    .collect();
-                elapsed = elapsed.min(t0.elapsed());
-                if pass == 0 {
-                    responses = got;
-                }
-            }
-            let after = service.shutdown();
-
-            let mut matches = responses.len() == reference.len();
-            for (r, (prints, na)) in responses.iter().zip(&reference) {
-                let got: Vec<(u64, u64)> = r
-                    .neighbors
-                    .iter()
-                    .map(|x| (x.id.0, x.dist.to_bits()))
-                    .collect();
-                if got != *prints || (shards == 1 && r.stats.data_tree.logical != *na) {
-                    matches = false;
-                }
-            }
-            let executed = after.batches - before.batches;
-            let batch_queries = after.batch_queries - before.batch_queries;
-            let unique_pages = after.batch_unique_pages - before.batch_unique_pages;
-            let sequential_pages = after.batch_sequential_pages - before.batch_sequential_pages;
-            // Three identical passes: per-pass sequential pages must replay the
-            // sequential baseline exactly (the schedule-independence claim).
-            if shards == 1 && sequential_pages != 3 * sequential_na {
-                matches = false;
-            }
-            let qps = count as f64 / elapsed.as_secs_f64();
-            cells.push(BatchCell {
-                shards,
-                batch_size,
-                qps,
-                speedup_vs_single: qps / single_qps,
-                batches: executed,
-                mean_batch_size: batch_queries as f64 / executed.max(1) as f64,
-                unique_pages,
-                sequential_pages,
-                savings: 1.0 - unique_pages as f64 / sequential_pages.max(1) as f64,
-                matches_reference: matches,
-            });
-        };
-    for (&batch_size, schedule) in sizes.iter().zip(&schedules) {
-        measure(1, batch_size, schedule);
-    }
-    // Sharded spot check: routing splits each batch into per-shard
-    // sub-batches; equivalence must survive the split.
-    measure(4, 16, &schedules[1]);
-
-    BatchReport {
-        quick,
-        dataset: "PP".into(),
-        queries: count,
-        n,
-        area,
-        k,
-        hotspots,
-        background,
-        host_parallelism: std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
-        sequential_qps,
-        sequential_na,
-        single_qps,
-        cells,
-    }
-}
-
-/// The mixed-traffic / incremental-refreeze report (written to
-/// `BENCH_refreeze.json`).
-#[derive(Debug, Clone)]
-pub struct RefreezeReport {
-    /// Whether the quick (reduced serving workload) mode was used. The
-    /// freeze-latency comparison always runs on the full-scale dataset —
-    /// timing a toy tree would say nothing.
-    pub quick: bool,
-    /// Dataset name.
-    pub dataset: String,
-    /// Pages in the baseline snapshot.
-    pub pages: usize,
-    /// Pages dirtied by the update schedule before the timed comparison.
-    pub dirty_pages: usize,
-    /// `dirty_pages / pages` (the experiment targets ~10%).
-    pub dirty_fraction: f64,
-    /// Updates applied to reach that dirtiness.
-    pub updates_applied: usize,
-    /// Best-of-N full `freeze()` latency, microseconds.
-    pub full_freeze_us: f64,
-    /// Best-of-N `refreeze()` latency against the clean baseline snapshot,
-    /// microseconds.
-    pub refreeze_us: f64,
-    /// `full_freeze_us / refreeze_us`.
-    pub speedup: f64,
-    /// Whether `refreeze` produced a snapshot structurally identical to a
-    /// full freeze (must always be true).
-    pub snapshots_equal: bool,
-    /// Worker threads in the serving phase.
-    pub workers: usize,
-    /// Queries per serving phase.
-    pub queries: usize,
-    /// Updates applied per refresh cycle in the serving phase.
-    pub updates_per_cycle: usize,
-    /// Refreeze + publish cycles performed while the refresh-phase batch
-    /// was in flight.
-    pub publishes: u64,
-    /// Queries/sec with a static snapshot (no publishing).
-    pub static_qps: f64,
-    /// Queries/sec of the same batch while refreeze + publish cycles ran
-    /// concurrently.
-    pub refresh_qps: f64,
-    /// Response-latency percentiles across both serving phases (µs).
-    pub p50_us: f64,
-    /// 95th percentile (µs).
-    pub p95_us: f64,
-    /// 99th percentile (µs).
-    pub p99_us: f64,
-    /// Whether every response matched the sequential reference of the
-    /// generation that served it (ids + distance bits).
-    pub matches_generation_reference: bool,
-}
-
-impl RefreezeReport {
-    /// The `gnn-refreeze-bench/1` JSON document.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n\"schema\":\"gnn-refreeze-bench/1\",\n\"quick\":{},\n\"dataset\":{},\n\
-             \"freeze\":{{\"pages\":{},\"dirty_pages\":{},\"dirty_fraction\":{:.4},\
-             \"updates_applied\":{},\"full_freeze_us\":{:.1},\"refreeze_us\":{:.1},\
-             \"speedup\":{:.3},\"snapshots_equal\":{}}},\n\
-             \"service\":{{\"workers\":{},\"queries\":{},\"updates_per_cycle\":{},\
-             \"publishes\":{},\"static_qps\":{:.1},\"refresh_qps\":{:.1},\
-             \"p50_us\":{:.1},\"p95_us\":{:.1},\"p99_us\":{:.1},\
-             \"matches_generation_reference\":{}}}\n}}\n",
-            self.quick,
-            json_str(&self.dataset),
-            self.pages,
-            self.dirty_pages,
-            self.dirty_fraction,
-            self.updates_applied,
-            self.full_freeze_us,
-            self.refreeze_us,
-            self.speedup,
-            self.snapshots_equal,
-            self.workers,
-            self.queries,
-            self.updates_per_cycle,
-            self.publishes,
-            self.static_qps,
-            self.refresh_qps,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.matches_generation_reference,
-        )
-    }
-}
-
-/// The mixed-traffic experiment behind `BENCH_refreeze.json`: how much
-/// cheaper is refreshing a serving snapshot with page-level copy-on-write
-/// [`gnn_rtree::RTree::refreeze`] than a full [`RTree::freeze`], and what
-/// does queries/sec look like while snapshots are being republished?
-///
-/// **Part 1 (freeze latency).** The full-scale TS tree is frozen once;
-/// then a fixed-seed mixed-traffic update stream
-/// ([`gnn_datasets::mixed_traffic`]) runs against the arena tree until
-/// ~10% of the snapshot's pages are dirty. Full freeze and refreeze of the
-/// same tree state are then timed (best of N interleaved passes) and the
-/// snapshots compared structurally.
-///
-/// **Part 2 (serving during refresh).** A worker pool serves the same
-/// fixed-seed §5.1 query batch twice: once on a static snapshot, once
-/// while the main thread applies update chunks and refreeze-publishes
-/// after each chunk. Every response is checked against the sequential
-/// reference of the generation that served it.
-pub fn run_mixed_traffic(quick: bool) -> RefreezeReport {
-    use gnn_datasets::{mixed_traffic, MixedOp, MixedSpec};
-    use gnn_service::{Service, ServiceConfig};
-
-    // --- Part 1: freeze vs refreeze latency at ~10% dirty pages. ---
-    let pts = Dataset::Ts.points(false);
-    let mut tree = build_tree(&pts);
-    let workspace = tree.root_mbr();
-    let baseline = tree.freeze();
-    let pages = baseline.node_count();
-
-    let spec = MixedSpec {
-        query: QuerySpec {
-            n: 64,
-            area_fraction: 0.08,
-        },
-        queries: 0,
-        query_rate_qps: 0.0,
-        updates: 200_000,
-        update_rate_ups: 100_000.0,
-        insert_fraction: 0.5,
-    };
-    let update_stream = mixed_traffic(workspace, spec, &pts, 0x0000_D1E7)
-        .into_iter()
-        .map(|e| e.op)
-        .collect::<Vec<_>>();
-    let apply = |tree: &mut RTree, op: &MixedOp| match op {
-        MixedOp::Insert { id, point } => {
-            tree.insert(LeafEntry::new(PointId(*id), *point));
-        }
-        MixedOp::Delete { id, point } => {
-            assert!(tree.remove(PointId(*id), *point), "schedule replay desync");
-        }
-        MixedOp::Query { .. } => unreachable!("update-only stream"),
-    };
-    let mut updates_applied = 0usize;
-    let target_dirty = pages / 10;
-    let mut stream = update_stream.iter();
-    while tree.dirty_page_count(&baseline) < target_dirty {
-        let op = stream
-            .next()
-            .expect("update stream exhausted before 10% dirty");
-        apply(&mut tree, op);
-        updates_applied += 1;
-    }
-    let dirty_pages = tree.dirty_page_count(&baseline);
-
-    // Interleaved best-of-N so machine drift hits both measurements alike;
-    // each snapshot is dropped before the other side's timer starts, so
-    // both run under identical allocator and memory pressure. The first
-    // untimed pair warms allocator and caches.
-    let reps = if quick { 9 } else { 21 };
-    let snapshots_equal = tree.freeze() == tree.refreeze(&baseline);
-    let mut full_best = std::time::Duration::MAX;
-    let mut incr_best = std::time::Duration::MAX;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let f = tree.freeze();
-        full_best = full_best.min(t0.elapsed());
-        std::hint::black_box(&f);
-        drop(f);
-        let t0 = Instant::now();
-        let r = tree.refreeze(&baseline);
-        incr_best = incr_best.min(t0.elapsed());
-        std::hint::black_box(&r);
-        drop(r);
-    }
-    let refrozen = tree.refreeze(&baseline);
-
-    // --- Part 2: serving while the snapshot is republished. ---
-    let workers = 2usize;
-    let queries = if quick { 64 } else { 256 };
-    let updates_per_cycle = if quick { 150 } else { 400 };
-    let cycles = 3usize;
-    let groups: Vec<QueryGroup> = workload_for(&tree, 64, 0.08, queries, 0x5EF2_EE2E)
-        .into_iter()
-        .map(|q| QueryGroup::sum(q).expect("valid workload query"))
-        .collect();
-    let k = defaults::K;
-
-    let mut snapshots: Vec<std::sync::Arc<gnn_rtree::PackedRTree>> =
-        vec![std::sync::Arc::new(refrozen)];
-    let service = Service::start(
-        std::sync::Arc::clone(&snapshots[0]),
-        ServiceConfig {
-            workers,
-            queue_depth: 256,
-            ..ServiceConfig::default()
-        },
-    );
-    let requests = || {
-        groups
-            .iter()
-            .map(|g| gnn_core::QueryRequest::new(g.clone(), k))
-    };
-    // Static phase (also warms workers + shapes).
-    let t0 = Instant::now();
-    let handles: Vec<_> = requests()
-        .map(|r| service.submit(r).expect("static-phase submit"))
-        .collect();
-    let static_responses: Vec<gnn_core::QueryResponse> = handles
-        .into_iter()
-        .map(|h| h.wait().expect("static-phase query"))
-        .collect();
-    let static_qps = queries as f64 / t0.elapsed().as_secs_f64();
-
-    // Refresh phase: same batch, while the main thread mutates + refreeze-
-    // publishes `cycles` times.
-    let mut publishes = 0u64;
-    let t0 = Instant::now();
-    let refresh_responses: Vec<gnn_core::QueryResponse> = std::thread::scope(|s| {
-        let svc = &service;
-        let collector = s.spawn(move || {
-            requests()
-                .map(|r| svc.submit(r).expect("refresh-phase submit"))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.wait().expect("refresh-phase query"))
-                .collect::<Vec<_>>()
-        });
-        for _ in 0..cycles {
-            for _ in 0..updates_per_cycle {
-                let op = stream.next().expect("update stream exhausted mid-serve");
-                apply(&mut tree, op);
-            }
-            let prev = snapshots.last().expect("snapshot chain non-empty");
-            let next = std::sync::Arc::new(tree.refreeze(prev));
-            service.publish(std::sync::Arc::clone(&next));
-            snapshots.push(next);
-            publishes += 1;
-        }
-        collector.join().expect("refresh-phase collector")
-    });
-    let refresh_qps = queries as f64 / t0.elapsed().as_secs_f64();
-    let stats = service.shutdown();
-
-    // Per-generation determinism: each response must equal the sequential
-    // reference of the snapshot generation that served it. (Generation g
-    // was published from `snapshots[g-1]`.)
-    type Fingerprints = Vec<Vec<(u64, u64)>>;
-    let mut reference_cache: Vec<Option<Fingerprints>> = vec![None; snapshots.len()];
-    let fingerprint = |ns: &[gnn_core::Neighbor]| -> Vec<(u64, u64)> {
-        ns.iter().map(|n| (n.id.0, n.dist.to_bits())).collect()
-    };
-    let mut matches = true;
-    for (i, r) in static_responses
-        .iter()
-        .chain(&refresh_responses)
-        .enumerate()
-    {
-        let idx = i % queries; // both phases replay the same batch
-        let g = r.generation;
-        if g == 0 || g as usize > snapshots.len() {
-            matches = false;
-            continue;
-        }
-        let slot = &mut reference_cache[g as usize - 1];
-        let reference = slot.get_or_insert_with(|| {
-            let snapshot = &snapshots[g as usize - 1];
-            let planner = gnn_core::Planner::new();
-            let cursor = snapshot.cursor();
-            let mut scratch = QueryScratch::new();
-            let mut out = Vec::with_capacity(queries);
-            planner.run_many(&cursor, &groups, k, &mut scratch, |_, _, ns, _| {
-                out.push(fingerprint(ns));
-            });
-            out
-        });
-        if fingerprint(&r.neighbors) != reference[idx] {
-            matches = false;
-        }
-    }
-
-    let us = |d: Option<std::time::Duration>| d.map_or(0.0, |d| d.as_secs_f64() * 1e6);
-    RefreezeReport {
-        quick,
-        dataset: "TS".into(),
-        pages,
-        dirty_pages,
-        dirty_fraction: dirty_pages as f64 / pages as f64,
-        updates_applied,
-        full_freeze_us: full_best.as_secs_f64() * 1e6,
-        refreeze_us: incr_best.as_secs_f64() * 1e6,
-        speedup: full_best.as_secs_f64() / incr_best.as_secs_f64(),
-        snapshots_equal,
-        workers,
-        queries,
-        updates_per_cycle,
-        publishes,
-        static_qps,
-        refresh_qps,
-        p50_us: us(stats.latency.p50()),
-        p95_us: us(stats.latency.p95()),
-        p99_us: us(stats.latency.p99()),
-        matches_generation_reference: matches,
-    }
-}
-
-/// One load-shedding configuration of the overload experiment.
-#[derive(Debug, Clone)]
-pub struct OverloadCell {
-    /// Cell name: `no_deadline`, `deadline`, or `deadline_panics`.
-    pub name: String,
-    /// Queries answered with a normal response.
-    pub served: usize,
-    /// Queries shed at dequeue (`DeadlineExceeded`).
-    pub shed: u64,
-    /// Queries answered `WorkerPanicked` (injected faults).
-    pub panicked: u64,
-    /// Worker serving-state rebuilds; equals `panicked` in steady state.
-    pub respawns: u64,
-    /// Served queries that finished past their deadline (SLO misses, not
-    /// errors).
-    pub deadline_missed: u64,
-    /// `shed / submitted`.
-    pub shed_fraction: f64,
-    /// Normal responses per second over the whole cell (submission ramp +
-    /// drain) — the goodput the resilience gates compare.
-    pub goodput_qps: f64,
-    /// Median latency of served queries (µs, submit → response).
-    pub p50_us: f64,
-    /// 95th percentile (µs).
-    pub p95_us: f64,
-    /// 99th percentile (µs).
-    pub p99_us: f64,
-    /// Whether every submitted query resolved to exactly one outcome and
-    /// the service's fault ledger agrees with the per-handle tally
-    /// (`served + shed + panicked == submitted`, `respawns == panics`).
-    pub all_replies_accounted: bool,
-    /// Whether every served response was bit-identical (ids + distance
-    /// bits) to the sequential reference — faults and shedding must never
-    /// perturb a query they didn't touch.
-    pub matches_reference: bool,
-}
-
-impl OverloadCell {
-    /// JSON object form.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":{},\"served\":{},\"shed\":{},\"panicked\":{},\"respawns\":{},\
-             \"deadline_missed\":{},\"shed_fraction\":{:.4},\"goodput_qps\":{:.1},\
-             \"p50_us\":{:.1},\"p95_us\":{:.1},\"p99_us\":{:.1},\
-             \"all_replies_accounted\":{},\"matches_reference\":{}}}",
-            json_str(&self.name),
-            self.served,
-            self.shed,
-            self.panicked,
-            self.respawns,
-            self.deadline_missed,
-            self.shed_fraction,
-            self.goodput_qps,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.all_replies_accounted,
-            self.matches_reference,
-        )
-    }
-}
-
-/// The overload-resilience report (written to `BENCH_overload.json`).
-#[derive(Debug, Clone)]
-pub struct OverloadReport {
-    /// Whether the quick (reduced query count) mode was used.
-    pub quick: bool,
-    /// Dataset name.
-    pub dataset: String,
-    /// Queries submitted per pass of each cell.
-    pub queries: usize,
-    /// Paced replays of the arrival schedule each cell served. Passes are
-    /// interleaved round-robin across the cells so host-load drift hits
-    /// every cell alike; cell counts are totals across passes.
-    pub passes: usize,
-    /// Query group cardinality.
-    pub n: usize,
-    /// Query MBR area fraction.
-    pub area: f64,
-    /// Neighbors retrieved per query.
-    pub k: usize,
-    /// Worker threads serving each cell.
-    pub workers: usize,
-    /// `std::thread::available_parallelism()` of the host.
-    pub host_parallelism: usize,
-    /// Arrival rate at the first query (queries/sec).
-    pub start_qps: f64,
-    /// Arrival rate at the last query — past the pool's saturation point.
-    pub end_qps: f64,
-    /// Latency injected before every query executes (the saturation knob),
-    /// milliseconds.
-    pub injected_latency_ms: f64,
-    /// Queue-wait deadline of the `deadline*` cells, milliseconds.
-    pub deadline_ms: f64,
-    /// Seeded panic rate of the `deadline_panics` cell.
-    pub panic_rate: f64,
-    /// One cell per configuration.
-    pub cells: Vec<OverloadCell>,
-}
-
-impl OverloadReport {
-    /// The `gnn-overload-bench/1` JSON document.
-    pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self.cells.iter().map(OverloadCell::to_json).collect();
-        format!(
-            "{{\n\"schema\":\"gnn-overload-bench/1\",\n\"quick\":{},\n\"dataset\":{},\n\
-             \"queries\":{},\n\"passes\":{},\n\"n\":{},\n\"area\":{},\n\"k\":{},\n\"workers\":{},\n\
-             \"host_parallelism\":{},\n\"ramp\":{{\"start_qps\":{:.1},\"end_qps\":{:.1}}},\n\
-             \"injected_latency_ms\":{:.1},\n\"deadline_ms\":{:.1},\n\"panic_rate\":{},\n\
-             \"cells\":[\n{}\n]\n}}\n",
-            self.quick,
-            json_str(&self.dataset),
-            self.queries,
-            self.passes,
-            self.n,
-            self.area,
-            self.k,
-            self.workers,
-            self.host_parallelism,
-            self.start_qps,
-            self.end_qps,
-            self.injected_latency_ms,
-            self.deadline_ms,
-            self.panic_rate,
-            cells.join(",\n"),
-        )
-    }
-
-    /// The resilience claims the `overload_resilience` binary's exit code
-    /// gates:
-    ///
-    /// 1. every cell accounts for every reply, and every served response
-    ///    matches the sequential reference bit for bit;
-    /// 2. the `deadline` cell sheds (the ramp really saturates the pool);
-    /// 3. shedding bounds the tail: p99 of served queries under deadlines
-    ///    beats the no-deadline p99;
-    /// 4. the `deadline_panics` cell sees injected panics, and respawning
-    ///    keeps its goodput within 5% of the fault-free deadline cell.
-    pub fn gate_passes(&self) -> bool {
-        let cell = |name: &str| self.cells.iter().find(|c| c.name == name);
-        let (Some(base), Some(dl), Some(faulty)) = (
-            cell("no_deadline"),
-            cell("deadline"),
-            cell("deadline_panics"),
-        ) else {
-            return false;
-        };
-        self.cells
-            .iter()
-            .all(|c| c.all_replies_accounted && c.matches_reference)
-            && dl.shed > 0
-            && dl.p99_us < base.p99_us
-            && faulty.panicked >= 1
-            && faulty.served as f64 >= 0.95 * dl.served as f64
-    }
-}
-
-/// The overload-resilience experiment behind `BENCH_overload.json`: what
-/// happens to a 2-worker pool when the arrival rate ramps past its
-/// capacity, with and without request deadlines, and with a seeded 1%
-/// panic rate on top?
-///
-/// Every query sleeps an injected [`FaultPlan::with_query_latency`] before
-/// executing, giving the pool a known capacity of roughly
-/// `workers / latency` ≈ 400 q/s; the fixed-seed
-/// [`gnn_datasets::overload_arrivals`] ramp starts below that and ends
-/// far above it. Three cells submit the identical paced schedule, replayed
-/// for several passes interleaved round-robin across the cells (slow
-/// periods of a noisy host hit every cell equally, so the cross-cell
-/// goodput comparison sees common-mode noise cancel):
-///
-/// * **`no_deadline`** — queues grow without bound past saturation; every
-///   query is eventually served, at unbounded tail latency;
-/// * **`deadline`** — a per-request queue-wait deadline sheds expired
-///   requests at dequeue with a typed `DeadlineExceeded`, bounding the
-///   tail of what is served;
-/// * **`deadline_panics`** — additionally injects seeded panics into 1% of
-///   executions ([`FaultPlan::seeded_panics`]); supervision answers each
-///   as a typed `WorkerPanicked` and respawns the worker's serving state.
-///
-/// Every served response in every cell is checked bit-for-bit against the
-/// sequential reference, and the per-handle outcome tally is reconciled
-/// with the service's fault ledger — under overload and injected faults,
-/// replies may be shed or failed but never lost, duplicated, or wrong.
-pub fn run_overload_resilience(quick: bool) -> OverloadReport {
-    use gnn_service::{
-        silence_injected_panics, FaultPlan, QueryError, Service, ServiceConfig, SubmitError,
-    };
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    silence_injected_panics();
-
-    let n = 64usize;
-    let area = 0.08f64;
-    let k = defaults::K;
-    let count = if quick { 300 } else { 1000 };
-    let workers = 2usize;
-    // Millisecond-scale timescale on purpose: the 5ms injected latency
-    // pins capacity at ~400 q/s, and a 30ms deadline keeps OS scheduling
-    // jitter (single-digit ms on a loaded 1-core host) small relative to
-    // the shed threshold — the serve/shed split must be decided by the
-    // schedule, not by the noise.
-    let (start_qps, end_qps) = (160.0f64, 1_200.0f64);
-    let injected = Duration::from_millis(5);
-    let deadline = Duration::from_millis(30);
-    let panic_rate = 0.01f64;
-    // Seed chosen so the 1% schedule fires within each worker's first
-    // handful of executions (worker 0: attempts 1 and 59; worker 1: 5 and
-    // 20). A seed can legitimately have a long empty prefix, and the gate
-    // needs panics >= 1 even when heavy shedding (a loaded host) shrinks
-    // the per-worker execution count.
-    let seed = 316u64;
-
-    let pts = Dataset::Pp.points(false);
-    let tree = build_tree(&pts);
-    let snapshot = Arc::new(tree.freeze());
-
-    let arrivals = gnn_datasets::overload_arrivals(
-        tree.root_mbr(),
-        QuerySpec {
-            n,
-            area_fraction: area,
-        },
-        count,
-        start_qps,
-        end_qps,
-        seed,
-    );
-    let groups: Vec<QueryGroup> = arrivals
-        .iter()
-        .map(|a| QueryGroup::sum(a.points.clone()).expect("valid workload query"))
-        .collect();
-    let offsets: Vec<Duration> = arrivals
-        .iter()
-        .map(|a| Duration::from_nanos(a.offset_nanos))
-        .collect();
-
-    // Sequential reference fingerprints: a served query must return these
-    // exact bits no matter what was injected around it.
-    let planner = gnn_core::Planner::new();
-    let cursor = snapshot.cursor();
-    let mut scratch = QueryScratch::new();
-    let fingerprint = |ns: &[gnn_core::Neighbor]| -> Vec<(u64, u64)> {
-        ns.iter().map(|x| (x.id.0, x.dist.to_bits())).collect()
-    };
-    let mut reference: Vec<Vec<(u64, u64)>> = Vec::with_capacity(count);
-    planner.run_many(&cursor, &groups, k, &mut scratch, |_, _, ns, _| {
-        reference.push(fingerprint(ns));
-    });
-
-    // Each cell keeps one service alive across every pass: counters,
-    // latency histograms, and the seeded panic schedule (per-worker
-    // attempt numbers) all accumulate, and the final reconciliation
-    // checks the grand totals.
-    struct CellRun {
-        name: &'static str,
-        with_deadline: bool,
-        service: Service,
-        served: usize,
-        shed: u64,
-        panicked: u64,
-        answered: usize,
-        matches: bool,
-        busy: Duration,
-    }
-    let latency_plan = FaultPlan::none().with_query_latency(injected);
-    let start = |plan: FaultPlan| {
-        Service::start(
-            Arc::clone(&snapshot),
-            ServiceConfig {
-                workers,
-                // Deep enough that submission never blocks: overload is
-                // absorbed by deadline shedding, not submit backpressure,
-                // keeping the generator honestly open-loop.
-                queue_depth: count.max(256),
-                fault_plan: plan,
-                ..ServiceConfig::default()
-            },
-        )
-    };
-    let mut runs = [
-        ("no_deadline", false, latency_plan.clone()),
-        ("deadline", true, latency_plan.clone()),
-        (
-            "deadline_panics",
-            true,
-            latency_plan.seeded_panics(panic_rate, seed),
-        ),
-    ]
-    .map(|(name, with_deadline, plan)| CellRun {
-        name,
-        with_deadline,
-        service: start(plan),
-        served: 0,
-        shed: 0,
-        panicked: 0,
-        answered: 0,
-        matches: true,
-        busy: Duration::ZERO,
-    });
-
-    let run_pass = |cell: &mut CellRun| {
-        let t0 = Instant::now();
-        let mut handles = Vec::with_capacity(count);
-        for (group, offset) in groups.iter().zip(&offsets) {
-            let due = t0 + *offset;
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due - now);
-            }
-            let mut request = gnn_core::QueryRequest::new(group.clone(), k);
-            if cell.with_deadline {
-                request = request.with_deadline(deadline);
-            }
-            handles.push(cell.service.submit(request).expect("overload submit"));
-        }
-        for (i, h) in handles.into_iter().enumerate() {
-            match h.wait() {
-                Ok(r) => {
-                    cell.served += 1;
-                    cell.answered += 1;
-                    if fingerprint(&r.neighbors) != reference[i] {
-                        cell.matches = false;
-                    }
-                }
-                Err(SubmitError::Query(QueryError::DeadlineExceeded)) => {
-                    cell.shed += 1;
-                    cell.answered += 1;
-                }
-                Err(SubmitError::Query(QueryError::WorkerPanicked)) => {
-                    cell.panicked += 1;
-                    cell.answered += 1;
-                }
-                Err(_) => {}
-            }
-        }
-        cell.busy += t0.elapsed();
-    };
-
-    // Round-robin: pass p of every cell runs before pass p+1 of any cell.
-    let passes = 3usize;
-    for _ in 0..passes {
-        for cell in runs.iter_mut() {
-            run_pass(cell);
-        }
-    }
-
-    let total = (count * passes) as u64;
-    let cells: Vec<OverloadCell> = runs
-        .into_iter()
-        .map(|cell| {
-            let stats = cell.service.shutdown();
-            let us = |d: Option<Duration>| d.map_or(0.0, |d| d.as_secs_f64() * 1e6);
-            let all_replies_accounted = cell.answered as u64 == total
-                && cell.served as u64 + cell.shed + cell.panicked == total
-                && stats.faults.shed == cell.shed
-                && stats.faults.panics == cell.panicked
-                && stats.faults.respawns == stats.faults.panics;
-            OverloadCell {
-                name: cell.name.into(),
-                served: cell.served,
-                shed: cell.shed,
-                panicked: cell.panicked,
-                respawns: stats.faults.respawns,
-                deadline_missed: stats.faults.deadline_missed,
-                shed_fraction: cell.shed as f64 / total as f64,
-                goodput_qps: cell.served as f64 / cell.busy.as_secs_f64(),
-                p50_us: us(stats.latency.p50()),
-                p95_us: us(stats.latency.p95()),
-                p99_us: us(stats.latency.p99()),
-                all_replies_accounted,
-                matches_reference: cell.matches,
-            }
-        })
-        .collect();
-
-    OverloadReport {
-        quick,
-        dataset: "PP".into(),
-        queries: count,
-        passes,
-        n,
-        area,
-        k,
-        workers,
-        host_parallelism: std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
-        start_qps,
-        end_qps,
-        injected_latency_ms: injected.as_secs_f64() * 1e3,
-        deadline_ms: deadline.as_secs_f64() * 1e3,
-        panic_rate,
-        cells,
-    }
-}
-
 /// Memory-resident algorithms compared in §5.1.
 pub fn memory_algorithms() -> Vec<(String, Box<dyn MemoryGnnAlgorithm>)> {
     vec![
@@ -2137,1281 +517,6 @@ pub fn file_algorithms() -> Vec<(String, Box<dyn FileGnnAlgorithm>)> {
     ]
 }
 
-/// Per-stage latency quantiles of one telemetry cell (microseconds,
-/// fixed-bucket upper bounds — same histograms as the service report).
-#[derive(Debug, Clone)]
-pub struct StageQuantiles {
-    /// Stage name: `queue_wait`, `execution`, `reply`, or `shed_wait`.
-    pub stage: String,
-    /// Median, microseconds.
-    pub p50_us: f64,
-    /// 95th percentile, microseconds.
-    pub p95_us: f64,
-    /// 99th percentile, microseconds.
-    pub p99_us: f64,
-    /// Samples recorded into this stage histogram.
-    pub count: u64,
-}
-
-impl StageQuantiles {
-    /// JSON object form.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"stage\":{},\"p50_us\":{:.1},\"p95_us\":{:.1},\"p99_us\":{:.1},\"count\":{}}}",
-            json_str(&self.stage),
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.count,
-        )
-    }
-}
-
-/// One telemetry-mode measurement (`off` = flight recorder disabled, no
-/// traces requested; `on` = flight recorder + per-query traces + a polling
-/// stats logger) of the overhead experiment.
-#[derive(Debug, Clone)]
-pub struct TelemetryCell {
-    /// `"off"` or `"on"`.
-    pub mode: String,
-    /// End-to-end queries/sec, best of three interleaved passes.
-    pub qps: f64,
-    /// Median end-to-end latency, microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile latency, microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: f64,
-    /// Total logical node accesses of the reference pass.
-    pub na_total: u64,
-    /// Whether ids, distances (bit-identical) and per-query node accesses
-    /// matched the sequential reference — telemetry must never change
-    /// results.
-    pub matches_sequential: bool,
-    /// Per-stage quantiles from [`gnn_service::ServiceStats::stages`].
-    pub stages: Vec<StageQuantiles>,
-    /// Flight-recorder events visible in the final merged timeline.
-    pub flight_events: u64,
-    /// Flight-recorder events dropped to ring overflow.
-    pub flight_dropped: u64,
-    /// Responses of the reference pass that carried a trace.
-    pub traced: u64,
-    /// Whether every carried trace agreed with its response's own stats
-    /// (node accesses, pages, distance evaluations) — and, in `off` mode,
-    /// whether every response carried none.
-    pub traces_consistent: bool,
-    /// Snapshots the background stats logger delivered while the timed
-    /// passes ran (0 in `off` mode — no logger attached).
-    pub stats_polls: u64,
-}
-
-impl TelemetryCell {
-    /// JSON object form.
-    pub fn to_json(&self) -> String {
-        let stages: Vec<String> = self.stages.iter().map(StageQuantiles::to_json).collect();
-        format!(
-            "{{\"mode\":{},\"qps\":{:.1},\"p50_us\":{:.1},\"p95_us\":{:.1},\"p99_us\":{:.1},\
-             \"na_total\":{},\"matches_sequential\":{},\"stages\":[{}],\"flight_events\":{},\
-             \"flight_dropped\":{},\"traced\":{},\"traces_consistent\":{},\"stats_polls\":{}}}",
-            json_str(&self.mode),
-            self.qps,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.na_total,
-            self.matches_sequential,
-            stages.join(","),
-            self.flight_events,
-            self.flight_dropped,
-            self.traced,
-            self.traces_consistent,
-            self.stats_polls,
-        )
-    }
-}
-
-/// The telemetry-overhead report (written to `BENCH_telemetry.json`).
-#[derive(Debug, Clone)]
-pub struct TelemetryReport {
-    /// Whether the quick (reduced) workload was used.
-    pub quick: bool,
-    /// Dataset name.
-    pub dataset: String,
-    /// Queries in the timed batch.
-    pub queries: usize,
-    /// Query group cardinality.
-    pub n: usize,
-    /// Query MBR area fraction.
-    pub area: f64,
-    /// Neighbors retrieved per query.
-    pub k: usize,
-    /// Service workers in both cells.
-    pub workers: usize,
-    /// Host parallelism the numbers were measured under.
-    pub host_parallelism: usize,
-    /// Telemetry-off cell.
-    pub off: TelemetryCell,
-    /// Telemetry-on cell.
-    pub on: TelemetryCell,
-}
-
-impl TelemetryReport {
-    /// `on.qps / off.qps` — the gated overhead ratio.
-    pub fn throughput_ratio(&self) -> f64 {
-        if self.off.qps > 0.0 {
-            self.on.qps / self.off.qps
-        } else {
-            0.0
-        }
-    }
-
-    /// Whether the exit-code gate holds: both cells bit-identical to the
-    /// sequential reference, traces present and consistent exactly when
-    /// requested, stage histograms populated, and telemetry-on throughput
-    /// within 3% of telemetry-off.
-    pub fn gate_passes(&self) -> bool {
-        let equivalent = self.off.matches_sequential && self.on.matches_sequential;
-        let traces = self.off.traced == 0
-            && self.off.traces_consistent
-            && self.on.traced == self.queries as u64
-            && self.on.traces_consistent;
-        let stages_populated = self
-            .on
-            .stages
-            .iter()
-            .filter(|s| s.stage != "shed_wait")
-            .all(|s| s.count > 0);
-        let flight = self.off.flight_events == 0 && self.on.flight_events > 0;
-        let overhead_ok = self.throughput_ratio() >= 0.97;
-        equivalent && traces && stages_populated && flight && overhead_ok
-    }
-
-    /// The `gnn-telemetry-bench/1` JSON document.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n\"schema\":\"gnn-telemetry-bench/1\",\n\"quick\":{},\n\"dataset\":{},\n\
-             \"queries\":{},\n\"n\":{},\n\"area\":{},\n\"k\":{},\n\"workers\":{},\n\
-             \"host_parallelism\":{},\n\"throughput_ratio\":{:.4},\n\"gate_passes\":{},\n\
-             \"off\":{},\n\"on\":{}\n}}\n",
-            self.quick,
-            json_str(&self.dataset),
-            self.queries,
-            self.n,
-            self.area,
-            self.k,
-            self.workers,
-            self.host_parallelism,
-            self.throughput_ratio(),
-            self.gate_passes(),
-            self.off.to_json(),
-            self.on.to_json(),
-        )
-    }
-}
-
-/// The telemetry-overhead experiment: the §5.1 service workload runs twice
-/// through identical services — telemetry **off** (flight recorder
-/// disabled, no traces requested) and telemetry **on** (flight recorder at
-/// 1024 events/worker, every request traced, a background
-/// [`gnn_service::StatsLogger`] polling every 25 ms, and the Prometheus/JSON
-/// renderers exercised on the final snapshot). Passes are interleaved
-/// (off/on, five times, min-of-5 each) so thermal drift hits both modes
-/// equally. The equivalence checks — both cells bit-identical to the
-/// sequential reference, traces exactly where requested — are part of the
-/// report and gate the `telemetry_overhead` binary's exit code.
-pub fn run_telemetry_overhead(quick: bool) -> TelemetryReport {
-    use gnn_service::{Service, ServiceConfig, StatsLogger};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let n = 64usize;
-    let area = 0.08f64;
-    let k = defaults::K;
-    let workers = 4usize;
-    let count = if quick { 256 } else { 512 };
-
-    let pts = Dataset::Pp.points(false);
-    let tree = build_tree(&pts);
-    let snapshot = std::sync::Arc::new(tree.freeze());
-
-    let groups: Vec<QueryGroup> = workload_for(&tree, n, area, count, 0x5E12_71CE)
-        .into_iter()
-        .map(|q| QueryGroup::sum(q).expect("valid workload query"))
-        .collect();
-    let planner = gnn_core::Planner::new();
-
-    // Sequential reference: ids, distances, per-query NA.
-    let cursor = snapshot.cursor();
-    let mut scratch = QueryScratch::new();
-    let mut reference: Vec<Vec<(u64, f64)>> = Vec::with_capacity(count);
-    let mut reference_nas: Vec<u64> = Vec::with_capacity(count);
-    planner.run_many(
-        &cursor,
-        &groups,
-        k,
-        &mut scratch,
-        |_, _, neighbors, stats| {
-            reference_nas.push(stats.data_tree.logical);
-            reference.push(neighbors.iter().map(|x| (x.id.0, x.dist)).collect());
-        },
-    );
-
-    let start = |flight_recorder: usize| {
-        std::sync::Arc::new(Service::start(
-            std::sync::Arc::clone(&snapshot),
-            ServiceConfig {
-                workers,
-                queue_depth: 256,
-                flight_recorder,
-                ..ServiceConfig::default()
-            },
-        ))
-    };
-    let off_service = start(0);
-    let on_service = start(1024);
-
-    // Warm both services to the workload's shape (untimed).
-    for service in [&off_service, &on_service] {
-        let warmup: Vec<_> = groups
-            .iter()
-            .take(32)
-            .map(|g| {
-                service
-                    .submit(gnn_core::QueryRequest::new(g.clone(), k))
-                    .expect("warm-up submit")
-            })
-            .collect();
-        for h in warmup {
-            h.wait().expect("warm-up query");
-        }
-    }
-
-    // The logger polls the on-service while its timed passes run — the
-    // scrape cost is part of what the gate measures. 25 ms is already an
-    // order of magnitude hotter than a production scrape interval.
-    let polls = std::sync::Arc::new(AtomicU64::new(0));
-    let sink_polls = std::sync::Arc::clone(&polls);
-    let mut logger = StatsLogger::start(
-        std::sync::Arc::clone(&on_service),
-        std::time::Duration::from_millis(25),
-        move |_| {
-            sink_polls.fetch_add(1, Ordering::Relaxed);
-        },
-    );
-
-    // Interleaved min-of-5: off pass, on pass, five times. The first
-    // pass of each mode collects the responses for the equivalence check.
-    let run_pass = |service: &Service, trace: bool| {
-        let t0 = Instant::now();
-        let handles: Vec<_> = groups
-            .iter()
-            .map(|g| {
-                let request = gnn_core::QueryRequest::new(g.clone(), k);
-                let request = if trace { request.with_trace() } else { request };
-                service.submit(request).expect("timed submit")
-            })
-            .collect();
-        let got: Vec<gnn_core::QueryResponse> = handles
-            .into_iter()
-            .map(|h| h.wait().expect("service query"))
-            .collect();
-        (t0.elapsed(), got)
-    };
-    let mut off_elapsed = std::time::Duration::MAX;
-    let mut on_elapsed = std::time::Duration::MAX;
-    let mut off_responses: Vec<gnn_core::QueryResponse> = Vec::new();
-    let mut on_responses: Vec<gnn_core::QueryResponse> = Vec::new();
-    for pass in 0..5 {
-        let (d, got) = run_pass(&off_service, false);
-        off_elapsed = off_elapsed.min(d);
-        if pass == 0 {
-            off_responses = got;
-        }
-        let (d, got) = run_pass(&on_service, true);
-        on_elapsed = on_elapsed.min(d);
-        if pass == 0 {
-            on_responses = got;
-        }
-    }
-    logger.stop();
-
-    // Exercise both renderers on a live snapshot (cheap sanity asserts —
-    // full shape checks live in gnn-service's own tests).
-    let live = on_service.stats();
-    assert!(live
-        .render_prometheus()
-        .contains("gnn_queries_served_total"));
-    assert!(live.render_json().starts_with('{'));
-
-    let off_stats = std::sync::Arc::try_unwrap(off_service)
-        .expect("off service has one owner")
-        .shutdown();
-    let on_stats = std::sync::Arc::try_unwrap(on_service)
-        .expect("on service has one owner")
-        .shutdown();
-
-    let us = |d: Option<std::time::Duration>| d.map_or(0.0, |d| d.as_secs_f64() * 1e6);
-    let cell = |mode: &str,
-                elapsed: std::time::Duration,
-                responses: &[gnn_core::QueryResponse],
-                stats: &gnn_service::ServiceStats,
-                stats_polls: u64| {
-        let mut na_total = 0u64;
-        let mut matches = responses.len() == reference.len();
-        let mut traced = 0u64;
-        let mut traces_consistent = true;
-        for (i, r) in responses.iter().enumerate() {
-            na_total += r.stats.data_tree.logical;
-            let got: Vec<(u64, f64)> = r.neighbors.iter().map(|x| (x.id.0, x.dist)).collect();
-            if got != reference[i] || r.stats.data_tree.logical != reference_nas[i] {
-                matches = false;
-            }
-            if let Some(trace) = r.trace {
-                traced += 1;
-                if trace.node_accesses != r.stats.data_tree.logical
-                    || trace.pages != r.stats.data_tree.io
-                    || trace.dist_computations != r.stats.dist_computations
-                {
-                    traces_consistent = false;
-                }
-            }
-        }
-        TelemetryCell {
-            mode: mode.into(),
-            qps: count as f64 / elapsed.as_secs_f64(),
-            p50_us: us(stats.latency.p50()),
-            p95_us: us(stats.latency.p95()),
-            p99_us: us(stats.latency.p99()),
-            na_total,
-            matches_sequential: matches,
-            stages: stats
-                .stages
-                .named()
-                .iter()
-                .map(|(stage, s)| StageQuantiles {
-                    stage: (*stage).into(),
-                    p50_us: us(s.p50()),
-                    p95_us: us(s.p95()),
-                    p99_us: us(s.p99()),
-                    count: s.count(),
-                })
-                .collect(),
-            flight_events: stats.flight.events.len() as u64,
-            flight_dropped: stats.flight.dropped,
-            traced,
-            traces_consistent,
-            stats_polls,
-        }
-    };
-
-    TelemetryReport {
-        quick,
-        dataset: "PP".into(),
-        queries: count,
-        n,
-        area,
-        k,
-        workers,
-        host_parallelism: std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
-        off: cell("off", off_elapsed, &off_responses, &off_stats, 0),
-        on: cell(
-            "on",
-            on_elapsed,
-            &on_responses,
-            &on_stats,
-            polls.load(Ordering::Relaxed),
-        ),
-    }
-}
-
-/// One (algorithm, group size) cell of the network experiment:
-/// arena-vs-packed throughput and the per-query expansion counters, with
-/// the packed run checked bit-for-bit against the arena reference.
-#[derive(Debug, Clone)]
-pub struct NetworkAlgoCell {
-    /// Algorithm name ("NET-TA" / "NET-IER").
-    pub algo: String,
-    /// Query group cardinality.
-    pub n: usize,
-    /// Queries/sec of the arena (per-query-allocating) implementation.
-    pub arena_qps: f64,
-    /// Queries/sec of the packed scratch-threaded implementation.
-    pub packed_qps: f64,
-    /// `packed_qps / arena_qps` — the tentpole speedup claim.
-    pub speedup: f64,
-    /// Mean Dijkstra-settled vertices per query.
-    pub settled_per_query: f64,
-    /// Mean edge relaxations per query.
-    pub relaxed_per_query: f64,
-    /// Mean Euclidean-filter R-tree accesses per query (0 for TA).
-    pub rtree_per_query: f64,
-    /// Packed results bit-identical to arena: neighbor ids, distance bits,
-    /// and the settled/relaxed/candidate counters, every query.
-    pub matches_arena: bool,
-}
-
-impl NetworkAlgoCell {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"algo\":{},\"n\":{},\"arena_qps\":{:.1},\"packed_qps\":{:.1},\
-             \"speedup\":{:.3},\"settled_per_query\":{:.1},\"relaxed_per_query\":{:.1},\
-             \"rtree_per_query\":{:.1},\"matches_arena\":{}}}",
-            json_str(&self.algo),
-            self.n,
-            self.arena_qps,
-            self.packed_qps,
-            self.speedup,
-            self.settled_per_query,
-            self.relaxed_per_query,
-            self.rtree_per_query,
-            self.matches_arena,
-        )
-    }
-}
-
-/// One service cell of the network experiment: the trip workload served
-/// through `Service::start_network` on a worker count, checked bit-for-bit
-/// against the sequential packed reference.
-#[derive(Debug, Clone)]
-pub struct NetworkServiceCell {
-    /// Worker threads.
-    pub workers: usize,
-    /// Whether this cell submitted the workload as batches (shared
-    /// submission path) instead of singles.
-    pub batched: bool,
-    /// Queries/sec through the service.
-    pub qps: f64,
-    /// `qps / sequential_qps`.
-    pub speedup_vs_sequential: f64,
-    /// Every response bit-identical to the sequential reference: neighbor
-    /// ids, distance bits, algorithm choice, and the expansion counters
-    /// (settled vertices, relaxed edges, R-tree accesses).
-    pub matches_sequential: bool,
-}
-
-impl NetworkServiceCell {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"workers\":{},\"batched\":{},\"qps\":{:.1},\
-             \"speedup_vs_sequential\":{:.3},\"matches_sequential\":{}}}",
-            self.workers,
-            self.batched,
-            self.qps,
-            self.speedup_vs_sequential,
-            self.matches_sequential,
-        )
-    }
-}
-
-/// The full network-GNN serving report behind `BENCH_network.json`.
-#[derive(Debug, Clone)]
-pub struct NetworkReport {
-    /// Whether the quick (reduced) mode was used.
-    pub quick: bool,
-    /// Grid dimensions of the road network.
-    pub grid: (usize, usize),
-    /// Network vertices.
-    pub vertices: usize,
-    /// Network edges.
-    pub edges: usize,
-    /// Data objects (vertices carrying a data point).
-    pub data_objects: usize,
-    /// Queries per sweep cell.
-    pub queries: usize,
-    /// Neighbors retrieved per query.
-    pub k: usize,
-    /// `std::thread::available_parallelism()` of the recording host.
-    pub host_parallelism: usize,
-    /// Group-size sweep: arena vs packed for both algorithms (the TA/IER
-    /// crossover is read off the per-`n` qps columns).
-    pub algo_cells: Vec<NetworkAlgoCell>,
-    /// Queries/sec of the sequential packed reference at the service cell
-    /// shape (the service cells' baseline).
-    pub sequential_qps: f64,
-    /// Service cells at 1/2/8 workers (+ a batched-submission cell).
-    pub service_cells: Vec<NetworkServiceCell>,
-}
-
-impl NetworkReport {
-    /// The `gnn-network-bench/1` JSON document.
-    pub fn to_json(&self) -> String {
-        let algos: Vec<String> = self
-            .algo_cells
-            .iter()
-            .map(NetworkAlgoCell::to_json)
-            .collect();
-        let cells: Vec<String> = self
-            .service_cells
-            .iter()
-            .map(NetworkServiceCell::to_json)
-            .collect();
-        format!(
-            "{{\n\"schema\":\"gnn-network-bench/1\",\n\"quick\":{},\n\
-             \"grid\":[{},{}],\n\"vertices\":{},\n\"edges\":{},\n\"data_objects\":{},\n\
-             \"queries\":{},\n\"k\":{},\n\"host_parallelism\":{},\n\
-             \"algorithms\":[\n{}\n],\n\
-             \"sequential_qps\":{:.1},\n\"service\":[\n{}\n]\n}}\n",
-            self.quick,
-            self.grid.0,
-            self.grid.1,
-            self.vertices,
-            self.edges,
-            self.data_objects,
-            self.queries,
-            self.k,
-            self.host_parallelism,
-            algos.join(",\n"),
-            self.sequential_qps,
-            cells.join(",\n"),
-        )
-    }
-
-    /// The acceptance gate (the `network_throughput` binary's exit code):
-    /// every packed cell bit-identical to the arena reference, every
-    /// service cell bit-identical to the sequential packed reference, and
-    /// the packed implementations not slower than the arena ones on the
-    /// largest group size (10% timing-noise margin — the refactor must not
-    /// cost throughput where it matters most).
-    pub fn gate_passes(&self) -> bool {
-        let max_n = self.algo_cells.iter().map(|c| c.n).max().unwrap_or(0);
-        self.algo_cells.iter().all(|c| c.matches_arena)
-            && self.service_cells.iter().all(|c| c.matches_sequential)
-            && !self.algo_cells.is_empty()
-            && !self.service_cells.is_empty()
-            && self
-                .algo_cells
-                .iter()
-                .filter(|c| c.n == max_n)
-                .all(|c| c.speedup >= 0.9)
-    }
-}
-
-/// The road-network serving experiment behind `BENCH_network.json`: a
-/// perturbed grid road network with data objects on a seeded vertex
-/// subset, swept over query group sizes with both network algorithms —
-/// arena vs packed (`freeze` + `NetworkScratch`), bit-identity enforced —
-/// then the fixed-seed trip workload served through
-/// `Service::start_network` at 1/2/8 workers (singles and batches),
-/// bit-identity against the sequential packed reference enforced per cell.
-/// The per-`n` TA/IER columns record the crossover the planner's
-/// `choose_network` default is judged against.
-pub fn run_network_throughput(quick: bool) -> NetworkReport {
-    use gnn_core::{NetworkQuery, Planner, QueryRequest, Target};
-    use gnn_datasets::{trip_workload, TripSpec};
-    use gnn_network::{NetworkIer, NetworkScratch, NetworkSnapshot, NetworkTa, RoadNetwork};
-    use gnn_service::{Service, ServiceConfig, Submission};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::sync::Arc;
-
-    let (w, h) = if quick { (24, 24) } else { (48, 48) };
-    let count = if quick { 48 } else { 160 };
-    let k = 4usize;
-    let network = RoadNetwork::grid(w, h, 0.25, 0x20040301);
-    // Data objects on ~10% of the vertices, seeded.
-    let mut rng = StdRng::seed_from_u64(0x20040302);
-    let data: Vec<gnn_network::VertexId> = (0..network.vertex_count() as u32)
-        .filter(|_| rng.gen::<f64>() < 0.10)
-        .map(gnn_network::VertexId)
-        .collect();
-    let packed = network.freeze();
-    let backend = Arc::new(NetworkSnapshot::new(packed.clone(), data.clone()));
-
-    let timed = |passes: usize, f: &mut dyn FnMut()| -> std::time::Duration {
-        (0..passes)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed()
-            })
-            .min()
-            .expect("timed passes")
-    };
-
-    // --- Group-size sweep: arena vs packed, TA and IER. ---
-    let mut algo_cells = Vec::new();
-    let mut scratch = NetworkScratch::new();
-    for n in [2usize, 4, 8] {
-        let trips = trip_workload(
-            &network,
-            TripSpec {
-                group_size: n,
-                max_retries: 8,
-            },
-            count,
-            0xBEEF ^ n as u64,
-        );
-        for algo in ["NET-TA", "NET-IER"] {
-            // Reference pass: arena results + counters per query.
-            let mut matches = true;
-            let (mut settled, mut relaxed, mut rtree) = (0u64, 0u64, 0u64);
-            for q in &trips {
-                let arena = match algo {
-                    "NET-TA" => NetworkTa.k_gnn(&network, &data, &q.sources, k, Aggregate::Sum),
-                    _ => NetworkIer.k_gnn(&network, &data, &q.sources, k, Aggregate::Sum),
-                };
-                let (packed_out, packed_stats) = match algo {
-                    "NET-TA" => NetworkTa.k_gnn_in(
-                        &packed,
-                        &data,
-                        &q.sources,
-                        k,
-                        Aggregate::Sum,
-                        &mut scratch,
-                    ),
-                    _ => NetworkIer.k_gnn_in(
-                        &packed,
-                        backend.data_tree(),
-                        &q.sources,
-                        k,
-                        Aggregate::Sum,
-                        &mut scratch,
-                    ),
-                };
-                settled += packed_stats.settled_vertices;
-                relaxed += packed_stats.relaxed_edges;
-                rtree += packed_stats.rtree_accesses;
-                let same_neighbors = arena.neighbors.len() == packed_out.len()
-                    && arena.neighbors.iter().zip(packed_out).all(|(a, p)| {
-                        u64::from(a.vertex.0) == p.id.0 && a.dist.to_bits() == p.dist.to_bits()
-                    });
-                let a = arena.stats;
-                if !same_neighbors
-                    || a.settled_vertices != packed_stats.settled_vertices
-                    || a.relaxed_edges != packed_stats.relaxed_edges
-                    || a.euclidean_candidates != packed_stats.euclidean_candidates
-                    || a.rtree_accesses != packed_stats.rtree_accesses
-                {
-                    matches = false;
-                }
-            }
-            // Timed passes: best of three each, arena first (its per-query
-            // allocations are the thing being measured against).
-            let arena_time = timed(3, &mut || {
-                for q in &trips {
-                    match algo {
-                        "NET-TA" => {
-                            NetworkTa.k_gnn(&network, &data, &q.sources, k, Aggregate::Sum);
-                        }
-                        _ => {
-                            NetworkIer.k_gnn(&network, &data, &q.sources, k, Aggregate::Sum);
-                        }
-                    }
-                }
-            });
-            let packed_time = timed(3, &mut || {
-                for q in &trips {
-                    match algo {
-                        "NET-TA" => {
-                            NetworkTa.k_gnn_in(
-                                &packed,
-                                &data,
-                                &q.sources,
-                                k,
-                                Aggregate::Sum,
-                                &mut scratch,
-                            );
-                        }
-                        _ => {
-                            NetworkIer.k_gnn_in(
-                                &packed,
-                                backend.data_tree(),
-                                &q.sources,
-                                k,
-                                Aggregate::Sum,
-                                &mut scratch,
-                            );
-                        }
-                    }
-                }
-            });
-            let arena_qps = count as f64 / arena_time.as_secs_f64();
-            let packed_qps = count as f64 / packed_time.as_secs_f64();
-            algo_cells.push(NetworkAlgoCell {
-                algo: algo.into(),
-                n,
-                arena_qps,
-                packed_qps,
-                speedup: packed_qps / arena_qps,
-                settled_per_query: settled as f64 / count as f64,
-                relaxed_per_query: relaxed as f64 / count as f64,
-                rtree_per_query: rtree as f64 / count as f64,
-                matches_arena: matches,
-            });
-        }
-    }
-
-    // --- Service cells: the trip workload through Service::start_network. ---
-    let trips = trip_workload(
-        &network,
-        TripSpec {
-            group_size: 4,
-            max_retries: 8,
-        },
-        count,
-        0xCAFE,
-    );
-    let requests: Vec<QueryRequest> = trips
-        .iter()
-        .map(|t| {
-            QueryRequest::new(
-                QueryGroup::sum(t.points.clone()).expect("valid trip group"),
-                k,
-            )
-            .with_network(NetworkQuery::at_vertices(
-                t.sources.iter().map(|v| v.0).collect(),
-            ))
-        })
-        .collect();
-
-    // Sequential packed reference: fingerprints + timing on one scratch.
-    let planner = Planner::new();
-    let mut qscratch = gnn_core::QueryScratch::new();
-    let target = Target::Network(backend.as_ref());
-    type Print = (gnn_core::Choice, Vec<(u64, u64)>, u64, u64, u64);
-    let reference: Vec<Print> = requests
-        .iter()
-        .map(|r| {
-            let (choice, neighbors, stats, _) = r.execute_on(&planner, &target, &mut qscratch);
-            (
-                choice,
-                neighbors
-                    .iter()
-                    .map(|x| (x.id.0, x.dist.to_bits()))
-                    .collect(),
-                stats.settled_vertices,
-                stats.relaxed_edges,
-                stats.data_tree.logical,
-            )
-        })
-        .collect();
-    let sequential_time = timed(3, &mut || {
-        for r in &requests {
-            r.execute_on(&planner, &target, &mut qscratch);
-        }
-    });
-    let sequential_qps = count as f64 / sequential_time.as_secs_f64();
-
-    let check = |responses: &[gnn_core::QueryResponse]| -> bool {
-        responses.len() == reference.len()
-            && responses.iter().zip(&reference).all(|(r, want)| {
-                let got: Vec<(u64, u64)> = r
-                    .neighbors
-                    .iter()
-                    .map(|x| (x.id.0, x.dist.to_bits()))
-                    .collect();
-                r.choice == want.0
-                    && got == want.1
-                    && r.stats.settled_vertices == want.2
-                    && r.stats.relaxed_edges == want.3
-                    && r.stats.data_tree.logical == want.4
-            })
-    };
-
-    let mut service_cells = Vec::new();
-    for (workers, batched) in [(1usize, false), (2, false), (8, false), (2, true)] {
-        let service = Service::start_network(
-            Arc::clone(&backend) as Arc<dyn gnn_core::NetworkBackend>,
-            ServiceConfig {
-                workers,
-                queue_depth: 256,
-                ..ServiceConfig::default()
-            },
-        );
-        let submit_all = |collect: bool| -> Vec<gnn_core::QueryResponse> {
-            if batched {
-                let handle = service
-                    .submit(Submission::batch(requests.clone()))
-                    .expect("network batch submit");
-                let got = handle.wait_all().expect("network batch responses");
-                if collect {
-                    got
-                } else {
-                    Vec::new()
-                }
-            } else {
-                let handles: Vec<_> = requests
-                    .iter()
-                    .map(|r| service.submit(r.clone()).expect("network submit"))
-                    .collect();
-                let got: Vec<_> = handles
-                    .into_iter()
-                    .map(|h| h.wait().expect("network query"))
-                    .collect();
-                if collect {
-                    got
-                } else {
-                    Vec::new()
-                }
-            }
-        };
-        let responses = submit_all(true); // warm-up + equivalence pass
-        let elapsed = timed(3, &mut || {
-            submit_all(false);
-        });
-        service.shutdown();
-        let qps = count as f64 / elapsed.as_secs_f64();
-        service_cells.push(NetworkServiceCell {
-            workers,
-            batched,
-            qps,
-            speedup_vs_sequential: qps / sequential_qps,
-            matches_sequential: check(&responses),
-        });
-    }
-
-    NetworkReport {
-        quick,
-        grid: (w, h),
-        vertices: network.vertex_count(),
-        edges: network.edge_count(),
-        data_objects: data.len(),
-        queries: count,
-        k,
-        host_parallelism: std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
-        algo_cells,
-        sequential_qps,
-        service_cells,
-    }
-}
-
-/// One (kernel, level) cell of the SIMD kernel experiment.
-#[derive(Debug, Clone)]
-pub struct SimdCell {
-    /// Kernel name (`rects_mindist_sq_point`, `points_wsum_multi`, ...).
-    pub kernel: String,
-    /// Dispatch level label (`scalar` | `sse2` | `avx2+fma`).
-    pub level: String,
-    /// Work units processed in the timed run (map kernels: elements;
-    /// fused multi kernels: data-point x query-point pair terms).
-    pub elems: u64,
-    /// Timed-run wall seconds.
-    pub seconds: f64,
-    /// Million work units per second.
-    pub melems_per_sec: f64,
-    /// `scalar_seconds / seconds` for the same work (1.0 on the scalar
-    /// row by construction).
-    pub speedup_vs_scalar: f64,
-    /// Whether the equivalence sweep found this level bit-identical to
-    /// the scalar oracle on every probed size, exact and lane-padded
-    /// (padding lanes poisoned) alike.
-    pub matches_scalar: bool,
-}
-
-impl SimdCell {
-    /// JSON object form.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"kernel\":{},\"level\":{},\"elems\":{},\"seconds\":{:.4},\
-             \"melems_per_sec\":{:.1},\"speedup_vs_scalar\":{:.3},\
-             \"matches_scalar\":{}}}",
-            json_str(&self.kernel),
-            json_str(&self.level),
-            self.elems,
-            self.seconds,
-            self.melems_per_sec,
-            self.speedup_vs_scalar,
-            self.matches_scalar,
-        )
-    }
-}
-
-/// The SIMD kernel report (written to `BENCH_simd.json`).
-#[derive(Debug, Clone)]
-pub struct SimdReport {
-    /// Whether the quick (reduced work) mode was used.
-    pub quick: bool,
-    /// Dataset the coordinates were drawn from.
-    pub dataset: String,
-    /// Level `gnn_geom::simd::dispatch_level()` picked on the recording
-    /// host (what production queries run).
-    pub dispatch_level: String,
-    /// Every level the host can run (always starts with `scalar`).
-    pub available_levels: Vec<String>,
-    /// Whether `GNN_FORCE_SCALAR` was set during the run.
-    pub forced_scalar: bool,
-    /// Elements per map-kernel call (a packed-leaf-run-sized arena).
-    pub map_len: usize,
-    /// Query group cardinality of the fused multi kernels.
-    pub group_n: usize,
-    /// `std::thread::available_parallelism()` of the recording host.
-    pub host_parallelism: usize,
-    /// One cell per (kernel, available level).
-    pub cells: Vec<SimdCell>,
-}
-
-/// The fused aggregate kernels the speedup gate applies to (the
-/// dominant cost of MBM's leaf scoring). The maps are gated on
-/// equivalence only (a 1-core CI box can leave memory-bound maps near
-/// parity), and so is the weighted-SUM aggregate: its per-term `sqrt`
-/// saturates the divider port, so the legally-autovectorized scalar
-/// build and the explicit AVX2 kernel both sit at the same `vsqrtpd`
-/// throughput ceiling — there is no headroom for an explicit kernel to
-/// claim. The d²-based MAX/MIN aggregates have no such ceiling and
-/// carry the speedup claim.
-const SIMD_GATED_KERNELS: [&str; 2] = ["points_max_multi", "points_min_multi"];
-
-/// CI-safe speedup floor for the gated fused kernels on AVX2 hosts.
-/// The tentpole targets 2x and the committed `BENCH_simd.json` records
-/// what the recording host actually measured; the exit-code gate only
-/// demands a floor that shared CI runners clear reliably.
-const SIMD_SPEEDUP_FLOOR: f64 = 1.2;
-
-impl SimdReport {
-    /// The `gnn-simd-bench/1` JSON document.
-    pub fn to_json(&self) -> String {
-        let levels: Vec<String> = self.available_levels.iter().map(|l| json_str(l)).collect();
-        let cells: Vec<String> = self.cells.iter().map(SimdCell::to_json).collect();
-        format!(
-            "{{\n\"schema\":\"gnn-simd-bench/1\",\n\"quick\":{},\n\"dataset\":{},\n\
-             \"dispatch_level\":{},\n\"available_levels\":[{}],\n\
-             \"forced_scalar\":{},\n\"map_len\":{},\n\"group_n\":{},\n\
-             \"host_parallelism\":{},\n\"cells\":[\n{}\n]\n}}\n",
-            self.quick,
-            json_str(&self.dataset),
-            json_str(&self.dispatch_level),
-            levels.join(","),
-            self.forced_scalar,
-            self.map_len,
-            self.group_n,
-            self.host_parallelism,
-            cells.join(",\n"),
-        )
-    }
-
-    /// The acceptance gate (the `simd_throughput` binary's exit code):
-    /// every cell bit-identical to the scalar oracle, and — when the host
-    /// runs AVX2 — every fused aggregate at least
-    /// [`SIMD_SPEEDUP_FLOOR`]x faster than scalar. A forced-scalar run
-    /// gates on equivalence only (there is nothing to race).
-    pub fn gate_passes(&self) -> bool {
-        if !self.cells.iter().all(|c| c.matches_scalar) {
-            return false;
-        }
-        if self.forced_scalar {
-            return true;
-        }
-        let avx2 = gnn_geom::SimdLevel::Avx2Fma.label();
-        if !self.available_levels.iter().any(|l| l == avx2) {
-            return true;
-        }
-        SIMD_GATED_KERNELS.iter().all(|k| {
-            self.cells.iter().any(|c| {
-                c.kernel == *k && c.level == avx2 && c.speedup_vs_scalar >= SIMD_SPEEDUP_FLOOR
-            })
-        })
-    }
-}
-
-/// Times `reps` calls of `f` after one warmup call.
-fn simd_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    start.elapsed().as_secs_f64()
-}
-
-/// Bit-compares two result vectors (length and every `f64` bit pattern).
-fn bits_equal(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Pads `src` to [`pad_len`](gnn_geom::simd::pad_len) lanes with `fill`
-/// (the equivalence sweep poisons padding with huge values the kernels
-/// must never let escape).
-fn padded_with(src: &[f64], fill: f64) -> Vec<f64> {
-    let mut v = src.to_vec();
-    v.resize(gnn_geom::simd::pad_len(src.len()), fill);
-    v
-}
-
-/// The SIMD kernel experiment behind `BENCH_simd.json`: every batch
-/// kernel of `gnn_geom::batch` is run at every level the host supports
-/// (scalar always; SSE2/AVX2 where detected) over PP-drawn coordinate
-/// arenas sized like a packed leaf run, with a fixed `n = 64` query
-/// group for the fused aggregates. Before any timing, an equivalence
-/// sweep probes ragged sizes (0, 1, lane boundaries, primes) in both
-/// the exact and the lane-padded form — padding lanes poisoned with
-/// `1e300` — and demands bit-identity against the scalar oracle; a
-/// mismatch marks the cell and fails the gate. Timings are
-/// single-threaded saturation runs (`std::hint::black_box` keeps the
-/// results live).
-pub fn run_simd_throughput(quick: bool) -> SimdReport {
-    use gnn_geom::batch::{scalar, BatchKernels};
-    use gnn_geom::simd::pad_len;
-    use gnn_geom::SimdLevel;
-    use std::hint::black_box;
-
-    let map_len = 4096usize;
-    let group_n = 64usize;
-    // Per-cell work targets (elements for maps, pair terms for fused).
-    let (map_target, pair_target) = if quick {
-        (8_000_000u64, 16_000_000u64)
-    } else {
-        (120_000_000u64, 240_000_000u64)
-    };
-
-    // PP coordinates: clustered real-ish data, deterministic seed. The
-    // full dataset is used even in quick mode so the arenas (and thus
-    // the committed numbers' work shape) are identical; quick only cuts
-    // the repetition counts.
-    let pts = Dataset::Pp.points(false);
-    assert!(pts.len() >= 2 * map_len + group_n);
-    let xs: Vec<f64> = pts[..map_len].iter().map(|p| p.x).collect();
-    let ys: Vec<f64> = pts[..map_len].iter().map(|p| p.y).collect();
-    // Rect arenas: one MBR per consecutive point pair.
-    let mut lo_x = Vec::with_capacity(map_len);
-    let mut lo_y = Vec::with_capacity(map_len);
-    let mut hi_x = Vec::with_capacity(map_len);
-    let mut hi_y = Vec::with_capacity(map_len);
-    for pair in pts[..2 * map_len].chunks_exact(2) {
-        lo_x.push(pair[0].x.min(pair[1].x));
-        hi_x.push(pair[0].x.max(pair[1].x));
-        lo_y.push(pair[0].y.min(pair[1].y));
-        hi_y.push(pair[0].y.max(pair[1].y));
-    }
-    // Query group for the fused kernels, plus a probe point/rect.
-    let qpts = &pts[2 * map_len..2 * map_len + group_n];
-    let qx: Vec<f64> = qpts.iter().map(|p| p.x).collect();
-    let qy: Vec<f64> = qpts.iter().map(|p| p.y).collect();
-    let w: Vec<f64> = (0..group_n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
-    let q = pts[0];
-    let m_rect = Rect::from_corners(pts[1].x, pts[1].y, pts[2].x, pts[2].y);
-
-    // Equivalence sweep sizes: empty, sub-lane, lane boundaries, primes.
-    let probe_sizes: Vec<usize> = vec![0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 100, 127];
-
-    type KernelFn<'a> = Box<dyn Fn(&BatchKernels, usize, bool, &mut Vec<f64>) + 'a>;
-    struct KernelSpec<'a> {
-        name: &'static str,
-        fused: bool,
-        run: KernelFn<'a>,
-    }
-
-    // Each closure runs its kernel over the first `n` arena elements at
-    // the given level; `padded` selects the lane-padded entry point over
-    // poisoned buffers. Captures borrow the arenas above.
-    let poison = 1e300f64;
-    let lo_x_p = padded_with(&lo_x, poison);
-    let lo_y_p = padded_with(&lo_y, poison);
-    let hi_x_p = padded_with(&hi_x, poison);
-    let hi_y_p = padded_with(&hi_y, poison);
-    let xs_p = padded_with(&xs, poison);
-    let ys_p = padded_with(&ys, poison);
-
-    let kernels: Vec<KernelSpec<'_>> = vec![
-        KernelSpec {
-            name: "rects_mindist_sq_point",
-            fused: false,
-            run: Box::new(|k, n, padded, out| {
-                if padded {
-                    let p = pad_len(n);
-                    k.rects_mindist_sq_point_padded(
-                        &lo_x_p[..p],
-                        &lo_y_p[..p],
-                        &hi_x_p[..p],
-                        &hi_y_p[..p],
-                        n,
-                        q,
-                        out,
-                    );
-                } else {
-                    k.rects_mindist_sq_point(
-                        &lo_x[..n],
-                        &lo_y[..n],
-                        &hi_x[..n],
-                        &hi_y[..n],
-                        q,
-                        out,
-                    );
-                }
-            }),
-        },
-        KernelSpec {
-            name: "rects_mindist_sq_rect",
-            fused: false,
-            run: Box::new(|k, n, padded, out| {
-                if padded {
-                    let p = pad_len(n);
-                    k.rects_mindist_sq_rect_padded(
-                        &lo_x_p[..p],
-                        &lo_y_p[..p],
-                        &hi_x_p[..p],
-                        &hi_y_p[..p],
-                        n,
-                        &m_rect,
-                        out,
-                    );
-                } else {
-                    k.rects_mindist_sq_rect(
-                        &lo_x[..n],
-                        &lo_y[..n],
-                        &hi_x[..n],
-                        &hi_y[..n],
-                        &m_rect,
-                        out,
-                    );
-                }
-            }),
-        },
-        KernelSpec {
-            name: "points_dist_sq",
-            fused: false,
-            run: Box::new(|k, n, padded, out| {
-                if padded {
-                    let p = pad_len(n);
-                    k.points_dist_sq_padded(&xs_p[..p], &ys_p[..p], n, q, out);
-                } else {
-                    k.points_dist_sq(&xs[..n], &ys[..n], q, out);
-                }
-            }),
-        },
-        KernelSpec {
-            name: "points_mindist_sq_rect",
-            fused: false,
-            run: Box::new(|k, n, padded, out| {
-                if padded {
-                    let p = pad_len(n);
-                    k.points_mindist_sq_rect_padded(&xs_p[..p], &ys_p[..p], n, &m_rect, out);
-                } else {
-                    k.points_mindist_sq_rect(&xs[..n], &ys[..n], &m_rect, out);
-                }
-            }),
-        },
-        KernelSpec {
-            name: "points_wsum_multi",
-            fused: true,
-            run: Box::new(|k, n, padded, out| {
-                if padded {
-                    let p = pad_len(n);
-                    k.points_weighted_dist_sum_multi_padded(
-                        &xs_p[..p],
-                        &ys_p[..p],
-                        n,
-                        &qx,
-                        &qy,
-                        &w,
-                        out,
-                    );
-                } else {
-                    k.points_weighted_dist_sum_multi(&xs[..n], &ys[..n], &qx, &qy, &w, out);
-                }
-            }),
-        },
-        KernelSpec {
-            name: "points_max_multi",
-            fused: true,
-            run: Box::new(|k, n, padded, out| {
-                if padded {
-                    let p = pad_len(n);
-                    k.points_dist_sq_max_multi_padded(&xs_p[..p], &ys_p[..p], n, &qx, &qy, out);
-                } else {
-                    k.points_dist_sq_max_multi(&xs[..n], &ys[..n], &qx, &qy, out);
-                }
-            }),
-        },
-        KernelSpec {
-            name: "points_min_multi",
-            fused: true,
-            run: Box::new(|k, n, padded, out| {
-                if padded {
-                    let p = pad_len(n);
-                    k.points_dist_sq_min_multi_padded(&xs_p[..p], &ys_p[..p], n, &qx, &qy, out);
-                } else {
-                    k.points_dist_sq_min_multi(&xs[..n], &ys[..n], &qx, &qy, out);
-                }
-            }),
-        },
-    ];
-
-    let levels = SimdLevel::available_levels();
-    let mut cells = Vec::new();
-    for spec in &kernels {
-        let mut scalar_seconds = 0.0f64;
-        for &level in &levels {
-            let k = BatchKernels::for_level(level).expect("available level");
-            // Equivalence sweep: every probed size, exact and padded,
-            // bit-identical to the scalar module.
-            let mut matches = true;
-            let mut want = Vec::new();
-            let mut got = Vec::new();
-            for &n in &probe_sizes {
-                let oracle = BatchKernels::for_level(SimdLevel::Scalar).expect("scalar");
-                (spec.run)(&oracle, n, false, &mut want);
-                for padded in [false, true] {
-                    (spec.run)(&k, n, padded, &mut got);
-                    if !bits_equal(&want, &got) {
-                        matches = false;
-                    }
-                }
-            }
-            // Sanity-pin the oracle itself against the frozen scalar
-            // module on one kernel (they must be the same code).
-            if spec.name == "points_dist_sq" {
-                let mut direct = Vec::new();
-                scalar::points_dist_sq(&xs[..100], &ys[..100], q, &mut direct);
-                (spec.run)(
-                    &BatchKernels::for_level(SimdLevel::Scalar).expect("scalar"),
-                    100,
-                    false,
-                    &mut want,
-                );
-                assert!(bits_equal(&direct, &want));
-            }
-
-            // Timed run over the full arena.
-            let per_call = if spec.fused {
-                (map_len * group_n) as u64
-            } else {
-                map_len as u64
-            };
-            let target = if spec.fused { pair_target } else { map_target };
-            let reps = (target / per_call).max(1) as usize;
-            let mut out = Vec::with_capacity(map_len);
-            let seconds = simd_time(reps, || {
-                (spec.run)(&k, map_len, true, &mut out);
-                black_box(out.last().copied());
-            });
-            if level == SimdLevel::Scalar {
-                scalar_seconds = seconds;
-            }
-            let elems = per_call * reps as u64;
-            cells.push(SimdCell {
-                kernel: spec.name.to_string(),
-                level: level.label().to_string(),
-                elems,
-                seconds,
-                melems_per_sec: elems as f64 / seconds / 1e6,
-                speedup_vs_scalar: if level == SimdLevel::Scalar {
-                    1.0
-                } else {
-                    scalar_seconds / seconds
-                },
-                matches_scalar: matches,
-            });
-        }
-    }
-
-    SimdReport {
-        quick,
-        dataset: Dataset::Pp.name().to_string(),
-        dispatch_level: gnn_geom::simd::dispatch_level().label().to_string(),
-        available_levels: levels.iter().map(|l| l.label().to_string()).collect(),
-        forced_scalar: gnn_geom::simd::force_scalar_requested(),
-        map_len,
-        group_n,
-        host_parallelism: std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
-        cells,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3458,186 +563,6 @@ mod tests {
         let q = scaled_query_points(&pts[..500], varying_m_target(&tree, 0.02));
         let c = run_gcp_cell(&tree, &q, 2, 64);
         assert!(c.na > 0.0);
-    }
-
-    #[test]
-    fn service_report_is_deterministic_and_exports() {
-        let r = run_service_throughput(true);
-        assert_eq!(r.cells.len(), 4);
-        for c in &r.cells {
-            assert!(
-                c.matches_sequential,
-                "{} workers diverged from the sequential reference",
-                c.workers
-            );
-            assert_eq!(c.na_total, r.sequential_na, "{} workers", c.workers);
-            assert!(c.qps > 0.0);
-        }
-        let json = r.to_json();
-        assert!(json.contains("\"schema\":\"gnn-service-bench/1\""));
-        assert!(json.contains("\"matches_sequential\":true"));
-    }
-
-    #[test]
-    fn shard_report_is_equivalent_and_exports() {
-        let r = run_sharded_throughput(true);
-        assert_eq!(r.cells.len(), 4);
-        for c in &r.cells {
-            assert!(
-                c.matches_unsharded,
-                "{} shards diverged from the unsharded reference",
-                c.shards
-            );
-            assert!(c.qps > 0.0);
-            assert_eq!(c.routed.len(), c.shards);
-            assert!(c.single_shard_fraction > 0.0 && c.single_shard_fraction <= 1.0);
-            assert!(c.avg_shards_consulted >= 1.0);
-            assert!(c.avg_shards_consulted <= c.shards as f64);
-        }
-        // The unsharded cell wraps the same snapshot: NA must equal the
-        // sequential baseline exactly (3 passes + warm-up all identical
-        // per query; the cell counts one pass).
-        assert_eq!(r.cells[0].na_total, r.sequential_na);
-        assert_eq!(r.cells[0].single_shard_fraction, 1.0);
-        // Skewed traffic must actually hit single shards most of the time.
-        for c in &r.cells[1..] {
-            assert!(
-                c.single_shard_fraction > 0.5,
-                "{} shards: routing hit rate collapsed to {}",
-                c.shards,
-                c.single_shard_fraction
-            );
-        }
-        let json = r.to_json();
-        assert!(json.contains("\"schema\":\"gnn-shard-bench/1\""));
-        assert!(json.contains("\"matches_unsharded\":true"));
-    }
-
-    #[test]
-    fn batch_report_is_equivalent_and_exports() {
-        let r = run_batch_throughput(true);
-        assert_eq!(r.cells.len(), 4);
-        for c in &r.cells {
-            assert!(
-                c.matches_reference,
-                "batch {} x{} diverged from the sequential reference",
-                c.batch_size, c.shards
-            );
-            assert!(c.qps > 0.0);
-            assert!(c.savings > 0.0 && c.savings < 1.0);
-            assert!(c.unique_pages < c.sequential_pages);
-        }
-        // The unsharded cells replay the sequential traversal query by
-        // query: their as-if-sequential page totals must reproduce the
-        // baseline exactly (3 timed passes).
-        for c in r.cells.iter().filter(|c| c.shards == 1) {
-            assert_eq!(c.sequential_pages, 3 * r.sequential_na);
-        }
-        // The tentpole claim, same gate as the binary's exit code.
-        assert!(
-            r.gate_passes(),
-            "shared traversal saved < 20% at batch >= 16: {r:?}"
-        );
-        let json = r.to_json();
-        assert!(json.contains("\"schema\":\"gnn-batch-bench/1\""));
-        assert!(json.contains("\"matches_reference\":true"));
-    }
-
-    #[test]
-    fn refreeze_report_is_sound_and_exports() {
-        // Pins the deterministic invariants of the mixed-traffic
-        // experiment: refreeze ≡ full freeze structurally, every response
-        // matches its generation's sequential reference, and the report
-        // round-trips to the documented schema. Latency ordering is
-        // deliberately NOT asserted here (machine-dependent) — the
-        // `mixed_traffic` binary gates on it in the refreeze-smoke CI job.
-        let r = run_mixed_traffic(true);
-        assert!(r.snapshots_equal, "refreeze diverged from full freeze");
-        assert!(
-            r.matches_generation_reference,
-            "a response diverged from its generation's reference"
-        );
-        assert!(r.dirty_fraction >= 0.09, "dirtying undershot: {r:?}");
-        assert_eq!(r.publishes, 3);
-        assert!(r.static_qps > 0.0 && r.refresh_qps > 0.0);
-        let json = r.to_json();
-        assert!(json.contains("\"schema\":\"gnn-refreeze-bench/1\""));
-        assert!(json.contains("\"snapshots_equal\":true"));
-        assert!(json.contains("\"matches_generation_reference\":true"));
-    }
-
-    #[test]
-    fn overload_report_is_sound_and_exports() {
-        // Pins the deterministic invariants of the overload experiment:
-        // every reply accounted for, every served response bit-identical
-        // to the sequential reference, and the report round-trips to the
-        // documented schema. The latency-ordering and goodput gates are
-        // machine-dependent — the `overload_resilience` binary gates on
-        // them in the overload-smoke CI job.
-        let r = run_overload_resilience(true);
-        assert_eq!(r.cells.len(), 3);
-        let total = (r.queries * r.passes) as u64;
-        for c in &r.cells {
-            assert!(c.all_replies_accounted, "lost replies in {}: {c:?}", c.name);
-            assert!(c.matches_reference, "wrong bits in {}: {c:?}", c.name);
-            assert_eq!(
-                c.served as u64 + c.shed + c.panicked,
-                total,
-                "outcome tally of {} does not cover the schedule",
-                c.name
-            );
-        }
-        // Without deadlines nothing is shed and nothing is injected: every
-        // query of every pass is eventually served.
-        assert_eq!(r.cells[0].served as u64, total);
-        assert_eq!(r.cells[0].panicked, 0);
-        // The panics cell must see its injected faults and survive them.
-        assert!(r.cells[2].panicked >= 1, "seeded panics never fired");
-        assert_eq!(r.cells[2].respawns, r.cells[2].panicked);
-        let json = r.to_json();
-        assert!(json.contains("\"schema\":\"gnn-overload-bench/1\""));
-        assert!(json.contains("\"matches_reference\":true"));
-        assert!(json.contains("\"name\":\"deadline_panics\""));
-    }
-
-    #[test]
-    fn telemetry_report_is_sound_and_exports() {
-        // Pins the deterministic invariants of the overhead experiment:
-        // both cells bit-identical to the sequential reference, traces
-        // exactly where requested and consistent with the responses' own
-        // stats, flight events only where the recorder is enabled. The
-        // ±3% throughput gate is machine-dependent — the
-        // `telemetry_overhead` binary gates on it in the telemetry-smoke
-        // CI job, not this test.
-        let r = run_telemetry_overhead(true);
-        assert!(r.off.matches_sequential, "off cell diverged: {:?}", r.off);
-        assert!(r.on.matches_sequential, "on cell diverged: {:?}", r.on);
-        assert_eq!(r.off.na_total, r.on.na_total, "telemetry changed NA");
-        assert_eq!(r.off.traced, 0);
-        assert_eq!(r.on.traced, r.queries as u64);
-        assert!(r.on.traces_consistent);
-        assert_eq!(r.off.flight_events, 0, "disabled recorder logged events");
-        assert!(r.on.flight_events > 0, "enabled recorder stayed silent");
-        // Every served query passes through all three stage histograms.
-        for cell in [&r.off, &r.on] {
-            let count_of = |stage: &str| {
-                cell.stages
-                    .iter()
-                    .find(|s| s.stage == stage)
-                    .map(|s| s.count)
-                    .unwrap_or(0)
-            };
-            let served = count_of("queue_wait");
-            assert!(served > 0, "{}: empty stage histograms", cell.mode);
-            assert_eq!(served, count_of("execution"), "{}", cell.mode);
-            assert_eq!(served, count_of("reply"), "{}", cell.mode);
-            assert_eq!(count_of("shed_wait"), 0, "{}: nothing was shed", cell.mode);
-        }
-        assert!(r.on.stats_polls > 0, "stats logger never fired");
-        let json = r.to_json();
-        assert!(json.contains("\"schema\":\"gnn-telemetry-bench/1\""));
-        assert!(json.contains("\"mode\":\"off\""));
-        assert!(json.contains("\"stage\":\"queue_wait\""));
     }
 
     #[test]

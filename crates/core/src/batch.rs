@@ -7,7 +7,7 @@
 //! amortizes those reads across a batch:
 //!
 //! 1. The batch is sorted by the **Hilbert key of each group's MBR center**
-//!    ([`gnn_geom::HilbertMapper::key_rect`] over the target's root MBR), so
+//!    ([`gnn_geom::hilbert::HilbertMapper::key_rect`] over the target's root MBR), so
 //!    spatially adjacent queries run back-to-back and their traversals hit
 //!    the same upper-level pages while those pages are hot.
 //! 2. A **distinct-page overlay** ([`gnn_rtree::TreeCursor::begin_page_tracking`])

@@ -95,9 +95,9 @@ impl Planner {
 
     /// The choice for a network-distance query: IER. Its Euclidean filter
     /// prunes the candidate set to a handful of refinements on every
-    /// workload measured so far (`BENCH_network.json` records the TA
-    /// crossover study); TA remains requestable explicitly via
-    /// [`crate::Algo::NetworkTa`].
+    /// workload measured so far (the benchmark's `network.ier_us_per_query`
+    /// against `network.ta_us_per_query`); TA remains requestable
+    /// explicitly via [`crate::Algo::NetworkTa`].
     pub fn choose_network(&self, _group: &QueryGroup) -> Choice {
         Choice::NetworkIer
     }

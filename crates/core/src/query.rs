@@ -189,11 +189,11 @@ impl QueryGroup {
     ///
     /// The SUM fold is sequential over the cached SoA mirror, which makes
     /// every result **bit-identical** to the multi-point conversion kernel
-    /// ([`QueryGroup::dist_many`]) and to the seed's
+    /// ([`QueryGroup::dist_many_padded`]) and to the seed's
     /// [`QueryGroup::dist_reference`] — so results never depend on which
     /// engine computed them.
     pub fn dist(&self, p: Point) -> f64 {
-        use gnn_geom::batch;
+        use gnn_geom::batch::BatchKernels;
         match self.aggregate {
             Aggregate::Sum => {
                 let mut acc = 0.0;
@@ -204,37 +204,22 @@ impl QueryGroup {
                 }
                 acc
             }
-            Aggregate::Max => batch::point_dist_sq_max(p, &self.qx, &self.qy).sqrt(),
-            Aggregate::Min => batch::point_dist_sq_min(p, &self.qx, &self.qy).sqrt(),
+            Aggregate::Max => BatchKernels::auto()
+                .point_dist_sq_max(p, &self.qx, &self.qy)
+                .sqrt(),
+            Aggregate::Min => BatchKernels::auto()
+                .point_dist_sq_min(p, &self.qx, &self.qy)
+                .sqrt(),
         }
     }
 
-    /// Exact aggregate distances for a batch of points in SoA form:
-    /// `out[j] = dist(p_j, Q)`, bit-identical per element to
-    /// [`QueryGroup::dist`] but vectorized across the batch.
-    pub fn dist_many(&self, xs: &[f64], ys: &[f64], out: &mut Vec<f64>) {
-        use gnn_geom::batch;
-        match self.aggregate {
-            Aggregate::Sum => {
-                batch::points_weighted_dist_sum_multi(xs, ys, &self.qx, &self.qy, &self.wts, out)
-            }
-            Aggregate::Max => {
-                batch::points_dist_sq_max_multi(xs, ys, &self.qx, &self.qy, out);
-                out.iter_mut().for_each(|v| *v = v.sqrt());
-            }
-            Aggregate::Min => {
-                batch::points_dist_sq_min_multi(xs, ys, &self.qx, &self.qy, out);
-                out.iter_mut().for_each(|v| *v = v.sqrt());
-            }
-        }
-    }
-
-    /// Lane-padded [`QueryGroup::dist_many`]: `n` logical points whose
+    /// Exact aggregate distances for a batch of points in lane-padded SoA
+    /// form: `out[j] = dist(p_j, Q)` for `j < n`, bit-identical per element
+    /// to [`QueryGroup::dist`] but vectorized across the batch. The
     /// coordinate slices hold at least `pad_len(n)` readable lanes (the
     /// layout of a packed leaf page's own coordinates — MBM scores a whole
     /// leaf with one call), so the SIMD kernels run full vectors with no
-    /// scalar tail. Exactly `n` results are written, bit-identical to the
-    /// unpadded call on `xs[..n]`/`ys[..n]`.
+    /// scalar tail; exactly `n` results are written.
     pub fn dist_many_padded(&self, xs: &[f64], ys: &[f64], n: usize, out: &mut Vec<f64>) {
         let k = gnn_geom::batch::BatchKernels::auto();
         match self.aggregate {
@@ -287,11 +272,11 @@ impl QueryGroup {
     /// kernels; for MAX/MIN the fold happens in squared space and pays a
     /// single `sqrt`.
     pub fn tight_bound_rect(&self, rect: &Rect) -> f64 {
-        use gnn_geom::batch;
+        let k = gnn_geom::batch::BatchKernels::auto();
         match self.aggregate {
-            Aggregate::Sum => batch::rect_weighted_mindist_sum(rect, &self.qx, &self.qy, &self.wts),
-            Aggregate::Max => batch::rect_mindist_sq_max(rect, &self.qx, &self.qy).sqrt(),
-            Aggregate::Min => batch::rect_mindist_sq_min(rect, &self.qx, &self.qy).sqrt(),
+            Aggregate::Sum => k.rect_weighted_mindist_sum(rect, &self.qx, &self.qy, &self.wts),
+            Aggregate::Max => k.rect_mindist_sq_max(rect, &self.qx, &self.qy).sqrt(),
+            Aggregate::Min => k.rect_mindist_sq_min(rect, &self.qx, &self.qy).sqrt(),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Cross-shard k-GNN: a best-first merge over shard mindist bounds.
 //!
-//! A [`ShardedSnapshot`](gnn_rtree::ShardedSnapshot) splits the dataset into
+//! A [`ShardedSnapshot`] splits the dataset into
 //! spatially coherent shards; this module answers a k-GNN query over all of
 //! them while consulting as few as the bounds allow. The snapshot's refined
 //! routing directory (each shard's root-level branch MBRs) gives a true

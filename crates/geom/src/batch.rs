@@ -1,6 +1,6 @@
 //! Batched, branch-free distance kernels over coordinate slices.
 //!
-//! The packed R-tree snapshot ([`gnn-rtree`]'s `PackedRTree`) stores the
+//! The packed R-tree snapshot (`gnn-rtree`'s `PackedRTree`) stores the
 //! rectangles of each internal page as four parallel `f64` arrays (SoA), and
 //! query groups cache their points the same way. These kernels consume such
 //! slices directly so a node scan is one linear pass.
@@ -12,22 +12,23 @@
 //! that module's contract). [`BatchKernels`] picks between them: call
 //! [`BatchKernels::auto`] for the process-wide [`crate::simd::dispatch_level`]
 //! choice, or [`BatchKernels::for_level`] to pin a specific level (how the
-//! equivalence bench and the property suite compare levels in one process).
-//! The free functions at the top level keep their original signatures and
-//! delegate to `auto()`.
+//! property suite compares levels in one process).
 //!
-//! The `*_padded` methods additionally accept **lane-padded** inputs: the
-//! caller passes the logical element count `n` while the coordinate slices
-//! hold at least [`crate::simd::pad_len`]`(n)` readable lanes (packed-arena
-//! page spans are stored this way). Full vectors then cover the whole range
-//! with no scalar tail; exactly `n` results come back, so the sentinel
-//! values in the padding lanes never influence an output.
+//! The elementwise and multi-point kernels exist only as `*_padded` methods
+//! over **lane-padded** inputs: the caller passes the logical element count
+//! `n` while the coordinate slices hold at least
+//! [`crate::simd::pad_len`]`(n)` readable lanes (packed-arena page spans are
+//! stored this way). Full vectors then cover the whole range with no scalar
+//! tail; exactly `n` results come back, so the sentinel values in the
+//! padding lanes never influence an output. The five group-dimension folds
+//! take the query group's exact (unpadded) arrays.
 //!
 //! All kernels work in **squared** distance. Squared values order exactly
 //! like true distances, so callers compare in squared space where possible
 //! and pay the `sqrt` only for values that survive pruning. The aggregate
-//! kernels ([`rect_weighted_mindist_sum`], [`points_weighted_dist_sum_multi`]
-//! and the max/min folds) bridge back to the paper's metric space.
+//! kernels ([`scalar::rect_weighted_mindist_sum`],
+//! [`scalar::points_weighted_dist_sum_multi`] and the max/min folds) bridge
+//! back to the paper's metric space.
 //!
 //! Scalar oracles for every kernel live in [`crate::Rect`] /
 //! [`crate::Point`]; the property suite (`crates/geom/tests/batch_props.rs`)
@@ -357,40 +358,21 @@ impl BatchKernels {
         self.level
     }
 
-    /// Vector width (`f64` lanes) of the pinned level; 1 for scalar.
+    /// Largest lane multiple ≤ `n`: the span the group-dimension folds
+    /// cover with full vectors (their slices are exact, never padded).
     #[inline]
-    fn lanes(&self) -> usize {
-        match self.level {
+    fn vec_floor(&self, n: usize) -> usize {
+        let lanes = match self.level {
             SimdLevel::Scalar => 1,
             SimdLevel::Sse2 => 2,
             SimdLevel::Avx2Fma => 4,
-        }
+        };
+        n - n % lanes
     }
 
-    /// Largest lane multiple ≤ `n` (the exact-slice vector span).
-    #[inline]
-    fn vec_floor(&self, n: usize) -> usize {
-        n - n % self.lanes()
-    }
-
-    /// See [`rects_mindist_sq_point`].
-    pub fn rects_mindist_sq_point(
-        &self,
-        lo_x: &[f64],
-        lo_y: &[f64],
-        hi_x: &[f64],
-        hi_y: &[f64],
-        q: Point,
-        out: &mut Vec<f64>,
-    ) {
-        let n = lo_x.len();
-        assert!(lo_y.len() == n && hi_x.len() == n && hi_y.len() == n);
-        self.rects_point_dispatch(lo_x, lo_y, hi_x, hi_y, n, self.vec_floor(n), q, out);
-    }
-
-    /// Lane-padded [`rects_mindist_sq_point`]: `n` logical rectangles whose
-    /// coordinate slices hold at least [`pad_len`]`(n)` readable lanes.
-    /// Exactly `n` results are written.
+    /// Lane-padded [`scalar::rects_mindist_sq_point`]: `n` logical
+    /// rectangles whose coordinate slices hold at least [`pad_len`]`(n)`
+    /// readable lanes. Exactly `n` results are written.
     ///
     /// # Panics
     ///
@@ -408,22 +390,6 @@ impl BatchKernels {
     ) {
         let p = pad_len(n);
         assert!(lo_x.len() >= p && lo_y.len() >= p && hi_x.len() >= p && hi_y.len() >= p);
-        self.rects_point_dispatch(lo_x, lo_y, hi_x, hi_y, n, p, q, out);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn rects_point_dispatch(
-        &self,
-        lo_x: &[f64],
-        lo_y: &[f64],
-        hi_x: &[f64],
-        hi_y: &[f64],
-        n: usize,
-        vec_n: usize,
-        q: Point,
-        out: &mut Vec<f64>,
-    ) {
         match self.level {
             SimdLevel::Scalar => {
                 scalar::rects_mindist_sq_point(
@@ -437,36 +403,22 @@ impl BatchKernels {
             }
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Sse2 => {
-                simd::x86::rects_mindist_sq_point_sse2(lo_x, lo_y, hi_x, hi_y, n, vec_n, q, out)
+                simd::x86::rects_mindist_sq_point_sse2(lo_x, lo_y, hi_x, hi_y, n, q, out)
             }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `BatchKernels` holds `Avx2Fma` only when runtime
             // detection confirmed avx2+fma (auto/for_level check
-            // `is_available`); slice bounds are validated by the callers.
+            // `is_available`); the assert above proves every slice holds
+            // the `pad_len(n)` lanes the kernel reads.
             SimdLevel::Avx2Fma => unsafe {
-                simd::x86::rects_mindist_sq_point_avx2(lo_x, lo_y, hi_x, hi_y, n, vec_n, q, out)
+                simd::x86::rects_mindist_sq_point_avx2(lo_x, lo_y, hi_x, hi_y, n, q, out)
             },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("non-scalar level on a target without SIMD backends"),
         }
     }
 
-    /// See [`rects_mindist_sq_rect`].
-    pub fn rects_mindist_sq_rect(
-        &self,
-        lo_x: &[f64],
-        lo_y: &[f64],
-        hi_x: &[f64],
-        hi_y: &[f64],
-        m: &Rect,
-        out: &mut Vec<f64>,
-    ) {
-        let n = lo_x.len();
-        assert!(lo_y.len() == n && hi_x.len() == n && hi_y.len() == n);
-        self.rects_rect_dispatch(lo_x, lo_y, hi_x, hi_y, n, self.vec_floor(n), m, out);
-    }
-
-    /// Lane-padded [`rects_mindist_sq_rect`] (contract as
+    /// Lane-padded [`scalar::rects_mindist_sq_rect`] (contract as
     /// [`Self::rects_mindist_sq_point_padded`]).
     ///
     /// # Panics
@@ -485,22 +437,6 @@ impl BatchKernels {
     ) {
         let p = pad_len(n);
         assert!(lo_x.len() >= p && lo_y.len() >= p && hi_x.len() >= p && hi_y.len() >= p);
-        self.rects_rect_dispatch(lo_x, lo_y, hi_x, hi_y, n, p, m, out);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn rects_rect_dispatch(
-        &self,
-        lo_x: &[f64],
-        lo_y: &[f64],
-        hi_x: &[f64],
-        hi_y: &[f64],
-        n: usize,
-        vec_n: usize,
-        m: &Rect,
-        out: &mut Vec<f64>,
-    ) {
         match self.level {
             SimdLevel::Scalar => {
                 scalar::rects_mindist_sq_rect(
@@ -514,27 +450,20 @@ impl BatchKernels {
             }
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Sse2 => {
-                simd::x86::rects_mindist_sq_rect_sse2(lo_x, lo_y, hi_x, hi_y, n, vec_n, m, out)
+                simd::x86::rects_mindist_sq_rect_sse2(lo_x, lo_y, hi_x, hi_y, n, m, out)
             }
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rects_point_dispatch`.
+            // SAFETY: as in `rects_mindist_sq_point_padded`.
             SimdLevel::Avx2Fma => unsafe {
-                simd::x86::rects_mindist_sq_rect_avx2(lo_x, lo_y, hi_x, hi_y, n, vec_n, m, out)
+                simd::x86::rects_mindist_sq_rect_avx2(lo_x, lo_y, hi_x, hi_y, n, m, out)
             },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("non-scalar level on a target without SIMD backends"),
         }
     }
 
-    /// See [`points_dist_sq`].
-    pub fn points_dist_sq(&self, xs: &[f64], ys: &[f64], q: Point, out: &mut Vec<f64>) {
-        let n = xs.len();
-        assert_eq!(ys.len(), n);
-        self.points_point_dispatch(xs, ys, n, self.vec_floor(n), q, out);
-    }
-
-    /// Lane-padded [`points_dist_sq`]: `n` logical points whose coordinate
-    /// slices hold at least [`pad_len`]`(n)` readable lanes.
+    /// Lane-padded [`scalar::points_dist_sq`]: `n` logical points whose
+    /// coordinate slices hold at least [`pad_len`]`(n)` readable lanes.
     ///
     /// # Panics
     ///
@@ -549,41 +478,19 @@ impl BatchKernels {
     ) {
         let p = pad_len(n);
         assert!(xs.len() >= p && ys.len() >= p);
-        self.points_point_dispatch(xs, ys, n, p, q, out);
-    }
-
-    #[inline]
-    fn points_point_dispatch(
-        &self,
-        xs: &[f64],
-        ys: &[f64],
-        n: usize,
-        vec_n: usize,
-        q: Point,
-        out: &mut Vec<f64>,
-    ) {
         match self.level {
             SimdLevel::Scalar => scalar::points_dist_sq(&xs[..n], &ys[..n], q, out),
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => simd::x86::points_dist_sq_sse2(xs, ys, n, vec_n, q, out),
+            SimdLevel::Sse2 => simd::x86::points_dist_sq_sse2(xs, ys, n, q, out),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rects_point_dispatch`.
-            SimdLevel::Avx2Fma => unsafe {
-                simd::x86::points_dist_sq_avx2(xs, ys, n, vec_n, q, out)
-            },
+            // SAFETY: as in `rects_mindist_sq_point_padded`.
+            SimdLevel::Avx2Fma => unsafe { simd::x86::points_dist_sq_avx2(xs, ys, n, q, out) },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("non-scalar level on a target without SIMD backends"),
         }
     }
 
-    /// See [`points_mindist_sq_rect`].
-    pub fn points_mindist_sq_rect(&self, xs: &[f64], ys: &[f64], m: &Rect, out: &mut Vec<f64>) {
-        let n = xs.len();
-        assert_eq!(ys.len(), n);
-        self.points_rect_dispatch(xs, ys, n, self.vec_floor(n), m, out);
-    }
-
-    /// Lane-padded [`points_mindist_sq_rect`] (contract as
+    /// Lane-padded [`scalar::points_mindist_sq_rect`] (contract as
     /// [`Self::points_dist_sq_padded`]).
     ///
     /// # Panics
@@ -599,55 +506,25 @@ impl BatchKernels {
     ) {
         let p = pad_len(n);
         assert!(xs.len() >= p && ys.len() >= p);
-        self.points_rect_dispatch(xs, ys, n, p, m, out);
-    }
-
-    #[inline]
-    fn points_rect_dispatch(
-        &self,
-        xs: &[f64],
-        ys: &[f64],
-        n: usize,
-        vec_n: usize,
-        m: &Rect,
-        out: &mut Vec<f64>,
-    ) {
         match self.level {
             SimdLevel::Scalar => scalar::points_mindist_sq_rect(&xs[..n], &ys[..n], m, out),
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => simd::x86::points_mindist_sq_rect_sse2(xs, ys, n, vec_n, m, out),
+            SimdLevel::Sse2 => simd::x86::points_mindist_sq_rect_sse2(xs, ys, n, m, out),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rects_point_dispatch`.
+            // SAFETY: as in `rects_mindist_sq_point_padded`.
             SimdLevel::Avx2Fma => unsafe {
-                simd::x86::points_mindist_sq_rect_avx2(xs, ys, n, vec_n, m, out)
+                simd::x86::points_mindist_sq_rect_avx2(xs, ys, n, m, out)
             },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("non-scalar level on a target without SIMD backends"),
         }
     }
 
-    /// See [`points_weighted_dist_sum_multi`]. The query-point slices
-    /// `qx`/`qy`/`w` are never padded (the fold dimension must be exact —
-    /// that is what keeps the sequential SUM bit-identical).
-    pub fn points_weighted_dist_sum_multi(
-        &self,
-        xs: &[f64],
-        ys: &[f64],
-        qx: &[f64],
-        qy: &[f64],
-        w: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        let m = xs.len();
-        assert_eq!(ys.len(), m);
-        let n = qx.len();
-        assert!(qy.len() == n && w.len() == n);
-        self.wsum_multi_dispatch(xs, ys, m, self.vec_floor(m), qx, qy, w, out);
-    }
-
-    /// Lane-padded [`points_weighted_dist_sum_multi`]: `m` logical points
-    /// whose coordinate slices hold at least [`pad_len`]`(m)` readable
-    /// lanes. Query-point slices stay exact.
+    /// Lane-padded [`scalar::points_weighted_dist_sum_multi`]: `m` logical
+    /// points whose coordinate slices hold at least [`pad_len`]`(m)`
+    /// readable lanes. The query-point slices `qx`/`qy`/`w` are never padded
+    /// (the fold dimension must be exact — that is what keeps the sequential
+    /// SUM bit-identical).
     ///
     /// # Panics
     ///
@@ -668,56 +545,25 @@ impl BatchKernels {
         assert!(xs.len() >= p && ys.len() >= p);
         let n = qx.len();
         assert!(qy.len() == n && w.len() == n);
-        self.wsum_multi_dispatch(xs, ys, m, p, qx, qy, w, out);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn wsum_multi_dispatch(
-        &self,
-        xs: &[f64],
-        ys: &[f64],
-        m: usize,
-        vec_m: usize,
-        qx: &[f64],
-        qy: &[f64],
-        w: &[f64],
-        out: &mut Vec<f64>,
-    ) {
         match self.level {
             SimdLevel::Scalar => {
                 scalar::points_weighted_dist_sum_multi(&xs[..m], &ys[..m], qx, qy, w, out);
             }
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Sse2 => {
-                simd::x86::points_weighted_dist_sum_multi_sse2(xs, ys, m, vec_m, qx, qy, w, out)
+                simd::x86::points_weighted_dist_sum_multi_sse2(xs, ys, m, qx, qy, w, out)
             }
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rects_point_dispatch`.
+            // SAFETY: as in `rects_mindist_sq_point_padded`.
             SimdLevel::Avx2Fma => unsafe {
-                simd::x86::points_weighted_dist_sum_multi_avx2(xs, ys, m, vec_m, qx, qy, w, out)
+                simd::x86::points_weighted_dist_sum_multi_avx2(xs, ys, m, qx, qy, w, out)
             },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("non-scalar level on a target without SIMD backends"),
         }
     }
 
-    /// See [`points_dist_sq_max_multi`].
-    pub fn points_dist_sq_max_multi(
-        &self,
-        xs: &[f64],
-        ys: &[f64],
-        qx: &[f64],
-        qy: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        let m = xs.len();
-        assert_eq!(ys.len(), m);
-        assert_eq!(qy.len(), qx.len());
-        self.fold_multi_dispatch::<true>(xs, ys, m, self.vec_floor(m), qx, qy, out);
-    }
-
-    /// Lane-padded [`points_dist_sq_max_multi`] (contract as
+    /// Lane-padded [`scalar::points_dist_sq_max_multi`] (contract as
     /// [`Self::points_weighted_dist_sum_multi_padded`]).
     ///
     /// # Panics
@@ -732,28 +578,10 @@ impl BatchKernels {
         qy: &[f64],
         out: &mut Vec<f64>,
     ) {
-        let p = pad_len(m);
-        assert!(xs.len() >= p && ys.len() >= p);
-        assert_eq!(qy.len(), qx.len());
-        self.fold_multi_dispatch::<true>(xs, ys, m, p, qx, qy, out);
+        self.fold_multi_padded::<true>(xs, ys, m, qx, qy, out);
     }
 
-    /// See [`points_dist_sq_min_multi`].
-    pub fn points_dist_sq_min_multi(
-        &self,
-        xs: &[f64],
-        ys: &[f64],
-        qx: &[f64],
-        qy: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        let m = xs.len();
-        assert_eq!(ys.len(), m);
-        assert_eq!(qy.len(), qx.len());
-        self.fold_multi_dispatch::<false>(xs, ys, m, self.vec_floor(m), qx, qy, out);
-    }
-
-    /// Lane-padded [`points_dist_sq_min_multi`] (contract as
+    /// Lane-padded [`scalar::points_dist_sq_min_multi`] (contract as
     /// [`Self::points_weighted_dist_sum_multi_padded`]).
     ///
     /// # Panics
@@ -768,24 +596,22 @@ impl BatchKernels {
         qy: &[f64],
         out: &mut Vec<f64>,
     ) {
-        let p = pad_len(m);
-        assert!(xs.len() >= p && ys.len() >= p);
-        assert_eq!(qy.len(), qx.len());
-        self.fold_multi_dispatch::<false>(xs, ys, m, p, qx, qy, out);
+        self.fold_multi_padded::<false>(xs, ys, m, qx, qy, out);
     }
 
-    #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn fold_multi_dispatch<const MAX: bool>(
+    fn fold_multi_padded<const MAX: bool>(
         &self,
         xs: &[f64],
         ys: &[f64],
         m: usize,
-        vec_m: usize,
         qx: &[f64],
         qy: &[f64],
         out: &mut Vec<f64>,
     ) {
+        let p = pad_len(m);
+        assert!(xs.len() >= p && ys.len() >= p);
+        assert_eq!(qy.len(), qx.len());
         match self.level {
             SimdLevel::Scalar => {
                 if MAX {
@@ -797,18 +623,18 @@ impl BatchKernels {
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Sse2 => {
                 if MAX {
-                    simd::x86::points_dist_sq_max_multi_sse2(xs, ys, m, vec_m, qx, qy, out);
+                    simd::x86::points_dist_sq_max_multi_sse2(xs, ys, m, qx, qy, out);
                 } else {
-                    simd::x86::points_dist_sq_min_multi_sse2(xs, ys, m, vec_m, qx, qy, out);
+                    simd::x86::points_dist_sq_min_multi_sse2(xs, ys, m, qx, qy, out);
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rects_point_dispatch`.
+            // SAFETY: as in `rects_mindist_sq_point_padded`.
             SimdLevel::Avx2Fma => unsafe {
                 if MAX {
-                    simd::x86::points_dist_sq_max_multi_avx2(xs, ys, m, vec_m, qx, qy, out);
+                    simd::x86::points_dist_sq_max_multi_avx2(xs, ys, m, qx, qy, out);
                 } else {
-                    simd::x86::points_dist_sq_min_multi_avx2(xs, ys, m, vec_m, qx, qy, out);
+                    simd::x86::points_dist_sq_min_multi_avx2(xs, ys, m, qx, qy, out);
                 }
             },
             #[cfg(not(target_arch = "x86_64"))]
@@ -816,8 +642,8 @@ impl BatchKernels {
         }
     }
 
-    /// See [`rect_weighted_mindist_sum`]. The accumulation order is the
-    /// scalar one on every level (sequential in `i`), so the result is
+    /// See [`scalar::rect_weighted_mindist_sum`]. The accumulation order is
+    /// the scalar one on every level (sequential in `i`), so the result is
     /// bit-identical across levels.
     pub fn rect_weighted_mindist_sum(&self, m: &Rect, qx: &[f64], qy: &[f64], w: &[f64]) -> f64 {
         let n = qx.len();
@@ -829,7 +655,8 @@ impl BatchKernels {
                 simd::x86::rect_weighted_mindist_sum_sse2(m, qx, qy, w, n, self.vec_floor(n))
             }
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rects_point_dispatch`.
+            // SAFETY: level as in `rects_mindist_sq_point_padded`; the kernel
+            // reads the `n` lanes of the exact slices asserted above.
             SimdLevel::Avx2Fma => unsafe {
                 simd::x86::rect_weighted_mindist_sum_avx2(m, qx, qy, w, n, self.vec_floor(n))
             },
@@ -838,7 +665,7 @@ impl BatchKernels {
         }
     }
 
-    /// See [`rect_mindist_sq_max`].
+    /// See [`scalar::rect_mindist_sq_max`].
     pub fn rect_mindist_sq_max(&self, m: &Rect, qx: &[f64], qy: &[f64]) -> f64 {
         let n = qx.len();
         assert_eq!(qy.len(), n);
@@ -847,7 +674,8 @@ impl BatchKernels {
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Sse2 => simd::x86::rect_mindist_sq_max_sse2(m, qx, qy, n, self.vec_floor(n)),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rects_point_dispatch`.
+            // SAFETY: level as in `rects_mindist_sq_point_padded`; the kernel
+            // reads the `n` lanes of the exact slices asserted above.
             SimdLevel::Avx2Fma => unsafe {
                 simd::x86::rect_mindist_sq_max_avx2(m, qx, qy, n, self.vec_floor(n))
             },
@@ -856,7 +684,7 @@ impl BatchKernels {
         }
     }
 
-    /// See [`rect_mindist_sq_min`].
+    /// See [`scalar::rect_mindist_sq_min`].
     pub fn rect_mindist_sq_min(&self, m: &Rect, qx: &[f64], qy: &[f64]) -> f64 {
         let n = qx.len();
         assert_eq!(qy.len(), n);
@@ -865,7 +693,8 @@ impl BatchKernels {
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Sse2 => simd::x86::rect_mindist_sq_min_sse2(m, qx, qy, n, self.vec_floor(n)),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rects_point_dispatch`.
+            // SAFETY: level as in `rects_mindist_sq_point_padded`; the kernel
+            // reads the `n` lanes of the exact slices asserted above.
             SimdLevel::Avx2Fma => unsafe {
                 simd::x86::rect_mindist_sq_min_avx2(m, qx, qy, n, self.vec_floor(n))
             },
@@ -874,7 +703,7 @@ impl BatchKernels {
         }
     }
 
-    /// See [`point_dist_sq_max`].
+    /// See [`scalar::point_dist_sq_max`].
     pub fn point_dist_sq_max(&self, p: Point, qx: &[f64], qy: &[f64]) -> f64 {
         let n = qx.len();
         assert_eq!(qy.len(), n);
@@ -883,7 +712,8 @@ impl BatchKernels {
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Sse2 => simd::x86::point_dist_sq_max_sse2(p, qx, qy, n, self.vec_floor(n)),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rects_point_dispatch`.
+            // SAFETY: level as in `rects_mindist_sq_point_padded`; the kernel
+            // reads the `n` lanes of the exact slices asserted above.
             SimdLevel::Avx2Fma => unsafe {
                 simd::x86::point_dist_sq_max_avx2(p, qx, qy, n, self.vec_floor(n))
             },
@@ -892,7 +722,7 @@ impl BatchKernels {
         }
     }
 
-    /// See [`point_dist_sq_min`].
+    /// See [`scalar::point_dist_sq_min`].
     pub fn point_dist_sq_min(&self, p: Point, qx: &[f64], qy: &[f64]) -> f64 {
         let n = qx.len();
         assert_eq!(qy.len(), n);
@@ -901,186 +731,14 @@ impl BatchKernels {
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Sse2 => simd::x86::point_dist_sq_min_sse2(p, qx, qy, n, self.vec_floor(n)),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rects_point_dispatch`.
+            // SAFETY: level as in `rects_mindist_sq_point_padded`; the kernel
+            // reads the `n` lanes of the exact slices asserted above.
             SimdLevel::Avx2Fma => unsafe {
                 simd::x86::point_dist_sq_min_avx2(p, qx, qy, n, self.vec_floor(n))
             },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("non-scalar level on a target without SIMD backends"),
         }
-    }
-}
-
-/// `out[i] = mindist²(rect_i, q)` for rectangles given as four parallel
-/// coordinate slices. `out` is cleared and refilled (capacity is reused).
-/// Dispatches at the process-wide SIMD level ([`BatchKernels::auto`]).
-///
-/// # Panics
-///
-/// Panics when the slices disagree in length.
-pub fn rects_mindist_sq_point(
-    lo_x: &[f64],
-    lo_y: &[f64],
-    hi_x: &[f64],
-    hi_y: &[f64],
-    q: Point,
-    out: &mut Vec<f64>,
-) {
-    BatchKernels::auto().rects_mindist_sq_point(lo_x, lo_y, hi_x, hi_y, q, out);
-}
-
-/// `out[i] = mindist²(rect_i, m)` for rectangles given as four parallel
-/// coordinate slices against one fixed rectangle `m`. `out` is cleared and
-/// refilled. Dispatches at the process-wide SIMD level.
-///
-/// # Panics
-///
-/// Panics when the slices disagree in length.
-pub fn rects_mindist_sq_rect(
-    lo_x: &[f64],
-    lo_y: &[f64],
-    hi_x: &[f64],
-    hi_y: &[f64],
-    m: &Rect,
-    out: &mut Vec<f64>,
-) {
-    BatchKernels::auto().rects_mindist_sq_rect(lo_x, lo_y, hi_x, hi_y, m, out);
-}
-
-/// `out[i] = |p_i q|²` for points given as two parallel coordinate slices.
-/// `out` is cleared and refilled. Dispatches at the process-wide SIMD
-/// level.
-///
-/// # Panics
-///
-/// Panics when `xs` and `ys` disagree in length.
-pub fn points_dist_sq(xs: &[f64], ys: &[f64], q: Point, out: &mut Vec<f64>) {
-    BatchKernels::auto().points_dist_sq(xs, ys, q, out);
-}
-
-/// `out[i] = mindist²(p_i, m)` for points given as two parallel coordinate
-/// slices against one rectangle. `out` is cleared and refilled. Dispatches
-/// at the process-wide SIMD level.
-///
-/// # Panics
-///
-/// Panics when `xs` and `ys` disagree in length.
-pub fn points_mindist_sq_rect(xs: &[f64], ys: &[f64], m: &Rect, out: &mut Vec<f64>) {
-    BatchKernels::auto().points_mindist_sq_rect(xs, ys, m, out);
-}
-
-/// `Σ_i w_i · √(mindist²(m, q_i))` over query points in SoA form — the SUM
-/// aggregate's tight node bound (heuristic 3). Sequential fold on every
-/// dispatch level; see [`scalar::rect_weighted_mindist_sum`].
-///
-/// # Panics
-///
-/// Panics when the slices disagree in length.
-pub fn rect_weighted_mindist_sum(m: &Rect, qx: &[f64], qy: &[f64], w: &[f64]) -> f64 {
-    BatchKernels::auto().rect_weighted_mindist_sum(m, qx, qy, w)
-}
-
-/// Multi-point weighted distance sums: `out[j] = Σ_i w_i · |p_j q_i|`.
-/// Dispatches at the process-wide SIMD level; see
-/// [`scalar::points_weighted_dist_sum_multi`] for the fold contract.
-///
-/// # Panics
-///
-/// Panics when the paired slices disagree in length.
-pub fn points_weighted_dist_sum_multi(
-    xs: &[f64],
-    ys: &[f64],
-    qx: &[f64],
-    qy: &[f64],
-    w: &[f64],
-    out: &mut Vec<f64>,
-) {
-    BatchKernels::auto().points_weighted_dist_sum_multi(xs, ys, qx, qy, w, out);
-}
-
-/// Multi-point MAX fold: `out[j] = max_i |p_j q_i|²`. Dispatches at the
-/// process-wide SIMD level.
-pub fn points_dist_sq_max_multi(
-    xs: &[f64],
-    ys: &[f64],
-    qx: &[f64],
-    qy: &[f64],
-    out: &mut Vec<f64>,
-) {
-    BatchKernels::auto().points_dist_sq_max_multi(xs, ys, qx, qy, out);
-}
-
-/// Multi-point MIN fold: `out[j] = min_i |p_j q_i|²`. Dispatches at the
-/// process-wide SIMD level.
-pub fn points_dist_sq_min_multi(
-    xs: &[f64],
-    ys: &[f64],
-    qx: &[f64],
-    qy: &[f64],
-    out: &mut Vec<f64>,
-) {
-    BatchKernels::auto().points_dist_sq_min_multi(xs, ys, qx, qy, out);
-}
-
-/// Maximum of `mindist²(m, q_i)` over query points in SoA form. Combined
-/// with one final `sqrt` this is the MAX aggregate's tight node bound
-/// (`max √x = √(max x)`).
-pub fn rect_mindist_sq_max(m: &Rect, qx: &[f64], qy: &[f64]) -> f64 {
-    BatchKernels::auto().rect_mindist_sq_max(m, qx, qy)
-}
-
-/// Minimum of `mindist²(m, q_i)` over query points in SoA form (the MIN
-/// aggregate's tight node bound before the final `sqrt`).
-pub fn rect_mindist_sq_min(m: &Rect, qx: &[f64], qy: &[f64]) -> f64 {
-    BatchKernels::auto().rect_mindist_sq_min(m, qx, qy)
-}
-
-/// Maximum of `|p q_i|²` over query points in SoA form.
-pub fn point_dist_sq_max(p: Point, qx: &[f64], qy: &[f64]) -> f64 {
-    BatchKernels::auto().point_dist_sq_max(p, qx, qy)
-}
-
-/// Minimum of `|p q_i|²` over query points in SoA form.
-pub fn point_dist_sq_min(p: Point, qx: &[f64], qy: &[f64]) -> f64 {
-    BatchKernels::auto().point_dist_sq_min(p, qx, qy)
-}
-
-impl Rect {
-    /// Batched [`Rect::mindist_point_sq`]: `out[i] = mindist²(rect_i, q)`
-    /// for rectangles in SoA form. See [`rects_mindist_sq_point`].
-    #[inline]
-    pub fn mindist_sq_batch(
-        lo_x: &[f64],
-        lo_y: &[f64],
-        hi_x: &[f64],
-        hi_y: &[f64],
-        q: Point,
-        out: &mut Vec<f64>,
-    ) {
-        rects_mindist_sq_point(lo_x, lo_y, hi_x, hi_y, q, out);
-    }
-
-    /// Batched [`Rect::mindist_rect_sq`]: `out[i] = mindist²(rect_i, m)`
-    /// for rectangles in SoA form. See [`rects_mindist_sq_rect`].
-    #[inline]
-    pub fn mindist_sq_batch_rect(
-        lo_x: &[f64],
-        lo_y: &[f64],
-        hi_x: &[f64],
-        hi_y: &[f64],
-        m: &Rect,
-        out: &mut Vec<f64>,
-    ) {
-        rects_mindist_sq_rect(lo_x, lo_y, hi_x, hi_y, m, out);
-    }
-}
-
-impl Point {
-    /// Batched [`Point::dist_sq`]: `out[i] = |p_i q|²` for points in SoA
-    /// form. See [`points_dist_sq`].
-    #[inline]
-    pub fn dist_sq_batch(xs: &[f64], ys: &[f64], q: Point, out: &mut Vec<f64>) {
-        points_dist_sq(xs, ys, q, out);
     }
 }
 
@@ -1107,7 +765,7 @@ mod tests {
         let (lx, ly, hx, hy) = soa(&rects);
         let q = Point::new(2.0, 3.0);
         let mut out = Vec::new();
-        rects_mindist_sq_point(&lx, &ly, &hx, &hy, q, &mut out);
+        scalar::rects_mindist_sq_point(&lx, &ly, &hx, &hy, q, &mut out);
         for (r, got) in rects.iter().zip(&out) {
             assert_eq!(*got, r.mindist_point_sq(q));
         }
@@ -1122,7 +780,7 @@ mod tests {
         let (lx, ly, hx, hy) = soa(&rects);
         let m = Rect::from_corners(2.0, 2.0, 3.0, 3.0);
         let mut out = Vec::new();
-        rects_mindist_sq_rect(&lx, &ly, &hx, &hy, &m, &mut out);
+        scalar::rects_mindist_sq_rect(&lx, &ly, &hx, &hy, &m, &mut out);
         for (r, got) in rects.iter().zip(&out) {
             assert_eq!(*got, r.mindist_rect_sq(&m));
         }
@@ -1135,12 +793,12 @@ mod tests {
         let ys: Vec<f64> = pts.iter().map(|p| p.y).collect();
         let q = Point::new(0.25, -1.0);
         let mut out = Vec::new();
-        points_dist_sq(&xs, &ys, q, &mut out);
+        scalar::points_dist_sq(&xs, &ys, q, &mut out);
         for (p, got) in pts.iter().zip(&out) {
             assert_eq!(*got, p.dist_sq(q));
         }
         let m = Rect::from_corners(0.0, 0.0, 1.0, 1.0);
-        points_mindist_sq_rect(&xs, &ys, &m, &mut out);
+        scalar::points_mindist_sq_rect(&xs, &ys, &m, &mut out);
         for (p, got) in pts.iter().zip(&out) {
             assert_eq!(*got, m.mindist_point_sq(*p));
         }
@@ -1155,7 +813,7 @@ mod tests {
         let want: f64 = (0..13)
             .map(|i| w[i] * m.mindist_point(Point::new(qx[i], qy[i])))
             .sum();
-        let got = rect_weighted_mindist_sum(&m, &qx, &qy, &w);
+        let got = BatchKernels::auto().rect_weighted_mindist_sum(&m, &qx, &qy, &w);
         assert_eq!(got, want, "sequential fold must be bit-identical");
     }
 
@@ -1164,15 +822,16 @@ mod tests {
         let qx = [0.0, 5.0, -2.0];
         let qy = [0.0, 1.0, 7.0];
         let m = Rect::from_corners(1.0, 1.0, 2.0, 2.0);
+        let k = BatchKernels::auto();
         let d2: Vec<f64> = (0..3)
             .map(|i| m.mindist_point_sq(Point::new(qx[i], qy[i])))
             .collect();
         assert_eq!(
-            rect_mindist_sq_max(&m, &qx, &qy),
+            k.rect_mindist_sq_max(&m, &qx, &qy),
             d2.iter().copied().fold(f64::NEG_INFINITY, f64::max)
         );
         assert_eq!(
-            rect_mindist_sq_min(&m, &qx, &qy),
+            k.rect_mindist_sq_min(&m, &qx, &qy),
             d2.iter().copied().fold(f64::INFINITY, f64::min)
         );
         let p = Point::new(3.0, 3.0);
@@ -1180,21 +839,29 @@ mod tests {
             .map(|i| p.dist_sq(Point::new(qx[i], qy[i])))
             .collect();
         assert_eq!(
-            point_dist_sq_max(p, &qx, &qy),
+            k.point_dist_sq_max(p, &qx, &qy),
             e2.iter().copied().fold(f64::NEG_INFINITY, f64::max)
         );
         assert_eq!(
-            point_dist_sq_min(p, &qx, &qy),
+            k.point_dist_sq_min(p, &qx, &qy),
             e2.iter().copied().fold(f64::INFINITY, f64::min)
         );
     }
 
     #[test]
     fn every_available_level_matches_the_scalar_oracle_bitwise() {
-        // Ragged lengths straddle vector-width boundaries on purpose.
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33] {
+        use crate::simd::LANE_COUNT;
+        // Every ragged length around the lane-block boundaries, plus one
+        // well past them.
+        for n in (0..=2 * LANE_COUNT + 1).chain([33]) {
             let xs: Vec<f64> = (0..n).map(|i| (i as f64).sin() * 50.0).collect();
             let ys: Vec<f64> = (0..n).map(|i| (i as f64 * 1.7).cos() * 50.0).collect();
+            // Poison the padding with values that would corrupt any result
+            // that read them (the arena uses 0.0; the contract is stronger:
+            // padding is *never read into a result*).
+            let (mut xp, mut yp) = (xs.clone(), ys.clone());
+            xp.resize(pad_len(n), 1e300);
+            yp.resize(pad_len(n), -1e300);
             let qn = 5;
             let qx: Vec<f64> = (0..qn).map(|i| i as f64 * 3.3 - 6.0).collect();
             let qy: Vec<f64> = (0..qn).map(|i| 4.0 - i as f64 * 2.1).collect();
@@ -1202,118 +869,67 @@ mod tests {
             let q = Point::new(1.5, -2.5);
             let m = Rect::from_corners(-3.0, -3.0, 3.0, 3.0);
 
-            let oracle = BatchKernels::for_level(SimdLevel::Scalar).unwrap();
             for level in SimdLevel::available_levels() {
                 let k = BatchKernels::for_level(level).unwrap();
                 let (mut a, mut b) = (Vec::new(), Vec::new());
 
-                oracle.points_dist_sq(&xs, &ys, q, &mut a);
-                k.points_dist_sq(&xs, &ys, q, &mut b);
+                scalar::points_dist_sq(&xs, &ys, q, &mut a);
+                k.points_dist_sq_padded(&xp, &yp, n, q, &mut b);
                 assert_eq!(a, b, "points_dist_sq n={n} level={level:?}");
 
-                oracle.points_mindist_sq_rect(&xs, &ys, &m, &mut a);
-                k.points_mindist_sq_rect(&xs, &ys, &m, &mut b);
+                scalar::points_mindist_sq_rect(&xs, &ys, &m, &mut a);
+                k.points_mindist_sq_rect_padded(&xp, &yp, n, &m, &mut b);
                 assert_eq!(a, b, "points_mindist_sq_rect n={n} level={level:?}");
 
-                oracle.rects_mindist_sq_point(&xs, &ys, &xs, &ys, q, &mut a);
-                k.rects_mindist_sq_point(&xs, &ys, &xs, &ys, q, &mut b);
+                scalar::rects_mindist_sq_point(&xs, &ys, &xs, &ys, q, &mut a);
+                k.rects_mindist_sq_point_padded(&xp, &yp, &xp, &yp, n, q, &mut b);
                 assert_eq!(a, b, "rects_mindist_sq_point n={n} level={level:?}");
 
-                oracle.rects_mindist_sq_rect(&xs, &ys, &xs, &ys, &m, &mut a);
-                k.rects_mindist_sq_rect(&xs, &ys, &xs, &ys, &m, &mut b);
+                scalar::rects_mindist_sq_rect(&xs, &ys, &xs, &ys, &m, &mut a);
+                k.rects_mindist_sq_rect_padded(&xp, &yp, &xp, &yp, n, &m, &mut b);
                 assert_eq!(a, b, "rects_mindist_sq_rect n={n} level={level:?}");
 
-                oracle.points_weighted_dist_sum_multi(&xs, &ys, &qx, &qy, &w, &mut a);
-                k.points_weighted_dist_sum_multi(&xs, &ys, &qx, &qy, &w, &mut b);
+                scalar::points_weighted_dist_sum_multi(&xs, &ys, &qx, &qy, &w, &mut a);
+                k.points_weighted_dist_sum_multi_padded(&xp, &yp, n, &qx, &qy, &w, &mut b);
                 assert_eq!(a, b, "wsum_multi n={n} level={level:?}");
 
-                oracle.points_dist_sq_max_multi(&xs, &ys, &qx, &qy, &mut a);
-                k.points_dist_sq_max_multi(&xs, &ys, &qx, &qy, &mut b);
+                scalar::points_dist_sq_max_multi(&xs, &ys, &qx, &qy, &mut a);
+                k.points_dist_sq_max_multi_padded(&xp, &yp, n, &qx, &qy, &mut b);
                 assert_eq!(a, b, "max_multi n={n} level={level:?}");
 
-                oracle.points_dist_sq_min_multi(&xs, &ys, &qx, &qy, &mut a);
-                k.points_dist_sq_min_multi(&xs, &ys, &qx, &qy, &mut b);
+                scalar::points_dist_sq_min_multi(&xs, &ys, &qx, &qy, &mut a);
+                k.points_dist_sq_min_multi_padded(&xp, &yp, n, &qx, &qy, &mut b);
                 assert_eq!(a, b, "min_multi n={n} level={level:?}");
 
+                // The group-dimension folds take exact slices: `xs`/`ys`
+                // double as a ragged query group here.
                 if n > 0 {
                     assert_eq!(
-                        oracle.rect_weighted_mindist_sum(&m, &xs, &ys, &xs),
+                        scalar::rect_weighted_mindist_sum(&m, &xs, &ys, &xs),
                         k.rect_weighted_mindist_sum(&m, &xs, &ys, &xs),
                         "rect_wsum n={n} level={level:?}"
                     );
                 }
                 assert_eq!(
-                    oracle.rect_mindist_sq_max(&m, &xs, &ys),
+                    scalar::rect_mindist_sq_max(&m, &xs, &ys),
                     k.rect_mindist_sq_max(&m, &xs, &ys),
                     "rect_max n={n} level={level:?}"
                 );
                 assert_eq!(
-                    oracle.rect_mindist_sq_min(&m, &xs, &ys),
+                    scalar::rect_mindist_sq_min(&m, &xs, &ys),
                     k.rect_mindist_sq_min(&m, &xs, &ys),
                     "rect_min n={n} level={level:?}"
                 );
                 assert_eq!(
-                    oracle.point_dist_sq_max(q, &xs, &ys),
+                    scalar::point_dist_sq_max(q, &xs, &ys),
                     k.point_dist_sq_max(q, &xs, &ys),
                     "point_max n={n} level={level:?}"
                 );
                 assert_eq!(
-                    oracle.point_dist_sq_min(q, &xs, &ys),
+                    scalar::point_dist_sq_min(q, &xs, &ys),
                     k.point_dist_sq_min(q, &xs, &ys),
                     "point_min n={n} level={level:?}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn padded_variants_ignore_sentinel_lanes() {
-        use crate::simd::pad_len;
-        for n in [0usize, 1, 3, 7, 8, 9, 13, 16, 21] {
-            let mut xs: Vec<f64> = (0..n).map(|i| i as f64 * 1.3 - 4.0).collect();
-            let mut ys: Vec<f64> = (0..n).map(|i| 7.0 - i as f64 * 0.9).collect();
-            // Poison padding with values that would corrupt any aggregate
-            // that read them (the arena uses 0.0; the contract is stronger:
-            // padding is *never read into a result*).
-            xs.resize(pad_len(n), 1e300);
-            ys.resize(pad_len(n), -1e300);
-            let q = Point::new(0.5, 0.5);
-            let m = Rect::from_corners(-1.0, -1.0, 1.0, 1.0);
-            let qx = [0.0, 2.0, -3.0];
-            let qy = [1.0, -2.0, 0.0];
-            let w = [1.0, 0.5, 2.0];
-
-            for level in SimdLevel::available_levels() {
-                let k = BatchKernels::for_level(level).unwrap();
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-
-                k.points_dist_sq(&xs[..n], &ys[..n], q, &mut a);
-                k.points_dist_sq_padded(&xs, &ys, n, q, &mut b);
-                assert_eq!(a, b, "points_dist_sq_padded n={n} level={level:?}");
-
-                k.points_mindist_sq_rect(&xs[..n], &ys[..n], &m, &mut a);
-                k.points_mindist_sq_rect_padded(&xs, &ys, n, &m, &mut b);
-                assert_eq!(a, b, "points_mindist_sq_rect_padded n={n} level={level:?}");
-
-                k.rects_mindist_sq_point(&xs[..n], &ys[..n], &xs[..n], &ys[..n], q, &mut a);
-                k.rects_mindist_sq_point_padded(&xs, &ys, &xs, &ys, n, q, &mut b);
-                assert_eq!(a, b, "rects_point_padded n={n} level={level:?}");
-
-                k.rects_mindist_sq_rect(&xs[..n], &ys[..n], &xs[..n], &ys[..n], &m, &mut a);
-                k.rects_mindist_sq_rect_padded(&xs, &ys, &xs, &ys, n, &m, &mut b);
-                assert_eq!(a, b, "rects_rect_padded n={n} level={level:?}");
-
-                k.points_weighted_dist_sum_multi(&xs[..n], &ys[..n], &qx, &qy, &w, &mut a);
-                k.points_weighted_dist_sum_multi_padded(&xs, &ys, n, &qx, &qy, &w, &mut b);
-                assert_eq!(a, b, "wsum_multi_padded n={n} level={level:?}");
-
-                k.points_dist_sq_max_multi(&xs[..n], &ys[..n], &qx, &qy, &mut a);
-                k.points_dist_sq_max_multi_padded(&xs, &ys, n, &qx, &qy, &mut b);
-                assert_eq!(a, b, "max_multi_padded n={n} level={level:?}");
-
-                k.points_dist_sq_min_multi(&xs[..n], &ys[..n], &qx, &qy, &mut a);
-                k.points_dist_sq_min_multi_padded(&xs, &ys, n, &qx, &qy, &mut b);
-                assert_eq!(a, b, "min_multi_padded n={n} level={level:?}");
             }
         }
     }

@@ -106,6 +106,9 @@ impl SimdLevel {
 /// environment variable is set to anything other than `""` or `"0"`
 /// (the escape hatch that keeps the fallback path exercised in CI),
 /// otherwise the best [`SimdLevel::is_available`] level.
+// `#[inline]`: every kernel dispatch in the other crates starts here, and
+// the cached path is one load — not worth a cross-crate call per bound.
+#[inline]
 pub fn dispatch_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
@@ -134,12 +137,13 @@ pub fn force_scalar_requested() -> bool {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     //! SSE2 and AVX2 kernel bodies, written once against a tiny vector
-    //! trait and monomorphized per width. Entry points take `n` (logical
-    //! element count) and `vec_n` (how many leading elements to process
-    //! with full vectors; the `vec_n..n` remainder runs the scalar
-    //! reference code). The dispatcher sets `vec_n = n` rounded *up* for
-    //! padded inputs (sentinel lanes readable past `n`) or rounded *down*
-    //! for exact slices.
+    //! trait and monomorphized per width. The elementwise maps and the
+    //! multi-point aggregates take `n` logical elements over lane-padded
+    //! slices and run full vectors across all `pad_len(n)` lanes (sentinel
+    //! lanes are computed into spare capacity and never exposed). The
+    //! group-dimension reductions take exact slices plus `vec_n`, the
+    //! leading lane multiple to process with full vectors; their
+    //! `vec_n..n` remainder runs the scalar reference code.
 
     use super::{pad_len, LANE_COUNT};
     use crate::{Point, Rect};
@@ -254,12 +258,14 @@ pub(crate) mod x86 {
 
     /// Clears `out`, guarantees capacity for `pad_len(n)` lanes (so full
     /// vectors may store past `n` into spare capacity) and returns the
-    /// write pointer. Callers must `set_len(n)` after filling `0..n`.
+    /// write pointer with that padded lane count — the span the kernel's
+    /// vector loop covers. Callers must `set_len(n)` after filling it.
     #[inline(always)]
-    fn prep_out(out: &mut Vec<f64>, n: usize) -> *mut f64 {
+    fn prep_out(out: &mut Vec<f64>, n: usize) -> (*mut f64, usize) {
+        let padded = pad_len(n);
         out.clear();
-        out.reserve(pad_len(n));
-        out.as_mut_ptr()
+        out.reserve(padded);
+        (out.as_mut_ptr(), padded)
     }
 
     /// `dx = max(max(a - v, v - b), 0.0)` — the branch-free
@@ -286,11 +292,10 @@ pub(crate) mod x86 {
         hi_x: &[f64],
         hi_y: &[f64],
         n: usize,
-        vec_n: usize,
         q: Point,
         out: &mut Vec<f64>,
     ) {
-        let po = prep_out(out, n);
+        let (po, vec_n) = prep_out(out, n);
         let (plx, ply, phx, phy) = (lo_x.as_ptr(), lo_y.as_ptr(), hi_x.as_ptr(), hi_y.as_ptr());
         let qx = V::splat(q.x);
         let qy = V::splat(q.y);
@@ -301,11 +306,6 @@ pub(crate) mod x86 {
             let dy = excess(qy, V::loadu(ply.add(i)), V::loadu(phy.add(i)), zero);
             hypot_sq(dx, dy).storeu(po.add(i));
             i += V::LANES;
-        }
-        for i in vec_n..n {
-            let dx = (lo_x[i] - q.x).max(q.x - hi_x[i]).max(0.0);
-            let dy = (lo_y[i] - q.y).max(q.y - hi_y[i]).max(0.0);
-            *po.add(i) = dx * dx + dy * dy;
         }
         out.set_len(n);
     }
@@ -318,11 +318,10 @@ pub(crate) mod x86 {
         hi_x: &[f64],
         hi_y: &[f64],
         n: usize,
-        vec_n: usize,
         m: &Rect,
         out: &mut Vec<f64>,
     ) {
-        let po = prep_out(out, n);
+        let (po, vec_n) = prep_out(out, n);
         let (plx, ply, phx, phy) = (lo_x.as_ptr(), lo_y.as_ptr(), hi_x.as_ptr(), hi_y.as_ptr());
         let (mlx, mly, mhx, mhy) = (
             V::splat(m.lo.x),
@@ -345,11 +344,6 @@ pub(crate) mod x86 {
             hypot_sq(dx, dy).storeu(po.add(i));
             i += V::LANES;
         }
-        for i in vec_n..n {
-            let dx = (m.lo.x - hi_x[i]).max(lo_x[i] - m.hi.x).max(0.0);
-            let dy = (m.lo.y - hi_y[i]).max(lo_y[i] - m.hi.y).max(0.0);
-            *po.add(i) = dx * dx + dy * dy;
-        }
         out.set_len(n);
     }
 
@@ -358,11 +352,10 @@ pub(crate) mod x86 {
         xs: &[f64],
         ys: &[f64],
         n: usize,
-        vec_n: usize,
         q: Point,
         out: &mut Vec<f64>,
     ) {
-        let po = prep_out(out, n);
+        let (po, vec_n) = prep_out(out, n);
         let (px, py) = (xs.as_ptr(), ys.as_ptr());
         let qx = V::splat(q.x);
         let qy = V::splat(q.y);
@@ -373,11 +366,6 @@ pub(crate) mod x86 {
             hypot_sq(dx, dy).storeu(po.add(i));
             i += V::LANES;
         }
-        for i in vec_n..n {
-            let dx = xs[i] - q.x;
-            let dy = ys[i] - q.y;
-            *po.add(i) = dx * dx + dy * dy;
-        }
         out.set_len(n);
     }
 
@@ -386,11 +374,10 @@ pub(crate) mod x86 {
         xs: &[f64],
         ys: &[f64],
         n: usize,
-        vec_n: usize,
         m: &Rect,
         out: &mut Vec<f64>,
     ) {
-        let po = prep_out(out, n);
+        let (po, vec_n) = prep_out(out, n);
         let (px, py) = (xs.as_ptr(), ys.as_ptr());
         let (mlx, mly, mhx, mhy) = (
             V::splat(m.lo.x),
@@ -405,11 +392,6 @@ pub(crate) mod x86 {
             let dy = excess(V::loadu(py.add(i)), mly, mhy, zero);
             hypot_sq(dx, dy).storeu(po.add(i));
             i += V::LANES;
-        }
-        for i in vec_n..n {
-            let dx = (m.lo.x - xs[i]).max(xs[i] - m.hi.x).max(0.0);
-            let dy = (m.lo.y - ys[i]).max(ys[i] - m.hi.y).max(0.0);
-            *po.add(i) = dx * dx + dy * dy;
         }
         out.set_len(n);
     }
@@ -428,13 +410,12 @@ pub(crate) mod x86 {
         xs: &[f64],
         ys: &[f64],
         m: usize,
-        vec_m: usize,
         qx: &[f64],
         qy: &[f64],
         w: &[f64],
         out: &mut Vec<f64>,
     ) {
-        let po = prep_out(out, m);
+        let (po, vec_m) = prep_out(out, m);
         let (px, py) = (xs.as_ptr(), ys.as_ptr());
         let n = qx.len();
         let mut j = 0;
@@ -468,15 +449,6 @@ pub(crate) mod x86 {
             a0.storeu(po.add(j));
             j += V::LANES;
         }
-        for j in vec_m..m {
-            let mut acc = 0.0;
-            for i in 0..n {
-                let dx = xs[j] - qx[i];
-                let dy = ys[j] - qy[i];
-                acc += w[i] * (dx * dx + dy * dy).sqrt();
-            }
-            *po.add(j) = acc;
-        }
         out.set_len(m);
     }
 
@@ -485,7 +457,6 @@ pub(crate) mod x86 {
         xs: &[f64],
         ys: &[f64],
         m: usize,
-        vec_m: usize,
         qx: &[f64],
         qy: &[f64],
         out: &mut Vec<f64>,
@@ -495,7 +466,7 @@ pub(crate) mod x86 {
         } else {
             f64::INFINITY
         };
-        let po = prep_out(out, m);
+        let (po, vec_m) = prep_out(out, m);
         let (px, py) = (xs.as_ptr(), ys.as_ptr());
         let n = qx.len();
         #[inline(always)]
@@ -535,16 +506,6 @@ pub(crate) mod x86 {
             }
             a0.storeu(po.add(j));
             j += V::LANES;
-        }
-        for j in vec_m..m {
-            let mut acc = identity;
-            for i in 0..n {
-                let dx = xs[j] - qx[i];
-                let dy = ys[j] - qy[i];
-                let d2 = dx * dx + dy * dy;
-                acc = if MAX { acc.max(d2) } else { acc.min(d2) };
-            }
-            *po.add(j) = acc;
         }
         out.set_len(m);
     }
@@ -689,10 +650,11 @@ pub(crate) mod x86 {
     // must only be invoked after runtime detection — the dispatcher in
     // `crate::batch` is the single call site and checks once per process.
     //
-    // Shared contract (enforced by the dispatcher's asserts): coordinate
-    // slices hold at least `max(n, vec_n)` readable lanes; `vec_n` is a
-    // lane multiple. `out` is cleared and refilled with exactly `n`
-    // results.
+    // Shared contract (enforced by the dispatcher's asserts): the padded
+    // coordinate slices of the maps and multi-point aggregates hold at
+    // least `pad_len(n)` readable lanes, and `out` is cleared and refilled
+    // with exactly `n` results; the reductions' exact slices hold `n`
+    // lanes and `vec_n <= n` is a lane multiple.
 
     macro_rules! entry {
         ($sse2:ident, $avx2:ident, $generic:ident $(, $c:literal)? ;
@@ -728,24 +690,22 @@ pub(crate) mod x86 {
     }
 
     entry!(rects_mindist_sq_point_sse2, rects_mindist_sq_point_avx2, map_rects_point;
-        (lo_x: &[f64], lo_y: &[f64], hi_x: &[f64], hi_y: &[f64], n: usize, vec_n: usize,
-         q: Point, out: &mut Vec<f64>));
+        (lo_x: &[f64], lo_y: &[f64], hi_x: &[f64], hi_y: &[f64], n: usize, q: Point,
+         out: &mut Vec<f64>));
     entry!(rects_mindist_sq_rect_sse2, rects_mindist_sq_rect_avx2, map_rects_rect;
-        (lo_x: &[f64], lo_y: &[f64], hi_x: &[f64], hi_y: &[f64], n: usize, vec_n: usize,
-         m: &Rect, out: &mut Vec<f64>));
+        (lo_x: &[f64], lo_y: &[f64], hi_x: &[f64], hi_y: &[f64], n: usize, m: &Rect,
+         out: &mut Vec<f64>));
     entry!(points_dist_sq_sse2, points_dist_sq_avx2, map_points_point;
-        (xs: &[f64], ys: &[f64], n: usize, vec_n: usize, q: Point, out: &mut Vec<f64>));
+        (xs: &[f64], ys: &[f64], n: usize, q: Point, out: &mut Vec<f64>));
     entry!(points_mindist_sq_rect_sse2, points_mindist_sq_rect_avx2, map_points_rect;
-        (xs: &[f64], ys: &[f64], n: usize, vec_n: usize, m: &Rect, out: &mut Vec<f64>));
+        (xs: &[f64], ys: &[f64], n: usize, m: &Rect, out: &mut Vec<f64>));
     entry!(points_weighted_dist_sum_multi_sse2, points_weighted_dist_sum_multi_avx2, multi_wsum;
-        (xs: &[f64], ys: &[f64], m: usize, vec_m: usize, qx: &[f64], qy: &[f64], w: &[f64],
+        (xs: &[f64], ys: &[f64], m: usize, qx: &[f64], qy: &[f64], w: &[f64],
          out: &mut Vec<f64>));
     entry!(points_dist_sq_max_multi_sse2, points_dist_sq_max_multi_avx2, multi_fold, true;
-        (xs: &[f64], ys: &[f64], m: usize, vec_m: usize, qx: &[f64], qy: &[f64],
-         out: &mut Vec<f64>));
+        (xs: &[f64], ys: &[f64], m: usize, qx: &[f64], qy: &[f64], out: &mut Vec<f64>));
     entry!(points_dist_sq_min_multi_sse2, points_dist_sq_min_multi_avx2, multi_fold, false;
-        (xs: &[f64], ys: &[f64], m: usize, vec_m: usize, qx: &[f64], qy: &[f64],
-         out: &mut Vec<f64>));
+        (xs: &[f64], ys: &[f64], m: usize, qx: &[f64], qy: &[f64], out: &mut Vec<f64>));
     entry!(ret rect_weighted_mindist_sum_sse2, rect_weighted_mindist_sum_avx2, rect_wsum;
         (m: &Rect, qx: &[f64], qy: &[f64], w: &[f64], n: usize, vec_n: usize));
     entry!(ret rect_mindist_sq_max_sse2, rect_mindist_sq_max_avx2, rect_fold, true;

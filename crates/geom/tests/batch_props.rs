@@ -4,9 +4,12 @@
 //! every batched kernel must agree **exactly** where it performs the same
 //! operations (mindist², dist², folds, sequential weighted sums) —
 //! bit-identical agreement is the contract that lets the two query engines
-//! compute the same keys.
+//! compute the same keys. The elementwise and multi-point kernels only have
+//! lane-padded entry points, so every input here is padded with poisoned
+//! sentinel lanes that must never reach a result.
 
-use gnn_geom::{batch, Point, Rect};
+use gnn_geom::batch::{scalar, BatchKernels};
+use gnn_geom::{Point, Rect, SimdLevel};
 use proptest::prelude::*;
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -54,6 +57,10 @@ fn poisoned(src: &[f64], poison: f64) -> Vec<f64> {
     v
 }
 
+/// Padding poison for the properties that pin the dispatched kernels to the
+/// [`Rect`] / [`Point`] oracles.
+const POISON: f64 = 1e300;
+
 fn bits(out: &[f64]) -> Vec<u64> {
     out.iter().map(|x| x.to_bits()).collect()
 }
@@ -63,8 +70,8 @@ proptest! {
 
     /// The tentpole contract in one property: every SIMD level the host
     /// can run produces the same bits as the scalar module on every
-    /// kernel, through both the exact and the lane-padded entry points,
-    /// with padding lanes poisoned by huge magnitudes or NaN.
+    /// kernel, with the lane-padded entry points reading inputs whose
+    /// padding lanes are poisoned by huge magnitudes or NaN.
     #[test]
     fn every_level_is_bit_identical_and_padding_neutral(
         rs in rects(80),
@@ -74,114 +81,86 @@ proptest! {
         q in point(),
         poison_idx in 0..2usize,
     ) {
-        use gnn_geom::batch::BatchKernels;
-        use gnn_geom::simd::pad_len;
-        use gnn_geom::SimdLevel;
-
         let poison = [1e300, f64::NAN][poison_idx];
         let (lx, ly, hx, hy) = soa(&rs);
         let (xs, ys) = xy(&ps);
         let (qx, qy) = xy(&qs);
         let w: Vec<f64> = (0..qs.len()).map(|i| 0.25 + (i % 7) as f64 * 0.5).collect();
-        let (lxp, lyp, hxp, hyp) = (
-            poisoned(&lx, poison),
-            poisoned(&ly, poison),
-            poisoned(&hx, poison),
-            poisoned(&hy, poison),
-        );
+        let [lxp, lyp, hxp, hyp] = [&lx, &ly, &hx, &hy].map(|v| poisoned(v, poison));
         let (xsp, ysp) = (poisoned(&xs, poison), poisoned(&ys, poison));
         let nr = rs.len();
         let np = ps.len();
 
-        let oracle = BatchKernels::for_level(SimdLevel::Scalar).expect("scalar");
         let mut want = Vec::new();
         let mut got = Vec::new();
         for level in SimdLevel::available_levels() {
             let k = BatchKernels::for_level(level).expect("available");
             let label = level.label();
 
-            oracle.rects_mindist_sq_point(&lx, &ly, &hx, &hy, q, &mut want);
-            k.rects_mindist_sq_point(&lx, &ly, &hx, &hy, q, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "rects/point exact {}", label);
+            scalar::rects_mindist_sq_point(&lx, &ly, &hx, &hy, q, &mut want);
             k.rects_mindist_sq_point_padded(&lxp, &lyp, &hxp, &hyp, nr, q, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "rects/point padded {}", label);
+            prop_assert_eq!(bits(&want), bits(&got), "rects/point {}", label);
 
-            oracle.rects_mindist_sq_rect(&lx, &ly, &hx, &hy, &m, &mut want);
-            k.rects_mindist_sq_rect(&lx, &ly, &hx, &hy, &m, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "rects/rect exact {}", label);
+            scalar::rects_mindist_sq_rect(&lx, &ly, &hx, &hy, &m, &mut want);
             k.rects_mindist_sq_rect_padded(&lxp, &lyp, &hxp, &hyp, nr, &m, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "rects/rect padded {}", label);
+            prop_assert_eq!(bits(&want), bits(&got), "rects/rect {}", label);
 
-            oracle.points_dist_sq(&xs, &ys, q, &mut want);
-            k.points_dist_sq(&xs, &ys, q, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "points/point exact {}", label);
+            scalar::points_dist_sq(&xs, &ys, q, &mut want);
             k.points_dist_sq_padded(&xsp, &ysp, np, q, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "points/point padded {}", label);
+            prop_assert_eq!(bits(&want), bits(&got), "points/point {}", label);
 
-            oracle.points_mindist_sq_rect(&xs, &ys, &m, &mut want);
-            k.points_mindist_sq_rect(&xs, &ys, &m, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "points/rect exact {}", label);
+            scalar::points_mindist_sq_rect(&xs, &ys, &m, &mut want);
             k.points_mindist_sq_rect_padded(&xsp, &ysp, np, &m, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "points/rect padded {}", label);
+            prop_assert_eq!(bits(&want), bits(&got), "points/rect {}", label);
 
-            oracle.points_weighted_dist_sum_multi(&xs, &ys, &qx, &qy, &w, &mut want);
-            k.points_weighted_dist_sum_multi(&xs, &ys, &qx, &qy, &w, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "wsum exact {}", label);
+            scalar::points_weighted_dist_sum_multi(&xs, &ys, &qx, &qy, &w, &mut want);
             k.points_weighted_dist_sum_multi_padded(&xsp, &ysp, np, &qx, &qy, &w, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "wsum padded {}", label);
+            prop_assert_eq!(bits(&want), bits(&got), "wsum {}", label);
 
-            oracle.points_dist_sq_max_multi(&xs, &ys, &qx, &qy, &mut want);
-            k.points_dist_sq_max_multi(&xs, &ys, &qx, &qy, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "max exact {}", label);
+            scalar::points_dist_sq_max_multi(&xs, &ys, &qx, &qy, &mut want);
             k.points_dist_sq_max_multi_padded(&xsp, &ysp, np, &qx, &qy, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "max padded {}", label);
+            prop_assert_eq!(bits(&want), bits(&got), "max {}", label);
 
-            oracle.points_dist_sq_min_multi(&xs, &ys, &qx, &qy, &mut want);
-            k.points_dist_sq_min_multi(&xs, &ys, &qx, &qy, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "min exact {}", label);
+            scalar::points_dist_sq_min_multi(&xs, &ys, &qx, &qy, &mut want);
             k.points_dist_sq_min_multi_padded(&xsp, &ysp, np, &qx, &qy, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "min padded {}", label);
+            prop_assert_eq!(bits(&want), bits(&got), "min {}", label);
 
             // Single-MBR / single-point folds have no padded variant (the
             // fold dimension must stay exact); pin the levels anyway.
             prop_assert_eq!(
                 k.rect_weighted_mindist_sum(&m, &qx, &qy, &w).to_bits(),
-                oracle.rect_weighted_mindist_sum(&m, &qx, &qy, &w).to_bits(),
+                scalar::rect_weighted_mindist_sum(&m, &qx, &qy, &w).to_bits(),
                 "rect wsum {}", label
             );
             prop_assert_eq!(
                 k.rect_mindist_sq_max(&m, &qx, &qy).to_bits(),
-                oracle.rect_mindist_sq_max(&m, &qx, &qy).to_bits(),
+                scalar::rect_mindist_sq_max(&m, &qx, &qy).to_bits(),
                 "rect max {}", label
             );
             prop_assert_eq!(
                 k.rect_mindist_sq_min(&m, &qx, &qy).to_bits(),
-                oracle.rect_mindist_sq_min(&m, &qx, &qy).to_bits(),
+                scalar::rect_mindist_sq_min(&m, &qx, &qy).to_bits(),
                 "rect min {}", label
             );
             prop_assert_eq!(
                 k.point_dist_sq_max(q, &qx, &qy).to_bits(),
-                oracle.point_dist_sq_max(q, &qx, &qy).to_bits(),
+                scalar::point_dist_sq_max(q, &qx, &qy).to_bits(),
                 "point max {}", label
             );
             prop_assert_eq!(
                 k.point_dist_sq_min(q, &qx, &qy).to_bits(),
-                oracle.point_dist_sq_min(q, &qx, &qy).to_bits(),
+                scalar::point_dist_sq_min(q, &qx, &qy).to_bits(),
                 "point min {}", label
             );
-
-            // Padded outputs stop at n even when the buffers extend to a
-            // full lane block beyond it.
-            prop_assert_eq!(pad_len(nr) >= nr, true);
-            prop_assert_eq!(got.len(), np, "no sentinel escapes {}", label);
         }
     }
 
     #[test]
     fn rects_mindist_sq_point_matches_scalar(rs in rects(80), q in point()) {
         let (lx, ly, hx, hy) = soa(&rs);
+        let [lx, ly, hx, hy] = [lx, ly, hx, hy].map(|v| poisoned(&v, POISON));
         let mut out = Vec::new();
-        batch::rects_mindist_sq_point(&lx, &ly, &hx, &hy, q, &mut out);
+        BatchKernels::auto().rects_mindist_sq_point_padded(&lx, &ly, &hx, &hy, rs.len(), q, &mut out);
         prop_assert_eq!(out.len(), rs.len());
         for (r, got) in rs.iter().zip(&out) {
             prop_assert_eq!(*got, r.mindist_point_sq(q), "rect {} q {}", r, q);
@@ -191,8 +170,10 @@ proptest! {
     #[test]
     fn rects_mindist_sq_rect_matches_scalar(rs in rects(80), m in rect()) {
         let (lx, ly, hx, hy) = soa(&rs);
+        let [lx, ly, hx, hy] = [lx, ly, hx, hy].map(|v| poisoned(&v, POISON));
         let mut out = Vec::new();
-        batch::rects_mindist_sq_rect(&lx, &ly, &hx, &hy, &m, &mut out);
+        BatchKernels::auto().rects_mindist_sq_rect_padded(&lx, &ly, &hx, &hy, rs.len(), &m, &mut out);
+        prop_assert_eq!(out.len(), rs.len());
         for (r, got) in rs.iter().zip(&out) {
             prop_assert_eq!(*got, r.mindist_rect_sq(&m), "rect {} m {}", r, m);
         }
@@ -201,8 +182,10 @@ proptest! {
     #[test]
     fn points_dist_sq_matches_scalar(ps in points(120), q in point()) {
         let (xs, ys) = xy(&ps);
+        let (xs, ys) = (poisoned(&xs, POISON), poisoned(&ys, POISON));
         let mut out = Vec::new();
-        batch::points_dist_sq(&xs, &ys, q, &mut out);
+        BatchKernels::auto().points_dist_sq_padded(&xs, &ys, ps.len(), q, &mut out);
+        prop_assert_eq!(out.len(), ps.len());
         for (p, got) in ps.iter().zip(&out) {
             prop_assert_eq!(*got, p.dist_sq(q));
         }
@@ -211,8 +194,10 @@ proptest! {
     #[test]
     fn points_mindist_sq_rect_matches_scalar(ps in points(120), m in rect()) {
         let (xs, ys) = xy(&ps);
+        let (xs, ys) = (poisoned(&xs, POISON), poisoned(&ys, POISON));
         let mut out = Vec::new();
-        batch::points_mindist_sq_rect(&xs, &ys, &m, &mut out);
+        BatchKernels::auto().points_mindist_sq_rect_padded(&xs, &ys, ps.len(), &m, &mut out);
+        prop_assert_eq!(out.len(), ps.len());
         for (p, got) in ps.iter().zip(&out) {
             prop_assert_eq!(*got, m.mindist_point_sq(*p));
         }
@@ -227,29 +212,30 @@ proptest! {
             .zip(&w)
             .map(|(q, wi)| wi * m.mindist_point(*q))
             .sum();
-        let got = batch::rect_weighted_mindist_sum(&m, &qx, &qy, &w);
+        let got = BatchKernels::auto().rect_weighted_mindist_sum(&m, &qx, &qy, &w);
         prop_assert_eq!(got, want, "sequential fold must be bit-identical");
     }
 
     #[test]
     fn fold_kernels_match_scalar_folds(qs in points(70), m in rect(), p in point()) {
         let (qx, qy) = xy(&qs);
+        let k = BatchKernels::auto();
         let rect_d2: Vec<f64> = qs.iter().map(|q| m.mindist_point_sq(*q)).collect();
         let pt_d2: Vec<f64> = qs.iter().map(|q| p.dist_sq(*q)).collect();
         prop_assert_eq!(
-            batch::rect_mindist_sq_max(&m, &qx, &qy),
+            k.rect_mindist_sq_max(&m, &qx, &qy),
             rect_d2.iter().copied().fold(f64::NEG_INFINITY, f64::max)
         );
         prop_assert_eq!(
-            batch::rect_mindist_sq_min(&m, &qx, &qy),
+            k.rect_mindist_sq_min(&m, &qx, &qy),
             rect_d2.iter().copied().fold(f64::INFINITY, f64::min)
         );
         prop_assert_eq!(
-            batch::point_dist_sq_max(p, &qx, &qy),
+            k.point_dist_sq_max(p, &qx, &qy),
             pt_d2.iter().copied().fold(f64::NEG_INFINITY, f64::max)
         );
         prop_assert_eq!(
-            batch::point_dist_sq_min(p, &qx, &qy),
+            k.point_dist_sq_min(p, &qx, &qy),
             pt_d2.iter().copied().fold(f64::INFINITY, f64::min)
         );
     }
@@ -264,10 +250,13 @@ proptest! {
         // engine's results must be indistinguishable from the reference
         // engine's.
         let (xs, ys) = xy(&ps);
+        let (xs, ys) = (poisoned(&xs, POISON), poisoned(&ys, POISON));
         let (qx, qy) = xy(&qs);
         let w: Vec<f64> = (0..qs.len()).map(|i| 0.5 + (i % 5) as f64).collect();
+        let k = BatchKernels::auto();
         let mut out = Vec::new();
-        batch::points_weighted_dist_sum_multi(&xs, &ys, &qx, &qy, &w, &mut out);
+        k.points_weighted_dist_sum_multi_padded(&xs, &ys, ps.len(), &qx, &qy, &w, &mut out);
+        prop_assert_eq!(out.len(), ps.len());
         for (j, p) in ps.iter().enumerate() {
             let mut acc = 0.0;
             for i in 0..qs.len() {
@@ -277,7 +266,7 @@ proptest! {
             }
             prop_assert_eq!(out[j], acc, "sum j={}", j);
         }
-        batch::points_dist_sq_max_multi(&xs, &ys, &qx, &qy, &mut out);
+        k.points_dist_sq_max_multi_padded(&xs, &ys, ps.len(), &qx, &qy, &mut out);
         for (j, p) in ps.iter().enumerate() {
             let want = qs
                 .iter()
@@ -285,7 +274,7 @@ proptest! {
                 .fold(f64::NEG_INFINITY, f64::max);
             prop_assert_eq!(out[j], want, "max j={}", j);
         }
-        batch::points_dist_sq_min_multi(&xs, &ys, &qx, &qy, &mut out);
+        k.points_dist_sq_min_multi_padded(&xs, &ys, ps.len(), &qx, &qy, &mut out);
         for (j, p) in ps.iter().enumerate() {
             let want = qs
                 .iter()

@@ -14,7 +14,7 @@
 //!   between queries with a single atomic check, in-flight queries finish
 //!   on the snapshot they started on, and nobody ever blocks on the swap;
 //! * requests are **routed by their query group's aggregate-MBR bound** to
-//!   the pool of the shard that can serve them cheapest (the [`Router`]),
+//!   the pool of the shard that can serve them cheapest ([`Service::route`]),
 //!   one bounded queue and a fixed set of worker threads per shard — so a
 //!   pool's workers keep their own shard's arenas hot in cache under
 //!   spatially skewed traffic;
@@ -25,7 +25,7 @@
 //!   bound admits several shards is answered *exactly* by the worker
 //!   itself through the cross-shard best-first merge
 //!   ([`gnn_core::sharded`]); the response's
-//!   [`ShardRouting`](gnn_core::ShardRouting) tag records the primary
+//!   [`ShardRouting`] tag records the primary
 //!   shard and how many shards were consulted;
 //! * per-worker counters, per-shard routing counters (routed / served /
 //!   single-shard hits) and a fixed-bucket response-latency histogram
@@ -50,7 +50,7 @@
 //!
 //! Submission goes through **one entry point**, [`Service::submit`], which
 //! accepts anything convertible into a [`Submission`]: a prepared
-//! [`QueryRequest`](gnn_core::QueryRequest), the [`Submission::group`]
+//! [`QueryRequest`], the [`Submission::group`]
 //! builder (defaults filled from the [`ServiceConfig`]), or a
 //! [`Submission::batch`] — a burst of correlated queries executed as
 //! **shared-traversal passes**: each shard's sub-batch is sorted by
@@ -98,14 +98,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod compat;
 mod export;
 mod fault;
 mod refresh;
 mod submission;
 
-#[allow(deprecated)]
-pub use compat::ServiceError;
 pub use export::StatsLogger;
 pub use fault::{silence_injected_panics, FaultLedger, FaultPlan};
 pub use refresh::{
@@ -150,13 +147,15 @@ pub struct ServiceConfig {
     /// least one worker (so the effective total is
     /// `max(workers, shard_count)`).
     pub workers: usize,
-    /// Bounded per-pool request-queue depth (≥ 1): [`Service::submit`]
-    /// blocks and [`Service::try_submit`] fails once this many requests are
-    /// pending on the routed shard's queue.
+    /// Bounded per-pool request-queue depth (≥ 1): a blocking
+    /// [`Service::submit`] waits and a non-blocking one fails with
+    /// [`SubmitError::QueueFull`] once this many requests are pending on
+    /// the routed shard's queue.
     pub queue_depth: usize,
-    /// `k` used by the [`Service::submit_points`] convenience entry.
+    /// `k` used by [`Submission::group`] submissions that don't set one.
     pub default_k: usize,
-    /// Aggregate used by [`Service::submit_points`].
+    /// Aggregate used by [`Submission::group`] submissions that don't set
+    /// one.
     pub default_aggregate: Aggregate,
     /// The planner each worker routes [`gnn_core::Algo::Auto`] requests
     /// through.
@@ -233,13 +232,6 @@ impl ResponseHandle {
             slots: (0..expected).map(|_| None).collect(),
             received: 0,
         }
-    }
-
-    /// A handle whose submission was never enqueued: every wait reports
-    /// [`SubmitError::WorkerDied`] (legacy shim semantics).
-    fn dead() -> ResponseHandle {
-        let (_tx, rx) = mpsc::channel();
-        ResponseHandle::new(rx, 1)
     }
 
     /// Number of responses this handle will yield (1 for single
@@ -1069,8 +1061,8 @@ impl Service {
 
     /// The pool this request would be queued on: its
     /// [`QueryRequest::shard_hint`] when valid, otherwise the shard with
-    /// the smallest aggregate-MBR lower bound for the group (the
-    /// [`Router`] rule — exposed for tests and load generators).
+    /// the smallest aggregate-MBR lower bound for the group (exposed for
+    /// tests and load generators).
     pub fn route(&self, request: &QueryRequest) -> usize {
         if self.pools.len() == 1 {
             return 0;
@@ -1115,30 +1107,25 @@ impl Service {
         let submission = submission.into();
         let blocking = submission.blocking;
         match submission.kind {
-            SubmissionKind::Request(request) => {
-                self.enqueue_single(request, blocking).map_err(|(_, e)| e)
-            }
+            SubmissionKind::Request(request) => self.enqueue_single(request, blocking),
             SubmissionKind::Group(group) => {
                 let request =
                     group.resolve(self.config.default_k, self.config.default_aggregate)?;
-                self.enqueue_single(request, blocking).map_err(|(_, e)| e)
+                self.enqueue_single(request, blocking)
             }
             SubmissionKind::Batch(requests) => self.enqueue_batch(requests, blocking),
         }
     }
 
-    /// Enqueues one request as a single job. On failure the request is
-    /// handed back by value (the compat shims preserve the legacy
-    /// "retry without cloning" contract).
-    #[allow(clippy::result_large_err)]
+    /// Enqueues one request as a single job.
     fn enqueue_single(
         &self,
         request: QueryRequest,
         blocking: bool,
-    ) -> Result<ResponseHandle, (QueryRequest, SubmitError)> {
+    ) -> Result<ResponseHandle, SubmitError> {
         let shard = self.route(&request);
         let Some(sender) = self.sender(shard) else {
-            return Err((request, SubmitError::Shutdown));
+            return Err(SubmitError::Shutdown);
         };
         let (reply, rx) = mpsc::channel();
         let job = Job {
@@ -1146,27 +1133,19 @@ impl Service {
             reply,
             submitted: Instant::now(),
         };
-        let unwrap_single = |work: Work| match work {
-            Work::Single(request) => request,
-            Work::Batch { .. } => unreachable!("single job"),
-        };
         if blocking {
             // A blocking `send` fails only when the shared receiver is
             // gone: shutdown closed the table between `sender()` and here
             // and the pool drained out (supervised workers never abandon
             // the receiver on a panic).
-            if let Err(mpsc::SendError(job)) = sender.send(job) {
-                return Err((unwrap_single(job.work), SubmitError::Shutdown));
+            if sender.send(job).is_err() {
+                return Err(SubmitError::Shutdown);
             }
         } else {
             match sender.try_send(job) {
                 Ok(()) => {}
-                Err(TrySendError::Full(job)) => {
-                    return Err((unwrap_single(job.work), SubmitError::QueueFull))
-                }
-                Err(TrySendError::Disconnected(job)) => {
-                    return Err((unwrap_single(job.work), SubmitError::Shutdown))
-                }
+                Err(TrySendError::Full(_)) => return Err(SubmitError::QueueFull),
+                Err(TrySendError::Disconnected(_)) => return Err(SubmitError::Shutdown),
             }
         }
         self.pools[shard].routed.fetch_add(1, Ordering::Relaxed);
@@ -1324,7 +1303,7 @@ impl Service {
     /// every request accepted **before** the close is still drained and
     /// answered exactly once — and no snapshot can be published past the
     /// close ([`Service::try_publish_sharded`]). Callable from any thread —
-    /// this is what lets a shutdown race in-flight `submit_batch` calls and
+    /// this is what lets a shutdown race in-flight submissions and
     /// a running [`RefreshDriver`] deterministically. Follow with
     /// [`Service::shutdown`] to join the pools and collect the final
     /// counters.
@@ -2016,39 +1995,6 @@ mod tests {
         assert_eq!(stats.queries_served, 32);
         for r in handle.wait_all().unwrap() {
             assert_eq!(r.neighbors.len(), 2);
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_preserve_legacy_behavior() {
-        let snap = snapshot(400, 5);
-        let service = Service::start(
-            snap,
-            ServiceConfig {
-                workers: 1,
-                default_k: 3,
-                default_aggregate: Aggregate::Max,
-                ..ServiceConfig::default()
-            },
-        );
-        // submit_points: configured defaults, QueryGroupError on bad input.
-        let pts = random_group(4, 9).points().to_vec();
-        let r = service.submit_points(pts).unwrap().wait().unwrap();
-        assert_eq!(r.neighbors.len(), 3);
-        assert!(service.submit_points(Vec::new()).is_err());
-        // submit_batch: per-request handles in submission order.
-        let handles =
-            service.submit_batch((0..4).map(|i| QueryRequest::new(random_group(4, 40 + i), 2)));
-        assert_eq!(handles.len(), 4);
-        for h in handles {
-            assert_eq!(h.wait().unwrap().neighbors.len(), 2);
-        }
-        // try_submit: hands the request back on failure.
-        service.initiate_shutdown();
-        match service.try_submit(QueryRequest::new(random_group(4, 44), 1)) {
-            Err((req, ServiceError::Shutdown)) => assert_eq!(req.k, 1),
-            other => panic!("expected Shutdown, got {:?}", other.map(|_| ())),
         }
     }
 

@@ -93,8 +93,8 @@ pub enum Update {
 pub struct RefreshPolicy {
     /// Refresh once any shard's dirty page fraction reaches this value.
     /// Lower = fresher snapshots, more refreeze work; `0.1` mirrors the
-    /// ~10% dirty point where incremental refreeze shows its best
-    /// advantage (see `BENCH_refreeze.json`).
+    /// ~10% dirty point where incremental refreeze was last measured
+    /// ahead of a full freeze (EXPERIMENTS.md, "Retired experiments").
     pub dirty_fraction: f64,
     /// Refresh after at most this many applied-but-unpublished updates,
     /// regardless of dirty fractions (bounds staleness on huge shards
@@ -237,7 +237,7 @@ impl RefreshDriver {
 }
 
 impl Drop for RefreshDriver {
-    /// Dropping without [`RefreshDriver::shutdown`] closes the channel so
+    /// Dropping without [`RefreshDriver::join`] closes the channel so
     /// the thread drains and exits on its own; it is detached, not joined
     /// (drop must not block), and its outcome is discarded.
     fn drop(&mut self) {

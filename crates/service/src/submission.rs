@@ -74,18 +74,10 @@ pub enum SubmitError {
     Shutdown,
     /// A worker disappeared before answering: the reply channel died with
     /// responses still owed. With supervision this indicates a dropped
-    /// job during teardown (or a legacy dead handle), not a panic — a
+    /// job during teardown, not a panic — a
     /// panic inside a query comes back as
     /// [`SubmitError::Query`]`(`[`QueryError::WorkerPanicked`]`)` instead.
     WorkerDied,
-    /// Superseded by the [`SubmitError::Shutdown`] / [`SubmitError::WorkerDied`]
-    /// split; no longer produced.
-    #[deprecated(
-        since = "0.7.0",
-        note = "split into `SubmitError::Shutdown` (orderly drain) and \
-                `SubmitError::WorkerDied` (failure); no longer produced"
-    )]
-    WorkerGone,
     /// The submission's point set does not form a valid query group
     /// (e.g. empty).
     BadGroup(QueryGroupError),
@@ -99,12 +91,8 @@ impl SubmitError {
     /// unavailable — an orderly [`SubmitError::Shutdown`] or a
     /// [`SubmitError::WorkerDied`] failure — as opposed to backpressure,
     /// a bad request, or a typed per-query error.
-    #[allow(deprecated)]
     pub fn is_unavailable(&self) -> bool {
-        matches!(
-            self,
-            SubmitError::Shutdown | SubmitError::WorkerDied | SubmitError::WorkerGone
-        )
+        matches!(self, SubmitError::Shutdown | SubmitError::WorkerDied)
     }
 }
 
@@ -114,8 +102,6 @@ impl fmt::Display for SubmitError {
             SubmitError::QueueFull => f.write_str("request queue is full"),
             SubmitError::Shutdown => f.write_str("service is shutting down"),
             SubmitError::WorkerDied => f.write_str("worker terminated without responding"),
-            #[allow(deprecated)]
-            SubmitError::WorkerGone => f.write_str("worker gone"),
             SubmitError::BadGroup(e) => write!(f, "invalid query group: {e}"),
             SubmitError::Query(e) => write!(f, "query failed: {e}"),
         }

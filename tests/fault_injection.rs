@@ -283,6 +283,90 @@ fn expired_requests_are_shed_with_typed_error() {
     assert_eq!(stats.queries_served, served);
 }
 
+/// Overload and faults at once: bursts against a queue too small to hold
+/// them, a per-request deadline shorter than the injected execution
+/// latency, and a seeded 1% panic rate, in one run. Whatever the full
+/// queue refuses was never accepted; everything it accepted resolves to
+/// exactly one response, `DeadlineExceeded` or `WorkerPanicked`; and every
+/// served response is bit-identical to the sequential reference — replies
+/// may be shed or failed, never lost, duplicated, or wrong. Only counts
+/// are asserted: how many requests land in each class depends on the
+/// scheduler, that the classes partition the run does not.
+#[test]
+fn full_queue_deadlines_and_seeded_panics_lose_and_corrupt_nothing() {
+    gnn::service::silence_injected_panics();
+    let pts = base_points(6_000, 61);
+    let tree = tree_of(&pts);
+    let snapshot = sharded_snapshot(&tree, 1);
+    let (rounds, burst) = (40usize, 16usize);
+    let requests = workload(tree.root_mbr(), rounds * burst, 4242);
+    let reference = references(&snapshot, &requests);
+
+    let latency = Duration::from_millis(4);
+    // Seed chosen so the 1% schedule fires on worker 0's very first
+    // executed query: the panic class is populated however few queries
+    // the shedding lets through.
+    let plan = FaultPlan::none()
+        .with_query_latency(latency)
+        .seeded_panics(0.01, 316);
+    assert!(plan.should_panic(0, 1));
+    let service = Service::start_sharded(
+        Arc::clone(&snapshot),
+        ServiceConfig {
+            workers: 2,
+            queue_depth: 8,
+            fault_plan: plan,
+            ..ServiceConfig::default()
+        },
+    );
+
+    // Each burst outruns the two sleeping workers: the queue fills, the
+    // rest of the burst is refused, and what queued behind an execution
+    // outlives its 1ms budget.
+    let mut accepted = Vec::new();
+    let mut rejected = 0usize;
+    for (round, chunk) in requests.chunks(burst).enumerate() {
+        for (j, request) in chunk.iter().enumerate() {
+            let request = request.clone().with_deadline(Duration::from_millis(1));
+            match service.submit(Submission::request(request).blocking(false)) {
+                Ok(handle) => accepted.push((round * burst + j, handle)),
+                Err(SubmitError::QueueFull) => rejected += 1,
+                Err(e) => panic!("unexpected submit error: {e:?}"),
+            }
+        }
+        std::thread::sleep(latency);
+    }
+    assert!(rejected > 0, "the queue never filled");
+    assert_eq!(accepted.len() + rejected, requests.len());
+
+    let (mut served, mut shed, mut panicked) = (0u64, 0u64, 0u64);
+    let answered = accepted.len() as u64;
+    for (i, handle) in accepted {
+        match handle.wait() {
+            Ok(r) => {
+                served += 1;
+                assert_eq!(
+                    fingerprint(&r.neighbors),
+                    reference[i],
+                    "query {i} diverged under overload"
+                );
+            }
+            Err(SubmitError::Query(QueryError::DeadlineExceeded)) => shed += 1,
+            Err(SubmitError::Query(QueryError::WorkerPanicked)) => panicked += 1,
+            Err(e) => panic!("unexpected outcome for query {i}: {e:?}"),
+        }
+    }
+    assert_eq!(served + shed + panicked, answered, "accepted != answered");
+    assert!(panicked >= 1, "the seeded panic never fired");
+
+    let stats = service.shutdown();
+    assert!(stats.faults.shed > 0, "nothing was shed");
+    assert_eq!(stats.faults.shed, shed, "ledger vs handle tally");
+    assert_eq!(stats.faults.panics, panicked, "ledger vs handle tally");
+    assert_eq!(stats.faults.respawns, panicked, "capacity not restored");
+    assert_eq!(stats.queries_served, served);
+}
+
 /// `wait_timeout` returns `None` while the response is still pending and
 /// delivers the same response on a later call — a timeout never consumes
 /// or corrupts the reply.

@@ -178,8 +178,7 @@ fn service_agrees_with_planner_run_many_collect() {
 fn eight_worker_throughput_scales_when_cores_allow() {
     // The acceptance target: 8-worker queries/sec >= 4x the single-thread
     // packed baseline. Thread scaling is physically bounded by the host's
-    // cores, so the assertion arms only where it can hold; the recorded
-    // BENCH_service.json carries the measured numbers either way.
+    // cores, so the assertion arms only where it can hold.
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     if cores < 8 {
         eprintln!("skipping throughput-scaling assertion: only {cores} core(s) available");

@@ -161,7 +161,7 @@ fn batch_ledger_is_visible_once_wait_all_returns() {
 /// Trace opt-in: a traced request carries a consistent [`QueryTrace`], an
 /// untraced one carries `None`, and the answers are bit-identical either
 /// way — for single submissions and through the shared-traversal batch
-/// path alike.
+/// path alike, and with the flight recorder on or off.
 #[test]
 fn traces_are_opt_in_consistent_and_result_neutral() {
     let snapshot = snapshot_of(5_000, 23);
@@ -219,7 +219,26 @@ fn traces_are_opt_in_consistent_and_result_neutral() {
         assert_eq!(btrace.node_accesses, b.stats.data_tree.logical);
         assert_eq!(p.neighbors, b.neighbors, "batched query {i}");
     }
-    service.shutdown();
+    let stats = service.shutdown();
+    assert!(!stats.flight.events.is_empty(), "default recorder is on");
+
+    // The other switch: a disabled flight recorder logs nothing and
+    // changes no answer either.
+    let silent = Service::start_sharded(
+        Arc::clone(&snapshot),
+        ServiceConfig {
+            workers: 2,
+            flight_recorder: 0,
+            ..ServiceConfig::default()
+        },
+    );
+    for (i, (r, p)) in requests.iter().zip(&plain).enumerate() {
+        let q = silent.submit(r.clone()).unwrap().wait().unwrap();
+        assert_eq!(p.neighbors, q.neighbors, "recorder-off query {i}");
+        assert_eq!(counters(&p.stats), counters(&q.stats), "query {i}");
+    }
+    let stats = silent.shutdown();
+    assert!(stats.flight.events.is_empty(), "disabled recorder logged");
 }
 
 /// Stage histogram reconciliation: queue-wait, execution, and reply all
