@@ -94,10 +94,15 @@ impl Planner {
     }
 
     /// The choice for a network-distance query: IER. Its Euclidean filter
-    /// prunes the candidate set to a handful of refinements on every
-    /// workload measured so far (the benchmark's `network.ier_us_per_query`
-    /// against `network.ta_us_per_query`); TA remains requestable
-    /// explicitly via [`crate::Algo::NetworkTa`].
+    /// is not tight — on the benchmark's `network_trips` shape (groups of 4
+    /// spread over a 96 × 96 grid, 921 data vertices) it hands ~100
+    /// candidates per query to refinement, ~80 of which the `best_dist`
+    /// bound then discards part-way — but TA has to discover candidates by
+    /// expanding, and settles ~25 000 vertices per query there against
+    /// IER's ~11 500 (the benchmark's `network.ier_us_per_query` against
+    /// `network.ta_us_per_query`: ~0.8 ms against ~1.8 ms). No measured
+    /// workload favours TA; it remains requestable explicitly via
+    /// [`crate::Algo::NetworkTa`].
     pub fn choose_network(&self, _group: &QueryGroup) -> Choice {
         Choice::NetworkIer
     }

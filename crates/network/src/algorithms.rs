@@ -3,6 +3,12 @@
 //! Setting: data objects sit on network vertices; the query group is a set
 //! of vertices; `dist_N(p, Q)` aggregates *shortest-path* distances. Both
 //! algorithms are exact and are tested against [`network_oracle`].
+//!
+//! Each comes twice. The arena `k_gnn` entry points refine every candidate
+//! to completion and are the reference; the packed `k_gnn_in` ones share a
+//! `best_dist`-bounded refinement (`refine`) that stops expanding for a
+//! candidate once it provably cannot enter the result — same answers bit
+//! for bit, never more expansion.
 
 use crate::dijkstra::{single_source_distances, DijkstraStream};
 use crate::graph::{RoadNetwork, VertexId};
@@ -36,6 +42,10 @@ pub struct NetworkGnnStats {
     pub euclidean_candidates: u64,
     /// R-tree node accesses of the Euclidean filter (IER only).
     pub rtree_accesses: u64,
+    /// Refinements the `best_dist` bound cut short: candidates discarded
+    /// (IER) / probes abandoned (TA) before every source had settled them.
+    /// Always `0` on the arena entry points, which refine to completion.
+    pub bound_pruned: u64,
     /// Wall time of the query.
     pub elapsed: Duration,
 }
@@ -114,63 +124,76 @@ fn probe(
     }
 }
 
-/// [`aggregate_over_queries`] against packed Dijkstra states — identical
-/// fold order, so aggregates carry the same floating-point bits.
-fn aggregate_over_queries_packed(
+/// The packed path's one refinement routine, shared by IER and TA: settles
+/// the exact aggregate of candidate `v` and offers it to `best` — unless a
+/// lower bound on it reaches `best.bound()` first, in which case expansion
+/// stops there and `true` ("pruned") is returned. `lb[i]` is `d_i(v)` where
+/// stream `i` has settled `v`, else `max(|q_i v|, frontier_i)`; unsettled
+/// streams are stepped in index order, each settled distance raising `lb[i]`.
+/// Every `lb[i] <= d_i(v)` and the fold below is the one that computes the
+/// aggregate (same order, monotone rounding), so a pruned candidate is one
+/// `KBestList::offer` would have rejected, and an offered one carries the
+/// arena reference's distance bits. `swept` sees every vertex settled on
+/// the way (TA queues the data vertices among them).
+#[allow(clippy::too_many_arguments)]
+fn refine(
     graph: &PackedGraph,
     states: &mut [DijkstraState],
+    query: &[VertexId],
+    lb: &mut [f64],
     v: VertexId,
     aggregate: Aggregate,
-) -> f64 {
-    let mut acc = aggregate.identity();
-    for s in states.iter_mut() {
-        let d = s.distance_to(graph, v).unwrap_or(f64::INFINITY);
-        acc = aggregate.fold(acc, d);
-        if acc.is_infinite() && aggregate != Aggregate::Min {
-            // Unreachable from some query point: Sum/Max can never recover.
-            return f64::INFINITY;
+    best: &mut KBestList,
+    mut swept: impl FnMut(VertexId),
+) -> bool {
+    let point = graph.position(v);
+    for ((l, s), &q) in lb.iter_mut().zip(states.iter()).zip(query) {
+        *l = s
+            .settled_distance(v)
+            .unwrap_or_else(|| s.frontier().max(point.dist(graph.position(q))));
+    }
+    let fold = |lb: &[f64]| aggregate.aggregate(lb.iter().copied());
+    let bound = best.bound();
+    for i in 0..states.len() {
+        // Exact already: settled, or exhausted short of `v` (`lb[i]` = ∞).
+        if lb[i].is_infinite() || states[i].settled_distance(v).is_some() {
+            continue;
         }
-    }
-    acc
-}
-
-/// [`probe`] against packed Dijkstra states: runs stream `si` until `v`
-/// settles, updating thresholds and sweeping data vertices into `pending`.
-/// The epoch-stamped `data_epoch` set replaces the arena's `is_data` bool
-/// array (stamp equality = member).
-#[allow(clippy::too_many_arguments)]
-fn probe_packed(
-    graph: &PackedGraph,
-    states: &mut [DijkstraState],
-    si: usize,
-    v: VertexId,
-    thresholds: &mut [f64],
-    live: &mut [bool],
-    data_epoch: &[u32],
-    epoch: u32,
-    pending: &mut Vec<VertexId>,
-) -> Option<f64> {
-    if let Some(d) = states[si].settled_distance(v) {
-        return Some(d);
-    }
-    loop {
-        match states[si].step(graph) {
-            None => {
-                thresholds[si] = f64::INFINITY;
-                live[si] = false;
-                return None;
+        // Step stream `i` until it settles `v`, re-testing the bound
+        // whenever its frontier raises `lb[i]`.
+        'stream: loop {
+            if fold(lb) >= bound {
+                return true;
             }
-            Some((u, d)) => {
-                thresholds[si] = d;
-                if data_epoch[u.index()] == epoch {
-                    pending.push(u);
-                }
-                if u == v {
-                    return Some(d);
+            loop {
+                match states[i].step(graph) {
+                    None => {
+                        lb[i] = f64::INFINITY;
+                        break 'stream;
+                    }
+                    Some((u, d)) => {
+                        swept(u);
+                        if u == v {
+                            lb[i] = d;
+                            break 'stream;
+                        }
+                        if d > lb[i] {
+                            lb[i] = d;
+                            break;
+                        }
+                    }
                 }
             }
         }
     }
+    // Every bound is exact: the fold is the aggregate. Unreachable
+    // candidates (infinite aggregate) are excluded.
+    let dist = fold(lb);
+    if dist.is_finite() {
+        let id = PointId(u64::from(v.0));
+        best.offer(Neighbor { id, point, dist });
+    }
+    false
 }
 
 /// Brute-force oracle: one full Dijkstra per query vertex, then an argmin
@@ -312,6 +335,7 @@ impl NetworkTa {
                 relaxed_edges: streams.iter().map(|s| s.relaxed_edges()).sum(),
                 euclidean_candidates: 0,
                 rtree_accesses: 0,
+                bound_pruned: 0,
                 elapsed: t0.elapsed(),
             },
         }
@@ -319,9 +343,11 @@ impl NetworkTa {
 
     /// The packed, scratch-threaded variant: same mechanics as
     /// [`NetworkTa::k_gnn`] against a [`PackedGraph`] snapshot, reusing
-    /// `scratch` (no `V`-sized allocations in steady state). Results and
-    /// expansion counters are **bit-identical** to the arena entry point on
-    /// the same graph — the equivalence proptests pin exactly that.
+    /// `scratch` (no `V`-sized allocations in steady state), except that a
+    /// probe stops once the candidate's lower bound reaches `best_dist`.
+    /// Distances are **bit-identical** to the arena entry point on the same
+    /// graph and expansion never exceeds it (which id survives an exact tie
+    /// at the k-th distance may differ) — the equivalence proptests pin that.
     pub fn k_gnn_in<'s>(
         &self,
         graph: &PackedGraph,
@@ -336,8 +362,7 @@ impl NetworkTa {
         scratch.begin(graph.vertex_count(), query.len(), k);
         let NetworkScratch {
             states,
-            thresholds,
-            live,
+            lb,
             pending,
             data_epoch,
             evaluated_epoch,
@@ -354,60 +379,36 @@ impl NetworkTa {
         for &v in data {
             data_epoch[v.index()] = epoch;
         }
+        let mut bound_pruned = 0u64;
 
         'outer: loop {
             let mut progressed = false;
             for si in 0..states.len() {
                 // Drain candidates discovered so far (including those swept
-                // up by probes) before judging the termination threshold.
+                // up by refinement) before judging the termination threshold.
                 while let Some(v) = pending.pop() {
                     if evaluated_epoch[v.index()] == epoch {
                         continue;
                     }
                     evaluated_epoch[v.index()] = epoch;
-                    let mut acc = aggregate.identity();
-                    let mut reachable = true;
-                    for pi in 0..states.len() {
-                        match probe_packed(
-                            graph, states, pi, v, thresholds, live, data_epoch, epoch, pending,
-                        ) {
-                            Some(d) => acc = aggregate.fold(acc, d),
-                            None => {
-                                if aggregate != Aggregate::Min {
-                                    reachable = false;
-                                    break;
-                                }
-                            }
+                    let pruned = refine(graph, states, query, lb, v, aggregate, best, |u| {
+                        if data_epoch[u.index()] == epoch {
+                            pending.push(u);
                         }
-                    }
-                    if reachable && acc.is_finite() {
-                        best.offer(Neighbor {
-                            id: PointId(u64::from(v.0)),
-                            point: graph.position(v),
-                            dist: acc,
-                        });
-                    }
+                    });
+                    bound_pruned += u64::from(pruned);
                 }
-                let t = aggregate.aggregate(thresholds.iter().copied());
+                // The per-stream thresholds `t_i` are the frontiers (∞ once
+                // a stream is exhausted: nothing unseen can appear there).
+                let t = aggregate.aggregate(states.iter().map(|s| s.frontier()));
                 if t >= best.bound() {
                     break 'outer;
                 }
-                if !live[si] {
-                    continue;
-                }
                 // Advance stream si by one settled vertex.
-                match states[si].step(graph) {
-                    None => {
-                        // Stream exhausted: every reachable vertex settled.
-                        thresholds[si] = f64::INFINITY;
-                        live[si] = false;
-                    }
-                    Some((v, d)) => {
-                        progressed = true;
-                        thresholds[si] = d;
-                        if data_epoch[v.index()] == epoch && evaluated_epoch[v.index()] != epoch {
-                            pending.push(v);
-                        }
+                if let Some((v, _)) = states[si].step(graph) {
+                    progressed = true;
+                    if data_epoch[v.index()] == epoch && evaluated_epoch[v.index()] != epoch {
+                        pending.push(v);
                     }
                 }
             }
@@ -421,6 +422,7 @@ impl NetworkTa {
             relaxed_edges: states.iter().map(|s| s.relaxed_edges()).sum(),
             euclidean_candidates: 0,
             rtree_accesses: 0,
+            bound_pruned,
             elapsed: t0.elapsed(),
         };
         best.drain_sorted_into(out);
@@ -497,6 +499,7 @@ impl NetworkIer {
                 relaxed_edges: streams.iter().map(|s| s.relaxed_edges()).sum(),
                 euclidean_candidates: candidates,
                 rtree_accesses: cursor.stats().logical,
+                bound_pruned: 0,
                 elapsed: t0.elapsed(),
             },
         }
@@ -507,9 +510,11 @@ impl NetworkIer {
     /// ids = vertex ids — see `NetworkSnapshot`, which builds it once at
     /// freeze time instead of per query), the MBM stream reuses the
     /// scratch's `MbmScratch`, and refinement runs epoch-stamped packed
-    /// Dijkstra states. Results and counters are bit-identical to
-    /// [`NetworkIer::k_gnn`] when `data_tree` is the frozen image of the
-    /// arena tree that entry point builds (same bulk load, same order).
+    /// Dijkstra states only as far as `best_dist` allows. Results and the
+    /// Euclidean-filter counters are bit-identical to [`NetworkIer::k_gnn`]
+    /// when `data_tree` is the frozen image of the arena tree that entry
+    /// point builds (same bulk load, same order); the Dijkstra counters
+    /// never exceed its.
     pub fn k_gnn_in<'s>(
         &self,
         graph: &PackedGraph,
@@ -530,6 +535,7 @@ impl NetworkIer {
         .expect("non-empty query group");
         let NetworkScratch {
             states,
+            lb,
             mbm,
             best,
             out,
@@ -541,6 +547,7 @@ impl NetworkIer {
         }
         let mut euclid_stream = MbmStream::new_in(&cursor, &group, mbm);
         let mut candidates = 0u64;
+        let mut bound_pruned = 0u64;
         for cand in euclid_stream.by_ref() {
             // cand.dist is the Euclidean aggregate = a network lower bound.
             if cand.dist >= best.bound() {
@@ -548,14 +555,8 @@ impl NetworkIer {
             }
             candidates += 1;
             let v = VertexId(cand.id.0 as u32);
-            let agg = aggregate_over_queries_packed(graph, states, v, aggregate);
-            if agg.is_finite() {
-                best.offer(Neighbor {
-                    id: cand.id,
-                    point: cand.point,
-                    dist: agg,
-                });
-            }
+            let pruned = refine(graph, states, query, lb, v, aggregate, best, |_| {});
+            bound_pruned += u64::from(pruned);
         }
 
         let stats = NetworkGnnStats {
@@ -563,6 +564,7 @@ impl NetworkIer {
             relaxed_edges: states.iter().map(|s| s.relaxed_edges()).sum(),
             euclidean_candidates: candidates,
             rtree_accesses: cursor.stats().logical,
+            bound_pruned,
             elapsed: t0.elapsed(),
         };
         best.drain_sorted_into(out);
@@ -573,6 +575,7 @@ impl NetworkIer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::NetworkSnapshot;
     use gnn_geom::{Point, Rect};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -717,6 +720,123 @@ mod tests {
         // And it still matches TA.
         let ta = NetworkTa.k_gnn(&g, &data, &query, 1, Aggregate::Sum);
         assert!((r.neighbors[0].dist - ta.neighbors[0].dist).abs() < 1e-9);
+        // A spread-out group loosens the Euclidean bound: the arena
+        // reference refines every candidate it pulls to completion, the
+        // packed path discards some on `best_dist`, for the same answer.
+        let query = vec![VertexId(0), VertexId(19), VertexId(399)];
+        let r = NetworkIer.k_gnn(&g, &data, &query, 1, Aggregate::Sum);
+        let ta = NetworkTa.k_gnn(&g, &data, &query, 1, Aggregate::Sum);
+        assert_eq!((r.stats.bound_pruned, ta.stats.bound_pruned), (0, 0));
+        let snapshot = NetworkSnapshot::new(g.freeze(), data.clone());
+        let (packed, tree) = (snapshot.graph(), snapshot.data_tree());
+        let mut scratch = NetworkScratch::new();
+        let (out, stats) =
+            NetworkIer.k_gnn_in(packed, tree, &query, 1, Aggregate::Sum, &mut scratch);
+        assert_eq!(out[0].dist.to_bits(), r.neighbors[0].dist.to_bits());
+        assert_eq!(stats.euclidean_candidates, r.stats.euclidean_candidates);
+        assert!(stats.bound_pruned > 0, "the bound never bit: {stats:?}");
+        assert!(stats.settled_vertices < r.stats.settled_vertices);
+        let (out, stats) =
+            NetworkTa.k_gnn_in(packed, &data, &query, 1, Aggregate::Sum, &mut scratch);
+        assert_eq!(out[0].dist.to_bits(), r.neighbors[0].dist.to_bits());
+        assert!(stats.bound_pruned > 0, "the bound never bit: {stats:?}");
+        assert!(stats.settled_vertices < ta.stats.settled_vertices);
+    }
+
+    #[test]
+    fn bound_equal_to_best_dist_settles_nothing_further() {
+        // Path 0-1-2-3-4, unit edges, one source at vertex 0 that has not
+        // expanded yet: a candidate's only bound is Euclidean. With
+        // best_dist = 3, vertex 3 (bound exactly 3) must be discarded
+        // before any vertex settles — pruning is `>=`, as everywhere.
+        // `spur` hangs off the far end: 0.71 away as the crow flies, 7.5 by
+        // road, so only the frontier can discard it.
+        let mut g = RoadNetwork::new();
+        let vs: Vec<VertexId> = (0..5)
+            .map(|i| g.add_vertex(Point::new(i as f64, 0.0)))
+            .collect();
+        for w in vs.windows(2) {
+            g.add_edge(w[0], w[1]);
+        }
+        let spur = g.add_vertex(Point::new(0.5, 0.5));
+        g.add_edge(vs[4], spur);
+        let packed = g.freeze();
+        let query = [vs[0]];
+        let mut states = [DijkstraState::default()];
+        states[0].begin(&packed, vs[0]);
+        let mut best = KBestList::new(1);
+        best.offer(Neighbor {
+            id: PointId(99),
+            point: Point::new(0.0, 3.0),
+            dist: 3.0,
+        });
+        let mut lb = [0.0];
+        let mut refine_one =
+            |v, best: &mut KBestList, states: &mut [DijkstraState]| -> (bool, usize) {
+                let pruned = refine(
+                    &packed,
+                    states,
+                    &query,
+                    &mut lb,
+                    v,
+                    Aggregate::Sum,
+                    best,
+                    |_| {},
+                );
+                (pruned, states[0].settled_count())
+            };
+        assert_eq!(refine_one(vs[3], &mut best, &mut states), (true, 0));
+        assert_eq!(refine_one(vs[4], &mut best, &mut states), (true, 0));
+        // The spur is expanded for until the frontier itself — vertex 3
+        // settling at distance 3 — equals best_dist, and no further.
+        assert_eq!(refine_one(spur, &mut best, &mut states), (true, 4));
+        // Vertex 2 settled on the way: exact at once, offered, kept.
+        assert_eq!(refine_one(vs[2], &mut best, &mut states), (false, 4));
+        assert_eq!(best.bound(), 2.0);
+    }
+
+    #[test]
+    fn queries_across_the_epoch_wrap_equal_a_fresh_scratch() {
+        let g = RoadNetwork::grid(9, 9, 0.2, 11);
+        let packed = g.freeze();
+        // Warm-up on one data set leaves stale stamps 1 and 2 behind; the
+        // queries across the wrap use a disjoint one, so a stamp surviving
+        // the wrap would pass a non-data vertex off as data.
+        let all = sample_vertices(&g, 40, 12);
+        let (warm_data, data) = all.split_at(20);
+        let warm = NetworkSnapshot::new(packed.clone(), warm_data.to_vec());
+        let live = NetworkSnapshot::new(packed.clone(), data.to_vec());
+        let (warm_tree, tree) = (warm.data_tree(), live.data_tree());
+        let query = sample_vertices(&g, 3, 13);
+        let mut scratch = NetworkScratch::new();
+        NetworkTa.k_gnn_in(&packed, warm_data, &query, 2, Aggregate::Sum, &mut scratch);
+        NetworkIer.k_gnn_in(&packed, warm_tree, &query, 2, Aggregate::Sum, &mut scratch);
+        scratch.force_epochs(u32::MAX - 1);
+        for (round, aggregate) in [Aggregate::Sum, Aggregate::Max, Aggregate::Min]
+            .into_iter()
+            .enumerate()
+        {
+            let mut fresh = NetworkScratch::new();
+            let (want, want_stats) =
+                NetworkTa.k_gnn_in(&packed, data, &query, 3, aggregate, &mut fresh);
+            let (got, got_stats) =
+                NetworkTa.k_gnn_in(&packed, data, &query, 3, aggregate, &mut scratch);
+            assert_eq!(got, want, "TA round {round}");
+            assert_eq!(got_stats.settled_vertices, want_stats.settled_vertices);
+            let want = NetworkIer.k_gnn(&g, data, &query, 3, aggregate);
+            let (got, got_stats) =
+                NetworkIer.k_gnn_in(&packed, tree, &query, 3, aggregate, &mut scratch);
+            assert_eq!(got.len(), want.neighbors.len(), "IER round {round}");
+            for (g, w) in got.iter().zip(&want.neighbors) {
+                assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "IER round {round}");
+            }
+            assert_eq!(
+                got_stats.euclidean_candidates,
+                want.stats.euclidean_candidates
+            );
+        }
+        // Six queries from MAX - 1: MAX, then the wrap's hard reset to 1.
+        assert_eq!(scratch.epoch, 5);
     }
 
     #[test]

@@ -34,7 +34,9 @@
 //!   freezes a vertex R\*-tree for packed NN snapping;
 //! * [`NetworkScratch`] — reusable epoch-stamped per-query state threaded
 //!   through [`NetworkTa::k_gnn_in`] / [`NetworkIer::k_gnn_in`], making
-//!   steady-state queries allocation-free;
+//!   steady-state queries allocation-free. Those two refine a candidate only
+//!   as far as `best_dist` allows: against the arena `k_gnn` reference,
+//!   the same answers bit for bit, never more expansion;
 //! * [`NetworkSnapshot`] — graph + data vertices + frozen Euclidean filter
 //!   index behind [`gnn_core::NetworkBackend`], so `gnn-service` worker
 //!   pools serve network GNN through the same submission surface as

@@ -13,9 +13,11 @@
 //!
 //! Adjacency order is preserved exactly, so the packed Dijkstra expansion
 //! relaxes edges in the same order as the arena
-//! [`DijkstraStream`](crate::DijkstraStream) — which is what lets the
-//! equivalence tests pin packed results **bit-identical** (distances and
-//! expansion counters) to the arena reference.
+//! [`DijkstraStream`](crate::DijkstraStream) and settles the same vertices
+//! at the same distances in the same order — which is what lets the
+//! equivalence tests pin packed distances **bit-identical** to the arena
+//! reference, with expansion counters that never exceed its (the packed
+//! algorithms stop an expansion early, they never reorder one).
 
 use crate::graph::{RoadNetwork, VertexId};
 use gnn_geom::{Point, PointId, Rect};

@@ -7,7 +7,8 @@
 //! bundle: distance/settled arrays are *epoch-stamped* (a query bumps one
 //! counter instead of clearing `O(V)` memory), heaps and candidate buffers
 //! keep their capacity, and the Euclidean filter state (`MbmScratch`,
-//! `NnScratch`) rides along for IER and snapping. After a warm-up query at
+//! `NnScratch`) rides along for IER and snapping, as does the per-stream
+//! lower-bound buffer of the bounded refinement. After a warm-up query at
 //! a given graph size and group size, steady-state queries through the
 //! packed `k_gnn_in` entry points perform no `V`-sized allocations.
 //!
@@ -25,8 +26,9 @@ use std::collections::BinaryHeap;
 /// Epoch-stamped incremental Dijkstra state over a [`PackedGraph`] — the
 /// packed, reusable counterpart of [`crate::DijkstraStream`]. Identical
 /// expansion mechanics (same heap keys, same relaxation order via the
-/// preserved adjacency order), so settled sequences, distances, and
-/// counters are bit-identical to the arena stream.
+/// preserved adjacency order), so the settled sequence and its distances
+/// are bit-identical to the arena stream's, step for step. The packed
+/// algorithms take fewer steps, never different ones.
 #[derive(Debug, Default)]
 pub(crate) struct DijkstraState {
     /// Tentative distances; valid only where `dist_epoch` matches `epoch`
@@ -36,6 +38,9 @@ pub(crate) struct DijkstraState {
     settled_epoch: Vec<u32>,
     epoch: u32,
     heap: BinaryHeap<Reverse<(OrderedF64, u32)>>,
+    /// Distance of the last vertex settled (`0` before the first, `∞` once
+    /// the expansion is exhausted).
+    frontier: f64,
     settled_count: usize,
     relaxed_edges: u64,
 }
@@ -61,6 +66,7 @@ impl DijkstraState {
             }
         };
         self.heap.clear();
+        self.frontier = 0.0;
         self.settled_count = 0;
         self.relaxed_edges = 0;
         self.dist[source.index()] = 0.0;
@@ -72,6 +78,12 @@ impl DijkstraState {
     /// it already.
     pub(crate) fn settled_distance(&self, v: VertexId) -> Option<f64> {
         (self.settled_epoch[v.index()] == self.epoch).then(|| self.dist[v.index()])
+    }
+
+    /// A lower bound on the distance of every vertex this expansion has not
+    /// settled: the distance of the last one it did, `∞` once exhausted.
+    pub(crate) fn frontier(&self) -> f64 {
+        self.frontier
     }
 
     /// Settles and yields the next vertex in ascending distance (`None`
@@ -87,6 +99,7 @@ impl DijkstraState {
             self.settled_epoch[vi] = self.epoch;
             self.settled_count += 1;
             let d = d.get();
+            self.frontier = d;
             for (u, w) in graph.neighbors(VertexId(v)) {
                 self.relaxed_edges += 1;
                 let nd = d + w;
@@ -104,20 +117,7 @@ impl DijkstraState {
             }
             return Some((VertexId(v), d));
         }
-        None
-    }
-
-    /// Runs the expansion until `target` settles, returning its distance
-    /// (`None` if unreachable).
-    pub(crate) fn distance_to(&mut self, graph: &PackedGraph, target: VertexId) -> Option<f64> {
-        if let Some(d) = self.settled_distance(target) {
-            return Some(d);
-        }
-        while let Some((v, d)) = self.step(graph) {
-            if v == target {
-                return Some(d);
-            }
-        }
+        self.frontier = f64::INFINITY;
         None
     }
 
@@ -150,10 +150,8 @@ pub struct NetworkScratch {
     /// One Dijkstra state per query vertex (grown to the largest group
     /// seen; states keep their arrays across queries).
     pub(crate) states: Vec<DijkstraState>,
-    /// TA's per-stream frontier thresholds `t_i`.
-    pub(crate) thresholds: Vec<f64>,
-    /// TA's per-stream liveness (a stream dies when exhausted).
-    pub(crate) live: Vec<bool>,
+    /// The candidate under refinement's per-stream lower bounds `lb_i`.
+    pub(crate) lb: Vec<f64>,
     /// TA's LIFO queue of discovered-but-unevaluated data vertices.
     pub(crate) pending: Vec<VertexId>,
     /// Epoch-stamped "is a data vertex" set (stamp equality = member).
@@ -200,13 +198,20 @@ impl NetworkScratch {
         if self.states.len() < streams {
             self.states.resize_with(streams, DijkstraState::default);
         }
-        self.thresholds.clear();
-        self.thresholds.resize(streams, 0.0);
-        self.live.clear();
-        self.live.resize(streams, true);
+        self.lb.clear();
+        self.lb.resize(streams, 0.0);
         self.pending.clear();
         self.best.reset(k);
         self.out.clear();
+    }
+
+    /// Jumps every epoch counter (test hook for the wrap at `u32::MAX`).
+    #[cfg(test)]
+    pub(crate) fn force_epochs(&mut self, epoch: u32) {
+        self.epoch = epoch;
+        for s in &mut self.states {
+            s.epoch = epoch;
+        }
     }
 
     /// The neighbors of the most recent packed query (valid until the next
@@ -221,8 +226,7 @@ impl NetworkScratch {
     pub fn capacity_profile(&self) -> Vec<usize> {
         let mut prof = vec![
             self.states.capacity(),
-            self.thresholds.capacity(),
-            self.live.capacity(),
+            self.lb.capacity(),
             self.pending.capacity(),
             self.data_epoch.capacity(),
             self.evaluated_epoch.capacity(),

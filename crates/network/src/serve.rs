@@ -32,7 +32,7 @@ pub struct NetworkSnapshot {
     /// Frozen Euclidean index over the data vertices (ids = vertex ids),
     /// structurally identical to the per-query tree the arena IER builds
     /// (same bulk load over the same entry order) — the anchor of the
-    /// packed-vs-arena counter equivalence.
+    /// packed-vs-arena equivalence on the Euclidean-filter counters.
     data_tree: PackedRTree,
 }
 

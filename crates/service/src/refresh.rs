@@ -17,8 +17,8 @@
 //! * [`RefreshDriver::join`] closes the update channel, lets the thread
 //!   drain and apply every accepted update, performs one final flush
 //!   refresh (so no accepted update is silently dropped), joins the thread,
-//!   and hands back the tree plus the whole published snapshot history — or
-//!   a typed [`DriverError`] when the driver panicked or a refreeze failed,
+//!   and hands back the tree plus one [`PublishRecord`] per cycle — or a
+//!   typed [`DriverError`] when the driver panicked or a refreeze failed,
 //!   instead of re-panicking in the caller;
 //! * publishes go through [`Service::try_publish_sharded`], which is
 //!   serialized against [`Service::initiate_shutdown`] — once the service
@@ -26,10 +26,14 @@
 //!   the service generation cannot advance after the close (pinned by the
 //!   workspace `refresh_driver` test).
 //!
-//! Determinism stays pinnable under continuous refresh: when the driver is
-//! the only publisher, generation `g` serves exactly
-//! `outcome.snapshots[g - 1]`, so every tagged response can be checked
-//! against the sequential cross-shard reference on that snapshot.
+//! Determinism stays pinnable under continuous refresh without the driver
+//! holding on to what it published (it keeps one snapshot, the refreeze
+//! baseline; the service owns the live one): the record of generation `g`
+//! says how many updates that generation contains
+//! ([`PublishRecord::applied`]), so replaying that prefix of the update
+//! stream onto a copy of the starting tree rebuilds its point set, and every
+//! tagged response can be checked against the sequential cross-shard
+//! reference on it.
 
 use crate::{duration_nanos, lock_unpoisoned, Service};
 use gnn_geom::{Point, PointId};
@@ -46,7 +50,7 @@ use std::time::{Duration, Instant};
 /// point, not a re-panic in the caller's thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverError {
-    /// The driver thread panicked. The tree and snapshot history died with
+    /// The driver thread panicked. The tree and publish history died with
     /// it; the service keeps serving its last published generation.
     Panicked,
     /// The driver's `cycle`-th refreeze (1-based) failed and the run was
@@ -133,6 +137,9 @@ pub struct PublishRecord {
     /// The generation the publish produced, or `None` when the refresh
     /// was dropped because the service had initiated shutdown.
     pub generation: Option<u64>,
+    /// Updates the cycle's snapshot contains: the first `applied` accepted
+    /// by the driver, in order (what "is in generation g" means).
+    pub applied: u64,
     /// Wall time of the incremental `refreeze_all` for this cycle.
     pub refreeze: Duration,
     /// The maximum per-shard dirty fraction at the moment the cycle
@@ -146,12 +153,6 @@ pub struct PublishRecord {
 pub struct RefreshOutcome {
     /// The mutable sharded tree, with every accepted update applied.
     pub tree: ShardedTree,
-    /// Every snapshot this driver served through, starting with the one
-    /// published when the driver started. When the driver was the only
-    /// publisher, `snapshots[g - 1]` is exactly the snapshot of service
-    /// generation `g` — the handle determinism tests pin responses
-    /// against.
-    pub snapshots: Vec<Arc<ShardedSnapshot>>,
     /// Run counters.
     pub stats: RefreshStats,
     /// Per-cycle publish history: refreeze duration and
@@ -223,7 +224,7 @@ impl RefreshDriver {
 
     /// Closes the update channel, waits for the thread to drain every
     /// accepted update and perform its final flush refresh, and returns the
-    /// tree, the published snapshot history, and the counters — or a typed
+    /// tree, the per-cycle publish records, and the counters — or a typed
     /// [`DriverError`] when the driver panicked or a refreeze cycle failed.
     /// Never panics on driver failure: the error surfaces as a value at
     /// the one place a caller can handle it.
@@ -266,8 +267,8 @@ fn driver_loop(
     rx: &Receiver<Update>,
     shared: &Mutex<RefreshStats>,
 ) -> Result<RefreshOutcome, DriverError> {
+    // The refreeze baseline — the only snapshot the driver holds on to.
     let mut last = service.sharded_snapshot();
-    let mut snapshots = vec![Arc::clone(&last)];
     let mut stats = RefreshStats::default();
     let mut publishes = Vec::new();
     let mut pending = 0usize;
@@ -294,7 +295,6 @@ fn driver_loop(
                 &tree,
                 service,
                 &mut last,
-                &mut snapshots,
                 &mut stats,
                 &mut publishes,
                 cycles,
@@ -316,7 +316,6 @@ fn driver_loop(
             &tree,
             service,
             &mut last,
-            &mut snapshots,
             &mut stats,
             &mut publishes,
             cycles,
@@ -328,7 +327,6 @@ fn driver_loop(
     *lock_unpoisoned(shared) = stats;
     Ok(RefreshOutcome {
         tree,
-        snapshots,
         stats,
         publishes,
     })
@@ -339,12 +337,10 @@ fn driver_loop(
 /// cycle the service's [`FaultPlan`](crate::FaultPlan) marks as failing
 /// aborts the run with [`DriverError::RefreezeFailed`] — the injected
 /// stand-in for a refreeze hitting resource exhaustion.
-#[allow(clippy::too_many_arguments)]
 fn refresh(
     tree: &ShardedTree,
     service: &Service,
     last: &mut Arc<ShardedSnapshot>,
-    snapshots: &mut Vec<Arc<ShardedSnapshot>>,
     stats: &mut RefreshStats,
     publishes: &mut Vec<PublishRecord>,
     cycle: u64,
@@ -363,7 +359,6 @@ fn refresh(
     flight.record(FlightEventKind::RefreezeEnd, duration_nanos(refreeze));
     let generation = service.try_publish_sharded(Arc::clone(&next));
     if generation.is_some() {
-        snapshots.push(Arc::clone(&next));
         stats.published += 1;
     } else {
         stats.skipped_publishes += 1;
@@ -371,6 +366,7 @@ fn refresh(
     publishes.push(PublishRecord {
         cycle,
         generation,
+        applied: stats.applied,
         refreeze,
         dirty_fraction,
     });
@@ -398,13 +394,29 @@ mod tests {
             .collect()
     }
 
+    fn start_tree(n: usize, shards: usize, seed: u64) -> ShardedTree {
+        ShardedTree::build(RTreeParams::with_capacity(8), entries(n, seed), shards)
+    }
+
+    /// What a generation holding exactly `updates` must be: the test's own
+    /// copy of the starting tree with them replayed, frozen from scratch
+    /// (refreeze ≡ freeze is pinned by the workspace `refreeze_equivalence`
+    /// test).
+    fn replayed(mut tree: ShardedTree, updates: &[Update]) -> ShardedSnapshot {
+        let mut stats = RefreshStats::default();
+        for &update in updates {
+            apply_update(&mut tree, update, &mut stats);
+        }
+        tree.freeze_all()
+    }
+
     fn start_pair(
         n: usize,
         shards: usize,
         seed: u64,
         policy: RefreshPolicy,
     ) -> (Arc<Service>, RefreshDriver) {
-        let tree = ShardedTree::build(RTreeParams::with_capacity(8), entries(n, seed), shards);
+        let tree = start_tree(n, shards, seed);
         let snapshot = Arc::new(tree.freeze_all());
         let service = Arc::new(Service::start_sharded(
             snapshot,
@@ -421,11 +433,16 @@ mod tests {
             ..RefreshPolicy::default()
         };
         let (service, driver) = start_pair(500, 2, 1, policy);
-        for i in 0..50u64 {
-            assert!(driver.apply(Update::Insert(LeafEntry::new(
-                PointId(10_000 + i),
-                Point::new(i as f64, i as f64),
-            ))));
+        let updates: Vec<Update> = (0..50u64)
+            .map(|i| {
+                Update::Insert(LeafEntry::new(
+                    PointId(10_000 + i),
+                    Point::new(i as f64, i as f64),
+                ))
+            })
+            .collect();
+        for &update in &updates {
+            assert!(driver.apply(update));
         }
         // Wait until every update landed in a published snapshot.
         let mut spins = 0;
@@ -444,23 +461,28 @@ mod tests {
             outcome.publishes.len() as u64,
             outcome.stats.published + outcome.stats.skipped_publishes
         );
+        // The driver was the only publisher: cycle c produced generation
+        // c + 1, each holding a growing prefix of the update stream.
+        let mut applied = 0;
         for (i, record) in outcome.publishes.iter().enumerate() {
             assert_eq!(record.cycle, i as u64 + 1);
-            assert!(record.generation.is_some(), "no shutdown raced this run");
+            assert_eq!(record.generation, Some(i as u64 + 2));
             assert!(record.dirty_fraction >= 0.0);
+            assert!(record.applied > applied, "a cycle without new updates");
+            applied = record.applied;
         }
-        assert_eq!(outcome.tree.len(), 550);
         assert_eq!(
-            outcome.snapshots.last().unwrap().len(),
-            550,
+            applied, 50,
             "final snapshot must hold every accepted update"
         );
-        // Driver was the only publisher: history aligns with generations.
-        assert_eq!(
-            service.generation(),
-            outcome.snapshots.len() as u64,
-            "snapshots[g-1] must be generation g"
-        );
+        assert_eq!(service.generation(), outcome.publishes.len() as u64 + 1);
+        assert_eq!(outcome.tree.len(), 550);
+        // What is being served is the replay of that prefix, page for page.
+        let want = replayed(start_tree(500, 2, 1), &updates[..applied as usize]);
+        let live = service.sharded_snapshot();
+        for (got, want) in live.shards().iter().zip(want.shards()) {
+            assert!(**got == **want, "live snapshot diverged from the replay");
+        }
         Arc::try_unwrap(service)
             .expect("driver released its handle")
             .shutdown();
@@ -489,7 +511,7 @@ mod tests {
         assert_eq!(record.cycle, 1);
         assert!(record.generation.is_some());
         assert!(record.dirty_fraction < 0.99);
-        assert_eq!(outcome.snapshots.last().unwrap().len(), 410);
+        assert_eq!(record.applied, 10);
         assert_eq!(service.sharded_snapshot().len(), 410);
         Arc::try_unwrap(service)
             .expect("driver released its handle")

@@ -2,8 +2,10 @@
 //! continuously refreshed by the background driver (apply updates →
 //! per-shard refreeze → publish on the dirty-fraction policy) must stay
 //! pinnable **per generation** — every response's generation tag maps to a
-//! snapshot in the driver's published history, and the response is
-//! bit-identical to the sequential cross-shard reference on that snapshot.
+//! publish record saying how many updates that generation contains, and the
+//! response is bit-identical to the sequential cross-shard reference on the
+//! test's own copy of the starting tree with that prefix replayed (the
+//! driver keeps no snapshot history to check against).
 //! Plus the shutdown hygiene contract: the driver joins cleanly, and once
 //! `Service::initiate_shutdown` has closed the queues, no refresh is ever
 //! published — the generation cannot advance after the close.
@@ -48,6 +50,9 @@ fn base_entries(n: usize, seed: u64) -> Vec<LeafEntry> {
 fn continuous_refresh_stays_pinnable_per_generation() {
     let entries = base_entries(6_000, 77);
     let base_points: Vec<Point> = entries.iter().map(|e| e.point).collect();
+    // The test's own copy of the starting tree: generations are rebuilt on
+    // it by replaying the update stream.
+    let mut replay_tree = ShardedTree::build(RTreeParams::with_capacity(16), entries.clone(), 4);
     let sharded_tree = ShardedTree::build(RTreeParams::with_capacity(16), entries, 4);
     let workspace = gnn::geom::Rect::bounding(base_points.iter().copied()).unwrap();
     let initial = Arc::new(sharded_tree.freeze_all());
@@ -84,9 +89,9 @@ fn continuous_refresh_stays_pinnable_per_generation() {
     let mut requests: Vec<QueryRequest> = Vec::new();
     let mut pending: Vec<(QueryRequest, gnn::service::ResponseHandle)> = Vec::new();
     let mut applied_since_wait = 0usize;
-    let mut sent = 0u64;
+    let mut updates: Vec<Update> = Vec::new();
     for e in &events {
-        match &e.op {
+        let update = match &e.op {
             MixedOp::Query { points } => {
                 let request = QueryRequest::new(QueryGroup::sum(points.clone()).unwrap(), 4);
                 pending.push((
@@ -94,21 +99,17 @@ fn continuous_refresh_stays_pinnable_per_generation() {
                     service.submit(request.clone()).expect("query submitted"),
                 ));
                 requests.push(request);
+                continue;
             }
-            MixedOp::Insert { id, point } => {
-                assert!(driver.apply(Update::Insert(LeafEntry::new(PointId(*id), *point))));
-                sent += 1;
-                applied_since_wait += 1;
-            }
-            MixedOp::Delete { id, point } => {
-                assert!(driver.apply(Update::Remove {
-                    id: PointId(*id),
-                    point: *point,
-                }));
-                sent += 1;
-                applied_since_wait += 1;
-            }
-        }
+            MixedOp::Insert { id, point } => Update::Insert(LeafEntry::new(PointId(*id), *point)),
+            MixedOp::Delete { id, point } => Update::Remove {
+                id: PointId(*id),
+                point: *point,
+            },
+        };
+        assert!(driver.apply(update));
+        updates.push(update);
+        applied_since_wait += 1;
         // Every ~300 updates, wait for the driver to fully drain what was
         // sent. The driver publishes within the same loop iteration that
         // applies a burst (its dirty threshold is far below one burst's
@@ -119,7 +120,7 @@ fn continuous_refresh_stays_pinnable_per_generation() {
         if applied_since_wait >= 300 {
             applied_since_wait = 0;
             let mut spins = 0u64;
-            while driver.stats().applied < sent {
+            while driver.stats().applied < updates.len() as u64 {
                 std::thread::yield_now();
                 spins += 1;
                 assert!(spins < 100_000_000, "driver never drained");
@@ -140,34 +141,51 @@ fn continuous_refresh_stays_pinnable_per_generation() {
         outcome.stats
     );
     assert_eq!(outcome.stats.skipped_publishes, 0);
-    // The driver was the only publisher: its history aligns 1:1 with the
-    // service generations, starting at generation 1.
-    assert_eq!(outcome.snapshots.len() as u64, service.generation());
-    assert!(Arc::ptr_eq(&outcome.snapshots[0], &initial));
-    assert!(Arc::ptr_eq(
-        outcome.snapshots.last().unwrap(),
-        &service.sharded_snapshot()
-    ));
-    // The final snapshot reflects every accepted update.
-    assert_eq!(outcome.snapshots.last().unwrap().len(), outcome.tree.len());
+    // The driver was the only publisher: cycle c produced generation c + 1,
+    // and the last one reflects every accepted update.
+    assert_eq!(outcome.publishes.len() as u64 + 1, service.generation());
+    assert_eq!(outcome.publishes.last().unwrap().applied, 900);
+    assert_eq!(service.sharded_snapshot().len(), outcome.tree.len());
 
-    // Per-generation determinism: every response matches the sequential
-    // cross-shard reference of the snapshot its generation tag names.
-    for (i, r) in responses.iter().enumerate() {
-        let g = r.generation;
-        assert!(
-            g >= 1 && (g as usize) <= outcome.snapshots.len(),
-            "query {i}: generation {g} out of range"
-        );
-        let snapshot = &outcome.snapshots[g as usize - 1];
-        assert_eq!(
-            fingerprint(&r.neighbors),
-            reference(snapshot, &requests[i]),
-            "query {i}: diverged from the reference of generation {g}"
-        );
-        assert!((r.routing.primary as usize) < 4);
-        assert!(r.routing.consulted >= 1 && r.routing.consulted <= 4);
+    // Per-generation determinism: rebuild each generation in turn — the
+    // starting tree with the first `applied` updates replayed, frozen from
+    // scratch (refreeze ≡ freeze is pinned by `refreeze_equivalence`) — and
+    // match every response tagged with it against the sequential
+    // cross-shard reference on the rebuild.
+    let mut checked = 0;
+    let mut replayed = 0usize;
+    for g in 1..=service.generation() {
+        let snapshot = if g == 1 {
+            Arc::clone(&initial)
+        } else {
+            let record = outcome.publishes[g as usize - 2];
+            assert_eq!(record.generation, Some(g));
+            for update in &updates[replayed..record.applied as usize] {
+                match *update {
+                    Update::Insert(entry) => {
+                        replay_tree.insert(entry);
+                    }
+                    Update::Remove { id, point } => assert!(replay_tree.remove(id, point)),
+                }
+            }
+            replayed = record.applied as usize;
+            Arc::new(replay_tree.freeze_all())
+        };
+        for (i, r) in responses.iter().enumerate() {
+            if r.generation != g {
+                continue;
+            }
+            assert_eq!(
+                fingerprint(&r.neighbors),
+                reference(&snapshot, &requests[i]),
+                "query {i}: diverged from the reference of generation {g}"
+            );
+            assert!((r.routing.primary as usize) < 4);
+            assert!(r.routing.consulted >= 1 && r.routing.consulted <= 4);
+            checked += 1;
+        }
     }
+    assert_eq!(checked, responses.len(), "a generation tag out of range");
 
     let stats = Arc::try_unwrap(service)
         .expect("driver released its service handle")
@@ -250,7 +268,16 @@ fn no_publish_after_service_queue_close() {
         outcome.stats
     );
     // History still aligns with generations for what WAS published.
-    assert_eq!(outcome.snapshots.len() as u64, generation_at_close);
+    let published: Vec<u64> = outcome
+        .publishes
+        .iter()
+        .filter_map(|r| r.generation)
+        .collect();
+    assert_eq!(
+        published,
+        (2..=generation_at_close).collect::<Vec<u64>>(),
+        "one record per generation bump, dropped cycles tagged `None`"
+    );
 
     let stats = Arc::try_unwrap(service)
         .expect("driver released its service handle")

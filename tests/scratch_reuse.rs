@@ -7,6 +7,7 @@
 //! steady-state queries perform no heap allocations at all.
 
 use gnn::core::{MbmScratch, Planner, QueryScratch};
+use gnn::network::{NetworkIer, NetworkScratch, NetworkSnapshot, NetworkTa, RoadNetwork, VertexId};
 use gnn::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,13 +39,26 @@ fn groups(count: usize, n: usize, seed: u64) -> Vec<QueryGroup> {
         .collect()
 }
 
+/// A reusable scratch that can list its buffer capacities.
+trait Profiled {
+    fn capacity_profile(&self) -> Vec<usize>;
+}
+
+impl Profiled for QueryScratch {
+    fn capacity_profile(&self) -> Vec<usize> {
+        QueryScratch::capacity_profile(self)
+    }
+}
+
+impl Profiled for NetworkScratch {
+    fn capacity_profile(&self) -> Vec<usize> {
+        NetworkScratch::capacity_profile(self)
+    }
+}
+
 /// Runs `work` once to warm the scratch, snapshots the capacity profile,
 /// then re-runs the same workload asserting the profile never changes.
-fn assert_steady_state(
-    scratch: &mut QueryScratch,
-    mut work: impl FnMut(&mut QueryScratch),
-    what: &str,
-) {
+fn assert_steady_state<S: Profiled>(scratch: &mut S, mut work: impl FnMut(&mut S), what: &str) {
     // Two warm-up passes: the first sizes the buffers, the second settles
     // amortised growth (hash-set capacities round up on the way).
     work(scratch);
@@ -237,4 +251,38 @@ fn suspended_streams_resume_without_allocating() {
             );
         }
     }
+}
+
+#[test]
+fn network_refinement_stays_allocation_free_as_groups_swing() {
+    // Packed IER and TA through one `NetworkScratch`, the group going
+    // 1 → 8 → 1 sources: the Dijkstra states, the per-stream bound buffer
+    // and TA's candidate queue sized by the n = 8 pass must serve the n = 1
+    // passes around it, and nothing may shrink.
+    let g = RoadNetwork::grid(24, 24, 0.25, 3);
+    let data: Vec<VertexId> = (0..g.vertex_count() as u32)
+        .step_by(7)
+        .map(VertexId)
+        .collect();
+    let snapshot = NetworkSnapshot::new(g.freeze(), data.clone());
+    let (packed, tree) = (snapshot.graph(), snapshot.data_tree());
+    let sources: Vec<VertexId> = [5u32, 570, 23, 301, 552, 98, 417, 260]
+        .into_iter()
+        .map(VertexId)
+        .collect();
+    assert_steady_state(
+        &mut NetworkScratch::new(),
+        |s| {
+            for n in [1usize, 8, 1] {
+                for aggregate in [Aggregate::Sum, Aggregate::Max] {
+                    let (ier, _) =
+                        NetworkIer.k_gnn_in(packed, tree, &sources[..n], 4, aggregate, s);
+                    assert_eq!(ier.len(), 4);
+                    let (ta, _) = NetworkTa.k_gnn_in(packed, &data, &sources[..n], 4, aggregate, s);
+                    assert_eq!(ta.len(), 4);
+                }
+            }
+        },
+        "network IER + TA with n 1 → 8 → 1",
+    );
 }
