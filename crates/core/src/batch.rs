@@ -1,34 +1,28 @@
-//! Shared-traversal batch executor for correlated (hotspot) query traffic.
+//! Hilbert-ordered batch executor with a distinct-page ledger, for
+//! correlated (hotspot) query traffic.
 //!
 //! Hotspot workloads arrive in bursts of queries whose group MBRs overlap
-//! heavily — trip/meet-up traffic is the canonical case — yet a per-query
-//! server re-descends the tree from the root for every one of them,
-//! re-reading the same upper-level pages over and over. This module
-//! amortizes those reads across a batch:
+//! heavily — trip/meet-up traffic is the canonical case. This module gives
+//! such a burst an order to run in and a count of what it touches:
 //!
 //! 1. The batch is sorted by the **Hilbert key of each group's MBR center**
-//!    ([`gnn_geom::hilbert::HilbertMapper::key_rect`] over the target's root MBR), so
-//!    spatially adjacent queries run back-to-back and their traversals hit
-//!    the same upper-level pages while those pages are hot.
+//!    ([`hilbert_order`], over the target's root MBR), so spatially adjacent
+//!    queries run back-to-back, while the pages they share are still warm
+//!    in cache.
 //! 2. A **distinct-page overlay** ([`gnn_rtree::TreeCursor::begin_page_tracking`])
-//!    meters the batch's physical cost: every page is counted once no matter
-//!    how many queries in the batch touch it. That count is what a shared
-//!    cursor pass pays — the upper levels are read once for the whole batch,
-//!    and only the frontier where per-query search regions diverge costs
-//!    extra pages.
-//! 3. Each query still runs the **unchanged per-query algorithm** through
-//!    [`QueryRequest::execute_on`]. This is the schedule-independent NA
-//!    accounting mode: per-query node accesses are charged *as-if-sequential*
-//!    (bit-identical to [`crate::Planner::run_many_collect`] on the same
-//!    requests, on any worker count or batch split), while the batch-level
-//!    [`BatchAccounting::unique_pages`] counter carries the shared-read
-//!    savings. Determinism tests keep pinning exact results + NA; throughput
-//!    benchmarks read the unique-page counter.
+//!    counts every page once no matter how many queries of the batch touch
+//!    it. That count is what one shared traversal *would* pay; nothing here
+//!    shares reads — every query still descends from the root.
+//! 3. Each query runs the **unchanged per-query algorithm** through
+//!    [`QueryRequest::execute_on`], so per-query node accesses are charged
+//!    *as-if-sequential* (bit-identical to
+//!    [`crate::Planner::run_many_collect`] on the same requests, on any
+//!    worker count or batch split), and the batch-level
+//!    [`BatchAccounting`] sets the distinct-page count beside their sum.
 //!
-//! The executor works against any [`Target`]: a single tree behind one
-//! cursor, or a sharded snapshot behind one cursor per shard (the serving
-//! layer routes a batch into per-shard sub-batches first, then runs one
-//! executor per shard).
+//! The executor works against any [`Target`]. The serving layer does not
+//! call it: a worker runs its one per-query step over the members in
+//! [`hilbert_order`] and keeps the same ledger around them.
 
 use crate::engine::{Choice, Planner};
 use crate::request::{QueryRequest, Target};
@@ -37,65 +31,53 @@ use crate::scratch::QueryScratch;
 use crate::sharded::ShardRouting;
 use gnn_geom::hilbert::HilbertMapper;
 
-/// Batch-level cost accounting: what the batch paid physically
-/// (`unique_pages`) next to what the same queries pay when each re-descends
-/// alone (`sequential_pages`). Per-query [`QueryStats`] are reported
-/// separately through the sink, unchanged.
+/// The batch ledger: the distinct pages the batch touched (`unique_pages`,
+/// what one shared traversal would pay) next to what its queries did pay,
+/// each descending alone (`sequential_pages`). Per-query [`QueryStats`] are
+/// reported separately through the sink, unchanged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchAccounting {
     /// Number of queries executed.
     pub queries: usize,
-    /// Distinct pages touched across the whole batch — the physical reads a
-    /// shared traversal pays (upper levels once, frontier pages per query
-    /// region).
+    /// Distinct pages touched across the whole batch.
     pub unique_pages: u64,
-    /// Sum of per-query logical node accesses — what the same batch costs
-    /// when every query descends from the root on its own.
+    /// Sum of per-query logical node accesses — every query descends from
+    /// the root on its own.
     pub sequential_pages: u64,
 }
 
-impl BatchAccounting {
-    /// Page reads the shared pass saved over per-query execution.
-    pub fn pages_saved(&self) -> u64 {
-        self.sequential_pages.saturating_sub(self.unique_pages)
-    }
-
-    /// Saved fraction in `[0, 1]`: `1 - unique / sequential` (`0` for an
-    /// empty batch).
-    pub fn savings_fraction(&self) -> f64 {
-        if self.sequential_pages == 0 {
-            0.0
-        } else {
-            self.pages_saved() as f64 / self.sequential_pages as f64
-        }
-    }
-
-    /// Component-wise sum (accumulating per-shard sub-batches or many
-    /// batches into workload totals).
-    pub fn merged(self, other: BatchAccounting) -> BatchAccounting {
-        BatchAccounting {
-            queries: self.queries + other.queries,
-            unique_pages: self.unique_pages + other.unique_pages,
-            sequential_pages: self.sequential_pages + other.sequential_pages,
-        }
-    }
+/// Fills `order` with one `(Hilbert key, position)` pair per request,
+/// sorted: the order a batch runs in. Keys come from each group's MBR over
+/// `target`'s root MBR, ties break by position, so the order is a pure
+/// function of the target and the requests.
+pub fn hilbert_order<'r>(
+    target: &Target<'_, '_>,
+    requests: impl IntoIterator<Item = &'r QueryRequest>,
+    order: &mut Vec<(u64, u32)>,
+) {
+    let mapper = HilbertMapper::new(target.root_mbr());
+    order.clear();
+    order.extend(
+        requests
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| (mapper.key_rect(r.group.mbr()), i as u32)),
+    );
+    order.sort_unstable();
 }
 
-/// Executes `requests` as one shared-traversal batch against `target`,
-/// invoking `sink(index, choice, neighbors, stats, routing)` once per
-/// request **in submission-index order of completion within the Hilbert
-/// schedule** — the `index` argument is the request's position in
-/// `requests`, so callers reorder freely.
+/// Executes `requests` in [`hilbert_order`] against `target`, invoking
+/// `sink(index, choice, neighbors, stats, routing)` once per request; the
+/// `index` argument is the request's position in `requests`, so callers
+/// reorder freely.
 ///
 /// Results, per-query stats, and routing are bit-identical to executing
 /// each request alone through [`QueryRequest::execute_on`] (and hence to
 /// [`crate::Planner::run_many_collect`] for `Algo::Auto` requests): the
-/// Hilbert schedule and the page overlay change *physical* accounting only,
-/// never traversal logic. Deterministic for a fixed target and request
-/// slice — the schedule is a pure function of group MBRs with index
-/// tie-breaks.
+/// order and the page overlay change accounting only, never traversal
+/// logic.
 ///
-/// Allocation-free in steady state: the sort buffer lives in `scratch`
+/// Allocation-free in steady state: the order buffer lives in `scratch`
 /// ([`QueryScratch::capacity_profile`] covers it) and the page-tracking
 /// bitsets stay allocated on the target's cursors between batches.
 pub fn execute_batch_in(
@@ -103,41 +85,12 @@ pub fn execute_batch_in(
     target: &Target<'_, '_>,
     requests: &[QueryRequest],
     scratch: &mut QueryScratch,
-    sink: impl FnMut(usize, Choice, &[Neighbor], &QueryStats, ShardRouting),
-) -> BatchAccounting {
-    execute_batch_hooked(planner, target, requests, scratch, |_| {}, sink)
-}
-
-/// [`execute_batch_in`] with a `before(index)` hook invoked immediately
-/// before each request executes (in Hilbert-schedule order, with the
-/// request's submission index).
-///
-/// The hook exists for supervised serving engines: a worker that wraps the
-/// batch in `catch_unwind` needs to know *which* request was in flight when
-/// a panic unwound out, so it can answer that one request with a typed
-/// error and resume the rest. The hook must not touch the tree or the
-/// scratch — it observes the schedule, it does not participate in it — so
-/// results stay bit-identical to [`execute_batch_in`].
-pub fn execute_batch_hooked(
-    planner: &Planner,
-    target: &Target<'_, '_>,
-    requests: &[QueryRequest],
-    scratch: &mut QueryScratch,
-    mut before: impl FnMut(usize),
     mut sink: impl FnMut(usize, Choice, &[Neighbor], &QueryStats, ShardRouting),
 ) -> BatchAccounting {
-    let mapper = HilbertMapper::new(target.root_mbr());
     // The order buffer is moved out of the scratch while the per-query
     // executions borrow it mutably, then moved back (keeping its capacity).
     let mut order = std::mem::take(&mut scratch.batch_order);
-    order.clear();
-    order.extend(
-        requests
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (mapper.key_rect(r.group.mbr()), i as u32)),
-    );
-    order.sort_unstable();
+    hilbert_order(target, requests, &mut order);
 
     for cursor in target.cursors() {
         cursor.begin_page_tracking();
@@ -148,7 +101,6 @@ pub fn execute_batch_hooked(
     };
     for &(_key, index) in &order {
         let request = &requests[index as usize];
-        before(index as usize);
         let (choice, neighbors, stats, routing) = request.execute_on(planner, target, scratch);
         accounting.sequential_pages += stats.data_tree.logical;
         sink(index as usize, choice, neighbors, &stats, routing);
@@ -188,7 +140,7 @@ mod tests {
     type Fingerprint = (Choice, Vec<(u64, u64)>, u64);
 
     fn hotspot_requests(count: usize, seed: u64) -> Vec<QueryRequest> {
-        // Tight clusters around two hotspots: heavy upper-level page overlap.
+        // Tight clusters around two hotspots: heavy page overlap.
         let mut rng = StdRng::seed_from_u64(seed);
         (0..count)
             .map(|i| {
@@ -259,7 +211,6 @@ mod tests {
             accounting.unique_pages,
             accounting.sequential_pages
         );
-        assert!(accounting.savings_fraction() > 0.0);
     }
 
     #[test]

@@ -74,7 +74,7 @@ mod spm;
 
 pub use aggregate::Aggregate;
 pub use backend::{NetworkBackend, NetworkQuery};
-pub use batch::{execute_batch_hooked, execute_batch_in, BatchAccounting};
+pub use batch::{execute_batch_in, BatchAccounting};
 pub use best_list::KBestList;
 pub use engine::{Choice, Planner};
 pub use fmbm::Fmbm;

@@ -2,11 +2,11 @@
 //!
 //! A [`QueryRequest`] is one memory-resident k-GNN query in transportable
 //! form: the query group, `k`, and an [`Algo`] selector. Its
-//! [`QueryRequest::execute_in`] method is the *single* execution path shared
-//! by sequential batch runners and the multi-threaded `gnn-service` workers
-//! — both funnel through the same code, which is what makes "the service
-//! returns bit-identical results and node accesses to the sequential
-//! reference" true by construction rather than by testing luck.
+//! [`QueryRequest::execute_on`] method is the *single* execution path: the
+//! sequential reference, the batch executor and the multi-threaded
+//! `gnn-service` workers all call it with a [`Target`], which is what makes
+//! "the service returns bit-identical results and node accesses to the
+//! sequential reference" true by construction rather than by testing luck.
 
 use crate::backend::{NetworkBackend, NetworkQuery};
 use crate::engine::{Choice, Planner};
@@ -19,14 +19,9 @@ use gnn_rtree::{ShardedSnapshot, TreeCursor};
 use std::time::Duration;
 
 /// Where a [`QueryRequest`] (or a batch of them) executes: a single tree
-/// behind one cursor, or a [`ShardedSnapshot`] behind one cursor per shard.
-///
-/// This is the one execution surface shared by the sequential reference,
-/// the serving workers, and the batch executor ([`crate::batch`]): every
-/// path funnels through [`QueryRequest::execute_on`], so "the service is
-/// bit-identical to the sequential reference" holds by construction rather
-/// than by testing luck. The single-shard sharded case degenerates exactly
-/// to the single-tree case (same results, same node accesses).
+/// behind one cursor, a [`ShardedSnapshot`] behind one cursor per shard, or
+/// a network backend. The single-shard sharded case degenerates exactly to
+/// the single-tree case (same results, same node accesses).
 pub enum Target<'a, 't> {
     /// One tree (arena or packed snapshot) behind one metering cursor.
     Single(&'a TreeCursor<'t>),
@@ -87,8 +82,7 @@ pub enum Algo {
     Mbm,
     /// Force the network threshold algorithm (concurrent Dijkstra
     /// expansion). Only meaningful on [`Target::Network`]; Euclidean
-    /// targets fall back to MBM, which the returned [`Choice`] makes
-    /// observable.
+    /// targets fall back to MBM.
     NetworkTa,
     /// Force network incremental Euclidean restriction (Euclidean MBM
     /// filter + exact network refinement). Only meaningful on
@@ -107,28 +101,24 @@ pub struct QueryRequest {
     pub algo: Algo,
     /// Routing override for sharded serving engines: when set (and in
     /// range), the router sends the request to this shard's pool instead of
-    /// computing the aggregate-MBR bound — results are unaffected (the
-    /// cross-shard merge still consults whatever shards the bounds demand),
-    /// only queue placement changes.
+    /// computing the aggregate-MBR bound. Only queue placement changes: the
+    /// cross-shard merge still consults whatever shards the bounds demand.
     pub shard_hint: Option<u32>,
     /// Optional service-relative deadline: the budget from submission until
     /// the request **starts executing**. A serving engine checks it at
     /// dequeue and sheds an already-expired request with a typed error
-    /// instead of executing it, turning overload from unbounded queue
-    /// latency into bounded, observable shedding. `None` (the default)
-    /// means "execute no matter how stale". Execution itself is never
-    /// interrupted — results of non-shed queries are unaffected by the
-    /// deadline, which is what keeps determinism pinnable under load
-    /// shedding. Ignored by the direct execution entry points
-    /// ([`QueryRequest::execute_on`] and friends), which have no queue.
+    /// instead of executing it — overload becomes bounded, observable
+    /// shedding. `None` (the default) means "execute no matter how stale".
+    /// Execution itself is never interrupted, so results of non-shed
+    /// queries are unaffected. Ignored by direct execution
+    /// ([`QueryRequest::execute_on`]), which has no queue.
     pub deadline: Option<Duration>,
     /// Opt-in per-query trace: when set, a serving engine fills
     /// [`QueryResponse::trace`] with the request's stage timings and cost
-    /// counters. Zero cost when unset — the worker branches on this flag
-    /// and a trace is a small `Copy` struct inline in the response, so no
-    /// allocation happens on the hot path either way. Tracing never
-    /// changes results, node accesses, or reply accounting. Ignored by
-    /// the direct execution entry points, which have no queue or stages.
+    /// counters — a small `Copy` struct inline in the response, so nothing
+    /// allocates either way, and results, node accesses and reply
+    /// accounting never change. Ignored by direct execution, which has no
+    /// queue or stages.
     pub trace: bool,
     /// The network-domain payload: present exactly when this request is
     /// meant for a [`Target::Network`] backend (it pins or snaps the
@@ -140,15 +130,7 @@ pub struct QueryRequest {
 impl QueryRequest {
     /// A planner-routed request.
     pub fn new(group: QueryGroup, k: usize) -> Self {
-        QueryRequest {
-            group,
-            k,
-            algo: Algo::Auto,
-            shard_hint: None,
-            deadline: None,
-            trace: false,
-            network: None,
-        }
+        Self::with_algo(group, k, Algo::Auto)
     }
 
     /// A request pinned to a specific algorithm.
@@ -190,12 +172,12 @@ impl QueryRequest {
 
     /// Executes the request against a [`Target`], reusing `scratch`
     /// (allocation-free in steady state). This is the single execution
-    /// entry point: [`QueryRequest::execute_in`] and
-    /// [`QueryRequest::execute_sharded_in`] are convenience wrappers over
-    /// it, and the batch executor calls it per query. Deterministic: the
-    /// same request against the same target performs the same node accesses
-    /// and returns the same neighbors regardless of which thread runs it.
-    /// Single-tree targets report the default [`ShardRouting`].
+    /// entry point; the batch executor and the service workers call it per
+    /// query. Deterministic: the same request against the same target
+    /// performs the same node accesses and returns the same neighbors
+    /// regardless of which thread runs it. Single-tree targets report the
+    /// default [`ShardRouting`]; a single-shard [`Target::Sharded`]
+    /// degenerates to the single-tree case exactly.
     pub fn execute_on<'s>(
         &self,
         planner: &Planner,
@@ -240,24 +222,8 @@ impl QueryRequest {
         }
     }
 
-    /// Executes the request against the tree behind `cursor`, reusing
-    /// `scratch` (allocation-free in steady state). Deterministic: the same
-    /// request against the same tree performs the same node accesses and
-    /// returns the same neighbors regardless of which thread runs it.
-    pub fn execute_in<'s>(
-        &self,
-        planner: &Planner,
-        cursor: &TreeCursor<'_>,
-        scratch: &'s mut QueryScratch,
-    ) -> (Choice, &'s [Neighbor], QueryStats) {
-        let (choice, neighbors, stats, _) =
-            self.execute_on(planner, &Target::Single(cursor), scratch);
-        (choice, neighbors, stats)
-    }
-
     /// The concrete algorithm (and the [`Choice`] it reports) this request
-    /// resolves to — the single selection rule shared by
-    /// [`QueryRequest::execute_in`] and [`QueryRequest::execute_sharded_in`].
+    /// resolves to on a Euclidean target.
     fn resolve(&self, planner: &Planner) -> (Choice, ResolvedAlgo) {
         match self.algo {
             Algo::Auto => match planner.choose_memory(&self.group) {
@@ -275,21 +241,6 @@ impl QueryRequest {
                 (Choice::Mbm, ResolvedAlgo::Mbm(Mbm::best_first()))
             }
         }
-    }
-
-    /// Executes the request as a cross-shard k-GNN over `snapshot` through
-    /// `cursors` (one per shard), reusing `scratch`. The single-shard case
-    /// degenerates to [`QueryRequest::execute_in`] exactly — same results,
-    /// same node accesses; multiple shards run the best-first merge of
-    /// [`crate::sharded`]. Deterministic for a fixed snapshot and request.
-    pub fn execute_sharded_in<'s>(
-        &self,
-        planner: &Planner,
-        snapshot: &ShardedSnapshot,
-        cursors: &[TreeCursor<'_>],
-        scratch: &'s mut QueryScratch,
-    ) -> (Choice, &'s [Neighbor], QueryStats, ShardRouting) {
-        self.execute_on(planner, &Target::Sharded { snapshot, cursors }, scratch)
     }
 }
 
@@ -321,11 +272,9 @@ pub struct QueryResponse {
     pub neighbors: Vec<Neighbor>,
     /// Cost counters of this query.
     pub stats: QueryStats,
-    /// Generation of the snapshot that served the request. A serving engine
-    /// with snapshot hot-swap (`gnn-service`) tags every response with the
-    /// generation of the snapshot the query actually ran on, so results
-    /// stay pinnable per generation even while snapshots are being
-    /// republished; contexts without generations use `0`.
+    /// Generation of the snapshot the query actually ran on: a serving
+    /// engine with snapshot hot-swap (`gnn-service`) tags every response, so
+    /// results stay pinnable per generation while snapshots are republished.
     pub generation: u64,
     /// How the sharded engine answered this request (primary shard +
     /// shards consulted). Unsharded contexts use the default (shard 0,
@@ -333,16 +282,15 @@ pub struct QueryResponse {
     pub routing: ShardRouting,
     /// The per-query trace, present exactly when the request opted in with
     /// [`QueryRequest::with_trace`] and a serving engine (with a queue and
-    /// stages to time) answered it. `None` otherwise — including for
-    /// direct (queueless) execution, which has no stage decomposition.
+    /// stages to time) answered it.
     pub trace: Option<QueryTrace>,
 }
 
 /// The opt-in per-query trace a serving engine attaches to a
 /// [`QueryResponse`]: the request's own stage timings plus its cost
-/// counters, in one `Copy` struct (no allocation, on or off). The counters
-/// duplicate [`QueryResponse::stats`] on purpose — a trace is designed to
-/// be logged or shipped on its own, without dragging the full stats along.
+/// counters, in one `Copy` struct. The counters duplicate
+/// [`QueryResponse::stats`] on purpose — a trace is designed to be logged
+/// or shipped on its own.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QueryTrace {
     /// Submission → dequeue by the serving worker.
@@ -392,7 +340,8 @@ mod tests {
             (Algo::Mbm, Choice::Mbm),
         ] {
             let req = QueryRequest::with_algo(group.clone(), 4, algo);
-            let (choice, neighbors, _) = req.execute_in(&planner, &cursor, &mut scratch);
+            let (choice, neighbors, ..) =
+                req.execute_on(&planner, &Target::Single(&cursor), &mut scratch);
             assert_eq!(choice, want_choice, "{algo:?}");
             let want = Mbm::best_first().k_gnn(&cursor, &group, 4);
             assert_eq!(
@@ -416,7 +365,8 @@ mod tests {
         let group = QueryGroup::with_aggregate(random_points(5, 4), Aggregate::Max).unwrap();
         let req = QueryRequest::with_algo(group, 3, Algo::Spm);
         let mut scratch = QueryScratch::new();
-        let (choice, neighbors, _) = req.execute_in(&Planner::new(), &cursor, &mut scratch);
+        let (choice, neighbors, ..) =
+            req.execute_on(&Planner::new(), &Target::Single(&cursor), &mut scratch);
         assert_eq!(choice, Choice::Mbm);
         assert_eq!(neighbors.len(), 3);
     }

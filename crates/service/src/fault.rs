@@ -1,38 +1,31 @@
 //! Deterministic fault injection and the service's fault ledger.
 //!
-//! Fault tolerance is only trustworthy if it is *testable*: "workers
-//! survive panics" means nothing without a way to make a specific worker
-//! panic on a specific query, every run, on any machine. [`FaultPlan`] is
-//! that switchboard — a plan of injected faults threaded through
-//! [`ServiceConfig`](crate::ServiceConfig) and consulted by the workers
-//! and the [`RefreshDriver`](crate::RefreshDriver):
+//! Fault tolerance is only trustworthy if it is *testable*: [`FaultPlan`]
+//! makes a specific worker panic on a specific query, every run, on any
+//! machine. It is threaded through [`ServiceConfig`](crate::ServiceConfig)
+//! and consulted by the workers and the
+//! [`RefreshDriver`](crate::RefreshDriver):
 //!
 //! * **targeted panics** ([`FaultPlan::panic_on`]): worker `w` panics on
-//!   its `n`-th executed query — the unit-test primitive (panic on the
-//!   K-th query of a batch, panic every worker of a pool, …);
+//!   its `n`-th executed query — the unit-test primitive;
 //! * **seeded panic rates** ([`FaultPlan::seeded_panics`]): each
 //!   `(worker, nth)` pair panics with probability `rate`, decided by a
-//!   seeded hash — the same seed injects the same faults on every run, so
-//!   a resilience benchmark under "1% of queries panic" is reproducible
-//!   bit for bit;
+//!   seeded hash, so "1% of queries panic" is reproducible bit for bit;
 //! * **injected latency** ([`FaultPlan::with_query_latency`]): every query
-//!   sleeps before executing, turning a microsecond-scale test snapshot
-//!   into a saturable service with a known capacity — the overload knob;
+//!   sleeps before executing, giving a test service a known, saturable
+//!   capacity — the overload knob;
 //! * **refreeze failure** ([`FaultPlan::fail_refreeze`]): the refresh
-//!   driver's `n`-th refreeze cycle fails, exercising the typed
-//!   [`DriverError`](crate::DriverError) path.
+//!   driver's `n`-th refreeze cycle fails with a typed
+//!   [`DriverError`](crate::DriverError).
 //!
-//! Injection happens *around* query execution (before the algorithm runs),
-//! never inside it — a non-faulted query's results stay bit-identical to
-//! the sequential reference no matter what the plan injects elsewhere.
-//! An empty plan (the [`Default`]) is checked with one `Vec::is_empty` /
-//! `Option::is_none` per query; production configs pay essentially
-//! nothing.
+//! Injection happens *before* the algorithm runs, never inside it — a
+//! non-faulted query's results stay bit-identical to the sequential
+//! reference. An empty plan (the [`Default`]) costs one emptiness check per
+//! query.
 //!
 //! [`FaultLedger`] is the observability half: every panic, respawn, shed
-//! request, and missed deadline is counted, aggregated into
-//! [`ServiceStats::faults`](crate::ServiceStats::faults) — whether the
-//! fault was injected or real.
+//! request, and missed deadline — injected or real — is counted into
+//! [`ServiceStats::faults`](crate::ServiceStats::faults).
 
 use std::time::Duration;
 
@@ -151,13 +144,9 @@ impl FaultPlan {
 /// Silences the default panic-hook output for **injected** panics (the
 /// `"injected fault: …"` payloads a [`FaultPlan`] panic point raises),
 /// forwarding every other panic to the previously installed hook.
-/// Process-wide and idempotent.
-///
-/// The supervisor catches injected panics and answers them as typed
-/// responses, but the panic hook still runs first — a resilience bench
-/// injecting panics at 1% would otherwise bury its own output under
-/// backtraces that are part of the experiment. Real (non-injected) panics
-/// keep their full report.
+/// Process-wide and idempotent. The worker catches injected panics, but the
+/// hook runs first — a resilience run would otherwise bury its own output
+/// under backtraces that are part of the experiment.
 pub fn silence_injected_panics() {
     use std::sync::Once;
     static QUIET: Once = Once::new();
@@ -196,18 +185,6 @@ pub struct FaultLedger {
     /// answered late. They still got a normal response — this counter is
     /// the SLO-miss signal, not an error count.
     pub deadline_missed: u64,
-}
-
-impl FaultLedger {
-    /// Component-wise sum.
-    pub fn merged(self, other: FaultLedger) -> FaultLedger {
-        FaultLedger {
-            panics: self.panics + other.panics,
-            respawns: self.respawns + other.respawns,
-            shed: self.shed + other.shed,
-            deadline_missed: self.deadline_missed + other.deadline_missed,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -269,31 +246,6 @@ mod tests {
         assert!(plan.refreeze_fails(2));
         assert!(!plan.refreeze_fails(3));
         assert!(plan.refreeze_fails(5));
-    }
-
-    #[test]
-    fn ledger_merges_component_wise() {
-        let a = FaultLedger {
-            panics: 1,
-            respawns: 1,
-            shed: 3,
-            deadline_missed: 2,
-        };
-        let b = FaultLedger {
-            panics: 2,
-            respawns: 2,
-            shed: 0,
-            deadline_missed: 1,
-        };
-        assert_eq!(
-            a.merged(b),
-            FaultLedger {
-                panics: 3,
-                respawns: 3,
-                shed: 3,
-                deadline_missed: 3,
-            }
-        );
     }
 
     #[test]

@@ -1,41 +1,36 @@
 //! The auto-refresh driver: mutate → per-shard refreeze → publish on a
 //! policy, so a mutating sharded tree serves continuously.
 //!
-//! PR 4 provided the primitives (incremental [`gnn_rtree::RTree::refreeze`]
-//! and [`Service`] hot-swap); this module closes the loop. A
-//! [`RefreshDriver`] owns the mutable [`ShardedTree`] on a background
+//! A [`RefreshDriver`] owns the mutable [`ShardedTree`] on a background
 //! thread, receives [`Update`]s through an unbounded channel, applies them
 //! to the owning shards, and — whenever any shard's dirty fraction crosses
 //! [`RefreshPolicy::dirty_fraction`] (or the applied-update backlog exceeds
 //! [`RefreshPolicy::max_pending`]) — refreezes the dirty shards
 //! incrementally, reuses the `Arc` of every clean one, and publishes the
 //! result to the service. Query traffic never blocks: publish is the
-//! existing between-queries hot swap.
+//! between-queries hot swap.
 //!
 //! Shutdown hygiene is part of the contract:
 //!
 //! * [`RefreshDriver::join`] closes the update channel, lets the thread
-//!   drain and apply every accepted update, performs one final flush
-//!   refresh (so no accepted update is silently dropped), joins the thread,
-//!   and hands back the tree plus one [`PublishRecord`] per cycle — or a
-//!   typed [`DriverError`] when the driver panicked or a refreeze failed,
-//!   instead of re-panicking in the caller;
+//!   apply every accepted update and perform one final flush refresh, joins
+//!   it, and hands back the tree plus one [`PublishRecord`] per cycle — or
+//!   a typed [`DriverError`] when the driver panicked or a refreeze failed;
 //! * publishes go through [`Service::try_publish_sharded`], which is
 //!   serialized against [`Service::initiate_shutdown`] — once the service
-//!   has closed its queues, a racing refresh is *dropped*, never published:
-//!   the service generation cannot advance after the close (pinned by the
-//!   workspace `refresh_driver` test).
+//!   has closed its queues, a racing refresh is *dropped*, never published
+//!   (pinned by the workspace `refresh_driver` test).
 //!
 //! Determinism stays pinnable under continuous refresh without the driver
-//! holding on to what it published (it keeps one snapshot, the refreeze
-//! baseline; the service owns the live one): the record of generation `g`
-//! says how many updates that generation contains
-//! ([`PublishRecord::applied`]), so replaying that prefix of the update
-//! stream onto a copy of the starting tree rebuilds its point set, and every
-//! tagged response can be checked against the sequential cross-shard
+//! keeping what it published (it holds one snapshot, the refreeze
+//! baseline): the record of generation `g` says how many updates it
+//! contains ([`PublishRecord::applied`]), so replaying that prefix of the
+//! update stream onto a copy of the starting tree rebuilds its point set,
+//! and every tagged response can be checked against the sequential
 //! reference on it.
 
-use crate::{duration_nanos, lock_unpoisoned, Service};
+use crate::stats::duration_nanos;
+use crate::{lock_unpoisoned, Service};
 use gnn_geom::{Point, PointId};
 use gnn_rtree::{LeafEntry, ShardedSnapshot, ShardedTree};
 use gnn_telemetry::FlightEventKind;
@@ -82,8 +77,7 @@ pub enum Update {
     /// Insert a point (routed to its owning shard by Hilbert key).
     Insert(LeafEntry),
     /// Remove a point by id + position (same routing; a miss is counted,
-    /// not an error — deletes of never-inserted points are a caller bug the
-    /// stats make visible).
+    /// not an error).
     Remove {
         /// Id of the point to remove.
         id: PointId,
@@ -181,10 +175,15 @@ impl RefreshDriver {
     ///
     /// # Panics
     ///
-    /// Panics when the tree's shard count differs from the service's, or
+    /// Panics on a network service (there is no Euclidean snapshot to
+    /// refresh), when the tree's shard count differs from the service's, or
     /// when the policy is degenerate (non-positive `dirty_fraction` or
     /// zero `max_pending`).
     pub fn start(tree: ShardedTree, service: Arc<Service>, policy: RefreshPolicy) -> RefreshDriver {
+        assert!(
+            service.network_backend().is_none(),
+            "a network service has no Euclidean snapshot to refresh"
+        );
         assert_eq!(
             tree.shard_count(),
             service.shard_count(),
@@ -225,9 +224,8 @@ impl RefreshDriver {
     /// Closes the update channel, waits for the thread to drain every
     /// accepted update and perform its final flush refresh, and returns the
     /// tree, the per-cycle publish records, and the counters — or a typed
-    /// [`DriverError`] when the driver panicked or a refreeze cycle failed.
-    /// Never panics on driver failure: the error surfaces as a value at
-    /// the one place a caller can handle it.
+    /// [`DriverError`] when the driver panicked or a refreeze cycle failed
+    /// (a value, never a re-panic in the caller).
     pub fn join(mut self) -> Result<RefreshOutcome, DriverError> {
         self.tx.take();
         match self.handle.take().expect("driver joined once").join() {
@@ -238,9 +236,8 @@ impl RefreshDriver {
 }
 
 impl Drop for RefreshDriver {
-    /// Dropping without [`RefreshDriver::join`] closes the channel so
-    /// the thread drains and exits on its own; it is detached, not joined
-    /// (drop must not block), and its outcome is discarded.
+    /// Dropping without [`RefreshDriver::join`] closes the channel so the
+    /// thread drains and exits on its own, detached; its outcome is lost.
     fn drop(&mut self) {
         self.tx.take();
     }
@@ -351,7 +348,7 @@ fn refresh(
     // What the policy saw when this cycle triggered — recorded before the
     // refreeze resets the dirty state.
     let dirty_fraction = tree.max_dirty_fraction(last);
-    let flight = service.driver_flight();
+    let flight = &service.driver_flight;
     flight.record(FlightEventKind::RefreezeStart, cycle);
     let refreeze0 = Instant::now();
     let next = Arc::new(tree.refreeze_all(last));

@@ -1,0 +1,321 @@
+//! What the service counts: the per-worker counters a worker writes
+//! lock-free, and the [`ServiceStats`] snapshot [`Service::stats`]
+//! aggregates them into.
+//!
+//! [`Service::stats`]: crate::Service::stats
+
+use crate::fault::FaultLedger;
+use crate::Pool;
+use gnn_core::batch::BatchAccounting;
+use gnn_core::QueryResponse;
+use gnn_telemetry::{
+    FlightEventKind, FlightLog, FlightRecorder, LatencyHistogram, LatencySnapshot, RingSnapshot,
+    StageHistograms, StageSnapshot,
+};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+/// Saturating nanosecond count: the flight-recorder payload of a timing.
+pub(crate) fn duration_nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Shared per-worker counters (written lock-free by the worker, read by
+/// [`collect`]).
+#[derive(Debug)]
+pub(crate) struct WorkerCounters {
+    pub(crate) queries: AtomicU64,
+    pub(crate) node_accesses: AtomicU64,
+    pub(crate) io: AtomicU64,
+    pub(crate) dist_computations: AtomicU64,
+    pub(crate) busy_nanos: AtomicU64,
+    pub(crate) single_shard_hits: AtomicU64,
+    pub(crate) shards_consulted: AtomicU64,
+    pub(crate) batches: AtomicU64,
+    pub(crate) batch_queries: AtomicU64,
+    pub(crate) batch_unique_pages: AtomicU64,
+    pub(crate) batch_sequential_pages: AtomicU64,
+    pub(crate) panics: AtomicU64,
+    pub(crate) respawns: AtomicU64,
+    pub(crate) shed: AtomicU64,
+    pub(crate) deadline_missed: AtomicU64,
+    pub(crate) latency: LatencyHistogram,
+    /// Queue wait / execution / reply stages of `latency`, plus shed waits.
+    pub(crate) stages: StageHistograms,
+    /// This worker's flight ring (the worker is its single producer).
+    pub(crate) flight: FlightRecorder,
+}
+
+impl WorkerCounters {
+    pub(crate) fn new(worker: usize, flight_capacity: usize, epoch: Instant) -> Self {
+        WorkerCounters {
+            queries: AtomicU64::new(0),
+            node_accesses: AtomicU64::new(0),
+            io: AtomicU64::new(0),
+            dist_computations: AtomicU64::new(0),
+            busy_nanos: AtomicU64::new(0),
+            single_shard_hits: AtomicU64::new(0),
+            shards_consulted: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            batch_queries: AtomicU64::new(0),
+            batch_unique_pages: AtomicU64::new(0),
+            batch_sequential_pages: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
+            respawns: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            deadline_missed: AtomicU64::new(0),
+            latency: LatencyHistogram::new(),
+            stages: StageHistograms::new(),
+            flight: FlightRecorder::new(worker as u32, flight_capacity, epoch),
+        }
+    }
+
+    /// Records the ledger of one batch job (per-query counters go through
+    /// [`WorkerCounters::record`] as for any other query).
+    pub(crate) fn record_batch(&self, accounting: &BatchAccounting) {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.batch_queries
+            .fetch_add(accounting.queries as u64, Ordering::Relaxed);
+        self.batch_unique_pages
+            .fetch_add(accounting.unique_pages, Ordering::Relaxed);
+        self.batch_sequential_pages
+            .fetch_add(accounting.sequential_pages, Ordering::Relaxed);
+    }
+
+    /// Records one served query: cost counters, the end-to-end latency
+    /// sample, and its queue-wait / execution stage samples (the reply
+    /// stage is recorded separately, once the send returned).
+    pub(crate) fn record(
+        &self,
+        served: &QueryResponse,
+        queue_wait: Duration,
+        execution: Duration,
+        latency: Duration,
+    ) {
+        let (stats, routing) = (&served.stats, served.routing);
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.node_accesses
+            .fetch_add(stats.data_tree.logical, Ordering::Relaxed);
+        self.io.fetch_add(stats.data_tree.io, Ordering::Relaxed);
+        self.dist_computations
+            .fetch_add(stats.dist_computations, Ordering::Relaxed);
+        self.busy_nanos.fetch_add(
+            u64::try_from(execution.as_nanos()).unwrap_or(u64::MAX),
+            Ordering::Relaxed,
+        );
+        if routing.consulted <= 1 {
+            self.single_shard_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        self.shards_consulted
+            .fetch_add(u64::from(routing.consulted), Ordering::Relaxed);
+        self.latency.record(latency);
+        self.stages.queue_wait.record(queue_wait);
+        self.stages.execution.record(execution);
+    }
+
+    /// Records a request shed at the dequeue stamp `at`: the fault counter
+    /// plus its shed-wait stage sample and flight-recorder event.
+    pub(crate) fn record_shed(&self, at: Instant, waited: Duration) {
+        self.shed.fetch_add(1, Ordering::Relaxed);
+        self.stages.shed_wait.record(waited);
+        self.flight
+            .record_at(at, FlightEventKind::Shed, duration_nanos(waited));
+    }
+
+    fn snapshot(&self, worker: usize, shard: usize) -> WorkerSnapshot {
+        WorkerSnapshot {
+            worker,
+            shard,
+            queries: self.queries.load(Ordering::Relaxed),
+            node_accesses: self.node_accesses.load(Ordering::Relaxed),
+            io: self.io.load(Ordering::Relaxed),
+            dist_computations: self.dist_computations.load(Ordering::Relaxed),
+            busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+/// Point-in-time counters of one worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WorkerSnapshot {
+    /// Worker index (0-based, global across pools).
+    pub worker: usize,
+    /// The shard pool this worker serves.
+    pub shard: usize,
+    /// Queries served by this worker.
+    pub queries: u64,
+    /// Logical node accesses performed (the paper's NA metric).
+    pub node_accesses: u64,
+    /// Simulated I/O (equals `node_accesses`: worker cursors are unbuffered).
+    pub io: u64,
+    /// Distance evaluations (CPU proxy).
+    pub dist_computations: u64,
+    /// Total wall time spent executing queries (queue wait excluded).
+    pub busy: Duration,
+}
+
+/// Point-in-time routing/serving counters of one shard pool.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Shard index.
+    pub shard: usize,
+    /// Requests the router queued on this pool.
+    pub routed: u64,
+    /// Queries served by this pool's workers.
+    pub queries: u64,
+    /// Served queries that consulted only this pool's own shard (the
+    /// routing-hit metric).
+    pub single_shard_hits: u64,
+    /// Total shards consulted across this pool's served queries
+    /// (`/ queries` = average fan-out of the cross-shard merge).
+    pub shards_consulted: u64,
+    /// Response-latency histogram of this pool alone (same contract as
+    /// [`ServiceStats::latency`]): exposes a hot shard the merged histogram
+    /// averages away.
+    pub latency: LatencySnapshot,
+}
+
+/// Aggregated service counters: per-worker and per-shard snapshots, their
+/// totals, and the merged latency histogram.
+#[derive(Debug, Clone)]
+pub struct ServiceStats {
+    /// The snapshot generation currently published (1 at start; each
+    /// publish bumps it). A response carries the generation that served it
+    /// in [`gnn_core::QueryResponse::generation`].
+    pub generation: u64,
+    /// Total queries served.
+    pub queries_served: u64,
+    /// Total logical node accesses — comparable 1:1 with a sequential run
+    /// of the same workload on the same snapshot.
+    pub node_accesses: u64,
+    /// Total simulated I/O.
+    pub io: u64,
+    /// Total distance evaluations.
+    pub dist_computations: u64,
+    /// Served queries that needed only their primary shard.
+    pub single_shard_hits: u64,
+    /// Batch jobs executed (each per-shard sub-batch of a batch submission
+    /// counts once).
+    pub batches: u64,
+    /// Queries served as batch members
+    /// ([`ServiceStats::mean_batch_size`] = this / `batches`).
+    pub batch_queries: u64,
+    /// Distinct pages touched, summed over executed batches — what one
+    /// shared traversal per batch would have read.
+    pub batch_unique_pages: u64,
+    /// Sum of per-query node accesses across all batched queries — what
+    /// they did cost, each descending from the root
+    /// ([`ServiceStats::shared_read_savings`] is the gap).
+    pub batch_sequential_pages: u64,
+    /// Panics, respawns, shed requests, and missed deadlines across all
+    /// workers. Panicked queries are **not** in `queries_served`.
+    pub faults: FaultLedger,
+    /// Per-worker breakdown (length = total workers across pools).
+    pub per_worker: Vec<WorkerSnapshot>,
+    /// Per-shard routing/serving breakdown (length = shard count).
+    pub per_shard: Vec<ShardStats>,
+    /// Merged response-latency histogram. Samples measure **submit →
+    /// response** — queueing plus execution — so an overloaded service
+    /// shows its backlog in the tail (the open-loop contract).
+    pub latency: LatencySnapshot,
+    /// Queue-wait, execution, and reply histograms of the served traffic
+    /// (each counts `queries_served`), plus the shed-wait histogram of
+    /// requests shed at dequeue.
+    pub stages: StageSnapshot,
+    /// Merged flight-recorder timeline: every worker's ring plus the
+    /// control (publishes) and refresh-driver rings, sorted by timestamp,
+    /// with the count of events dropped to ring overflow.
+    pub flight: FlightLog,
+    /// The SIMD dispatch level the distance kernels ran at: `"avx2+fma"`,
+    /// `"sse2"` or `"scalar"` ([`gnn_geom::SimdLevel::label`]) — so
+    /// exported metrics name the ISA they were measured on.
+    pub simd_level: &'static str,
+}
+
+impl ServiceStats {
+    /// Fraction of served queries answered by a single shard (1.0 for an
+    /// unsharded service; `None` before any query completed).
+    pub fn single_shard_fraction(&self) -> Option<f64> {
+        (self.queries_served > 0)
+            .then(|| self.single_shard_hits as f64 / self.queries_served as f64)
+    }
+
+    /// Mean queries per executed sub-batch (`None` before any batch ran).
+    pub fn mean_batch_size(&self) -> Option<f64> {
+        (self.batches > 0).then(|| self.batch_queries as f64 / self.batches as f64)
+    }
+
+    /// Fraction of page reads a shared traversal would save over the
+    /// per-query execution the batches got: `1 - unique / sequential`
+    /// across all batches (`None` before any batched query ran).
+    pub fn shared_read_savings(&self) -> Option<f64> {
+        (self.batch_sequential_pages > 0)
+            .then(|| 1.0 - self.batch_unique_pages as f64 / self.batch_sequential_pages as f64)
+    }
+}
+
+/// Aggregates every pool's counters plus the non-worker flight `rings`
+/// (control, driver) into one [`ServiceStats`].
+pub(crate) fn collect(
+    generation: u64,
+    pools: &[Pool],
+    mut rings: Vec<RingSnapshot>,
+) -> ServiceStats {
+    let mut stats = ServiceStats {
+        generation,
+        queries_served: 0,
+        node_accesses: 0,
+        io: 0,
+        dist_computations: 0,
+        single_shard_hits: 0,
+        batches: 0,
+        batch_queries: 0,
+        batch_unique_pages: 0,
+        batch_sequential_pages: 0,
+        faults: FaultLedger::default(),
+        per_worker: Vec::new(),
+        per_shard: Vec::new(),
+        latency: LatencySnapshot::empty(),
+        stages: StageSnapshot::empty(),
+        flight: FlightLog::empty(),
+        simd_level: gnn_geom::simd::dispatch_level().label(),
+    };
+    for (shard, pool) in pools.iter().enumerate() {
+        let counters = &pool.counters;
+        let mut pool = ShardStats {
+            shard,
+            routed: pool.routed.load(Ordering::Relaxed),
+            queries: 0,
+            single_shard_hits: 0,
+            shards_consulted: 0,
+            latency: LatencySnapshot::empty(),
+        };
+        for c in counters {
+            let worker = c.snapshot(stats.per_worker.len(), shard);
+            stats.queries_served += worker.queries;
+            stats.node_accesses += worker.node_accesses;
+            stats.io += worker.io;
+            stats.dist_computations += worker.dist_computations;
+            stats.per_worker.push(worker);
+            pool.queries += worker.queries;
+            pool.single_shard_hits += c.single_shard_hits.load(Ordering::Relaxed);
+            pool.shards_consulted += c.shards_consulted.load(Ordering::Relaxed);
+            stats.batches += c.batches.load(Ordering::Relaxed);
+            stats.batch_queries += c.batch_queries.load(Ordering::Relaxed);
+            stats.batch_unique_pages += c.batch_unique_pages.load(Ordering::Relaxed);
+            stats.batch_sequential_pages += c.batch_sequential_pages.load(Ordering::Relaxed);
+            stats.faults.panics += c.panics.load(Ordering::Relaxed);
+            stats.faults.respawns += c.respawns.load(Ordering::Relaxed);
+            stats.faults.shed += c.shed.load(Ordering::Relaxed);
+            stats.faults.deadline_missed += c.deadline_missed.load(Ordering::Relaxed);
+            pool.latency.merge(&c.latency.snapshot());
+            stats.stages.merge(&c.stages.snapshot());
+            rings.push(c.flight.snapshot());
+        }
+        stats.single_shard_hits += pool.single_shard_hits;
+        stats.latency.merge(&pool.latency);
+        stats.per_shard.push(pool);
+    }
+    stats.flight = FlightLog::merge(rings);
+    stats
+}

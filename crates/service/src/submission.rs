@@ -3,7 +3,7 @@
 //! Everything a caller can hand to [`Service::submit`](crate::Service::submit)
 //! is (convertible into) a [`Submission`]: a prepared [`QueryRequest`], a
 //! builder-described group query ([`Submission::group`]), or a
-//! shared-traversal batch ([`Submission::batch`]). Each builder accepts
+//! Hilbert-ordered batch ([`Submission::batch`]). Each builder accepts
 //! `.blocking(false)` to turn backpressure into a
 //! [`SubmitError::QueueFull`] instead of blocking — the open-loop
 //! load-generator contract — and every failure mode comes back through the
@@ -26,19 +26,17 @@ use std::fmt;
 use std::time::Duration;
 
 /// A typed per-query failure delivered **through a [`ResponseHandle`]**:
-/// the request was accepted, but the serving engine could not (or chose
-/// not to) produce a result for it. Other requests — including the rest of
-/// the same batch — are unaffected; a query error is a response, never a
-/// lost reply.
+/// the request was accepted, but no result was produced for it. Other
+/// requests — including the rest of the same batch — are unaffected; a
+/// query error is a response, never a lost reply.
 ///
 /// [`ResponseHandle`]: crate::ResponseHandle
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryError {
-    /// The worker panicked while executing this query. The supervisor
-    /// answers the in-flight request with this error, respawns the
-    /// worker's state (fresh cursors + scratch), and keeps serving — pool
-    /// capacity is invariant under panics. Counted in the fault ledger
-    /// ([`FaultLedger::panics`](crate::FaultLedger)).
+    /// The worker panicked while executing this query. It answers the
+    /// in-flight request with this error, rebuilds its state (fresh cursors
+    /// and scratch), and keeps serving. Counted in
+    /// [`FaultLedger::panics`](crate::FaultLedger).
     WorkerPanicked,
     /// The request's [`deadline`](QueryRequest::deadline) had already
     /// expired when a worker dequeued it, so it was shed instead of
@@ -73,10 +71,9 @@ pub enum SubmitError {
     /// still answered.
     Shutdown,
     /// A worker disappeared before answering: the reply channel died with
-    /// responses still owed. With supervision this indicates a dropped
-    /// job during teardown, not a panic — a
-    /// panic inside a query comes back as
-    /// [`SubmitError::Query`]`(`[`QueryError::WorkerPanicked`]`)` instead.
+    /// responses still owed — a job dropped during teardown, not a panic
+    /// (that comes back as
+    /// [`SubmitError::Query`]`(`[`QueryError::WorkerPanicked`]`)`).
     WorkerDied,
     /// The submission's point set does not form a valid query group
     /// (e.g. empty).
@@ -84,16 +81,6 @@ pub enum SubmitError {
     /// The request was accepted but answered with a typed per-query error
     /// (panic or deadline shed) instead of a result.
     Query(QueryError),
-}
-
-impl SubmitError {
-    /// Whether the error means the service (or the serving worker) is
-    /// unavailable — an orderly [`SubmitError::Shutdown`] or a
-    /// [`SubmitError::WorkerDied`] failure — as opposed to backpressure,
-    /// a bad request, or a typed per-query error.
-    pub fn is_unavailable(&self) -> bool {
-        matches!(self, SubmitError::Shutdown | SubmitError::WorkerDied)
-    }
 }
 
 impl fmt::Display for SubmitError {
@@ -116,16 +103,7 @@ impl From<QueryGroupError> for SubmitError {
     }
 }
 
-impl From<QueryError> for SubmitError {
-    fn from(e: QueryError) -> Self {
-        SubmitError::Query(e)
-    }
-}
-
-/// A batch wait that could not complete — but did not lose what it had:
-/// every response received before the failure is handed back in
-/// `received`, indexed by submission order.
-///
+/// A batch wait that could not complete — but did not lose what it had.
 /// Returned by [`ResponseHandle::wait_all`](crate::ResponseHandle::wait_all)
 /// when any request of the batch resolved to a typed [`QueryError`] or the
 /// reply channel died. `error` is the **first** failure in submission
@@ -156,7 +134,7 @@ impl fmt::Display for WaitError {
 impl std::error::Error for WaitError {}
 
 /// One unit of work for [`Service::submit`](crate::Service::submit): a
-/// single request, a group query, or a shared-traversal batch.
+/// single request, a group query, or a batch.
 ///
 /// Constructed through [`Submission::request`], the [`Submission::group`] /
 /// [`Submission::batch`] builders, or `From<QueryRequest>` — and
@@ -174,8 +152,8 @@ pub(crate) enum SubmissionKind {
     Request(QueryRequest),
     /// A group query resolved against the service defaults at submit time.
     Group(GroupSubmission),
-    /// A shared-traversal batch (see [`gnn_core::batch`]): routed into
-    /// per-shard sub-batches, each executed as one Hilbert-ordered pass.
+    /// A batch: routed into per-shard sub-batches, each one job whose
+    /// members run in Hilbert order (see [`gnn_core::batch`]).
     Batch(Vec<QueryRequest>),
 }
 
@@ -209,10 +187,10 @@ impl Submission {
     }
 
     /// Starts a batch submission: the requests are routed to their shards,
-    /// each shard's sub-batch is executed as **one shared-traversal pass**
-    /// (Hilbert-ordered, upper-level pages read once — see
-    /// [`gnn_core::batch`]), and the returned handle yields every response,
-    /// indexed by submission order
+    /// each shard's sub-batch runs as a **Hilbert-ordered batch with a
+    /// distinct-page ledger** (every member still descends from the root —
+    /// see [`gnn_core::batch`]), and the returned handle yields every
+    /// response, indexed by submission order
     /// ([`ResponseHandle::wait_all`](crate::ResponseHandle::wait_all)).
     pub fn batch(requests: impl IntoIterator<Item = QueryRequest>) -> BatchSubmission {
         BatchSubmission {
@@ -353,10 +331,9 @@ impl BatchSubmission {
     /// Sets whether the submission blocks on a full queue (`true`, the
     /// default) or fails fast with [`SubmitError::QueueFull`] (`false`).
     ///
-    /// For a non-blocking batch, sub-batches already queued when a later
-    /// sub-batch hits a full queue still execute; their responses are
-    /// discarded along with the failed handle. Treat a non-blocking batch
-    /// rejection as dropping the whole batch.
+    /// Sub-batches already queued when a later one hits a full queue still
+    /// execute, their responses discarded with the failed handle: treat a
+    /// non-blocking batch rejection as dropping the whole batch.
     pub fn blocking(mut self, blocking: bool) -> BatchSubmission {
         self.blocking = blocking;
         self
@@ -364,9 +341,8 @@ impl BatchSubmission {
 
     /// Sets a queue-wait deadline on every request of the batch (see
     /// [`QueryRequest::deadline`]). Sheds apply per request: expired
-    /// members are answered with
-    /// [`QueryError::DeadlineExceeded`] while the rest of the sub-batch
-    /// still executes as one shared pass.
+    /// members are answered with [`QueryError::DeadlineExceeded`] while
+    /// the rest of the sub-batch still executes.
     pub fn deadline(mut self, deadline: Duration) -> BatchSubmission {
         for request in &mut self.requests {
             request.deadline = Some(deadline);
@@ -377,9 +353,7 @@ impl BatchSubmission {
 
 impl From<GroupSubmission> for Submission {
     fn from(group: GroupSubmission) -> Self {
-        // Deferred resolution: the builder is carried whole so the service
-        // can fill unset fields from its configured defaults at submit
-        // time.
+        // Carried whole: the service fills unset fields at submit time.
         Submission {
             blocking: group.blocking,
             kind: SubmissionKind::Group(group),

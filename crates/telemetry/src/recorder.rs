@@ -47,8 +47,8 @@ pub enum FlightEventKind {
     /// A request was shed at dequeue (deadline already expired). Payload =
     /// how long it had waited, in nanoseconds.
     Shed,
-    /// Query (or batch pass) execution started. Payload = requests in the
-    /// pass.
+    /// One query started executing (a batch job logs one per member, in
+    /// the order they run). Payload = 1.
     ExecStart,
     /// Execution completed normally. Payload = execution nanoseconds.
     ExecEnd,
@@ -203,9 +203,12 @@ impl FlightRecorder {
         self.epoch
     }
 
-    /// Records an event stamped "now".
+    /// Records an event stamped "now". A disabled ring does not read the
+    /// clock.
     pub fn record(&self, kind: FlightEventKind, payload: u64) {
-        self.record_at(Instant::now(), kind, payload);
+        if self.enabled() {
+            self.record_at(Instant::now(), kind, payload);
+        }
     }
 
     /// Records an event with an explicit timestamp — how a worker logs an

@@ -1,8 +1,8 @@
 //! A miniature GNN query server: freeze a snapshot, start a 4-worker
 //! service, and stream an open-loop §5.1 workload through it, reporting
 //! throughput, tail latency, and the paper's node-access metric — then
-//! replay a hotspot burst workload as shared-traversal batches and report
-//! what the batch executor saved.
+//! replay a hotspot burst workload as Hilbert-ordered batches and report
+//! their distinct-page ledger.
 //!
 //! ```text
 //! cargo run --release --example query_server
@@ -16,7 +16,8 @@
 //! and the tail percentiles show it. The batched phase uses
 //! [`gnn::datasets::batched_arrivals`]: bursts of hotspot queries arriving
 //! together, submitted through [`Submission::batch`] so each burst runs as
-//! one Hilbert-ordered pass over shared upper-level pages.
+//! one Hilbert-ordered job with a distinct-page ledger (every query still
+//! descends from the root; the ledger says what sharing reads would save).
 //!
 //! A final overload probe sheds a burst of zero-deadline queries, then the
 //! report prints the telemetry the service kept while serving: per-stage
@@ -89,7 +90,7 @@ fn main() {
     let wall = started.elapsed();
 
     // 4. A hotspot burst phase: 192 skewed queries arriving in bursts of
-    //    16, each burst submitted as ONE shared-traversal batch.
+    //    16, each burst submitted as ONE Hilbert-ordered batch.
     let hotspot = HotspotSpec {
         query: QuerySpec {
             n: 64,
@@ -164,8 +165,8 @@ fn main() {
         total_na
     );
     println!(
-        "batches: {} executed, mean size {:.1}, shared reads saved {:.1}% \
-         ({} unique vs {} as-if-sequential pages)",
+        "batches: {} executed, mean size {:.1}, a shared traversal would save {:.1}% \
+         ({} distinct vs {} as-if-sequential pages)",
         stats.batches,
         stats.mean_batch_size().unwrap_or(0.0),
         stats.shared_read_savings().unwrap_or(0.0) * 100.0,

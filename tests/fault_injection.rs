@@ -5,7 +5,7 @@
 //! capacity is invariant; expired requests are shed at dequeue with
 //! [`QueryError::DeadlineExceeded`]; and every query a fault did *not*
 //! touch stays bit-identical to the sequential reference — on any worker
-//! count, sharded or not, and across a mid-batch panic-resume.
+//! count, sharded or not, and across a mid-batch panic.
 
 use gnn::core::QueryScratch;
 use gnn::datasets::{query_workload, QuerySpec};
@@ -55,12 +55,15 @@ fn workload(workspace: Rect, count: usize, seed: u64) -> Vec<QueryRequest> {
 fn references(snapshot: &ShardedSnapshot, requests: &[QueryRequest]) -> Vec<Vec<(u64, u64)>> {
     let planner = Planner::new();
     let cursors: Vec<TreeCursor<'_>> = snapshot.shards().iter().map(|s| s.cursor()).collect();
+    let target = Target::Sharded {
+        snapshot,
+        cursors: &cursors,
+    };
     let mut scratch = QueryScratch::new();
     requests
         .iter()
         .map(|r| {
-            let (_, neighbors, _, _) =
-                r.execute_sharded_in(&planner, snapshot, &cursors, &mut scratch);
+            let (_, neighbors, _, _) = r.execute_on(&planner, &target, &mut scratch);
             fingerprint(neighbors)
         })
         .collect()
@@ -151,9 +154,10 @@ fn worker_panics_are_typed_and_respawn_restores_capacity() {
     }
 }
 
-/// Satellite (d): a shared-traversal batch whose K-th executed query
-/// panics must answer every other query exactly once — the aborted pass's
-/// survivors are re-run as a fresh pass, bit-identical to the reference.
+/// Satellite (d): a batch whose K-th executed member panics — the first,
+/// a middle one, the last — must answer every other member exactly once,
+/// bit-identical to the reference: the worker respawns in place and carries
+/// on with the members still to run.
 #[test]
 fn mid_batch_panic_answers_every_other_query_exactly_once() {
     gnn::service::silence_injected_panics();
@@ -163,37 +167,53 @@ fn mid_batch_panic_answers_every_other_query_exactly_once() {
     let requests = workload(tree.root_mbr(), 8, 1234);
     let reference = references(&snapshot, &requests);
 
-    let service = Service::start_sharded(
-        Arc::clone(&snapshot),
-        ServiceConfig {
-            workers: 1,
-            fault_plan: FaultPlan::none().panic_on(0, 3),
-            ..ServiceConfig::default()
-        },
-    );
-    let handle = service
-        .submit(Submission::batch(requests.clone()))
-        .expect("batch submitted");
-    let outcomes = handle.wait_each();
-    assert_eq!(outcomes.len(), 8);
-    let mut panicked = 0u64;
-    for (i, outcome) in outcomes.iter().enumerate() {
-        match outcome {
-            Ok(r) => assert_eq!(
-                fingerprint(&r.neighbors),
-                reference[i],
-                "batch member {i} diverged after the panic-resume"
-            ),
-            Err(SubmitError::Query(QueryError::WorkerPanicked)) => panicked += 1,
-            Err(e) => panic!("unexpected outcome for batch member {i}: {e:?}"),
-        }
-    }
-    assert_eq!(panicked, 1, "exactly the in-flight query fails");
+    for nth in [1u64, 3, 8] {
+        let service = Service::start_sharded(
+            Arc::clone(&snapshot),
+            ServiceConfig {
+                workers: 1,
+                fault_plan: FaultPlan::none().panic_on(0, nth),
+                ..ServiceConfig::default()
+            },
+        );
+        let handle = service
+            .submit(Submission::batch(requests.clone()))
+            .expect("batch submitted");
+        let outcomes = handle.wait_each();
+        // Everything the job counted is visible the moment its last reply
+        // is: the ledger restarted at the respawn, so it covers exactly the
+        // members that ran after the victim (none, when that was the last).
+        let at_reply = service.stats();
+        assert_eq!(at_reply.faults.panics, 1, "panic on member {nth}");
+        assert_eq!(at_reply.faults.respawns, 1, "panic on member {nth}");
+        assert_eq!(at_reply.queries_served, 7, "panic on member {nth}");
+        assert_eq!(at_reply.batch_queries, 8 - nth, "panic on member {nth}");
+        assert_eq!(
+            at_reply.batches,
+            u64::from(nth < 8),
+            "panic on member {nth}"
+        );
 
-    let stats = service.shutdown();
-    assert_eq!(stats.faults.panics, 1);
-    assert_eq!(stats.faults.respawns, 1);
-    assert_eq!(stats.queries_served, 7);
+        assert_eq!(outcomes.len(), 8);
+        let mut panicked = 0u64;
+        for (i, outcome) in outcomes.iter().enumerate() {
+            match outcome {
+                Ok(r) => assert_eq!(
+                    fingerprint(&r.neighbors),
+                    reference[i],
+                    "batch member {i} diverged after the panic-resume"
+                ),
+                Err(SubmitError::Query(QueryError::WorkerPanicked)) => panicked += 1,
+                Err(e) => panic!("unexpected outcome for batch member {i}: {e:?}"),
+            }
+        }
+        assert_eq!(panicked, 1, "exactly the in-flight query fails");
+
+        let stats = service.shutdown();
+        assert_eq!(stats.faults.panics, 1);
+        assert_eq!(stats.faults.respawns, 1);
+        assert_eq!(stats.queries_served, 7);
+    }
 }
 
 /// Satellite (c): `wait_all` on a batch with one failed member returns the

@@ -164,3 +164,52 @@ fn network_queries_carry_stage_traces() {
     }
     service.shutdown();
 }
+
+/// A network service has no Euclidean snapshot: every publish entry, the
+/// snapshot getters and the refresh driver refuse it (the way they refuse a
+/// shard-count change), and its generation — hence every response's tag —
+/// stays 1.
+#[test]
+fn publish_and_refresh_refuse_a_network_service() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let (network, backend) = build_backend(9);
+    let service = Arc::new(Service::start_network(
+        Arc::clone(&backend) as Arc<dyn NetworkBackend>,
+        ServiceConfig::with_workers(1),
+    ));
+    let entries: Vec<LeafEntry> = (0..32)
+        .map(|i| LeafEntry::new(PointId(i), Point::new(i as f64, 1.0)))
+        .collect();
+    let tree = ShardedTree::build(RTreeParams::default(), entries, 1);
+    let sharded = Arc::new(tree.freeze_all());
+    let single = Arc::clone(sharded.shard(0));
+
+    let refused = |entry: &dyn Fn()| catch_unwind(AssertUnwindSafe(entry)).is_err();
+    assert!(refused(&|| {
+        service.publish(Arc::clone(&single));
+    }));
+    assert!(refused(&|| {
+        service.publish_sharded(Arc::clone(&sharded));
+    }));
+    assert!(refused(&|| {
+        service.try_publish_sharded(Arc::clone(&sharded));
+    }));
+    assert!(refused(&|| drop(service.snapshot())));
+    assert!(refused(&|| drop(service.sharded_snapshot())));
+    let policy = gnn::service::RefreshPolicy::default();
+    assert!(catch_unwind(AssertUnwindSafe(|| {
+        RefreshDriver::start(tree, Arc::clone(&service), policy)
+    }))
+    .is_err());
+
+    assert_eq!(service.generation(), 1, "a refused publish bumped it");
+    for request in mixed_requests(&network, 6, 0xD1CE) {
+        let r = service.submit(request).unwrap().wait().unwrap();
+        assert_eq!(r.generation, 1);
+    }
+    let stats = Arc::try_unwrap(service)
+        .expect("no driver holds the service")
+        .shutdown();
+    assert_eq!(stats.generation, 1);
+    assert_eq!(stats.queries_served, 6);
+}

@@ -27,8 +27,11 @@ fn reference(snapshot: &ShardedSnapshot, request: &QueryRequest) -> Vec<(u64, u6
     let planner = Planner::new();
     let cursors: Vec<TreeCursor<'_>> = snapshot.shards().iter().map(|s| s.cursor()).collect();
     let mut scratch = QueryScratch::new();
-    let (_, neighbors, _, _) =
-        request.execute_sharded_in(&planner, snapshot, &cursors, &mut scratch);
+    let target = Target::Sharded {
+        snapshot,
+        cursors: &cursors,
+    };
+    let (_, neighbors, _, _) = request.execute_on(&planner, &target, &mut scratch);
     fingerprint(neighbors)
 }
 

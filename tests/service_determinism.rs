@@ -70,7 +70,8 @@ fn interleaved_workload_is_identical_on_1_2_and_8_workers() {
     let mut reference: Vec<Fingerprint> = Vec::with_capacity(requests.len());
     let mut reference_na_total = 0u64;
     for req in &requests {
-        let (choice, neighbors, stats) = req.execute_in(&planner, &cursor, &mut scratch);
+        let (choice, neighbors, stats, _) =
+            req.execute_on(&planner, &Target::Single(&cursor), &mut scratch);
         reference_na_total += stats.data_tree.logical;
         reference.push(fingerprint(neighbors, stats.data_tree.logical, choice));
     }

@@ -299,20 +299,23 @@ fn trace_flag_adds_no_scratch_growth() {
     let requests = workload(&snapshot, 10, 43);
     let planner = Planner::new();
     let cursors: Vec<TreeCursor<'_>> = snapshot.shards().iter().map(|s| s.cursor()).collect();
+    let target = Target::Sharded {
+        snapshot: &snapshot,
+        cursors: &cursors,
+    };
     let mut scratch = QueryScratch::new();
 
     // Warm on untraced requests, twice (amortised growth settles).
     for _ in 0..2 {
         for r in &requests {
-            r.execute_sharded_in(&planner, &snapshot, &cursors, &mut scratch);
+            r.execute_on(&planner, &target, &mut scratch);
         }
     }
     let profile = scratch.capacity_profile();
     let reference: Vec<Vec<(u64, u64)>> = requests
         .iter()
         .map(|r| {
-            let (_, neighbors, _, _) =
-                r.execute_sharded_in(&planner, &snapshot, &cursors, &mut scratch);
+            let (_, neighbors, _, _) = r.execute_on(&planner, &target, &mut scratch);
             neighbors
                 .iter()
                 .map(|n| (n.id.0, n.dist.to_bits()))
@@ -323,8 +326,7 @@ fn trace_flag_adds_no_scratch_growth() {
     for (i, r) in requests.iter().enumerate() {
         let traced = r.clone().with_trace();
         assert!(traced.trace);
-        let (_, neighbors, _, _) =
-            traced.execute_sharded_in(&planner, &snapshot, &cursors, &mut scratch);
+        let (_, neighbors, _, _) = traced.execute_on(&planner, &target, &mut scratch);
         let got: Vec<(u64, u64)> = neighbors
             .iter()
             .map(|n| (n.id.0, n.dist.to_bits()))

@@ -1,9 +1,11 @@
 //! `k = 0` is a malformed but harmless request: every execution surface must
 //! answer it with an empty neighbor list and zero cost counters **before any
 //! page is read** — never by panicking (under the service that used to be a
-//! caught worker panic and a respawn).
+//! caught worker panic and a respawn). The other end of the range, `k = N + 1`,
+//! is answered with all `N` points through every service surface.
 
-use gnn::network::{NetworkSnapshot, RoadNetwork, VertexId};
+use gnn::core::baseline::linear_scan_points;
+use gnn::network::{NetworkIer, NetworkSnapshot, RoadNetwork, VertexId};
 use gnn::prelude::*;
 use std::sync::Arc;
 
@@ -66,9 +68,9 @@ fn execute_on_answers_k_zero_without_reading_a_page() {
     }
 
     // The scratch keeps serving ordinary requests afterwards.
-    let (_, neighbors, _) = QueryRequest::new(group(Aggregate::Sum), 3).execute_in(
+    let (_, neighbors, ..) = QueryRequest::new(group(Aggregate::Sum), 3).execute_on(
         &planner,
-        &packed.cursor(),
+        &Target::Single(&packed.cursor()),
         &mut scratch,
     );
     assert_eq!(neighbors.len(), 3);
@@ -129,4 +131,111 @@ fn service_replies_ok_to_k_zero_without_a_worker_panic() {
         assert_eq!(stats.faults.respawns, 0);
         assert_eq!(stats.queries_served, ALGOS.len() as u64 + 4);
     }
+}
+
+fn dist_bits(neighbors: &[Neighbor]) -> Vec<u64> {
+    neighbors.iter().map(|n| n.dist.to_bits()).collect()
+}
+
+fn sorted_ids(neighbors: &[Neighbor]) -> Vec<u64> {
+    let mut ids: Vec<u64> = neighbors.iter().map(|n| n.id.0).collect();
+    ids.sort_unstable();
+    ids
+}
+
+#[test]
+fn service_answers_k_beyond_the_data_with_every_point() {
+    let side = 6;
+    let tree = lattice_tree(side);
+    let n = side * side;
+    let points: Vec<Point> = (0..n)
+        .map(|i| Point::new((i % side) as f64, (i / side) as f64))
+        .collect();
+    let everyone: Vec<u64> = (0..n as u64).collect();
+
+    for service in [
+        Service::start(Arc::new(tree.freeze()), ServiceConfig::with_workers(1)),
+        Service::start_sharded(
+            Arc::new(tree.freeze_sharded(2)),
+            ServiceConfig::with_workers(2),
+        ),
+    ] {
+        let mut served = 0u64;
+        for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
+            // The lattice is full of ties: ranks compare by distance bits,
+            // the answer as a whole by its id set.
+            let want = linear_scan_points(&points, &group(agg), n + 1).neighbors;
+            assert_eq!(want.len(), n);
+            for algo in ALGOS {
+                let reply = service
+                    .submit(QueryRequest::with_algo(group(agg), n + 1, algo))
+                    .expect("submitted")
+                    .wait()
+                    .expect("k = N + 1 is answered, not failed");
+                assert_eq!(
+                    dist_bits(&reply.neighbors),
+                    dist_bits(&want),
+                    "{algo:?} {agg}"
+                );
+                assert_eq!(sorted_ids(&reply.neighbors), everyone, "{algo:?} {agg}");
+                served += 1;
+            }
+            // The same through a batch, beside an ordinary member.
+            let replies = service
+                .submit(Submission::batch([
+                    QueryRequest::new(group(agg), n + 1),
+                    QueryRequest::new(group(agg), 2),
+                ]))
+                .expect("batch submitted")
+                .wait_all()
+                .expect("batch served");
+            assert_eq!(dist_bits(&replies[0].neighbors), dist_bits(&want), "{agg}");
+            assert_eq!(dist_bits(&replies[1].neighbors), dist_bits(&want[..2]));
+            served += 2;
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.faults.panics, 0);
+        assert_eq!(stats.queries_served, served);
+    }
+}
+
+#[test]
+fn network_service_answers_k_beyond_the_data_with_every_data_vertex() {
+    let network = RoadNetwork::grid(8, 8, 0.25, 3);
+    let data: Vec<VertexId> = (0..network.vertex_count() as u32)
+        .step_by(5)
+        .map(VertexId)
+        .collect();
+    let query = [VertexId(9), VertexId(30), VertexId(52)];
+    let positions: Vec<Point> = query.iter().map(|&v| network.position(v)).collect();
+    let backend = Arc::new(NetworkSnapshot::new(network.freeze(), data.clone()));
+    let service = Service::start_network(
+        backend as Arc<dyn NetworkBackend>,
+        ServiceConfig::with_workers(1),
+    );
+    let k = data.len() + 1;
+    let mut served = 0u64;
+    for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
+        // The arena IER refines to completion: the reference ranking.
+        let want = NetworkIer.k_gnn(&network, &data, &query, k, agg).neighbors;
+        assert_eq!(want.len(), data.len(), "the grid is connected");
+        let want_bits: Vec<u64> = want.iter().map(|n| n.dist.to_bits()).collect();
+        for algo in [Algo::Auto, Algo::NetworkTa, Algo::NetworkIer] {
+            let group = QueryGroup::with_aggregate(positions.clone(), agg).unwrap();
+            let sources = NetworkQuery::at_vertices(query.iter().map(|v| v.0).collect());
+            let reply = service
+                .submit(QueryRequest::with_algo(group, k, algo).with_network(sources))
+                .expect("submitted")
+                .wait()
+                .expect("k = N + 1 is answered, not failed");
+            assert_eq!(dist_bits(&reply.neighbors), want_bits, "{algo:?} {agg}");
+            let mut vertices: Vec<u64> = data.iter().map(|v| u64::from(v.0)).collect();
+            vertices.sort_unstable();
+            assert_eq!(sorted_ids(&reply.neighbors), vertices, "{algo:?} {agg}");
+            served += 1;
+        }
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.faults.panics, 0);
+    assert_eq!(stats.queries_served, served);
 }
