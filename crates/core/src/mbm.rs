@@ -23,7 +23,12 @@
 //! * **bounded top-k** ([`Mbm::k_gnn_in`], the paper's Figure 3.6): a heap
 //!   of *nodes only*; a child is pushed only while its key is below
 //!   `best_dist`, a leaf's distances go straight to the [`KBestList`], and
-//!   the loop ends when the popped key reaches `best_dist`;
+//!   the loop ends when the popped key reaches `best_dist`. Once
+//!   `best_dist` is finite a SUM leaf is scored in two steps
+//!   (`filter_leaf`): a rounded-down `f32` bound over the whole page, then
+//!   the exact distance for the entries it could not rule out — the
+//!   paper's reason for keeping heuristic 2 beside heuristic 3, applied to
+//!   leaf entries;
 //! * **incremental** ([`MbmStream`]): yields neighbors in ascending
 //!   `dist(p, Q)` with `k` unknown in advance, so it keeps every child and
 //!   every scored point on its heap — the building block of F-MQM (§4.2)
@@ -128,10 +133,12 @@ impl Mbm {
         } = scratch;
         best.reset(k);
         let mut dist_computations = 0u64;
+        let mut lower_bound_pruned = 0u64;
 
         match self.traversal {
             Traversal::BestFirst if cursor.is_packed() => {
-                dist_computations += self.bounded_top_k(cursor, group, best, mbm);
+                (dist_computations, lower_bound_pruned) =
+                    self.bounded_top_k(cursor, group, best, mbm);
             }
             Traversal::BestFirst => {
                 // Arena reference: the stream ascends, so its first k items
@@ -162,6 +169,7 @@ impl Mbm {
         let stats = QueryStats {
             data_tree: cursor.stats().since(before),
             dist_computations,
+            lower_bound_pruned,
             elapsed: t0.elapsed(),
             ..QueryStats::default()
         };
@@ -172,16 +180,30 @@ impl Mbm {
     /// The paper's best-first MBM (Figure 3.6) over a packed cursor: a heap
     /// of nodes only, children pushed only while their key is below
     /// `best_dist`, leaves scored whole into `best`, and the loop over as
-    /// soon as the smallest pending key reaches `best_dist`. Returns the
-    /// distance evaluations performed.
+    /// soon as the smallest pending key reaches `best_dist`.
+    ///
+    /// A leaf read while `best_dist` is still infinite (the first of a
+    /// query) is scored exactly, every entry — there is nothing to compare
+    /// a bound with. From then on, where the group has a rounded-down `f32`
+    /// bound ([`QueryGroup::lower_bound_weights`]: SUM on the AVX2 tier),
+    /// `filter_leaf` lets it pick the entries that pay for an exact
+    /// distance; what it drops is exactly what [`KBestList::offer`] would
+    /// have refused, so neighbors, distance bits and page reads are those
+    /// of the all-exact loop, which every other aggregate and tier still
+    /// runs.
+    ///
+    /// Returns the exact distance evaluations performed and the leaf
+    /// entries the `f32` bound dropped.
     fn bounded_top_k(
         &self,
         cursor: &TreeCursor<'_>,
         group: &QueryGroup,
         best: &mut KBestList,
         s: &mut MbmScratch,
-    ) -> u64 {
+    ) -> (u64, u64) {
         let mut evals = 0u64;
+        let mut dropped = 0u64;
+        let filter = group.lower_bound_weights(&mut s.narrow_weights);
         s.nodes.clear();
         if !cursor.is_empty() {
             // The root must always be expanded.
@@ -195,6 +217,11 @@ impl Mbm {
                 PageRef::Internal(view) => {
                     evals += s.push_children(&view, group, self.use_h3, best.bound());
                 }
+                PageRef::Leaf(leaf) if filter && best.bound() < f64::INFINITY => {
+                    let kept = filter_leaf(&leaf, group, &s.narrow_weights, &mut s.dists, best);
+                    evals += kept * group.len() as u64;
+                    dropped += leaf.len() as u64 - kept;
+                }
                 PageRef::Leaf(leaf) => {
                     evals += score_leaf(&leaf, group, &mut s.dists);
                     for (e, &dist) in leaf.entries().iter().zip(&s.dists) {
@@ -207,7 +234,7 @@ impl Mbm {
                 }
             }
         }
-        evals
+        (evals, dropped)
     }
 
     /// Opens the incremental best-first stream (always uses heuristic-3
@@ -357,6 +384,47 @@ fn score_leaf(leaf: &LeafRef<'_>, group: &QueryGroup, dists: &mut Vec<f64>) -> u
     (leaf.len() * group.len()) as u64
 }
 
+/// Filter, then verify: scores a packed SUM leaf against a finite
+/// `best_dist`. One `f32` kernel call over the page's own lane-padded
+/// coordinates leaves a lower bound on every entry's `dist(p, Q)` in
+/// `lower`; an entry whose bound already reaches `best.bound()` is dropped
+/// unseen, the others — a non-finite bound (overflowed `f32`, NaN data)
+/// rules nothing out — pay the exact [`QueryGroup::dist`] and are offered in
+/// entry order. `offer` refuses `dist >= bound`, so nothing dropped here
+/// could have entered `best`. Returns how many entries were scored exactly.
+fn filter_leaf(
+    leaf: &LeafRef<'_>,
+    group: &QueryGroup,
+    weights: &[f32],
+    lower: &mut Vec<f64>,
+    best: &mut KBestList,
+) -> u64 {
+    let (xs, ys) = leaf
+        .coords()
+        .expect("pages of a packed cursor carry their SoA coordinates");
+    group.dist_lower_many_padded(xs, ys, leaf.len(), weights, lower);
+    let mut kept = 0u64;
+    for (e, &at_least) in leaf.entries().iter().zip(&*lower) {
+        if at_least.is_finite() && at_least >= best.bound() {
+            // Debug builds re-score every dropped entry: the whole suite
+            // doubles as the bound's soundness test.
+            debug_assert!(
+                group.dist(e.point) >= best.bound(),
+                "f32 bound {at_least:e} dropped {e:?} under best_dist {:e}",
+                best.bound()
+            );
+            continue;
+        }
+        kept += 1;
+        best.offer(Neighbor {
+            id: e.id,
+            point: e.point,
+            dist: group.dist(e.point),
+        });
+    }
+    kept
+}
+
 /// Heap element of the incremental stream. Every key is a lower bound on the
 /// aggregate distance of whatever the element may still produce, so popping
 /// in key order yields neighbors in exact ascending order.
@@ -404,8 +472,9 @@ impl Ord for StreamItem {
 /// Reusable storage of the MBM drivers: the bounded loop's node heap, the
 /// incremental stream's priority queue and distance-computation counter
 /// (which must survive suspend/resume cycles — F-MQM serves its group
-/// streams round-robin through [`MbmStream::resume_in`]), and the two
-/// page-scoring buffers both drivers share.
+/// streams round-robin through [`MbmStream::resume_in`]), the two
+/// page-scoring buffers both drivers share, and the bounded loop's `f32`
+/// weights.
 #[derive(Debug, Default)]
 pub struct MbmScratch {
     /// Bounded top-k: pending nodes by `(key, page id)` — the order nodes
@@ -414,8 +483,12 @@ pub struct MbmScratch {
     heap: BinaryHeap<Reverse<StreamItem>>,
     /// Child keys of the internal page being scored.
     keys: Vec<f64>,
-    /// Exact distances of the leaf being scored.
+    /// Exact distances of the leaf being scored — or, where the bounded
+    /// loop filters first, the `f32` lower bounds on them.
     dists: Vec<f64>,
+    /// Bounded top-k: the group's weights narrowed toward zero for the
+    /// `f32` leaf filter, refilled per query (empty where there is none).
+    narrow_weights: Vec<f32>,
     dist_computations: u64,
 }
 
@@ -427,6 +500,7 @@ impl MbmScratch {
             heap: BinaryHeap::with_capacity(capacity),
             keys: Vec::with_capacity(64),
             dists: Vec::with_capacity(64),
+            narrow_weights: Vec::new(),
             dist_computations: 0,
         }
     }
@@ -441,6 +515,7 @@ impl MbmScratch {
             self.heap.capacity(),
             self.keys.capacity(),
             self.dists.capacity(),
+            self.narrow_weights.capacity(),
         ]
         .into_iter()
     }

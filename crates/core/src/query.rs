@@ -220,6 +220,12 @@ impl QueryGroup {
     /// layout of a packed leaf page's own coordinates — MBM scores a whole
     /// leaf with one call), so the SIMD kernels run full vectors with no
     /// scalar tail; exactly `n` results are written.
+    ///
+    /// For SUM this is the `vsqrtpd`-bound kernel (~1 ns a pair on every
+    /// tier). The bounded MBM loop therefore calls it only while
+    /// `best_dist` is still infinite; once it is finite, a rounded-down
+    /// `f32` bound over the same lanes picks the few entries that pay
+    /// [`QueryGroup::dist`] — the same bits, one entry at a time.
     pub fn dist_many_padded(&self, xs: &[f64], ys: &[f64], n: usize, out: &mut Vec<f64>) {
         let k = gnn_geom::batch::BatchKernels::auto();
         match self.aggregate {
@@ -237,6 +243,56 @@ impl QueryGroup {
                 out.iter_mut().for_each(|v| *v = v.sqrt());
             }
         }
+    }
+
+    /// Arms the rounded-down `f32` leaf filter for this group: `out` is
+    /// refilled with the weights narrowed to `f32` **toward zero** — a
+    /// nearest narrowing may land above the weight, and the bound must not —
+    /// and `true` comes back. `false`, with `out` emptied, when there is no
+    /// such filter: the aggregate is not SUM, or the process dispatches
+    /// below AVX2 (`GNN_FORCE_SCALAR=1` included), where
+    /// [`gnn_geom::batch::BatchKernels::points_weighted_dist_sum_lower_padded`]
+    /// has no kernel. Narrowed per query into caller scratch rather than
+    /// mirrored in the group: a resident `f32` copy cost a 6 000-group pool
+    /// 9 % of its peak RSS.
+    pub(crate) fn lower_bound_weights(&self, out: &mut Vec<f32>) -> bool {
+        out.clear();
+        let available = self.aggregate == Aggregate::Sum
+            && gnn_geom::simd::dispatch_level() == gnn_geom::SimdLevel::Avx2Fma;
+        if available {
+            out.extend(self.wts.iter().map(|&w| {
+                let f = w as f32;
+                if f64::from(f) > w {
+                    // Positive and above a positive weight, so not zero:
+                    // the next float down is one bit pattern below (and
+                    // `f32::MAX` below an overflowed `+∞`).
+                    f32::from_bits(f.to_bits() - 1)
+                } else {
+                    f
+                }
+            }));
+        }
+        available
+    }
+
+    /// Lower bounds on [`QueryGroup::dist_many_padded`] for a SUM group,
+    /// `weights` being what [`QueryGroup::lower_bound_weights`] armed:
+    /// every finite `out[j]` is `<=` the exact `dist(p_j, Q)` (the kernel's
+    /// contract, with its error derivation, is on
+    /// [`gnn_geom::batch::BatchKernels::points_weighted_dist_sum_lower_padded`]);
+    /// a non-finite one says nothing. At `vsqrtps` speed — this is what
+    /// decides which leaf entries pay for the exact fold.
+    pub(crate) fn dist_lower_many_padded(
+        &self,
+        xs: &[f64],
+        ys: &[f64],
+        n: usize,
+        weights: &[f32],
+        out: &mut Vec<f64>,
+    ) {
+        let ran = gnn_geom::batch::BatchKernels::auto()
+            .points_weighted_dist_sum_lower_padded(xs, ys, n, &self.qx, &self.qy, weights, out);
+        debug_assert!(ran, "armed only where the kernel exists");
     }
 
     /// **Cheap node bound** (heuristic 2 shape): a lower bound on
@@ -433,6 +489,38 @@ mod tests {
         assert_eq!(gsum.threshold(&ts), 6.0);
         assert_eq!(gmax.threshold(&ts), 3.0);
         assert_eq!(gmin.threshold(&ts), 1.0);
+    }
+
+    #[test]
+    fn lower_bound_weights_never_exceed_the_weights() {
+        let w = vec![1.0, 0.1, 1e-300, 1e300, 3.5e38, 1e-45, 16_777_217.0];
+        let pts = vec![Point::new(1.0, 2.0); w.len()];
+        let mut narrow = vec![7.0f32];
+        let max = QueryGroup::with_aggregate(pts.clone(), Aggregate::Max).unwrap();
+        assert!(!max.lower_bound_weights(&mut narrow), "SUM only");
+        assert!(narrow.is_empty());
+
+        let sum = QueryGroup::weighted_sum(pts, w.clone()).unwrap();
+        let armed = sum.lower_bound_weights(&mut narrow);
+        assert_eq!(
+            armed,
+            gnn_geom::simd::dispatch_level() == gnn_geom::SimdLevel::Avx2Fma
+        );
+        if armed {
+            assert_eq!(narrow.len(), w.len());
+            for (&f, &w) in narrow.iter().zip(&w) {
+                // Toward zero, and by less than one f32 step where f32
+                // holds the weight at all.
+                assert!(f.is_finite() && f64::from(f) <= w, "{f:e} vs {w:e}");
+                if (1e-37..1e38).contains(&w) {
+                    assert!(f64::from(f) >= w * (1.0 - 2f64.powi(-23)), "{f:e} vs {w:e}");
+                }
+            }
+            assert_eq!(narrow[0], 1.0);
+            assert_eq!(narrow[2], 0.0);
+            assert_eq!(narrow[3], f32::MAX);
+            assert_eq!(narrow[6], 16_777_216.0);
+        }
     }
 
     #[test]

@@ -31,8 +31,18 @@ pub struct QueryStats {
     /// unlike node accesses — it depends on the mechanism: the packed
     /// engine scores whole pages where the arena reference filters and
     /// converts entry by entry, and the two report different counts for
-    /// the same query.
+    /// the same query. **Exact** evaluations only: the pairs the bounded
+    /// MBM loop's rounded-down `f32` leaf filter looks at are not counted
+    /// here (what it drops is counted in
+    /// [`QueryStats::lower_bound_pruned`]), so on large SUM groups under
+    /// AVX2 this reads 3–4× lower than the all-exact loop's count for the
+    /// same pages.
     pub dist_computations: u64,
+    /// Leaf entries the bounded MBM loop dropped on a rounded-down `f32`
+    /// lower bound of `dist(p, Q)`, without computing their exact distance
+    /// (packed SUM queries on the AVX2 tier; `0` everywhere else). Each is
+    /// an entry [`crate::KBestList::offer`] would have refused.
+    pub lower_bound_pruned: u64,
     /// Individual nearest neighbors pulled from NN streams (MQM, F-MQM) or
     /// closest pairs consumed (GCP).
     pub items_pulled: u64,

@@ -207,6 +207,7 @@ fn accumulate(total: &mut QueryStats, shard: &QueryStats) {
     total.query_tree = total.query_tree.merged(shard.query_tree);
     total.query_file_pages += shard.query_file_pages;
     total.dist_computations += shard.dist_computations;
+    total.lower_bound_pruned += shard.lower_bound_pruned;
     total.items_pulled += shard.items_pulled;
     total.heap_watermark = total.heap_watermark.max(shard.heap_watermark);
     total.aborted |= shard.aborted;

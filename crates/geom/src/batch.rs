@@ -326,11 +326,38 @@ pub mod scalar {
     }
 }
 
+/// `(1 − ρ, α)` of [`BatchKernels::points_weighted_dist_sum_lower_padded`]
+/// for the `f32` weights `w`: the factor and the subtrahend that turn the
+/// `f32` sum into a lower bound on the `f64` one.
+#[cfg(target_arch = "x86_64")]
+fn lower_bound_margin(w: &[f32]) -> (f64, f64) {
+    /// `2^e`, `e` in `f64`'s normal exponent range.
+    const fn exp2(e: i64) -> f64 {
+        f64::from_bits(((1023 + e) as u64) << 52)
+    }
+    let n = w.len() as f64;
+    // Four running sums: the total is only a margin, so its association is
+    // free, and one chain of `n` dependent adds would cost a visible share
+    // of a 50-entry page.
+    let mut sums = [0.0f64; 4];
+    for chunk in w.chunks(4) {
+        for (s, &v) in sums.iter_mut().zip(chunk) {
+            *s += f64::from(v);
+        }
+    }
+    let total = (sums[0] + sums[1]) + (sums[2] + sums[3]);
+    (
+        1.0 - (n + 16.0) * exp2(-23),
+        total * exp2(-73) + n * exp2(-149),
+    )
+}
+
 /// Level-pinned handle over the batch kernels.
 ///
 /// All methods produce **bit-identical** results regardless of the level
 /// (the SIMD contract in [`crate::simd`]); the level only changes how fast
-/// they get there. Construct with [`BatchKernels::auto`] in production
+/// they get there — save [`Self::points_weighted_dist_sum_lower_padded`],
+/// which promises an inequality and exists on one level only. Construct with [`BatchKernels::auto`] in production
 /// code; [`BatchKernels::for_level`] exists so benches and tests can
 /// compare levels within one process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -560,6 +587,98 @@ impl BatchKernels {
             },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("non-scalar level on a target without SIMD backends"),
+        }
+    }
+
+    /// A **lower bound** on [`Self::points_weighted_dist_sum_multi_padded`],
+    /// computed in `f32` at twice the lanes and under half the `sqrt` cost:
+    /// every finite `out[j]` satisfies `out[j] <= Σ_i w_i·|p_j q_i|`, the
+    /// right-hand side being the exact `f64` kernel's value for weights
+    /// `f64::from(w[i])` — hence also for any larger `f64` weights, every
+    /// term being non-negative and every `f64` rounding monotone. A
+    /// non-finite `out[j]` (an overflowed `f32`, NaN data) promises nothing:
+    /// the caller must treat that entry as not ruled out. Filter, then
+    /// verify — the bound decides who pays for the exact kernel, it never
+    /// stands in for a distance.
+    ///
+    /// Returns `false`, with `out` left empty, on every level below
+    /// [`SimdLevel::Avx2Fma`]: there is no such kernel there and callers
+    /// score exactly instead.
+    ///
+    /// # The margin
+    ///
+    /// Per pair the kernel takes `dx`, `dy` in `f64` (the operands the exact
+    /// kernel squares), narrows them to `f32`, and runs `s = fma(dx, dx,
+    /// dy·dy)`, `r = √s`, `acc = fma(w, r, acc)`; the result is
+    /// `acc·(1 − ρ) − α` evaluated in `f64`, with `u = 2⁻²⁴`:
+    ///
+    /// * *Relative,* `ρ = (n + 16)·2⁻²³ = 2(n + 16)·u`. Narrowing inflates a
+    ///   difference by at most `(1+u)`, so `dx²` by `(1+u)²`; `dy·dy` rounds
+    ///   once more and the `fma` once again: `s <= d²·(1+u)⁴`. The root
+    ///   halves that and rounds: `r <= d·(1+u)³`. Each of the `n`
+    ///   accumulating `fma`s rounds the running sum of non-negative terms
+    ///   once, so term `i` carries at most `(1+u)ⁿ` more. In all `acc <=
+    ///   T·(1+u)ⁿ⁺⁴` for the real-arithmetic sum `T` over the same `f64`
+    ///   differences, and the exact `f64` fold is within `(n+4)·2⁻⁵³` of
+    ///   `T`. `ρ` is twice what that needs; the slack pays for partial sums
+    ///   that were subnormal (`n·2⁻¹⁵⁰` against a final `acc >= 2⁻¹²⁶`) and
+    ///   for the `f64` roundings of the last line.
+    /// * *Absolute,* `α = W·2⁻⁷³ + n·2⁻¹⁴⁹`, `W = Σ w_i`. A square that
+    ///   lands in `f32`'s subnormal range is off by up to `2⁻¹⁴⁹` in all
+    ///   (`dy·dy` and the `fma`, half a subnormal ulp each), and `√` turns
+    ///   that into up to `2⁻⁷⁴·⁵` on `r` — a 29 % relative error at the
+    ///   bottom of the range, which no `ρ` covers. Weighted, carried through
+    ///   the accumulation (`(1+u)ⁿ⁺¹ < 2·√2` for every `n` that leaves
+    ///   `ρ < 1`) and summed, that is at most `W·2⁻⁷³`. The second term is
+    ///   the `n` accumulator roundings when the final sum is itself
+    ///   subnormal. From `ρ >= 1` on the bound is `<= 0` and filters
+    ///   nothing, soundly.
+    /// * Overflow cannot hide: an infinite difference, square, product or sum
+    ///   stays infinite (or turns NaN against a zero weight) to the end, and
+    ///   `∞·(1 − ρ) − α` is not finite.
+    ///
+    /// The property suite pins soundness (`lower <= exact` or non-finite)
+    /// and tightness (`lower >= exact·(1 − 2ρ) − α` on `f32`'s normal
+    /// range — a margin that silently stops filtering fails a test too).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a point slice is shorter than `pad_len(m)` or the query
+    /// slices disagree in length.
+    #[allow(clippy::too_many_arguments)]
+    pub fn points_weighted_dist_sum_lower_padded(
+        &self,
+        xs: &[f64],
+        ys: &[f64],
+        m: usize,
+        qx: &[f64],
+        qy: &[f64],
+        w: &[f32],
+        out: &mut Vec<f64>,
+    ) -> bool {
+        let p = pad_len(m);
+        assert!(xs.len() >= p && ys.len() >= p);
+        let n = qx.len();
+        assert!(qy.len() == n && w.len() == n);
+        match self.level {
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2Fma => {
+                let (scale, abs) = lower_bound_margin(w);
+                // SAFETY: `BatchKernels` holds `Avx2Fma` only when runtime
+                // detection confirmed avx2+fma; the asserts above prove the
+                // point slices hold the `pad_len(m)` lanes the kernel reads
+                // and that it may index `qy` and `w` by `qx`'s length.
+                unsafe {
+                    simd::x86::points_weighted_dist_sum_lower_avx2(
+                        xs, ys, m, qx, qy, w, scale, abs, out,
+                    );
+                }
+                true
+            }
+            _ => {
+                out.clear();
+                false
+            }
         }
     }
 
@@ -845,6 +964,39 @@ mod tests {
         assert_eq!(
             k.point_dist_sq_min(p, &qx, &qy),
             e2.iter().copied().fold(f64::INFINITY, f64::min)
+        );
+    }
+
+    // The lower-bound kernel's SAFETY contract, pinned at its safe boundary
+    // on every level (the checks run before the dispatch).
+    #[test]
+    #[should_panic]
+    fn lower_bound_refuses_point_slices_short_of_their_padding() {
+        let (xs, q, w) = ([0.0; 9], [0.0; 2], [1.0f32; 2]);
+        // 9 logical points need 16 readable lanes.
+        BatchKernels::auto().points_weighted_dist_sum_lower_padded(
+            &xs,
+            &xs,
+            9,
+            &q,
+            &q,
+            &w,
+            &mut Vec::new(),
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn lower_bound_refuses_query_slices_of_unequal_length() {
+        let (xs, q, w) = ([0.0; 8], [0.0; 3], [1.0f32; 2]);
+        BatchKernels::auto().points_weighted_dist_sum_lower_padded(
+            &xs,
+            &xs,
+            8,
+            &q,
+            &q,
+            &w,
+            &mut Vec::new(),
         );
     }
 

@@ -4,9 +4,11 @@
 //!
 //! * [`SimdLevel::Avx2Fma`] — 256-bit, 4 `f64` lanes. Taken on `x86_64`
 //!   when runtime detection reports both `avx2` and `fma`. (FMA gates the
-//!   level and names it, but the kernels never emit contracted
-//!   multiply-adds: `fma(a,b,c)` rounds once where the scalar reference
-//!   rounds twice, which would break bit-identity.)
+//!   level and names it, but the bit-identical kernels never emit
+//!   contracted multiply-adds: `fma(a,b,c)` rounds once where the scalar
+//!   reference rounds twice, which would break bit-identity. Only the
+//!   rounded-down `f32` lower bound — which promises an inequality, not
+//!   bits — uses it.)
 //! * [`SimdLevel::Sse2`] — 128-bit, 2 `f64` lanes. The `x86_64` baseline:
 //!   always available there, so it is the floor on that architecture.
 //! * [`SimdLevel::Scalar`] — the original scalar kernels
@@ -37,6 +39,13 @@
 //! The property suite (`crates/geom/tests/batch_props.rs`) pins every
 //! level to the scalar oracle bit-for-bit, including ragged and padded
 //! lane counts.
+//!
+//! One kernel stands outside the contract on purpose:
+//! [`crate::batch::BatchKernels::points_weighted_dist_sum_lower_padded`]
+//! (AVX2 only) computes the weighted SUM in `f32` and rounds it *down* by a
+//! stated margin. It never produces a result — only the verdict that an
+//! entry's exact SUM cannot be below a bound — and the same suite pins
+//! `lower <= exact` instead of equality.
 
 #![allow(unsafe_code)] // core::arch intrinsics + raw-pointer kernel loops
 
@@ -61,7 +70,8 @@ pub enum SimdLevel {
     Scalar,
     /// 128-bit SSE2 kernels (`x86_64` baseline).
     Sse2,
-    /// 256-bit AVX2 kernels (FMA detected but deliberately unused).
+    /// 256-bit AVX2 kernels (FMA detected; used by the `f32` lower bound
+    /// only, never by a bit-identical kernel).
     Avx2Fma,
 }
 
@@ -506,6 +516,108 @@ pub(crate) mod x86 {
             }
             a0.storeu(po.add(j));
             j += V::LANES;
+        }
+        out.set_len(m);
+    }
+
+    // ---- rounded-down f32 lower bound of the weighted SUM -----------
+    //
+    // The one kernel here that is *not* bit-identical to anything: it
+    // answers "is this entry's SUM certainly at or above the bound?" at
+    // `vsqrtps` speed (8 lanes a vector), so that only the entries it
+    // cannot rule out pay the exact `vsqrtpd` fold above. Error model and
+    // margin: `crate::batch::BatchKernels::points_weighted_dist_sum_lower_padded`.
+
+    /// Eight consecutive `f64` coordinates as two vectors.
+    type Coords8 = (__m256d, __m256d);
+
+    #[inline(always)]
+    unsafe fn load8(p: *const f64) -> Coords8 {
+        (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)))
+    }
+
+    /// `(v - q)` over 8 entries, each difference taken in `f64` and then
+    /// narrowed to `f32` (round to nearest): narrowing the *coordinates*
+    /// first would cancel catastrophically wherever the data sits far
+    /// from the origin.
+    #[inline(always)]
+    unsafe fn diff_narrow8(v: Coords8, q: __m256d) -> __m256 {
+        let lo = _mm256_cvtpd_ps(_mm256_sub_pd(v.0, q));
+        let hi = _mm256_cvtpd_ps(_mm256_sub_pd(v.1, q));
+        _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi)
+    }
+
+    /// `|p_j q|` in `f32` for 8 entries `(x, y)` against one query point:
+    /// `√(fma(dx, dx, dy·dy))`.
+    #[inline(always)]
+    unsafe fn dist8(x: Coords8, y: Coords8, qx: __m256d, qy: __m256d) -> __m256 {
+        let (dx, dy) = (diff_narrow8(x, qx), diff_narrow8(y, qy));
+        _mm256_sqrt_ps(_mm256_fmadd_ps(dx, dx, _mm256_mul_ps(dy, dy)))
+    }
+
+    /// `acc * scale - abs` in `f64`, 8 lanes, into `po[0..8]`.
+    #[inline(always)]
+    unsafe fn store_lower8(acc: __m256, scale: __m256d, abs: __m256d, po: *mut f64) {
+        let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(acc));
+        let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(acc));
+        _mm256_storeu_pd(po, _mm256_sub_pd(_mm256_mul_pd(lo, scale), abs));
+        _mm256_storeu_pd(po.add(4), _mm256_sub_pd(_mm256_mul_pd(hi, scale), abs));
+    }
+
+    /// `out[j] = (Σ_i w_i · |p_j q_i|, in f32) · scale − abs` for `m`
+    /// logical points over `pad_len(m)` lanes; `out` is cleared and
+    /// refilled with exactly `m` values. Unrolled ×2 like `multi_wsum`.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified `avx2` and `fma` at runtime, `xs` and
+    /// `ys` must hold `pad_len(m)` readable lanes, and `qx`, `qy`, `w` must
+    /// agree in length.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn points_weighted_dist_sum_lower_avx2(
+        xs: &[f64],
+        ys: &[f64],
+        m: usize,
+        qx: &[f64],
+        qy: &[f64],
+        w: &[f32],
+        scale: f64,
+        abs: f64,
+        out: &mut Vec<f64>,
+    ) {
+        // `LANE_COUNT` f32 lanes fill one 256-bit vector exactly, so the
+        // padded span is a whole number of vectors.
+        const LANES: usize = LANE_COUNT;
+        let (po, vec_m) = prep_out(out, m);
+        let (px, py) = (xs.as_ptr(), ys.as_ptr());
+        let n = qx.len();
+        let (scale, abs) = (_mm256_set1_pd(scale), _mm256_set1_pd(abs));
+        let mut j = 0;
+        while j + 2 * LANES <= vec_m {
+            let (x0, y0) = (load8(px.add(j)), load8(py.add(j)));
+            let (x1, y1) = (load8(px.add(j + LANES)), load8(py.add(j + LANES)));
+            let mut a0 = _mm256_setzero_ps();
+            let mut a1 = _mm256_setzero_ps();
+            for i in 0..n {
+                let qxi = _mm256_set1_pd(qx[i]);
+                let qyi = _mm256_set1_pd(qy[i]);
+                let wi = _mm256_set1_ps(w[i]);
+                a0 = _mm256_fmadd_ps(wi, dist8(x0, y0, qxi, qyi), a0);
+                a1 = _mm256_fmadd_ps(wi, dist8(x1, y1, qxi, qyi), a1);
+            }
+            store_lower8(a0, scale, abs, po.add(j));
+            store_lower8(a1, scale, abs, po.add(j + LANES));
+            j += 2 * LANES;
+        }
+        if j < vec_m {
+            let (x0, y0) = (load8(px.add(j)), load8(py.add(j)));
+            let mut a0 = _mm256_setzero_ps();
+            for i in 0..n {
+                let d = dist8(x0, y0, _mm256_set1_pd(qx[i]), _mm256_set1_pd(qy[i]));
+                a0 = _mm256_fmadd_ps(_mm256_set1_ps(w[i]), d, a0);
+            }
+            store_lower8(a0, scale, abs, po.add(j));
         }
         out.set_len(m);
     }

@@ -218,19 +218,27 @@ impl ShardedTree {
         I: IntoIterator<Item = LeafEntry>,
     {
         assert!(shards > 0, "need at least one shard");
-        let mut entries: Vec<LeafEntry> = entries.into_iter().collect();
+        let entries: Vec<LeafEntry> = entries.into_iter().collect();
         let workspace = Rect::bounding(entries.iter().map(|e| e.point))
             .unwrap_or_else(|| Rect::from_corners(0.0, 0.0, 1.0, 1.0));
         let mapper = HilbertMapper::new(workspace);
         // Canonical order: (Hilbert key, id). The id tiebreak makes the
         // partition a pure function of the point *set*, independent of the
-        // iteration order of whatever container supplied it.
-        entries.sort_by_key(|e| (mapper.key(e.point), e.id.0));
-        let keys: Vec<u64> = entries.iter().map(|e| mapper.key(e.point)).collect();
+        // iteration order of whatever container supplied it. Each key is
+        // computed once and sorted with its entry's index — a key per
+        // comparison was ~7 M Hilbert mappings for 195 k points — and the
+        // index, last, keeps equal (key, id) pairs in supply order.
+        let mut order: Vec<(u64, u64, usize)> = entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (mapper.key(e.point), e.id.0, i))
+            .collect();
+        order.sort_unstable();
+        let keys: Vec<u64> = order.iter().map(|&(key, _, _)| key).collect();
         let cuts = balanced_cuts(&keys, shards);
         let mut buckets: Vec<Vec<LeafEntry>> = (0..shards).map(|_| Vec::new()).collect();
-        for (e, key) in entries.into_iter().zip(keys) {
-            buckets[cut_range(&cuts, key)].push(e);
+        for &(key, _, i) in &order {
+            buckets[cut_range(&cuts, key)].push(entries[i]);
         }
         ShardedTree {
             mapper,

@@ -127,3 +127,252 @@ proptest! {
         }
     }
 }
+
+// ---- the rounded-down f32 leaf filter --------------------------------------
+//
+// Once `best_dist` is finite the bounded loop scores a SUM leaf in two steps
+// on the AVX2 tier: an `f32` lower bound per entry, then the exact distance
+// for the entries the bound could not rule out. Nothing about an answer may
+// depend on it, so each case below holds the bounded loop to the packed
+// incremental stream (which never filters: it runs under bound = ∞), to the
+// arena reference and to the index-free oracle — distance bits at every
+// rank, ids wherever the rank is untied, node accesses against the stream —
+// on data chosen to sit where an `f32` bound is weakest. Under
+// `GNN_FORCE_SCALAR=1` (and below AVX2) the same cases run the all-exact
+// loop and must drop nothing.
+
+/// Whether this process filters SUM leaves through the `f32` bound.
+fn filters() -> bool {
+    gnn::geom::simd::dispatch_level() == gnn::geom::SimdLevel::Avx2Fma
+}
+
+/// One query, four engines; returns the bounded loop's counters.
+fn assert_equivalent(
+    tree: &RTree,
+    packed: &PackedRTree,
+    data: &[Point],
+    group: &QueryGroup,
+    k: usize,
+    what: &str,
+) -> QueryStats {
+    let len = data.len();
+    let full = linear_scan_points(data, group, len).neighbors;
+    let tied = |i: usize| {
+        (i > 0 && full[i - 1].dist == full[i].dist)
+            || (i + 1 < len && full[i + 1].dist == full[i].dist)
+    };
+    let ac = TreeCursor::unbuffered(tree);
+    let arena = Mbm::best_first().k_gnn(&ac, group, k).neighbors;
+    let pc = packed.cursor();
+    let bounded = Mbm::best_first().k_gnn(&pc, group, k);
+    let sc = packed.cursor();
+    let streamed: Vec<Neighbor> = MbmStream::new(&sc, group).take(k).collect();
+
+    for (name, got) in [
+        ("arena", &arena),
+        ("bounded", &bounded.neighbors),
+        ("packed stream", &streamed),
+    ] {
+        assert_eq!(got.len(), k.min(len), "{what}: {name} count");
+        for (i, (g, want)) in got.iter().zip(&full).enumerate() {
+            assert_eq!(
+                g.dist.to_bits(),
+                want.dist.to_bits(),
+                "{what}: {name} distance at rank {i}"
+            );
+            assert_eq!(g.point, data[g.id.0 as usize], "{what}: {name} rank {i}");
+            assert_eq!(
+                group.dist(g.point).to_bits(),
+                g.dist.to_bits(),
+                "{what}: {name} reports a wrong distance at rank {i}"
+            );
+            if !tied(i) {
+                assert_eq!(g.id, want.id, "{what}: {name} id at untied rank {i}");
+            }
+        }
+    }
+    assert_eq!(
+        pc.stats().logical,
+        sc.stats().logical,
+        "{what}: node accesses, bounded loop vs incremental stream"
+    );
+    if !filters() || group.aggregate() != Aggregate::Sum {
+        assert_eq!(
+            bounded.stats.lower_bound_pruned, 0,
+            "{what}: no filter here"
+        );
+    }
+    bounded.stats
+}
+
+/// A 12 × 12 integer lattice with every point stored three times — every
+/// exact distance occurs at least thrice, bit for bit — scaled by `2^exp`.
+fn tripled_lattice(exp: i32) -> Vec<Point> {
+    let s = 2f64.powi(exp);
+    (0..12u32)
+        .flat_map(|x| (0..12u32).map(move |y| (x, y)))
+        .flat_map(|cell| [cell; 3])
+        .map(|(x, y)| Point::new(f64::from(x) * s, f64::from(y) * s))
+        .collect()
+}
+
+fn index(data: &[Point], capacity: usize) -> (RTree, PackedRTree) {
+    let tree = RTree::bulk_load(
+        RTreeParams::with_capacity(capacity),
+        data.iter()
+            .enumerate()
+            .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
+    );
+    let packed = tree.freeze();
+    (tree, packed)
+}
+
+/// Off-lattice query points around the middle of the (scaled) lattice.
+fn lattice_group(n: usize, exp: i32, weights: Option<Vec<f64>>) -> QueryGroup {
+    let s = 2f64.powi(exp);
+    let pts: Vec<Point> = [
+        (5.5, 5.5),
+        (4.25, 6.5),
+        (7.0, 3.75),
+        (2.5, 8.25),
+        (6.5, 6.0),
+        (9.0, 5.5),
+    ][..n]
+        .iter()
+        .map(|&(x, y)| Point::new(x * s, y * s))
+        .collect();
+    match weights {
+        Some(w) => QueryGroup::weighted_sum(pts, w).unwrap(),
+        None => QueryGroup::sum(pts).unwrap(),
+    }
+}
+
+#[test]
+fn ties_at_the_kth_distance_survive_the_leaf_filter() {
+    // k not a multiple of three cuts a run of bit-equal distances: a copy
+    // left outside the answer has an exact distance *equal* to `best_dist`.
+    // Its rounded-down bound is strictly below that, so the filter passes it
+    // on and `offer` refuses it — the answer cannot tell which of the two
+    // said no, and the entries further out are the filter's to drop.
+    let data = tripled_lattice(0);
+    let (tree, packed) = index(&data, 16);
+    let mut dropped = 0;
+    for n in [1usize, 4, 6] {
+        let group = lattice_group(n, 0, None);
+        let full = linear_scan_points(&data, &group, data.len()).neighbors;
+        for k in [1usize, 2, 4, 5, 8, 31] {
+            assert_eq!(
+                full[k - 1].dist.to_bits(),
+                full[k].dist.to_bits(),
+                "scenario: rank {k} must tie with the k-th distance (n={n})"
+            );
+            let what = format!("tie lattice n={n} k={k}");
+            dropped +=
+                assert_equivalent(&tree, &packed, &data, &group, k, &what).lower_bound_pruned;
+        }
+    }
+    assert_eq!(
+        dropped > 0,
+        filters(),
+        "the filter bites exactly where it exists"
+    );
+}
+
+#[test]
+fn scales_beyond_f32_fall_back_to_exact_scoring() {
+    // 2⁻⁸⁰: every squared difference is below f32's smallest subnormal, the
+    // bound is <= 0 and rules nothing out. 2¹⁰⁰: every square overflows, the
+    // bound is not finite and rules nothing out. Same answers as the oracle,
+    // bit for bit, with nothing dropped.
+    for exp in [-80, 100] {
+        let data = tripled_lattice(exp);
+        let (tree, packed) = index(&data, 16);
+        for n in [1usize, 4, 6] {
+            let group = lattice_group(n, exp, None);
+            for k in [1usize, 5, 8] {
+                let what = format!("lattice·2^{exp} n={n} k={k}");
+                let stats = assert_equivalent(&tree, &packed, &data, &group, k, &what);
+                assert_eq!(
+                    stats.lower_bound_pruned, 0,
+                    "{what}: f32 cannot see this scale"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn weights_sixty_orders_apart_keep_the_filter_sound() {
+    // 10⁻³⁰ … 10³⁰ all fit f32, but the sum is one heavy term plus dust the
+    // f32 accumulator cannot hold; the far end of the second weighting
+    // leaves f32 altogether (narrowed toward zero: 0 below, MAX above).
+    let data = tripled_lattice(0);
+    let (tree, packed) = index(&data, 16);
+    let mut dropped = 0;
+    for (label, w) in [
+        ("1e±30", vec![1e-30, 1e30, 1e-18, 1e12, 1.0, 1e-6]),
+        ("1e±300", vec![1e-300, 1e20, 3e38, 1e-45, 1e300, 2.5]),
+    ] {
+        let group = lattice_group(6, 0, Some(w));
+        for k in [1usize, 5, 8, 31] {
+            let what = format!("weights {label} k={k}");
+            dropped +=
+                assert_equivalent(&tree, &packed, &data, &group, k, &what).lower_bound_pruned;
+        }
+    }
+    assert_eq!(dropped > 0, filters());
+}
+
+#[test]
+fn large_groups_on_clustered_data_drop_most_entries_and_change_nothing() {
+    use gnn::datasets::{gaussian_clusters, ClusterSpec};
+    let workspace = Rect::from_corners(0.0, 0.0, 10_000.0, 10_000.0);
+    let spec = ClusterSpec {
+        clusters: 16,
+        sigma: 0.02,
+        background: 0.1,
+    };
+    let data = gaussian_clusters(12_000, workspace, spec, 22);
+    let (tree, packed) = index(&data, 50);
+    let (mut dropped, mut exact_pairs) = (0, 0);
+    for seed in 0..4u64 {
+        // 256 members around one of the data's own points.
+        let centre = data[(seed as usize * 2_741) % data.len()];
+        let members = gaussian_clusters(
+            256,
+            Rect::from_corners(
+                centre.x - 400.0,
+                centre.y - 400.0,
+                centre.x + 400.0,
+                centre.y + 400.0,
+            ),
+            ClusterSpec {
+                clusters: 3,
+                sigma: 0.1,
+                background: 0.2,
+            },
+            100 + seed,
+        );
+        let group = QueryGroup::sum(members).unwrap();
+        let what = format!("gaussian n=256 k=8 seed={seed}");
+        let stats = assert_equivalent(&tree, &packed, &data, &group, 8, &what);
+
+        // Tie-free data: the arena reads the same pages too.
+        let ac = TreeCursor::unbuffered(&tree);
+        let arena = Mbm::best_first().k_gnn(&ac, &group, 8);
+        assert_eq!(
+            arena.stats.data_tree.logical, stats.data_tree.logical,
+            "{what}: NA"
+        );
+        dropped += stats.lower_bound_pruned;
+        exact_pairs += stats.dist_computations;
+    }
+    if filters() {
+        // Every entry the filter looked at was dropped or paid 256 exact
+        // pairs (as did the first leaf's, and heuristic 3): most are dropped.
+        assert!(
+            dropped * 256 > exact_pairs,
+            "dropped {dropped} entries against {exact_pairs} exact pairs"
+        );
+    }
+}
