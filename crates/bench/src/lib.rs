@@ -5,8 +5,9 @@
 //! series the paper plots (average node accesses and CPU time per query,
 //! one row per x-value, one column pair per algorithm) and writes CSVs.
 //!
-//! The Criterion benches under `benches/` cover the micro level: geometry
-//! kernels, R-tree operations, and per-algorithm query latency.
+//! Timing at the micro level — geometry kernels, R-tree operations,
+//! per-algorithm query latency — is the repo benchmark's (`benchmark/`,
+//! `--trace 1`: `geom.*`, `rtree.*`, `core.*_us_per_query`).
 
 #![forbid(unsafe_code)]
 

@@ -6,9 +6,8 @@
 //! such a burst an order to run in and a count of what it touches:
 //!
 //! 1. The batch is sorted by the **Hilbert key of each group's MBR center**
-//!    ([`hilbert_order`], over the target's root MBR), so spatially adjacent
-//!    queries run back-to-back, while the pages they share are still warm
-//!    in cache.
+//!    (over the target's root MBR), so spatially adjacent queries run
+//!    back-to-back, while the pages they share are still warm in cache.
 //! 2. A **distinct-page overlay** ([`gnn_rtree::TreeCursor::begin_page_tracking`])
 //!    counts every page once no matter how many queries of the batch touch
 //!    it. That count is what one shared traversal *would* pay; nothing here
@@ -21,8 +20,14 @@
 //!    [`BatchAccounting`] sets the distinct-page count beside their sum.
 //!
 //! The executor works against any [`Target`]. The serving layer does not
-//! call it: a worker runs its one per-query step over the members in
-//! [`hilbert_order`] and keeps the same ledger around them.
+//! call it and keeps no such ledger: a worker runs its one per-query step
+//! over a batch job's members in submission order, because the Hilbert
+//! order measured at parity with it from 2×10⁵ to 10⁷ points and the
+//! distinct-page count describes a shared pass nobody runs (EXPERIMENTS.md).
+//! What remains here is what the repo benchmark's `core.batch_us_per_query`
+//! and `core.batch_page_savings` probes call; retiring it, with
+//! [`gnn_rtree::TreeCursor::begin_page_tracking`], is a later
+//! benchmark-typed change.
 
 use crate::engine::{Choice, Planner};
 use crate::request::{QueryRequest, Target};
@@ -50,23 +55,20 @@ pub struct BatchAccounting {
 /// sorted: the order a batch runs in. Keys come from each group's MBR over
 /// `target`'s root MBR, ties break by position, so the order is a pure
 /// function of the target and the requests.
-pub fn hilbert_order<'r>(
-    target: &Target<'_, '_>,
-    requests: impl IntoIterator<Item = &'r QueryRequest>,
-    order: &mut Vec<(u64, u32)>,
-) {
+fn hilbert_order(target: &Target<'_, '_>, requests: &[QueryRequest], order: &mut Vec<(u64, u32)>) {
     let mapper = HilbertMapper::new(target.root_mbr());
     order.clear();
     order.extend(
         requests
-            .into_iter()
+            .iter()
             .enumerate()
             .map(|(i, r)| (mapper.key_rect(r.group.mbr()), i as u32)),
     );
     order.sort_unstable();
 }
 
-/// Executes `requests` in [`hilbert_order`] against `target`, invoking
+/// Executes `requests` in Hilbert order of their group MBRs against
+/// `target`, invoking
 /// `sink(index, choice, neighbors, stats, routing)` once per request; the
 /// `index` argument is the request's position in `requests`, so callers
 /// reorder freely.

@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 
 mod aggregate;
-pub mod assignment;
 pub mod backend;
 pub mod baseline;
 pub mod batch;
@@ -130,10 +129,7 @@ pub trait MemoryGnnAlgorithm {
         group: &QueryGroup,
         k: usize,
         scratch: &'s mut QueryScratch,
-    ) -> (&'s [Neighbor], QueryStats) {
-        let result = self.k_gnn(cursor, group, k);
-        scratch.stash(result)
-    }
+    ) -> (&'s [Neighbor], QueryStats);
 }
 
 /// A GNN algorithm for disk-resident, non-indexed query files (paper
@@ -163,8 +159,5 @@ pub trait FileGnnAlgorithm {
         k: usize,
         aggregate: Aggregate,
         scratch: &'s mut QueryScratch,
-    ) -> (&'s [Neighbor], QueryStats) {
-        let result = self.k_gnn(data, query, query_cursor, k, aggregate);
-        scratch.stash(result)
-    }
+    ) -> (&'s [Neighbor], QueryStats);
 }

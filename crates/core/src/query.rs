@@ -189,9 +189,8 @@ impl QueryGroup {
     ///
     /// The SUM fold is sequential over the cached SoA mirror, which makes
     /// every result **bit-identical** to the multi-point conversion kernel
-    /// ([`QueryGroup::dist_many_padded`]) and to the seed's
-    /// [`QueryGroup::dist_reference`] — so results never depend on which
-    /// engine computed them.
+    /// ([`QueryGroup::dist_many_padded`]) — so results never depend on
+    /// which engine computed them.
     pub fn dist(&self, p: Point) -> f64 {
         use gnn_geom::batch::BatchKernels;
         match self.aggregate {
@@ -347,17 +346,6 @@ impl QueryGroup {
             acc = self
                 .aggregate
                 .fold(acc, self.weight(i) * rect.mindist_point(*q));
-        }
-        acc
-    }
-
-    /// The seed's sequential-fold implementation of [`QueryGroup::dist`]
-    /// (reference semantics; oracle for the batched distance kernel in the
-    /// property suite).
-    pub fn dist_reference(&self, p: Point) -> f64 {
-        let mut acc = self.aggregate.identity();
-        for (i, q) in self.points.iter().enumerate() {
-            acc = self.aggregate.fold(acc, self.weight(i) * p.dist(*q));
         }
         acc
     }

@@ -19,8 +19,6 @@ use crate::fmbm::FmbmScratch;
 use crate::fmqm::FmqmScratch;
 use crate::mbm::MbmScratch;
 use crate::result::Neighbor;
-use crate::result::QueryStats;
-use crate::GnnResult;
 use gnn_rtree::NnScratch;
 use std::any::Any;
 use std::collections::HashSet;
@@ -136,15 +134,6 @@ impl QueryScratch {
     pub fn stage_neighbors(&mut self, neighbors: &[Neighbor]) {
         self.out.clear();
         self.out.extend_from_slice(neighbors);
-    }
-
-    /// Stages an already-computed result in the scratch so the `*_in`
-    /// calling convention can be offered uniformly (used by the default
-    /// trait implementations).
-    pub(crate) fn stash(&mut self, result: GnnResult) -> (&[Neighbor], QueryStats) {
-        self.out.clear();
-        self.out.extend_from_slice(&result.neighbors);
-        (&self.out, result.stats)
     }
 
     /// The neighbors of the most recent `*_in` query (valid until the next

@@ -143,67 +143,6 @@ pub fn batched_arrivals(
     }
 }
 
-/// Generates `count` queries per the §5.1 recipe and schedules them on an
-/// open-loop process whose mean rate **ramps linearly** from `start_qps`
-/// at the first query to `end_qps` at the last: the gap before query `i`
-/// is an exponential draw at the interpolated rate. Ramping past a
-/// service's saturation point is how overload behaviour (queue growth,
-/// deadline sheds, goodput collapse) is driven reproducibly — the early
-/// phase establishes a healthy baseline, the late phase overloads.
-///
-/// The queries themselves are identical to
-/// `query_workload(workspace, spec, count, seed)`; the gap stream uses a
-/// third seed tweak so ramped, flat, and batched schedules of one seed
-/// don't correlate. Offsets are non-decreasing and deterministic in
-/// `seed`.
-///
-/// Degenerate rates follow [`open_loop_arrivals`]: a ramp that is `0.0`
-/// at both ends yields an empty schedule; a zero rate at one end makes
-/// the gaps at that end astronomically long, saturating those offsets at
-/// `u64::MAX` while keeping the schedule finite and non-decreasing.
-///
-/// # Panics
-///
-/// Panics if either rate is negative, NaN or infinite, or on the
-/// `query_workload` preconditions.
-pub fn overload_arrivals(
-    workspace: Rect,
-    spec: QuerySpec,
-    count: usize,
-    start_qps: f64,
-    end_qps: f64,
-    seed: u64,
-) -> Vec<Arrival> {
-    for rate in [start_qps, end_qps] {
-        assert!(
-            rate.is_finite() && rate >= 0.0,
-            "arrival rate must be finite and non-negative, got {rate}"
-        );
-    }
-    if start_qps == 0.0 && end_qps == 0.0 {
-        return Vec::new();
-    }
-    let queries = query_workload(workspace, spec, count, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xBF58_476D_1CE4_E5B9);
-    let mut t = 0.0f64; // seconds
-    let denom = count.saturating_sub(1).max(1) as f64;
-    queries
-        .into_iter()
-        .enumerate()
-        .map(|(i, points)| {
-            let rate = start_qps + (end_qps - start_qps) * (i as f64 / denom);
-            let u: f64 = rng.gen();
-            // A zero interpolated rate gives an infinite gap; the cast
-            // saturates it (and everything after) at u64::MAX.
-            t += -(1.0 - u).ln() / rate;
-            Arrival {
-                offset_nanos: (t * 1e9) as u64,
-                points,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,56 +238,6 @@ mod tests {
             let b = open_loop_arrivals(unit(), spec(), 20, rate, 9);
             assert_eq!(a, b, "rate {rate}");
         }
-    }
-
-    #[test]
-    fn overload_ramp_is_deterministic_and_query_preserving() {
-        let a = overload_arrivals(unit(), spec(), 60, 500.0, 4_000.0, 13);
-        let b = overload_arrivals(unit(), spec(), 60, 500.0, 4_000.0, 13);
-        assert_eq!(a, b);
-        let wl = query_workload(unit(), spec(), 60, 13);
-        let pts: Vec<Vec<Point>> = a.iter().map(|x| x.points.clone()).collect();
-        assert_eq!(pts, wl);
-        for w in a.windows(2) {
-            assert!(w[0].offset_nanos <= w[1].offset_nanos);
-        }
-        assert_ne!(a, overload_arrivals(unit(), spec(), 60, 500.0, 4_000.0, 14));
-    }
-
-    #[test]
-    fn overload_ramp_accelerates() {
-        // 10x rate ramp over 4k queries: the first quarter must span far
-        // more wall-clock than the last quarter (gaps shrink as the rate
-        // climbs). Compare spans, not individual stochastic gaps.
-        let arr = overload_arrivals(unit(), spec(), 4_000, 500.0, 5_000.0, 21);
-        let q = arr.len() / 4;
-        let first = arr[q].offset_nanos - arr[0].offset_nanos;
-        let last = arr[arr.len() - 1].offset_nanos - arr[arr.len() - 1 - q].offset_nanos;
-        assert!(
-            first > last * 3,
-            "ramp should accelerate: first quarter {first}ns, last {last}ns"
-        );
-    }
-
-    #[test]
-    fn overload_ramp_differs_from_flat_schedule_of_same_seed() {
-        // Even a degenerate "ramp" (start == end) must not reproduce the
-        // flat schedule: the gap streams are seeded differently on purpose.
-        let flat = open_loop_arrivals(unit(), spec(), 30, 1_000.0, 5);
-        let ramp = overload_arrivals(unit(), spec(), 30, 1_000.0, 1_000.0, 5);
-        assert_eq!(ramp.len(), 30);
-        assert_ne!(flat, ramp);
-    }
-
-    #[test]
-    fn overload_zero_ramp_yields_empty_schedule() {
-        assert!(overload_arrivals(unit(), spec(), 50, 0.0, 0.0, 0).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "arrival rate")]
-    fn overload_rejects_negative_end_rate() {
-        overload_arrivals(unit(), spec(), 10, 100.0, -5.0, 0);
     }
 
     fn hotspec() -> HotspotSpec {

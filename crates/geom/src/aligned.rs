@@ -125,14 +125,6 @@ impl AlignedVec {
         // out contiguously (repr(C) chunks, align == size).
         unsafe { std::slice::from_raw_parts(self.chunks.as_ptr() as *const f64, self.len) }
     }
-
-    /// The lanes as a mutable slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        // SAFETY: same layout argument as `as_slice`; `&mut self` gives
-        // exclusive access.
-        unsafe { std::slice::from_raw_parts_mut(self.chunks.as_mut_ptr() as *mut f64, self.len) }
-    }
 }
 
 impl std::ops::Deref for AlignedVec {

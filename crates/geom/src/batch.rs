@@ -14,6 +14,16 @@
 //! choice, or [`BatchKernels::for_level`] to pin a specific level (how the
 //! property suite compares levels in one process).
 //!
+//! One kernel has a scalar body only: the exact multi-point weighted SUM
+//! ([`BatchKernels::points_weighted_dist_sum_multi_padded`]) runs
+//! [`scalar::points_weighted_dist_sum_multi`] at every level. It is bound by
+//! `sqrtpd`, whose throughput per element is the same at 128 and 256 bits,
+//! and the compiler already emits the 128-bit form for the scalar fold — a
+//! hand-written body measured at or below parity on every tier
+//! (EXPERIMENTS.md). What does beat it is not computing it: the `f32` lower
+//! bound ([`BatchKernels::points_weighted_dist_sum_lower_padded`]) decides
+//! which entries pay for the exact fold at all.
+//!
 //! The elementwise and multi-point kernels exist only as `*_padded` methods
 //! over **lane-padded** inputs: the caller passes the logical element count
 //! `n` while the coordinate slices hold at least
@@ -553,6 +563,9 @@ impl BatchKernels {
     /// (the fold dimension must be exact — that is what keeps the sequential
     /// SUM bit-identical).
     ///
+    /// Every level runs the scalar fold (module docs: why it has no SIMD
+    /// body).
+    ///
     /// # Panics
     ///
     /// Panics when a point slice is shorter than `pad_len(m)` or the query
@@ -572,22 +585,7 @@ impl BatchKernels {
         assert!(xs.len() >= p && ys.len() >= p);
         let n = qx.len();
         assert!(qy.len() == n && w.len() == n);
-        match self.level {
-            SimdLevel::Scalar => {
-                scalar::points_weighted_dist_sum_multi(&xs[..m], &ys[..m], qx, qy, w, out);
-            }
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => {
-                simd::x86::points_weighted_dist_sum_multi_sse2(xs, ys, m, qx, qy, w, out)
-            }
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rects_mindist_sq_point_padded`.
-            SimdLevel::Avx2Fma => unsafe {
-                simd::x86::points_weighted_dist_sum_multi_avx2(xs, ys, m, qx, qy, w, out)
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("non-scalar level on a target without SIMD backends"),
-        }
+        scalar::points_weighted_dist_sum_multi(&xs[..m], &ys[..m], qx, qy, w, out);
     }
 
     /// A **lower bound** on [`Self::points_weighted_dist_sum_multi_padded`],

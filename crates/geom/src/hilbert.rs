@@ -145,12 +145,12 @@ impl HilbertMapper {
     }
 
     /// The Hilbert key of a rectangle: the key of its center point. This is
-    /// the **group-MBR key** batch executors sort concurrent queries by —
-    /// query groups whose MBRs are spatially close receive close keys, so a
-    /// key-sorted batch visits overlapping R-tree regions consecutively,
-    /// while the pages they share are still warm in cache. Degenerate rectangles (points, segments) are
-    /// fine: the center is always inside the workspace clamp of
-    /// [`HilbertMapper::key`].
+    /// the **group-MBR key** the batch executor (`gnn_core::batch`) sorts a
+    /// batch by — query groups whose MBRs are spatially close receive close
+    /// keys, so a key-sorted batch visits overlapping R-tree regions
+    /// consecutively (the serving layer does not: that module's docs say
+    /// why). Degenerate rectangles (points, segments) are fine: the center
+    /// is always inside the workspace clamp of [`HilbertMapper::key`].
     pub fn key_rect(&self, r: Rect) -> u64 {
         self.key(r.center())
     }

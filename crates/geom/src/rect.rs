@@ -98,7 +98,7 @@ impl Rect {
         }
     }
 
-    /// Half-perimeter (the R*-tree "margin" criterion).
+    /// Half-perimeter (the R*-tree "margin" measure).
     #[inline]
     pub fn margin(&self) -> f64 {
         if self.is_empty() {
@@ -184,7 +184,7 @@ impl Rect {
     }
 
     /// How much `area` would grow if this rectangle were expanded to cover
-    /// `other` (the classic R-tree insertion criterion).
+    /// `other` (the classic R-tree insertion measure).
     #[inline]
     pub fn enlargement(&self, other: &Rect) -> f64 {
         self.union(other).area() - self.area()

@@ -40,6 +40,11 @@
 //! level to the scalar oracle bit-for-bit, including ragged and padded
 //! lane counts.
 //!
+//! The exact multi-point weighted SUM has no body here: `sqrtpd` retires
+//! the same elements per cycle at 128 and 256 bits and the compiler already
+//! vectorizes the scalar fold at 128, so every level dispatches
+//! [`crate::batch::scalar::points_weighted_dist_sum_multi`].
+//!
 //! One kernel stands outside the contract on purpose:
 //! [`crate::batch::BatchKernels::points_weighted_dist_sum_lower_padded`]
 //! (AVX2 only) computes the weighted SUM in `f32` and rounds it *down* by a
@@ -411,56 +416,9 @@ pub(crate) mod x86 {
     // `out[j]` folds over the query points `i`; lanes are independent
     // output accumulators, so vectorizing over `j` keeps every fold
     // sequential in `i` — bit-identical to the scalar kernels. The body
-    // is unrolled ×2 (two vectors of accumulators) to overlap the sqrt /
-    // fold dependency chains.
-
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn multi_wsum<V: Vf64>(
-        xs: &[f64],
-        ys: &[f64],
-        m: usize,
-        qx: &[f64],
-        qy: &[f64],
-        w: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        let (po, vec_m) = prep_out(out, m);
-        let (px, py) = (xs.as_ptr(), ys.as_ptr());
-        let n = qx.len();
-        let mut j = 0;
-        while j + 2 * V::LANES <= vec_m {
-            let x0 = V::loadu(px.add(j));
-            let y0 = V::loadu(py.add(j));
-            let x1 = V::loadu(px.add(j + V::LANES));
-            let y1 = V::loadu(py.add(j + V::LANES));
-            let mut a0 = V::splat(0.0);
-            let mut a1 = V::splat(0.0);
-            for i in 0..n {
-                let qxi = V::splat(qx[i]);
-                let qyi = V::splat(qy[i]);
-                let wi = V::splat(w[i]);
-                a0 = a0.add(wi.mul(hypot_sq(x0.sub(qxi), y0.sub(qyi)).vsqrt()));
-                a1 = a1.add(wi.mul(hypot_sq(x1.sub(qxi), y1.sub(qyi)).vsqrt()));
-            }
-            a0.storeu(po.add(j));
-            a1.storeu(po.add(j + V::LANES));
-            j += 2 * V::LANES;
-        }
-        while j < vec_m {
-            let x0 = V::loadu(px.add(j));
-            let y0 = V::loadu(py.add(j));
-            let mut a0 = V::splat(0.0);
-            for i in 0..n {
-                let qxi = V::splat(qx[i]);
-                let qyi = V::splat(qy[i]);
-                a0 = a0.add(V::splat(w[i]).mul(hypot_sq(x0.sub(qxi), y0.sub(qyi)).vsqrt()));
-            }
-            a0.storeu(po.add(j));
-            j += V::LANES;
-        }
-        out.set_len(m);
-    }
+    // is unrolled ×2 (two vectors of accumulators) to overlap the fold
+    // dependency chains. MAX and MIN only: the exact weighted SUM runs the
+    // scalar fold at every level (module docs).
 
     #[inline(always)]
     unsafe fn multi_fold<V: Vf64, const MAX: bool>(
@@ -505,18 +463,9 @@ pub(crate) mod x86 {
             a1.storeu(po.add(j + V::LANES));
             j += 2 * V::LANES;
         }
-        while j < vec_m {
-            let x0 = V::loadu(px.add(j));
-            let y0 = V::loadu(py.add(j));
-            let mut a0 = V::splat(identity);
-            for i in 0..n {
-                let qxi = V::splat(qx[i]);
-                let qyi = V::splat(qy[i]);
-                a0 = fold1::<V, MAX>(a0, hypot_sq(x0.sub(qxi), y0.sub(qyi)));
-            }
-            a0.storeu(po.add(j));
-            j += V::LANES;
-        }
+        // `pad_len`'s quantum is 8 lanes, a whole number of unrolled steps
+        // at both vector widths (2 × 2 and 2 × 4): there is no remainder.
+        debug_assert!(vec_m % (2 * V::LANES) == 0);
         out.set_len(m);
     }
 
@@ -525,7 +474,7 @@ pub(crate) mod x86 {
     // The one kernel here that is *not* bit-identical to anything: it
     // answers "is this entry's SUM certainly at or above the bound?" at
     // `vsqrtps` speed (8 lanes a vector), so that only the entries it
-    // cannot rule out pay the exact `vsqrtpd` fold above. Error model and
+    // cannot rule out pay the exact `sqrtpd` fold. Error model and
     // margin: `crate::batch::BatchKernels::points_weighted_dist_sum_lower_padded`.
 
     /// Eight consecutive `f64` coordinates as two vectors.
@@ -566,7 +515,7 @@ pub(crate) mod x86 {
 
     /// `out[j] = (Σ_i w_i · |p_j q_i|, in f32) · scale − abs` for `m`
     /// logical points over `pad_len(m)` lanes; `out` is cleared and
-    /// refilled with exactly `m` values. Unrolled ×2 like `multi_wsum`.
+    /// refilled with exactly `m` values. Unrolled ×2 like `multi_fold`.
     ///
     /// # Safety
     ///
@@ -811,9 +760,6 @@ pub(crate) mod x86 {
         (xs: &[f64], ys: &[f64], n: usize, q: Point, out: &mut Vec<f64>));
     entry!(points_mindist_sq_rect_sse2, points_mindist_sq_rect_avx2, map_points_rect;
         (xs: &[f64], ys: &[f64], n: usize, m: &Rect, out: &mut Vec<f64>));
-    entry!(points_weighted_dist_sum_multi_sse2, points_weighted_dist_sum_multi_avx2, multi_wsum;
-        (xs: &[f64], ys: &[f64], m: usize, qx: &[f64], qy: &[f64], w: &[f64],
-         out: &mut Vec<f64>));
     entry!(points_dist_sq_max_multi_sse2, points_dist_sq_max_multi_avx2, multi_fold, true;
         (xs: &[f64], ys: &[f64], m: usize, qx: &[f64], qy: &[f64], out: &mut Vec<f64>));
     entry!(points_dist_sq_min_multi_sse2, points_dist_sq_min_multi_avx2, multi_fold, false;

@@ -13,14 +13,17 @@
 //! The best-first heap is keyed by **squared** distance — squared values
 //! order identically, so the `sqrt` is paid only when an item is actually
 //! yielded — and node/leaf expansions run through the batched `mindist²`
-//! kernels (vectorized on packed snapshots). A [`NnScratch`] can be
-//! supplied via [`NearestNeighbors::new_in`] to reuse the heap and bound
-//! buffer across queries, making steady-state searches allocation-free.
+//! kernels (vectorized on packed snapshots). There is one engine: arena and
+//! packed cursors differ only in the page layout behind [`PageRef`], every
+//! leaf entry is one heap item on both, so neighbors, distance bits and node
+//! accesses agree by construction. A [`NnScratch`] can be supplied via
+//! [`NearestNeighbors::new_in`] to reuse the heap and bound buffer across
+//! queries, making steady-state searches allocation-free.
 
 use crate::cursor::TreeCursor;
 use crate::node::{LeafEntry, PageId, PageRef};
 use crate::scratch_ref::ScratchRef;
-use gnn_geom::{OrderedF64, Point, PointId, Rect};
+use gnn_geom::{OrderedF64, Point, Rect};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -49,24 +52,6 @@ struct BfItem {
 enum BfKind {
     Node(PageId),
     Point(LeafEntry),
-    /// Packed engine only: a whole leaf's entries, sorted ascending by
-    /// exact squared distance in [`NnScratch::runs`], represented in the
-    /// heap by the key of its unconsumed head — one heap item per leaf
-    /// instead of one per entry. The head's key is already its exact
-    /// distance, so popping the run *emits the head directly* and
-    /// re-inserts the run keyed by its next entry; run entries never become
-    /// individual `Point` heap items. A run therefore behaves exactly like
-    /// the point at its head: rank 0 (at equal keys an exact data point
-    /// must pop before a node on both backends, or the packed engine would
-    /// expand tied nodes the arena engine never reads) and tie-broken by
-    /// the head's point id (so exact cross-leaf distance ties emit in the
-    /// same id order the arena engine produces).
-    Run {
-        /// Slot in [`NnScratch::runs`].
-        rid: u32,
-        /// Id of the run's unconsumed head entry (the tie-break key).
-        head: PointId,
-    },
 }
 
 // BinaryHeap needs a total order; distances and ranks decide, the payload is
@@ -83,8 +68,6 @@ impl Ord for BfKind {
             match k {
                 BfKind::Node(p) => (1, u64::from(p.raw())),
                 BfKind::Point(e) => (0, e.id.0),
-                // A run stands for the point at its head: same tie class.
-                BfKind::Run { head, .. } => (0, head.0),
             }
         }
         key(self).cmp(&key(other))
@@ -99,16 +82,6 @@ impl Ord for BfKind {
 pub struct NnScratch {
     heap: BinaryHeap<Reverse<BfItem>>,
     bounds: Vec<f64>,
-    /// Whether the search backed by this scratch runs the packed fast path
-    /// (sorted leaf runs). Set when the search is seeded, preserved across
-    /// suspend/resume turns.
-    fast: bool,
-    /// Sorted leaf runs (packed engine): per-run `(dist², entry)` ascending.
-    runs: Vec<Vec<(f64, LeafEntry)>>,
-    /// Consumption cursor of each run.
-    run_pos: Vec<usize>,
-    /// Recycled run slots.
-    free_runs: Vec<u32>,
 }
 
 impl NnScratch {
@@ -117,56 +90,19 @@ impl NnScratch {
         NnScratch {
             heap: BinaryHeap::with_capacity(capacity),
             bounds: Vec::with_capacity(64),
-            fast: false,
-            runs: Vec::new(),
-            run_pos: Vec::new(),
-            free_runs: Vec::new(),
         }
-    }
-
-    /// Current heap capacity (diagnostics for the no-regrowth tests).
-    pub fn heap_capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
-    /// Capacity of the batched-kernel bound buffer (same purpose).
-    pub fn bounds_capacity(&self) -> usize {
-        self.bounds.capacity()
     }
 
     /// Every internal buffer capacity (for the no-regrowth tests — any
     /// buffer omitted here could silently reintroduce steady-state
     /// allocations).
     pub fn capacity_profile(&self) -> impl Iterator<Item = usize> + '_ {
-        [
-            self.heap.capacity(),
-            self.bounds.capacity(),
-            self.runs.capacity(),
-            self.run_pos.capacity(),
-            self.free_runs.capacity(),
-        ]
-        .into_iter()
-        .chain(self.runs.iter().map(Vec::capacity))
-    }
-
-    fn alloc_run(&mut self) -> u32 {
-        if let Some(rid) = self.free_runs.pop() {
-            rid
-        } else {
-            self.runs.push(Vec::new());
-            self.run_pos.push(0);
-            u32::try_from(self.runs.len() - 1).expect("run id overflow")
-        }
+        [self.heap.capacity(), self.bounds.capacity()].into_iter()
     }
 
     fn reset(&mut self) {
         self.heap.clear();
         self.bounds.clear();
-        self.fast = false;
-        self.free_runs.clear();
-        for i in 0..self.runs.len() {
-            self.free_runs.push(i as u32);
-        }
     }
 }
 
@@ -243,11 +179,6 @@ impl<'t, 'c, 's> NearestNeighbors<'t, 'c, 's> {
     ) -> NearestNeighbors<'t, 'c, 's> {
         let s = scratch.get();
         s.reset();
-        // Packed snapshots run the read-optimized engine: batched kernels
-        // plus sorted leaf runs (one heap item per leaf). Keys are exact on
-        // both paths, so results and node accesses are identical; the fast
-        // path only reduces per-point heap traffic.
-        s.fast = cursor.is_packed();
         if !cursor.is_empty() {
             s.heap.push(Reverse(BfItem {
                 dist_sq: OrderedF64(cursor.root_mbr().mindist_point_sq(query)),
@@ -293,70 +224,8 @@ impl Iterator for NearestNeighbors<'_, '_, '_> {
                         dist: item.dist_sq.get().sqrt(),
                     });
                 }
-                BfKind::Run { rid, .. } => {
-                    // The run's head is the global heap minimum and its key
-                    // is already the exact squared distance (point NN has no
-                    // cheaper filter key, unlike MBM's lazy aggregate
-                    // conversion), so the head *is* the next neighbor: emit
-                    // it directly and re-insert the run keyed (and
-                    // tie-broken) by its next entry. Entries never consumed
-                    // never touch the heap.
-                    let ri = rid as usize;
-                    let pos = scratch.run_pos[ri];
-                    let (d2, entry) = scratch.runs[ri][pos];
-                    scratch.run_pos[ri] = pos + 1;
-                    if pos + 1 < scratch.runs[ri].len() {
-                        let (next_key, next_entry) = scratch.runs[ri][pos + 1];
-                        scratch.heap.push(Reverse(BfItem {
-                            dist_sq: OrderedF64(next_key),
-                            rank: 0,
-                            kind: BfKind::Run {
-                                rid,
-                                head: next_entry.id,
-                            },
-                        }));
-                    } else {
-                        scratch.free_runs.push(rid);
-                    }
-                    return Some(PointNeighbor {
-                        entry,
-                        dist: d2.sqrt(),
-                    });
-                }
                 BfKind::Node(id) => match cursor.read(id) {
-                    PageRef::Leaf(leaf) if scratch.fast => {
-                        // Packed engine: batched dist² over the whole page,
-                        // keys sorted into a run — one heap item per leaf
-                        // instead of one per entry.
-                        leaf.dist_sq_into(query, &mut scratch.bounds);
-                        let rid = scratch.alloc_run();
-                        let ri = rid as usize;
-                        let run = &mut scratch.runs[ri];
-                        run.clear();
-                        run.extend(
-                            leaf.entries()
-                                .iter()
-                                .zip(&scratch.bounds)
-                                .map(|(&e, &d2)| (d2, e)),
-                        );
-                        run.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
-                        if let Some(&(head_key, head_entry)) = run.first() {
-                            scratch.run_pos[ri] = 0;
-                            scratch.heap.push(Reverse(BfItem {
-                                dist_sq: OrderedF64(head_key),
-                                rank: 0,
-                                kind: BfKind::Run {
-                                    rid,
-                                    head: head_entry.id,
-                                },
-                            }));
-                        } else {
-                            scratch.free_runs.push(rid);
-                        }
-                    }
                     PageRef::Leaf(leaf) => {
-                        // Reference (arena) engine: the seed's flow — every
-                        // entry pushed individually.
                         leaf.dist_sq_into(query, &mut scratch.bounds);
                         for (&e, &d2) in leaf.entries().iter().zip(&scratch.bounds) {
                             scratch.heap.push(Reverse(BfItem {
@@ -605,7 +474,7 @@ mod tests {
                 .take(5)
                 .count();
         }
-        let cap = scratch.heap_capacity();
+        let profile: Vec<usize> = scratch.capacity_profile().collect();
         // Steady state: capacities must not regrow, answers must match.
         for &q in &queries {
             let got: Vec<f64> = NearestNeighbors::new_in(&cursor, q, &mut scratch)
@@ -619,7 +488,10 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() < 1e-12);
             }
-            assert_eq!(scratch.heap_capacity(), cap, "heap regrew");
+            assert!(
+                scratch.capacity_profile().eq(profile.iter().copied()),
+                "scratch regrew"
+            );
         }
     }
 

@@ -290,8 +290,8 @@ impl RTree {
         }
     }
 
-    /// R\* `ChooseSubtree`: overlap-enlargement criterion when the children
-    /// are leaves, area-enlargement criterion otherwise.
+    /// R\* `ChooseSubtree`: least overlap enlargement when the children
+    /// are leaves, least area enlargement otherwise.
     fn choose_subtree(&self, node_id: PageId, mbr: Rect, level: usize) -> usize {
         let branches = self.node(node_id).branches();
         debug_assert!(!branches.is_empty());

@@ -39,7 +39,7 @@ fn summary(out: &mut String, name: &str, label: &str, snapshot: &LatencySnapshot
 impl ServiceStats {
     /// Renders the snapshot in the Prometheus text exposition format:
     /// counters for served queries and their costs, the fault ledger, the
-    /// batch ledger, summary-style latency quantiles (overall, per stage,
+    /// batch counts, summary-style latency quantiles (overall, per stage,
     /// per shard), per-shard routing counters, and the flight-recorder
     /// drop counter. Quantiles are in seconds, from the 252-bucket
     /// histograms (≤ 25% relative bucket error).
@@ -61,11 +61,6 @@ impl ServiceStats {
             ("gnn_single_shard_hits_total", self.single_shard_hits),
             ("gnn_batches_total", self.batches),
             ("gnn_batch_queries_total", self.batch_queries),
-            ("gnn_batch_unique_pages_total", self.batch_unique_pages),
-            (
-                "gnn_batch_sequential_pages_total",
-                self.batch_sequential_pages,
-            ),
             ("gnn_worker_panics_total", self.faults.panics),
             ("gnn_worker_respawns_total", self.faults.respawns),
             ("gnn_shed_total", self.faults.shed),
@@ -115,7 +110,7 @@ impl ServiceStats {
     }
 
     /// Renders the snapshot as one JSON object (hand-built, schema-stable:
-    /// counters, fault and batch ledgers, and `{p50,p95,p99,count}`
+    /// counters, the fault ledger, and `{p50,p95,p99,count}`
     /// micro­second quantile objects for the overall, per-stage, and
     /// per-shard histograms). Meant for structured log lines — the
     /// [`StatsLogger`] example sink.
@@ -137,7 +132,7 @@ impl ServiceStats {
             "{{\"generation\":{},\"simd_level\":\"{}\",\"queries_served\":{},\
              \"node_accesses\":{},\"io\":{},\
              \"dist_computations\":{},\"single_shard_hits\":{},\"batches\":{},\
-             \"batch_queries\":{},\"batch_unique_pages\":{},\"batch_sequential_pages\":{}",
+             \"batch_queries\":{}",
             self.generation,
             self.simd_level,
             self.queries_served,
@@ -146,9 +141,7 @@ impl ServiceStats {
             self.dist_computations,
             self.single_shard_hits,
             self.batches,
-            self.batch_queries,
-            self.batch_unique_pages,
-            self.batch_sequential_pages
+            self.batch_queries
         );
         let _ = write!(
             o,

@@ -47,14 +47,13 @@
 //! accepts anything convertible into a [`Submission`]: a prepared
 //! [`QueryRequest`], the [`Submission::group`]
 //! builder (defaults filled from the [`ServiceConfig`]), or a
-//! [`Submission::batch`] — a burst of correlated queries run as a
-//! **Hilbert-ordered batch with a distinct-page ledger**: each shard's
+//! [`Submission::batch`] — a burst of queries that costs **one queue slot
+//! and one wake-up per shard** instead of one per query: each shard's
 //! sub-batch is one job whose members take the same worker step a single
-//! takes, in group-MBR Hilbert order ([`gnn_core::batch`]). Every member
-//! still descends from the root, so results and per-query node accesses
-//! are bit-identical to single submissions; the ledger in
-//! [`ServiceStats`] sets the distinct pages a batch touched beside the
-//! pages it read — what a shared traversal *would* save.
+//! takes, one after another in submission order. Every member descends
+//! from the root on its own, so results and per-query node accesses are
+//! bit-identical to single submissions; [`ServiceStats`] counts the jobs
+//! (`batches`) and the queries served through them (`batch_queries`).
 //!
 //! ```
 //! use gnn_core::{QueryGroup, QueryRequest};
@@ -75,8 +74,7 @@
 //! let handle = service.submit(QueryRequest::new(group, 1)).unwrap();
 //! assert_eq!(handle.wait().unwrap().neighbors[0].id, PointId(4));
 //!
-//! // A hotspot burst: one Hilbert-ordered batch, responses in
-//! // submission order.
+//! // A hotspot burst: one job, answered in submission order.
 //! let burst: Vec<QueryRequest> = (0..4)
 //!     .map(|i| {
 //!         let q = vec![Point::new(40.0 + i as f64, 0.0)];
@@ -564,9 +562,9 @@ impl Service {
     /// * A **request / group** submission enqueues one job on its routed
     ///   shard's queue; redeem the handle with [`ResponseHandle::wait`].
     /// * A **batch** submission routes every request, then enqueues one
-    ///   job per involved shard (a Hilbert-ordered batch with a
-    ///   distinct-page ledger, see [`gnn_core::batch`]); redeem with
-    ///   [`ResponseHandle::wait_all`], which restores submission order.
+    ///   job per involved shard, its members served in submission order;
+    ///   redeem with [`ResponseHandle::wait_all`], which restores
+    ///   submission order across shards.
     /// * Blocking submissions (the default) wait out backpressure;
     ///   `.blocking(false)` fails fast with [`SubmitError::QueueFull`].
     ///
@@ -804,7 +802,6 @@ mod tests {
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.batch_queries, 24);
         assert_eq!(stats.mean_batch_size(), Some(24.0));
-        assert!(stats.batch_unique_pages <= stats.batch_sequential_pages);
     }
 
     #[test]
@@ -833,10 +830,10 @@ mod tests {
             assert_eq!(single.routing, batch.routing, "query {i}");
         }
         let stats = service.shutdown();
-        // Batch ledger covers only the batched half of the traffic.
+        // The batch counts cover only the batched half of the traffic.
+        assert_eq!(stats.batches, 1);
         assert_eq!(stats.batch_queries, 16);
         assert_eq!(stats.queries_served, 32);
-        assert!(stats.shared_read_savings().is_some());
     }
 
     #[test]
@@ -850,7 +847,6 @@ mod tests {
         assert_eq!(stats.queries_served, 0);
         assert_eq!(stats.batches, 0);
         assert_eq!(stats.mean_batch_size(), None);
-        assert_eq!(stats.shared_read_savings(), None);
     }
 
     #[test]

@@ -35,6 +35,7 @@ use gnn_geom::{Point, PointId};
 use gnn_rtree::{LeafEntry, ShardedSnapshot, ShardedTree};
 use gnn_telemetry::FlightEventKind;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -116,6 +117,9 @@ pub struct RefreshStats {
     pub applied: u64,
     /// Remove updates whose point was not present.
     pub missed_removes: u64,
+    /// Updates [`RefreshDriver::apply`] refused because their point had a
+    /// NaN or infinite coordinate; they never reached the tree.
+    pub rejected: u64,
     /// Snapshots published to the service.
     pub published: u64,
     /// Refreshes dropped because the service had initiated shutdown.
@@ -164,6 +168,9 @@ pub struct RefreshDriver {
     handle: Option<JoinHandle<Result<RefreshOutcome, DriverError>>>,
     /// Mirrors the thread's counters for cheap mid-run observation.
     applied: Arc<Mutex<RefreshStats>>,
+    /// Updates refused by [`RefreshDriver::apply`]; the thread never sees
+    /// them, so they are counted on the caller's side.
+    rejected: AtomicU64,
 }
 
 impl RefreshDriver {
@@ -205,20 +212,32 @@ impl RefreshDriver {
             tx: Some(tx),
             handle: Some(handle),
             applied,
+            rejected: AtomicU64::new(0),
         }
     }
 
-    /// Enqueues an update for the driver to apply. Returns `false` once the
-    /// driver thread is gone (after [`RefreshDriver::join`], a refreeze
-    /// failure, or a driver panic).
+    /// Enqueues an update for the driver to apply. Returns `false` for an
+    /// update whose point has a NaN or infinite coordinate — refused here,
+    /// counted in [`RefreshStats::rejected`], because a published
+    /// non-finite point answers the queries that reach it with a NaN
+    /// distance — and once the driver thread is gone (after
+    /// [`RefreshDriver::join`], a refreeze failure, or a driver panic).
     pub fn apply(&self, update: Update) -> bool {
+        let (Update::Insert(LeafEntry { point, .. }) | Update::Remove { point, .. }) = update;
+        if !point.is_finite() {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
         self.tx.as_ref().is_some_and(|tx| tx.send(update).is_ok())
     }
 
     /// Current run counters (the thread updates them after every apply and
     /// publish cycle).
     pub fn stats(&self) -> RefreshStats {
-        *lock_unpoisoned(&self.applied)
+        RefreshStats {
+            rejected: self.rejected.load(Ordering::Relaxed),
+            ..*lock_unpoisoned(&self.applied)
+        }
     }
 
     /// Closes the update channel, waits for the thread to drain every
@@ -228,8 +247,12 @@ impl RefreshDriver {
     /// (a value, never a re-panic in the caller).
     pub fn join(mut self) -> Result<RefreshOutcome, DriverError> {
         self.tx.take();
+        let rejected = self.rejected.load(Ordering::Relaxed);
         match self.handle.take().expect("driver joined once").join() {
-            Ok(outcome) => outcome,
+            Ok(outcome) => outcome.map(|mut outcome| {
+                outcome.stats.rejected = rejected;
+                outcome
+            }),
             Err(_) => Err(DriverError::Panicked),
         }
     }

@@ -6,7 +6,6 @@
 
 use crate::fault::FaultLedger;
 use crate::Pool;
-use gnn_core::batch::BatchAccounting;
 use gnn_core::QueryResponse;
 use gnn_telemetry::{
     FlightEventKind, FlightLog, FlightRecorder, LatencyHistogram, LatencySnapshot, RingSnapshot,
@@ -33,8 +32,6 @@ pub(crate) struct WorkerCounters {
     pub(crate) shards_consulted: AtomicU64,
     pub(crate) batches: AtomicU64,
     pub(crate) batch_queries: AtomicU64,
-    pub(crate) batch_unique_pages: AtomicU64,
-    pub(crate) batch_sequential_pages: AtomicU64,
     pub(crate) panics: AtomicU64,
     pub(crate) respawns: AtomicU64,
     pub(crate) shed: AtomicU64,
@@ -58,8 +55,6 @@ impl WorkerCounters {
             shards_consulted: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batch_queries: AtomicU64::new(0),
-            batch_unique_pages: AtomicU64::new(0),
-            batch_sequential_pages: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -70,16 +65,12 @@ impl WorkerCounters {
         }
     }
 
-    /// Records the ledger of one batch job (per-query counters go through
-    /// [`WorkerCounters::record`] as for any other query).
-    pub(crate) fn record_batch(&self, accounting: &BatchAccounting) {
+    /// Records one batch job and how many of its members were served
+    /// (per-query counters go through [`WorkerCounters::record`] as for any
+    /// other query).
+    pub(crate) fn record_batch(&self, served: u64) {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_queries
-            .fetch_add(accounting.queries as u64, Ordering::Relaxed);
-        self.batch_unique_pages
-            .fetch_add(accounting.unique_pages, Ordering::Relaxed);
-        self.batch_sequential_pages
-            .fetch_add(accounting.sequential_pages, Ordering::Relaxed);
+        self.batch_queries.fetch_add(served, Ordering::Relaxed);
     }
 
     /// Records one served query: cost counters, the end-to-end latency
@@ -200,13 +191,6 @@ pub struct ServiceStats {
     /// Queries served as batch members
     /// ([`ServiceStats::mean_batch_size`] = this / `batches`).
     pub batch_queries: u64,
-    /// Distinct pages touched, summed over executed batches — what one
-    /// shared traversal per batch would have read.
-    pub batch_unique_pages: u64,
-    /// Sum of per-query node accesses across all batched queries — what
-    /// they did cost, each descending from the root
-    /// ([`ServiceStats::shared_read_savings`] is the gap).
-    pub batch_sequential_pages: u64,
     /// Panics, respawns, shed requests, and missed deadlines across all
     /// workers. Panicked queries are **not** in `queries_served`.
     pub faults: FaultLedger,
@@ -244,14 +228,6 @@ impl ServiceStats {
     pub fn mean_batch_size(&self) -> Option<f64> {
         (self.batches > 0).then(|| self.batch_queries as f64 / self.batches as f64)
     }
-
-    /// Fraction of page reads a shared traversal would save over the
-    /// per-query execution the batches got: `1 - unique / sequential`
-    /// across all batches (`None` before any batched query ran).
-    pub fn shared_read_savings(&self) -> Option<f64> {
-        (self.batch_sequential_pages > 0)
-            .then(|| 1.0 - self.batch_unique_pages as f64 / self.batch_sequential_pages as f64)
-    }
 }
 
 /// Aggregates every pool's counters plus the non-worker flight `rings`
@@ -270,8 +246,6 @@ pub(crate) fn collect(
         single_shard_hits: 0,
         batches: 0,
         batch_queries: 0,
-        batch_unique_pages: 0,
-        batch_sequential_pages: 0,
         faults: FaultLedger::default(),
         per_worker: Vec::new(),
         per_shard: Vec::new(),
@@ -302,8 +276,6 @@ pub(crate) fn collect(
             pool.shards_consulted += c.shards_consulted.load(Ordering::Relaxed);
             stats.batches += c.batches.load(Ordering::Relaxed);
             stats.batch_queries += c.batch_queries.load(Ordering::Relaxed);
-            stats.batch_unique_pages += c.batch_unique_pages.load(Ordering::Relaxed);
-            stats.batch_sequential_pages += c.batch_sequential_pages.load(Ordering::Relaxed);
             stats.faults.panics += c.panics.load(Ordering::Relaxed);
             stats.faults.respawns += c.respawns.load(Ordering::Relaxed);
             stats.faults.shed += c.shed.load(Ordering::Relaxed);

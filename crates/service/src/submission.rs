@@ -2,8 +2,8 @@
 //!
 //! Everything a caller can hand to [`Service::submit`](crate::Service::submit)
 //! is (convertible into) a [`Submission`]: a prepared [`QueryRequest`], a
-//! builder-described group query ([`Submission::group`]), or a
-//! Hilbert-ordered batch ([`Submission::batch`]). Each builder accepts
+//! builder-described group query ([`Submission::group`]), or a batch
+//! ([`Submission::batch`]). Each builder accepts
 //! `.blocking(false)` to turn backpressure into a
 //! [`SubmitError::QueueFull`] instead of blocking — the open-loop
 //! load-generator contract — and every failure mode comes back through the
@@ -153,7 +153,7 @@ pub(crate) enum SubmissionKind {
     /// A group query resolved against the service defaults at submit time.
     Group(GroupSubmission),
     /// A batch: routed into per-shard sub-batches, each one job whose
-    /// members run in Hilbert order (see [`gnn_core::batch`]).
+    /// members run in submission order.
     Batch(Vec<QueryRequest>),
 }
 
@@ -187,10 +187,10 @@ impl Submission {
     }
 
     /// Starts a batch submission: the requests are routed to their shards,
-    /// each shard's sub-batch runs as a **Hilbert-ordered batch with a
-    /// distinct-page ledger** (every member still descends from the root —
-    /// see [`gnn_core::batch`]), and the returned handle yields every
-    /// response, indexed by submission order
+    /// each shard's sub-batch is **one job** — one queue slot and one
+    /// wake-up however many members it has — served in submission order
+    /// (every member descends from the root on its own), and the returned
+    /// handle yields every response, indexed by submission order
     /// ([`ResponseHandle::wait_all`](crate::ResponseHandle::wait_all)).
     pub fn batch(requests: impl IntoIterator<Item = QueryRequest>) -> BatchSubmission {
         BatchSubmission {

@@ -5,9 +5,9 @@
 //! same path: [`WorkerCtx::admit`] stamps the dequeue and sheds what already
 //! expired, [`WorkerCtx::execute`] runs one member through
 //! [`QueryRequest::execute_on`] under its own unwind guard, and
-//! [`WorkerCtx::reply`] records and sends. A batch adds only an order (the
-//! Hilbert order of [`gnn_core::batch`]) and the distinct-page ledger kept
-//! around its members.
+//! [`WorkerCtx::reply`] records and sends. A batch is the same step over
+//! several members, in submission order: what it buys is one queue slot and
+//! one wake-up for many queries, not shared page reads.
 //!
 //! **Clock:** each stage boundary reads the clock once — `dequeued`,
 //! `executed`, `replied` — and the flight events, queue wait, deadline
@@ -25,7 +25,6 @@ use crate::fault::FaultPlan;
 use crate::stats::{duration_nanos, WorkerCounters};
 use crate::submission::QueryError;
 use crate::{lock_unpoisoned, Backend, ServiceConfig};
-use gnn_core::batch::{hilbert_order, BatchAccounting};
 use gnn_core::{
     NetworkBackend, Planner, QueryGroup, QueryRequest, QueryResponse, QueryScratch, QueryTrace,
     Target,
@@ -53,7 +52,7 @@ pub(crate) enum Members {
     /// A single submission; answers index 0.
     One(Member),
     /// A batch submission's members routed to this shard: served like
-    /// singles, in Hilbert order, with a distinct-page ledger around them.
+    /// singles, one after another in submission order.
     Batch(Vec<Member>),
 }
 
@@ -173,9 +172,6 @@ impl WorkerCtx {
     pub(crate) fn run(mut self) {
         let mut carried = None;
         let mut warmed = false;
-        // `(Hilbert key, member position)` of the admitted members of the
-        // job being served, in the order they run.
-        let mut schedule = Vec::new();
         loop {
             let (lease, generation) = self.backend.load();
             let mut serving = Serving::new(&lease, generation);
@@ -184,7 +180,7 @@ impl WorkerCtx {
                 self.warm(&serving);
             }
             while let Some(job) = self.next_job(generation, &mut carried) {
-                self.serve(&mut serving, &job, &mut schedule);
+                self.serve(&mut serving, &job);
             }
             if carried.is_none() {
                 return; // senders dropped and queue drained: shutdown
@@ -229,58 +225,36 @@ impl WorkerCtx {
     }
 
     /// The step, run over a job's members: admit, then execute and reply
-    /// one member after another. A batch job also keeps the distinct-page
-    /// ledger and flushes it **before** its last member's reply, so once a
-    /// caller's `wait_all` returns, `stats()` already shows it. A panic
-    /// restarts it for the members still to run: the overlay died with the
-    /// cursors.
-    fn serve(&mut self, serving: &mut Serving<'_>, job: &Job, schedule: &mut Vec<(u64, u32)>) {
+    /// one member after another, in member order. A batch job is counted
+    /// **before** its last member's reply, so once a caller's `wait_all`
+    /// returns, `stats()` already shows it.
+    fn serve(&mut self, serving: &mut Serving<'_>, job: &Job) {
         let dequeued = Instant::now();
-        let queue_wait = self.admit(serving, job, dequeued, schedule);
+        let queue_wait = self.admit(job, dequeued);
         let batch = matches!(job.members, Members::Batch(_));
-        let mut ledger = BatchAccounting::default();
+        let admitted = job.members().iter();
+        let mut admitted = admitted.filter(|m| !expired(m, queue_wait)).peekable();
+        let mut served = 0;
         let mut started = dequeued;
-        for (n, &(_, position)) in schedule.iter().enumerate() {
-            // (Re)open the page overlay while the ledger is empty: at the
-            // job's first member, and on the fresh cursors after a respawn.
-            if batch && ledger.queries == 0 {
-                serving
-                    .cursors
-                    .iter()
-                    .for_each(TreeCursor::begin_page_tracking);
-            }
-            let member = &job.members()[position as usize];
+        while let Some(member) = admitted.next() {
             let outcome = self.execute(serving, &member.1, started, queue_wait);
-            match &outcome {
-                Some((response, _)) => {
-                    ledger.queries += 1;
-                    ledger.sequential_pages += response.stats.data_tree.logical;
-                }
-                None => {
-                    self.respawn(serving);
-                    ledger = BatchAccounting::default();
-                }
+            match outcome {
+                Some(_) => served += 1,
+                None => self.respawn(serving),
             }
-            if batch && n + 1 == schedule.len() {
-                self.flush_ledger(serving, ledger);
+            if batch && admitted.peek().is_none() {
+                self.counters.record_batch(served);
             }
             let outcome = outcome.ok_or(QueryError::WorkerPanicked);
             started = self.reply(job, member, started, queue_wait, outcome);
         }
     }
 
-    /// One dequeue stamp for the whole job: logs the queue wait, fills the
-    /// schedule (Hilbert order when there is more than one member), and
-    /// sheds — typed, per member, before anything executes — every member
-    /// whose deadline had expired **at that stamp**. Returns the queue
-    /// wait, the same one the shed decision used.
-    fn admit(
-        &self,
-        serving: &Serving<'_>,
-        job: &Job,
-        dequeued: Instant,
-        schedule: &mut Vec<(u64, u32)>,
-    ) -> Duration {
+    /// One dequeue stamp for the whole job: logs the queue wait and sheds —
+    /// typed, per member, before anything executes — every member whose
+    /// deadline had expired **at that stamp** ([`expired`]). Returns the
+    /// queue wait, the same one the shed decision used.
+    fn admit(&self, job: &Job, dequeued: Instant) -> Duration {
         let members = job.members();
         let queue_wait = dequeued.saturating_duration_since(job.submitted);
         // `Enqueued` is back-stamped with the submit instant so the merged
@@ -288,28 +262,11 @@ impl WorkerCtx {
         let flight = &self.counters.flight;
         flight.record_at(job.submitted, Event::Enqueued, members.len() as u64);
         flight.record_at(dequeued, Event::Dequeued, duration_nanos(queue_wait));
-        if members.len() > 1 {
-            let requests = members.iter().map(|member| &member.1);
-            hilbert_order(&serving.target(), requests, schedule);
-        } else {
-            schedule.clear();
-            schedule.push((0, 0));
+        for member in members.iter().filter(|m| expired(m, queue_wait)) {
+            self.counters.record_shed(dequeued, queue_wait);
+            let outcome = Err(QueryError::DeadlineExceeded);
+            self.reply(job, member, dequeued, queue_wait, outcome);
         }
-        schedule.retain(|&(_, position)| {
-            let member = &members[position as usize];
-            let expired = member.1.deadline.is_some_and(|d| queue_wait >= d);
-            if expired {
-                self.counters.record_shed(dequeued, queue_wait);
-                self.reply(
-                    job,
-                    member,
-                    dequeued,
-                    queue_wait,
-                    Err(QueryError::DeadlineExceeded),
-                );
-            }
-            !expired
-        });
         queue_wait
     }
 
@@ -405,22 +362,13 @@ impl WorkerCtx {
         }
         replied
     }
+}
 
-    /// Closes a batch job's ledger into the counters; one no member was
-    /// served under (the last one panicked) says nothing and is dropped.
-    /// Network refinement meters its own R-tree filter reads and the
-    /// overlay sees no cursors, so the honest network ledger is
-    /// unique == sequential (savings 0), not the untracked 0.
-    fn flush_ledger(&self, serving: &Serving<'_>, mut ledger: BatchAccounting) {
-        let cursors = serving.cursors.iter();
-        ledger.unique_pages = cursors.map(TreeCursor::finish_page_tracking).sum();
-        if matches!(serving.lease, Lease::Network(_)) {
-            ledger.unique_pages = ledger.sequential_pages;
-        }
-        if ledger.queries > 0 {
-            self.counters.record_batch(&ledger);
-        }
-    }
+/// Whether a member's queue-wait deadline had run out by the job's dequeue
+/// stamp: the one shed decision, shared by `admit` (which replies to those
+/// members) and `serve` (which runs the others).
+fn expired(member: &Member, queue_wait: Duration) -> bool {
+    member.1.deadline.is_some_and(|d| queue_wait >= d)
 }
 
 /// Applies the fault plan at the execution point of a worker's `nth`
@@ -500,8 +448,6 @@ mod tests {
     #[test]
     fn admit_sheds_what_expired_at_the_dequeue_stamp_and_records_that_wait() {
         let rig = rig(FaultPlan::none());
-        let (lease, generation) = rig.backend.load();
-        let serving = Serving::new(&lease, generation);
         let wait = Duration::from_millis(5);
         // Deadlines around the wait: below and equal are expired, above and
         // unset are not.
@@ -514,23 +460,19 @@ mod tests {
         let (reply, replies) = channel();
         let submitted = Instant::now();
         let job = Job::new(Members::Batch(members.collect()), reply, submitted);
-        let mut schedule = Vec::new();
-        let waited = rig
-            .ctx
-            .admit(&serving, &job, submitted + wait, &mut schedule);
+        let waited = rig.ctx.admit(&job, submitted + wait);
         assert_eq!(waited, wait);
 
-        let mut admitted: Vec<u32> = schedule.iter().map(|&(_, position)| position).collect();
-        admitted.sort_unstable();
+        let admitted = job.members().iter().filter(|m| !expired(m, waited));
+        let admitted: Vec<u32> = admitted.map(|member| member.0).collect();
         assert_eq!(admitted, [0, 3]);
-        let mut shed: Vec<u32> = replies
+        let shed: Vec<u32> = replies
             .try_iter()
             .map(|(index, outcome)| {
                 assert_eq!(outcome, Err(QueryError::DeadlineExceeded));
                 index
             })
             .collect();
-        shed.sort_unstable();
         assert_eq!(shed, [1, 2, 4]);
 
         // The ledger and the ring carry the same wait the decision used.
@@ -555,24 +497,24 @@ mod tests {
     }
 
     #[test]
-    fn a_single_and_a_one_member_batch_differ_only_in_the_batch_ledger() {
+    fn a_single_and_a_one_member_batch_differ_only_in_the_batch_counts() {
         let serve = |members: Members| {
             let mut rig = rig(FaultPlan::none());
             let (lease, generation) = rig.backend.load();
             let mut serving = Serving::new(&lease, generation);
             let (reply, replies) = channel();
             let job = Job::new(members, reply, Instant::now());
-            rig.ctx.serve(&mut serving, &job, &mut Vec::new());
+            rig.ctx.serve(&mut serving, &job);
             let (index, outcome) = replies.try_recv().expect("one reply");
             assert_eq!(index, 0);
             assert!(replies.try_recv().is_err(), "exactly one reply");
             let c = &rig.counters;
-            let ledger = [&c.batches, &c.batch_queries, &c.batch_sequential_pages]
-                .map(|counter| counter.load(Ordering::Relaxed));
-            (outcome.expect("served"), kinds(c), ledger)
+            let counts =
+                [&c.batches, &c.batch_queries].map(|counter| counter.load(Ordering::Relaxed));
+            (outcome.expect("served"), kinds(c), counts)
         };
-        let (single, single_kinds, single_ledger) = serve(Members::One((0, request(7.0, 7.0))));
-        let (batched, batch_kinds, batch_ledger) =
+        let (single, single_kinds, single_counts) = serve(Members::One((0, request(7.0, 7.0))));
+        let (batched, batch_kinds, batch_counts) =
             serve(Members::Batch(vec![(0, request(7.0, 7.0))]));
 
         let bits = |r: &QueryResponse| -> Vec<(u64, u64)> {
@@ -600,8 +542,8 @@ mod tests {
         ];
         assert_eq!(single_kinds, transcript);
         assert_eq!(batch_kinds, transcript);
-        assert_eq!(single_ledger, [0, 0, 0]);
-        assert_eq!(batch_ledger, [1, 1, na]);
+        assert_eq!(single_counts, [0, 0]);
+        assert_eq!(batch_counts, [1, 1]);
     }
 
     #[test]
@@ -610,13 +552,18 @@ mod tests {
         let mut rig = rig(FaultPlan::none().panic_on(0, 2));
         let (lease, generation) = rig.backend.load();
         let mut serving = Serving::new(&lease, generation);
-        let members = (0..3).map(|i| (i, request(2.0 + 6.0 * i as f64, 5.0)));
+        // Far corner, near corner, middle: any spatial order of the three
+        // differs from the order they were submitted in.
+        let members = [(17.0, 16.0), (1.0, 2.0), (9.0, 9.0)];
+        let members = (0..).zip(members.map(|(x, y)| request(x, y)));
         let (reply, replies) = channel();
         let job = Job::new(Members::Batch(members.collect()), reply, Instant::now());
-        rig.ctx.serve(&mut serving, &job, &mut Vec::new());
+        rig.ctx.serve(&mut serving, &job);
 
-        let outcomes: Vec<_> = replies.try_iter().map(|(_, outcome)| outcome).collect();
-        assert_eq!(outcomes.len(), 3);
+        // Members execute in member order: the worker's 2nd attempt is
+        // member index 1, and the replies come back 0, 1, 2.
+        let (indices, outcomes): (Vec<_>, Vec<_>) = replies.try_iter().unzip();
+        assert_eq!(indices, [0, 1, 2]);
         assert!(outcomes[0].is_ok() && outcomes[2].is_ok());
         assert_eq!(outcomes[1], Err(QueryError::WorkerPanicked));
         assert_eq!(rig.ctx.attempts, 3);
@@ -624,9 +571,7 @@ mod tests {
         let c = &rig.counters;
         assert_eq!((count(&c.panics), count(&c.respawns)), (1, 1));
         assert_eq!(count(&c.queries), 2);
-        // The ledger restarted at the respawn: one job, the one member that
-        // ran after it.
-        assert_eq!((count(&c.batches), count(&c.batch_queries)), (1, 1));
+        assert_eq!((count(&c.batches), count(&c.batch_queries)), (1, 2));
         assert_eq!(
             kinds(c)[4..],
             [

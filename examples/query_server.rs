@@ -1,8 +1,7 @@
 //! A miniature GNN query server: freeze a snapshot, start a 4-worker
 //! service, and stream an open-loop §5.1 workload through it, reporting
 //! throughput, tail latency, and the paper's node-access metric — then
-//! replay a hotspot burst workload as Hilbert-ordered batches and report
-//! their distinct-page ledger.
+//! replay a hotspot burst workload as batches, one job per burst.
 //!
 //! ```text
 //! cargo run --release --example query_server
@@ -15,9 +14,9 @@
 //! falls behind, arrivals queue up (bounded by the service's queue depth)
 //! and the tail percentiles show it. The batched phase uses
 //! [`gnn::datasets::batched_arrivals`]: bursts of hotspot queries arriving
-//! together, submitted through [`Submission::batch`] so each burst runs as
-//! one Hilbert-ordered job with a distinct-page ledger (every query still
-//! descends from the root; the ledger says what sharing reads would save).
+//! together, submitted through [`Submission::batch`] so each burst costs one
+//! queue slot and one worker wake-up, its queries answered in submission
+//! order (every query still descends from the root on its own).
 //!
 //! A final overload probe sheds a burst of zero-deadline queries, then the
 //! report prints the telemetry the service kept while serving: per-stage
@@ -90,7 +89,7 @@ fn main() {
     let wall = started.elapsed();
 
     // 4. A hotspot burst phase: 192 skewed queries arriving in bursts of
-    //    16, each burst submitted as ONE Hilbert-ordered batch.
+    //    16, each burst submitted as ONE batch: one job, one wake-up.
     let hotspot = HotspotSpec {
         query: QuerySpec {
             n: 64,
@@ -165,13 +164,9 @@ fn main() {
         total_na
     );
     println!(
-        "batches: {} executed, mean size {:.1}, a shared traversal would save {:.1}% \
-         ({} distinct vs {} as-if-sequential pages)",
+        "batches: {} executed, mean size {:.1}",
         stats.batches,
-        stats.mean_batch_size().unwrap_or(0.0),
-        stats.shared_read_savings().unwrap_or(0.0) * 100.0,
-        stats.batch_unique_pages,
-        stats.batch_sequential_pages
+        stats.mean_batch_size().unwrap_or(0.0)
     );
     for w in &stats.per_worker {
         println!(

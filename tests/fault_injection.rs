@@ -181,18 +181,13 @@ fn mid_batch_panic_answers_every_other_query_exactly_once() {
             .expect("batch submitted");
         let outcomes = handle.wait_each();
         // Everything the job counted is visible the moment its last reply
-        // is: the ledger restarted at the respawn, so it covers exactly the
-        // members that ran after the victim (none, when that was the last).
+        // is: one batch job, and the seven members it served.
         let at_reply = service.stats();
         assert_eq!(at_reply.faults.panics, 1, "panic on member {nth}");
         assert_eq!(at_reply.faults.respawns, 1, "panic on member {nth}");
         assert_eq!(at_reply.queries_served, 7, "panic on member {nth}");
-        assert_eq!(at_reply.batch_queries, 8 - nth, "panic on member {nth}");
-        assert_eq!(
-            at_reply.batches,
-            u64::from(nth < 8),
-            "panic on member {nth}"
-        );
+        assert_eq!(at_reply.batch_queries, 7, "panic on member {nth}");
+        assert_eq!(at_reply.batches, 1, "panic on member {nth}");
 
         assert_eq!(outcomes.len(), 8);
         let mut panicked = 0u64;

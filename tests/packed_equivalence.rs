@@ -13,8 +13,7 @@
 //! distances `<=` its key have been seen, so the search trace is the same;
 //! exact distances are computed by the same (association-fixed) kernel on
 //! both paths, so even the float values are bit-identical. The point-NN
-//! engine under SPM and MQM keeps its sorted leaf runs on packed pages —
-//! per-point CPU and priority-queue traffic only, never the trace.
+//! engine under SPM and MQM is one best-first loop on both page layouts.
 
 use gnn::core::QueryScratch;
 use gnn::prelude::*;

@@ -331,3 +331,72 @@ fn refreshed_data_becomes_queryable() {
         .expect("driver released its service handle")
         .shutdown();
 }
+
+#[test]
+fn non_finite_updates_are_refused_and_never_served() {
+    // ROADMAP 7(2): a NaN or ±∞ coordinate must not enter the tree — once
+    // published, every query that reaches the point is answered with a NaN
+    // distance. `apply` refuses such updates, insert and remove alike.
+    use gnn::core::baseline::linear_scan_points;
+    let n = 300;
+    let entries = base_entries(n, 5);
+    let mut points: Vec<Point> = entries.iter().map(|e| e.point).collect();
+    let sharded_tree = ShardedTree::build(RTreeParams::with_capacity(16), entries, 2);
+    let service = Arc::new(Service::start_sharded(
+        Arc::new(sharded_tree.freeze_all()),
+        ServiceConfig::with_workers(2),
+    ));
+    let generation_at_start = service.generation();
+    let driver = RefreshDriver::start(
+        sharded_tree,
+        Arc::clone(&service),
+        gnn::service::RefreshPolicy {
+            dirty_fraction: 1e-9,
+            ..Default::default()
+        },
+    );
+    let hostile = [
+        Point::new(f64::NAN, 500.0),
+        Point::new(500.0, f64::INFINITY),
+        Point::new(f64::NEG_INFINITY, f64::NAN),
+    ];
+    for (i, &point) in hostile.iter().enumerate() {
+        let id = PointId(900_000 + i as u64);
+        assert!(
+            !driver.apply(Update::Insert(LeafEntry::new(id, point))),
+            "{point:?} was accepted"
+        );
+    }
+    assert!(!driver.apply(Update::Remove {
+        id: PointId(0),
+        point: Point::new(f64::NAN, 0.0),
+    }));
+    assert_eq!(driver.stats().rejected, 4);
+
+    // A finite update behind them is applied and published as usual; the
+    // refused ones moved neither the counters nor the generation.
+    let fresh = Point::new(512.0, 488.0);
+    assert!(driver.apply(Update::Insert(LeafEntry::new(PointId(n as u64), fresh))));
+    points.push(fresh);
+    let outcome = driver.join().expect("driver run failed");
+    assert_eq!((outcome.stats.applied, outcome.stats.rejected), (1, 4));
+    assert_eq!(outcome.tree.len(), n + 1);
+    assert_eq!(service.generation(), generation_at_start + 1);
+
+    // k = N + 1 reaches every point there is: all distances finite, and
+    // the answer is the linear scan's.
+    let group = QueryGroup::sum(vec![Point::new(500.0, 500.0), Point::new(530.0, 470.0)]).unwrap();
+    let want = linear_scan_points(&points, &group, points.len() + 1).neighbors;
+    let got = service
+        .submit(QueryRequest::new(group, points.len() + 1))
+        .expect("query submitted")
+        .wait()
+        .expect("query served")
+        .neighbors;
+    assert_eq!(got.len(), n + 1);
+    assert!(got.iter().all(|neighbor| neighbor.dist.is_finite()));
+    assert_eq!(fingerprint(&got), fingerprint(&want));
+    Arc::try_unwrap(service)
+        .expect("driver released its service handle")
+        .shutdown();
+}
