@@ -45,6 +45,11 @@ impl Default for KBestList {
     }
 }
 
+/// Largest `k` [`KBestList::new`] sizes its heap for up front. Beyond it the
+/// heap grows as neighbors arrive: `k` may exceed the data size by any
+/// amount (`usize::MAX` included) and costs only what is retained.
+const PRESIZE_LIMIT: usize = 256;
+
 impl KBestList {
     /// A list retaining the best `k` neighbors.
     ///
@@ -55,7 +60,7 @@ impl KBestList {
         assert!(k > 0, "k must be positive");
         KBestList {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(PRESIZE_LIMIT) + 1),
         }
     }
 
@@ -223,5 +228,17 @@ mod tests {
     #[should_panic(expected = "k must be positive")]
     fn zero_k_panics() {
         KBestList::new(0);
+    }
+
+    #[test]
+    fn a_k_beyond_any_data_allocates_only_what_it_retains() {
+        let mut list = KBestList::new(usize::MAX);
+        assert!(list.capacity() <= PRESIZE_LIMIT + 1);
+        for id in 0..3 {
+            assert!(list.offer(nb(id, id as f64)));
+        }
+        assert!(!list.is_full());
+        assert_eq!(list.bound(), f64::INFINITY);
+        assert_eq!(list.into_sorted().len(), 3);
     }
 }

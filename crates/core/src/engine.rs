@@ -52,27 +52,19 @@ impl std::fmt::Display for Choice {
     }
 }
 
-/// The §5 decision rule with its one tunable: how many groups still count
-/// as "a small number" (the paper's winning F-MQM case had 3 groups, the
-/// losing one 20; the default threshold sits between).
-#[derive(Debug, Clone, Copy)]
-pub struct Planner {
-    /// Use F-MQM while the query file has at most this many groups.
-    pub fmqm_group_limit: usize,
-}
+/// Use F-MQM while the query file has at most this many groups: "a small
+/// number" in §5 (the paper's winning F-MQM case had 3 groups, the losing
+/// one 20; the threshold sits between).
+const FMQM_GROUP_LIMIT: usize = 6;
 
-impl Default for Planner {
-    fn default() -> Self {
-        Planner {
-            fmqm_group_limit: 6,
-        }
-    }
-}
+/// The §5 decision rule.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Planner;
 
 impl Planner {
-    /// A planner with the default thresholds.
+    /// The planner.
     pub fn new() -> Self {
-        Planner::default()
+        Planner
     }
 
     /// The choice for a memory-resident group: MBM (the §5.1 winner) — it
@@ -86,7 +78,7 @@ impl Planner {
     /// otherwise (§5.2 summary). GCP is never chosen ("very poor
     /// performance in all cases").
     pub fn choose_file(&self, query: &GroupedQueryFile) -> Choice {
-        if query.group_count() <= self.fmqm_group_limit {
+        if query.group_count() <= FMQM_GROUP_LIMIT {
             Choice::Fmqm
         } else {
             Choice::Fmbm
@@ -262,14 +254,5 @@ mod tests {
         assert_eq!(choice, Choice::Fmqm);
         assert_eq!(result.neighbors.len(), 2);
         assert_eq!(choice.to_string(), "F-MQM");
-    }
-
-    #[test]
-    fn custom_group_limit_flips_the_choice() {
-        let qf = GroupedQueryFile::build_with(random_points(60, 7), 16, 32);
-        let eager = Planner {
-            fmqm_group_limit: 0,
-        };
-        assert_eq!(eager.choose_file(&qf), Choice::Fmbm);
     }
 }

@@ -99,11 +99,6 @@ pub struct QueryRequest {
     pub k: usize,
     /// Algorithm selector.
     pub algo: Algo,
-    /// Routing override for sharded serving engines: when set (and in
-    /// range), the router sends the request to this shard's pool instead of
-    /// computing the aggregate-MBR bound. Only queue placement changes: the
-    /// cross-shard merge still consults whatever shards the bounds demand.
-    pub shard_hint: Option<u32>,
     /// Optional service-relative deadline: the budget from submission until
     /// the request **starts executing**. A serving engine checks it at
     /// dequeue and sheds an already-expired request with a typed error
@@ -139,7 +134,6 @@ impl QueryRequest {
             group,
             k,
             algo,
-            shard_hint: None,
             deadline: None,
             trace: false,
             network: None,
@@ -149,12 +143,6 @@ impl QueryRequest {
     /// Attaches a network-domain payload (see [`QueryRequest::network`]).
     pub fn with_network(mut self, network: NetworkQuery) -> Self {
         self.network = Some(network);
-        self
-    }
-
-    /// Sets a shard-routing hint (see [`QueryRequest::shard_hint`]).
-    pub fn with_shard_hint(mut self, shard: u32) -> Self {
-        self.shard_hint = Some(shard);
         self
     }
 

@@ -7,16 +7,16 @@
 //!
 //! Two implementations exist per kernel. The [`scalar`] module holds the
 //! original branch-free scalar loops — the **bit-identity oracle** and the
-//! fallback on targets without explicit SIMD backends. [`crate::simd`] holds
-//! hand-written SSE2/AVX2 kernels that produce bit-identical results (see
-//! that module's contract). [`BatchKernels`] picks between them: call
+//! fallback on hosts without AVX2+FMA. [`crate::simd`] holds hand-written
+//! AVX2 kernels that produce bit-identical results (see that module's
+//! contract). [`BatchKernels`] picks between them: call
 //! [`BatchKernels::auto`] for the process-wide [`crate::simd::dispatch_level`]
 //! choice, or [`BatchKernels::for_level`] to pin a specific level (how the
 //! property suite compares levels in one process).
 //!
 //! One kernel has a scalar body only: the exact multi-point weighted SUM
 //! ([`BatchKernels::points_weighted_dist_sum_multi_padded`]) runs
-//! [`scalar::points_weighted_dist_sum_multi`] at every level. It is bound by
+//! [`scalar::points_weighted_dist_sum_multi`] at both levels. It is bound by
 //! `sqrtpd`, whose throughput per element is the same at 128 and 256 bits,
 //! and the compiler already emits the 128-bit form for the scalar fold — a
 //! hand-written body measured at or below parity on every tier
@@ -367,9 +367,9 @@ fn lower_bound_margin(w: &[f32]) -> (f64, f64) {
 /// All methods produce **bit-identical** results regardless of the level
 /// (the SIMD contract in [`crate::simd`]); the level only changes how fast
 /// they get there — save [`Self::points_weighted_dist_sum_lower_padded`],
-/// which promises an inequality and exists on one level only. Construct with [`BatchKernels::auto`] in production
-/// code; [`BatchKernels::for_level`] exists so benches and tests can
-/// compare levels within one process.
+/// which promises an inequality and exists at AVX2 only. Construct with
+/// [`BatchKernels::auto`] in production code; [`BatchKernels::for_level`]
+/// exists so tests can compare levels within one process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchKernels {
     level: SimdLevel,
@@ -395,18 +395,6 @@ impl BatchKernels {
         self.level
     }
 
-    /// Largest lane multiple ≤ `n`: the span the group-dimension folds
-    /// cover with full vectors (their slices are exact, never padded).
-    #[inline]
-    fn vec_floor(&self, n: usize) -> usize {
-        let lanes = match self.level {
-            SimdLevel::Scalar => 1,
-            SimdLevel::Sse2 => 2,
-            SimdLevel::Avx2Fma => 4,
-        };
-        n - n % lanes
-    }
-
     /// Lane-padded [`scalar::rects_mindist_sq_point`]: `n` logical
     /// rectangles whose coordinate slices hold at least [`pad_len`]`(n)`
     /// readable lanes. Exactly `n` results are written.
@@ -428,20 +416,6 @@ impl BatchKernels {
         let p = pad_len(n);
         assert!(lo_x.len() >= p && lo_y.len() >= p && hi_x.len() >= p && hi_y.len() >= p);
         match self.level {
-            SimdLevel::Scalar => {
-                scalar::rects_mindist_sq_point(
-                    &lo_x[..n],
-                    &lo_y[..n],
-                    &hi_x[..n],
-                    &hi_y[..n],
-                    q,
-                    out,
-                );
-            }
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => {
-                simd::x86::rects_mindist_sq_point_sse2(lo_x, lo_y, hi_x, hi_y, n, q, out)
-            }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `BatchKernels` holds `Avx2Fma` only when runtime
             // detection confirmed avx2+fma (auto/for_level check
@@ -450,8 +424,14 @@ impl BatchKernels {
             SimdLevel::Avx2Fma => unsafe {
                 simd::x86::rects_mindist_sq_point_avx2(lo_x, lo_y, hi_x, hi_y, n, q, out)
             },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("non-scalar level on a target without SIMD backends"),
+            _ => scalar::rects_mindist_sq_point(
+                &lo_x[..n],
+                &lo_y[..n],
+                &hi_x[..n],
+                &hi_y[..n],
+                q,
+                out,
+            ),
         }
     }
 
@@ -475,27 +455,19 @@ impl BatchKernels {
         let p = pad_len(n);
         assert!(lo_x.len() >= p && lo_y.len() >= p && hi_x.len() >= p && hi_y.len() >= p);
         match self.level {
-            SimdLevel::Scalar => {
-                scalar::rects_mindist_sq_rect(
-                    &lo_x[..n],
-                    &lo_y[..n],
-                    &hi_x[..n],
-                    &hi_y[..n],
-                    m,
-                    out,
-                );
-            }
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => {
-                simd::x86::rects_mindist_sq_rect_sse2(lo_x, lo_y, hi_x, hi_y, n, m, out)
-            }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as in `rects_mindist_sq_point_padded`.
             SimdLevel::Avx2Fma => unsafe {
                 simd::x86::rects_mindist_sq_rect_avx2(lo_x, lo_y, hi_x, hi_y, n, m, out)
             },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("non-scalar level on a target without SIMD backends"),
+            _ => scalar::rects_mindist_sq_rect(
+                &lo_x[..n],
+                &lo_y[..n],
+                &hi_x[..n],
+                &hi_y[..n],
+                m,
+                out,
+            ),
         }
     }
 
@@ -516,14 +488,10 @@ impl BatchKernels {
         let p = pad_len(n);
         assert!(xs.len() >= p && ys.len() >= p);
         match self.level {
-            SimdLevel::Scalar => scalar::points_dist_sq(&xs[..n], &ys[..n], q, out),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => simd::x86::points_dist_sq_sse2(xs, ys, n, q, out),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as in `rects_mindist_sq_point_padded`.
             SimdLevel::Avx2Fma => unsafe { simd::x86::points_dist_sq_avx2(xs, ys, n, q, out) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("non-scalar level on a target without SIMD backends"),
+            _ => scalar::points_dist_sq(&xs[..n], &ys[..n], q, out),
         }
     }
 
@@ -544,16 +512,12 @@ impl BatchKernels {
         let p = pad_len(n);
         assert!(xs.len() >= p && ys.len() >= p);
         match self.level {
-            SimdLevel::Scalar => scalar::points_mindist_sq_rect(&xs[..n], &ys[..n], m, out),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => simd::x86::points_mindist_sq_rect_sse2(xs, ys, n, m, out),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as in `rects_mindist_sq_point_padded`.
             SimdLevel::Avx2Fma => unsafe {
                 simd::x86::points_mindist_sq_rect_avx2(xs, ys, n, m, out)
             },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("non-scalar level on a target without SIMD backends"),
+            _ => scalar::points_mindist_sq_rect(&xs[..n], &ys[..n], m, out),
         }
     }
 
@@ -563,7 +527,7 @@ impl BatchKernels {
     /// (the fold dimension must be exact — that is what keeps the sequential
     /// SUM bit-identical).
     ///
-    /// Every level runs the scalar fold (module docs: why it has no SIMD
+    /// Both levels run the scalar fold (module docs: why it has no SIMD
     /// body).
     ///
     /// # Panics
@@ -599,9 +563,8 @@ impl BatchKernels {
     /// verify — the bound decides who pays for the exact kernel, it never
     /// stands in for a distance.
     ///
-    /// Returns `false`, with `out` left empty, on every level below
-    /// [`SimdLevel::Avx2Fma`]: there is no such kernel there and callers
-    /// score exactly instead.
+    /// Returns `false`, with `out` left empty, at [`SimdLevel::Scalar`]:
+    /// there is no such kernel there and callers score exactly instead.
     ///
     /// # The margin
     ///
@@ -730,131 +693,75 @@ impl BatchKernels {
         assert!(xs.len() >= p && ys.len() >= p);
         assert_eq!(qy.len(), qx.len());
         match self.level {
-            SimdLevel::Scalar => {
-                if MAX {
-                    scalar::points_dist_sq_max_multi(&xs[..m], &ys[..m], qx, qy, out);
-                } else {
-                    scalar::points_dist_sq_min_multi(&xs[..m], &ys[..m], qx, qy, out);
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => {
-                if MAX {
-                    simd::x86::points_dist_sq_max_multi_sse2(xs, ys, m, qx, qy, out);
-                } else {
-                    simd::x86::points_dist_sq_min_multi_sse2(xs, ys, m, qx, qy, out);
-                }
-            }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as in `rects_mindist_sq_point_padded`.
             SimdLevel::Avx2Fma => unsafe {
-                if MAX {
-                    simd::x86::points_dist_sq_max_multi_avx2(xs, ys, m, qx, qy, out);
-                } else {
-                    simd::x86::points_dist_sq_min_multi_avx2(xs, ys, m, qx, qy, out);
-                }
+                simd::x86::points_dist_sq_fold_multi_avx2::<MAX>(xs, ys, m, qx, qy, out)
             },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("non-scalar level on a target without SIMD backends"),
+            _ if MAX => scalar::points_dist_sq_max_multi(&xs[..m], &ys[..m], qx, qy, out),
+            _ => scalar::points_dist_sq_min_multi(&xs[..m], &ys[..m], qx, qy, out),
         }
     }
 
     /// See [`scalar::rect_weighted_mindist_sum`]. The accumulation order is
-    /// the scalar one on every level (sequential in `i`), so the result is
+    /// the scalar one on both levels (sequential in `i`), so the result is
     /// bit-identical across levels.
     pub fn rect_weighted_mindist_sum(&self, m: &Rect, qx: &[f64], qy: &[f64], w: &[f64]) -> f64 {
         let n = qx.len();
         assert!(qy.len() == n && w.len() == n);
         match self.level {
-            SimdLevel::Scalar => scalar::rect_weighted_mindist_sum(m, qx, qy, w),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => {
-                simd::x86::rect_weighted_mindist_sum_sse2(m, qx, qy, w, n, self.vec_floor(n))
-            }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: level as in `rects_mindist_sq_point_padded`; the kernel
             // reads the `n` lanes of the exact slices asserted above.
             SimdLevel::Avx2Fma => unsafe {
-                simd::x86::rect_weighted_mindist_sum_avx2(m, qx, qy, w, n, self.vec_floor(n))
+                simd::x86::rect_weighted_mindist_sum_avx2(m, qx, qy, w)
             },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("non-scalar level on a target without SIMD backends"),
+            _ => scalar::rect_weighted_mindist_sum(m, qx, qy, w),
         }
     }
 
     /// See [`scalar::rect_mindist_sq_max`].
     pub fn rect_mindist_sq_max(&self, m: &Rect, qx: &[f64], qy: &[f64]) -> f64 {
-        let n = qx.len();
-        assert_eq!(qy.len(), n);
-        match self.level {
-            SimdLevel::Scalar => scalar::rect_mindist_sq_max(m, qx, qy),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => simd::x86::rect_mindist_sq_max_sse2(m, qx, qy, n, self.vec_floor(n)),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: level as in `rects_mindist_sq_point_padded`; the kernel
-            // reads the `n` lanes of the exact slices asserted above.
-            SimdLevel::Avx2Fma => unsafe {
-                simd::x86::rect_mindist_sq_max_avx2(m, qx, qy, n, self.vec_floor(n))
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("non-scalar level on a target without SIMD backends"),
-        }
+        self.rect_fold::<true>(m, qx, qy)
     }
 
     /// See [`scalar::rect_mindist_sq_min`].
     pub fn rect_mindist_sq_min(&self, m: &Rect, qx: &[f64], qy: &[f64]) -> f64 {
-        let n = qx.len();
-        assert_eq!(qy.len(), n);
+        self.rect_fold::<false>(m, qx, qy)
+    }
+
+    #[inline]
+    fn rect_fold<const MAX: bool>(&self, m: &Rect, qx: &[f64], qy: &[f64]) -> f64 {
+        assert_eq!(qy.len(), qx.len());
         match self.level {
-            SimdLevel::Scalar => scalar::rect_mindist_sq_min(m, qx, qy),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => simd::x86::rect_mindist_sq_min_sse2(m, qx, qy, n, self.vec_floor(n)),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: level as in `rects_mindist_sq_point_padded`; the kernel
-            // reads the `n` lanes of the exact slices asserted above.
-            SimdLevel::Avx2Fma => unsafe {
-                simd::x86::rect_mindist_sq_min_avx2(m, qx, qy, n, self.vec_floor(n))
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("non-scalar level on a target without SIMD backends"),
+            // reads the `qx.len()` lanes of the exact slices asserted above.
+            SimdLevel::Avx2Fma => unsafe { simd::x86::rect_mindist_sq_fold_avx2::<MAX>(m, qx, qy) },
+            _ if MAX => scalar::rect_mindist_sq_max(m, qx, qy),
+            _ => scalar::rect_mindist_sq_min(m, qx, qy),
         }
     }
 
     /// See [`scalar::point_dist_sq_max`].
     pub fn point_dist_sq_max(&self, p: Point, qx: &[f64], qy: &[f64]) -> f64 {
-        let n = qx.len();
-        assert_eq!(qy.len(), n);
-        match self.level {
-            SimdLevel::Scalar => scalar::point_dist_sq_max(p, qx, qy),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => simd::x86::point_dist_sq_max_sse2(p, qx, qy, n, self.vec_floor(n)),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: level as in `rects_mindist_sq_point_padded`; the kernel
-            // reads the `n` lanes of the exact slices asserted above.
-            SimdLevel::Avx2Fma => unsafe {
-                simd::x86::point_dist_sq_max_avx2(p, qx, qy, n, self.vec_floor(n))
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("non-scalar level on a target without SIMD backends"),
-        }
+        self.point_fold::<true>(p, qx, qy)
     }
 
     /// See [`scalar::point_dist_sq_min`].
     pub fn point_dist_sq_min(&self, p: Point, qx: &[f64], qy: &[f64]) -> f64 {
-        let n = qx.len();
-        assert_eq!(qy.len(), n);
+        self.point_fold::<false>(p, qx, qy)
+    }
+
+    #[inline]
+    fn point_fold<const MAX: bool>(&self, p: Point, qx: &[f64], qy: &[f64]) -> f64 {
+        assert_eq!(qy.len(), qx.len());
         match self.level {
-            SimdLevel::Scalar => scalar::point_dist_sq_min(p, qx, qy),
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => simd::x86::point_dist_sq_min_sse2(p, qx, qy, n, self.vec_floor(n)),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: level as in `rects_mindist_sq_point_padded`; the kernel
-            // reads the `n` lanes of the exact slices asserted above.
-            SimdLevel::Avx2Fma => unsafe {
-                simd::x86::point_dist_sq_min_avx2(p, qx, qy, n, self.vec_floor(n))
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("non-scalar level on a target without SIMD backends"),
+            // SAFETY: as in `rect_fold`.
+            SimdLevel::Avx2Fma => unsafe { simd::x86::point_dist_sq_fold_avx2::<MAX>(p, qx, qy) },
+            _ if MAX => scalar::point_dist_sq_max(p, qx, qy),
+            _ => scalar::point_dist_sq_min(p, qx, qy),
         }
     }
 }

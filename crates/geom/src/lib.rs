@@ -11,7 +11,7 @@
 //! * [`batch`] — branch-free batched distance kernels over SoA coordinate
 //!   slices (the packed R-tree's scan primitives), with scalar and explicit
 //!   SIMD backends behind one dispatch ([`batch::BatchKernels`]),
-//! * [`simd`] — the SSE2/AVX2 kernel bodies, runtime dispatch level
+//! * [`simd`] — the AVX2 kernel bodies, runtime dispatch level
 //!   ([`SimdLevel`]) and the lane-padding helpers,
 //! * [`aligned`] — [`AlignedVec`], a 64-byte-aligned growable `f64` buffer
 //!   backing the packed arenas,

@@ -1,6 +1,6 @@
 //! Explicit SIMD backends for the [`crate::batch`] kernels.
 //!
-//! Three dispatch levels, selected **once** per process at first use:
+//! Two dispatch levels, selected **once** per process at first use:
 //!
 //! * [`SimdLevel::Avx2Fma`] — 256-bit, 4 `f64` lanes. Taken on `x86_64`
 //!   when runtime detection reports both `avx2` and `fma`. (FMA gates the
@@ -9,12 +9,14 @@
 //!   reference rounds twice, which would break bit-identity. Only the
 //!   rounded-down `f32` lower bound — which promises an inequality, not
 //!   bits — uses it.)
-//! * [`SimdLevel::Sse2`] — 128-bit, 2 `f64` lanes. The `x86_64` baseline:
-//!   always available there, so it is the floor on that architecture.
 //! * [`SimdLevel::Scalar`] — the original scalar kernels
-//!   ([`crate::batch::scalar`]), verbatim. The only level on non-x86
-//!   targets, and forced everywhere by the `GNN_FORCE_SCALAR` environment
-//!   variable (set to anything but `0`; see [`dispatch_level`]).
+//!   ([`crate::batch::scalar`]), verbatim. The level on every other host,
+//!   and forced everywhere by the `GNN_FORCE_SCALAR` environment variable
+//!   (set to anything but `0`; see [`dispatch_level`]).
+//!
+//! No 128-bit level sits between them: AVX2 times at or below SSE2 on every
+//! kernel, so SSE2 would serve only `x86_64` hosts without AVX2+FMA, and no
+//! CI runner, benchmark or reference host is one (EXPERIMENTS.md).
 //!
 //! # Bit-identity contract
 //!
@@ -42,7 +44,7 @@
 //!
 //! The exact multi-point weighted SUM has no body here: `sqrtpd` retires
 //! the same elements per cycle at 128 and 256 bits and the compiler already
-//! vectorizes the scalar fold at 128, so every level dispatches
+//! vectorizes the scalar fold at 128, so both levels dispatch
 //! [`crate::batch::scalar::points_weighted_dist_sum_multi`].
 //!
 //! One kernel stands outside the contract on purpose:
@@ -57,8 +59,8 @@
 use std::sync::OnceLock;
 
 /// Lane quantum used for arena padding: `f64`s per 64-byte chunk. Page
-/// spans in packed arenas are padded to a multiple of this, which is wide
-/// enough for every vector width dispatched here (2 or 4 lanes).
+/// spans in packed arenas are padded to a multiple of this: two 4-lane
+/// `f64` vectors, or one 8-lane `f32` vector of the lower bound.
 pub const LANE_COUNT: usize = 8;
 
 /// `n` rounded up to a multiple of [`LANE_COUNT`] — the stride a padded
@@ -73,19 +75,16 @@ pub const fn pad_len(n: usize) -> usize {
 pub enum SimdLevel {
     /// Scalar reference kernels ([`crate::batch::scalar`]).
     Scalar,
-    /// 128-bit SSE2 kernels (`x86_64` baseline).
-    Sse2,
     /// 256-bit AVX2 kernels (FMA detected; used by the `f32` lower bound
     /// only, never by a bit-identical kernel).
     Avx2Fma,
 }
 
 impl SimdLevel {
-    /// Stable human/telemetry label: `"scalar"`, `"sse2"`, `"avx2+fma"`.
+    /// Stable human/telemetry label: `"scalar"`, `"avx2+fma"`.
     pub const fn label(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2Fma => "avx2+fma",
         }
     }
@@ -96,20 +95,18 @@ impl SimdLevel {
         match self {
             SimdLevel::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => true,
-            #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2Fma => {
                 std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma")
             }
             #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
+            SimdLevel::Avx2Fma => false,
         }
     }
 
     /// Every level the current host can run, ascending (scalar first).
     pub fn available_levels() -> Vec<SimdLevel> {
-        [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2Fma]
+        [SimdLevel::Scalar, SimdLevel::Avx2Fma]
             .into_iter()
             .filter(|l| l.is_available())
             .collect()
@@ -117,23 +114,18 @@ impl SimdLevel {
 }
 
 /// The level the process-wide kernel dispatch uses, decided once at first
-/// call and cached: [`SimdLevel::Scalar`] when the `GNN_FORCE_SCALAR`
-/// environment variable is set to anything other than `""` or `"0"`
-/// (the escape hatch that keeps the fallback path exercised in CI),
-/// otherwise the best [`SimdLevel::is_available`] level.
+/// call and cached: [`SimdLevel::Avx2Fma`] when it is available and the
+/// `GNN_FORCE_SCALAR` environment variable does not force scalar (set to
+/// anything other than `""` or `"0"` — the escape hatch that keeps the
+/// fallback path exercised in CI), otherwise [`SimdLevel::Scalar`].
 // `#[inline]`: every kernel dispatch in the other crates starts here, and
 // the cached path is one load — not worth a cross-crate call per bound.
 #[inline]
 pub fn dispatch_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
-        if force_scalar_requested() {
-            return SimdLevel::Scalar;
-        }
-        if SimdLevel::Avx2Fma.is_available() {
+        if !force_scalar_requested() && SimdLevel::Avx2Fma.is_available() {
             SimdLevel::Avx2Fma
-        } else if SimdLevel::Sse2.is_available() {
-            SimdLevel::Sse2
         } else {
             SimdLevel::Scalar
         }
@@ -151,87 +143,30 @@ pub fn force_scalar_requested() -> bool {
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    //! SSE2 and AVX2 kernel bodies, written once against a tiny vector
-    //! trait and monomorphized per width. The elementwise maps and the
-    //! multi-point aggregates take `n` logical elements over lane-padded
-    //! slices and run full vectors across all `pad_len(n)` lanes (sentinel
-    //! lanes are computed into spare capacity and never exposed). The
-    //! group-dimension reductions take exact slices plus `vec_n`, the
-    //! leading lane multiple to process with full vectors; their
-    //! `vec_n..n` remainder runs the scalar reference code.
+    //! The AVX2 kernel bodies. The elementwise maps and the multi-point
+    //! aggregates take `n` logical elements over lane-padded slices and run
+    //! full vectors across all `pad_len(n)` lanes (sentinel lanes are
+    //! computed into spare capacity and never exposed). The group-dimension
+    //! reductions take exact slices: their leading multiple of four lanes
+    //! runs as full vectors, the remainder runs the scalar reference code.
+    //!
+    //! Every kernel is an `unsafe` `#[target_feature(enable = "avx2,fma")]`
+    //! function whose one call site, the dispatcher in `crate::batch`,
+    //! holds `Avx2Fma` only after runtime detection and asserts the slice
+    //! lengths each kernel's `# Safety` section names. A map or multi-point
+    //! kernel clears `out` and refills it with exactly `n` results.
 
     use super::{pad_len, LANE_COUNT};
     use crate::{Point, Rect};
     use core::arch::x86_64::*;
 
-    /// Minimal `f64` vector interface. All methods are `unsafe`: AVX2
-    /// intrinsics require the caller to have verified the feature at
-    /// runtime, and loads/stores trust the pointer range.
-    trait Vf64: Copy {
-        const LANES: usize;
-        unsafe fn loadu(p: *const f64) -> Self;
-        unsafe fn storeu(self, p: *mut f64);
-        unsafe fn splat(v: f64) -> Self;
-        unsafe fn add(self, o: Self) -> Self;
-        unsafe fn sub(self, o: Self) -> Self;
-        unsafe fn mul(self, o: Self) -> Self;
-        unsafe fn vmax(self, o: Self) -> Self;
-        unsafe fn vmin(self, o: Self) -> Self;
-        unsafe fn vsqrt(self) -> Self;
-    }
-
-    #[derive(Clone, Copy)]
-    struct V2(__m128d);
-
-    // SAFETY (all V2 methods): SSE2 is part of the x86_64 baseline, so
-    // these intrinsics are always callable on this target.
-    impl Vf64 for V2 {
-        const LANES: usize = 2;
-        #[inline(always)]
-        unsafe fn loadu(p: *const f64) -> Self {
-            V2(_mm_loadu_pd(p))
-        }
-        #[inline(always)]
-        unsafe fn storeu(self, p: *mut f64) {
-            _mm_storeu_pd(p, self.0)
-        }
-        #[inline(always)]
-        unsafe fn splat(v: f64) -> Self {
-            V2(_mm_set1_pd(v))
-        }
-        #[inline(always)]
-        unsafe fn add(self, o: Self) -> Self {
-            V2(_mm_add_pd(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn sub(self, o: Self) -> Self {
-            V2(_mm_sub_pd(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn mul(self, o: Self) -> Self {
-            V2(_mm_mul_pd(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn vmax(self, o: Self) -> Self {
-            V2(_mm_max_pd(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn vmin(self, o: Self) -> Self {
-            V2(_mm_min_pd(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn vsqrt(self) -> Self {
-            V2(_mm_sqrt_pd(self.0))
-        }
-    }
-
+    /// Four `f64` lanes. Every method is `unsafe`: the intrinsics need the
+    /// AVX2 the kernels below enable, and loads/stores trust the pointer
+    /// range.
     #[derive(Clone, Copy)]
     struct V4(__m256d);
 
-    // SAFETY (all V4 methods): reached only through the `*_avx2` entry
-    // points below, which carry `#[target_feature(enable = "avx2")]` and
-    // are themselves gated behind runtime detection by the dispatcher.
-    impl Vf64 for V4 {
+    impl V4 {
         const LANES: usize = 4;
         #[inline(always)]
         unsafe fn loadu(p: *const f64) -> Self {
@@ -287,21 +222,26 @@ pub(crate) mod x86 {
     /// interval-excess with the clamp LAST, so any signed-zero difference
     /// between `maxpd` and `f64::max` collapses to `+0.0` on both paths.
     #[inline(always)]
-    unsafe fn excess<V: Vf64>(v: V, lo: V, hi: V, zero: V) -> V {
+    unsafe fn excess(v: V4, lo: V4, hi: V4, zero: V4) -> V4 {
         lo.sub(v).vmax(v.sub(hi)).vmax(zero)
     }
 
     /// `dx² + dy²` with the scalar's rounding order (mul, mul, add).
     #[inline(always)]
-    unsafe fn hypot_sq<V: Vf64>(dx: V, dy: V) -> V {
+    unsafe fn hypot_sq(dx: V4, dy: V4) -> V4 {
         dx.mul(dx).add(dy.mul(dy))
     }
 
     // ---- elementwise maps -------------------------------------------
 
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn map_rects_point<V: Vf64>(
+    /// `out[i] = mindist²(rect_i, q)`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA are available, and every coordinate slice holds
+    /// `pad_len(n)` readable lanes.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn rects_mindist_sq_point_avx2(
         lo_x: &[f64],
         lo_y: &[f64],
         hi_x: &[f64],
@@ -312,22 +252,27 @@ pub(crate) mod x86 {
     ) {
         let (po, vec_n) = prep_out(out, n);
         let (plx, ply, phx, phy) = (lo_x.as_ptr(), lo_y.as_ptr(), hi_x.as_ptr(), hi_y.as_ptr());
-        let qx = V::splat(q.x);
-        let qy = V::splat(q.y);
-        let zero = V::splat(0.0);
+        let qx = V4::splat(q.x);
+        let qy = V4::splat(q.y);
+        let zero = V4::splat(0.0);
         let mut i = 0;
         while i < vec_n {
-            let dx = excess(qx, V::loadu(plx.add(i)), V::loadu(phx.add(i)), zero);
-            let dy = excess(qy, V::loadu(ply.add(i)), V::loadu(phy.add(i)), zero);
+            let dx = excess(qx, V4::loadu(plx.add(i)), V4::loadu(phx.add(i)), zero);
+            let dy = excess(qy, V4::loadu(ply.add(i)), V4::loadu(phy.add(i)), zero);
             hypot_sq(dx, dy).storeu(po.add(i));
-            i += V::LANES;
+            i += V4::LANES;
         }
         out.set_len(n);
     }
 
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn map_rects_rect<V: Vf64>(
+    /// `out[i] = mindist²(rect_i, m)`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA are available, and every coordinate slice holds
+    /// `pad_len(n)` readable lanes.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn rects_mindist_sq_rect_avx2(
         lo_x: &[f64],
         lo_y: &[f64],
         hi_x: &[f64],
@@ -339,31 +284,37 @@ pub(crate) mod x86 {
         let (po, vec_n) = prep_out(out, n);
         let (plx, ply, phx, phy) = (lo_x.as_ptr(), lo_y.as_ptr(), hi_x.as_ptr(), hi_y.as_ptr());
         let (mlx, mly, mhx, mhy) = (
-            V::splat(m.lo.x),
-            V::splat(m.lo.y),
-            V::splat(m.hi.x),
-            V::splat(m.hi.y),
+            V4::splat(m.lo.x),
+            V4::splat(m.lo.y),
+            V4::splat(m.hi.x),
+            V4::splat(m.hi.y),
         );
-        let zero = V::splat(0.0);
+        let zero = V4::splat(0.0);
         let mut i = 0;
         while i < vec_n {
             // gap = max(max(b_lo - a_hi, a_lo - b_hi), 0.0), clamp last.
             let dx = mlx
-                .sub(V::loadu(phx.add(i)))
-                .vmax(V::loadu(plx.add(i)).sub(mhx))
+                .sub(V4::loadu(phx.add(i)))
+                .vmax(V4::loadu(plx.add(i)).sub(mhx))
                 .vmax(zero);
             let dy = mly
-                .sub(V::loadu(phy.add(i)))
-                .vmax(V::loadu(ply.add(i)).sub(mhy))
+                .sub(V4::loadu(phy.add(i)))
+                .vmax(V4::loadu(ply.add(i)).sub(mhy))
                 .vmax(zero);
             hypot_sq(dx, dy).storeu(po.add(i));
-            i += V::LANES;
+            i += V4::LANES;
         }
         out.set_len(n);
     }
 
-    #[inline(always)]
-    unsafe fn map_points_point<V: Vf64>(
+    /// `out[i] = |p_i q|²`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA are available, and every coordinate slice holds
+    /// `pad_len(n)` readable lanes.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn points_dist_sq_avx2(
         xs: &[f64],
         ys: &[f64],
         n: usize,
@@ -372,20 +323,26 @@ pub(crate) mod x86 {
     ) {
         let (po, vec_n) = prep_out(out, n);
         let (px, py) = (xs.as_ptr(), ys.as_ptr());
-        let qx = V::splat(q.x);
-        let qy = V::splat(q.y);
+        let qx = V4::splat(q.x);
+        let qy = V4::splat(q.y);
         let mut i = 0;
         while i < vec_n {
-            let dx = V::loadu(px.add(i)).sub(qx);
-            let dy = V::loadu(py.add(i)).sub(qy);
+            let dx = V4::loadu(px.add(i)).sub(qx);
+            let dy = V4::loadu(py.add(i)).sub(qy);
             hypot_sq(dx, dy).storeu(po.add(i));
-            i += V::LANES;
+            i += V4::LANES;
         }
         out.set_len(n);
     }
 
-    #[inline(always)]
-    unsafe fn map_points_rect<V: Vf64>(
+    /// `out[i] = mindist²(p_i, m)`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA are available, and every coordinate slice holds
+    /// `pad_len(n)` readable lanes.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn points_mindist_sq_rect_avx2(
         xs: &[f64],
         ys: &[f64],
         n: usize,
@@ -395,18 +352,18 @@ pub(crate) mod x86 {
         let (po, vec_n) = prep_out(out, n);
         let (px, py) = (xs.as_ptr(), ys.as_ptr());
         let (mlx, mly, mhx, mhy) = (
-            V::splat(m.lo.x),
-            V::splat(m.lo.y),
-            V::splat(m.hi.x),
-            V::splat(m.hi.y),
+            V4::splat(m.lo.x),
+            V4::splat(m.lo.y),
+            V4::splat(m.hi.x),
+            V4::splat(m.hi.y),
         );
-        let zero = V::splat(0.0);
+        let zero = V4::splat(0.0);
         let mut i = 0;
         while i < vec_n {
-            let dx = excess(V::loadu(px.add(i)), mlx, mhx, zero);
-            let dy = excess(V::loadu(py.add(i)), mly, mhy, zero);
+            let dx = excess(V4::loadu(px.add(i)), mlx, mhx, zero);
+            let dy = excess(V4::loadu(py.add(i)), mly, mhy, zero);
             hypot_sq(dx, dy).storeu(po.add(i));
-            i += V::LANES;
+            i += V4::LANES;
         }
         out.set_len(n);
     }
@@ -418,10 +375,16 @@ pub(crate) mod x86 {
     // sequential in `i` — bit-identical to the scalar kernels. The body
     // is unrolled ×2 (two vectors of accumulators) to overlap the fold
     // dependency chains. MAX and MIN only: the exact weighted SUM runs the
-    // scalar fold at every level (module docs).
+    // scalar fold at both levels (module docs).
 
-    #[inline(always)]
-    unsafe fn multi_fold<V: Vf64, const MAX: bool>(
+    /// `out[j] = max_i |p_j q_i|²` (`MAX`) or `min_i |p_j q_i|²`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA are available, `xs` and `ys` hold `pad_len(m)` readable
+    /// lanes, and `qy` at least `qx.len()`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn points_dist_sq_fold_multi_avx2<const MAX: bool>(
         xs: &[f64],
         ys: &[f64],
         m: usize,
@@ -438,7 +401,7 @@ pub(crate) mod x86 {
         let (px, py) = (xs.as_ptr(), ys.as_ptr());
         let n = qx.len();
         #[inline(always)]
-        unsafe fn fold1<V: Vf64, const MAX: bool>(acc: V, d2: V) -> V {
+        unsafe fn fold1<const MAX: bool>(acc: V4, d2: V4) -> V4 {
             if MAX {
                 acc.vmax(d2)
             } else {
@@ -446,26 +409,26 @@ pub(crate) mod x86 {
             }
         }
         let mut j = 0;
-        while j + 2 * V::LANES <= vec_m {
-            let x0 = V::loadu(px.add(j));
-            let y0 = V::loadu(py.add(j));
-            let x1 = V::loadu(px.add(j + V::LANES));
-            let y1 = V::loadu(py.add(j + V::LANES));
-            let mut a0 = V::splat(identity);
-            let mut a1 = V::splat(identity);
+        while j + 2 * V4::LANES <= vec_m {
+            let x0 = V4::loadu(px.add(j));
+            let y0 = V4::loadu(py.add(j));
+            let x1 = V4::loadu(px.add(j + V4::LANES));
+            let y1 = V4::loadu(py.add(j + V4::LANES));
+            let mut a0 = V4::splat(identity);
+            let mut a1 = V4::splat(identity);
             for i in 0..n {
-                let qxi = V::splat(qx[i]);
-                let qyi = V::splat(qy[i]);
-                a0 = fold1::<V, MAX>(a0, hypot_sq(x0.sub(qxi), y0.sub(qyi)));
-                a1 = fold1::<V, MAX>(a1, hypot_sq(x1.sub(qxi), y1.sub(qyi)));
+                let qxi = V4::splat(qx[i]);
+                let qyi = V4::splat(qy[i]);
+                a0 = fold1::<MAX>(a0, hypot_sq(x0.sub(qxi), y0.sub(qyi)));
+                a1 = fold1::<MAX>(a1, hypot_sq(x1.sub(qxi), y1.sub(qyi)));
             }
             a0.storeu(po.add(j));
-            a1.storeu(po.add(j + V::LANES));
-            j += 2 * V::LANES;
+            a1.storeu(po.add(j + V4::LANES));
+            j += 2 * V4::LANES;
         }
         // `pad_len`'s quantum is 8 lanes, a whole number of unrolled steps
-        // at both vector widths (2 × 2 and 2 × 4): there is no remainder.
-        debug_assert!(vec_m % (2 * V::LANES) == 0);
+        // (2 × 4): there is no remainder.
+        debug_assert!(vec_m % (2 * V4::LANES) == 0);
         out.set_len(m);
     }
 
@@ -515,13 +478,13 @@ pub(crate) mod x86 {
 
     /// `out[j] = (Σ_i w_i · |p_j q_i|, in f32) · scale − abs` for `m`
     /// logical points over `pad_len(m)` lanes; `out` is cleared and
-    /// refilled with exactly `m` values. Unrolled ×2 like `multi_fold`.
+    /// refilled with exactly `m` values. Unrolled ×2 like the multi-point
+    /// folds.
     ///
     /// # Safety
     ///
-    /// The caller must have verified `avx2` and `fma` at runtime, `xs` and
-    /// `ys` must hold `pad_len(m)` readable lanes, and `qx`, `qy`, `w` must
-    /// agree in length.
+    /// AVX2 and FMA are available, `xs` and `ys` hold `pad_len(m)` readable
+    /// lanes, and `qx`, `qy`, `w` agree in length.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn points_weighted_dist_sum_lower_avx2(
@@ -579,37 +542,43 @@ pub(crate) mod x86 {
     // vector-first, which is order-safe on squared distances (no NaN, no
     // -0.0 — see module docs).
 
-    #[inline(always)]
-    unsafe fn rect_wsum<V: Vf64>(
+    /// `Σ_i w_i · √(mindist²(m, q_i))`, accumulated in index order.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA are available, and `qy` and `w` hold at least
+    /// `qx.len()` lanes.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn rect_weighted_mindist_sum_avx2(
         m: &Rect,
         qx: &[f64],
         qy: &[f64],
         w: &[f64],
-        n: usize,
-        vec_n: usize,
     ) -> f64 {
+        let n = qx.len();
+        let vec_n = n - n % V4::LANES;
         let (px, py, pw) = (qx.as_ptr(), qy.as_ptr(), w.as_ptr());
         let (mlx, mly, mhx, mhy) = (
-            V::splat(m.lo.x),
-            V::splat(m.lo.y),
-            V::splat(m.hi.x),
-            V::splat(m.hi.y),
+            V4::splat(m.lo.x),
+            V4::splat(m.lo.y),
+            V4::splat(m.hi.x),
+            V4::splat(m.hi.y),
         );
-        let zero = V::splat(0.0);
-        let mut buf = [0.0f64; LANE_COUNT];
+        let zero = V4::splat(0.0);
+        let mut buf = [0.0f64; V4::LANES];
         let mut acc = 0.0f64;
         let mut i = 0;
         while i < vec_n {
-            let dx = excess(V::loadu(px.add(i)), mlx, mhx, zero);
-            let dy = excess(V::loadu(py.add(i)), mly, mhy, zero);
-            let t = V::loadu(pw.add(i)).mul(hypot_sq(dx, dy).vsqrt());
+            let dx = excess(V4::loadu(px.add(i)), mlx, mhx, zero);
+            let dy = excess(V4::loadu(py.add(i)), mly, mhy, zero);
+            let t = V4::loadu(pw.add(i)).mul(hypot_sq(dx, dy).vsqrt());
             t.storeu(buf.as_mut_ptr());
             // Strictly sequential accumulation in index order — the SUM
             // bound must match the scalar fold bit-for-bit.
-            for &b in &buf[..V::LANES] {
+            for &b in &buf {
                 acc += b;
             }
-            i += V::LANES;
+            i += V4::LANES;
         }
         for i in vec_n..n {
             let dx = (m.lo.x - qx[i]).max(qx[i] - m.hi.x).max(0.0);
@@ -619,40 +588,45 @@ pub(crate) mod x86 {
         acc
     }
 
-    #[inline(always)]
-    unsafe fn rect_fold<V: Vf64, const MAX: bool>(
+    /// `max_i mindist²(m, q_i)` (`MAX`) or `min_i`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA are available, and `qy` holds at least `qx.len()` lanes.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn rect_mindist_sq_fold_avx2<const MAX: bool>(
         m: &Rect,
         qx: &[f64],
         qy: &[f64],
-        n: usize,
-        vec_n: usize,
     ) -> f64 {
         let identity = if MAX {
             f64::NEG_INFINITY
         } else {
             f64::INFINITY
         };
+        let n = qx.len();
+        let vec_n = n - n % V4::LANES;
         let (px, py) = (qx.as_ptr(), qy.as_ptr());
         let (mlx, mly, mhx, mhy) = (
-            V::splat(m.lo.x),
-            V::splat(m.lo.y),
-            V::splat(m.hi.x),
-            V::splat(m.hi.y),
+            V4::splat(m.lo.x),
+            V4::splat(m.lo.y),
+            V4::splat(m.hi.x),
+            V4::splat(m.hi.y),
         );
-        let zero = V::splat(0.0);
-        let mut vacc = V::splat(identity);
+        let zero = V4::splat(0.0);
+        let mut vacc = V4::splat(identity);
         let mut i = 0;
         while i < vec_n {
-            let dx = excess(V::loadu(px.add(i)), mlx, mhx, zero);
-            let dy = excess(V::loadu(py.add(i)), mly, mhy, zero);
+            let dx = excess(V4::loadu(px.add(i)), mlx, mhx, zero);
+            let dy = excess(V4::loadu(py.add(i)), mly, mhy, zero);
             let d2 = hypot_sq(dx, dy);
             vacc = if MAX { vacc.vmax(d2) } else { vacc.vmin(d2) };
-            i += V::LANES;
+            i += V4::LANES;
         }
-        let mut buf = [0.0f64; LANE_COUNT];
+        let mut buf = [0.0f64; V4::LANES];
         vacc.storeu(buf.as_mut_ptr());
         let mut acc = identity;
-        for &b in &buf[..V::LANES] {
+        for &b in &buf {
             acc = if MAX { acc.max(b) } else { acc.min(b) };
         }
         for i in vec_n..n {
@@ -664,35 +638,40 @@ pub(crate) mod x86 {
         acc
     }
 
-    #[inline(always)]
-    unsafe fn point_fold<V: Vf64, const MAX: bool>(
+    /// `max_i |p q_i|²` (`MAX`) or `min_i`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA are available, and `qy` holds at least `qx.len()` lanes.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn point_dist_sq_fold_avx2<const MAX: bool>(
         p: Point,
         qx: &[f64],
         qy: &[f64],
-        n: usize,
-        vec_n: usize,
     ) -> f64 {
         let identity = if MAX {
             f64::NEG_INFINITY
         } else {
             f64::INFINITY
         };
+        let n = qx.len();
+        let vec_n = n - n % V4::LANES;
         let (pqx, pqy) = (qx.as_ptr(), qy.as_ptr());
-        let vx = V::splat(p.x);
-        let vy = V::splat(p.y);
-        let mut vacc = V::splat(identity);
+        let vx = V4::splat(p.x);
+        let vy = V4::splat(p.y);
+        let mut vacc = V4::splat(identity);
         let mut i = 0;
         while i < vec_n {
-            let dx = V::loadu(pqx.add(i)).sub(vx);
-            let dy = V::loadu(pqy.add(i)).sub(vy);
+            let dx = V4::loadu(pqx.add(i)).sub(vx);
+            let dy = V4::loadu(pqy.add(i)).sub(vy);
             let d2 = hypot_sq(dx, dy);
             vacc = if MAX { vacc.vmax(d2) } else { vacc.vmin(d2) };
-            i += V::LANES;
+            i += V4::LANES;
         }
-        let mut buf = [0.0f64; LANE_COUNT];
+        let mut buf = [0.0f64; V4::LANES];
         vacc.storeu(buf.as_mut_ptr());
         let mut acc = identity;
-        for &b in &buf[..V::LANES] {
+        for &b in &buf {
             acc = if MAX { acc.max(b) } else { acc.min(b) };
         }
         for i in vec_n..n {
@@ -703,77 +682,6 @@ pub(crate) mod x86 {
         }
         acc
     }
-
-    // ---- per-level entry points -------------------------------------
-    //
-    // SSE2 wrappers are safe functions (the feature is statically part of
-    // the x86_64 baseline); AVX2 wrappers carry `#[target_feature]` and
-    // must only be invoked after runtime detection — the dispatcher in
-    // `crate::batch` is the single call site and checks once per process.
-    //
-    // Shared contract (enforced by the dispatcher's asserts): the padded
-    // coordinate slices of the maps and multi-point aggregates hold at
-    // least `pad_len(n)` readable lanes, and `out` is cleared and refilled
-    // with exactly `n` results; the reductions' exact slices hold `n`
-    // lanes and `vec_n <= n` is a lane multiple.
-
-    macro_rules! entry {
-        ($sse2:ident, $avx2:ident, $generic:ident $(, $c:literal)? ;
-         ($($arg:ident : $ty:ty),*)) => {
-            #[allow(clippy::too_many_arguments, clippy::missing_safety_doc)]
-            pub fn $sse2($($arg: $ty),*) {
-                // SAFETY: SSE2 is the x86_64 baseline; slice bounds are
-                // pre-checked by the dispatcher (see contract above).
-                unsafe { $generic::<V2 $(, $c)?>($($arg),*) }
-            }
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = "avx2,fma")]
-            pub fn $avx2($($arg: $ty),*) {
-                // SAFETY: caller verified AVX2 at runtime; slice bounds
-                // are pre-checked by the dispatcher.
-                unsafe { $generic::<V4 $(, $c)?>($($arg),*) }
-            }
-        };
-        (ret $sse2:ident, $avx2:ident, $generic:ident $(, $c:literal)? ;
-         ($($arg:ident : $ty:ty),*)) => {
-            #[allow(clippy::too_many_arguments, clippy::missing_safety_doc)]
-            pub fn $sse2($($arg: $ty),*) -> f64 {
-                // SAFETY: as above.
-                unsafe { $generic::<V2 $(, $c)?>($($arg),*) }
-            }
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = "avx2,fma")]
-            pub fn $avx2($($arg: $ty),*) -> f64 {
-                // SAFETY: as above.
-                unsafe { $generic::<V4 $(, $c)?>($($arg),*) }
-            }
-        };
-    }
-
-    entry!(rects_mindist_sq_point_sse2, rects_mindist_sq_point_avx2, map_rects_point;
-        (lo_x: &[f64], lo_y: &[f64], hi_x: &[f64], hi_y: &[f64], n: usize, q: Point,
-         out: &mut Vec<f64>));
-    entry!(rects_mindist_sq_rect_sse2, rects_mindist_sq_rect_avx2, map_rects_rect;
-        (lo_x: &[f64], lo_y: &[f64], hi_x: &[f64], hi_y: &[f64], n: usize, m: &Rect,
-         out: &mut Vec<f64>));
-    entry!(points_dist_sq_sse2, points_dist_sq_avx2, map_points_point;
-        (xs: &[f64], ys: &[f64], n: usize, q: Point, out: &mut Vec<f64>));
-    entry!(points_mindist_sq_rect_sse2, points_mindist_sq_rect_avx2, map_points_rect;
-        (xs: &[f64], ys: &[f64], n: usize, m: &Rect, out: &mut Vec<f64>));
-    entry!(points_dist_sq_max_multi_sse2, points_dist_sq_max_multi_avx2, multi_fold, true;
-        (xs: &[f64], ys: &[f64], m: usize, qx: &[f64], qy: &[f64], out: &mut Vec<f64>));
-    entry!(points_dist_sq_min_multi_sse2, points_dist_sq_min_multi_avx2, multi_fold, false;
-        (xs: &[f64], ys: &[f64], m: usize, qx: &[f64], qy: &[f64], out: &mut Vec<f64>));
-    entry!(ret rect_weighted_mindist_sum_sse2, rect_weighted_mindist_sum_avx2, rect_wsum;
-        (m: &Rect, qx: &[f64], qy: &[f64], w: &[f64], n: usize, vec_n: usize));
-    entry!(ret rect_mindist_sq_max_sse2, rect_mindist_sq_max_avx2, rect_fold, true;
-        (m: &Rect, qx: &[f64], qy: &[f64], n: usize, vec_n: usize));
-    entry!(ret rect_mindist_sq_min_sse2, rect_mindist_sq_min_avx2, rect_fold, false;
-        (m: &Rect, qx: &[f64], qy: &[f64], n: usize, vec_n: usize));
-    entry!(ret point_dist_sq_max_sse2, point_dist_sq_max_avx2, point_fold, true;
-        (p: Point, qx: &[f64], qy: &[f64], n: usize, vec_n: usize));
-    entry!(ret point_dist_sq_min_sse2, point_dist_sq_min_avx2, point_fold, false;
-        (p: Point, qx: &[f64], qy: &[f64], n: usize, vec_n: usize));
 }
 
 #[cfg(test)]
@@ -792,27 +700,26 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         assert_eq!(SimdLevel::Scalar.label(), "scalar");
-        assert_eq!(SimdLevel::Sse2.label(), "sse2");
         assert_eq!(SimdLevel::Avx2Fma.label(), "avx2+fma");
     }
 
     #[test]
-    fn scalar_is_always_available_and_levels_ascend() {
+    fn available_levels_are_scalar_then_avx2_when_detected() {
         assert!(SimdLevel::Scalar.is_available());
         let levels = SimdLevel::available_levels();
-        assert_eq!(levels[0], SimdLevel::Scalar);
-        assert!(levels.windows(2).all(|w| w[0] < w[1]));
-        #[cfg(target_arch = "x86_64")]
-        assert!(levels.contains(&SimdLevel::Sse2));
+        let avx2 = SimdLevel::Avx2Fma.is_available();
+        let want: &[SimdLevel] = match avx2 {
+            true => &[SimdLevel::Scalar, SimdLevel::Avx2Fma],
+            false => &[SimdLevel::Scalar],
+        };
+        assert_eq!(levels, want);
     }
 
     #[test]
-    fn dispatch_level_is_available_and_cached() {
+    fn dispatch_level_is_avx2_exactly_when_available_and_not_forced() {
         let first = dispatch_level();
-        assert!(first.is_available());
-        assert_eq!(dispatch_level(), first);
-        if force_scalar_requested() {
-            assert_eq!(first, SimdLevel::Scalar);
-        }
+        assert_eq!(dispatch_level(), first, "cached");
+        let avx2 = SimdLevel::Avx2Fma.is_available() && !force_scalar_requested();
+        assert_eq!(first == SimdLevel::Avx2Fma, avx2);
     }
 }

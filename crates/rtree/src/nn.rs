@@ -265,8 +265,10 @@ pub fn df_k_nearest(cursor: &TreeCursor<'_>, query: Point, k: usize) -> Vec<Poin
     if k == 0 || cursor.is_empty() {
         return Vec::new();
     }
-    // Max-heap of the best k found so far, keyed by squared distance.
-    let mut best: BinaryHeap<(OrderedF64, u64)> = BinaryHeap::with_capacity(k + 1);
+    // Max-heap of the best k found so far, keyed by squared distance. It
+    // never retains more than the tree holds, however large `k` is.
+    let cap = k.min(cursor.len()) + 1;
+    let mut best: BinaryHeap<(OrderedF64, u64)> = BinaryHeap::with_capacity(cap);
     let mut found: Vec<PointNeighbor> = Vec::new();
     df_visit(cursor, cursor.root(), query, k, &mut best, &mut found);
     found.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.entry.id.cmp(&b.entry.id)));
@@ -525,10 +527,12 @@ mod tests {
     fn knn_with_k_larger_than_dataset() {
         let (tree, entries) = random_tree(10, 5);
         let cursor = TreeCursor::unbuffered(&tree);
-        let got = bf_k_nearest(&cursor, Point::new(0.0, 0.0), 50);
-        assert_eq!(got.len(), entries.len());
-        let df = df_k_nearest(&cursor, Point::new(0.0, 0.0), 50);
-        assert_eq!(df.len(), entries.len());
+        for k in [50, usize::MAX] {
+            let got = bf_k_nearest(&cursor, Point::new(0.0, 0.0), k);
+            assert_eq!(got.len(), entries.len());
+            let df = df_k_nearest(&cursor, Point::new(0.0, 0.0), k);
+            assert_eq!(df.len(), entries.len());
+        }
     }
 
     #[test]

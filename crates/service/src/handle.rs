@@ -12,9 +12,8 @@ use std::time::{Duration, Instant};
 /// a batch with [`ResponseHandle::wait_all`] (responses **in submission
 /// order** no matter which pools or workers executed them) or
 /// [`ResponseHandle::wait_each`] (per-request outcomes).
-/// [`ResponseHandle::poll`] and [`ResponseHandle::wait_timeout`] /
-/// [`ResponseHandle::wait_deadline`] are the non-blocking /
-/// bounded-blocking variants.
+/// [`ResponseHandle::poll`] and [`ResponseHandle::wait_timeout`] are the
+/// non-blocking and bounded-blocking variants.
 ///
 /// Every accepted request resolves to exactly one outcome — a response or
 /// a typed [`QueryError`](crate::QueryError) (panic, deadline shed) — so redeeming a handle
@@ -123,7 +122,7 @@ impl ResponseHandle {
         }
     }
 
-    /// `poll` / `wait_deadline`: the first-submitted request's outcome once
+    /// `poll` / `wait_timeout`: the first-submitted request's outcome once
     /// **all** responses are in, `None` while `until` ran out first.
     fn settled(&mut self, until: Until) -> Option<Result<QueryResponse, SubmitError>> {
         match self.drain(until, true) {
@@ -185,6 +184,8 @@ impl ResponseHandle {
     /// to `timeout` for the outstanding responses. `None` when the timeout
     /// expires first — the handle stays usable and everything that did
     /// arrive stays buffered, so callers can keep extending the wait.
+    /// `Some(Err(..))` when the reply channel died. The caller-side
+    /// companion of [`gnn_core::QueryRequest::deadline`].
     pub fn wait_timeout(
         &mut self,
         timeout: Duration,
@@ -194,18 +195,6 @@ impl ResponseHandle {
             // A timeout beyond the representable range is an unbounded
             // wait for any practical purpose; clamp to a year out.
             .unwrap_or_else(|| Instant::now() + Duration::from_secs(31_536_000));
-        self.wait_deadline(deadline)
-    }
-
-    /// Bounded-blocking wait against an absolute deadline: `Some` with the
-    /// first-submitted request's outcome once **all** expected responses
-    /// have resolved, `None` when `deadline` passes first (the handle stays
-    /// usable), `Some(Err(..))` when the reply channel died. The caller-side
-    /// companion of [`gnn_core::QueryRequest::deadline`].
-    pub fn wait_deadline(
-        &mut self,
-        deadline: Instant,
-    ) -> Option<Result<QueryResponse, SubmitError>> {
         self.settled(Until::Deadline(deadline))
     }
 

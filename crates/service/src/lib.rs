@@ -13,12 +13,13 @@
 //!   atomic check, in-flight queries finish on the snapshot they started
 //!   on, and nobody ever blocks on the swap;
 //! * requests are **routed by their query group's aggregate-MBR bound** to
-//!   the pool of the shard that can serve them cheapest ([`Service::route`]),
-//!   one bounded queue and a fixed set of worker threads per shard — so a
-//!   pool's workers keep their own shard hot in cache under skewed traffic;
-//! * every worker owns its per-shard cursors, scratch and [`Planner`], so
-//!   the zero-allocation hot path of the packed engine holds **per core** —
-//!   no shared mutable state is touched while a query runs. A query whose
+//!   the pool of the shard that can serve them cheapest, one bounded queue
+//!   and a fixed set of worker threads per shard — so a pool's workers
+//!   keep their own shard hot in cache under skewed traffic;
+//! * every worker owns its per-shard cursors, scratch and
+//!   [`gnn_core::Planner`], so the zero-allocation hot path of the packed
+//!   engine holds **per core** — no shared mutable state is touched while
+//!   a query runs. A query whose
 //!   bound admits several shards is answered *exactly* by the worker itself
 //!   through the cross-shard best-first merge ([`gnn_core::sharded`]); the
 //!   response's routing tag records the primary shard and how many shards
@@ -45,15 +46,15 @@
 //!
 //! Submission goes through **one entry point**, [`Service::submit`], which
 //! accepts anything convertible into a [`Submission`]: a prepared
-//! [`QueryRequest`], the [`Submission::group`]
-//! builder (defaults filled from the [`ServiceConfig`]), or a
-//! [`Submission::batch`] — a burst of queries that costs **one queue slot
-//! and one wake-up per shard** instead of one per query: each shard's
-//! sub-batch is one job whose members take the same worker step a single
-//! takes, one after another in submission order. Every member descends
-//! from the root on its own, so results and per-query node accesses are
-//! bit-identical to single submissions; [`ServiceStats`] counts the jobs
-//! (`batches`) and the queries served through them (`batch_queries`).
+//! [`QueryRequest`] — the group `Q`, its aggregate and `k`, the whole query
+//! of paper §2 — or a [`Submission::batch`] of them: a burst of queries
+//! that costs **one queue slot and one wake-up per shard** instead of one
+//! per query. Each shard's sub-batch is one job whose members take the
+//! same worker step a single takes, one after another in submission
+//! order. Every member descends from the root on its own, so results and
+//! per-query node accesses are bit-identical to single submissions;
+//! [`ServiceStats`] counts the jobs (`batches`) and the queries served
+//! through them (`batch_queries`).
 //!
 //! ```
 //! use gnn_core::{QueryGroup, QueryRequest};
@@ -107,9 +108,7 @@ pub use refresh::{
     DriverError, PublishRecord, RefreshDriver, RefreshOutcome, RefreshPolicy, RefreshStats, Update,
 };
 pub use stats::{ServiceStats, ShardStats, WorkerSnapshot};
-pub use submission::{
-    BatchSubmission, GroupSubmission, QueryError, Submission, SubmitError, WaitError,
-};
+pub use submission::{QueryError, Submission, SubmitError, WaitError};
 // The telemetry types `ServiceStats` embeds, re-exported so callers need
 // not depend on `gnn-telemetry` themselves.
 pub use gnn_telemetry::{
@@ -118,7 +117,7 @@ pub use gnn_telemetry::{
 };
 
 use gnn_core::sharded::primary_shard;
-use gnn_core::{Aggregate, NetworkBackend, Planner, QueryRequest};
+use gnn_core::{NetworkBackend, QueryRequest};
 use gnn_rtree::{PackedRTree, ShardedSnapshot};
 use stats::WorkerCounters;
 use std::fmt;
@@ -142,12 +141,6 @@ pub struct ServiceConfig {
     /// pending on the routed shard's queue a blocking [`Service::submit`]
     /// waits and a non-blocking one fails with [`SubmitError::QueueFull`].
     pub queue_depth: usize,
-    /// `k` used by [`Submission::group`] submissions that don't set one.
-    pub default_k: usize,
-    /// Aggregate of [`Submission::group`] submissions that don't set one.
-    pub default_aggregate: Aggregate,
-    /// The planner workers route [`gnn_core::Algo::Auto`] requests through.
-    pub planner: Planner,
     /// Deterministic fault injection for tests and resilience benchmarks
     /// (see [`FaultPlan`]). The default injects nothing.
     pub fault_plan: FaultPlan,
@@ -159,16 +152,14 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// One worker per available core, queue depth 1024, `k = 8`, SUM.
+    /// One worker per available core, queue depth 1024, no faults, a
+    /// 256-event flight ring per worker.
     fn default() -> Self {
         ServiceConfig {
             workers: std::thread::available_parallelism()
                 .map(usize::from)
                 .unwrap_or(1),
             queue_depth: 1024,
-            default_k: 8,
-            default_aggregate: Aggregate::Sum,
-            planner: Planner::new(),
             fault_plan: FaultPlan::default(),
             flight_recorder: 256,
         }
@@ -525,13 +516,11 @@ impl Service {
         &self.config
     }
 
-    /// The pool this request would be queued on: its
-    /// [`QueryRequest::shard_hint`] when valid, otherwise the shard with
-    /// the smallest aggregate-MBR lower bound for the group (exposed for
-    /// tests and load generators).
-    pub fn route(&self, request: &QueryRequest) -> usize {
+    /// The pool this request is queued on: the shard with the smallest
+    /// aggregate-MBR lower bound for the group.
+    fn route(&self, request: &QueryRequest) -> usize {
         // Known trade-off: routing loads the slot (a brief mutex) and the
-        // worker recomputes the shard order anyway; `shard_hint` skips it.
+        // worker recomputes the shard order anyway.
         self.route_on(request, &mut None)
     }
 
@@ -545,22 +534,17 @@ impl Service {
         if self.pools.len() == 1 {
             return 0;
         }
-        match request.shard_hint {
-            Some(hint) if (hint as usize) < self.pools.len() => hint as usize,
-            _ => {
-                let snapshot = routing.get_or_insert_with(|| self.sharded_snapshot());
-                primary_shard(&request.group, snapshot) as usize
-            }
-        }
+        let snapshot = routing.get_or_insert_with(|| self.sharded_snapshot());
+        primary_shard(&request.group, snapshot) as usize
     }
 
     /// The one submission entry point: accepts anything convertible into a
-    /// [`Submission`] — a plain [`QueryRequest`], the
-    /// [`Submission::group`] builder, or the [`Submission::batch`] builder
-    /// — and returns one [`ResponseHandle`] or one [`SubmitError`].
+    /// [`Submission`] — a plain [`QueryRequest`] or a
+    /// [`Submission::batch`] — and returns one [`ResponseHandle`] or one
+    /// [`SubmitError`].
     ///
-    /// * A **request / group** submission enqueues one job on its routed
-    ///   shard's queue; redeem the handle with [`ResponseHandle::wait`].
+    /// * A **request** submission enqueues one job on its routed shard's
+    ///   queue; redeem the handle with [`ResponseHandle::wait`].
     /// * A **batch** submission routes every request, then enqueues one
     ///   job per involved shard, its members served in submission order;
     ///   redeem with [`ResponseHandle::wait_all`], which restores
@@ -576,11 +560,6 @@ impl Service {
         let blocking = submission.blocking;
         match submission.kind {
             SubmissionKind::Request(request) => self.enqueue_single(request, blocking),
-            SubmissionKind::Group(group) => {
-                let request =
-                    group.resolve(self.config.default_k, self.config.default_aggregate)?;
-                self.enqueue_single(request, blocking)
-            }
             SubmissionKind::Batch(requests) => self.enqueue_batch(requests, blocking),
         }
     }
@@ -717,7 +696,7 @@ impl fmt::Debug for Service {
 mod tests {
     use super::*;
     use gnn_core::{
-        Algo, Mbm, Neighbor, QueryGroup, QueryResponse, QueryScratch, ShardRouting, Target,
+        Algo, Mbm, Neighbor, Planner, QueryGroup, QueryResponse, QueryScratch, ShardRouting, Target,
     };
     use gnn_geom::{Point, PointId};
     use gnn_rtree::{LeafEntry, RTree, RTreeParams, TreeCursor};
@@ -847,46 +826,6 @@ mod tests {
         assert_eq!(stats.queries_served, 0);
         assert_eq!(stats.batches, 0);
         assert_eq!(stats.mean_batch_size(), None);
-    }
-
-    #[test]
-    fn group_submission_resolves_service_defaults() {
-        let snap = snapshot(500, 92);
-        let service = Service::start(
-            snap,
-            ServiceConfig {
-                workers: 1,
-                default_k: 5,
-                default_aggregate: Aggregate::Max,
-                ..ServiceConfig::default()
-            },
-        );
-        // Defaults: configured k and aggregate.
-        let pts = random_group(4, 93).points().to_vec();
-        let r = service
-            .submit(Submission::group(pts.clone()))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(r.neighbors.len(), 5);
-        // Overrides win, and a pinned algorithm is honored.
-        let r = service
-            .submit(
-                Submission::group(pts)
-                    .k(2)
-                    .aggregate(Aggregate::Sum)
-                    .algo(Algo::Mqm),
-            )
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(r.neighbors.len(), 2);
-        assert_eq!(r.choice, gnn_core::Choice::Mqm);
-        // Invalid groups fail at submission, not on the handle.
-        match service.submit(Submission::group(Vec::new())) {
-            Err(SubmitError::BadGroup(_)) => {}
-            other => panic!("expected BadGroup, got {:?}", other.map(|_| ())),
-        }
     }
 
     #[test]
@@ -1271,24 +1210,6 @@ mod tests {
     }
 
     #[test]
-    fn router_honors_valid_shard_hints_only() {
-        let snap = sharded_snapshot(1000, 3, 72);
-        let service = Service::start_sharded(Arc::clone(&snap), ServiceConfig::with_workers(3));
-        let group = random_group(3, 73);
-        let natural = service.route(&QueryRequest::new(group.clone(), 1));
-        let hinted = QueryRequest::new(group.clone(), 1).with_shard_hint(2);
-        assert_eq!(service.route(&hinted), 2);
-        let out_of_range = QueryRequest::new(group, 1).with_shard_hint(99);
-        assert_eq!(service.route(&out_of_range), natural);
-        // A hinted submission still returns the exact answer (the merge
-        // consults whatever shards the bounds demand).
-        let r = service.submit(hinted).unwrap().wait().unwrap();
-        assert!(!r.neighbors.is_empty());
-        let stats = service.shutdown();
-        assert_eq!(stats.per_shard[2].routed, 1);
-    }
-
-    #[test]
     fn local_traffic_routes_to_distinct_pools() {
         // Queries centered in each shard's MBR must route to that shard
         // and (for tight groups) be answered by it alone.
@@ -1302,10 +1223,17 @@ mod tests {
             let r = service.submit(req).unwrap().wait().unwrap();
             assert_eq!(r.routing.primary as usize, s);
         }
+        // A group spread over the space routes to its primary shard too.
+        let spread = QueryRequest::new(random_group(3, 73), 1);
+        let natural = primary_shard(&spread.group, &snap) as usize;
+        assert_eq!(service.route(&spread), natural);
+        let r = service.submit(spread).unwrap().wait().unwrap();
+        assert!(!r.neighbors.is_empty());
         let stats = service.shutdown();
-        assert_eq!(stats.queries_served, 4);
+        assert_eq!(stats.queries_served, 5);
         for s in &stats.per_shard {
-            assert_eq!(s.routed, 1, "shard {}", s.shard);
+            let want = 1 + u64::from(s.shard == natural);
+            assert_eq!(s.routed, want, "shard {}", s.shard);
         }
         assert!(stats.single_shard_hits >= 3, "{stats:?}");
     }

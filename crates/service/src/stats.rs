@@ -210,8 +210,8 @@ pub struct ServiceStats {
     /// control (publishes) and refresh-driver rings, sorted by timestamp,
     /// with the count of events dropped to ring overflow.
     pub flight: FlightLog,
-    /// The SIMD dispatch level the distance kernels ran at: `"avx2+fma"`,
-    /// `"sse2"` or `"scalar"` ([`gnn_geom::SimdLevel::label`]) — so
+    /// The SIMD dispatch level the distance kernels ran at: `"avx2+fma"`
+    /// or `"scalar"` ([`gnn_geom::SimdLevel::label`]) — so
     /// exported metrics name the ISA they were measured on.
     pub simd_level: &'static str,
 }

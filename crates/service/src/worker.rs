@@ -159,7 +159,7 @@ impl WorkerCtx {
             id,
             backend: Arc::clone(backend),
             rx: Arc::clone(rx),
-            planner: config.planner,
+            planner: Planner::new(),
             counters,
             fault: config.fault_plan.clone(),
             scratch: QueryScratch::new(),

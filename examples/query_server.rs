@@ -51,7 +51,6 @@ fn main() {
     let config = ServiceConfig {
         workers: 4,
         queue_depth: 512,
-        default_k: 8,
         ..ServiceConfig::default()
     };
     let service = Service::start(Arc::clone(&snapshot), config);

@@ -384,7 +384,8 @@ fn full_queue_deadlines_and_seeded_panics_lose_and_corrupt_nothing() {
 
 /// `wait_timeout` returns `None` while the response is still pending and
 /// delivers the same response on a later call — a timeout never consumes
-/// or corrupts the reply.
+/// or corrupts the reply. A timeout past what `Instant` can represent
+/// (`Duration::MAX`) is clamped, not a panic, and still delivers.
 #[test]
 fn wait_timeout_times_out_then_delivers() {
     let pts = base_points(4_000, 99);
@@ -401,16 +402,18 @@ fn wait_timeout_times_out_then_delivers() {
             ..ServiceConfig::default()
         },
     );
-    let mut handle = service.submit(requests[0].clone()).expect("submit");
-    assert!(
-        handle.wait_timeout(Duration::from_millis(5)).is_none(),
-        "a 5ms wait cannot outlast a 60ms execution"
-    );
-    let r = handle
-        .wait_timeout(Duration::from_secs(30))
-        .expect("response arrives")
-        .expect("query served");
-    assert_eq!(fingerprint(&r.neighbors), reference[0]);
+    for long in [Duration::from_secs(30), Duration::MAX] {
+        let mut handle = service.submit(requests[0].clone()).expect("submit");
+        assert!(
+            handle.wait_timeout(Duration::from_millis(5)).is_none(),
+            "a 5ms wait cannot outlast a 60ms execution"
+        );
+        let r = handle
+            .wait_timeout(long)
+            .expect("response arrives")
+            .expect("query served");
+        assert_eq!(fingerprint(&r.neighbors), reference[0], "{long:?}");
+    }
     service.shutdown();
 }
 

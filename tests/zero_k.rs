@@ -1,8 +1,10 @@
 //! `k = 0` is a malformed but harmless request: every execution surface must
 //! answer it with an empty neighbor list and zero cost counters **before any
 //! page is read** — never by panicking (under the service that used to be a
-//! caught worker panic and a respawn). The other end of the range, `k = N + 1`,
-//! is answered with all `N` points through every service surface.
+//! caught worker panic and a respawn). The other end of the range, `k = N + 1`
+//! and `k = 2⁴⁰`, is answered with all `N` points through every service
+//! surface — the second one without sizing anything by `k` (that used to be
+//! a failed allocation and a process abort, which no unwind guard catches).
 
 use gnn::core::baseline::linear_scan_points;
 use gnn::network::{NetworkIer, NetworkSnapshot, RoadNetwork, VertexId};
@@ -26,6 +28,9 @@ fn group(agg: Aggregate) -> QueryGroup {
 }
 
 const ALGOS: [Algo; 4] = [Algo::Auto, Algo::Mqm, Algo::Spm, Algo::Mbm];
+
+/// A `k` far beyond any data set here, and beyond any allocation.
+const HUGE_K: usize = 1 << 40;
 
 #[test]
 fn execute_on_answers_k_zero_without_reading_a_page() {
@@ -161,21 +166,24 @@ fn service_answers_k_beyond_the_data_with_every_point() {
         ),
     ] {
         let mut served = 0u64;
-        for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
+        for (agg, k) in [Aggregate::Sum, Aggregate::Max, Aggregate::Min]
+            .into_iter()
+            .flat_map(|agg| [(agg, n + 1), (agg, HUGE_K)])
+        {
             // The lattice is full of ties: ranks compare by distance bits,
             // the answer as a whole by its id set.
-            let want = linear_scan_points(&points, &group(agg), n + 1).neighbors;
+            let want = linear_scan_points(&points, &group(agg), k).neighbors;
             assert_eq!(want.len(), n);
             for algo in ALGOS {
                 let reply = service
-                    .submit(QueryRequest::with_algo(group(agg), n + 1, algo))
+                    .submit(QueryRequest::with_algo(group(agg), k, algo))
                     .expect("submitted")
                     .wait()
-                    .expect("k = N + 1 is answered, not failed");
+                    .expect("k beyond the data is answered, not failed");
                 assert_eq!(
                     dist_bits(&reply.neighbors),
                     dist_bits(&want),
-                    "{algo:?} {agg}"
+                    "{algo:?} {agg} k={k}"
                 );
                 assert_eq!(sorted_ids(&reply.neighbors), everyone, "{algo:?} {agg}");
                 served += 1;
@@ -183,7 +191,7 @@ fn service_answers_k_beyond_the_data_with_every_point() {
             // The same through a batch, beside an ordinary member.
             let replies = service
                 .submit(Submission::batch([
-                    QueryRequest::new(group(agg), n + 1),
+                    QueryRequest::new(group(agg), k),
                     QueryRequest::new(group(agg), 2),
                 ]))
                 .expect("batch submitted")
@@ -213,9 +221,11 @@ fn network_service_answers_k_beyond_the_data_with_every_data_vertex() {
         backend as Arc<dyn NetworkBackend>,
         ServiceConfig::with_workers(1),
     );
-    let k = data.len() + 1;
     let mut served = 0u64;
-    for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
+    for (agg, k) in [Aggregate::Sum, Aggregate::Max, Aggregate::Min]
+        .into_iter()
+        .flat_map(|agg| [(agg, data.len() + 1), (agg, HUGE_K)])
+    {
         // The arena IER refines to completion: the reference ranking.
         let want = NetworkIer.k_gnn(&network, &data, &query, k, agg).neighbors;
         assert_eq!(want.len(), data.len(), "the grid is connected");
@@ -227,8 +237,12 @@ fn network_service_answers_k_beyond_the_data_with_every_data_vertex() {
                 .submit(QueryRequest::with_algo(group, k, algo).with_network(sources))
                 .expect("submitted")
                 .wait()
-                .expect("k = N + 1 is answered, not failed");
-            assert_eq!(dist_bits(&reply.neighbors), want_bits, "{algo:?} {agg}");
+                .expect("k beyond the data is answered, not failed");
+            assert_eq!(
+                dist_bits(&reply.neighbors),
+                want_bits,
+                "{algo:?} {agg} k={k}"
+            );
             let mut vertices: Vec<u64> = data.iter().map(|v| u64::from(v.0)).collect();
             vertices.sort_unstable();
             assert_eq!(sorted_ids(&reply.neighbors), vertices, "{algo:?} {agg}");
