@@ -17,7 +17,6 @@ use crate::engine::{Choice, Planner};
 use crate::request::QueryRequest;
 use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
-use gnn_geom::Rect;
 
 /// A query's network-domain payload: how its group members map onto the
 /// backend's vertices.
@@ -61,13 +60,10 @@ impl NetworkQuery {
 /// The determinism contract is the same as everywhere else in the engine:
 /// the same request against the same backend returns bit-identical
 /// neighbors and counters regardless of thread, batch placement, or worker
-/// count.
+/// count. [`crate::QueryRequest::execute_on`] is the only caller of
+/// [`NetworkBackend::execute_network`]; serving engines call
+/// [`NetworkBackend::warm`] once per worker.
 pub trait NetworkBackend: Send + Sync {
-    /// The bounding box of the domain (for network backends: of all
-    /// vertices). Batch executors use it as the Hilbert workspace for
-    /// ordering queries, exactly as they use a tree's root MBR.
-    fn root_mbr(&self) -> Rect;
-
     /// Executes `request` against this backend, staging results in
     /// `scratch` (via [`QueryScratch::stage_neighbors`]) so the returned
     /// slice follows the engine-wide `*_in` calling convention.

@@ -1,31 +1,27 @@
-//! Hilbert-ordered batch executor with a distinct-page ledger, for
-//! correlated (hotspot) query traffic.
+//! Batch executor with a distinct-page ledger, for correlated (hotspot)
+//! query traffic.
 //!
 //! Hotspot workloads arrive in bursts of queries whose group MBRs overlap
-//! heavily — trip/meet-up traffic is the canonical case. This module gives
-//! such a burst an order to run in and a count of what it touches:
+//! heavily — trip/meet-up traffic is the canonical case. This module runs
+//! such a burst and counts what it touches:
 //!
-//! 1. The batch is sorted by the **Hilbert key of each group's MBR center**
-//!    (over the target's root MBR), so spatially adjacent queries run
-//!    back-to-back, while the pages they share are still warm in cache.
+//! 1. Each query runs, in **submission order**, through
+//!    [`QueryRequest::execute_on`], so per-query results and node accesses
+//!    are those of running it alone, on any worker count or batch split.
 //! 2. A **distinct-page overlay** ([`gnn_rtree::TreeCursor::begin_page_tracking`])
 //!    counts every page once no matter how many queries of the batch touch
 //!    it. That count is what one shared traversal *would* pay; nothing here
-//!    shares reads — every query still descends from the root.
-//! 3. Each query runs the **unchanged per-query algorithm** through
-//!    [`QueryRequest::execute_on`], so per-query node accesses are charged
-//!    *as-if-sequential* (bit-identical to
-//!    [`crate::Planner::run_many_collect`] on the same requests, on any
-//!    worker count or batch split), and the batch-level
-//!    [`BatchAccounting`] sets the distinct-page count beside their sum.
+//!    shares reads — every query still descends from the root. The
+//!    batch-level [`BatchAccounting`] sets it beside the per-query sum.
 //!
-//! The executor works against any [`Target`]. The serving layer does not
-//! call it and keeps no such ledger: a worker runs its one per-query step
-//! over a batch job's members in submission order, because the Hilbert
-//! order measured at parity with it from 2×10⁵ to 10⁷ points and the
-//! distinct-page count describes a shared pass nobody runs (EXPERIMENTS.md).
-//! What remains here is what the repo benchmark's `core.batch_us_per_query`
-//! and `core.batch_page_savings` probes call; retiring it, with
+//! Run order changes neither count: each query's page set is a pure
+//! function of the target and the request, `unique_pages` is their union
+//! and `sequential_pages` their sum. A Hilbert order of the group MBRs ran
+//! here until it measured at parity with submission order from 2×10⁵ to
+//! 10⁷ points (EXPERIMENTS.md). The serving layer runs a batch job's
+//! members the same way, without the ledger. What remains here is what the
+//! repo benchmark's `core.batch_us_per_query` and `core.batch_page_savings`
+//! probes call; retiring it, with
 //! [`gnn_rtree::TreeCursor::begin_page_tracking`], is a later
 //! benchmark-typed change.
 
@@ -34,7 +30,6 @@ use crate::request::{QueryRequest, Target};
 use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
 use crate::sharded::ShardRouting;
-use gnn_geom::hilbert::HilbertMapper;
 
 /// The batch ledger: the distinct pages the batch touched (`unique_pages`,
 /// what one shared traversal would pay) next to what its queries did pay,
@@ -51,37 +46,16 @@ pub struct BatchAccounting {
     pub sequential_pages: u64,
 }
 
-/// Fills `order` with one `(Hilbert key, position)` pair per request,
-/// sorted: the order a batch runs in. Keys come from each group's MBR over
-/// `target`'s root MBR, ties break by position, so the order is a pure
-/// function of the target and the requests.
-fn hilbert_order(target: &Target<'_, '_>, requests: &[QueryRequest], order: &mut Vec<(u64, u32)>) {
-    let mapper = HilbertMapper::new(target.root_mbr());
-    order.clear();
-    order.extend(
-        requests
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (mapper.key_rect(r.group.mbr()), i as u32)),
-    );
-    order.sort_unstable();
-}
-
-/// Executes `requests` in Hilbert order of their group MBRs against
-/// `target`, invoking
-/// `sink(index, choice, neighbors, stats, routing)` once per request; the
-/// `index` argument is the request's position in `requests`, so callers
-/// reorder freely.
+/// Executes `requests` in order against `target`, invoking
+/// `sink(index, choice, neighbors, stats, routing)` once per request, where
+/// `index` is the request's position in `requests`.
 ///
 /// Results, per-query stats, and routing are bit-identical to executing
-/// each request alone through [`QueryRequest::execute_on`] (and hence to
-/// [`crate::Planner::run_many_collect`] for `Algo::Auto` requests): the
-/// order and the page overlay change accounting only, never traversal
-/// logic.
+/// each request alone through [`QueryRequest::execute_on`]: the page
+/// overlay changes accounting only, never traversal logic.
 ///
-/// Allocation-free in steady state: the order buffer lives in `scratch`
-/// ([`QueryScratch::capacity_profile`] covers it) and the page-tracking
-/// bitsets stay allocated on the target's cursors between batches.
+/// Allocation-free in steady state: the page-tracking bitsets stay
+/// allocated on the target's cursors between batches.
 pub fn execute_batch_in(
     planner: &Planner,
     target: &Target<'_, '_>,
@@ -89,11 +63,6 @@ pub fn execute_batch_in(
     scratch: &mut QueryScratch,
     mut sink: impl FnMut(usize, Choice, &[Neighbor], &QueryStats, ShardRouting),
 ) -> BatchAccounting {
-    // The order buffer is moved out of the scratch while the per-query
-    // executions borrow it mutably, then moved back (keeping its capacity).
-    let mut order = std::mem::take(&mut scratch.batch_order);
-    hilbert_order(target, requests, &mut order);
-
     for cursor in target.cursors() {
         cursor.begin_page_tracking();
     }
@@ -101,15 +70,12 @@ pub fn execute_batch_in(
         queries: requests.len(),
         ..BatchAccounting::default()
     };
-    for &(_key, index) in &order {
-        let request = &requests[index as usize];
+    for (index, request) in requests.iter().enumerate() {
         let (choice, neighbors, stats, routing) = request.execute_on(planner, target, scratch);
         accounting.sequential_pages += stats.data_tree.logical;
-        sink(index as usize, choice, neighbors, &stats, routing);
+        sink(index, choice, neighbors, &stats, routing);
     }
     accounting.unique_pages = target.cursors().map(|c| c.finish_page_tracking()).sum();
-
-    scratch.batch_order = order;
     accounting
 }
 
@@ -213,6 +179,34 @@ mod tests {
             accounting.unique_pages,
             accounting.sequential_pages
         );
+    }
+
+    #[test]
+    fn ledger_does_not_depend_on_run_order() {
+        let data = random_points(800, 14);
+        let tree = tree_of(&data);
+        let packed = tree.freeze();
+        let planner = Planner::new();
+        let forward = hotspot_requests(20, 15);
+        let mut reversed = forward.clone();
+        reversed.reverse();
+
+        let run = |requests: &[QueryRequest]| {
+            let cursor = packed.cursor();
+            let mut seen = Vec::new();
+            let accounting = execute_batch_in(
+                &planner,
+                &Target::Single(&cursor),
+                requests,
+                &mut QueryScratch::new(),
+                |i, _, _, _, _| seen.push(i),
+            );
+            assert_eq!(seen, (0..requests.len()).collect::<Vec<_>>());
+            accounting
+        };
+        let (a, b) = (run(&forward), run(&reversed));
+        assert_eq!(a, b);
+        assert!(a.unique_pages < a.sequential_pages);
     }
 
     #[test]

@@ -10,7 +10,8 @@ use std::collections::BinaryHeap;
 /// neighbor, or `∞` while fewer than `k` neighbors are known. Every pruning
 /// heuristic compares a lower bound against it with `>=` — a candidate tying
 /// the k-th distance cannot improve the result, so pruning on equality is
-/// safe.
+/// safe. A `k = 0` list is full while empty and its bound is `−∞`: every
+/// such prune fires at once and [`KBestList::offer`] refuses everything.
 #[derive(Debug, Clone)]
 pub struct KBestList {
     k: usize,
@@ -52,12 +53,7 @@ const PRESIZE_LIMIT: usize = 256;
 
 impl KBestList {
     /// A list retaining the best `k` neighbors.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k` is zero.
     pub fn new(k: usize) -> Self {
-        assert!(k > 0, "k must be positive");
         KBestList {
             k,
             heap: BinaryHeap::with_capacity(k.min(PRESIZE_LIMIT) + 1),
@@ -90,10 +86,12 @@ impl KBestList {
     }
 
     /// The pruning bound `best_dist`: distance of the k-th best neighbor, or
-    /// `∞` while the list is not yet full.
+    /// `∞` while the list is not yet full (`−∞` when `k = 0`).
     pub fn bound(&self) -> f64 {
         if self.is_full() {
-            self.heap.peek().expect("full list").0.get()
+            self.heap
+                .peek()
+                .map_or(f64::NEG_INFINITY, |top| top.0.get())
         } else {
             f64::INFINITY
         }
@@ -126,12 +124,7 @@ impl KBestList {
     /// Empties the list and re-arms it for a new query retaining `k`
     /// neighbors. The heap's capacity is kept, so a warmed-up list never
     /// reallocates in steady state.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k` is zero.
     pub fn reset(&mut self, k: usize) {
-        assert!(k > 0, "k must be positive");
         self.k = k;
         self.heap.clear();
     }
@@ -225,9 +218,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k must be positive")]
-    fn zero_k_panics() {
-        KBestList::new(0);
+    fn zero_k_prunes_everything_and_refuses_every_offer() {
+        let mut list = KBestList::new(0);
+        assert!(list.is_full());
+        assert_eq!(list.bound(), f64::NEG_INFINITY);
+        assert!(!list.offer(nb(1, 0.0)));
+        assert!(!list.offer(nb(2, f64::NEG_INFINITY)));
+        list.reset(0);
+        assert!(list.into_sorted().is_empty());
     }
 
     #[test]

@@ -6,11 +6,17 @@
 //! groups; otherwise, F-MBM is better. GCP has very poor performance in all
 //! cases." [`Planner`] encodes exactly that, so applications get the right
 //! algorithm without re-reading the paper.
+//!
+//! The planner only chooses. A memory-resident query runs through
+//! [`crate::QueryRequest::execute_on`], which asks
+//! [`Planner::choose_memory`]; a network query asks
+//! [`Planner::choose_network`] inside its backend. The one query the
+//! planner runs itself is a disk-resident one ([`Planner::k_gnn_file`]),
+//! which has no request form.
 
 use crate::query::QueryGroup;
-use crate::result::{GnnResult, Neighbor, QueryStats};
-use crate::scratch::QueryScratch;
-use crate::{Aggregate, Fmbm, Fmqm, Mbm, Spm};
+use crate::result::GnnResult;
+use crate::{Aggregate, FileGnnAlgorithm, Fmbm, Fmqm};
 use gnn_qfile::{FileCursor, GroupedQueryFile};
 use gnn_rtree::TreeCursor;
 
@@ -99,86 +105,6 @@ impl Planner {
         Choice::NetworkIer
     }
 
-    /// Plans and runs a memory-resident k-GNN query.
-    pub fn k_gnn(
-        &self,
-        cursor: &TreeCursor<'_>,
-        group: &QueryGroup,
-        k: usize,
-    ) -> (Choice, GnnResult) {
-        let mut scratch = QueryScratch::new();
-        let (choice, neighbors, stats) = self.k_gnn_in(cursor, group, k, &mut scratch);
-        (
-            choice,
-            GnnResult {
-                neighbors: neighbors.to_vec(),
-                stats,
-            },
-        )
-    }
-
-    /// Plans and runs a memory-resident k-GNN query through caller-provided
-    /// scratch storage (allocation-free in steady state).
-    pub fn k_gnn_in<'s>(
-        &self,
-        cursor: &TreeCursor<'_>,
-        group: &QueryGroup,
-        k: usize,
-        scratch: &'s mut QueryScratch,
-    ) -> (Choice, &'s [Neighbor], QueryStats) {
-        match self.choose_memory(group) {
-            Choice::Spm => {
-                let (neighbors, stats) = Spm::best_first().k_gnn_in(cursor, group, k, scratch);
-                (Choice::Spm, neighbors, stats)
-            }
-            _ => {
-                let (neighbors, stats) = Mbm::best_first().k_gnn_in(cursor, group, k, scratch);
-                (Choice::Mbm, neighbors, stats)
-            }
-        }
-    }
-
-    /// Runs a batch of memory-resident k-GNN queries through one scratch —
-    /// the engine's steady-state entry point. After the first (warm-up)
-    /// query the batch performs no heap allocations; `sink` receives each
-    /// query's index, the planner's choice, the neighbors (valid for the
-    /// duration of the callback) and the cost counters.
-    pub fn run_many(
-        &self,
-        cursor: &TreeCursor<'_>,
-        groups: &[QueryGroup],
-        k: usize,
-        scratch: &mut QueryScratch,
-        mut sink: impl FnMut(usize, Choice, &[Neighbor], &QueryStats),
-    ) {
-        for (i, group) in groups.iter().enumerate() {
-            let (choice, neighbors, stats) = self.k_gnn_in(cursor, group, k, scratch);
-            sink(i, choice, neighbors, &stats);
-        }
-    }
-
-    /// Like [`Planner::run_many`] but collecting owned results (allocates
-    /// per query; convenience for callers that want the data anyway).
-    pub fn run_many_collect(
-        &self,
-        cursor: &TreeCursor<'_>,
-        groups: &[QueryGroup],
-        k: usize,
-        scratch: &mut QueryScratch,
-    ) -> Vec<(Choice, GnnResult)> {
-        let mut out = Vec::with_capacity(groups.len());
-        self.run_many(cursor, groups, k, scratch, |_, choice, neighbors, stats| {
-            out.push((
-                choice,
-                GnnResult {
-                    neighbors: neighbors.to_vec(),
-                    stats: *stats,
-                },
-            ));
-        });
-        out
-    }
-
     /// Plans and runs a disk-resident k-GNN query.
     pub fn k_gnn_file(
         &self,
@@ -204,6 +130,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{QueryRequest, QueryScratch, Target};
     use gnn_geom::{Point, PointId};
     use gnn_rtree::{LeafEntry, RTree, RTreeParams};
     use rand::rngs::StdRng;
@@ -243,9 +170,14 @@ mod tests {
         );
         let cursor = TreeCursor::unbuffered(&tree);
         let group = QueryGroup::sum(random_points(6, 5)).unwrap();
-        let (choice, result) = Planner::new().k_gnn(&cursor, &group, 3);
+        let mut scratch = QueryScratch::new();
+        let (choice, neighbors, ..) = QueryRequest::new(group, 3).execute_on(
+            &Planner::new(),
+            &Target::Single(&cursor),
+            &mut scratch,
+        );
         assert_eq!(choice, Choice::Mbm);
-        assert_eq!(result.neighbors.len(), 3);
+        assert_eq!(neighbors.len(), 3);
 
         let qpts = random_points(60, 6);
         let qf = GroupedQueryFile::build_with(qpts, 16, 32);

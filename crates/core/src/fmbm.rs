@@ -22,7 +22,7 @@
 //! kernels (vectorized on packed snapshots).
 
 use crate::best_list::KBestList;
-use crate::result::{GnnResult, Neighbor, QueryStats};
+use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
 use crate::{Aggregate, FileGnnAlgorithm, Traversal};
 use gnn_geom::{OrderedF64, Point, Rect};
@@ -99,29 +99,55 @@ impl Fmbm {
         }
     }
 
-    /// Retrieves the `k` group nearest neighbors of the whole query file
-    /// (convenience wrapper allocating a fresh [`QueryScratch`]; see
-    /// [`Fmbm::k_gnn_in`]).
-    pub fn k_gnn(
+    /// Figure 4.7's depth-first recursion: children in ascending weighted
+    /// mindist, stop at the first failing heuristic 5. Sort buffers come
+    /// from the per-level scratch pool.
+    fn df_visit(
         &self,
         data: &TreeCursor<'_>,
-        query: &GroupedQueryFile,
-        query_cursor: &FileCursor<'_>,
-        k: usize,
-        aggregate: Aggregate,
-    ) -> GnnResult {
-        let mut scratch = QueryScratch::new();
-        let (neighbors, stats) =
-            self.k_gnn_in(data, query, query_cursor, k, aggregate, &mut scratch);
-        GnnResult {
-            neighbors: neighbors.to_vec(),
-            stats,
+        id: PageId,
+        node_mbr: &Rect,
+        ctx: &mut SearchCtx<'_, '_, '_, '_>,
+        pool: &mut Vec<Vec<(f64, u32)>>,
+        depth: usize,
+    ) {
+        match data.read(id) {
+            PageRef::Internal(view) => {
+                if pool.len() <= depth {
+                    pool.resize_with(depth + 1, Vec::new);
+                }
+                let mut order = std::mem::take(&mut pool[depth]);
+                order.clear();
+                order.extend(
+                    (0..view.len()).map(|i| (ctx.weighted_mindist_rect(&view.mbr(i)), i as u32)),
+                );
+                order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+                for &(wmd, i) in &order {
+                    if wmd >= ctx.best.bound() {
+                        break; // heuristic 5; sorted, so the rest fail too
+                    }
+                    self.df_visit(
+                        data,
+                        view.child(i as usize),
+                        &view.mbr(i as usize),
+                        ctx,
+                        pool,
+                        depth + 1,
+                    );
+                }
+                pool[depth] = order;
+            }
+            PageRef::Leaf(es) => ctx.process_leaf(&es, node_mbr),
         }
     }
+}
 
-    /// Retrieves the `k` group nearest neighbors using caller-provided
-    /// scratch storage.
-    pub fn k_gnn_in<'s>(
+impl FileGnnAlgorithm for Fmbm {
+    fn name(&self) -> &'static str {
+        "F-MBM"
+    }
+
+    fn k_gnn_in<'s>(
         &self,
         data: &TreeCursor<'_>,
         query: &GroupedQueryFile,
@@ -203,48 +229,6 @@ impl Fmbm {
         };
         best.drain_sorted_into(out);
         (&*out, stats)
-    }
-
-    /// Figure 4.7's depth-first recursion: children in ascending weighted
-    /// mindist, stop at the first failing heuristic 5. Sort buffers come
-    /// from the per-level scratch pool.
-    fn df_visit(
-        &self,
-        data: &TreeCursor<'_>,
-        id: PageId,
-        node_mbr: &Rect,
-        ctx: &mut SearchCtx<'_, '_, '_, '_>,
-        pool: &mut Vec<Vec<(f64, u32)>>,
-        depth: usize,
-    ) {
-        match data.read(id) {
-            PageRef::Internal(view) => {
-                if pool.len() <= depth {
-                    pool.resize_with(depth + 1, Vec::new);
-                }
-                let mut order = std::mem::take(&mut pool[depth]);
-                order.clear();
-                order.extend(
-                    (0..view.len()).map(|i| (ctx.weighted_mindist_rect(&view.mbr(i)), i as u32)),
-                );
-                order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                for &(wmd, i) in &order {
-                    if wmd >= ctx.best.bound() {
-                        break; // heuristic 5; sorted, so the rest fail too
-                    }
-                    self.df_visit(
-                        data,
-                        view.child(i as usize),
-                        &view.mbr(i as usize),
-                        ctx,
-                        pool,
-                        depth + 1,
-                    );
-                }
-                pool[depth] = order;
-            }
-            PageRef::Leaf(es) => ctx.process_leaf(&es, node_mbr),
-        }
     }
 }
 
@@ -406,35 +390,6 @@ impl Ord for Rect2 {
             )
         };
         key(&self.0).cmp(&key(&other.0))
-    }
-}
-
-impl FileGnnAlgorithm for Fmbm {
-    fn name(&self) -> &'static str {
-        "F-MBM"
-    }
-
-    fn k_gnn(
-        &self,
-        data: &TreeCursor<'_>,
-        query: &GroupedQueryFile,
-        query_cursor: &FileCursor<'_>,
-        k: usize,
-        aggregate: Aggregate,
-    ) -> GnnResult {
-        Fmbm::k_gnn(self, data, query, query_cursor, k, aggregate)
-    }
-
-    fn k_gnn_in<'s>(
-        &self,
-        data: &TreeCursor<'_>,
-        query: &GroupedQueryFile,
-        query_cursor: &FileCursor<'_>,
-        k: usize,
-        aggregate: Aggregate,
-        scratch: &'s mut QueryScratch,
-    ) -> (&'s [Neighbor], QueryStats) {
-        Fmbm::k_gnn_in(self, data, query, query_cursor, k, aggregate, scratch)
     }
 }
 

@@ -36,7 +36,7 @@
 
 use crate::mbm::{MbmScratch, MbmStream};
 use crate::query::QueryGroup;
-use crate::result::{GnnResult, Neighbor, QueryStats};
+use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
 use crate::{Aggregate, FileGnnAlgorithm};
 use gnn_geom::PointId;
@@ -110,30 +110,14 @@ impl Fmqm {
     pub fn new() -> Self {
         Fmqm
     }
+}
 
-    /// Retrieves the `k` group nearest neighbors of the whole query file
-    /// (convenience wrapper allocating a fresh [`QueryScratch`]; see
-    /// [`Fmqm::k_gnn_in`]).
-    pub fn k_gnn(
-        &self,
-        data: &TreeCursor<'_>,
-        query: &GroupedQueryFile,
-        query_cursor: &FileCursor<'_>,
-        k: usize,
-        aggregate: Aggregate,
-    ) -> GnnResult {
-        let mut scratch = QueryScratch::new();
-        let (neighbors, stats) =
-            self.k_gnn_in(data, query, query_cursor, k, aggregate, &mut scratch);
-        GnnResult {
-            neighbors: neighbors.to_vec(),
-            stats,
-        }
+impl FileGnnAlgorithm for Fmqm {
+    fn name(&self) -> &'static str {
+        "F-MQM"
     }
 
-    /// Retrieves the `k` group nearest neighbors using caller-provided
-    /// scratch storage.
-    pub fn k_gnn_in<'s>(
+    fn k_gnn_in<'s>(
         &self,
         data: &TreeCursor<'_>,
         query: &GroupedQueryFile,
@@ -358,35 +342,6 @@ fn combine_thresholds(ts: &[f64], agg: Aggregate) -> f64 {
                 ts.iter().copied().fold(f64::INFINITY, f64::min)
             }
         }
-    }
-}
-
-impl FileGnnAlgorithm for Fmqm {
-    fn name(&self) -> &'static str {
-        "F-MQM"
-    }
-
-    fn k_gnn(
-        &self,
-        data: &TreeCursor<'_>,
-        query: &GroupedQueryFile,
-        query_cursor: &FileCursor<'_>,
-        k: usize,
-        aggregate: Aggregate,
-    ) -> GnnResult {
-        Fmqm::k_gnn(self, data, query, query_cursor, k, aggregate)
-    }
-
-    fn k_gnn_in<'s>(
-        &self,
-        data: &TreeCursor<'_>,
-        query: &GroupedQueryFile,
-        query_cursor: &FileCursor<'_>,
-        k: usize,
-        aggregate: Aggregate,
-        scratch: &'s mut QueryScratch,
-    ) -> (&'s [Neighbor], QueryStats) {
-        Fmqm::k_gnn_in(self, data, query, query_cursor, k, aggregate, scratch)
     }
 }
 

@@ -28,6 +28,17 @@
 //! | [`Fmqm`] | Hilbert-sorted flat file in memory-sized groups | §4.2 |
 //! | [`Fmbm`] | same file; groups pruned by heuristics 5 + 6 | §4.3 |
 //!
+//! ## Running a query
+//!
+//! Each algorithm has one entry point, its trait's `k_gnn_in` (the trait's
+//! `k_gnn` wraps it with a fresh [`QueryScratch`]). A memory-resident
+//! query in served form runs through one path:
+//! [`QueryRequest::execute_on`] resolves the [`Planner`]'s §5 choice (or
+//! the request's pinned [`Algo`]) and calls that entry point on a
+//! [`Target`]. [`Planner::k_gnn_file`] plans and runs a disk-resident
+//! query, and [`execute_batch_in`] is a loop of `execute_on` in submission
+//! order.
+//!
 //! ## Symbol glossary (paper Table 3.1)
 //!
 //! | symbol | meaning | here |
@@ -94,8 +105,9 @@ use gnn_rtree::TreeCursor;
 /// R-tree traversal order for the algorithms that support both.
 ///
 /// The paper's experiments use best-first everywhere ("All implementations
-/// are based on the best-first traversal", §5); depth-first variants are
-/// provided for the ablation benches.
+/// are based on the best-first traversal", §5), and so does
+/// [`QueryRequest::execute_on`]. The depth-first variants serve the
+/// `figures` binary's SPM-DF / MBM-DF columns and the tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Traversal {
     /// Best-first \[HS99\]: I/O-optimal, needs a priority queue.
@@ -105,7 +117,9 @@ pub enum Traversal {
     DepthFirst,
 }
 
-/// A GNN algorithm for memory-resident query groups (paper §3).
+/// A GNN algorithm for memory-resident query groups (paper §3). Each
+/// algorithm's one entry point is its [`MemoryGnnAlgorithm::k_gnn_in`];
+/// served queries reach it through [`QueryRequest::execute_on`].
 pub trait MemoryGnnAlgorithm {
     /// Display name ("MQM", "SPM", "MBM").
     fn name(&self) -> &'static str;
@@ -115,14 +129,21 @@ pub trait MemoryGnnAlgorithm {
     /// unsupported combination panics.
     fn supports(&self, aggregate: Aggregate, weighted: bool) -> bool;
 
-    /// Retrieves the `k` group nearest neighbors of `group`.
-    fn k_gnn(&self, cursor: &TreeCursor<'_>, group: &QueryGroup, k: usize) -> GnnResult;
+    /// Retrieves the `k` group nearest neighbors of `group` through a fresh
+    /// [`QueryScratch`] (the seed behavior: one new set of heaps and lists
+    /// per query).
+    fn k_gnn(&self, cursor: &TreeCursor<'_>, group: &QueryGroup, k: usize) -> GnnResult {
+        let mut scratch = QueryScratch::new();
+        let (neighbors, stats) = self.k_gnn_in(cursor, group, k, &mut scratch);
+        GnnResult {
+            neighbors: neighbors.to_vec(),
+            stats,
+        }
+    }
 
     /// Retrieves the `k` group nearest neighbors reusing caller-provided
     /// scratch storage. With a warmed-up [`QueryScratch`], steady-state
-    /// queries perform zero heap allocations (the seed behavior — one
-    /// fresh set of heaps and lists per query — remains available through
-    /// [`MemoryGnnAlgorithm::k_gnn`]).
+    /// queries perform zero heap allocations.
     fn k_gnn_in<'s>(
         &self,
         cursor: &TreeCursor<'_>,
@@ -139,7 +160,7 @@ pub trait FileGnnAlgorithm {
     fn name(&self) -> &'static str;
 
     /// Retrieves the `k` group nearest neighbors of the (Hilbert-sorted,
-    /// grouped) query file.
+    /// grouped) query file through a fresh [`QueryScratch`].
     fn k_gnn(
         &self,
         data: &TreeCursor<'_>,
@@ -147,7 +168,15 @@ pub trait FileGnnAlgorithm {
         query_cursor: &FileCursor<'_>,
         k: usize,
         aggregate: Aggregate,
-    ) -> GnnResult;
+    ) -> GnnResult {
+        let mut scratch = QueryScratch::new();
+        let (neighbors, stats) =
+            self.k_gnn_in(data, query, query_cursor, k, aggregate, &mut scratch);
+        GnnResult {
+            neighbors: neighbors.to_vec(),
+            stats,
+        }
+    }
 
     /// Retrieves the `k` group nearest neighbors reusing caller-provided
     /// scratch storage (see [`QueryScratch`]).

@@ -20,7 +20,8 @@
 //! one fused kernel call straight over the page's lane-padded coordinates.
 //! The drivers:
 //!
-//! * **bounded top-k** ([`Mbm::k_gnn_in`], the paper's Figure 3.6): a heap
+//! * **bounded top-k** (MBM's [`MemoryGnnAlgorithm::k_gnn_in`], the paper's
+//!   Figure 3.6): a heap
 //!   of *nodes only*; a child is pushed only while its key is below
 //!   `best_dist`, a leaf's distances go straight to the [`KBestList`], and
 //!   the loop ends when the popped key reaches `best_dist`. Once
@@ -46,7 +47,7 @@
 
 use crate::best_list::KBestList;
 use crate::query::QueryGroup;
-use crate::result::{GnnResult, Neighbor, QueryStats};
+use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
 use crate::{Aggregate, MemoryGnnAlgorithm, Traversal};
 use gnn_geom::OrderedF64;
@@ -74,18 +75,18 @@ pub struct Mbm {
 
 impl Default for Mbm {
     fn default() -> Self {
-        Mbm {
-            traversal: Traversal::BestFirst,
-            use_h2: true,
-            use_h3: true,
-        }
+        Mbm::best_first()
     }
 }
 
 impl Mbm {
     /// MBM with best-first traversal and both heuristics (paper default).
-    pub fn best_first() -> Self {
-        Mbm::default()
+    pub const fn best_first() -> Self {
+        Mbm {
+            traversal: Traversal::BestFirst,
+            use_h2: true,
+            use_h3: true,
+        }
     }
 
     /// MBM with depth-first traversal (Figure 3.7's walkthrough).
@@ -94,87 +95,6 @@ impl Mbm {
             traversal: Traversal::DepthFirst,
             ..Mbm::default()
         }
-    }
-
-    /// Retrieves the `k` group nearest neighbors (convenience wrapper that
-    /// allocates a fresh [`QueryScratch`]; see [`Mbm::k_gnn_in`] for the
-    /// steady-state entry point).
-    pub fn k_gnn(&self, cursor: &TreeCursor<'_>, group: &QueryGroup, k: usize) -> GnnResult {
-        let mut scratch = QueryScratch::new();
-        let (neighbors, stats) = self.k_gnn_in(cursor, group, k, &mut scratch);
-        GnnResult {
-            neighbors: neighbors.to_vec(),
-            stats,
-        }
-    }
-
-    /// Retrieves the `k` group nearest neighbors using caller-provided
-    /// scratch storage. A warmed-up scratch makes repeated queries perform
-    /// **zero heap allocations**.
-    pub fn k_gnn_in<'s>(
-        &self,
-        cursor: &TreeCursor<'_>,
-        group: &QueryGroup,
-        k: usize,
-        scratch: &'s mut QueryScratch,
-    ) -> (&'s [Neighbor], QueryStats) {
-        assert!(
-            self.use_h2 || self.use_h3,
-            "MBM needs at least one pruning heuristic enabled"
-        );
-        let t0 = Instant::now();
-        let before = cursor.stats();
-        let QueryScratch {
-            best,
-            out,
-            mbm,
-            df_pool,
-            ..
-        } = scratch;
-        best.reset(k);
-        let mut dist_computations = 0u64;
-        let mut lower_bound_pruned = 0u64;
-
-        match self.traversal {
-            Traversal::BestFirst if cursor.is_packed() => {
-                (dist_computations, lower_bound_pruned) =
-                    self.bounded_top_k(cursor, group, best, mbm);
-            }
-            Traversal::BestFirst => {
-                // Arena reference: the stream ascends, so its first k items
-                // are exactly the k-GNN; pulling a (k+1)-th would only waste
-                // node accesses.
-                let mut stream = MbmStream::with_heuristics_in(cursor, group, self.use_h3, mbm);
-                while best.len() < k {
-                    let Some(n) = stream.next() else { break };
-                    best.offer(n);
-                }
-                dist_computations += stream.dist_computations();
-            }
-            Traversal::DepthFirst => {
-                if !cursor.is_empty() {
-                    self.df_visit(
-                        cursor,
-                        cursor.root(),
-                        group,
-                        best,
-                        &mut dist_computations,
-                        df_pool,
-                        0,
-                    );
-                }
-            }
-        }
-
-        let stats = QueryStats {
-            data_tree: cursor.stats().since(before),
-            dist_computations,
-            lower_bound_pruned,
-            elapsed: t0.elapsed(),
-            ..QueryStats::default()
-        };
-        best.drain_sorted_into(out);
-        (&*out, stats)
     }
 
     /// The paper's best-first MBM (Figure 3.6) over a packed cursor: a heap
@@ -330,10 +250,6 @@ impl MemoryGnnAlgorithm for Mbm {
         true
     }
 
-    fn k_gnn(&self, cursor: &TreeCursor<'_>, group: &QueryGroup, k: usize) -> GnnResult {
-        Mbm::k_gnn(self, cursor, group, k)
-    }
-
     fn k_gnn_in<'s>(
         &self,
         cursor: &TreeCursor<'_>,
@@ -341,7 +257,63 @@ impl MemoryGnnAlgorithm for Mbm {
         k: usize,
         scratch: &'s mut QueryScratch,
     ) -> (&'s [Neighbor], QueryStats) {
-        Mbm::k_gnn_in(self, cursor, group, k, scratch)
+        assert!(
+            self.use_h2 || self.use_h3,
+            "MBM needs at least one pruning heuristic enabled"
+        );
+        let t0 = Instant::now();
+        let before = cursor.stats();
+        let QueryScratch {
+            best,
+            out,
+            mbm,
+            df_pool,
+            ..
+        } = scratch;
+        best.reset(k);
+        let mut dist_computations = 0u64;
+        let mut lower_bound_pruned = 0u64;
+
+        match self.traversal {
+            Traversal::BestFirst if cursor.is_packed() => {
+                (dist_computations, lower_bound_pruned) =
+                    self.bounded_top_k(cursor, group, best, mbm);
+            }
+            Traversal::BestFirst => {
+                // Arena reference: the stream ascends, so its first k items
+                // are exactly the k-GNN; pulling a (k+1)-th would only waste
+                // node accesses.
+                let mut stream = MbmStream::with_heuristics_in(cursor, group, self.use_h3, mbm);
+                while best.len() < k {
+                    let Some(n) = stream.next() else { break };
+                    best.offer(n);
+                }
+                dist_computations += stream.dist_computations();
+            }
+            Traversal::DepthFirst => {
+                if !cursor.is_empty() {
+                    self.df_visit(
+                        cursor,
+                        cursor.root(),
+                        group,
+                        best,
+                        &mut dist_computations,
+                        df_pool,
+                        0,
+                    );
+                }
+            }
+        }
+
+        let stats = QueryStats {
+            data_tree: cursor.stats().since(before),
+            dist_computations,
+            lower_bound_pruned,
+            elapsed: t0.elapsed(),
+            ..QueryStats::default()
+        };
+        best.drain_sorted_into(out);
+        (&*out, stats)
     }
 }
 

@@ -13,7 +13,7 @@
 //! nearby R-tree nodes and the shared LRU buffer absorbs the repeats.
 
 use crate::query::QueryGroup;
-use crate::result::{GnnResult, Neighbor, QueryStats};
+use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
 use crate::{Aggregate, MemoryGnnAlgorithm};
 use gnn_geom::hilbert::HilbertMapper;
@@ -33,35 +33,32 @@ pub struct Mqm {
 
 impl Default for Mqm {
     fn default() -> Self {
+        Mqm::new()
+    }
+}
+
+impl Mqm {
+    /// MQM with the paper's configuration.
+    pub const fn new() -> Self {
         Mqm {
             hilbert_order: true,
         }
     }
 }
 
-impl Mqm {
-    /// MQM with the paper's configuration.
-    pub fn new() -> Self {
-        Self::default()
+impl MemoryGnnAlgorithm for Mqm {
+    fn name(&self) -> &'static str {
+        "MQM"
     }
 
-    /// Retrieves the `k` group nearest neighbors of `group` from the tree
-    /// behind `cursor` (convenience wrapper allocating a fresh
-    /// [`QueryScratch`]; see [`Mqm::k_gnn_in`]).
-    pub fn k_gnn(&self, cursor: &TreeCursor<'_>, group: &QueryGroup, k: usize) -> GnnResult {
-        let mut scratch = QueryScratch::new();
-        let (neighbors, stats) = self.k_gnn_in(cursor, group, k, &mut scratch);
-        GnnResult {
-            neighbors: neighbors.to_vec(),
-            stats,
-        }
+    fn supports(&self, _aggregate: Aggregate, _weighted: bool) -> bool {
+        true
     }
 
-    /// Retrieves the `k` group nearest neighbors using caller-provided
-    /// scratch storage. The per-stream NN heaps live in the scratch's pool
-    /// and are suspended/resumed between round-robin turns, so a warmed-up
-    /// scratch performs no per-query heap allocations.
-    pub fn k_gnn_in<'s>(
+    /// The per-stream NN heaps live in the scratch's pool and are
+    /// suspended/resumed between round-robin turns, so a warmed-up scratch
+    /// performs no per-query heap allocations.
+    fn k_gnn_in<'s>(
         &self,
         cursor: &TreeCursor<'_>,
         group: &QueryGroup,
@@ -158,30 +155,6 @@ impl Mqm {
         };
         best.drain_sorted_into(out);
         (&*out, stats)
-    }
-}
-
-impl MemoryGnnAlgorithm for Mqm {
-    fn name(&self) -> &'static str {
-        "MQM"
-    }
-
-    fn supports(&self, _aggregate: Aggregate, _weighted: bool) -> bool {
-        true
-    }
-
-    fn k_gnn(&self, cursor: &TreeCursor<'_>, group: &QueryGroup, k: usize) -> GnnResult {
-        Mqm::k_gnn(self, cursor, group, k)
-    }
-
-    fn k_gnn_in<'s>(
-        &self,
-        cursor: &TreeCursor<'_>,
-        group: &QueryGroup,
-        k: usize,
-        scratch: &'s mut QueryScratch,
-    ) -> (&'s [Neighbor], QueryStats) {
-        Mqm::k_gnn_in(self, cursor, group, k, scratch)
     }
 }
 

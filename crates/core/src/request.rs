@@ -14,9 +14,13 @@ use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
 use crate::sharded::{sharded_k_gnn_in, ShardRouting};
 use crate::{Aggregate, Mbm, MemoryGnnAlgorithm, Mqm, QueryGroup, Spm};
-use gnn_geom::Rect;
 use gnn_rtree::{ShardedSnapshot, TreeCursor};
 use std::time::Duration;
+
+/// The paper-default configurations a Euclidean request resolves to.
+static MBM: Mbm = Mbm::best_first();
+static SPM: Spm = Spm::best_first();
+static MQM: Mqm = Mqm::new();
 
 /// Where a [`QueryRequest`] (or a batch of them) executes: a single tree
 /// behind one cursor, a [`ShardedSnapshot`] behind one cursor per shard, or
@@ -42,17 +46,6 @@ pub enum Target<'a, 't> {
 }
 
 impl<'a, 't> Target<'a, 't> {
-    /// The MBR of all indexed data reachable through this target (the root
-    /// MBR of the single tree, or the union over shard roots). Batch
-    /// executors use this as the Hilbert workspace for ordering queries.
-    pub fn root_mbr(&self) -> Rect {
-        match self {
-            Target::Single(cursor) => cursor.root_mbr(),
-            Target::Sharded { snapshot, .. } => snapshot.root_mbr(),
-            Target::Network(backend) => backend.root_mbr(),
-        }
-    }
-
     /// Every cursor this target reads through (one for single-tree targets,
     /// one per shard; network backends meter their own index accesses, so
     /// none here).
@@ -179,31 +172,23 @@ impl QueryRequest {
             let (choice, neighbors, stats) = backend.execute_network(self, planner, scratch);
             return (choice, neighbors, stats, ShardRouting::default());
         }
-        let (choice, resolved) = self.resolve(planner);
+        let (choice, algo) = self.resolve(planner);
         if self.k == 0 {
-            // Nothing to retrieve: answer before any page is read (the
-            // best-k list every algorithm arms cannot hold zero neighbors).
+            // Nothing to retrieve: answer before any page is read (a direct
+            // `k_gnn_in` call with k = 0 also answers empty, but may read
+            // the pages its first prune test needs).
             scratch.stage_neighbors(&[]);
             let none = scratch.neighbors();
             return (choice, none, QueryStats::default(), ShardRouting::default());
         }
         match target {
             Target::Single(cursor) => {
-                let (neighbors, stats) =
-                    resolved
-                        .as_dyn()
-                        .k_gnn_in(cursor, &self.group, self.k, scratch);
+                let (neighbors, stats) = algo.k_gnn_in(cursor, &self.group, self.k, scratch);
                 (choice, neighbors, stats, ShardRouting::default())
             }
             Target::Sharded { snapshot, cursors } => {
-                let (neighbors, stats, routing) = sharded_k_gnn_in(
-                    resolved.as_dyn(),
-                    snapshot,
-                    cursors,
-                    &self.group,
-                    self.k,
-                    scratch,
-                );
+                let (neighbors, stats, routing) =
+                    sharded_k_gnn_in(algo, snapshot, cursors, &self.group, self.k, scratch);
                 (choice, neighbors, stats, routing)
             }
             Target::Network(_) => unreachable!("handled above"),
@@ -212,39 +197,18 @@ impl QueryRequest {
 
     /// The concrete algorithm (and the [`Choice`] it reports) this request
     /// resolves to on a Euclidean target.
-    fn resolve(&self, planner: &Planner) -> (Choice, ResolvedAlgo) {
+    fn resolve(&self, planner: &Planner) -> (Choice, &'static dyn MemoryGnnAlgorithm) {
         match self.algo {
             Algo::Auto => match planner.choose_memory(&self.group) {
-                Choice::Spm => (Choice::Spm, ResolvedAlgo::Spm(Spm::best_first())),
-                _ => (Choice::Mbm, ResolvedAlgo::Mbm(Mbm::best_first())),
+                Choice::Spm => (Choice::Spm, &SPM),
+                _ => (Choice::Mbm, &MBM),
             },
-            Algo::Mqm => (Choice::Mqm, ResolvedAlgo::Mqm(Mqm::new())),
-            Algo::Spm if self.group.aggregate() == Aggregate::Sum => {
-                (Choice::Spm, ResolvedAlgo::Spm(Spm::best_first()))
-            }
+            Algo::Mqm => (Choice::Mqm, &MQM),
+            Algo::Spm if self.group.aggregate() == Aggregate::Sum => (Choice::Spm, &SPM),
             // SPM is SUM-only (Lemma 1); MAX/MIN requests degrade to MBM.
             // Network selectors are meaningless on a Euclidean target and
             // degrade the same way (the Choice makes the fallback visible).
-            Algo::Spm | Algo::Mbm | Algo::NetworkTa | Algo::NetworkIer => {
-                (Choice::Mbm, ResolvedAlgo::Mbm(Mbm::best_first()))
-            }
-        }
-    }
-}
-
-/// Stack-allocated resolved algorithm (no boxing on the serving hot path).
-enum ResolvedAlgo {
-    Mqm(Mqm),
-    Spm(Spm),
-    Mbm(Mbm),
-}
-
-impl ResolvedAlgo {
-    fn as_dyn(&self) -> &dyn MemoryGnnAlgorithm {
-        match self {
-            ResolvedAlgo::Mqm(a) => a,
-            ResolvedAlgo::Spm(a) => a,
-            ResolvedAlgo::Mbm(a) => a,
+            Algo::Spm | Algo::Mbm | Algo::NetworkTa | Algo::NetworkIer => (Choice::Mbm, &MBM),
         }
     }
 }

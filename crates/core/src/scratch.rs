@@ -8,11 +8,13 @@
 //! engine keeps per worker thread.
 //!
 //! After a warm-up query, the buffers have reached their steady-state
-//! capacities and every further query through the `*_in` entry points
-//! ([`crate::Mbm::k_gnn_in`], [`crate::Planner::run_many`], ...) performs
-//! **zero heap allocations**. The `scratch_reuse` integration test pins this
-//! by asserting that [`QueryScratch::capacity_profile`] never changes across
-//! a steady-state workload.
+//! capacities and every further query through
+//! [`crate::QueryRequest::execute_on`] or an algorithm's `k_gnn_in`
+//! ([`crate::MemoryGnnAlgorithm::k_gnn_in`],
+//! [`crate::FileGnnAlgorithm::k_gnn_in`]) performs **zero heap
+//! allocations**. The `scratch_reuse` integration test pins this by
+//! asserting that [`QueryScratch::capacity_profile`] never changes across a
+//! steady-state workload.
 
 use crate::best_list::KBestList;
 use crate::fmbm::FmbmScratch;
@@ -60,9 +62,6 @@ pub struct QueryScratch {
     pub(crate) merge_out: Vec<Neighbor>,
     /// Cross-shard merge: `(lower bound, shard)` visit order.
     pub(crate) shard_order: Vec<(f64, u32)>,
-    /// Batch executor: `(group-MBR Hilbert key, request index)` sort buffer
-    /// (see [`crate::batch`]).
-    pub(crate) batch_order: Vec<(u64, u32)>,
     /// Opaque per-worker state of a [`crate::NetworkBackend`] (e.g.
     /// `gnn-network`'s `NetworkScratch`). Core cannot name the concrete
     /// type (the backend crate depends on core, not vice versa), so the
@@ -102,7 +101,6 @@ impl QueryScratch {
             merge_best: KBestList::new(1),
             merge_out: Vec::new(),
             shard_order: Vec::new(),
-            batch_order: Vec::new(),
             backend_state: BackendState::default(),
         }
     }
@@ -167,7 +165,6 @@ impl QueryScratch {
         prof.push(self.merge_best.capacity());
         prof.push(self.merge_out.capacity());
         prof.push(self.shard_order.capacity());
-        prof.push(self.batch_order.capacity());
         prof
     }
 }

@@ -106,8 +106,7 @@ pub fn primary_shard(group: &QueryGroup, snapshot: &ShardedSnapshot) -> u32 {
 ///
 /// # Panics
 ///
-/// Panics if `cursors` does not hold one cursor per shard of `snapshot`,
-/// or if `k` is zero.
+/// Panics if `cursors` does not hold one cursor per shard of `snapshot`.
 pub fn sharded_k_gnn_in<'s>(
     algo: &dyn MemoryGnnAlgorithm,
     snapshot: &ShardedSnapshot,

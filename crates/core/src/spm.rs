@@ -17,7 +17,7 @@ use crate::centroid::{
     arithmetic_mean, gradient_descent_centroid, weiszfeld_centroid, CentroidOptions,
 };
 use crate::query::QueryGroup;
-use crate::result::{GnnResult, Neighbor, QueryStats};
+use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
 use crate::{Aggregate, MemoryGnnAlgorithm, Traversal};
 use gnn_geom::Point;
@@ -48,10 +48,10 @@ pub struct Spm {
 impl Spm {
     /// SPM with best-first traversal and the paper's gradient-descent
     /// centroid.
-    pub fn best_first() -> Self {
+    pub const fn best_first() -> Self {
         Spm {
             traversal: Traversal::BestFirst,
-            ..Spm::default()
+            centroid: CentroidMethod::GradientDescent,
         }
     }
 
@@ -73,105 +73,6 @@ impl Spm {
             CentroidMethod::Weiszfeld => weiszfeld_centroid(group.points(), weights, opts),
             CentroidMethod::Mean => arithmetic_mean(group.points(), weights),
         }
-    }
-
-    /// Retrieves the `k` group nearest neighbors (convenience wrapper
-    /// allocating a fresh [`QueryScratch`]; see [`Spm::k_gnn_in`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics for MAX/MIN aggregates (Lemma 1 does not apply); check
-    /// [`MemoryGnnAlgorithm::supports`] first.
-    pub fn k_gnn(&self, cursor: &TreeCursor<'_>, group: &QueryGroup, k: usize) -> GnnResult {
-        let mut scratch = QueryScratch::new();
-        let (neighbors, stats) = self.k_gnn_in(cursor, group, k, &mut scratch);
-        GnnResult {
-            neighbors: neighbors.to_vec(),
-            stats,
-        }
-    }
-
-    /// Retrieves the `k` group nearest neighbors using caller-provided
-    /// scratch storage (allocation-free once warmed up).
-    ///
-    /// # Panics
-    ///
-    /// Panics for MAX/MIN aggregates (Lemma 1 does not apply); check
-    /// [`MemoryGnnAlgorithm::supports`] first.
-    pub fn k_gnn_in<'s>(
-        &self,
-        cursor: &TreeCursor<'_>,
-        group: &QueryGroup,
-        k: usize,
-        scratch: &'s mut QueryScratch,
-    ) -> (&'s [Neighbor], QueryStats) {
-        assert_eq!(
-            group.aggregate(),
-            Aggregate::Sum,
-            "SPM supports only the SUM aggregate (Lemma 1 is a sum of triangle inequalities)"
-        );
-        let t0 = Instant::now();
-        let before = cursor.stats();
-        let q = self.anchor(group);
-        let dq = group.dist(q); // dist(q, Q)
-        let w = group.total_weight();
-        let mut dist_computations = group.len() as u64;
-        let QueryScratch {
-            best,
-            out,
-            nn_pool,
-            df_pool,
-            ..
-        } = scratch;
-        best.reset(k);
-
-        match self.traversal {
-            Traversal::BestFirst => {
-                // Incremental NN around the anchor; Lemma 1 converts the
-                // ascending |pq| order into a stopping rule.
-                if nn_pool.is_empty() {
-                    nn_pool.push(NnScratch::default());
-                }
-                let mut nn = NearestNeighbors::new_in(cursor, q, &mut nn_pool[0]);
-                for pn in nn.by_ref() {
-                    if w * pn.dist - dq >= best.bound() {
-                        break;
-                    }
-                    let dist = group.dist(pn.entry.point);
-                    dist_computations += group.len() as u64;
-                    best.offer(Neighbor {
-                        id: pn.entry.id,
-                        point: pn.entry.point,
-                        dist,
-                    });
-                }
-            }
-            Traversal::DepthFirst => {
-                if !cursor.is_empty() {
-                    self.df_visit(
-                        cursor,
-                        cursor.root(),
-                        q,
-                        dq,
-                        w,
-                        group,
-                        best,
-                        &mut dist_computations,
-                        df_pool,
-                        0,
-                    );
-                }
-            }
-        }
-
-        let stats = QueryStats {
-            data_tree: cursor.stats().since(before),
-            dist_computations,
-            elapsed: t0.elapsed(),
-            ..QueryStats::default()
-        };
-        best.drain_sorted_into(out);
-        (&*out, stats)
     }
 
     /// Figure 3.4: recurse into children in ascending `mindist(N, q)`,
@@ -258,10 +159,10 @@ impl MemoryGnnAlgorithm for Spm {
         aggregate == Aggregate::Sum
     }
 
-    fn k_gnn(&self, cursor: &TreeCursor<'_>, group: &QueryGroup, k: usize) -> GnnResult {
-        Spm::k_gnn(self, cursor, group, k)
-    }
-
+    /// # Panics
+    ///
+    /// Panics for MAX/MIN aggregates (Lemma 1 does not apply); check
+    /// [`MemoryGnnAlgorithm::supports`] first.
     fn k_gnn_in<'s>(
         &self,
         cursor: &TreeCursor<'_>,
@@ -269,7 +170,73 @@ impl MemoryGnnAlgorithm for Spm {
         k: usize,
         scratch: &'s mut QueryScratch,
     ) -> (&'s [Neighbor], QueryStats) {
-        Spm::k_gnn_in(self, cursor, group, k, scratch)
+        assert_eq!(
+            group.aggregate(),
+            Aggregate::Sum,
+            "SPM supports only the SUM aggregate (Lemma 1 is a sum of triangle inequalities)"
+        );
+        let t0 = Instant::now();
+        let before = cursor.stats();
+        let q = self.anchor(group);
+        let dq = group.dist(q); // dist(q, Q)
+        let w = group.total_weight();
+        let mut dist_computations = group.len() as u64;
+        let QueryScratch {
+            best,
+            out,
+            nn_pool,
+            df_pool,
+            ..
+        } = scratch;
+        best.reset(k);
+
+        match self.traversal {
+            Traversal::BestFirst => {
+                // Incremental NN around the anchor; Lemma 1 converts the
+                // ascending |pq| order into a stopping rule.
+                if nn_pool.is_empty() {
+                    nn_pool.push(NnScratch::default());
+                }
+                let mut nn = NearestNeighbors::new_in(cursor, q, &mut nn_pool[0]);
+                for pn in nn.by_ref() {
+                    if w * pn.dist - dq >= best.bound() {
+                        break;
+                    }
+                    let dist = group.dist(pn.entry.point);
+                    dist_computations += group.len() as u64;
+                    best.offer(Neighbor {
+                        id: pn.entry.id,
+                        point: pn.entry.point,
+                        dist,
+                    });
+                }
+            }
+            Traversal::DepthFirst => {
+                if !cursor.is_empty() {
+                    self.df_visit(
+                        cursor,
+                        cursor.root(),
+                        q,
+                        dq,
+                        w,
+                        group,
+                        best,
+                        &mut dist_computations,
+                        df_pool,
+                        0,
+                    );
+                }
+            }
+        }
+
+        let stats = QueryStats {
+            data_tree: cursor.stats().since(before),
+            dist_computations,
+            elapsed: t0.elapsed(),
+            ..QueryStats::default()
+        };
+        best.drain_sorted_into(out);
+        (&*out, stats)
     }
 }
 

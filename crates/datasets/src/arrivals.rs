@@ -79,7 +79,7 @@ pub fn open_loop_arrivals(
 
 /// One scheduled **batch** of an open-loop workload: several queries that
 /// arrive together (a hotspot burst, a coalescing window's worth of
-/// traffic) and are meant to be submitted as one Hilbert-ordered batch.
+/// traffic) and are meant to be submitted as one batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchArrival {
     /// Submission instant of the whole batch, in nanoseconds from the

@@ -144,17 +144,6 @@ impl HilbertMapper {
         xy_to_d(self.order, gx, gy)
     }
 
-    /// The Hilbert key of a rectangle: the key of its center point. This is
-    /// the **group-MBR key** the batch executor (`gnn_core::batch`) sorts a
-    /// batch by — query groups whose MBRs are spatially close receive close
-    /// keys, so a key-sorted batch visits overlapping R-tree regions
-    /// consecutively (the serving layer does not: that module's docs say
-    /// why). Degenerate rectangles (points, segments) are fine: the center
-    /// is always inside the workspace clamp of [`HilbertMapper::key`].
-    pub fn key_rect(&self, r: Rect) -> u64 {
-        self.key(r.center())
-    }
-
     /// Sorts `points` in place by Hilbert key (the paper's pre-processing
     /// step for MQM, F-MQM and F-MBM).
     pub fn sort_points(&self, points: &mut [Point]) {
@@ -273,25 +262,6 @@ mod tests {
         let k1 = m.key(Point::new(3.0, 1.0));
         let k2 = m.key(Point::new(3.0, 9.0));
         assert_ne!(k1, k2); // y still differentiates
-    }
-
-    #[test]
-    fn rect_keys_follow_centers() {
-        let ws = Rect::from_corners(0.0, 0.0, 100.0, 100.0);
-        let m = HilbertMapper::new(ws);
-        // A rect's key is exactly its center's key — overlapping query MBRs
-        // with the same center collapse onto one key regardless of extent.
-        let tight = Rect::from_corners(49.0, 49.0, 51.0, 51.0);
-        let wide = Rect::from_corners(40.0, 40.0, 60.0, 60.0);
-        assert_eq!(m.key_rect(tight), m.key(Point::new(50.0, 50.0)));
-        assert_eq!(m.key_rect(tight), m.key_rect(wide));
-        // Nearby rects get closer keys than far-apart ones.
-        let near = Rect::from_corners(50.5, 49.0, 52.5, 51.0);
-        let far = Rect::from_corners(97.0, 97.0, 99.0, 99.0);
-        assert!(
-            m.key_rect(tight).abs_diff(m.key_rect(near))
-                < m.key_rect(tight).abs_diff(m.key_rect(far))
-        );
     }
 
     #[test]

@@ -129,8 +129,7 @@ impl PackedGraph {
             .map(|(&t, &w)| (VertexId(t), w))
     }
 
-    /// Bounding box of all vertices (the Hilbert workspace batch executors
-    /// order network queries by).
+    /// Bounding box of all vertices.
     pub fn bounding_box(&self) -> Rect {
         self.vertex_tree.root_mbr()
     }

@@ -17,7 +17,7 @@ use crate::packed::PackedGraph;
 use crate::scratch::NetworkScratch;
 use gnn_core::Neighbor;
 use gnn_core::{Choice, NetworkBackend, Planner, QueryRequest, QueryScratch, QueryStats};
-use gnn_geom::{PointId, Rect};
+use gnn_geom::PointId;
 use gnn_rtree::{AccessStats, LeafEntry, PackedRTree, RTree, RTreeParams};
 use std::sync::Arc;
 
@@ -202,10 +202,6 @@ impl NetworkSnapshot {
 }
 
 impl NetworkBackend for NetworkSnapshot {
-    fn root_mbr(&self) -> Rect {
-        self.graph.bounding_box()
-    }
-
     fn execute_network<'s>(
         &self,
         request: &QueryRequest,

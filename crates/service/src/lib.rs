@@ -696,7 +696,8 @@ impl fmt::Debug for Service {
 mod tests {
     use super::*;
     use gnn_core::{
-        Algo, Mbm, Neighbor, Planner, QueryGroup, QueryResponse, QueryScratch, ShardRouting, Target,
+        Algo, Mbm, MemoryGnnAlgorithm, Neighbor, Planner, QueryGroup, QueryResponse, QueryScratch,
+        ShardRouting, Target,
     };
     use gnn_geom::{Point, PointId};
     use gnn_rtree::{LeafEntry, RTree, RTreeParams, TreeCursor};

@@ -1,11 +1,11 @@
-//! Batch-executor equivalence: a shared-traversal batch
-//! ([`execute_batch_in`], [`Submission::batch`]) must be bit-identical to
-//! the per-query reference ([`Planner::run_many_collect`]) — same neighbor
-//! ids, same distance bits, and the same **per-query node accesses** — at
-//! every batch split and on every worker count. The executor's overlay
-//! only counts distinct pages and the service runs a batch's members one
-//! after another; the logical traversal of each query is untouched, which
-//! is what makes the NA metric schedule-independent.
+//! Batch-executor equivalence: a batch ([`execute_batch_in`],
+//! [`Submission::batch`]) must be bit-identical to the per-query reference
+//! (a loop of `execute_on` on `Target::Single`) — same neighbor ids, same
+//! distance bits, and the same **per-query node accesses** — at every
+//! batch split and on every worker count. Both run a batch's members one
+//! after another in submission order, and the executor's overlay only
+//! counts distinct pages; the logical traversal of each query is
+//! untouched, which is what makes the NA metric schedule-independent.
 //!
 //! Sharded comparisons against the *unsharded* reference inherit the
 //! k-th-boundary-tie caveat of `sharded_equivalence.rs`: exact aggregate
@@ -13,6 +13,8 @@
 //! always compared, ids only when the reference's `k+1` probe shows no tie
 //! at the k-th slot. Batch-vs-per-query on the SAME target needs no guard
 //! — the executor runs the identical code path per query.
+
+mod common;
 
 use gnn::core::QueryScratch;
 use gnn::datasets::{hotspot_query_workload, HotspotSpec, QuerySpec};
@@ -71,6 +73,27 @@ fn fingerprint(neighbors: &[Neighbor], na: u64, choice: Choice) -> Fingerprint {
     )
 }
 
+fn requests_of(groups: &[QueryGroup], k: usize) -> Vec<QueryRequest> {
+    groups
+        .iter()
+        .map(|g| QueryRequest::new(g.clone(), k))
+        .collect()
+}
+
+/// The sequential reference's per-query fingerprints, in submission order.
+fn reference(snapshot: &PackedRTree, requests: &[QueryRequest]) -> Vec<Fingerprint> {
+    let mut out = Vec::with_capacity(requests.len());
+    common::execute_in_order(
+        snapshot,
+        requests,
+        &mut QueryScratch::new(),
+        |choice, ns, stats| {
+            out.push(fingerprint(ns, stats.data_tree.logical, choice));
+        },
+    );
+    out
+}
+
 /// Runs `requests` through the batch executor in chunks of `batch_size`
 /// and returns the per-query fingerprints in submission order.
 fn run_batched(
@@ -106,21 +129,10 @@ fn unsharded_batches_are_bit_identical_to_run_many_collect() {
     let tree = tree_of(&pts);
     let packed = tree.freeze();
     let groups = hotspot_groups(tree.root_mbr(), 64, 0xBA7C_0001);
-    let k = 4;
+    let requests = requests_of(&groups, 4);
+    let reference = reference(&packed, &requests);
 
     let planner = Planner::new();
-    let cursor = packed.cursor();
-    let mut scratch = QueryScratch::new();
-    let reference: Vec<Fingerprint> = planner
-        .run_many_collect(&cursor, &groups, k, &mut scratch)
-        .into_iter()
-        .map(|(choice, r)| fingerprint(&r.neighbors, r.stats.data_tree.logical, choice))
-        .collect();
-
-    let requests: Vec<QueryRequest> = groups
-        .iter()
-        .map(|g| QueryRequest::new(g.clone(), k))
-        .collect();
     for batch_size in [1usize, 7, 64] {
         let cursor = packed.cursor();
         let target = Target::Single(&cursor);
@@ -137,15 +149,10 @@ fn sharded_batches_match_per_query_execution_and_the_unsharded_reference() {
     let groups = hotspot_groups(tree.root_mbr(), 64, 0xBA7C_0002);
     let k = 4;
     let planner = Planner::new();
+    let requests = requests_of(&groups, k);
 
     // Unsharded reference + per-query boundary-tie probes.
-    let cursor = packed.cursor();
-    let mut scratch = QueryScratch::new();
-    let reference: Vec<Fingerprint> = planner
-        .run_many_collect(&cursor, &groups, k, &mut scratch)
-        .into_iter()
-        .map(|(choice, r)| fingerprint(&r.neighbors, r.stats.data_tree.logical, choice))
-        .collect();
+    let reference = reference(&packed, &requests);
     let boundary_tie: Vec<bool> = groups
         .iter()
         .map(|group| {
@@ -155,10 +162,6 @@ fn sharded_batches_match_per_query_execution_and_the_unsharded_reference() {
         })
         .collect();
 
-    let requests: Vec<QueryRequest> = groups
-        .iter()
-        .map(|g| QueryRequest::new(g.clone(), k))
-        .collect();
     for shards in [1usize, 3] {
         let sharded = packed.partition(shards);
         let cursors: Vec<TreeCursor<'_>> = sharded.shards().iter().map(|s| s.cursor()).collect();
@@ -208,24 +211,16 @@ fn service_batches_are_bit_identical_on_1_2_and_8_workers() {
     let packed = Arc::new(tree.freeze());
     let groups = hotspot_groups(tree.root_mbr(), 64, 0xBA7C_0003);
     let k = 4;
-
-    let planner = Planner::new();
-    let cursor = packed.cursor();
-    let mut scratch = QueryScratch::new();
-    let reference: Vec<Fingerprint> = planner
-        .run_many_collect(&cursor, &groups, k, &mut scratch)
-        .into_iter()
-        .map(|(choice, r)| fingerprint(&r.neighbors, r.stats.data_tree.logical, choice))
-        .collect();
+    let requests = requests_of(&groups, k);
+    let reference = reference(&packed, &requests);
 
     // Page counts are deterministic (distinct pages under the batch
     // executor's overlay vs the sum of per-query NA), so the saving a shared
     // traversal would make is gated as a count, not a time — on the
     // executor's own accounting: the service keeps no page ledger.
-    let requests: Vec<QueryRequest> = groups
-        .iter()
-        .map(|g| QueryRequest::new(g.clone(), k))
-        .collect();
+    let planner = Planner::new();
+    let cursor = packed.cursor();
+    let mut scratch = QueryScratch::new();
     for batch_size in [16usize, 64] {
         let target = Target::Single(&cursor);
         let (mut unique, mut sequential) = (0u64, 0u64);
@@ -246,11 +241,9 @@ fn service_batches_are_bit_identical_on_1_2_and_8_workers() {
         for batch_size in [1usize, 7, 16, 64] {
             let service = Service::start(Arc::clone(&packed), ServiceConfig::with_workers(workers));
             let mut got: Vec<Fingerprint> = Vec::with_capacity(groups.len());
-            for chunk in groups.chunks(batch_size) {
+            for chunk in requests.chunks(batch_size) {
                 let responses = service
-                    .submit(Submission::batch(
-                        chunk.iter().map(|g| QueryRequest::new(g.clone(), k)),
-                    ))
+                    .submit(Submission::batch(chunk.iter().cloned()))
                     .expect("batch submitted")
                     .wait_all()
                     .expect("batch served");
@@ -285,18 +278,8 @@ proptest! {
         let packed = tree.freeze();
         let groups = hotspot_groups(tree.root_mbr(), 12, workload_seed);
         let planner = Planner::new();
-
-        let cursor = packed.cursor();
-        let mut scratch = QueryScratch::new();
-        let reference: Vec<Fingerprint> = planner
-            .run_many_collect(&cursor, &groups, k, &mut scratch)
-            .into_iter()
-            .map(|(choice, r)| fingerprint(&r.neighbors, r.stats.data_tree.logical, choice))
-            .collect();
-        let requests: Vec<QueryRequest> = groups
-            .iter()
-            .map(|g| QueryRequest::new(g.clone(), k))
-            .collect();
+        let requests = requests_of(&groups, k);
+        let reference = reference(&packed, &requests);
 
         for batch_size in [1usize, 5, 12] {
             let cursor = packed.cursor();

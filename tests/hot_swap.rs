@@ -6,6 +6,8 @@
 //! up between queries, so a batch submitted after `publish` returns is
 //! served entirely on the new generation.
 
+mod common;
+
 use gnn::datasets::{mixed_traffic, MixedOp, MixedSpec, QuerySpec};
 use gnn::prelude::*;
 use std::sync::Arc;
@@ -19,13 +21,17 @@ fn fingerprint(neighbors: &[Neighbor]) -> Vec<(u64, u64)> {
 
 /// Sequential reference of `groups` on one snapshot.
 fn reference(snapshot: &PackedRTree, groups: &[QueryGroup], k: usize) -> Vec<Vec<(u64, u64)>> {
-    let planner = Planner::new();
-    let cursor = snapshot.cursor();
-    let mut scratch = QueryScratch::new();
+    let requests: Vec<QueryRequest> = groups
+        .iter()
+        .map(|g| QueryRequest::new(g.clone(), k))
+        .collect();
     let mut out = Vec::with_capacity(groups.len());
-    planner.run_many(&cursor, groups, k, &mut scratch, |_, _, neighbors, _| {
-        out.push(fingerprint(neighbors));
-    });
+    common::execute_in_order(
+        snapshot,
+        &requests,
+        &mut QueryScratch::new(),
+        |_, neighbors, _| out.push(fingerprint(neighbors)),
+    );
     out
 }
 

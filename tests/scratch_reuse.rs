@@ -6,7 +6,9 @@
 //! lists, key and distance buffers, sort pools), a stable profile means
 //! steady-state queries perform no heap allocations at all.
 
-use gnn::core::{MbmScratch, Planner, QueryScratch};
+mod common;
+
+use gnn::core::{MbmScratch, QueryScratch};
 use gnn::network::{NetworkIer, NetworkScratch, NetworkSnapshot, NetworkTa, RoadNetwork, VertexId};
 use gnn::prelude::*;
 use rand::rngs::StdRng;
@@ -112,21 +114,22 @@ fn planner_run_many_is_allocation_free_in_steady_state() {
     let data = random_points(3000, 2, 0.0, 100.0);
     let tree = tree_of(&data);
     let packed = tree.freeze();
-    let cursor = TreeCursor::packed(&packed);
-    let workload = groups(16, 8, 900);
-    let planner = Planner::new();
+    let requests: Vec<QueryRequest> = groups(16, 8, 900)
+        .into_iter()
+        .map(|g| QueryRequest::new(g, 4))
+        .collect();
     let mut scratch = QueryScratch::new();
     let mut answered = 0usize;
     assert_steady_state(
         &mut scratch,
         |s| {
-            planner.run_many(&cursor, &workload, 4, s, |_, _, neighbors, stats| {
+            common::execute_in_order(&packed, &requests, s, |_, neighbors, stats| {
                 assert_eq!(neighbors.len(), 4);
                 assert!(stats.data_tree.logical > 0);
                 answered += 1;
             });
         },
-        "Planner::run_many",
+        "planner-routed execute_on loop",
     );
     assert_eq!(answered, 16 * 5);
 }

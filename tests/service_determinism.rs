@@ -5,6 +5,8 @@
 //! sequential reference, and the aggregate node-access totals (the paper's
 //! cost metric) must survive concurrency exactly.
 
+mod common;
+
 use gnn::datasets::query_workload;
 use gnn::datasets::QuerySpec;
 use gnn::prelude::*;
@@ -117,38 +119,35 @@ fn interleaved_workload_is_identical_on_1_2_and_8_workers() {
 
 #[test]
 fn service_agrees_with_planner_run_many_collect() {
-    // The tentpole's determinism anchor, stated exactly as in the issue:
-    // the same workload through the service and through
-    // `Planner::run_many_collect` gives identical ids, distances, and
-    // total node accesses.
+    // The determinism anchor: the same planner-routed workload through the
+    // service and through the sequential `execute_on` loop gives identical
+    // choices, ids, distances, and total node accesses.
     let (_tree, snapshot) = build_snapshot(10_000, 9);
     let spec = QuerySpec {
         n: 16,
         area_fraction: 0.08,
     };
-    let groups: Vec<QueryGroup> = query_workload(snapshot.root_mbr(), spec, 64, 3)
+    let requests: Vec<QueryRequest> = query_workload(snapshot.root_mbr(), spec, 64, 3)
         .into_iter()
-        .map(|pts| QueryGroup::sum(pts).unwrap())
+        .map(|pts| QueryRequest::new(QueryGroup::sum(pts).unwrap(), 5))
         .collect();
-    let k = 5;
 
-    let planner = Planner::new();
-    let cursor = snapshot.cursor();
-    let mut scratch = QueryScratch::new();
-    let sequential = planner.run_many_collect(&cursor, &groups, k, &mut scratch);
-    let sequential_na: u64 = sequential
-        .iter()
-        .map(|(_, r)| r.stats.data_tree.logical)
-        .sum();
+    let mut sequential: Vec<(Choice, Vec<Neighbor>)> = Vec::with_capacity(requests.len());
+    let mut sequential_na = 0u64;
+    common::execute_in_order(
+        &snapshot,
+        &requests,
+        &mut QueryScratch::new(),
+        |choice, neighbors, stats| {
+            sequential.push((choice, neighbors.to_vec()));
+            sequential_na += stats.data_tree.logical;
+        },
+    );
 
     let service = Service::start(Arc::clone(&snapshot), ServiceConfig::with_workers(8));
-    let handles: Vec<_> = groups
+    let handles: Vec<_> = requests
         .iter()
-        .map(|g| {
-            service
-                .submit(QueryRequest::new(g.clone(), k))
-                .expect("query submitted")
-        })
+        .map(|r| service.submit(r.clone()).expect("query submitted"))
         .collect();
     let mut service_na = 0u64;
     for (handle, (choice, want)) in handles.into_iter().zip(&sequential) {
@@ -157,7 +156,7 @@ fn service_agrees_with_planner_run_many_collect() {
         service_na += r.stats.data_tree.logical;
         assert_eq!(
             r.neighbors.iter().map(|n| n.id).collect::<Vec<_>>(),
-            want.neighbors.iter().map(|n| n.id).collect::<Vec<_>>()
+            want.iter().map(|n| n.id).collect::<Vec<_>>()
         );
         // Bit-identical distances: both paths run the same kernels.
         assert_eq!(
@@ -165,10 +164,7 @@ fn service_agrees_with_planner_run_many_collect() {
                 .iter()
                 .map(|n| n.dist.to_bits())
                 .collect::<Vec<_>>(),
-            want.neighbors
-                .iter()
-                .map(|n| n.dist.to_bits())
-                .collect::<Vec<_>>()
+            want.iter().map(|n| n.dist.to_bits()).collect::<Vec<_>>()
         );
     }
     assert_eq!(service_na, sequential_na);
@@ -190,33 +186,26 @@ fn eight_worker_throughput_scales_when_cores_allow() {
         n: 64,
         area_fraction: 0.08,
     };
-    let groups: Vec<QueryGroup> = query_workload(snapshot.root_mbr(), spec, 256, 5)
+    let requests: Vec<QueryRequest> = query_workload(snapshot.root_mbr(), spec, 256, 5)
         .into_iter()
-        .map(|pts| QueryGroup::sum(pts).unwrap())
+        .map(|pts| QueryRequest::new(QueryGroup::sum(pts).unwrap(), 8))
         .collect();
-    let k = 8;
 
     // Sequential baseline (warmed).
-    let planner = Planner::new();
-    let cursor = snapshot.cursor();
     let mut scratch = QueryScratch::new();
-    planner.run_many(&cursor, &groups, k, &mut scratch, |_, _, _, _| {});
+    common::execute_in_order(&snapshot, &requests, &mut scratch, |_, _, _| {});
     let t0 = std::time::Instant::now();
-    planner.run_many(&cursor, &groups, k, &mut scratch, |_, _, _, _| {});
-    let seq_qps = groups.len() as f64 / t0.elapsed().as_secs_f64();
+    common::execute_in_order(&snapshot, &requests, &mut scratch, |_, _, _| {});
+    let seq_qps = requests.len() as f64 / t0.elapsed().as_secs_f64();
 
     // 8-worker service (warmed the same way). Per-request submissions:
     // this measures worker scaling, which a shared-traversal batch would
     // serialize onto one worker.
     let service = Service::start(Arc::clone(&snapshot), ServiceConfig::with_workers(8));
     let submit_all = || -> Vec<_> {
-        groups
+        requests
             .iter()
-            .map(|g| {
-                service
-                    .submit(QueryRequest::new(g.clone(), k))
-                    .expect("query submitted")
-            })
+            .map(|r| service.submit(r.clone()).expect("query submitted"))
             .collect()
     };
     for h in submit_all() {
@@ -226,7 +215,7 @@ fn eight_worker_throughput_scales_when_cores_allow() {
     for h in submit_all() {
         h.wait().unwrap();
     }
-    let svc_qps = groups.len() as f64 / t0.elapsed().as_secs_f64();
+    let svc_qps = requests.len() as f64 / t0.elapsed().as_secs_f64();
     service.shutdown();
 
     assert!(

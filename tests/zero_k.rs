@@ -1,13 +1,16 @@
 //! `k = 0` is a malformed but harmless request: every execution surface must
 //! answer it with an empty neighbor list and zero cost counters **before any
 //! page is read** — never by panicking (under the service that used to be a
-//! caught worker panic and a respawn). The other end of the range, `k = N + 1`
-//! and `k = 2⁴⁰`, is answered with all `N` points through every service
-//! surface — the second one without sizing anything by `k` (that used to be
-//! a failed allocation and a process abort, which no unwind guard catches).
+//! caught worker panic and a respawn). Every direct algorithm entry point
+//! answers it empty too (it may read the few pages its first prune test
+//! needs). The other end of the range, `k = N + 1` and `k = 2⁴⁰`, is
+//! answered with all `N` points through every service surface — the second
+//! one without sizing anything by `k` (that used to be a failed allocation
+//! and a process abort, which no unwind guard catches).
 
-use gnn::core::baseline::linear_scan_points;
-use gnn::network::{NetworkIer, NetworkSnapshot, RoadNetwork, VertexId};
+use gnn::core::baseline::{full_scan_tree, linear_scan_points};
+use gnn::core::sharded::sharded_k_gnn_in;
+use gnn::network::{NetworkIer, NetworkScratch, NetworkSnapshot, RoadNetwork, VertexId};
 use gnn::prelude::*;
 use std::sync::Arc;
 
@@ -97,6 +100,107 @@ fn network_backend_answers_k_zero() {
         assert!(neighbors.is_empty(), "{algo:?}");
         assert_eq!(stats, QueryStats::default(), "{algo:?}");
     }
+}
+
+#[test]
+fn every_direct_entry_point_answers_k_zero_empty() {
+    let tree = lattice_tree(12);
+    let packed = tree.freeze();
+    let sum = group(Aggregate::Sum);
+    let mut scratch = QueryScratch::new();
+
+    for cursor in [TreeCursor::unbuffered(&tree), packed.cursor()] {
+        for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
+            let algos: Vec<(&str, Box<dyn MemoryGnnAlgorithm>)> = vec![
+                ("MBM", Box::new(Mbm::best_first())),
+                ("MBM-DF", Box::new(Mbm::depth_first())),
+                ("SPM", Box::new(Spm::best_first())),
+                ("SPM-DF", Box::new(Spm::depth_first())),
+                ("MQM", Box::new(Mqm::new())),
+            ];
+            for (name, algo) in algos {
+                if !algo.supports(agg, false) {
+                    continue;
+                }
+                let g = group(agg);
+                assert!(
+                    algo.k_gnn(&cursor, &g, 0).neighbors.is_empty(),
+                    "{name} {agg}"
+                );
+                let (neighbors, _) = algo.k_gnn_in(&cursor, &g, 0, &mut scratch);
+                assert!(neighbors.is_empty(), "{name} {agg} through scratch");
+            }
+        }
+        assert!(full_scan_tree(&cursor, &sum, 0).neighbors.is_empty());
+    }
+    let points: Vec<Point> = tree.iter().map(|e| e.point).collect();
+    assert!(linear_scan_points(&points, &sum, 0).neighbors.is_empty());
+
+    let sharded = tree.freeze_sharded(3);
+    let cursors: Vec<_> = sharded.shards().iter().map(|s| s.cursor()).collect();
+    let (neighbors, ..) = sharded_k_gnn_in(
+        &Mbm::best_first(),
+        &sharded,
+        &cursors,
+        &sum,
+        0,
+        &mut scratch,
+    );
+    assert!(neighbors.is_empty(), "sharded");
+
+    // The disk-resident algorithms, directly and as the planner runs them.
+    let query_tree = RTree::bulk_load(
+        RTreeParams::with_capacity(4),
+        sum.points()
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
+    );
+    let data = TreeCursor::unbuffered(&tree);
+    let gcp = Gcp::new().k_gnn(&data, &TreeCursor::unbuffered(&query_tree), 0);
+    assert!(gcp.neighbors.is_empty(), "GCP");
+    let qf = GroupedQueryFile::build_with(sum.points().to_vec(), 16, 32);
+    let fc = FileCursor::new(qf.file());
+    let file_algos: [(&str, &dyn FileGnnAlgorithm); 2] =
+        [("F-MQM", &Fmqm::new()), ("F-MBM", &Fmbm::best_first())];
+    for (name, algo) in file_algos {
+        let got = algo.k_gnn(&data, &qf, &fc, 0, Aggregate::Sum);
+        assert!(got.neighbors.is_empty(), "{name}");
+    }
+    let (_, planned) = Planner::new().k_gnn_file(&data, &qf, &fc, 0, Aggregate::Sum);
+    assert!(planned.neighbors.is_empty(), "planned file query");
+
+    // The network algorithms, arena and packed.
+    let network = RoadNetwork::grid(8, 8, 0.25, 3);
+    let vertices: Vec<VertexId> = (0..network.vertex_count() as u32)
+        .step_by(5)
+        .map(VertexId)
+        .collect();
+    let query = [VertexId(9), VertexId(30)];
+    let arena_ta = NetworkTa.k_gnn(&network, &vertices, &query, 0, Aggregate::Sum);
+    assert!(arena_ta.neighbors.is_empty(), "arena NET-TA");
+    let arena_ier = NetworkIer.k_gnn(&network, &vertices, &query, 0, Aggregate::Sum);
+    assert!(arena_ier.neighbors.is_empty(), "arena NET-IER");
+    let snapshot = NetworkSnapshot::new(network.freeze(), vertices.clone());
+    let mut net = NetworkScratch::new();
+    let (ta, _) = NetworkTa.k_gnn_in(
+        snapshot.graph(),
+        &vertices,
+        &query,
+        0,
+        Aggregate::Sum,
+        &mut net,
+    );
+    assert!(ta.is_empty(), "packed NET-TA");
+    let (ier, _) = NetworkIer.k_gnn_in(
+        snapshot.graph(),
+        snapshot.data_tree(),
+        &query,
+        0,
+        Aggregate::Sum,
+        &mut net,
+    );
+    assert!(ier.is_empty(), "packed NET-IER");
 }
 
 #[test]
