@@ -11,7 +11,11 @@
 //!   `Σ_i mindist(N, q_i) ≥ best_dist` (aggregate-generalised via
 //!   [`QueryGroup::tight_bound_rect`]). Applied only to nodes that pass
 //!   heuristic 2, exactly as the paper recommends (footnote 3: H2 exists to
-//!   save CPU, H3 to save I/O).
+//!   save CPU, H3 to save I/O) — and, for SUM groups of at least
+//!   `LAZY_MIN` points in the bounded loop, only where the heap gets there:
+//!   such a child waits under a one-term centroid key (Jensen:
+//!   `W·mindist(N, c_w) ≤ Σ wᵢ·mindist(N, qᵢ)`) and pays its `n` terms
+//!   when it reaches the top.
 //!
 //! On packed snapshots two best-first drivers share two page-scoring steps.
 //! The steps: `score_branches` keys every child of an internal page
@@ -24,7 +28,10 @@
 //!   Figure 3.6): a heap
 //!   of *nodes only*; a child is pushed only while its key is below
 //!   `best_dist`, a leaf's distances go straight to the [`KBestList`], and
-//!   the loop ends when the popped key reaches `best_dist`. Once
+//!   the loop ends when the popped key reaches `best_dist`. From `LAZY_MIN`
+//!   SUM members up, children that pass H2 wait in a second heap of
+//!   unresolved keys and enter the node heap under exactly their eager key
+//!   when they resolve, so pages are read in the same order. Once
 //!   `best_dist` is finite a SUM leaf is scored in two steps
 //!   (`filter_leaf`): a rounded-down `f32` bound over the whole page, then
 //!   the exact distance for the entries it could not rule out — the
@@ -46,11 +53,11 @@
 //! reusable [`MbmScratch`] / [`crate::QueryScratch`].
 
 use crate::best_list::KBestList;
-use crate::query::QueryGroup;
+use crate::query::{CentroidBound, QueryGroup};
 use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
 use crate::{Aggregate, MemoryGnnAlgorithm, Traversal};
-use gnn_geom::OrderedF64;
+use gnn_geom::{OrderedF64, Rect};
 use gnn_rtree::{BranchesRef, LeafEntry, LeafRef, PageId, PageRef, ScratchRef, TreeCursor};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -59,6 +66,12 @@ use std::time::Instant;
 /// Default pre-sizing of the incremental stream's priority queue; covers the
 /// paper-scale workloads without a single regrowth.
 const STREAM_HEAP_CAPACITY: usize = 256;
+
+/// Smallest SUM group the bounded loop keys heuristic 3 lazily for: the
+/// smallest size measured ahead in 9 of 10 pairs. Below it an `n`-term
+/// tight key costs less than the pending heap's traffic — 0.78× at n = 8,
+/// parity at 32 (EXPERIMENTS.md, "Audit: eager heuristic-3 keys").
+const LAZY_MIN: usize = 48;
 
 /// The minimum bounding method.
 #[derive(Debug, Clone, Copy)]
@@ -112,6 +125,14 @@ impl Mbm {
     /// of the all-exact loop, which every other aggregate and tier still
     /// runs.
     ///
+    /// Heuristic 3 is applied only where H2 fails and, above `LAZY_MIN`,
+    /// only where the heap gets there: a SUM group of at least `LAZY_MIN`
+    /// points parks each child that passes H2 in `pending` under
+    /// `max(cheap, centroid key)` ([`QueryGroup::centroid_bound`]), and a
+    /// child pays its `n`-term tight key only when that key reaches the top
+    /// of the node heap. Every other group keys children eagerly, as
+    /// before.
+    ///
     /// Returns the exact distance evaluations performed and the leaf
     /// entries the `f32` bound dropped.
     fn bounded_top_k(
@@ -124,18 +145,47 @@ impl Mbm {
         let mut evals = 0u64;
         let mut dropped = 0u64;
         let filter = group.lower_bound_weights(&mut s.narrow_weights);
+        let lazy = if self.use_h3 && group.len() >= LAZY_MIN {
+            group.centroid_bound()
+        } else {
+            None
+        };
         s.nodes.clear();
+        s.pending.clear();
+        s.slots.clear();
         if !cursor.is_empty() {
             // The root must always be expanded.
             s.nodes.push(Reverse((OrderedF64(0.0), cursor.root())));
         }
-        while let Some(Reverse((key, id))) = s.nodes.pop() {
+        // Why lazy keying reads the same pages in the same order as eager
+        // keying, ties included. (i) Every pending key is `<=` the key the
+        // child resolves to: `cheap` exactly, the centroid bound by Jensen
+        // plus its rounding margin (`debug_assert`ed at each resolve).
+        // (ii) A `nodes` entry is popped only once every pending key is
+        // strictly above it — `resolve_pending` runs until then — so every
+        // unresolved child's resolved key is strictly above it too, and
+        // `nodes` pops in the eager loop's `(key, PageId)` order;
+        // `best.bound()` moves only at leaves, so it evolves identically.
+        // (iii) Eager keying pushes a child whose tight key is below the
+        // bound at push time; the lazy loop drops it if that key is no
+        // longer below the bound when the child resolves. The bound only
+        // falls, and every node popped before that resolve was keyed below
+        // the child, so the eager loop would meet the child no earlier and
+        // stop at it: neither loop reads it.
+        loop {
+            evals += s.resolve_pending(group, best.bound());
+            let Some(Reverse((key, id))) = s.nodes.pop() else {
+                break;
+            };
             if key.get() >= best.bound() {
                 break; // every pending node is at least this far
             }
             match cursor.read(id) {
                 PageRef::Internal(view) => {
-                    evals += s.push_children(&view, group, self.use_h3, best.bound());
+                    evals += match &lazy {
+                        Some(centroid) => s.defer_children(&view, group, centroid, best.bound()),
+                        None => s.push_children(&view, group, self.use_h3, best.bound()),
+                    };
                 }
                 PageRef::Leaf(leaf) if filter && best.bound() < f64::INFINITY => {
                     let kept = filter_leaf(&leaf, group, &s.narrow_weights, &mut s.dists, best);
@@ -452,9 +502,16 @@ pub struct MbmScratch {
     /// Bounded top-k: pending nodes by `(key, page id)` — the order nodes
     /// leave the stream's heap in, too.
     nodes: BinaryHeap<Reverse<(OrderedF64, PageId)>>,
+    /// Bounded top-k, lazy keying: children waiting for their tight key,
+    /// by `(max(cheap, centroid key), slot in slots)`.
+    pending: BinaryHeap<Reverse<(OrderedF64, u32)>>,
+    /// What a pending child resolves from: its MBR, page and cheap key.
+    slots: Vec<(Rect, PageId, f64)>,
     heap: BinaryHeap<Reverse<StreamItem>>,
     /// Child keys of the internal page being scored.
     keys: Vec<f64>,
+    /// Lazy keying: `mindist²` of the page's children to the centroid.
+    centroid_keys: Vec<f64>,
     /// Exact distances of the leaf being scored — or, where the bounded
     /// loop filters first, the `f32` lower bounds on them.
     dists: Vec<f64>,
@@ -469,8 +526,11 @@ impl MbmScratch {
     pub fn with_capacity(capacity: usize) -> Self {
         MbmScratch {
             nodes: BinaryHeap::with_capacity(capacity),
+            pending: BinaryHeap::new(),
+            slots: Vec::new(),
             heap: BinaryHeap::with_capacity(capacity),
             keys: Vec::with_capacity(64),
+            centroid_keys: Vec::new(),
             dists: Vec::with_capacity(64),
             narrow_weights: Vec::new(),
             dist_computations: 0,
@@ -484,8 +544,11 @@ impl MbmScratch {
     pub fn capacity_profile(&self) -> impl Iterator<Item = usize> + '_ {
         [
             self.nodes.capacity(),
+            self.pending.capacity(),
+            self.slots.capacity(),
             self.heap.capacity(),
             self.keys.capacity(),
+            self.centroid_keys.capacity(),
             self.dists.capacity(),
             self.narrow_weights.capacity(),
         ]
@@ -512,6 +575,61 @@ impl MbmScratch {
         for (i, &key) in self.keys.iter().enumerate() {
             if key < bound {
                 self.nodes.push(Reverse((OrderedF64(key), view.child(i))));
+            }
+        }
+        evals
+    }
+
+    /// [`MbmScratch::push_children`] under lazy keying: scores the page
+    /// with H2 and one batched `mindist²` to the centroid, and parks in
+    /// `pending` every child whose `max(cheap, centroid key)` is below
+    /// `bound` — no tight key yet. Returns the distance evaluations.
+    fn defer_children(
+        &mut self,
+        view: &BranchesRef<'_>,
+        group: &QueryGroup,
+        centroid: &CentroidBound,
+        bound: f64,
+    ) -> u64 {
+        view.mindist_sq_rect_into(&group.mbr(), &mut self.keys);
+        view.mindist_sq_point_into(centroid.centre, &mut self.centroid_keys);
+        for (i, (&m_sq, &c_sq)) in self.keys.iter().zip(&self.centroid_keys).enumerate() {
+            let cheap = group.cheap_bound_from_sq(m_sq);
+            let key = cheap.max(centroid.key_from_sq(c_sq));
+            if key < bound {
+                self.pending
+                    .push(Reverse((OrderedF64(key), self.slots.len() as u32)));
+                self.slots.push((view.mbr(i), view.child(i), cheap));
+            }
+        }
+        2 * view.len() as u64
+    }
+
+    /// Resolves pending children while their key is `<=` the top of
+    /// `nodes` (or `nodes` is empty) and below `bound`: each pays
+    /// `cheap.max(tight)` — exactly the eager key — and enters `nodes` if
+    /// that is below `bound`, or is dropped. One `peek` when nothing is
+    /// pending. Returns the distance evaluations.
+    #[inline]
+    fn resolve_pending(&mut self, group: &QueryGroup, bound: f64) -> u64 {
+        let mut evals = 0;
+        while let Some(&Reverse((pending_key, slot))) = self.pending.peek() {
+            if matches!(self.nodes.peek(), Some(&Reverse((top, _))) if pending_key > top)
+                || pending_key.get() >= bound
+            {
+                break;
+            }
+            self.pending.pop();
+            let (rect, child, cheap) = self.slots[slot as usize];
+            let key = cheap.max(group.tight_bound_rect(&rect));
+            debug_assert!(
+                key >= pending_key.get(),
+                "pending key {:e} above resolved key {key:e} for {rect:?}",
+                pending_key.get()
+            );
+            evals += group.len() as u64;
+            if key < bound {
+                self.nodes.push(Reverse((OrderedF64(key), child)));
             }
         }
         evals
@@ -991,6 +1109,140 @@ mod tests {
             pending(f64::from_bits(5f64.to_bits() + 1)),
             (vec![1.0, 5.0], 2 + 2)
         );
+    }
+
+    /// `LAZY_MIN` (even) members, half at `(0, -h)`, half at `(0, h)`:
+    /// centroid the origin, `M` the segment between them. Every key below
+    /// is an integer multiple of `LAZY_MIN`, so every sum is exact.
+    fn split_group(h: f64) -> QueryGroup {
+        let mut pts = vec![Point::new(0.0, -h); LAZY_MIN / 2];
+        pts.resize(LAZY_MIN, Point::new(0.0, h));
+        QueryGroup::sum(pts).unwrap()
+    }
+
+    fn tree_of(pts: &[(f64, f64)]) -> RTree {
+        RTree::bulk_load(
+            RTreeParams::with_capacity(4),
+            pts.iter()
+                .enumerate()
+                .map(|(i, &(x, y))| LeafEntry::new(PointId(i as u64), Point::new(x, y))),
+        )
+    }
+
+    #[test]
+    fn lazy_child_at_best_dist_is_resolved_and_dropped_not_read() {
+        // The lazy twin of `child_at_best_dist_is_neither_pushed_nor_read`,
+        // with m = LAZY_MIN members at (0, ±3). Leaf A = {(0,0), (0,1),
+        // (-4,0)} at distances 3m, 3m, 5m. Leaf B = {(4,0), (5,0),
+        // (4.5,0)} is a segment: its H2 key 4m and centroid key (just under
+        // 4m) are below 5m, its tight key is exactly 5m.
+        let packed = tree_of(&[
+            (0.0, 0.0),
+            (0.0, 1.0),
+            (-4.0, 0.0),
+            (4.0, 0.0),
+            (5.0, 0.0),
+            (4.5, 0.0),
+        ])
+        .freeze();
+        let group = split_group(3.0);
+        let m = LAZY_MIN as f64;
+        let probe = TreeCursor::packed(&packed);
+        let PageRef::Internal(root) = probe.read(probe.root()) else {
+            panic!("scenario needs an internal root");
+        };
+        let mut keys = Vec::new();
+        score_branches(&root, &group, true, f64::INFINITY, &mut keys);
+        assert_eq!(keys, [2.5 * m, 5.0 * m], "scenario: eager child keys");
+        let mut s = MbmScratch::default();
+        let centroid = group.centroid_bound().unwrap();
+        assert_eq!(
+            s.defer_children(&root, &group, &centroid, f64::INFINITY),
+            2 * 2
+        );
+        let mut pending: Vec<f64> = s.pending.iter().map(|Reverse((k, _))| k.get()).collect();
+        pending.sort_by(f64::total_cmp);
+        assert_eq!(pending, [0.0, 4.0 * m], "scenario: pending keys");
+
+        // After A the 3-best bound is 5m: B's pending key 4m is below it,
+        // so B resolves — one tight key — to 5m and is dropped unread.
+        let cursor = TreeCursor::packed(&packed);
+        let got = Mbm::best_first().k_gnn(&cursor, &group, 3);
+        assert_eq!(got.distances(), [3.0 * m, 3.0 * m, 5.0 * m]);
+        assert_eq!(
+            got.neighbors[2].id,
+            PointId(2),
+            "the tie inside B is not needed"
+        );
+        assert_eq!(cursor.stats().logical, 2, "root + leaf A only");
+        // Root: two H2 and two centroid keys; A and B: one tight key each;
+        // leaf A: three exact distances.
+        let n = LAZY_MIN as u64;
+        assert_eq!(got.stats.dist_computations, 4 + 2 * n + 3 * n);
+    }
+
+    #[test]
+    fn pending_key_tied_with_a_resolved_key_keeps_the_eager_order() {
+        // m = LAZY_MIN members at (0, ±6). Y = [-11,-10]×[-6,6] waits under
+        // its H2 key 10m and resolves to exactly that; X = [-9,-8]×{0}
+        // waits under 8m and resolves to 10m too. So Y's *pending* key
+        // equals X's *resolved* key, and the eager loop pops Y first (same
+        // key, lower page id): Y must be resolved before X is popped, not
+        // after.
+        let packed = tree_of(&[
+            (-11.0, -6.0),
+            (-10.0, 6.0),
+            (-10.5, 0.0),
+            (-9.0, 0.0),
+            (-8.0, 0.0),
+            (-8.5, 0.0),
+        ])
+        .freeze();
+        let group = split_group(6.0);
+        let m = LAZY_MIN as f64;
+        let cursor = TreeCursor::packed(&packed);
+        let PageRef::Internal(root) = cursor.read(cursor.root()) else {
+            panic!("scenario needs an internal root");
+        };
+        let (y, x) = (root.child(0), root.child(1));
+        assert!(y < x, "scenario: Y has the lower page id");
+        assert_eq!(root.mbr(0), Rect::from_corners(-11.0, -6.0, -10.0, 6.0));
+        assert_eq!(root.mbr(1), Rect::from_corners(-9.0, 0.0, -8.0, 0.0));
+
+        let pop_order = |lazy: bool| {
+            let mut s = MbmScratch::default();
+            if lazy {
+                let centroid = group.centroid_bound().unwrap();
+                s.defer_children(&root, &group, &centroid, f64::INFINITY);
+                let mut pending: Vec<f64> =
+                    s.pending.iter().map(|Reverse((k, _))| k.get()).collect();
+                pending.sort_by(f64::total_cmp);
+                assert_eq!(pending, [8.0 * m, 10.0 * m], "scenario: pending keys");
+            } else {
+                s.push_children(&root, &group, true, f64::INFINITY);
+            }
+            let mut order = Vec::new();
+            loop {
+                s.resolve_pending(&group, f64::INFINITY);
+                let Some(Reverse((key, id))) = s.nodes.pop() else {
+                    break;
+                };
+                order.push((key.get(), id));
+            }
+            order
+        };
+        assert_eq!(pop_order(false), [(10.0 * m, y), (10.0 * m, x)]);
+        assert_eq!(pop_order(true), pop_order(false));
+
+        // And through the whole loop: the stream pops the same way.
+        for k in [1, 2, 4] {
+            let bc = TreeCursor::packed(&packed);
+            let bounded = Mbm::best_first().k_gnn(&bc, &group, k);
+            let sc = TreeCursor::packed(&packed);
+            let streamed: Vec<Neighbor> = MbmStream::new(&sc, &group).take(k).collect();
+            assert_eq!(bounded.neighbors, streamed, "k={k}");
+            assert_eq!(bc.stats(), sc.stats(), "k={k}: node accesses");
+        }
     }
 
     #[test]

@@ -36,7 +36,12 @@ pub struct QueryStats {
     /// here (what it drops is counted in
     /// [`QueryStats::lower_bound_pruned`]), so on large SUM groups under
     /// AVX2 this reads 3–4× lower than the all-exact loop's count for the
-    /// same pages.
+    /// same pages. Heuristic 3 counts `n` per tight key **actually
+    /// computed**: on SUM groups of 48 points and more the bounded loop keys
+    /// children lazily, under one centroid distance each, and pays the `n`
+    /// terms only for the children that reach the top of its heap (~40 of
+    /// ~134 a query on 256-point groups), so it reads about half the eager
+    /// loop's count there.
     pub dist_computations: u64,
     /// Leaf entries the bounded MBM loop dropped on a rounded-down `f32`
     /// lower bound of `dist(p, Q)`, without computing their exact distance

@@ -376,3 +376,42 @@ fn large_groups_on_clustered_data_drop_most_entries_and_change_nothing() {
         );
     }
 }
+
+// ---- lazy heuristic-3 keys -------------------------------------------------
+//
+// From `LAZY_MIN` = 48 members up (a private constant of `gnn-core`'s
+// `mbm.rs`), the bounded loop parks a SUM child under a one-term centroid
+// key and pays its n-term tight key only when the child reaches the top of
+// the heap. Pages must be read in the eager loop's order all the same, so
+// the sizes on either side of the threshold and the benchmark's 256 hold
+// the bounded loop to the stream (which keys eagerly), the arena and the
+// oracle on the tie lattice, where equal keys are the common case.
+
+/// `n` distinct off-lattice members over the middle of the (scaled)
+/// lattice, on a quarter-cell grid offset by an eighth.
+fn spread_group(n: usize, exp: i32) -> QueryGroup {
+    let s = 2f64.powi(exp);
+    let pts = (0..n)
+        .map(|i| {
+            let x = 1.125 + ((i * 37) % 41) as f64 * 0.25;
+            let y = 1.0625 + ((i * 53) % 43) as f64 * 0.25;
+            Point::new(x * s, y * s)
+        })
+        .collect();
+    QueryGroup::sum(pts).unwrap()
+}
+
+#[test]
+fn lazy_keys_read_the_eager_pages_at_and_around_the_threshold() {
+    for exp in [0, -80, 100] {
+        let data = tripled_lattice(exp);
+        let (tree, packed) = index(&data, 16);
+        for n in [47usize, 48, 256] {
+            let group = spread_group(n, exp);
+            for k in [1usize, 5, 8, 31] {
+                let what = format!("lattice·2^{exp} n={n} k={k}");
+                assert_equivalent(&tree, &packed, &data, &group, k, &what);
+            }
+        }
+    }
+}

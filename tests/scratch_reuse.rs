@@ -217,6 +217,47 @@ fn bounded_mbm_stays_allocation_free_as_k_swings() {
 }
 
 #[test]
+fn lazy_keying_buffers_grow_once_as_group_sizes_swing() {
+    // Group sizes 4 → 256 → 4 → 256 through `execute_on`: the 256-member
+    // groups key heuristic 3 lazily (pending heap, rect slots, centroid-key
+    // buffer), the 4-member ones eagerly. Those three buffers are in the
+    // profile — still empty after the 4-member pass, filled by the first
+    // 256 pass — and once both sizes have run, nothing grows again.
+    let data = random_points(4000, 8, 0.0, 100.0);
+    let packed = tree_of(&data).freeze();
+    let requests = |n: usize, seed: u64| -> Vec<QueryRequest> {
+        groups(6, n, seed)
+            .into_iter()
+            .map(|g| QueryRequest::new(g, 8))
+            .collect()
+    };
+    let (small, large) = (requests(4, 1500), requests(256, 1600));
+    let run = |s: &mut QueryScratch, requests: &[QueryRequest]| {
+        common::execute_in_order(&packed, requests, s, |_, neighbors, _| {
+            assert_eq!(neighbors.len(), 8);
+        });
+    };
+    let mut scratch = QueryScratch::new();
+    run(&mut scratch, &small);
+    let empty = |s: &QueryScratch| s.capacity_profile().iter().filter(|&&c| c == 0).count();
+    let after_small = empty(&scratch);
+    run(&mut scratch, &large);
+    assert!(
+        empty(&scratch) + 3 <= after_small,
+        "the lazy keying buffers are part of the profile"
+    );
+    assert_steady_state(
+        &mut scratch,
+        |s| {
+            for requests in [&small, &large, &small, &large] {
+                run(s, requests);
+            }
+        },
+        "execute_on with n 4 → 256 → 4 → 256",
+    );
+}
+
+#[test]
 fn suspended_streams_resume_without_allocating() {
     // F-MQM's usage: a stream seeded with `new_in`, dropped, and continued
     // through `resume_in` one neighbor at a time. Once one full pass has
