@@ -53,10 +53,12 @@
 //! reusable [`MbmScratch`] / [`crate::QueryScratch`].
 
 use crate::best_list::KBestList;
-use crate::query::{CentroidBound, QueryGroup};
+use crate::query::QueryGroup;
 use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
 use crate::{Aggregate, MemoryGnnAlgorithm, Traversal};
+use gnn_geom::batch::BatchKernels;
+use gnn_geom::bound::{CentroidBound, LeafBound};
 use gnn_geom::{OrderedF64, Rect};
 use gnn_rtree::{BranchesRef, LeafEntry, LeafRef, PageId, PageRef, ScratchRef, TreeCursor};
 use std::cmp::Reverse;
@@ -118,17 +120,16 @@ impl Mbm {
     /// A leaf read while `best_dist` is still infinite (the first of a
     /// query) is scored exactly, every entry — there is nothing to compare
     /// a bound with. From then on, where the group has a rounded-down `f32`
-    /// bound ([`QueryGroup::lower_bound_weights`]: SUM on the AVX2 tier),
-    /// `filter_leaf` lets it pick the entries that pay for an exact
-    /// distance; what it drops is exactly what [`KBestList::offer`] would
-    /// have refused, so neighbors, distance bits and page reads are those
-    /// of the all-exact loop, which every other aggregate and tier still
-    /// runs.
+    /// bound ([`LeafBound`]: SUM on the AVX2 tier), `filter_leaf` lets it
+    /// pick the entries that pay for an exact distance; what it drops is
+    /// exactly what [`KBestList::offer`] would have refused, so neighbors,
+    /// distance bits and page reads are those of the all-exact loop, which
+    /// every other aggregate and tier still runs.
     ///
     /// Heuristic 3 is applied only where H2 fails and, above `LAZY_MIN`,
     /// only where the heap gets there: a SUM group of at least `LAZY_MIN`
     /// points parks each child that passes H2 in `pending` under
-    /// `max(cheap, centroid key)` ([`QueryGroup::centroid_bound`]), and a
+    /// `max(cheap, centroid key)` ([`CentroidBound`]), and a
     /// child pays its `n`-term tight key only when that key reaches the top
     /// of the node heap. Every other group keys children eagerly, as
     /// before.
@@ -144,11 +145,20 @@ impl Mbm {
     ) -> (u64, u64) {
         let mut evals = 0u64;
         let mut dropped = 0u64;
-        let filter = group.lower_bound_weights(&mut s.narrow_weights);
-        let lazy = if self.use_h3 && group.len() >= LAZY_MIN {
-            group.centroid_bound()
-        } else {
-            None
+        // Taken out for the query, so the bound may borrow it while the
+        // loop works on the rest of the scratch.
+        let mut leaf_weights = std::mem::take(&mut s.leaf_weights);
+        // The group's rounded-down SUM bounds, where it has them: the `f32`
+        // leaf filter on the AVX2 tier, the centroid key from `LAZY_MIN`.
+        let sum = group.sum_arrays();
+        let filter = sum.and_then(|(qx, qy, w)| {
+            LeafBound::new(BatchKernels::auto(), qx, qy, w, &mut leaf_weights)
+        });
+        let lazy = match sum {
+            Some((qx, qy, w)) if self.use_h3 && group.len() >= LAZY_MIN => {
+                CentroidBound::new(qx, qy, w, group.total_weight(), &group.mbr())
+            }
+            _ => None,
         };
         s.nodes.clear();
         s.pending.clear();
@@ -187,23 +197,26 @@ impl Mbm {
                         None => s.push_children(&view, group, self.use_h3, best.bound()),
                     };
                 }
-                PageRef::Leaf(leaf) if filter && best.bound() < f64::INFINITY => {
-                    let kept = filter_leaf(&leaf, group, &s.narrow_weights, &mut s.dists, best);
-                    evals += kept * group.len() as u64;
-                    dropped += leaf.len() as u64 - kept;
-                }
-                PageRef::Leaf(leaf) => {
-                    evals += score_leaf(&leaf, group, &mut s.dists);
-                    for (e, &dist) in leaf.entries().iter().zip(&s.dists) {
-                        best.offer(Neighbor {
-                            id: e.id,
-                            point: e.point,
-                            dist,
-                        });
+                PageRef::Leaf(leaf) => match &filter {
+                    Some(bound) if best.bound() < f64::INFINITY => {
+                        let kept = filter_leaf(&leaf, group, bound, &mut s.dists, best);
+                        evals += kept * group.len() as u64;
+                        dropped += leaf.len() as u64 - kept;
                     }
-                }
+                    _ => {
+                        evals += score_leaf(&leaf, group, &mut s.dists);
+                        for (e, &dist) in leaf.entries().iter().zip(&s.dists) {
+                            best.offer(Neighbor {
+                                id: e.id,
+                                point: e.point,
+                                dist,
+                            });
+                        }
+                    }
+                },
             }
         }
+        s.leaf_weights = leaf_weights;
         (evals, dropped)
     }
 
@@ -417,14 +430,14 @@ fn score_leaf(leaf: &LeafRef<'_>, group: &QueryGroup, dists: &mut Vec<f64>) -> u
 fn filter_leaf(
     leaf: &LeafRef<'_>,
     group: &QueryGroup,
-    weights: &[f32],
+    bound: &LeafBound<'_>,
     lower: &mut Vec<f64>,
     best: &mut KBestList,
 ) -> u64 {
     let (xs, ys) = leaf
         .coords()
         .expect("pages of a packed cursor carry their SoA coordinates");
-    group.dist_lower_many_padded(xs, ys, leaf.len(), weights, lower);
+    bound.lower_padded(xs, ys, leaf.len(), lower);
     let mut kept = 0u64;
     for (e, &at_least) in leaf.entries().iter().zip(&*lower) {
         if at_least.is_finite() && at_least >= best.bound() {
@@ -515,9 +528,9 @@ pub struct MbmScratch {
     /// Exact distances of the leaf being scored — or, where the bounded
     /// loop filters first, the `f32` lower bounds on them.
     dists: Vec<f64>,
-    /// Bounded top-k: the group's weights narrowed toward zero for the
-    /// `f32` leaf filter, refilled per query (empty where there is none).
-    narrow_weights: Vec<f32>,
+    /// Bounded top-k: the [`LeafBound`]'s narrowed weights, refilled per
+    /// query (empty where there is none).
+    leaf_weights: Vec<f32>,
     dist_computations: u64,
 }
 
@@ -532,7 +545,7 @@ impl MbmScratch {
             keys: Vec::with_capacity(64),
             centroid_keys: Vec::new(),
             dists: Vec::with_capacity(64),
-            narrow_weights: Vec::new(),
+            leaf_weights: Vec::new(),
             dist_computations: 0,
         }
     }
@@ -550,7 +563,7 @@ impl MbmScratch {
             self.keys.capacity(),
             self.centroid_keys.capacity(),
             self.dists.capacity(),
-            self.narrow_weights.capacity(),
+            self.leaf_weights.capacity(),
         ]
         .into_iter()
     }
@@ -592,7 +605,7 @@ impl MbmScratch {
         bound: f64,
     ) -> u64 {
         view.mindist_sq_rect_into(&group.mbr(), &mut self.keys);
-        view.mindist_sq_point_into(centroid.centre, &mut self.centroid_keys);
+        view.mindist_sq_point_into(centroid.centre(), &mut self.centroid_keys);
         for (i, (&m_sq, &c_sq)) in self.keys.iter().zip(&self.centroid_keys).enumerate() {
             let cheap = group.cheap_bound_from_sq(m_sq);
             let key = cheap.max(centroid.key_from_sq(c_sq));
@@ -1111,6 +1124,12 @@ mod tests {
         );
     }
 
+    /// The centroid key the bounded loop keys a SUM group's children with.
+    fn centroid_of(group: &QueryGroup) -> CentroidBound {
+        let (qx, qy, w) = group.sum_arrays().unwrap();
+        CentroidBound::new(qx, qy, w, group.total_weight(), &group.mbr()).unwrap()
+    }
+
     /// `LAZY_MIN` (even) members, half at `(0, -h)`, half at `(0, h)`:
     /// centroid the origin, `M` the segment between them. Every key below
     /// is an integer multiple of `LAZY_MIN`, so every sum is exact.
@@ -1155,7 +1174,7 @@ mod tests {
         score_branches(&root, &group, true, f64::INFINITY, &mut keys);
         assert_eq!(keys, [2.5 * m, 5.0 * m], "scenario: eager child keys");
         let mut s = MbmScratch::default();
-        let centroid = group.centroid_bound().unwrap();
+        let centroid = centroid_of(&group);
         assert_eq!(
             s.defer_children(&root, &group, &centroid, f64::INFINITY),
             2 * 2
@@ -1212,7 +1231,7 @@ mod tests {
         let pop_order = |lazy: bool| {
             let mut s = MbmScratch::default();
             if lazy {
-                let centroid = group.centroid_bound().unwrap();
+                let centroid = centroid_of(&group);
                 s.defer_children(&root, &group, &centroid, f64::INFINITY);
                 let mut pending: Vec<f64> =
                     s.pending.iter().map(|Reverse((k, _))| k.get()).collect();

@@ -23,26 +23,15 @@ use std::time::Instant;
 /// The multiple query method.
 ///
 /// Supports every aggregate (SUM / MAX / MIN) and weighted SUM: the
-/// per-stream thresholds compose through [`QueryGroup::threshold`].
-#[derive(Debug, Clone, Copy)]
-pub struct Mqm {
-    /// Visit query points in Hilbert order (paper default). Disable only
-    /// for ablation studies.
-    pub hilbert_order: bool,
-}
-
-impl Default for Mqm {
-    fn default() -> Self {
-        Mqm::new()
-    }
-}
+/// per-stream thresholds compose through [`QueryGroup::threshold`]. Query
+/// points are always visited in Hilbert order, as in the paper.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Mqm;
 
 impl Mqm {
     /// MQM with the paper's configuration.
     pub const fn new() -> Self {
-        Mqm {
-            hilbert_order: true,
-        }
+        Mqm
     }
 }
 
@@ -83,7 +72,7 @@ impl MemoryGnnAlgorithm for Mqm {
         // Order query points by Hilbert value over the data workspace.
         order.clear();
         order.extend(0..n);
-        if self.hilbert_order && n > 1 {
+        if n > 1 {
             let workspace = {
                 let mut ws = cursor.root_mbr();
                 if ws.is_empty() {
@@ -297,22 +286,6 @@ mod tests {
         let group = QueryGroup::sum(vec![Point::new(1.0, 1.0)]).unwrap();
         let r = Mqm::new().k_gnn(&cursor, &group, 3);
         assert!(r.neighbors.is_empty());
-    }
-
-    #[test]
-    fn hilbert_ordering_toggle_gives_same_answers() {
-        let tree = random_tree(500, 7);
-        let cursor = TreeCursor::unbuffered(&tree);
-        let group = random_group(8, 8, Aggregate::Sum);
-        let with = Mqm {
-            hilbert_order: true,
-        }
-        .k_gnn(&cursor, &group, 3);
-        let without = Mqm {
-            hilbert_order: false,
-        }
-        .k_gnn(&cursor, &group, 3);
-        assert_eq!(with.distances(), without.distances());
     }
 
     #[test]

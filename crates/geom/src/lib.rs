@@ -11,6 +11,9 @@
 //! * [`batch`] — branch-free batched distance kernels over SoA coordinate
 //!   slices (the packed R-tree's scan primitives), with scalar and explicit
 //!   SIMD backends behind one dispatch ([`batch::BatchKernels`]),
+//! * [`bound`] — the two rounded-down lower bounds on the weighted SUM
+//!   ([`bound::LeafBound`], [`bound::CentroidBound`]), built once per
+//!   query, with their margin derivations,
 //! * [`simd`] — the AVX2 kernel bodies, runtime dispatch level
 //!   ([`SimdLevel`]) and the lane-padding helpers,
 //! * [`aligned`] — [`AlignedVec`], a 64-byte-aligned growable `f64` buffer
@@ -18,16 +21,17 @@
 //! * [`hilbert`] — the 2-D Hilbert space-filling curve used to sort query
 //!   points for access locality (paper §3.1, §4.2, §4.3).
 //!
-//! All computations are `f64`; the crate has no dependencies. `unsafe` is
-//! denied everywhere except the two modules that need it by nature
-//! ([`aligned`]'s raw slice views and [`simd`]'s `core::arch` intrinsics),
-//! each carrying its own safety argument.
+//! All computations are `f64` (save the `f32` lower bound); the crate has
+//! no dependencies. `unsafe` is denied everywhere except [`aligned`]'s raw
+//! slice views, [`simd`]'s `core::arch` intrinsics and the calls into them
+//! from [`batch`] and [`bound`], each carrying its own safety argument.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aligned;
 pub mod batch;
+pub mod bound;
 pub mod hilbert;
 mod ordered;
 mod point;

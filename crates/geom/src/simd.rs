@@ -48,11 +48,11 @@
 //! [`crate::batch::scalar::points_weighted_dist_sum_multi`].
 //!
 //! One kernel stands outside the contract on purpose:
-//! [`crate::batch::BatchKernels::points_weighted_dist_sum_lower_padded`]
-//! (AVX2 only) computes the weighted SUM in `f32` and rounds it *down* by a
-//! stated margin. It never produces a result — only the verdict that an
-//! entry's exact SUM cannot be below a bound — and the same suite pins
-//! `lower <= exact` instead of equality.
+//! [`crate::bound::LeafBound`] (AVX2 only) computes the weighted SUM in
+//! `f32` and rounds it *down* by a stated margin. It never produces a
+//! result — only the verdict that an entry's exact SUM cannot be below a
+//! bound — and `crates/geom/tests/bounds.rs` pins `lower <= exact` instead
+//! of equality.
 
 #![allow(unsafe_code)] // core::arch intrinsics + raw-pointer kernel loops
 
@@ -151,9 +151,10 @@ pub(crate) mod x86 {
     //! runs as full vectors, the remainder runs the scalar reference code.
     //!
     //! Every kernel is an `unsafe` `#[target_feature(enable = "avx2,fma")]`
-    //! function whose one call site, the dispatcher in `crate::batch`,
-    //! holds `Avx2Fma` only after runtime detection and asserts the slice
-    //! lengths each kernel's `# Safety` section names. A map or multi-point
+    //! function whose one call site — the dispatcher in `crate::batch`, or
+    //! for the `f32` lower bound `crate::bound::LeafBound` — holds
+    //! `Avx2Fma` only after runtime detection and asserts the slice lengths
+    //! each kernel's `# Safety` section names. A map or multi-point
     //! kernel clears `out` and refills it with exactly `n` results.
 
     use super::{pad_len, LANE_COUNT};
@@ -438,7 +439,7 @@ pub(crate) mod x86 {
     // answers "is this entry's SUM certainly at or above the bound?" at
     // `vsqrtps` speed (8 lanes a vector), so that only the entries it
     // cannot rule out pay the exact `sqrtpd` fold. Error model and
-    // margin: `crate::batch::BatchKernels::points_weighted_dist_sum_lower_padded`.
+    // margin: the `crate::bound` module docs.
 
     /// Eight consecutive `f64` coordinates as two vectors.
     type Coords8 = (__m256d, __m256d);

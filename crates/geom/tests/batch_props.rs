@@ -8,9 +8,8 @@
 //! lane-padded entry points, so every input here is padded with poisoned
 //! sentinel lanes that must never reach a result.
 //!
-//! One kernel promises an inequality instead of bits — the rounded-down
-//! `f32` lower bound of the weighted SUM — and its contract is swept at the
-//! end of this file: sound at every magnitude, tight where `f32` is normal.
+//! The bounds that promise an inequality instead of bits
+//! (`gnn_geom::bound`) have their own harness, `tests/bounds.rs`.
 
 use gnn_geom::batch::{scalar, BatchKernels};
 use gnn_geom::{Point, Rect, SimdLevel};
@@ -286,152 +285,5 @@ proptest! {
                 .fold(f64::INFINITY, f64::min);
             prop_assert_eq!(out[j], want, "min j={}", j);
         }
-    }
-}
-
-/// `w` narrowed to `f32` toward zero — what a caller holding `f64` weights
-/// feeds the lower-bound kernel, whose contract is stated against
-/// `f64::from` of the weights it is given.
-fn narrow_down(w: f64) -> f32 {
-    let f = w as f32;
-    if f64::from(f) > w {
-        f32::from_bits(f.to_bits() - 1)
-    } else {
-        f
-    }
-}
-
-/// Splitmix-style generator: the sweep below is a fixed list of cases, not
-/// a search, and must not depend on the proptest stand-in's stream.
-struct Lcg(u64);
-
-impl Lcg {
-    fn unit(&mut self) -> f64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// The contract of `points_weighted_dist_sum_lower_padded`, element by
-/// element: `lower <= exact` or `lower` is not finite (soundness, at every
-/// magnitude `f64` holds), `lower >= exact·(1 − 2ρ) − α` where `f32` neither
-/// overflows nor goes subnormal (tightness — a margin grown until it
-/// filters nothing must fail here), padding lanes inert, and no kernel at
-/// all below AVX2.
-#[test]
-fn f32_lower_bound_is_sound_at_every_scale_and_tight_on_the_normal_range() {
-    let group_sizes = (1..=17).chain([33, 256, 1000]);
-    let entry_counts: Vec<usize> = (0..=17).chain([33, 56]).collect();
-    let scales = [0, 40, -40, 80, -80, 127, -127, 200, -200, 500, -500];
-    let mut rng = Lcg(22);
-    let mut checked = 0u64;
-    let mut filtered_nothing = 0u64;
-    for n in group_sizes {
-        // One clustered group per size, and three weightings of it: none,
-        // everyday, and sixty-odd orders of magnitude either side of one
-        // (most of which leave `f32` — downwards to zero, upwards to MAX).
-        let qs: Vec<(f64, f64)> = (0..n)
-            .map(|_| (20.0 + rng.unit() * 30.0, -10.0 + rng.unit() * 30.0))
-            .collect();
-        let weightings: [Vec<f64>; 3] = [
-            vec![1.0; n],
-            (0..n).map(|_| 0.1 + rng.unit() * 9.9).collect(),
-            (0..n)
-                .map(|_| 10f64.powf(-300.0 + rng.unit() * 600.0))
-                .collect(),
-        ];
-        for &m in &entry_counts {
-            // Entries over and around the group; entry 0 sits on a query
-            // point, so one pair is exactly zero.
-            let mut ps: Vec<(f64, f64)> = (0..m)
-                .map(|_| (-100.0 + rng.unit() * 200.0, -100.0 + rng.unit() * 200.0))
-                .collect();
-            if let Some(first) = ps.first_mut() {
-                *first = qs[n / 2];
-            }
-            for &e in &scales {
-                let scale = 2f64.powi(e);
-                let (qx, qy): (Vec<f64>, Vec<f64>) =
-                    qs.iter().map(|&(x, y)| (x * scale, y * scale)).unzip();
-                let (xs, ys): (Vec<f64>, Vec<f64>) =
-                    ps.iter().map(|&(x, y)| (x * scale, y * scale)).unzip();
-                for (which, w) in weightings.iter().enumerate() {
-                    let wf: Vec<f32> = w.iter().map(|&v| narrow_down(v)).collect();
-                    let mut exact = Vec::new();
-                    scalar::points_weighted_dist_sum_multi(&xs, &ys, &qx, &qy, w, &mut exact);
-
-                    for level in SimdLevel::available_levels() {
-                        let k = BatchKernels::for_level(level).unwrap();
-                        let mut lower = vec![f64::NAN; 3];
-                        let ran = k.points_weighted_dist_sum_lower_padded(
-                            &poisoned(&xs, POISON),
-                            &poisoned(&ys, -POISON),
-                            m,
-                            &qx,
-                            &qy,
-                            &wf,
-                            &mut lower,
-                        );
-                        assert_eq!(ran, level == SimdLevel::Avx2Fma, "{level:?}");
-                        if !ran {
-                            assert!(lower.is_empty(), "{level:?} wrote without a kernel");
-                            continue;
-                        }
-                        assert_eq!(lower.len(), m);
-                        let what = format!("n={n} m={m} 2^{e} weighting {which}");
-
-                        // Padding lanes are inert, whatever they hold.
-                        for poison in [0.0, f64::NAN, f64::INFINITY] {
-                            let mut again = Vec::new();
-                            k.points_weighted_dist_sum_lower_padded(
-                                &poisoned(&xs, poison),
-                                &poisoned(&ys, poison),
-                                m,
-                                &qx,
-                                &qy,
-                                &wf,
-                                &mut again,
-                            );
-                            assert_eq!(bits(&lower), bits(&again), "{what}: padding {poison}");
-                        }
-
-                        let wsum: f64 = wf.iter().map(|&v| f64::from(v)).sum();
-                        let rho = (n as f64 + 16.0) * 2f64.powi(-23);
-                        let alpha = wsum * 2f64.powi(-73) + n as f64 * 2f64.powi(-149);
-                        for j in 0..m {
-                            checked += 1;
-                            assert!(
-                                !lower[j].is_finite() || lower[j] <= exact[j],
-                                "{what} j={j}: lower {:e} above exact {:e}",
-                                lower[j],
-                                exact[j]
-                            );
-                            // `f32` holds every difference, square and
-                            // product of these cases in its normal range.
-                            if which < 2 && e.abs() <= 40 {
-                                assert!(
-                                    lower[j] >= exact[j] * (1.0 - 2.0 * rho) - alpha,
-                                    "{what} j={j}: lower {:e} too far below exact {:e}",
-                                    lower[j],
-                                    exact[j]
-                                );
-                            } else if lower[j] <= 0.0 || !lower[j].is_finite() {
-                                filtered_nothing += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if SimdLevel::Avx2Fma.is_available() {
-        assert!(checked > 150_000, "the sweep shrank: {checked}");
-        assert!(
-            filtered_nothing > checked / 4,
-            "the extreme scales never left f32's range: {filtered_nothing} of {checked}"
-        );
     }
 }
