@@ -11,24 +11,12 @@
 
 use gnn_geom::Point;
 
-/// Configuration of the iterative centroid solvers.
-#[derive(Debug, Clone, Copy)]
-pub struct CentroidOptions {
-    /// Maximum iterations.
-    pub max_iters: usize,
-    /// Stop when the improvement of `dist(q,Q)` over one iteration falls
-    /// below `tolerance` times the current value.
-    pub tolerance: f64,
-}
+/// Iteration cap of both solvers.
+const MAX_ITERS: usize = 200;
 
-impl Default for CentroidOptions {
-    fn default() -> Self {
-        CentroidOptions {
-            max_iters: 200,
-            tolerance: 1e-9,
-        }
-    }
-}
+/// Both solvers stop when one iteration improves `dist(q, Q)` by less than
+/// this fraction of its current value.
+const TOLERANCE: f64 = 1e-9;
 
 /// The objective `Σ w_i |q q_i|`.
 fn objective(q: Point, points: &[Point], weights: Option<&[f64]>) -> f64 {
@@ -63,11 +51,7 @@ pub fn arithmetic_mean(points: &[Point], weights: Option<&[f64]>) -> Point {
 /// Gradient descent on `dist(q, Q)` (the paper's method, §3.2): start at the
 /// arithmetic mean and step against the gradient with a backtracking step
 /// size until converged.
-pub fn gradient_descent_centroid(
-    points: &[Point],
-    weights: Option<&[f64]>,
-    opts: CentroidOptions,
-) -> Point {
+pub fn gradient_descent_centroid(points: &[Point], weights: Option<&[f64]>) -> Point {
     assert!(!points.is_empty(), "centroid of an empty group");
     let mut q = arithmetic_mean(points, weights);
     let mut obj = objective(q, points, weights);
@@ -78,7 +62,7 @@ pub fn gradient_descent_centroid(
         .fold(0.0f64, f64::max)
         .max(f64::MIN_POSITIVE);
     let mut eta = spread * 0.5;
-    for _ in 0..opts.max_iters {
+    for _ in 0..MAX_ITERS {
         // ∇ dist(q,Q) = Σ w_i (q - q_i) / |q - q_i|.
         let mut gx = 0.0;
         let mut gy = 0.0;
@@ -104,7 +88,7 @@ pub fn gradient_descent_centroid(
                 q = cand;
                 obj = cand_obj;
                 stepped = true;
-                if improvement < opts.tolerance * obj.max(f64::MIN_POSITIVE) {
+                if improvement < TOLERANCE * obj.max(f64::MIN_POSITIVE) {
                     return q;
                 }
                 break;
@@ -121,15 +105,11 @@ pub fn gradient_descent_centroid(
 /// Weiszfeld's fixed-point iteration: `q ← Σ (w_i q_i / d_i) / Σ (w_i / d_i)`.
 /// Converges quickly except when an iterate lands on a data point, which is
 /// handled by a small perturbation.
-pub fn weiszfeld_centroid(
-    points: &[Point],
-    weights: Option<&[f64]>,
-    opts: CentroidOptions,
-) -> Point {
+pub fn weiszfeld_centroid(points: &[Point], weights: Option<&[f64]>) -> Point {
     assert!(!points.is_empty(), "centroid of an empty group");
     let mut q = arithmetic_mean(points, weights);
     let mut obj = objective(q, points, weights);
-    for _ in 0..opts.max_iters {
+    for _ in 0..MAX_ITERS {
         let mut num_x = 0.0;
         let mut num_y = 0.0;
         let mut den = 0.0;
@@ -152,7 +132,7 @@ pub fn weiszfeld_centroid(
             return coincident.unwrap_or(q);
         };
         let next_obj = objective(next, points, weights);
-        if next_obj >= obj - opts.tolerance * obj.max(f64::MIN_POSITIVE) {
+        if next_obj >= obj - TOLERANCE * obj.max(f64::MIN_POSITIVE) {
             return if next_obj < obj { next } else { q };
         }
         q = next;
@@ -165,15 +145,11 @@ pub fn weiszfeld_centroid(
 mod tests {
     use super::*;
 
-    fn opts() -> CentroidOptions {
-        CentroidOptions::default()
-    }
-
     #[test]
     fn single_point_group() {
         let p = vec![Point::new(3.0, -2.0)];
-        assert_eq!(gradient_descent_centroid(&p, None, opts()), p[0]);
-        assert_eq!(weiszfeld_centroid(&p, None, opts()), p[0]);
+        assert_eq!(gradient_descent_centroid(&p, None), p[0]);
+        assert_eq!(weiszfeld_centroid(&p, None), p[0]);
     }
 
     #[test]
@@ -182,8 +158,8 @@ mod tests {
         // solvers should land on the segment with objective = |q1 q2|.
         let pts = vec![Point::new(0.0, 0.0), Point::new(4.0, 0.0)];
         for q in [
-            gradient_descent_centroid(&pts, None, opts()),
-            weiszfeld_centroid(&pts, None, opts()),
+            gradient_descent_centroid(&pts, None),
+            weiszfeld_centroid(&pts, None),
         ] {
             assert!((objective(q, &pts, None) - 4.0).abs() < 1e-6, "{q}");
         }
@@ -198,8 +174,8 @@ mod tests {
         ];
         let expect = Point::new(0.5, 1.0 / (2.0 * 3f64.sqrt()));
         for q in [
-            gradient_descent_centroid(&pts, None, opts()),
-            weiszfeld_centroid(&pts, None, opts()),
+            gradient_descent_centroid(&pts, None),
+            weiszfeld_centroid(&pts, None),
         ] {
             assert!(q.dist(expect) < 1e-4, "{q} vs {expect}");
         }
@@ -215,8 +191,8 @@ mod tests {
             let pts: Vec<Point> = (0..n)
                 .map(|_| Point::new(rng.gen::<f64>() * 10.0, rng.gen::<f64>() * 10.0))
                 .collect();
-            let gd = gradient_descent_centroid(&pts, None, opts());
-            let wz = weiszfeld_centroid(&pts, None, opts());
+            let gd = gradient_descent_centroid(&pts, None);
+            let wz = weiszfeld_centroid(&pts, None);
             let o_gd = objective(gd, &pts, None);
             let o_wz = objective(wz, &pts, None);
             // Both must be close to the same minimum value.
@@ -238,7 +214,7 @@ mod tests {
                 .map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>()))
                 .collect();
             let mean = arithmetic_mean(&pts, None);
-            let gd = gradient_descent_centroid(&pts, None, opts());
+            let gd = gradient_descent_centroid(&pts, None);
             assert!(objective(gd, &pts, None) <= objective(mean, &pts, None) + 1e-12);
         }
     }
@@ -247,20 +223,20 @@ mod tests {
     fn weighted_median_pulls_towards_heavy_point() {
         let pts = vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)];
         let w = vec![10.0, 1.0];
-        let q = weiszfeld_centroid(&pts, Some(&w), opts());
+        let q = weiszfeld_centroid(&pts, Some(&w));
         // With a 10x weight at the origin, the median is (numerically) at
         // the origin.
         assert!(q.dist(Point::new(0.0, 0.0)) < 1e-3, "{q}");
-        let gd = gradient_descent_centroid(&pts, Some(&w), opts());
+        let gd = gradient_descent_centroid(&pts, Some(&w));
         assert!(gd.dist(Point::new(0.0, 0.0)) < 0.5, "{gd}");
     }
 
     #[test]
     fn duplicate_points_handled() {
         let pts = vec![Point::new(1.0, 1.0); 7];
-        let q = weiszfeld_centroid(&pts, None, opts());
+        let q = weiszfeld_centroid(&pts, None);
         assert_eq!(q, Point::new(1.0, 1.0));
-        let g = gradient_descent_centroid(&pts, None, opts());
+        let g = gradient_descent_centroid(&pts, None);
         assert_eq!(g, Point::new(1.0, 1.0));
     }
 
@@ -273,8 +249,8 @@ mod tests {
             Point::new(5.0, 0.0),
         ];
         for q in [
-            gradient_descent_centroid(&pts, None, opts()),
-            weiszfeld_centroid(&pts, None, opts()),
+            gradient_descent_centroid(&pts, None),
+            weiszfeld_centroid(&pts, None),
         ] {
             assert!(
                 (objective(q, &pts, None) - 5.0).abs() < 1e-5,

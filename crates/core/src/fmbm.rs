@@ -17,9 +17,7 @@
 //! Both the best-first (paper's experimental setup) and depth-first
 //! (Figure 4.7 as printed) traversals are provided. All per-query state —
 //! the traversal heap, the leaf-processing matrices, the group load buffer —
-//! lives in [`FmbmScratch`] inside [`crate::QueryScratch`], and the
-//! per-point `mindist(p, M_i)` pre-pass runs through the batched leaf
-//! kernels (vectorized on packed snapshots).
+//! lives in [`FmbmScratch`] inside [`crate::QueryScratch`].
 
 use crate::best_list::KBestList;
 use crate::result::{Neighbor, QueryStats};
@@ -63,8 +61,6 @@ pub(crate) struct FmbmScratch {
     alive: Vec<AliveSlot>,
     /// Heuristic-6 suffix table, row-major with stride `m + 1`.
     suffix: Vec<f64>,
-    /// Batched `mindist²(p, M_i)` output, one leaf page at a time.
-    d2: Vec<f64>,
     /// Group load buffer (reused across `load_group_into` calls).
     group_pts: Vec<Point>,
 }
@@ -77,7 +73,6 @@ impl FmbmScratch {
             self.keys.capacity(),
             self.alive.capacity(),
             self.suffix.capacity(),
-            self.d2.capacity(),
             self.group_pts.capacity(),
         ]
         .into_iter()
@@ -275,19 +270,16 @@ impl SearchCtx<'_, '_, '_, '_> {
 
         // Per point: mindists to every group MBR (in processing order) and
         // the suffix aggregation of their weighted values — heuristic 6's
-        // "best conceivable remainder" in O(1) per step. The table is built
-        // group-major so each group's `mindist(p, M)` pass runs through the
-        // batched leaf kernel.
+        // "best conceivable remainder" in O(1) per step.
         let stride = m + 1;
         s.suffix.clear();
         s.suffix
             .resize(entries.len() * stride, self.aggregate.identity());
         for j in (0..m).rev() {
             let spec = &specs[s.order[j]];
-            leaf.mindist_sq_rect_into(&spec.mbr, &mut s.d2);
             self.dist_computations += entries.len() as u64;
-            for (e, &d2) in s.d2.iter().enumerate() {
-                let d = d2.sqrt();
+            for (e, entry) in entries.iter().enumerate() {
+                let d = spec.mbr.mindist_point_sq(entry.point).sqrt();
                 let weighted = match self.aggregate {
                     Aggregate::Sum => spec.count as f64 * d,
                     Aggregate::Max | Aggregate::Min => d,

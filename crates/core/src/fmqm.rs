@@ -160,7 +160,7 @@ impl FileGnnAlgorithm for Fmqm {
             fmqm.streams.resize_with(m, MbmScratch::default);
         }
         for (gi, group) in groups.iter().enumerate() {
-            MbmStream::new_in(data, group, &mut fmqm.streams[gi]);
+            MbmStream::new_in(data, group, true, &mut fmqm.streams[gi]);
         }
         fmqm.stream_done.clear();
         fmqm.stream_done.resize(m, false);

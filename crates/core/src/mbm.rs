@@ -60,14 +60,10 @@ use crate::{Aggregate, MemoryGnnAlgorithm, Traversal};
 use gnn_geom::batch::BatchKernels;
 use gnn_geom::bound::{CentroidBound, LeafBound};
 use gnn_geom::{OrderedF64, Rect};
-use gnn_rtree::{BranchesRef, LeafEntry, LeafRef, PageId, PageRef, ScratchRef, TreeCursor};
+use gnn_rtree::{BranchesRef, LeafEntry, LeafRef, PageId, PageRef, TreeCursor};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
-
-/// Default pre-sizing of the incremental stream's priority queue; covers the
-/// paper-scale workloads without a single regrowth.
-const STREAM_HEAP_CAPACITY: usize = 256;
 
 /// Smallest SUM group the bounded loop keys heuristic 3 lazily for: the
 /// smallest size measured ahead in 9 of 10 pairs. Below it an `n`-term
@@ -220,16 +216,6 @@ impl Mbm {
         (evals, dropped)
     }
 
-    /// Opens the incremental best-first stream (always uses heuristic-3
-    /// bounds when this `Mbm` does).
-    pub fn stream<'t, 'c, 'g>(
-        &self,
-        cursor: &'c TreeCursor<'t>,
-        group: &'g QueryGroup,
-    ) -> MbmStream<'t, 'c, 'g, 'static> {
-        MbmStream::with_heuristics(cursor, group, self.use_h3)
-    }
-
     /// Figure 3.7's depth-first recursion. Per-level sort buffers come from
     /// the scratch pool, so the recursion allocates nothing in steady state.
     #[allow(clippy::too_many_arguments)]
@@ -346,7 +332,7 @@ impl MemoryGnnAlgorithm for Mbm {
                 // Arena reference: the stream ascends, so its first k items
                 // are exactly the k-GNN; pulling a (k+1)-th would only waste
                 // node accesses.
-                let mut stream = MbmStream::with_heuristics_in(cursor, group, self.use_h3, mbm);
+                let mut stream = MbmStream::new_in(cursor, group, self.use_h3, mbm);
                 while best.len() < k {
                     let Some(n) = stream.next() else { break };
                     best.offer(n);
@@ -668,58 +654,37 @@ pub struct MbmStream<'t, 'c, 'g, 's> {
     cursor: &'c TreeCursor<'t>,
     group: &'g QueryGroup,
     use_tight: bool,
-    scratch: ScratchRef<'s, MbmScratch>,
+    scratch: &'s mut MbmScratch,
 }
 
 impl<'t, 'c, 'g, 's> MbmStream<'t, 'c, 'g, 's> {
-    /// Opens a stream with heuristic-3 (tight) node bounds and its own
-    /// (pre-sized) storage.
-    pub fn new(
-        cursor: &'c TreeCursor<'t>,
-        group: &'g QueryGroup,
-    ) -> MbmStream<'t, 'c, 'g, 'static> {
-        Self::with_heuristics(cursor, group, true)
-    }
-
-    /// Opens a stream choosing between tight (H3) and cheap (H2-only) node
-    /// bounds, with its own (pre-sized) storage.
-    pub fn with_heuristics(
-        cursor: &'c TreeCursor<'t>,
-        group: &'g QueryGroup,
-        use_tight: bool,
-    ) -> MbmStream<'t, 'c, 'g, 'static> {
-        MbmStream::<'t, 'c, 'g, 'static>::open(
-            cursor,
-            group,
-            use_tight,
-            ScratchRef::Owned(Box::new(MbmScratch::with_capacity(STREAM_HEAP_CAPACITY))),
-        )
-    }
-
-    /// Opens a stream reusing `scratch` (cleared and re-seeded first).
+    /// Opens a stream in `scratch` (cleared and re-seeded first), with
+    /// heuristic-3 (tight) node bounds when `use_tight`, else heuristic 2
+    /// alone.
     pub fn new_in(
         cursor: &'c TreeCursor<'t>,
         group: &'g QueryGroup,
-        scratch: &'s mut MbmScratch,
-    ) -> MbmStream<'t, 'c, 'g, 's> {
-        Self::with_heuristics_in(cursor, group, true, scratch)
-    }
-
-    /// Opens a stream with explicit heuristics, reusing `scratch`.
-    pub fn with_heuristics_in(
-        cursor: &'c TreeCursor<'t>,
-        group: &'g QueryGroup,
         use_tight: bool,
         scratch: &'s mut MbmScratch,
     ) -> MbmStream<'t, 'c, 'g, 's> {
-        Self::open(cursor, group, use_tight, ScratchRef::Borrowed(scratch))
+        scratch.reset();
+        if !cursor.is_empty() {
+            // The root must always be expanded.
+            scratch.push(0.0, StreamKind::Node(cursor.root()));
+        }
+        MbmStream {
+            cursor,
+            group,
+            use_tight,
+            scratch,
+        }
     }
 
     /// Re-attaches to a suspended stream whose state lives in `scratch`
-    /// (seeded earlier by [`MbmStream::new_in`]): nothing is cleared, the
-    /// stream continues exactly where it stopped. This is how F-MQM serves
-    /// many group streams round-robin without keeping borrow-holding stream
-    /// objects alive.
+    /// (seeded earlier by [`MbmStream::new_in`] with the same `use_tight`):
+    /// nothing is cleared, the stream continues exactly where it stopped.
+    /// This is how F-MQM serves many group streams round-robin without
+    /// keeping borrow-holding stream objects alive.
     pub fn resume_in(
         cursor: &'c TreeCursor<'t>,
         group: &'g QueryGroup,
@@ -730,43 +695,19 @@ impl<'t, 'c, 'g, 's> MbmStream<'t, 'c, 'g, 's> {
             cursor,
             group,
             use_tight,
-            scratch: ScratchRef::Borrowed(scratch),
-        }
-    }
-
-    fn open(
-        cursor: &'c TreeCursor<'t>,
-        group: &'g QueryGroup,
-        use_tight: bool,
-        mut scratch: ScratchRef<'s, MbmScratch>,
-    ) -> MbmStream<'t, 'c, 'g, 's> {
-        let s = scratch.get();
-        s.reset();
-        if !cursor.is_empty() {
-            // The root must always be expanded.
-            s.push(0.0, StreamKind::Node(cursor.root()));
-        }
-        MbmStream {
-            cursor,
-            group,
-            use_tight,
             scratch,
         }
     }
 
     /// Point-distance evaluations performed so far (CPU proxy).
     pub fn dist_computations(&self) -> u64 {
-        self.scratch.peek().dist_computations
+        self.scratch.dist_computations
     }
 
     /// Lower bound on the aggregate distance of every not-yet-yielded data
     /// point (`None` when the stream is exhausted).
     pub fn peek_bound(&self) -> Option<f64> {
-        self.scratch
-            .peek()
-            .heap
-            .peek()
-            .map(|Reverse(i)| i.key.get())
+        self.scratch.heap.peek().map(|Reverse(i)| i.key.get())
     }
 }
 
@@ -782,7 +723,7 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
         // expansion — a node is read iff its own key beats the k-th result
         // distance — so node accesses are identical on both backends.
         let packed = cursor.is_packed();
-        let s = self.scratch.get();
+        let s = &mut *self.scratch;
         while let Some(Reverse(item)) = s.heap.pop() {
             match item.kind {
                 StreamKind::PointExact(e) => {
@@ -880,6 +821,14 @@ mod tests {
             agg,
         )
         .unwrap()
+    }
+
+    /// The first `k` items of a fresh stream with heuristic-3 bounds.
+    fn stream_prefix(cursor: &TreeCursor<'_>, group: &QueryGroup, k: usize) -> Vec<Neighbor> {
+        let mut scratch = MbmScratch::default();
+        MbmStream::new_in(cursor, group, true, &mut scratch)
+            .take(k)
+            .collect()
     }
 
     #[test]
@@ -983,7 +932,7 @@ mod tests {
         let packed = tree.freeze();
         let group = random_group(4, 9, Aggregate::Sum);
         for cursor in [TreeCursor::unbuffered(&tree), TreeCursor::packed(&packed)] {
-            let all: Vec<Neighbor> = MbmStream::new(&cursor, &group).collect();
+            let all = stream_prefix(&cursor, &group, usize::MAX);
             assert_eq!(all.len(), 300);
             for w in all.windows(2) {
                 assert!(w[0].dist <= w[1].dist);
@@ -1000,8 +949,8 @@ mod tests {
         let tree = random_tree(400, 4);
         let cursor = TreeCursor::unbuffered(&tree);
         let group = random_group(8, 10, Aggregate::Sum);
-        let by_stream: Vec<f64> = MbmStream::new(&cursor, &group)
-            .take(6)
+        let by_stream: Vec<f64> = stream_prefix(&cursor, &group, 6)
+            .iter()
             .map(|n| n.dist)
             .collect();
         let by_query = Mbm::best_first().k_gnn(&cursor, &group, 6);
@@ -1014,14 +963,14 @@ mod tests {
         let packed = tree.freeze();
         let group = random_group(4, 13, Aggregate::Sum);
         for cursor in [TreeCursor::unbuffered(&tree), TreeCursor::packed(&packed)] {
-            let want: Vec<f64> = MbmStream::new(&cursor, &group)
-                .take(10)
+            let want: Vec<f64> = stream_prefix(&cursor, &group, 10)
+                .iter()
                 .map(|n| n.dist)
                 .collect();
             let mut scratch = MbmScratch::default();
             let mut got = Vec::new();
             {
-                let mut s = MbmStream::new_in(&cursor, &group, &mut scratch);
+                let mut s = MbmStream::new_in(&cursor, &group, true, &mut scratch);
                 got.extend(s.by_ref().take(4).map(|n| n.dist));
             }
             for _ in 0..6 {
@@ -1037,7 +986,8 @@ mod tests {
         let tree = random_tree(200, 5);
         let cursor = TreeCursor::unbuffered(&tree);
         let group = random_group(3, 11, Aggregate::Sum);
-        let mut stream = MbmStream::new(&cursor, &group);
+        let mut scratch = MbmScratch::default();
+        let mut stream = MbmStream::new_in(&cursor, &group, true, &mut scratch);
         while let Some(bound) = stream.peek_bound() {
             let Some(n) = stream.next() else { break };
             assert!(
@@ -1258,7 +1208,7 @@ mod tests {
             let bc = TreeCursor::packed(&packed);
             let bounded = Mbm::best_first().k_gnn(&bc, &group, k);
             let sc = TreeCursor::packed(&packed);
-            let streamed: Vec<Neighbor> = MbmStream::new(&sc, &group).take(k).collect();
+            let streamed = stream_prefix(&sc, &group, k);
             assert_eq!(bounded.neighbors, streamed, "k={k}");
             assert_eq!(bc.stats(), sc.stats(), "k={k}: node accesses");
         }
@@ -1274,7 +1224,7 @@ mod tests {
                 let bc = TreeCursor::packed(&packed);
                 let bounded = Mbm::best_first().k_gnn(&bc, &group, k);
                 let sc = TreeCursor::packed(&packed);
-                let streamed: Vec<Neighbor> = MbmStream::new(&sc, &group).take(k).collect();
+                let streamed = stream_prefix(&sc, &group, k);
                 assert_eq!(bounded.neighbors, streamed, "{agg} k={k}");
                 assert_eq!(bc.stats(), sc.stats(), "{agg} k={k}: node accesses");
             }
@@ -1327,7 +1277,7 @@ mod tests {
             .k_gnn(&cursor, &group, 1)
             .neighbors
             .is_empty());
-        assert!(MbmStream::new(&cursor, &group).next().is_none());
+        assert!(stream_prefix(&cursor, &group, 1).is_empty());
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! `w_i` before summing). MAX/MIN queries are rejected.
 
 use crate::best_list::KBestList;
-use crate::centroid::{
-    arithmetic_mean, gradient_descent_centroid, weiszfeld_centroid, CentroidOptions,
-};
+use crate::centroid::{arithmetic_mean, gradient_descent_centroid, weiszfeld_centroid};
 use crate::query::QueryGroup;
 use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
@@ -65,12 +63,9 @@ impl Spm {
 
     fn anchor(&self, group: &QueryGroup) -> Point {
         let weights = group.explicit_weights();
-        let opts = CentroidOptions::default();
         match self.centroid {
-            CentroidMethod::GradientDescent => {
-                gradient_descent_centroid(group.points(), weights, opts)
-            }
-            CentroidMethod::Weiszfeld => weiszfeld_centroid(group.points(), weights, opts),
+            CentroidMethod::GradientDescent => gradient_descent_centroid(group.points(), weights),
+            CentroidMethod::Weiszfeld => weiszfeld_centroid(group.points(), weights),
             CentroidMethod::Mean => arithmetic_mean(group.points(), weights),
         }
     }

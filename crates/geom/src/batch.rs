@@ -142,25 +142,6 @@ pub mod scalar {
         }
     }
 
-    /// `out[i] = mindist²(p_i, m)` for points given as two parallel
-    /// coordinate slices against one rectangle. `out` is cleared and
-    /// refilled.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `xs` and `ys` disagree in length.
-    pub fn points_mindist_sq_rect(xs: &[f64], ys: &[f64], m: &Rect, out: &mut Vec<f64>) {
-        let n = xs.len();
-        assert_eq!(ys.len(), n);
-        out.clear();
-        out.reserve(n);
-        for i in 0..n {
-            let dx = interval_excess(xs[i], m.lo.x, m.hi.x);
-            let dy = interval_excess(ys[i], m.lo.y, m.hi.y);
-            out.push(dx * dx + dy * dy);
-        }
-    }
-
     /// `Σ_i w_i · √(mindist²(m, q_i))` over query points in SoA form — the
     /// SUM aggregate's tight node bound (heuristic 3) in one fused
     /// branch-free pass.
@@ -470,32 +451,6 @@ impl BatchKernels {
         }
     }
 
-    /// Lane-padded [`scalar::points_mindist_sq_rect`] (contract as
-    /// [`Self::points_dist_sq_padded`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a slice is shorter than `pad_len(n)`.
-    pub fn points_mindist_sq_rect_padded(
-        &self,
-        xs: &[f64],
-        ys: &[f64],
-        n: usize,
-        m: &Rect,
-        out: &mut Vec<f64>,
-    ) {
-        let p = pad_len(n);
-        assert!(xs.len() >= p && ys.len() >= p);
-        match self.level {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rects_mindist_sq_point_padded`.
-            SimdLevel::Avx2Fma => unsafe {
-                simd::x86::points_mindist_sq_rect_avx2(xs, ys, n, m, out)
-            },
-            _ => scalar::points_mindist_sq_rect(&xs[..n], &ys[..n], m, out),
-        }
-    }
-
     /// Lane-padded [`scalar::points_weighted_dist_sum_multi`]: `m` logical
     /// points whose coordinate slices hold at least [`pad_len`]`(m)`
     /// readable lanes. The query-point slices `qx`/`qy`/`w` are never padded
@@ -705,11 +660,6 @@ mod tests {
         for (p, got) in pts.iter().zip(&out) {
             assert_eq!(*got, p.dist_sq(q));
         }
-        let m = Rect::from_corners(0.0, 0.0, 1.0, 1.0);
-        scalar::points_mindist_sq_rect(&xs, &ys, &m, &mut out);
-        for (p, got) in pts.iter().zip(&out) {
-            assert_eq!(*got, m.mindist_point_sq(*p));
-        }
     }
 
     #[test]
@@ -754,91 +704,5 @@ mod tests {
             k.point_dist_sq_min(p, &qx, &qy),
             e2.iter().copied().fold(f64::INFINITY, f64::min)
         );
-    }
-
-    #[test]
-    fn every_available_level_matches_the_scalar_oracle_bitwise() {
-        use crate::simd::LANE_COUNT;
-        // Every ragged length around the lane-block boundaries, plus one
-        // well past them.
-        for n in (0..=2 * LANE_COUNT + 1).chain([33]) {
-            let xs: Vec<f64> = (0..n).map(|i| (i as f64).sin() * 50.0).collect();
-            let ys: Vec<f64> = (0..n).map(|i| (i as f64 * 1.7).cos() * 50.0).collect();
-            // Poison the padding with values that would corrupt any result
-            // that read them (the arena uses 0.0; the contract is stronger:
-            // padding is *never read into a result*).
-            let (mut xp, mut yp) = (xs.clone(), ys.clone());
-            xp.resize(pad_len(n), 1e300);
-            yp.resize(pad_len(n), -1e300);
-            let qn = 5;
-            let qx: Vec<f64> = (0..qn).map(|i| i as f64 * 3.3 - 6.0).collect();
-            let qy: Vec<f64> = (0..qn).map(|i| 4.0 - i as f64 * 2.1).collect();
-            let w: Vec<f64> = (0..qn).map(|i| 0.25 + i as f64 * 0.5).collect();
-            let q = Point::new(1.5, -2.5);
-            let m = Rect::from_corners(-3.0, -3.0, 3.0, 3.0);
-
-            for level in SimdLevel::available_levels() {
-                let k = BatchKernels::for_level(level).unwrap();
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-
-                scalar::points_dist_sq(&xs, &ys, q, &mut a);
-                k.points_dist_sq_padded(&xp, &yp, n, q, &mut b);
-                assert_eq!(a, b, "points_dist_sq n={n} level={level:?}");
-
-                scalar::points_mindist_sq_rect(&xs, &ys, &m, &mut a);
-                k.points_mindist_sq_rect_padded(&xp, &yp, n, &m, &mut b);
-                assert_eq!(a, b, "points_mindist_sq_rect n={n} level={level:?}");
-
-                scalar::rects_mindist_sq_point(&xs, &ys, &xs, &ys, q, &mut a);
-                k.rects_mindist_sq_point_padded(&xp, &yp, &xp, &yp, n, q, &mut b);
-                assert_eq!(a, b, "rects_mindist_sq_point n={n} level={level:?}");
-
-                scalar::rects_mindist_sq_rect(&xs, &ys, &xs, &ys, &m, &mut a);
-                k.rects_mindist_sq_rect_padded(&xp, &yp, &xp, &yp, n, &m, &mut b);
-                assert_eq!(a, b, "rects_mindist_sq_rect n={n} level={level:?}");
-
-                scalar::points_weighted_dist_sum_multi(&xs, &ys, &qx, &qy, &w, &mut a);
-                k.points_weighted_dist_sum_multi_padded(&xp, &yp, n, &qx, &qy, &w, &mut b);
-                assert_eq!(a, b, "wsum_multi n={n} level={level:?}");
-
-                scalar::points_dist_sq_max_multi(&xs, &ys, &qx, &qy, &mut a);
-                k.points_dist_sq_max_multi_padded(&xp, &yp, n, &qx, &qy, &mut b);
-                assert_eq!(a, b, "max_multi n={n} level={level:?}");
-
-                scalar::points_dist_sq_min_multi(&xs, &ys, &qx, &qy, &mut a);
-                k.points_dist_sq_min_multi_padded(&xp, &yp, n, &qx, &qy, &mut b);
-                assert_eq!(a, b, "min_multi n={n} level={level:?}");
-
-                // The group-dimension folds take exact slices: `xs`/`ys`
-                // double as a ragged query group here.
-                if n > 0 {
-                    assert_eq!(
-                        scalar::rect_weighted_mindist_sum(&m, &xs, &ys, &xs),
-                        k.rect_weighted_mindist_sum(&m, &xs, &ys, &xs),
-                        "rect_wsum n={n} level={level:?}"
-                    );
-                }
-                assert_eq!(
-                    scalar::rect_mindist_sq_max(&m, &xs, &ys),
-                    k.rect_mindist_sq_max(&m, &xs, &ys),
-                    "rect_max n={n} level={level:?}"
-                );
-                assert_eq!(
-                    scalar::rect_mindist_sq_min(&m, &xs, &ys),
-                    k.rect_mindist_sq_min(&m, &xs, &ys),
-                    "rect_min n={n} level={level:?}"
-                );
-                assert_eq!(
-                    scalar::point_dist_sq_max(q, &xs, &ys),
-                    k.point_dist_sq_max(q, &xs, &ys),
-                    "point_max n={n} level={level:?}"
-                );
-                assert_eq!(
-                    scalar::point_dist_sq_min(q, &xs, &ys),
-                    k.point_dist_sq_min(q, &xs, &ys),
-                    "point_min n={n} level={level:?}"
-                );
-            }
-        }
     }
 }

@@ -336,39 +336,6 @@ pub(crate) mod x86 {
         out.set_len(n);
     }
 
-    /// `out[i] = mindist²(p_i, m)`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 and FMA are available, and every coordinate slice holds
-    /// `pad_len(n)` readable lanes.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn points_mindist_sq_rect_avx2(
-        xs: &[f64],
-        ys: &[f64],
-        n: usize,
-        m: &Rect,
-        out: &mut Vec<f64>,
-    ) {
-        let (po, vec_n) = prep_out(out, n);
-        let (px, py) = (xs.as_ptr(), ys.as_ptr());
-        let (mlx, mly, mhx, mhy) = (
-            V4::splat(m.lo.x),
-            V4::splat(m.lo.y),
-            V4::splat(m.hi.x),
-            V4::splat(m.hi.y),
-        );
-        let zero = V4::splat(0.0);
-        let mut i = 0;
-        while i < vec_n {
-            let dx = excess(V4::loadu(px.add(i)), mlx, mhx, zero);
-            let dy = excess(V4::loadu(py.add(i)), mly, mhy, zero);
-            hypot_sq(dx, dy).storeu(po.add(i));
-            i += V4::LANES;
-        }
-        out.set_len(n);
-    }
-
     // ---- fused multi-point aggregates -------------------------------
     //
     // `out[j]` folds over the query points `i`; lanes are independent

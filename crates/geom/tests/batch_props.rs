@@ -8,10 +8,17 @@
 //! lane-padded entry points, so every input here is padded with poisoned
 //! sentinel lanes that must never reach a result.
 //!
+//! Beside the random-size properties, one deterministic sweep runs every
+//! kernel at each ragged size around the lane blocks, and one
+//! `#[should_panic]` test per padded entry pins the length check that
+//! guards its `unsafe` kernel: a slice one lane short of `pad_len(n)` is
+//! refused before any lane is read.
+//!
 //! The bounds that promise an inequality instead of bits
 //! (`gnn_geom::bound`) have their own harness, `tests/bounds.rs`.
 
 use gnn_geom::batch::{scalar, BatchKernels};
+use gnn_geom::simd::{pad_len, LANE_COUNT};
 use gnn_geom::{Point, Rect, SimdLevel};
 use proptest::prelude::*;
 
@@ -51,12 +58,12 @@ fn xy(ps: &[Point]) -> (Vec<f64>, Vec<f64>) {
     )
 }
 
-/// Copies `src` and extends it to [`pad_len`](gnn_geom::simd::pad_len)
-/// lanes of `poison` — the padded kernel entry points must never let a
-/// padding lane influence a real result, whatever bits it holds.
+/// Copies `src` and extends it to [`pad_len`] lanes of `poison` — the
+/// padded kernel entry points must never let a padding lane influence a
+/// real result, whatever bits it holds.
 fn poisoned(src: &[f64], poison: f64) -> Vec<f64> {
     let mut v = src.to_vec();
-    v.resize(gnn_geom::simd::pad_len(src.len()), poison);
+    v.resize(pad_len(src.len()), poison);
     v
 }
 
@@ -111,10 +118,6 @@ proptest! {
             scalar::points_dist_sq(&xs, &ys, q, &mut want);
             k.points_dist_sq_padded(&xsp, &ysp, np, q, &mut got);
             prop_assert_eq!(bits(&want), bits(&got), "points/point {}", label);
-
-            scalar::points_mindist_sq_rect(&xs, &ys, &m, &mut want);
-            k.points_mindist_sq_rect_padded(&xsp, &ysp, np, &m, &mut got);
-            prop_assert_eq!(bits(&want), bits(&got), "points/rect {}", label);
 
             scalar::points_weighted_dist_sum_multi(&xs, &ys, &qx, &qy, &w, &mut want);
             k.points_weighted_dist_sum_multi_padded(&xsp, &ysp, np, &qx, &qy, &w, &mut got);
@@ -191,18 +194,6 @@ proptest! {
         prop_assert_eq!(out.len(), ps.len());
         for (p, got) in ps.iter().zip(&out) {
             prop_assert_eq!(*got, p.dist_sq(q));
-        }
-    }
-
-    #[test]
-    fn points_mindist_sq_rect_matches_scalar(ps in points(120), m in rect()) {
-        let (xs, ys) = xy(&ps);
-        let (xs, ys) = (poisoned(&xs, POISON), poisoned(&ys, POISON));
-        let mut out = Vec::new();
-        BatchKernels::auto().points_mindist_sq_rect_padded(&xs, &ys, ps.len(), &m, &mut out);
-        prop_assert_eq!(out.len(), ps.len());
-        for (p, got) in ps.iter().zip(&out) {
-            prop_assert_eq!(*got, m.mindist_point_sq(*p));
         }
     }
 
@@ -286,4 +277,166 @@ proptest! {
             prop_assert_eq!(out[j], want, "min j={}", j);
         }
     }
+}
+
+/// Every kernel on every level the host can run, at every ragged size
+/// around the lane blocks (`0..=2 * LANE_COUNT + 1`) and one well past
+/// them, with padding lanes poisoned by a huge magnitude and by NaN: the
+/// output holds the scalar module's bits.
+#[test]
+fn every_available_level_matches_the_scalar_oracle_bitwise() {
+    for n in (0..=2 * LANE_COUNT + 1).chain([33]) {
+        let xs: Vec<f64> = (0..n).map(|i| (i as f64).sin() * 50.0).collect();
+        let ys: Vec<f64> = (0..n).map(|i| (i as f64 * 1.7).cos() * 50.0).collect();
+        let qn = 5;
+        let qx: Vec<f64> = (0..qn).map(|i| i as f64 * 3.3 - 6.0).collect();
+        let qy: Vec<f64> = (0..qn).map(|i| 4.0 - i as f64 * 2.1).collect();
+        let w: Vec<f64> = (0..qn).map(|i| 0.25 + i as f64 * 0.5).collect();
+        let q = Point::new(1.5, -2.5);
+        let m = Rect::from_corners(-3.0, -3.0, 3.0, 3.0);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+
+        for poison in [1e300, f64::NAN] {
+            let (xp, yp) = (poisoned(&xs, poison), poisoned(&ys, -poison));
+            for level in SimdLevel::available_levels() {
+                let k = BatchKernels::for_level(level).expect("available");
+                let at = format!("n={n} poison={poison} level={}", level.label());
+
+                scalar::points_dist_sq(&xs, &ys, q, &mut want);
+                k.points_dist_sq_padded(&xp, &yp, n, q, &mut got);
+                assert_eq!(bits(&want), bits(&got), "points_dist_sq {at}");
+
+                scalar::rects_mindist_sq_point(&xs, &ys, &xs, &ys, q, &mut want);
+                k.rects_mindist_sq_point_padded(&xp, &yp, &xp, &yp, n, q, &mut got);
+                assert_eq!(bits(&want), bits(&got), "rects_mindist_sq_point {at}");
+
+                scalar::rects_mindist_sq_rect(&xs, &ys, &xs, &ys, &m, &mut want);
+                k.rects_mindist_sq_rect_padded(&xp, &yp, &xp, &yp, n, &m, &mut got);
+                assert_eq!(bits(&want), bits(&got), "rects_mindist_sq_rect {at}");
+
+                scalar::points_weighted_dist_sum_multi(&xs, &ys, &qx, &qy, &w, &mut want);
+                k.points_weighted_dist_sum_multi_padded(&xp, &yp, n, &qx, &qy, &w, &mut got);
+                assert_eq!(bits(&want), bits(&got), "wsum_multi {at}");
+
+                scalar::points_dist_sq_max_multi(&xs, &ys, &qx, &qy, &mut want);
+                k.points_dist_sq_max_multi_padded(&xp, &yp, n, &qx, &qy, &mut got);
+                assert_eq!(bits(&want), bits(&got), "max_multi {at}");
+
+                scalar::points_dist_sq_min_multi(&xs, &ys, &qx, &qy, &mut want);
+                k.points_dist_sq_min_multi_padded(&xp, &yp, n, &qx, &qy, &mut got);
+                assert_eq!(bits(&want), bits(&got), "min_multi {at}");
+
+                // The group-dimension folds take exact slices: `xs`/`ys`
+                // double as a ragged query group here.
+                if n > 0 {
+                    assert_eq!(
+                        scalar::rect_weighted_mindist_sum(&m, &xs, &ys, &xs).to_bits(),
+                        k.rect_weighted_mindist_sum(&m, &xs, &ys, &xs).to_bits(),
+                        "rect_wsum {at}"
+                    );
+                }
+                assert_eq!(
+                    scalar::rect_mindist_sq_max(&m, &xs, &ys).to_bits(),
+                    k.rect_mindist_sq_max(&m, &xs, &ys).to_bits(),
+                    "rect_max {at}"
+                );
+                assert_eq!(
+                    scalar::rect_mindist_sq_min(&m, &xs, &ys).to_bits(),
+                    k.rect_mindist_sq_min(&m, &xs, &ys).to_bits(),
+                    "rect_min {at}"
+                );
+                assert_eq!(
+                    scalar::point_dist_sq_max(q, &xs, &ys).to_bits(),
+                    k.point_dist_sq_max(q, &xs, &ys).to_bits(),
+                    "point_max {at}"
+                );
+                assert_eq!(
+                    scalar::point_dist_sq_min(q, &xs, &ys).to_bits(),
+                    k.point_dist_sq_min(q, &xs, &ys).to_bits(),
+                    "point_min {at}"
+                );
+            }
+        }
+    }
+}
+
+/// The short-slice tests below: `SHORT_N` logical elements with one lane
+/// fewer than `pad_len(SHORT_N)`. The slice still covers `SHORT_N`, so only
+/// the padding check can refuse it — on the best level the host runs,
+/// whose kernel would otherwise read past the slice.
+const SHORT_N: usize = LANE_COUNT + 1;
+
+fn best_level() -> BatchKernels {
+    let level = *SimdLevel::available_levels().last().expect("scalar");
+    BatchKernels::for_level(level).expect("available")
+}
+
+fn short() -> Vec<f64> {
+    vec![0.0; pad_len(SHORT_N) - 1]
+}
+
+fn full() -> Vec<f64> {
+    vec![0.0; pad_len(SHORT_N)]
+}
+
+#[test]
+#[should_panic(expected = "len() >= p")]
+fn rects_mindist_sq_point_padded_refuses_a_short_slice() {
+    let (f, s) = (full(), short());
+    best_level().rects_mindist_sq_point_padded(
+        &f,
+        &f,
+        &f,
+        &s,
+        SHORT_N,
+        Point::ORIGIN,
+        &mut Vec::new(),
+    );
+}
+
+#[test]
+#[should_panic(expected = "len() >= p")]
+fn rects_mindist_sq_rect_padded_refuses_a_short_slice() {
+    let (f, s) = (full(), short());
+    let m = Rect::from_corners(0.0, 0.0, 1.0, 1.0);
+    best_level().rects_mindist_sq_rect_padded(&s, &f, &f, &f, SHORT_N, &m, &mut Vec::new());
+}
+
+#[test]
+#[should_panic(expected = "len() >= p")]
+fn points_dist_sq_padded_refuses_a_short_slice() {
+    let (f, s) = (full(), short());
+    best_level().points_dist_sq_padded(&f, &s, SHORT_N, Point::ORIGIN, &mut Vec::new());
+}
+
+#[test]
+#[should_panic(expected = "len() >= p")]
+fn points_weighted_dist_sum_multi_padded_refuses_a_short_slice() {
+    let (f, s) = (full(), short());
+    let q = [1.0; 3];
+    best_level().points_weighted_dist_sum_multi_padded(
+        &s,
+        &f,
+        SHORT_N,
+        &q,
+        &q,
+        &q,
+        &mut Vec::new(),
+    );
+}
+
+#[test]
+#[should_panic(expected = "len() >= p")]
+fn points_dist_sq_max_multi_padded_refuses_a_short_slice() {
+    let (f, s) = (full(), short());
+    let q = [1.0; 3];
+    best_level().points_dist_sq_max_multi_padded(&f, &s, SHORT_N, &q, &q, &mut Vec::new());
+}
+
+#[test]
+#[should_panic(expected = "len() >= p")]
+fn points_dist_sq_min_multi_padded_refuses_a_short_slice() {
+    let (f, s) = (full(), short());
+    let q = [1.0; 3];
+    best_level().points_dist_sq_min_multi_padded(&s, &f, SHORT_N, &q, &q, &mut Vec::new());
 }

@@ -14,7 +14,7 @@ use crate::dijkstra::{single_source_distances, DijkstraStream};
 use crate::graph::{RoadNetwork, VertexId};
 use crate::packed::PackedGraph;
 use crate::scratch::{DijkstraState, NetworkScratch};
-use gnn_core::{Aggregate, KBestList, MbmStream, Neighbor, QueryGroup};
+use gnn_core::{Aggregate, KBestList, MbmScratch, MbmStream, Neighbor, QueryGroup};
 use gnn_geom::PointId;
 use gnn_rtree::{LeafEntry, PackedRTree, RTree, RTreeParams, TreeCursor};
 use std::time::{Duration, Instant};
@@ -473,7 +473,8 @@ impl NetworkIer {
             .map(|&q| DijkstraStream::new(graph, q))
             .collect();
         let mut best = KBestList::new(k);
-        let mut euclid_stream = MbmStream::new(&cursor, &group);
+        let mut stream_scratch = MbmScratch::default();
+        let mut euclid_stream = MbmStream::new_in(&cursor, &group, true, &mut stream_scratch);
         let mut candidates = 0u64;
         for cand in euclid_stream.by_ref() {
             // cand.dist is the Euclidean aggregate = a network lower bound.
@@ -545,7 +546,7 @@ impl NetworkIer {
         for (s, &q) in states.iter_mut().zip(query) {
             s.begin(graph, q);
         }
-        let mut euclid_stream = MbmStream::new_in(&cursor, &group, mbm);
+        let mut euclid_stream = MbmStream::new_in(&cursor, &group, true, mbm);
         let mut candidates = 0u64;
         let mut bound_pruned = 0u64;
         for cand in euclid_stream.by_ref() {

@@ -2,7 +2,7 @@
 //! vertices are embedded in the plane.
 
 use gnn_geom::{Point, PointId, Rect};
-use gnn_rtree::{LeafEntry, NearestNeighbors, RTree, RTreeParams, TreeCursor};
+use gnn_rtree::{LeafEntry, NearestNeighbors, NnScratch, RTree, RTreeParams, TreeCursor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
@@ -152,7 +152,7 @@ impl RoadNetwork {
             )
         });
         let cursor = TreeCursor::unbuffered(tree);
-        NearestNeighbors::new(&cursor, p)
+        NearestNeighbors::new_in(&cursor, p, &mut NnScratch::default())
             .next()
             .map(|n| VertexId(n.entry.id.0 as u32))
     }

@@ -140,13 +140,10 @@ impl PackedGraph {
     }
 
     /// The vertex closest (in Euclidean distance) to `p`; ties break by
-    /// lowest vertex id — the same contract as [`RoadNetwork::snap`], now a
-    /// packed NN descent with owned scratch.
+    /// lowest vertex id — the same contract as [`RoadNetwork::snap`], as a
+    /// packed NN descent in a scratch of its own.
     pub fn snap(&self, p: Point) -> Option<VertexId> {
-        let cursor = TreeCursor::packed(&self.vertex_tree);
-        NearestNeighbors::new(&cursor, p)
-            .next()
-            .map(|n| VertexId(n.entry.id.0 as u32))
+        self.snap_in(p, &mut NnScratch::default())
     }
 
     /// [`PackedGraph::snap`] through caller-provided scratch —

@@ -19,6 +19,10 @@ pub const DEFAULT_BULK_FILL: f64 = 0.7;
 
 impl RTree {
     /// Bulk loads with STR at the [`DEFAULT_BULK_FILL`] fill factor.
+    ///
+    /// # Panics
+    ///
+    /// As [`RTree::bulk_load_str`].
     pub fn bulk_load<I>(params: RTreeParams, entries: I) -> RTree
     where
         I: IntoIterator<Item = LeafEntry>,
@@ -29,12 +33,17 @@ impl RTree {
     /// Bulk loads with sort-tile-recursive packing at the given fill factor
     /// (fraction of `max_entries` targeted per node, clamped to
     /// `[min_entries, max_entries]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` are invalid or any point is not finite.
     pub fn bulk_load_str<I>(params: RTreeParams, entries: I, fill: f64) -> RTree
     where
         I: IntoIterator<Item = LeafEntry>,
     {
         params.validate();
         let entries: Vec<LeafEntry> = entries.into_iter().collect();
+        assert_finite(&entries);
         let cap = effective_capacity(&params, fill);
         let len = entries.len();
         if len <= params.max_entries {
@@ -47,12 +56,17 @@ impl RTree {
 
     /// Bulk loads by Hilbert-sorting the points and packing consecutive runs
     /// into leaves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` are invalid or any point is not finite.
     pub fn bulk_load_hilbert<I>(params: RTreeParams, entries: I, fill: f64) -> RTree
     where
         I: IntoIterator<Item = LeafEntry>,
     {
         params.validate();
         let mut entries: Vec<LeafEntry> = entries.into_iter().collect();
+        assert_finite(&entries);
         let cap = effective_capacity(&params, fill);
         let len = entries.len();
         if len <= params.max_entries {
@@ -85,6 +99,13 @@ fn effective_capacity(params: &RTreeParams, fill: f64) -> usize {
     );
     ((params.max_entries as f64 * fill).round() as usize)
         .clamp(params.min_entries.max(2), params.max_entries)
+}
+
+/// The bulk loaders' half of [`RTree::insert`]'s finiteness check.
+fn assert_finite(entries: &[LeafEntry]) {
+    if let Some(e) = entries.iter().find(|e| !e.point.is_finite()) {
+        panic!("non-finite point inserted: {:?}", e.point);
+    }
 }
 
 fn single_leaf_tree(params: RTreeParams, entries: Vec<LeafEntry>) -> RTree {
@@ -226,6 +247,14 @@ mod tests {
             check_invariants(&tree);
             assert_eq!(ids_sorted(&tree), (0..n as u64).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite point inserted")]
+    fn bulk_load_refuses_a_non_finite_point() {
+        let mut entries = random_entries(200, 7);
+        entries[120].point = Point::new(f64::NAN, 3.0);
+        RTree::bulk_load(RTreeParams::default(), entries);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   every page read is metered, optionally through an LRU buffer pool, and
 //!   reported as the paper's *node accesses* (NA) metric;
 //! * [`NearestNeighbors`] — incremental best-first NN search \[HS99\] (the
-//!   engine under MQM and SPM) plus the depth-first variant \[RKV95\];
+//!   engine under MQM and SPM), run in a reusable [`NnScratch`];
 //! * [`ClosestPairs`] — incremental distance-join between two trees
 //!   \[HS98, CMTV00\] (the engine under GCP), with heap-watermark tracking
 //!   and an optional heap limit reproducing the paper's GCP blow-up;
@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use gnn_geom::{Point, PointId};
-//! use gnn_rtree::{bf_k_nearest, LeafEntry, RTree, RTreeParams, TreeCursor};
+//! use gnn_rtree::{LeafEntry, NearestNeighbors, NnScratch, RTree, RTreeParams, TreeCursor};
 //!
 //! let tree = RTree::bulk_load(
 //!     RTreeParams::default(),
@@ -36,7 +36,10 @@
 //!     }),
 //! );
 //! let cursor = TreeCursor::with_buffer(&tree, 128);
-//! let nearest = bf_k_nearest(&cursor, Point::new(5.2, 4.9), 3);
+//! let mut scratch = NnScratch::default();
+//! let nearest: Vec<_> = NearestNeighbors::new_in(&cursor, Point::new(5.2, 4.9), &mut scratch)
+//!     .take(3)
+//!     .collect();
 //! assert_eq!(nearest.len(), 3);
 //! assert!(cursor.stats().io > 0); // page reads were metered
 //! ```
@@ -51,7 +54,6 @@ mod nn;
 mod node;
 mod packed;
 mod params;
-mod scratch_ref;
 mod sharded;
 mod split;
 mod tree;
@@ -60,11 +62,10 @@ pub mod validate;
 pub use bulk::DEFAULT_BULK_FILL;
 pub use closest_pairs::{ClosestPairs, PairResult};
 pub use cursor::{AccessStats, LruBuffer, TreeCursor};
-pub use nn::{bf_k_nearest, df_k_nearest, range_query, NearestNeighbors, NnScratch, PointNeighbor};
+pub use nn::{NearestNeighbors, NnScratch, PointNeighbor};
 pub use node::{Branch, BranchesRef, LeafEntry, LeafRef, Node, PageId, PageRef, SoaBranches};
 pub use packed::PackedRTree;
 pub use params::RTreeParams;
-pub use scratch_ref::ScratchRef;
 pub use sharded::{ShardedSnapshot, ShardedTree};
 pub use tree::RTree;
 

@@ -1,14 +1,9 @@
 //! Point nearest-neighbor search over the R\*-tree.
 //!
-//! Two classic algorithms (paper §2):
-//!
-//! * [`NearestNeighbors`] — the best-first (BF) algorithm of Hjaltason &
-//!   Samet \[HS99\]: I/O-optimal and *incremental*, reporting neighbors in
-//!   ascending distance without knowing `k` in advance. MQM and SPM are
-//!   built on this iterator.
-//! * [`df_k_nearest`] — the depth-first (DF) branch-and-bound algorithm of
-//!   Roussopoulos et al. \[RKV95\]; sub-optimal in node accesses, provided
-//!   for completeness and ablations.
+//! [`NearestNeighbors`] is the best-first (BF) algorithm of Hjaltason &
+//! Samet \[HS99\] (paper §2): I/O-optimal and *incremental*, reporting
+//! neighbors in ascending distance without knowing `k` in advance. MQM and
+//! SPM are built on this iterator.
 //!
 //! The best-first heap is keyed by **squared** distance — squared values
 //! order identically, so the `sqrt` is paid only when an item is actually
@@ -16,14 +11,13 @@
 //! kernels (vectorized on packed snapshots). There is one engine: arena and
 //! packed cursors differ only in the page layout behind [`PageRef`], every
 //! leaf entry is one heap item on both, so neighbors, distance bits and node
-//! accesses agree by construction. A [`NnScratch`] can be supplied via
-//! [`NearestNeighbors::new_in`] to reuse the heap and bound buffer across
-//! queries, making steady-state searches allocation-free.
+//! accesses agree by construction. A search borrows its heap and bound
+//! buffer from a [`NnScratch`], so steady-state searches through a
+//! warmed-up scratch are allocation-free.
 
 use crate::cursor::TreeCursor;
 use crate::node::{LeafEntry, PageId, PageRef};
-use crate::scratch_ref::ScratchRef;
-use gnn_geom::{OrderedF64, Point, Rect};
+use gnn_geom::{OrderedF64, Point};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -85,14 +79,6 @@ pub struct NnScratch {
 }
 
 impl NnScratch {
-    /// Scratch pre-sized for a heap of `capacity` pending items.
-    pub fn with_capacity(capacity: usize) -> Self {
-        NnScratch {
-            heap: BinaryHeap::with_capacity(capacity),
-            bounds: Vec::with_capacity(64),
-        }
-    }
-
     /// Every internal buffer capacity (for the no-regrowth tests — any
     /// buffer omitted here could silently reintroduce steady-state
     /// allocations).
@@ -115,14 +101,15 @@ impl NnScratch {
 ///
 /// ```
 /// use gnn_geom::{Point, PointId};
-/// use gnn_rtree::{LeafEntry, NearestNeighbors, RTree, RTreeParams, TreeCursor};
+/// use gnn_rtree::{LeafEntry, NearestNeighbors, NnScratch, RTree, RTreeParams, TreeCursor};
 ///
 /// let mut tree = RTree::new(RTreeParams::default());
 /// for (i, xy) in [(0.0, 0.0), (5.0, 5.0), (1.0, 1.0)].iter().enumerate() {
 ///     tree.insert(LeafEntry::new(PointId(i as u64), Point::new(xy.0, xy.1)));
 /// }
 /// let cursor = TreeCursor::unbuffered(&tree);
-/// let mut nn = NearestNeighbors::new(&cursor, Point::new(0.9, 0.9));
+/// let mut scratch = NnScratch::default();
+/// let mut nn = NearestNeighbors::new_in(&cursor, Point::new(0.9, 0.9), &mut scratch);
 /// assert_eq!(nn.next().unwrap().entry.id, PointId(2));
 /// assert_eq!(nn.next().unwrap().entry.id, PointId(0));
 /// assert_eq!(nn.next().unwrap().entry.id, PointId(1));
@@ -131,27 +118,31 @@ impl NnScratch {
 pub struct NearestNeighbors<'t, 'c, 's> {
     cursor: &'c TreeCursor<'t>,
     query: Point,
-    scratch: ScratchRef<'s, NnScratch>,
+    scratch: &'s mut NnScratch,
 }
 
 impl<'t, 'c, 's> NearestNeighbors<'t, 'c, 's> {
-    /// Starts an incremental NN search at `query` with its own storage.
-    pub fn new(cursor: &'c TreeCursor<'t>, query: Point) -> NearestNeighbors<'t, 'c, 'static> {
-        NearestNeighbors::<'t, 'c, 'static>::start(
-            cursor,
-            query,
-            ScratchRef::Owned(Box::new(NnScratch::with_capacity(64))),
-        )
-    }
-
-    /// Starts an incremental NN search reusing `scratch` (cleared first).
-    /// Steady-state searches through a warmed-up scratch do not allocate.
+    /// Starts an incremental NN search at `query` in `scratch` (cleared
+    /// first). Steady-state searches through a warmed-up scratch do not
+    /// allocate.
     pub fn new_in(
         cursor: &'c TreeCursor<'t>,
         query: Point,
         scratch: &'s mut NnScratch,
     ) -> NearestNeighbors<'t, 'c, 's> {
-        Self::start(cursor, query, ScratchRef::Borrowed(scratch))
+        scratch.reset();
+        if !cursor.is_empty() {
+            scratch.heap.push(Reverse(BfItem {
+                dist_sq: OrderedF64(cursor.root_mbr().mindist_point_sq(query)),
+                rank: 1,
+                kind: BfKind::Node(cursor.root()),
+            }));
+        }
+        NearestNeighbors {
+            cursor,
+            query,
+            scratch,
+        }
     }
 
     /// Re-attaches to a suspended search whose state lives in `scratch`
@@ -168,27 +159,6 @@ impl<'t, 'c, 's> NearestNeighbors<'t, 'c, 's> {
         NearestNeighbors {
             cursor,
             query,
-            scratch: ScratchRef::Borrowed(scratch),
-        }
-    }
-
-    fn start(
-        cursor: &'c TreeCursor<'t>,
-        query: Point,
-        mut scratch: ScratchRef<'s, NnScratch>,
-    ) -> NearestNeighbors<'t, 'c, 's> {
-        let s = scratch.get();
-        s.reset();
-        if !cursor.is_empty() {
-            s.heap.push(Reverse(BfItem {
-                dist_sq: OrderedF64(cursor.root_mbr().mindist_point_sq(query)),
-                rank: 1,
-                kind: BfKind::Node(cursor.root()),
-            }));
-        }
-        NearestNeighbors {
-            cursor,
-            query,
             scratch,
         }
     }
@@ -202,7 +172,6 @@ impl<'t, 'c, 's> NearestNeighbors<'t, 'c, 's> {
     /// the key at the top of the heap (`None` when exhausted).
     pub fn peek_bound(&self) -> Option<f64> {
         self.scratch
-            .peek()
             .heap
             .peek()
             .map(|Reverse(item)| item.dist_sq.get().sqrt())
@@ -215,7 +184,7 @@ impl Iterator for NearestNeighbors<'_, '_, '_> {
     fn next(&mut self) -> Option<PointNeighbor> {
         let query = self.query;
         let cursor = self.cursor;
-        let scratch = self.scratch.get();
+        let scratch = &mut *self.scratch;
         while let Some(Reverse(item)) = scratch.heap.pop() {
             match item.kind {
                 BfKind::Point(entry) => {
@@ -252,106 +221,6 @@ impl Iterator for NearestNeighbors<'_, '_, '_> {
     }
 }
 
-/// Best-first k-nearest-neighbors: the first `k` results of
-/// [`NearestNeighbors`].
-pub fn bf_k_nearest(cursor: &TreeCursor<'_>, query: Point, k: usize) -> Vec<PointNeighbor> {
-    NearestNeighbors::new(cursor, query).take(k).collect()
-}
-
-/// Depth-first k-nearest-neighbors \[RKV95\]: visits children in ascending
-/// `mindist` order and prunes subtrees farther than the current k-th
-/// neighbor. Sub-optimal in node accesses compared to [`bf_k_nearest`].
-pub fn df_k_nearest(cursor: &TreeCursor<'_>, query: Point, k: usize) -> Vec<PointNeighbor> {
-    if k == 0 || cursor.is_empty() {
-        return Vec::new();
-    }
-    // Max-heap of the best k found so far, keyed by squared distance. It
-    // never retains more than the tree holds, however large `k` is.
-    let cap = k.min(cursor.len()) + 1;
-    let mut best: BinaryHeap<(OrderedF64, u64)> = BinaryHeap::with_capacity(cap);
-    let mut found: Vec<PointNeighbor> = Vec::new();
-    df_visit(cursor, cursor.root(), query, k, &mut best, &mut found);
-    found.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.entry.id.cmp(&b.entry.id)));
-    found.truncate(k);
-    found
-}
-
-fn df_visit(
-    cursor: &TreeCursor<'_>,
-    id: PageId,
-    query: Point,
-    k: usize,
-    best: &mut BinaryHeap<(OrderedF64, u64)>,
-    found: &mut Vec<PointNeighbor>,
-) {
-    // Pruning bound in squared space (∞ while fewer than k found).
-    let prune_bound = |best: &BinaryHeap<(OrderedF64, u64)>| -> f64 {
-        if best.len() < k {
-            f64::INFINITY
-        } else {
-            best.peek().expect("non-empty").0.get()
-        }
-    };
-    match cursor.read(id) {
-        PageRef::Leaf(es) => {
-            for &e in es.entries() {
-                let d2 = e.point.dist_sq(query);
-                if d2 < prune_bound(best) {
-                    best.push((OrderedF64(d2), e.id.0));
-                    if best.len() > k {
-                        best.pop();
-                    }
-                    found.push(PointNeighbor {
-                        entry: e,
-                        dist: d2.sqrt(),
-                    });
-                }
-            }
-        }
-        PageRef::Internal(view) => {
-            // Active branch list: children sorted by mindist².
-            let mut order: Vec<(f64, PageId)> = view
-                .iter()
-                .map(|(mbr, child)| (mbr.mindist_point_sq(query), child))
-                .collect();
-            order.sort_by(|a, b| a.0.total_cmp(&b.0));
-            for (mindist_sq, child) in order {
-                if mindist_sq >= prune_bound(best) {
-                    break; // all subsequent children are at least this far
-                }
-                df_visit(cursor, child, query, k, best, found);
-            }
-        }
-    }
-}
-
-/// Reports every data point inside `range` (window query).
-pub fn range_query(cursor: &TreeCursor<'_>, range: &Rect) -> Vec<LeafEntry> {
-    let mut out = Vec::new();
-    if cursor.is_empty() {
-        return out;
-    }
-    let mut stack = vec![cursor.root()];
-    while let Some(id) = stack.pop() {
-        match cursor.read(id) {
-            PageRef::Leaf(es) => out.extend(
-                es.entries()
-                    .iter()
-                    .copied()
-                    .filter(|e| range.contains_point(e.point)),
-            ),
-            PageRef::Internal(view) => {
-                stack.extend(
-                    view.iter()
-                        .filter(|(mbr, _)| mbr.intersects(range))
-                        .map(|(_, child)| child),
-                );
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,12 +252,20 @@ mod tests {
         all
     }
 
+    /// The first `k` neighbors of a fresh search.
+    fn k_nearest(cursor: &TreeCursor<'_>, q: Point, k: usize) -> Vec<PointNeighbor> {
+        let mut scratch = NnScratch::default();
+        NearestNeighbors::new_in(cursor, q, &mut scratch)
+            .take(k)
+            .collect()
+    }
+
     #[test]
     fn incremental_nn_is_sorted_and_complete() {
         let (tree, entries) = random_tree(500, 1);
         let cursor = TreeCursor::unbuffered(&tree);
         let q = Point::new(42.0, 17.0);
-        let results: Vec<PointNeighbor> = NearestNeighbors::new(&cursor, q).collect();
+        let results = k_nearest(&cursor, q, usize::MAX);
         assert_eq!(results.len(), entries.len());
         for w in results.windows(2) {
             assert!(w[0].dist <= w[1].dist);
@@ -401,14 +278,14 @@ mod tests {
     }
 
     #[test]
-    fn bf_knn_matches_brute_force() {
+    fn knn_matches_brute_force() {
         let (tree, entries) = random_tree(800, 2);
         let cursor = TreeCursor::unbuffered(&tree);
         for &k in &[1usize, 5, 32] {
             for seed in 0..10u64 {
                 let mut rng = StdRng::seed_from_u64(seed + 100);
                 let q = Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0);
-                let got: Vec<f64> = bf_k_nearest(&cursor, q, k).iter().map(|r| r.dist).collect();
+                let got: Vec<f64> = k_nearest(&cursor, q, k).iter().map(|r| r.dist).collect();
                 let want: Vec<f64> = brute_force_knn(&entries, q, k)
                     .iter()
                     .map(|&(_, d)| d)
@@ -422,47 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn df_knn_matches_bf_knn() {
-        let (tree, _) = random_tree(600, 3);
-        let cursor = TreeCursor::unbuffered(&tree);
-        for seed in 0..10u64 {
-            let mut rng = StdRng::seed_from_u64(seed + 500);
-            let q = Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0);
-            let bf: Vec<f64> = bf_k_nearest(&cursor, q, 10)
-                .iter()
-                .map(|r| r.dist)
-                .collect();
-            let df: Vec<f64> = df_k_nearest(&cursor, q, 10)
-                .iter()
-                .map(|r| r.dist)
-                .collect();
-            assert_eq!(bf, df, "seed={seed}");
-        }
-    }
-
-    #[test]
-    fn bf_is_never_worse_than_df_in_node_accesses() {
-        // [PM97] optimality: BF reads only nodes intersecting the vicinity
-        // circle; DF may read more.
-        let (tree, _) = random_tree(2000, 4);
-        for seed in 0..5u64 {
-            let mut rng = StdRng::seed_from_u64(seed + 900);
-            let q = Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0);
-            let bf_cursor = TreeCursor::unbuffered(&tree);
-            bf_k_nearest(&bf_cursor, q, 1);
-            let df_cursor = TreeCursor::unbuffered(&tree);
-            df_k_nearest(&df_cursor, q, 1);
-            assert!(
-                bf_cursor.stats().logical <= df_cursor.stats().logical,
-                "seed={seed}: BF {} > DF {}",
-                bf_cursor.stats().logical,
-                df_cursor.stats().logical
-            );
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_matches_owned_and_does_not_regrow() {
+    fn scratch_reuse_matches_brute_force_and_does_not_regrow() {
         let (tree, entries) = random_tree(800, 11);
         let cursor = TreeCursor::unbuffered(&tree);
         let mut scratch = NnScratch::default();
@@ -506,11 +343,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         for _ in 0..10 {
             let q = Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0);
-            let a: Vec<(u64, f64)> = bf_k_nearest(&arena_cursor, q, 7)
+            let a: Vec<(u64, f64)> = k_nearest(&arena_cursor, q, 7)
                 .iter()
                 .map(|r| (r.entry.id.0, r.dist))
                 .collect();
-            let p: Vec<(u64, f64)> = bf_k_nearest(&packed_cursor, q, 7)
+            let p: Vec<(u64, f64)> = k_nearest(&packed_cursor, q, 7)
                 .iter()
                 .map(|r| (r.entry.id.0, r.dist))
                 .collect();
@@ -528,10 +365,8 @@ mod tests {
         let (tree, entries) = random_tree(10, 5);
         let cursor = TreeCursor::unbuffered(&tree);
         for k in [50, usize::MAX] {
-            let got = bf_k_nearest(&cursor, Point::new(0.0, 0.0), k);
+            let got = k_nearest(&cursor, Point::new(0.0, 0.0), k);
             assert_eq!(got.len(), entries.len());
-            let df = df_k_nearest(&cursor, Point::new(0.0, 0.0), k);
-            assert_eq!(df.len(), entries.len());
         }
     }
 
@@ -539,11 +374,7 @@ mod tests {
     fn knn_on_empty_tree() {
         let tree = RTree::new(RTreeParams::default());
         let cursor = TreeCursor::unbuffered(&tree);
-        assert!(bf_k_nearest(&cursor, Point::ORIGIN, 3).is_empty());
-        assert!(df_k_nearest(&cursor, Point::ORIGIN, 3).is_empty());
-        assert!(NearestNeighbors::new(&cursor, Point::ORIGIN)
-            .next()
-            .is_none());
+        assert!(k_nearest(&cursor, Point::ORIGIN, 3).is_empty());
     }
 
     #[test]
@@ -551,7 +382,8 @@ mod tests {
         let (tree, _) = random_tree(300, 6);
         let cursor = TreeCursor::unbuffered(&tree);
         let q = Point::new(50.0, 50.0);
-        let mut nn = NearestNeighbors::new(&cursor, q);
+        let mut scratch = NnScratch::default();
+        let mut nn = NearestNeighbors::new_in(&cursor, q, &mut scratch);
         let mut last = 0.0;
         while let Some(bound) = nn.peek_bound() {
             let item = nn.next().unwrap();
@@ -562,34 +394,13 @@ mod tests {
     }
 
     #[test]
-    fn range_query_matches_filter() {
-        let (tree, entries) = random_tree(700, 7);
-        let cursor = TreeCursor::unbuffered(&tree);
-        let window = Rect::from_corners(20.0, 30.0, 60.0, 80.0);
-        let mut got: Vec<u64> = range_query(&cursor, &window)
-            .iter()
-            .map(|e| e.id.0)
-            .collect();
-        got.sort_unstable();
-        let mut want: Vec<u64> = entries
-            .iter()
-            .filter(|e| window.contains_point(e.point))
-            .map(|e| e.id.0)
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        assert!(!want.is_empty(), "window should not be trivially empty");
-    }
-
-    #[test]
     fn duplicate_points_all_reported() {
         let mut tree = RTree::new(RTreeParams::with_capacity(4));
         for i in 0..25 {
             tree.insert(LeafEntry::new(PointId(i), Point::new(1.0, 1.0)));
         }
         let cursor = TreeCursor::unbuffered(&tree);
-        let res: Vec<PointNeighbor> =
-            NearestNeighbors::new(&cursor, Point::new(0.0, 0.0)).collect();
+        let res = k_nearest(&cursor, Point::new(0.0, 0.0), usize::MAX);
         assert_eq!(res.len(), 25);
         assert!(res.iter().all(|r| (r.dist - 2f64.sqrt()).abs() < 1e-12));
     }
@@ -618,7 +429,8 @@ mod tests {
         let packed = tree.freeze();
         let q = Point::ORIGIN;
         let ids = |cursor: &TreeCursor<'_>| -> Vec<u64> {
-            NearestNeighbors::new(cursor, q)
+            k_nearest(cursor, q, usize::MAX)
+                .iter()
                 .map(|r| r.entry.id.0)
                 .collect()
         };
@@ -649,8 +461,8 @@ mod tests {
         let packed = tree.freeze();
         let arena_cursor = TreeCursor::unbuffered(&tree);
         let packed_cursor = TreeCursor::packed(&packed);
-        let a = bf_k_nearest(&arena_cursor, Point::new(0.0, 0.0), 2);
-        let p = bf_k_nearest(&packed_cursor, Point::new(0.0, 0.0), 2);
+        let a = k_nearest(&arena_cursor, Point::new(0.0, 0.0), 2);
+        let p = k_nearest(&packed_cursor, Point::new(0.0, 0.0), 2);
         assert_eq!(a.len(), 2);
         assert_eq!(p.len(), 2);
         assert_eq!(arena_cursor.stats().logical, 2, "root + one leaf");

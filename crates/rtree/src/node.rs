@@ -228,20 +228,6 @@ impl<'t> LeafRef<'t> {
             }
         }
     }
-
-    /// `out[i] = mindist²(entries[i].point, m)` — the leaf-level query-MBR
-    /// filter of MBM, batched over the SoA mirror when present. `out` is
-    /// cleared and refilled.
-    pub fn mindist_sq_rect_into(&self, m: &Rect, out: &mut Vec<f64>) {
-        match (self.xs, self.ys) {
-            (Some(xs), Some(ys)) => gnn_geom::batch::BatchKernels::auto()
-                .points_mindist_sq_rect_padded(xs, ys, self.entries.len(), m, out),
-            _ => {
-                out.clear();
-                out.extend(self.entries.iter().map(|e| m.mindist_point_sq(e.point)));
-            }
-        }
-    }
 }
 
 impl std::ops::Deref for LeafRef<'_> {

@@ -209,8 +209,17 @@ impl RTree {
     }
 
     /// Inserts a data point (R\* insertion with forced reinsertion).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the point is not finite: a NaN or infinite coordinate has
+    /// no place in an MBR and no distance order.
     pub fn insert(&mut self, entry: LeafEntry) {
-        debug_assert!(entry.point.is_finite(), "non-finite point inserted");
+        assert!(
+            entry.point.is_finite(),
+            "non-finite point inserted: {:?}",
+            entry.point
+        );
         self.version += 1;
         let mut reinserted = vec![false; self.height];
         self.insert_any(AnyEntry::Leaf(entry), 0, &mut reinserted);
@@ -650,6 +659,16 @@ mod tests {
         assert_eq!(t.height(), 1);
         assert!(t.root_mbr().is_empty());
         assert_eq!(t.iter().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite point inserted")]
+    fn insert_refuses_a_non_finite_point() {
+        let mut t = RTree::new(small_params());
+        for i in 0..10 {
+            t.insert(entry(i, i as f64, 1.0));
+        }
+        t.insert(entry(10, 2.0, f64::INFINITY));
     }
 
     #[test]

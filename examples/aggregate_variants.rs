@@ -61,8 +61,8 @@ fn main() {
     // until one satisfies a side constraint (here: inside the west half).
     let group = QueryGroup::sum(couriers).expect("valid");
     let cursor = TreeCursor::unbuffered(&tree);
-    let mbm = Mbm::best_first();
-    let mut stream = mbm.stream(&cursor, &group);
+    let mut scratch = gnn::core::MbmScratch::default();
+    let mut stream = MbmStream::new_in(&cursor, &group, true, &mut scratch);
     let mut inspected = 0usize;
     let chosen = stream.by_ref().find(|n| {
         inspected += 1;

@@ -20,6 +20,7 @@
 //! node accesses on tie-free data.
 
 use gnn::core::baseline::linear_scan_points;
+use gnn::core::MbmScratch;
 use gnn::prelude::*;
 use proptest::prelude::*;
 
@@ -81,7 +82,9 @@ proptest! {
                     let pc = packed.cursor();
                     let bounded = Mbm::best_first().k_gnn(&pc, &group, k).neighbors;
                     let sc = packed.cursor();
-                    let streamed: Vec<Neighbor> = MbmStream::new(&sc, &group).take(k).collect();
+                    let mut ms = MbmScratch::default();
+                    let streamed: Vec<Neighbor> =
+                        MbmStream::new_in(&sc, &group, true, &mut ms).take(k).collect();
 
                     prop_assert_eq!(oracle.len(), k.min(len), "{}: oracle count", what);
                     prop_assert_eq!(arena.len(), oracle.len(), "{}: arena count", what);
@@ -166,7 +169,10 @@ fn assert_equivalent(
     let pc = packed.cursor();
     let bounded = Mbm::best_first().k_gnn(&pc, group, k);
     let sc = packed.cursor();
-    let streamed: Vec<Neighbor> = MbmStream::new(&sc, group).take(k).collect();
+    let mut ms = MbmScratch::default();
+    let streamed: Vec<Neighbor> = MbmStream::new_in(&sc, group, true, &mut ms)
+        .take(k)
+        .collect();
 
     for (name, got) in [
         ("arena", &arena),

@@ -6,7 +6,8 @@
 //! * the Hilbert curve is a bijection with unit steps.
 
 use gnn::core::baseline::linear_scan_entries;
-use gnn::core::centroid::{gradient_descent_centroid, weiszfeld_centroid, CentroidOptions};
+use gnn::core::centroid::{gradient_descent_centroid, weiszfeld_centroid};
+use gnn::core::MbmScratch;
 use gnn::geom::hilbert;
 use gnn::prelude::*;
 use gnn::rtree::validate::check_invariants;
@@ -172,9 +173,8 @@ proptest! {
         // Both solvers produce anchors whose objective is no worse than the
         // arithmetic mean's, and close to each other.
         let group = QueryGroup::sum(query.clone()).unwrap();
-        let opts = CentroidOptions::default();
-        let gd = gradient_descent_centroid(&query, None, opts);
-        let wz = weiszfeld_centroid(&query, None, opts);
+        let gd = gradient_descent_centroid(&query, None);
+        let wz = weiszfeld_centroid(&query, None);
         let o_gd = group.dist(gd);
         let o_wz = group.dist(wz);
         let scale = o_gd.max(o_wz).max(1e-9);
@@ -186,7 +186,8 @@ proptest! {
     fn knn_stream_is_monotone(data in points(150), q in point()) {
         let tree = tree_of(&data);
         let cursor = TreeCursor::unbuffered(&tree);
-        let dists: Vec<f64> = gnn::rtree::NearestNeighbors::new(&cursor, q)
+        let mut scratch = gnn::rtree::NnScratch::default();
+        let dists: Vec<f64> = gnn::rtree::NearestNeighbors::new_in(&cursor, q, &mut scratch)
             .map(|r| r.dist)
             .collect();
         prop_assert_eq!(dists.len(), data.len());
@@ -203,7 +204,8 @@ proptest! {
         let tree = tree_of(&data);
         let group = QueryGroup::sum(query).unwrap();
         let cursor = TreeCursor::unbuffered(&tree);
-        let out: Vec<Neighbor> = MbmStream::new(&cursor, &group).collect();
+        let mut scratch = MbmScratch::default();
+        let out: Vec<Neighbor> = MbmStream::new_in(&cursor, &group, true, &mut scratch).collect();
         prop_assert_eq!(out.len(), data.len());
         for w in out.windows(2) {
             prop_assert!(w[0].dist <= w[1].dist);

@@ -274,7 +274,7 @@ fn suspended_streams_resume_without_allocating() {
         let mut scratch = MbmScratch::default();
         let pass = |scratch: &mut MbmScratch| {
             for g in &workload {
-                let first = MbmStream::new_in(&cursor, g, scratch).next();
+                let first = MbmStream::new_in(&cursor, g, true, scratch).next();
                 let mut last = first.expect("non-empty tree").dist;
                 for _ in 0..40 {
                     let n = MbmStream::resume_in(&cursor, g, true, scratch).next();
