@@ -32,11 +32,12 @@
 //!   SUM members up, children that pass H2 wait in a second heap of
 //!   unresolved keys and enter the node heap under exactly their eager key
 //!   when they resolve, so pages are read in the same order. Once
-//!   `best_dist` is finite a SUM leaf is scored in two steps
-//!   (`filter_leaf`): a rounded-down `f32` bound over the whole page, then
-//!   the exact distance for the entries it could not rule out — the
-//!   paper's reason for keeping heuristic 2 beside heuristic 3, applied to
-//!   leaf entries;
+//!   `best_dist` is finite a SUM leaf is scored through a cascade
+//!   (`filter_leaf`): from `LAZY_MIN` members a rounded-down block bound
+//!   (one `f64` term per block of Q) over the whole page, then on AVX2 a
+//!   rounded-down `f32` bound over the entries left, then the exact
+//!   distance for the entries neither could rule out — the paper's reason
+//!   for keeping heuristic 2 beside heuristic 3, applied to leaf entries;
 //! * **incremental** ([`MbmStream`]): yields neighbors in ascending
 //!   `dist(p, Q)` with `k` unknown in advance, so it keeps every child and
 //!   every scored point on its heap — the building block of F-MQM (§4.2)
@@ -58,7 +59,8 @@ use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
 use crate::{Aggregate, MemoryGnnAlgorithm, Traversal};
 use gnn_geom::batch::BatchKernels;
-use gnn_geom::bound::{CentroidBound, LeafBound};
+use gnn_geom::bound::{BlockBound, CentroidBound, LeafBound};
+use gnn_geom::simd::pad_len;
 use gnn_geom::{OrderedF64, Rect};
 use gnn_rtree::{BranchesRef, LeafEntry, LeafRef, PageId, PageRef, TreeCursor};
 use std::cmp::Reverse;
@@ -115,12 +117,14 @@ impl Mbm {
     ///
     /// A leaf read while `best_dist` is still infinite (the first of a
     /// query) is scored exactly, every entry — there is nothing to compare
-    /// a bound with. From then on, where the group has a rounded-down `f32`
-    /// bound ([`LeafBound`]: SUM on the AVX2 tier), `filter_leaf` lets it
-    /// pick the entries that pay for an exact distance; what it drops is
+    /// a bound with. From then on, where the group has rounded-down leaf
+    /// bounds, `filter_leaf` lets them pick the entries that pay for an
+    /// exact distance: the block bound ([`BlockBound`]) on a SUM group of
+    /// at least `LAZY_MIN` points with H3 on, on every tier; the `f32` bound
+    /// ([`LeafBound`]) on any SUM group on the AVX2 tier. What they drop is
     /// exactly what [`KBestList::offer`] would have refused, so neighbors,
     /// distance bits and page reads are those of the all-exact loop, which
-    /// every other aggregate and tier still runs.
+    /// MAX, MIN and small SUM groups below AVX2 still run.
     ///
     /// Heuristic 3 is applied only where H2 fails and, above `LAZY_MIN`,
     /// only where the heap gets there: a SUM group of at least `LAZY_MIN`
@@ -131,7 +135,7 @@ impl Mbm {
     /// before.
     ///
     /// Returns the exact distance evaluations performed and the leaf
-    /// entries the `f32` bound dropped.
+    /// entries either bound dropped.
     fn bounded_top_k(
         &self,
         cursor: &TreeCursor<'_>,
@@ -141,21 +145,25 @@ impl Mbm {
     ) -> (u64, u64) {
         let mut evals = 0u64;
         let mut dropped = 0u64;
-        // Taken out for the query, so the bound may borrow it while the
+        // Taken out for the query, so the bounds may borrow them while the
         // loop works on the rest of the scratch.
         let mut leaf_weights = std::mem::take(&mut s.leaf_weights);
+        let mut block_lanes = std::mem::take(&mut s.block_lanes);
         // The group's rounded-down SUM bounds, where it has them: the `f32`
-        // leaf filter on the AVX2 tier, the centroid key from `LAZY_MIN`.
+        // leaf bound on the AVX2 tier; from `LAZY_MIN` with H3 on, the
+        // centroid key and the block bound on every tier.
         let sum = group.sum_arrays();
-        let filter = sum.and_then(|(qx, qy, w)| {
-            LeafBound::new(BatchKernels::auto(), qx, qy, w, &mut leaf_weights)
-        });
-        let lazy = match sum {
-            Some((qx, qy, w)) if self.use_h3 && group.len() >= LAZY_MIN => {
-                CentroidBound::new(qx, qy, w, group.total_weight(), &group.mbr())
-            }
-            _ => None,
+        let kernels = BatchKernels::auto();
+        let lanes =
+            sum.and_then(|(qx, qy, w)| LeafBound::new(kernels, qx, qy, w, &mut leaf_weights));
+        let (lazy, blocks) = match sum {
+            Some((qx, qy, w)) if self.use_h3 && group.len() >= LAZY_MIN => (
+                CentroidBound::new(qx, qy, w, group.total_weight(), &group.mbr()),
+                BlockBound::new(kernels, qx, qy, w, &group.mbr(), &mut block_lanes),
+            ),
+            _ => (None, None),
         };
+        let filter = (blocks.is_some() || lanes.is_some()).then_some(LeafFilter { blocks, lanes });
         s.nodes.clear();
         s.pending.clear();
         s.slots.clear();
@@ -194,8 +202,8 @@ impl Mbm {
                     };
                 }
                 PageRef::Leaf(leaf) => match &filter {
-                    Some(bound) if best.bound() < f64::INFINITY => {
-                        let kept = filter_leaf(&leaf, group, bound, &mut s.dists, best);
+                    Some(filter) if best.bound() < f64::INFINITY => {
+                        let kept = filter_leaf(&leaf, group, filter, s, best);
                         evals += kept * group.len() as u64;
                         dropped += leaf.len() as u64 - kept;
                     }
@@ -213,6 +221,7 @@ impl Mbm {
             }
         }
         s.leaf_weights = leaf_weights;
+        s.block_lanes = block_lanes;
         (evals, dropped)
     }
 
@@ -405,35 +414,94 @@ fn score_leaf(leaf: &LeafRef<'_>, group: &QueryGroup, dists: &mut Vec<f64>) -> u
     (leaf.len() * group.len()) as u64
 }
 
+/// The rounded-down bounds a packed SUM leaf is filtered through once
+/// `best_dist` is finite, cheapest first; at least one is armed.
+struct LeafFilter<'a> {
+    /// `m` `f64` terms an entry: SUM, H3 on, `LAZY_MIN` members and up.
+    blocks: Option<BlockBound<'a>>,
+    /// `n` `f32` lanes an entry: SUM on the AVX2 tier.
+    lanes: Option<LeafBound<'a>>,
+}
+
+/// Whether a rounded-down bound rules an entry out under `bound`. A
+/// non-finite one (overflow, NaN data) promises nothing.
+#[inline]
+fn rules_out(at_least: f64, bound: f64) -> bool {
+    at_least.is_finite() && at_least >= bound
+}
+
+/// `src[j]` for each `j` in `at`, zero-padded to [`pad_len`] lanes.
+fn gather_padded(src: &[f64], at: &[u32], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(at.iter().map(|&j| src[j as usize]));
+    out.resize(pad_len(at.len()), 0.0);
+}
+
 /// Filter, then verify: scores a packed SUM leaf against a finite
-/// `best_dist`. One `f32` kernel call over the page's own lane-padded
-/// coordinates leaves a lower bound on every entry's `dist(p, Q)` in
-/// `lower`; an entry whose bound already reaches `best.bound()` is dropped
-/// unseen, the others — a non-finite bound (overflowed `f32`, NaN data)
-/// rules nothing out — pay the exact [`QueryGroup::dist`] and are offered in
-/// entry order. `offer` refuses `dist >= bound`, so nothing dropped here
-/// could have entered `best`. Returns how many entries were scored exactly.
+/// `best_dist` through a cascade. The block bound, where armed, scores the
+/// whole page over its own lane-padded coordinates against `best.bound()`
+/// as the leaf starts; the entries it leaves are gathered into lane-padded
+/// scratch for the `f32` bound, where armed (without blocks the `f32` bound
+/// scores the page itself); then [`verify`]. A stage drops an entry only
+/// when its bound is finite and `>= best.bound()`, and `offer` refuses
+/// `dist >= bound`, so nothing dropped here could have entered `best`.
+/// Returns how many entries were scored exactly.
 fn filter_leaf(
     leaf: &LeafRef<'_>,
     group: &QueryGroup,
-    bound: &LeafBound<'_>,
-    lower: &mut Vec<f64>,
+    filter: &LeafFilter<'_>,
+    s: &mut MbmScratch,
     best: &mut KBestList,
 ) -> u64 {
     let (xs, ys) = leaf
         .coords()
         .expect("pages of a packed cursor carry their SoA coordinates");
-    bound.lower_padded(xs, ys, leaf.len(), lower);
+    let entries = leaf.entries();
+    let Some(blocks) = &filter.blocks else {
+        let lanes = filter.lanes.as_ref().expect("a leaf filter arms a stage");
+        lanes.lower_padded(xs, ys, entries.len(), &mut s.lower);
+        return verify(
+            group,
+            best,
+            entries.iter().zip(s.lower.iter().map(|&l| Some(l))),
+        );
+    };
+    blocks.lower_padded(xs, ys, entries.len(), &mut s.dists);
+    let bound = best.bound();
+    s.survivors.clear();
+    for (j, (e, &at_least)) in entries.iter().zip(&s.dists).enumerate() {
+        if rules_out(at_least, bound) {
+            check_drop(group, e, at_least, bound, "block");
+        } else {
+            s.survivors.push(j as u32);
+        }
+    }
+    let survivors = s.survivors.iter().map(|&j| &entries[j as usize]);
+    match &filter.lanes {
+        Some(lanes) => {
+            gather_padded(xs, &s.survivors, &mut s.lanes_x);
+            gather_padded(ys, &s.survivors, &mut s.lanes_y);
+            lanes.lower_padded(&s.lanes_x, &s.lanes_y, s.survivors.len(), &mut s.lower);
+            verify(group, best, survivors.zip(s.lower.iter().map(|&l| Some(l))))
+        }
+        None => verify(group, best, survivors.map(|e| (e, None))),
+    }
+}
+
+/// The cascade's last step, over the entries the earlier stages left, in
+/// entry order: one whose `f32` bound (where there is one) reaches the
+/// bound of its turn is dropped, every other pays the exact
+/// [`QueryGroup::dist`] and is offered. Returns how many were scored
+/// exactly.
+fn verify<'e>(
+    group: &QueryGroup,
+    best: &mut KBestList,
+    entries: impl Iterator<Item = (&'e LeafEntry, Option<f64>)>,
+) -> u64 {
     let mut kept = 0u64;
-    for (e, &at_least) in leaf.entries().iter().zip(&*lower) {
-        if at_least.is_finite() && at_least >= best.bound() {
-            // Debug builds re-score every dropped entry: the whole suite
-            // doubles as the bound's soundness test.
-            debug_assert!(
-                group.dist(e.point) >= best.bound(),
-                "f32 bound {at_least:e} dropped {e:?} under best_dist {:e}",
-                best.bound()
-            );
+    for (e, lower) in entries {
+        if let Some(at_least) = lower.filter(|&at_least| rules_out(at_least, best.bound())) {
+            check_drop(group, e, at_least, best.bound(), "f32");
             continue;
         }
         kept += 1;
@@ -444,6 +512,16 @@ fn filter_leaf(
         });
     }
     kept
+}
+
+/// Debug builds re-score every entry a stage drops: the whole suite doubles
+/// as the bounds' soundness test.
+#[inline]
+fn check_drop(group: &QueryGroup, e: &LeafEntry, at_least: f64, bound: f64, stage: &str) {
+    debug_assert!(
+        group.dist(e.point) >= bound,
+        "{stage} bound {at_least:e} dropped {e:?} under best_dist {bound:e}"
+    );
 }
 
 /// Heap element of the incremental stream. Every key is a lower bound on the
@@ -494,8 +572,8 @@ impl Ord for StreamItem {
 /// incremental stream's priority queue and distance-computation counter
 /// (which must survive suspend/resume cycles — F-MQM serves its group
 /// streams round-robin through [`MbmStream::resume_in`]), the two
-/// page-scoring buffers both drivers share, and the bounded loop's `f32`
-/// weights.
+/// page-scoring buffers both drivers share, and the bounded loop's leaf
+/// bounds (the blocks, the `f32` weights) with the cascade's buffers.
 #[derive(Debug, Default)]
 pub struct MbmScratch {
     /// Bounded top-k: pending nodes by `(key, page id)` — the order nodes
@@ -512,11 +590,23 @@ pub struct MbmScratch {
     /// Lazy keying: `mindist²` of the page's children to the centroid.
     centroid_keys: Vec<f64>,
     /// Exact distances of the leaf being scored — or, where the bounded
-    /// loop filters first, the `f32` lower bounds on them.
+    /// loop filters through blocks first, the block bounds on them.
     dists: Vec<f64>,
     /// Bounded top-k: the [`LeafBound`]'s narrowed weights, refilled per
     /// query (empty where there is none).
     leaf_weights: Vec<f32>,
+    /// Bounded top-k: the [`BlockBound`]'s blocks, refilled per query
+    /// (empty where there is none).
+    block_lanes: Vec<f64>,
+    /// The cascade: indices of the leaf entries the block bound left.
+    survivors: Vec<u32>,
+    /// The cascade: those entries' coordinates, gathered lane-padded for
+    /// the `f32` bound.
+    lanes_x: Vec<f64>,
+    lanes_y: Vec<f64>,
+    /// The `f32` bounds on the entries the block stage left (on every
+    /// entry of the page where there is no block stage).
+    lower: Vec<f64>,
     dist_computations: u64,
 }
 
@@ -532,6 +622,11 @@ impl MbmScratch {
             centroid_keys: Vec::new(),
             dists: Vec::with_capacity(64),
             leaf_weights: Vec::new(),
+            block_lanes: Vec::new(),
+            survivors: Vec::new(),
+            lanes_x: Vec::new(),
+            lanes_y: Vec::new(),
+            lower: Vec::new(),
             dist_computations: 0,
         }
     }
@@ -550,6 +645,11 @@ impl MbmScratch {
             self.centroid_keys.capacity(),
             self.dists.capacity(),
             self.leaf_weights.capacity(),
+            self.block_lanes.capacity(),
+            self.survivors.capacity(),
+            self.lanes_x.capacity(),
+            self.lanes_y.capacity(),
+            self.lower.capacity(),
         ]
         .into_iter()
     }

@@ -222,9 +222,12 @@ impl QueryGroup {
     ///
     /// For SUM this is the `vsqrtpd`-bound kernel (~1 ns a pair on every
     /// tier). The bounded MBM loop therefore calls it only while
-    /// `best_dist` is still infinite; once it is finite, a rounded-down
-    /// `f32` bound over the same lanes picks the few entries that pay
-    /// [`QueryGroup::dist`] — the same bits, one entry at a time.
+    /// `best_dist` is still infinite; once it is finite, rounded-down
+    /// bounds over the same lanes pick the few entries that pay
+    /// [`QueryGroup::dist`] — the same bits, one entry at a time: from 48
+    /// members a block bound (this kernel's fold over one weighted centroid
+    /// per block of the group, a few `f64` terms an entry, every tier),
+    /// then on AVX2 an `f32` bound over the entries left.
     pub fn dist_many_padded(&self, xs: &[f64], ys: &[f64], n: usize, out: &mut Vec<f64>) {
         let k = gnn_geom::batch::BatchKernels::auto();
         match self.aggregate {

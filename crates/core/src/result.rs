@@ -31,22 +31,25 @@ pub struct QueryStats {
     /// unlike node accesses — it depends on the mechanism: the packed
     /// engine scores whole pages where the arena reference filters and
     /// converts entry by entry, and the two report different counts for
-    /// the same query. **Exact** evaluations only: the pairs the bounded
-    /// MBM loop's rounded-down `f32` leaf filter looks at are not counted
-    /// here (what it drops is counted in
-    /// [`QueryStats::lower_bound_pruned`]), so on large SUM groups under
-    /// AVX2 this reads 3–4× lower than the all-exact loop's count for the
-    /// same pages. Heuristic 3 counts `n` per tight key **actually
+    /// the same query. **Exact** evaluations only: the terms the bounded
+    /// MBM loop's rounded-down leaf bounds (block and `f32`) compute are
+    /// not counted here (what they drop is counted in
+    /// [`QueryStats::lower_bound_pruned`]), so on large SUM groups this
+    /// reads 3–4× lower than the all-exact loop's count for the same
+    /// pages. Heuristic 3 counts `n` per tight key **actually
     /// computed**: on SUM groups of 48 points and more the bounded loop keys
     /// children lazily, under one centroid distance each, and pays the `n`
     /// terms only for the children that reach the top of its heap (~40 of
     /// ~134 a query on 256-point groups), so it reads about half the eager
     /// loop's count there.
     pub dist_computations: u64,
-    /// Leaf entries the bounded MBM loop dropped on a rounded-down `f32`
-    /// lower bound of `dist(p, Q)`, without computing their exact distance
-    /// (packed SUM queries on the AVX2 tier; `0` everywhere else). Each is
-    /// an entry [`crate::KBestList::offer`] would have refused.
+    /// Leaf entries the bounded MBM loop dropped on a rounded-down lower
+    /// bound of `dist(p, Q)`, without computing their exact distance,
+    /// counted over both stages of its leaf cascade: the `f64` block bound
+    /// (packed SUM queries of 48 members and more with heuristic 3 on,
+    /// every tier) and the `f32` bound (packed SUM queries on the AVX2
+    /// tier); `0` everywhere else. Each is an entry
+    /// [`crate::KBestList::offer`] would have refused.
     pub lower_bound_pruned: u64,
     /// Individual nearest neighbors pulled from NN streams (MQM, F-MQM) or
     /// closest pairs consumed (GCP).

@@ -9,13 +9,16 @@
 //! * [`CentroidBound`] — one term for a node: `W·mindist(N, c)` at the
 //!   group's weighted centroid `c`, rounded down below the computed
 //!   heuristic-3 sum `Σ wᵢ·mindist(N, qᵢ)`.
+//! * [`BlockBound`] — one `f64` term a block for a leaf entry:
+//!   `Σⱼ Wⱼ·|p cⱼ|` over the group cut into the cells of a grid, rounded
+//!   down below the computed `dist(p, Q)`. Every tier.
 //!
-//! Neither ever stands in for a distance: a caller drops an entry or parks
+//! None ever stands in for a distance: a caller drops an entry or parks
 //! a node only where the bound already reaches its threshold, and computes
-//! the exact value otherwise. Both margins are derived below in one form —
+//! the exact value otherwise. The margins are derived below in one form —
 //! what is rounded, the bound on each error, the subnormal allowance, the
-//! non-finite fallback. `crates/geom/tests/bounds.rs` sweeps both over one
-//! grid of scales, weights and degenerate shapes on every [`SimdLevel`],
+//! non-finite fallback. `crates/geom/tests/bounds.rs` sweeps all three over
+//! one grid of scales, weights and degenerate shapes on every [`SimdLevel`],
 //! and names the case each hand mutation of a margin fails.
 //!
 //! # The `f32` leaf bound
@@ -99,6 +102,45 @@
 //!   normal number (the reciprocal would lose its relative error). An
 //!   overflowed `ĉ`, `Ŵ` or product makes the key `∞` or NaN; it is then
 //!   `0`, and a caller's `max` with a cheaper bound keeps that one alone.
+//!
+//! # The block bound
+//!
+//! Cut Q into blocks `Qⱼ` with weights `Wⱼ` and weighted centroids `cⱼ`.
+//! The norm is convex, so `Wⱼ·|p cⱼ| = |Σ_{i∈j} wᵢ(p − qᵢ)| <= Σ_{i∈j}
+//! wᵢ·|p qᵢ|`, and summed over the blocks `Σⱼ Wⱼ·|p cⱼ| <= dist(p, Q)` for
+//! any partition — the centroid key's Jensen step, once a block. One block
+//! is the centroid key's `W·|p c|`, `n` blocks the exact sum; the blocks
+//! here are the non-empty cells of a `g × g` grid over the group's MBR,
+//! `g = ⌈n^¼⌉` (16 cells at n = 256, 9 at n = 48), so an entry costs
+//! `m <= g²`, about `√n`, `f64` terms instead of `n` `f32` lanes. The bound is
+//! `K·(1 − ρ) − F`, where `K` is
+//! [`BatchKernels::points_weighted_dist_sum_multi_padded`] over the blocks'
+//! computed centroids `ĉⱼ` and weights `Ŵⱼ` (a sequential fold, so the same
+//! bits on every tier), `u = 2⁻⁵³` and `μ` as for the centroid key.
+//!
+//! * *Rounded:* each block's `Ŵⱼ` and `ĉⱼ`, computed as the centroid
+//!   key's but in member order; in `K` each difference, square, sum,
+//!   root, product and the fold over `m` blocks; `F`; and the last line's
+//!   product and difference. On the other side, every term and addition of
+//!   the computed `dist(p, Q)`.
+//! * *Error bounds.* `ĉⱼ` lies within `√2·γ₂ₙⱼ₊₂·μ` of `cⱼ`, and the
+//!   distance to it is 1-Lipschitz: the centroid key's slack `eⱼ = (6nⱼ +
+//!   16)·u·μ + 2⁻⁵³⁰` is more than twice that, so `F = Σⱼ Ŵⱼ·eⱼ` (computed)
+//!   covers `Σⱼ Wⱼ·|ĉⱼ cⱼ|`. `K` is at most `(1 + γₙ₊ₘ₊₃)` above `Σⱼ
+//!   Wⱼ·|p ĉⱼ|` (a computed root `(1 + u)³` above the exact one, `Ŵⱼ`
+//!   within `γₙⱼ₋₁`, the product and the `m`-term fold), and the computed
+//!   `dist(p, Q)` at least `(1 − γₙ₊₄)` times the exact one. With the last
+//!   line's two roundings that is under `(3n + 9)·u` relative for `m <= n`;
+//!   `ρ = (6n + 32)·u`.
+//! * *Subnormal allowance.* A square below `f64`'s normal range is off by
+//!   up to `2⁻⁵³⁷` after its root, on either side — `W·2⁻⁵³⁶` in all, and
+//!   `F` holds `W·2⁻⁵³⁰`. An underflowed product or difference loses up to
+//!   `2⁻¹⁰⁷⁵`: `n` terms of the exact sum, `m` of `K`, `m` of `F` and the
+//!   last line's two, fewer than `(2n + 4)·2⁻¹⁰⁷⁴`, which `F` adds.
+//! * *Non-finite fallback.* No bound at all where a block's `Ŵⱼ` or
+//!   `1/Ŵⱼ` is not a normal number. An overflowed `ĉⱼ`, square or sum makes
+//!   `K` infinite or NaN, an overflowed `F` makes the bound `−∞` or NaN:
+//!   either way the bound is not finite and promises nothing.
 
 // The only `unsafe` here is the one call into the AVX2 body of the `f32`
 // leaf bound, sound because a `LeafBound` exists only at `Avx2Fma` (see its
@@ -217,6 +259,21 @@ impl<'a> LeafBound<'a> {
     }
 }
 
+/// `μ`: the largest coordinate magnitude of a group, read off its MBR's
+/// corners, which hold every coordinate's extremes.
+fn coordinate_bound(mbr: &Rect) -> f64 {
+    [mbr.lo.x, mbr.lo.y, mbr.hi.x, mbr.hi.y]
+        .into_iter()
+        .fold(0.0f64, |a, c| a.max(c.abs()))
+}
+
+/// `e`: how far the computed weighted centroid of `n` members with
+/// coordinates up to `mu` may sit from the exact one, plus the subnormal
+/// allowance (module docs).
+fn centroid_slack(n: f64, mu: f64) -> f64 {
+    (6.0 * n + 16.0) * f64::EPSILON / 2.0 * mu + 2f64.powi(-530)
+}
+
 /// A SUM group's weighted centroid with the margin that makes
 /// `W·mindist(N, ĉ)` a sound lower bound on the computed tight bound
 /// `Σ wᵢ·mindist(N, qᵢ)` (derivation: module docs).
@@ -272,17 +329,13 @@ impl CentroidBound {
         };
         add(&pad(qx), &pad(qy), &pad(w));
         let n = len as f64;
-        // μ: the MBR's corners hold every coordinate's extremes.
-        let mu = [mbr.lo.x, mbr.lo.y, mbr.hi.x, mbr.hi.y]
-            .into_iter()
-            .fold(0.0f64, |a, c| a.max(c.abs()));
         Some(CentroidBound {
             centre: Point::new(
                 (sx[0] + sx[1]) + (sx[2] + sx[3]),
                 (sy[0] + sy[1]) + (sy[2] + sy[3]),
             ),
             total_weight,
-            slack: (6.0 * n + 16.0) * f64::EPSILON / 2.0 * mu + 2f64.powi(-530),
+            slack: centroid_slack(n, coordinate_bound(mbr)),
             factor: 1.0 - (4.0 * n + 32.0) * f64::EPSILON / 2.0,
             // (n + 2)·2⁻¹⁰⁷⁴, exactly: the smallest subnormal's multiple.
             floor: (n + 2.0) * f64::from_bits(1),
@@ -305,6 +358,134 @@ impl CentroidBound {
             key
         } else {
             0.0
+        }
+    }
+}
+
+/// `⌈n^¼⌉`: the side of the grid a group of `n` members is cut on.
+fn grid_side(n: usize) -> usize {
+    let mut side = 1usize;
+    while side.pow(4) < n {
+        side += 1;
+    }
+    side
+}
+
+/// The rounded-down block bound on a weighted SUM group's distance to every
+/// entry of a lane-padded leaf: `Σⱼ Ŵⱼ·|p ĉⱼ|` over the non-empty cells of a
+/// `⌈n^¼⌉ × ⌈n^¼⌉` grid over the group's MBR, `m` `f64` terms an entry
+/// (margin: module docs). Built on every tier.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockBound<'a> {
+    kernels: BatchKernels,
+    /// One lane a block: the computed centroids' `x` and `y` and the
+    /// blocks' weights `Ŵⱼ`.
+    cx: &'a [f64],
+    cy: &'a [f64],
+    cw: &'a [f64],
+    /// `1 − ρ`.
+    factor: f64,
+    /// `F`.
+    floor: f64,
+}
+
+impl<'a> BlockBound<'a> {
+    /// The bound for the group `(qx, qy)` with weights `w` and MBR `mbr`,
+    /// pinned to `kernels`; `buf` is refilled with the blocks (so a reused
+    /// buffer allocates nothing once warm). `None` where a block's `Ŵⱼ` or
+    /// `1/Ŵⱼ` is not a normal number.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `qx`, `qy` and `w` disagree in length.
+    pub fn new(
+        kernels: BatchKernels,
+        qx: &[f64],
+        qy: &[f64],
+        w: &[f64],
+        mbr: &Rect,
+        buf: &'a mut Vec<f64>,
+    ) -> Option<Self> {
+        let n = qx.len();
+        assert!(qy.len() == n && w.len() == n);
+        let side = grid_side(n);
+        let cells = side * side;
+        // One multiply a member and axis. A flat MBR makes `0·∞`, NaN, which
+        // casts to cell 0, as does `-0`; any cut of Q is sound.
+        let scale = |lo: f64, hi: f64| side as f64 / (hi - lo);
+        let (kx, ky) = (scale(mbr.lo.x, mbr.hi.x), scale(mbr.lo.y, mbr.hi.y));
+        let at = |v: f64, lo: f64, k: f64| (((v - lo) * k) as usize).min(side - 1);
+        let cell = |i: usize| at(qy[i], mbr.lo.y, ky) * side + at(qx[i], mbr.lo.x, kx);
+        // Five planes of one lane a cell: members, `Ŵⱼ`, `1/Ŵⱼ`, and the
+        // centroid's `x` and `y`, each summed in member order.
+        buf.clear();
+        buf.resize(5 * cells, 0.0);
+        let planes: &'a mut [f64] = buf;
+        let (count, rest) = planes.split_at_mut(cells);
+        let (total, rest) = rest.split_at_mut(cells);
+        let (inv, rest) = rest.split_at_mut(cells);
+        let (sx, sy) = rest.split_at_mut(cells);
+        for (i, &wi) in w.iter().enumerate() {
+            let c = cell(i);
+            count[c] += 1.0;
+            total[c] += wi;
+        }
+        for c in 0..cells {
+            if count[c] > 0.0 {
+                inv[c] = 1.0 / total[c];
+                if !(total[c].is_normal() && inv[c].is_normal()) {
+                    return None; // `1/Ŵⱼ` would not hold its relative error
+                }
+            }
+        }
+        for (i, &wi) in w.iter().enumerate() {
+            let c = cell(i);
+            let v = wi * inv[c];
+            sx[c] += v * qx[i];
+            sy[c] += v * qy[i];
+        }
+        // Compact the non-empty cells to the front of each plane.
+        let mu = coordinate_bound(mbr);
+        let (mut blocks, mut slack) = (0, 0.0);
+        for c in 0..cells {
+            if count[c] > 0.0 {
+                slack += total[c] * centroid_slack(count[c], mu);
+                (total[blocks], sx[blocks], sy[blocks]) = (total[c], sx[c], sy[c]);
+                blocks += 1;
+            }
+        }
+        let n = n as f64;
+        Some(BlockBound {
+            kernels,
+            cx: &sx[..blocks],
+            cy: &sy[..blocks],
+            cw: &total[..blocks],
+            factor: 1.0 - (6.0 * n + 32.0) * f64::EPSILON / 2.0,
+            // (2n + 4)·2⁻¹⁰⁷⁴, exactly: the smallest subnormal's multiple.
+            floor: slack + (2.0 * n + 4.0) * f64::from_bits(1),
+        })
+    }
+
+    /// The number of blocks `m`: the terms an entry costs.
+    pub fn blocks(&self) -> usize {
+        self.cw.len()
+    }
+
+    /// Lower bounds on the exact weighted sums of `m` logical points whose
+    /// coordinate slices hold at least [`pad_len`]`(m)` readable lanes:
+    /// `out` is cleared and refilled with `m` values, and every finite
+    /// `out[j]` is `<=` [`BatchKernels::points_weighted_dist_sum_multi_padded`]'s
+    /// `j`-th value for the weights the bound was built from. A non-finite
+    /// `out[j]` promises nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a point slice is shorter than `pad_len(m)`.
+    pub fn lower_padded(&self, xs: &[f64], ys: &[f64], m: usize, out: &mut Vec<f64>) {
+        self.kernels
+            .points_weighted_dist_sum_multi_padded(xs, ys, m, self.cx, self.cy, self.cw, out);
+        for v in out.iter_mut() {
+            *v = *v * self.factor - self.floor;
         }
     }
 }

@@ -1,7 +1,7 @@
 //! One soundness harness for the rounded-down bounds of `gnn_geom::bound`.
 //!
-//! Every bound there must never exceed the value it stands for. Both run
-//! over one grid of query groups — scales `2^{0, ±40, ±80, ±127, ±200,
+//! Every bound there must never exceed the value it stands for. All three
+//! run over one grid of query groups — scales `2^{0, ±40, ±80, ±127, ±200,
 //! ±500}`, sizes 1–17, 32, 33, 256 and 1000, six weightings from unit to
 //! `10^±300`, and three layouts (spread, coincident, far from the origin) —
 //! on every [`SimdLevel`] the host can run:
@@ -16,6 +16,12 @@
 //!   (tightness — a margin grown until it filters nothing fails here),
 //!   padding lanes inert, and no bound at all below AVX2. The page sizes
 //!   are the lane-boundary sweep of the one `unsafe` call behind it.
+//! * [`BlockBound`] against the exact `f64` sum over the same pages, on
+//!   every level: `lower <= exact` or `lower` not finite, padding lanes
+//!   inert, at most `⌈n^¼⌉²` blocks; on a coincident group (one block,
+//!   Jensen with equality) `lower >= exact·(1 − 1.5ρ) − 1.5·F` wherever the
+//!   exact sum is finite (tightness); and positive off the member on
+//!   spread pages in `f64`'s normal range.
 //!
 //! Hand mutations of the margins, each alone in a scratch copy, and the
 //! case each fails first (AVX2 host; optimised build):
@@ -28,10 +34,20 @@
 //! * leaf `ρ = 0`: "2^0 n=1 weights unit Spread: page m=2" (soundness);
 //! * leaf `α = 0`: "2^-80 n=1 weights unit Spread: page m=2" (soundness);
 //! * leaf `ρ` doubled: "2^0 n=1 weights unit Spread: page m=3"
-//!   (tightness).
+//!   (tightness);
+//! * block `ρ = 0`: "2^0 n=5 weights 1e300 Coincident: block page
+//!   m=17 on Avx2Fma" (soundness);
+//! * block `F` without its `μ` term, or `F = 0`: "2^0 n=1 weights 0.1–10
+//!   Spread: block page m=1 on Scalar" (soundness);
+//! * block `F` without its `(2n + 4)·2⁻¹⁰⁷⁴`: "2^-40 n=2 weights 1e-300
+//!   Coincident: block page m=8 on Scalar" (soundness);
+//! * block `ρ` doubled: "2^0 n=1 weights unit Coincident: block page m=8
+//!   on Scalar" (tightness);
+//! * block `F` doubled: "2^0 n=1 weights unit Coincident: block page m=1
+//!   on Scalar" (tightness).
 
 use gnn_geom::batch::{scalar, BatchKernels};
-use gnn_geom::bound::{CentroidBound, LeafBound};
+use gnn_geom::bound::{BlockBound, CentroidBound, LeafBound};
 use gnn_geom::simd::pad_len;
 use gnn_geom::{Point, Rect, SimdLevel};
 
@@ -347,6 +363,113 @@ fn leaf_bound_is_sound_on_the_grid_and_tight_on_f32s_normal_range() {
         assert!(
             filtered_nothing > lanes / 4,
             "the extreme scales never left f32's range: {filtered_nothing} of {lanes}"
+        );
+    }
+}
+
+#[test]
+fn block_bound_is_sound_on_the_grid_and_tight_on_coincident_groups() {
+    let levels = SimdLevel::available_levels();
+    let mut rng = Lcg(36);
+    let (mut lanes, mut tight, mut positive, mut spread) = (0u64, 0u64, 0u64, 0u64);
+    let u = f64::EPSILON / 2.0;
+    grid(|g| {
+        let n = g.qx.len();
+        let side = (1usize..).find(|s| s.pow(4) >= n).unwrap();
+        let rho = (6.0 * n as f64 + 32.0) * u;
+        // One block on a coincident group: `F` is that block's centroid
+        // slack (its `Ŵ` is the group's, summed in the same order) plus the
+        // underflow allowance.
+        let mu = [g.mbr.lo.x, g.mbr.lo.y, g.mbr.hi.x, g.mbr.hi.y]
+            .into_iter()
+            .fold(0.0f64, |a, c| a.max(c.abs()));
+        let floor = g.total * ((6.0 * n as f64 + 16.0) * u * mu + 2f64.powi(-530))
+            + (2.0 * n as f64 + 4.0) * f64::from_bits(1);
+        let sizes: &[usize] = match g.layout {
+            Layout::Spread => &PAGE_SIZES,
+            Layout::Coincident | Layout::Far => &[0, 1, 8, 9, 17, 33],
+        };
+        // Every product and sum of these cases stays in `f64`'s normal
+        // range.
+        let normal = matches!(g.weighting, "unit" | "0.1–10") && g.e.abs() <= 200;
+        let mut buf = vec![7.0];
+        for &level in &levels {
+            let k = BatchKernels::for_level(level).unwrap();
+            let bound = BlockBound::new(k, &g.qx, &g.qy, &g.w, &g.mbr, &mut buf)
+                .expect("every grid weighting sums to normal block weights");
+            assert!(
+                (1..=side * side).contains(&bound.blocks()),
+                "{}: {} blocks",
+                g.what,
+                bound.blocks()
+            );
+            if let Layout::Coincident = g.layout {
+                assert_eq!(bound.blocks(), 1, "{}: a coincident group", g.what);
+            }
+            for &m in sizes {
+                let what = format!("{}: block page m={m} on {level:?}", g.what);
+                let (xs, ys) = page(g, m, &mut rng);
+                let mut exact = Vec::new();
+                scalar::points_weighted_dist_sum_multi(&xs, &ys, &g.qx, &g.qy, &g.w, &mut exact);
+                let mut lower = vec![f64::NAN; 3];
+                bound.lower_padded(&poisoned(&xs, 1e300), &poisoned(&ys, -1e300), m, &mut lower);
+                assert_eq!(lower.len(), m);
+                for poison in [0.0, f64::NAN, f64::INFINITY] {
+                    let mut again = Vec::new();
+                    bound.lower_padded(
+                        &poisoned(&xs, poison),
+                        &poisoned(&ys, poison),
+                        m,
+                        &mut again,
+                    );
+                    assert_eq!(bits(&lower), bits(&again), "{what}: padding {poison}");
+                }
+                for j in 0..m {
+                    lanes += 1;
+                    assert!(
+                        !lower[j].is_finite() || lower[j] <= exact[j],
+                        "{what} j={j}: lower {:e} above exact {:e}",
+                        lower[j],
+                        exact[j]
+                    );
+                    match g.layout {
+                        Layout::Coincident if (exact[j] + floor).is_finite() => {
+                            tight += 1;
+                            assert!(
+                                lower[j] >= exact[j] * (1.0 - 1.5 * rho) - 1.5 * floor,
+                                "{what} j={j}: lower {:e} too far below exact {:e}",
+                                lower[j],
+                                exact[j]
+                            );
+                        }
+                        Layout::Spread if j > 0 && normal => {
+                            spread += 1;
+                            positive += u64::from(lower[j] > 0.0);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+    });
+    assert!(lanes > 1_000_000, "the sweep shrank: {lanes}");
+    assert!(tight > lanes / 10, "{tight} tightness checks of {lanes}");
+    // Away from the member entry 0 sits on, a spread page's entries are
+    // bounded by a real value, not the margin.
+    assert_eq!(positive, spread, "positive bounds on spread pages");
+}
+
+#[test]
+fn no_block_bound_without_normal_block_weights() {
+    let (q, m) = ([1.0, 2.0], Rect::from_corners(1.0, 1.0, 2.0, 2.0));
+    let k = BatchKernels::auto();
+    let mut buf = Vec::new();
+    let bound = BlockBound::new(k, &q, &q, &[1.0, 1.0], &m, &mut buf).expect("normal weights");
+    assert_eq!(bound.blocks(), 2, "two members on a 2 × 2 grid's diagonal");
+    for w in [[1e-310, 1.0], [1.0, 1e-310], [1e308, 1.0]] {
+        assert!(
+            BlockBound::new(k, &q, &q, &w, &m, &mut buf).is_none(),
+            "{w:?}"
         );
     }
 }

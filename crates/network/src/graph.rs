@@ -84,9 +84,11 @@ impl RoadNetwork {
     /// # Panics
     ///
     /// Panics if the weight is not positive-finite, if either endpoint is
-    /// unknown, or if `a == b`. Weights below the Euclidean distance of the
-    /// endpoints break [`crate::NetworkIer`]'s lower bound and are rejected
-    /// too.
+    /// unknown, or if `a == b`. Weights below the computed Euclidean
+    /// distance of the endpoints — by any amount: [`crate::NetworkIer`]
+    /// takes that distance as a lower bound on the network distance — are
+    /// rejected too. [`RoadNetwork::add_edge`] passes exactly that
+    /// distance.
     pub fn add_edge_weighted(&mut self, a: VertexId, b: VertexId, weight: f64) -> EdgeId {
         assert!(a != b, "self-loops are not allowed");
         assert!(
@@ -95,7 +97,7 @@ impl RoadNetwork {
         );
         let euclid = self.positions[a.index()].dist(self.positions[b.index()]);
         assert!(
-            weight >= euclid - 1e-9,
+            weight >= euclid,
             "edge weight {weight} below Euclidean length {euclid}: network distance \
              would not dominate Euclidean distance"
         );
@@ -306,6 +308,17 @@ mod tests {
         let a = net.add_vertex(Point::new(0.0, 0.0));
         let b = net.add_vertex(Point::new(10.0, 0.0));
         net.add_edge_weighted(a, b, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "below Euclidean length")]
+    fn rejects_weights_a_hair_below_euclidean() {
+        // A hair short of the length: NET-IER would take 1 as a lower bound
+        // on a network distance of 1 − 0.5e-9.
+        let mut net = RoadNetwork::new();
+        let q = net.add_vertex(Point::new(0.0, 0.0));
+        let a = net.add_vertex(Point::new(1.0, 0.0));
+        net.add_edge_weighted(q, a, 1.0 - 0.5e-9);
     }
 
     #[test]

@@ -1,0 +1,132 @@
+//! Hostile data: every stored point is the same point. Each node MBR and
+//! leaf MBR is that point, every exact distance ties with every other, and
+//! from `LAZY_MIN` = 48 SUM members up the bounded MBM loop runs its leaf
+//! cascade on zero-area pages. A tree of 1 000 copies — arena and packed,
+//! at page capacities 4 and 50 — is queried through `execute_on` and the
+//! direct MBM / SPM / MQM entry points, under SUM, MAX and MIN, with
+//! `k ∈ {1, 8, 1 000, 1 001}` and groups of `n ∈ {1, 4, 48, 256}` spread
+//! around the point (and, under SUM, also stacked on it). Every answer must carry the
+//! oracle's distance bits at every rank, `min(k, N)` distinct real points,
+//! and no panic on the way.
+//!
+//! MQM with `k >= N` is the one slow corner: every member's NN stream
+//! yields the same tie order, so no point is new until all `n` streams
+//! have pulled it — `n·N` pulls a query, up to ~2 s unoptimised at
+//! n = 256. Debug builds leave those cases at n = 48 and 256 to the
+//! optimised run (CI runs this suite with `--release` under both
+//! dispatches), which takes ~20 s for the whole matrix.
+
+use gnn::core::baseline::linear_scan_points;
+use gnn::prelude::*;
+
+const COPIES: usize = 1_000;
+const AT: Point = Point::new(3.0, -4.0);
+
+fn index(capacity: usize) -> (RTree, PackedRTree) {
+    let tree = RTree::bulk_load(
+        RTreeParams::with_capacity(capacity),
+        (0..COPIES).map(|i| LeafEntry::new(PointId(i as u64), AT)),
+    );
+    let packed = tree.freeze();
+    (tree, packed)
+}
+
+/// `n` members around the data point on a spiral (the first on the point
+/// itself), or all `n` stacked on it.
+fn group(n: usize, stacked: bool, agg: Aggregate) -> QueryGroup {
+    let pts = (0..n)
+        .map(|i| {
+            if stacked {
+                return AT;
+            }
+            let (r, a) = (0.25 * i as f64, 2.4 * i as f64);
+            Point::new(AT.x + r * a.cos(), AT.y + r * a.sin())
+        })
+        .collect();
+    QueryGroup::with_aggregate(pts, agg).unwrap()
+}
+
+fn assert_oracle(got: &[Neighbor], want: &[Neighbor], k: usize, what: &str) {
+    assert_eq!(got.len(), k.min(COPIES), "{what}: count");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            g.dist.to_bits(),
+            w.dist.to_bits(),
+            "{what}: distance at rank {i}"
+        );
+        assert_eq!(g.point, AT, "{what}: rank {i} is not a data point");
+        assert!((g.id.0 as usize) < COPIES, "{what}: rank {i} id {:?}", g.id);
+    }
+    let mut ids: Vec<u64> = got.iter().map(|n| n.id.0).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), got.len(), "{what}: an id reported twice");
+}
+
+#[test]
+fn every_entry_point_answers_all_coincident_data_like_the_oracle() {
+    let data = vec![AT; COPIES];
+    let trees: Vec<(usize, RTree, PackedRTree)> = [4usize, 50]
+        .into_iter()
+        .map(|capacity| {
+            let (tree, packed) = index(capacity);
+            (capacity, tree, packed)
+        })
+        .collect();
+    let cursors: Vec<(String, TreeCursor<'_>)> = trees
+        .iter()
+        .flat_map(|(capacity, tree, packed)| {
+            [
+                (
+                    format!("arena cap={capacity}"),
+                    TreeCursor::unbuffered(tree),
+                ),
+                (format!("packed cap={capacity}"), packed.cursor()),
+            ]
+        })
+        .collect();
+    let planner = Planner::new();
+    let mut scratch = QueryScratch::new();
+    for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
+        for n in [1usize, 4, 48, 256] {
+            // Stacked on the data point, every SUM distance and bound is 0.
+            let layouts: &[bool] = match agg {
+                Aggregate::Sum => &[false, true],
+                Aggregate::Max | Aggregate::Min => &[false],
+            };
+            for &stacked in layouts {
+                let g = group(n, stacked, agg);
+                for k in [1usize, 8, COPIES, COPIES + 1] {
+                    let want = linear_scan_points(&data, &g, k).neighbors;
+                    let slow = n >= 48 && k >= COPIES && cfg!(debug_assertions);
+                    for (backend, cursor) in &cursors {
+                        let what = format!("{backend} {agg} n={n} stacked={stacked} k={k}");
+                        for algo in [Algo::Auto, Algo::Mqm, Algo::Spm, Algo::Mbm] {
+                            if slow && algo == Algo::Mqm {
+                                continue;
+                            }
+                            let request = QueryRequest::with_algo(g.clone(), k, algo);
+                            let (_, got, ..) =
+                                request.execute_on(&planner, &Target::Single(cursor), &mut scratch);
+                            assert_oracle(got, &want, k, &format!("{what} execute_on {algo:?}"));
+                        }
+                        let direct: [(&str, &dyn MemoryGnnAlgorithm); 5] = [
+                            ("MBM", &Mbm::best_first()),
+                            ("MBM-DF", &Mbm::depth_first()),
+                            ("SPM", &Spm::best_first()),
+                            ("SPM-DF", &Spm::depth_first()),
+                            ("MQM", &Mqm::new()),
+                        ];
+                        for (name, algo) in direct {
+                            if !algo.supports(agg, false) || (slow && name == "MQM") {
+                                continue;
+                            }
+                            let (got, _) = algo.k_gnn_in(cursor, &g, k, &mut scratch);
+                            assert_oracle(got, &want, k, &format!("{what} {name}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

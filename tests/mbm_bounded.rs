@@ -141,12 +141,25 @@ proptest! {
 // arena reference and to the index-free oracle — distance bits at every
 // rank, ids wherever the rank is untied, node accesses against the stream —
 // on data chosen to sit where an `f32` bound is weakest. Under
-// `GNN_FORCE_SCALAR=1` (and below AVX2) the same cases run the all-exact
-// loop and must drop nothing.
+// `GNN_FORCE_SCALAR=1` (and below AVX2) the same cases run without the `f32`
+// stage: groups below `LAZY_MIN` run the all-exact loop and must drop
+// nothing, larger ones drop through the block stage alone.
 
 /// Whether this process filters SUM leaves through the `f32` bound.
 fn filters() -> bool {
     gnn::geom::simd::dispatch_level() == gnn::geom::SimdLevel::Avx2Fma
+}
+
+/// The smallest SUM group the bounded loop keys lazily and filters through
+/// the block bound, on every tier (a private constant of `gnn-core`'s
+/// `mbm.rs`).
+const LAZY_MIN: usize = 48;
+
+/// Whether the bounded loop may drop leaf entries of `group`'s query: the
+/// `f32` stage on the AVX2 tier, the block stage from `LAZY_MIN` members
+/// on every tier; SUM only.
+fn may_drop(group: &QueryGroup) -> bool {
+    group.aggregate() == Aggregate::Sum && (filters() || group.len() >= LAZY_MIN)
 }
 
 /// One query, four engines; returns the bounded loop's counters.
@@ -202,7 +215,7 @@ fn assert_equivalent(
         sc.stats().logical,
         "{what}: node accesses, bounded loop vs incremental stream"
     );
-    if !filters() || group.aggregate() != Aggregate::Sum {
+    if !may_drop(group) {
         assert_eq!(
             bounded.stats.lower_bound_pruned, 0,
             "{what}: no filter here"
@@ -373,25 +386,28 @@ fn large_groups_on_clustered_data_drop_most_entries_and_change_nothing() {
         dropped += stats.lower_bound_pruned;
         exact_pairs += stats.dist_computations;
     }
-    if filters() {
-        // Every entry the filter looked at was dropped or paid 256 exact
-        // pairs (as did the first leaf's, and heuristic 3): most are dropped.
-        assert!(
-            dropped * 256 > exact_pairs,
-            "dropped {dropped} entries against {exact_pairs} exact pairs"
-        );
-    }
+    // Every entry the cascade looked at was dropped or paid 256 exact pairs
+    // (as did the first leaf's, and heuristic 3): most are dropped, on every
+    // tier — the block stage runs on all of them.
+    assert!(
+        dropped * 256 > exact_pairs,
+        "dropped {dropped} entries against {exact_pairs} exact pairs"
+    );
 }
 
-// ---- lazy heuristic-3 keys -------------------------------------------------
+// ---- lazy heuristic-3 keys and the block stage -----------------------------
 //
-// From `LAZY_MIN` = 48 members up (a private constant of `gnn-core`'s
-// `mbm.rs`), the bounded loop parks a SUM child under a one-term centroid
-// key and pays its n-term tight key only when the child reaches the top of
-// the heap. Pages must be read in the eager loop's order all the same, so
-// the sizes on either side of the threshold and the benchmark's 256 hold
-// the bounded loop to the stream (which keys eagerly), the arena and the
-// oracle on the tie lattice, where equal keys are the common case.
+// From `LAZY_MIN` = 48 members up, the bounded loop parks a SUM child under
+// a one-term centroid key and pays its n-term tight key only when the child
+// reaches the top of the heap. Pages must be read in the eager loop's order
+// all the same, so the sizes on either side of the threshold and the
+// benchmark's 256 hold the bounded loop to the stream (which keys eagerly),
+// the arena and the oracle on the tie lattice, where equal keys are the
+// common case. From the same size up the leaf cascade scores an entry
+// against one weighted centroid per block of the group first, in `f64` and
+// on every tier. At 2⁻⁸⁰ and 2¹⁰⁰ the `f32` stage is blind (every square
+// under- or overflows it), so whatever the loop drops there, the block
+// stage dropped — and the answers must not notice.
 
 /// `n` distinct off-lattice members over the middle of the (scaled)
 /// lattice, on a quarter-cell grid offset by an eighth.
@@ -414,9 +430,23 @@ fn lazy_keys_read_the_eager_pages_at_and_around_the_threshold() {
         let (tree, packed) = index(&data, 16);
         for n in [47usize, 48, 256] {
             let group = spread_group(n, exp);
+            let mut dropped = 0;
             for k in [1usize, 5, 8, 31] {
                 let what = format!("lattice·2^{exp} n={n} k={k}");
-                assert_equivalent(&tree, &packed, &data, &group, k, &what);
+                dropped +=
+                    assert_equivalent(&tree, &packed, &data, &group, k, &what).lower_bound_pruned;
+            }
+            if exp != 0 {
+                assert_eq!(
+                    dropped > 0,
+                    n >= LAZY_MIN,
+                    "lattice·2^{exp} n={n}: {dropped} dropped where f32 is blind"
+                );
+            } else if n >= LAZY_MIN {
+                assert!(
+                    dropped > 0,
+                    "lattice n={n}: the block stage dropped nothing"
+                );
             }
         }
     }

@@ -189,6 +189,43 @@ fn packed_matches_arena_on_perturbed_grids() {
 }
 
 #[test]
+fn ier_takes_euclidean_distance_as_an_exact_lower_bound() {
+    // q = (0, 0); a = (1, 0) and b = (0, 1 − 0.3e-9), each one edge of
+    // exactly its Euclidean length from q, so b is nearer by 0.3e-9. An edge
+    // to a even 0.5e-9 short of its length would put a nearer, while
+    // NET-IER, pruning with Euclidean distance, would still answer b:
+    // `add_edge_weighted` refuses such an edge.
+    let mut g = RoadNetwork::new();
+    let q = g.add_vertex(Point::new(0.0, 0.0));
+    let a = g.add_vertex(Point::new(1.0, 0.0));
+    let b = g.add_vertex(Point::new(0.0, 1.0 - 0.3e-9));
+    g.add_edge_weighted(q, a, 1.0);
+    g.add_edge(q, b);
+    let (data, query) = ([a, b], [q]);
+    let want = network_oracle(&g, &data, &query, 1, Aggregate::Sum);
+    assert_eq!(want.len(), 1);
+    assert_eq!((want[0].vertex, want[0].dist), (b, 1.0 - 0.3e-9));
+
+    let packed = g.freeze();
+    let tree = data_tree(&g, &data);
+    let mut scratch = NetworkScratch::new();
+    let arena = NetworkIer.k_gnn(&g, &data, &query, 1, Aggregate::Sum);
+    assert_eq!(arena.neighbors.len(), 1);
+    assert_eq!(
+        (arena.neighbors[0].vertex, arena.neighbors[0].dist.to_bits()),
+        (b, want[0].dist.to_bits()),
+        "arena IER"
+    );
+    let (got, _) = NetworkIer.k_gnn_in(&packed, &tree, &query, 1, Aggregate::Sum, &mut scratch);
+    assert_eq!(got.len(), 1);
+    assert_eq!(
+        (got[0].id, got[0].dist.to_bits()),
+        (PointId(u64::from(b.0)), want[0].dist.to_bits()),
+        "packed IER"
+    );
+}
+
+#[test]
 fn packed_snap_matches_linear_scan_oracle() {
     // The frozen vertex R-tree snap must pick the same vertex as the O(V)
     // scan it replaced (both tie-break toward the lowest vertex id).
