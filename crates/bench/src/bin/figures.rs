@@ -11,14 +11,10 @@
 //! * `--quick`        10x smaller datasets, fewer queries (smoke run)
 //! * `--queries N`    queries per workload cell (default 100, paper's value)
 //! * `--csv DIR`      also write one CSV per experiment into DIR
-//! * `--json PATH`    write every table plus the packed-vs-arena throughput
-//!   cells as one machine-readable JSON document (the perf-trajectory
-//!   format; `BENCH_baseline.json` at the repo root is a checked-in
-//!   `--quick --json` run)
+//! * `--json PATH`    write every table as one machine-readable JSON
+//!   document
 //!
-//! Experiments: the paper figures (`fig5_1`..`fig5_7`), the `ablations`,
-//! and `throughput` — steady-state queries/sec of the zero-allocation hot
-//! path on the packed snapshot vs. the arena tree (same node accesses).
+//! Experiments: the paper figures (`fig5_1`..`fig5_7`) and the `ablations`.
 //!
 //! Absolute numbers will not match a 2004 Pentium with real disks; the
 //! *shapes* (who wins, growth trends, blow-ups) are the reproduction target.
@@ -27,8 +23,8 @@
 use gnn_bench::defaults;
 use gnn_bench::{
     build_tree, disk_query_file, file_algorithms, memory_algorithms, overlap_target, run_file_cell,
-    run_gcp_cell, run_memory_cell, run_throughput, scaled_query_points, varying_m_target, Cost,
-    Dataset, SeriesTable, ThroughputCell,
+    run_gcp_cell, run_memory_cell, scaled_query_points, varying_m_target, Cost, Dataset,
+    SeriesTable,
 };
 use gnn_core::{CentroidMethod, Mbm, MemoryGnnAlgorithm, Spm, Traversal};
 use gnn_geom::Point;
@@ -45,65 +41,23 @@ struct Options {
     experiments: BTreeSet<String>,
 }
 
-/// Tables and throughput cells accumulated for `--json`.
+/// Tables accumulated for `--json`.
 #[derive(Default)]
 struct Report {
     tables: Vec<SeriesTable>,
-    throughput: Vec<ThroughputCell>,
 }
 
 impl Report {
     fn to_json(&self, opts: &Options) -> String {
         let tables: Vec<String> = self.tables.iter().map(SeriesTable::to_json).collect();
-        let cells: Vec<String> = self
-            .throughput
-            .iter()
-            .map(ThroughputCell::to_json)
-            .collect();
         format!(
-            "{{\n\"schema\":\"gnn-bench-report/1\",\n\"quick\":{},\n\"queries\":{},\n\
-             \"tables\":[\n{}\n],\n\"throughput\":[\n{}\n]\n}}\n",
+            "{{\n\"schema\":\"gnn-bench-report/2\",\n\"quick\":{},\n\"queries\":{},\n\
+             \"tables\":[\n{}\n]\n}}\n",
             opts.quick,
             opts.queries,
             tables.join(",\n"),
-            cells.join(",\n"),
         )
     }
-}
-
-/// The packed-vs-arena throughput experiment (the perf trajectory's
-/// headline metric; see `EXPERIMENTS.md`).
-fn run_throughput_experiment(opts: &Options, report: &mut Report) {
-    if !opts.experiments.contains("throughput") {
-        return;
-    }
-    eprintln!("[throughput] packed vs arena (full-scale datasets)...");
-    let cells = run_throughput(opts.quick);
-    println!("== throughput (steady-state queries/sec, packed vs arena) ==");
-    println!(
-        "{:<4} {:<4} {:>4} {:>5} {:>3} {:>12} {:>12} {:>8} {:>8}",
-        "ds", "algo", "n", "M", "k", "arena q/s", "packed q/s", "speedup", "NA"
-    );
-    for c in &cells {
-        println!(
-            "{:<4} {:<4} {:>4} {:>5} {:>3} {:>12.0} {:>12.0} {:>7.2}x {:>8}",
-            c.dataset,
-            c.algo,
-            c.n,
-            format!("{}%", (c.area * 100.0) as u32),
-            c.k,
-            c.arena_qps,
-            c.packed_qps,
-            c.speedup,
-            if (c.arena_na - c.packed_na).abs() < 1e-9 {
-                format!("{:.1}", c.arena_na)
-            } else {
-                format!("{:.1}!={:.1}", c.arena_na, c.packed_na)
-            }
-        );
-    }
-    println!();
-    report.throughput = cells;
 }
 
 const MEMORY_FIGS: [&str; 3] = ["fig5_1", "fig5_2", "fig5_3"];
@@ -146,15 +100,11 @@ fn parse_args() -> Options {
                 for f in MEMORY_FIGS.iter().chain(&DISK_FIGS) {
                     opts.experiments.insert((*f).into());
                 }
-                opts.experiments.insert("throughput".into());
             }
             "ablations" => {
                 for f in &ABLATIONS {
                     opts.experiments.insert((*f).into());
                 }
-            }
-            "throughput" => {
-                opts.experiments.insert("throughput".into());
             }
             other
                 if MEMORY_FIGS.contains(&other)
@@ -166,7 +116,7 @@ fn parse_args() -> Options {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "experiments: {} throughput | all | ablations",
+                    "experiments: {} | all | ablations",
                     MEMORY_FIGS
                         .iter()
                         .chain(&DISK_FIGS)
@@ -183,7 +133,6 @@ fn parse_args() -> Options {
         for f in MEMORY_FIGS.iter().chain(&DISK_FIGS) {
             opts.experiments.insert((*f).into());
         }
-        opts.experiments.insert("throughput".into());
     }
     if opts.quick && opts.queries == defaults::WORKLOAD_QUERIES {
         opts.queries = 10;
@@ -658,7 +607,6 @@ fn main() {
     run_memory_figures(&opts, &mut report);
     run_disk_figures(&opts, &mut report);
     run_ablations(&opts, &mut report);
-    run_throughput_experiment(&opts, &mut report);
     if let Some(path) = &opts.json_path {
         std::fs::write(path, report.to_json(&opts)).expect("write json report");
         eprintln!("[json] {path}");

@@ -11,9 +11,7 @@
 
 #![forbid(unsafe_code)]
 
-use gnn_core::{
-    Aggregate, FileGnnAlgorithm, Fmbm, Fmqm, Gcp, MemoryGnnAlgorithm, QueryGroup, QueryScratch,
-};
+use gnn_core::{Aggregate, FileGnnAlgorithm, Fmbm, Fmqm, Gcp, MemoryGnnAlgorithm, QueryGroup};
 use gnn_datasets::{
     centered_subrect, overlap_shifted_rect, pp_synthetic, query_workload, scale_points_to_rect,
     ts_synthetic, QuerySpec,
@@ -217,182 +215,6 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// One packed-vs-arena throughput measurement (the perf-trajectory metric).
-#[derive(Debug, Clone)]
-pub struct ThroughputCell {
-    /// Dataset name ("PP" / "TS").
-    pub dataset: String,
-    /// Algorithm name ("MBM" / "SPM" / "MQM").
-    pub algo: String,
-    /// Query group cardinality.
-    pub n: usize,
-    /// Query MBR area fraction.
-    pub area: f64,
-    /// Neighbors retrieved.
-    pub k: usize,
-    /// Steady-state queries/sec on the arena tree (reference engine).
-    pub arena_qps: f64,
-    /// Steady-state queries/sec on the packed snapshot (optimized engine).
-    pub packed_qps: f64,
-    /// `packed_qps / arena_qps`.
-    pub speedup: f64,
-    /// Average node accesses per query, arena.
-    pub arena_na: f64,
-    /// Average node accesses per query, packed (must equal arena).
-    pub packed_na: f64,
-}
-
-impl ThroughputCell {
-    /// JSON object form.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"dataset\":{},\"algo\":{},\"n\":{},\"area\":{},\"k\":{},\
-             \"arena_qps\":{:.1},\"packed_qps\":{:.1},\"speedup\":{:.3},\
-             \"arena_na\":{:.2},\"packed_na\":{:.2}}}",
-            json_str(&self.dataset),
-            json_str(&self.algo),
-            self.n,
-            self.area,
-            self.k,
-            self.arena_qps,
-            self.packed_qps,
-            self.speedup,
-            self.arena_na,
-            self.packed_na,
-        )
-    }
-}
-
-/// Measures steady-state queries/sec of one algorithm over one workload on
-/// both backends (scratch reuse on both sides; one warm-up pass each).
-#[allow(clippy::too_many_arguments)]
-fn throughput_cell(
-    dataset: &str,
-    algo_name: &str,
-    algo: &dyn MemoryGnnAlgorithm,
-    tree: &RTree,
-    packed: &gnn_rtree::PackedRTree,
-    n: usize,
-    area: f64,
-    k: usize,
-    reps: usize,
-) -> ThroughputCell {
-    let queries: Vec<QueryGroup> = workload_for(tree, n, area, 32, 0x7417 + n as u64 + k as u64)
-        .into_iter()
-        .map(|q| QueryGroup::sum(q).expect("valid workload query"))
-        .collect();
-    let measure = |cursor: &TreeCursor<'_>| -> (f64, f64) {
-        let mut scratch = QueryScratch::new();
-        for q in &queries {
-            algo.k_gnn_in(cursor, q, k, &mut scratch);
-        }
-        cursor.take_stats();
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            for q in &queries {
-                algo.k_gnn_in(cursor, q, k, &mut scratch);
-            }
-        }
-        let total = (reps * queries.len()) as f64;
-        let qps = total / t0.elapsed().as_secs_f64();
-        let na = cursor.take_stats().logical as f64 / total;
-        (qps, na)
-    };
-    let (arena_qps, arena_na) = measure(&TreeCursor::unbuffered(tree));
-    let (packed_qps, packed_na) = measure(&TreeCursor::packed(packed));
-    ThroughputCell {
-        dataset: dataset.into(),
-        algo: algo_name.into(),
-        n,
-        area,
-        k,
-        arena_qps,
-        packed_qps,
-        speedup: packed_qps / arena_qps,
-        arena_na,
-        packed_na,
-    }
-}
-
-/// The packed-vs-arena throughput experiment: MBM across `n`, `M` and `k`
-/// plus one SPM and one MQM cell, on both datasets.
-///
-/// Always runs at full dataset scale (the trees build in well under a
-/// second); `quick` only shrinks the timed repetitions, so the checked-in
-/// `BENCH_baseline.json` numbers stay representative.
-pub fn run_throughput(quick: bool) -> Vec<ThroughputCell> {
-    let reps = if quick { 5 } else { 30 };
-    let mut cells = Vec::new();
-    for dataset in [Dataset::Pp, Dataset::Ts] {
-        let pts = dataset.points(false);
-        let tree = build_tree(&pts);
-        let packed = tree.freeze();
-        let mbm = gnn_core::Mbm::best_first();
-        for n in [4usize, 64, 256] {
-            cells.push(throughput_cell(
-                dataset.name(),
-                "MBM",
-                &mbm,
-                &tree,
-                &packed,
-                n,
-                0.08,
-                defaults::K,
-                reps,
-            ));
-        }
-        for area in [0.02f64, 0.32] {
-            cells.push(throughput_cell(
-                dataset.name(),
-                "MBM",
-                &mbm,
-                &tree,
-                &packed,
-                64,
-                area,
-                defaults::K,
-                reps,
-            ));
-        }
-        for k in [1usize, 32] {
-            cells.push(throughput_cell(
-                dataset.name(),
-                "MBM",
-                &mbm,
-                &tree,
-                &packed,
-                64,
-                0.08,
-                k,
-                reps,
-            ));
-        }
-        cells.push(throughput_cell(
-            dataset.name(),
-            "SPM",
-            &gnn_core::Spm::best_first(),
-            &tree,
-            &packed,
-            64,
-            0.08,
-            defaults::K,
-            reps,
-        ));
-        cells.push(throughput_cell(
-            dataset.name(),
-            "MQM",
-            &gnn_core::Mqm::new(),
-            &tree,
-            &packed,
-            4,
-            0.08,
-            defaults::K,
-            if quick { 1 } else { 3 }, // MQM is orders slower per query
-        ));
-    }
-    cells
 }
 
 /// Memory-resident algorithms compared in §5.1.

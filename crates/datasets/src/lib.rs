@@ -12,8 +12,7 @@
 //! cardinalities and qualitatively matching distributions (clustered
 //! settlements, dense line-shaped hydrography). The GNN algorithms' relative
 //! behavior depends on cardinality, skew and workspace geometry — all
-//! preserved — not on exact coordinates. Real data in the simple `x y` text
-//! format can be swapped in through [`io::read_points`].
+//! preserved — not on exact coordinates.
 //!
 //! The crate also generates the paper's query workloads (§5.1): batches of
 //! queries, each with `n` points uniformly distributed in a random MBR
@@ -27,7 +26,6 @@
 #![warn(missing_docs)]
 
 mod arrivals;
-pub mod io;
 mod mixed;
 mod synthetic;
 mod trips;

@@ -182,19 +182,43 @@ mod tests {
         }
     }
 
+    /// Every chunk phase of both `unsafe` blocks: a copy of 0..=17 lanes
+    /// (up to two chunk boundaries) onto 0..=8 lanes already stored, in a
+    /// fresh buffer and in one cleared from a longer fill, then a second
+    /// copy chained on. After each copy: the length, every lane, the
+    /// alignment and `len <= capacity()`.
     #[test]
     fn extend_from_slice_copies_across_chunk_boundaries() {
-        let mut v = AlignedVec::new();
-        v.push(-1.0); // start mid-chunk
-        let src: Vec<f64> = (0..37).map(|i| i as f64 * 0.5).collect();
-        v.extend_from_slice(&src);
-        v.extend_from_slice(&[]); // empty copy is a no-op
-        assert_eq!(v.len(), 38);
-        assert_eq!(&v[1..], &src[..]);
-        assert!(is_aligned(&v));
-        // Chained extends keep lanes in order.
-        v.extend_from_slice(&[7.0, 8.0]);
-        assert_eq!(&v[37..], &[18.0, 7.0, 8.0]);
+        fn check(v: &AlignedVec, want: &[f64], what: &str) {
+            assert_eq!(v.len(), want.len(), "{what}: len");
+            assert_eq!(v.as_slice(), want, "{what}: lanes");
+            assert!(is_aligned(v), "{what}: misaligned");
+            assert!(v.len() <= v.capacity(), "{what}: len beyond capacity");
+        }
+        for start in 0..=8usize {
+            for cleared in [false, true] {
+                for n in 0..=17usize {
+                    let what = format!("start {start} cleared {cleared} copy {n}");
+                    let mut v = AlignedVec::new();
+                    if cleared {
+                        v.extend_from_slice(&[f64::NAN; 29]);
+                        v.clear();
+                    }
+                    let mut want: Vec<f64> = (0..start).map(|i| -1.0 - i as f64).collect();
+                    for &x in &want {
+                        v.push(x);
+                    }
+                    let src: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
+                    v.extend_from_slice(&src);
+                    want.extend_from_slice(&src);
+                    check(&v, &want, &what);
+                    let tail = &[7.0, 8.0, 9.0][..n % 4];
+                    v.extend_from_slice(tail);
+                    want.extend_from_slice(tail);
+                    check(&v, &want, &format!("{what}, then {} more", tail.len()));
+                }
+            }
+        }
     }
 
     #[test]

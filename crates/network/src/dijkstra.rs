@@ -56,11 +56,6 @@ impl<'g> DijkstraStream<'g> {
         self.settled[v.index()].then(|| self.dist[v.index()])
     }
 
-    /// Lower bound on the distance of every not-yet-yielded vertex.
-    pub fn frontier_bound(&self) -> Option<f64> {
-        self.heap.peek().map(|Reverse((d, _))| d.get())
-    }
-
     /// Vertices settled so far.
     pub fn settled_count(&self) -> usize {
         self.settled_count
@@ -286,15 +281,5 @@ mod tests {
         let (path, len) = shortest_path(&g, VertexId(1), VertexId(1)).unwrap();
         assert_eq!(path, vec![VertexId(1)]);
         assert_eq!(len, 0.0);
-    }
-
-    #[test]
-    fn frontier_bound_is_monotone_lower_bound() {
-        let g = RoadNetwork::grid(5, 5, 0.1, 6);
-        let mut s = DijkstraStream::new(&g, VertexId(7));
-        while let Some(bound) = s.frontier_bound() {
-            let Some((_, d)) = s.next() else { break };
-            assert!(d >= bound - 1e-12);
-        }
     }
 }

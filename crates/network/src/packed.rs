@@ -134,11 +134,6 @@ impl PackedGraph {
         self.vertex_tree.root_mbr()
     }
 
-    /// The frozen vertex R\*-tree (leaf ids = vertex ids).
-    pub fn vertex_tree(&self) -> &PackedRTree {
-        &self.vertex_tree
-    }
-
     /// The vertex closest (in Euclidean distance) to `p`; ties break by
     /// lowest vertex id — the same contract as [`RoadNetwork::snap`], as a
     /// packed NN descent in a scratch of its own.

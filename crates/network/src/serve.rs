@@ -19,10 +19,9 @@ use gnn_core::Neighbor;
 use gnn_core::{Choice, NetworkBackend, Planner, QueryRequest, QueryScratch, QueryStats};
 use gnn_geom::PointId;
 use gnn_rtree::{AccessStats, LeafEntry, PackedRTree, RTree, RTreeParams};
-use std::sync::Arc;
 
 /// An immutable, shareable serving snapshot of a road network with data
-/// objects on its vertices. Workers share one [`Arc<NetworkSnapshot>`]; all
+/// objects on its vertices. Workers share one `Arc<NetworkSnapshot>`; all
 /// per-query state lives in each worker's [`NetworkScratch`] (stored
 /// type-erased inside its `QueryScratch`).
 #[derive(Debug)]
@@ -75,11 +74,6 @@ impl NetworkSnapshot {
     /// The frozen Euclidean index over the data vertices.
     pub fn data_tree(&self) -> &PackedRTree {
         &self.data_tree
-    }
-
-    /// An `Arc`-wrapped snapshot ready for `Service::start_network`.
-    pub fn into_backend(self) -> Arc<dyn NetworkBackend> {
-        Arc::new(self)
     }
 
     /// Resolves which network algorithm answers `request` (the network

@@ -32,13 +32,12 @@ pub const DEFAULT_PAGE_CAPACITY: usize = 64;
 
 /// Points per memory-resident group, following the paper's experimental
 /// setup ("split into blocks of 10000 points, that fit in memory", §5.2).
-pub const DEFAULT_GROUP_CAPACITY: usize = 10_000;
+const DEFAULT_GROUP_CAPACITY: usize = 10_000;
 
 /// An immutable paged file of points.
 #[derive(Debug, Clone)]
 pub struct PointFile {
     pages: Vec<Vec<Point>>,
-    page_capacity: usize,
     len: usize,
     mbr: Rect,
 }
@@ -67,12 +66,7 @@ impl PointFile {
             }
             pages.push(page);
         }
-        PointFile {
-            pages,
-            page_capacity,
-            len,
-            mbr,
-        }
+        PointFile { pages, len, mbr }
     }
 
     /// Total number of points.
@@ -91,12 +85,6 @@ impl PointFile {
     #[inline]
     pub fn page_count(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Configured points-per-page.
-    #[inline]
-    pub fn page_capacity(&self) -> usize {
-        self.page_capacity
     }
 
     /// MBR of the whole file.
@@ -152,11 +140,6 @@ impl<'f> FileCursor<'f> {
     pub fn page_reads(&self) -> u64 {
         self.page_reads.get()
     }
-
-    /// Returns and clears the counter.
-    pub fn take_page_reads(&self) -> u64 {
-        self.page_reads.replace(0)
-    }
 }
 
 /// Resident metadata of one query group `Q_i`: everything F-MBM keeps in
@@ -180,7 +163,7 @@ pub struct GroupedQueryFile {
 
 impl GroupedQueryFile {
     /// Builds the grouped file with the paper's defaults
-    /// ([`DEFAULT_PAGE_CAPACITY`], [`DEFAULT_GROUP_CAPACITY`]).
+    /// ([`DEFAULT_PAGE_CAPACITY`] points a page, 10 000 points a group).
     pub fn build(points: Vec<Point>) -> Self {
         Self::build_with(points, DEFAULT_PAGE_CAPACITY, DEFAULT_GROUP_CAPACITY)
     }
@@ -242,12 +225,6 @@ impl GroupedQueryFile {
     #[inline]
     pub fn group_count(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Total number of query points `n`.
-    #[inline]
-    pub fn total_points(&self) -> usize {
-        self.file.len()
     }
 
     /// Loads group `gi` into memory through `cursor`, paying one page read
@@ -314,8 +291,6 @@ mod tests {
         cursor.read_page(0);
         cursor.read_page(3);
         assert_eq!(cursor.page_reads(), 3);
-        assert_eq!(cursor.take_page_reads(), 3);
-        assert_eq!(cursor.page_reads(), 0);
     }
 
     #[test]

@@ -93,7 +93,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod export;
 mod fault;
 mod handle;
 mod refresh;
@@ -101,7 +100,6 @@ mod stats;
 mod submission;
 mod worker;
 
-pub use export::StatsLogger;
 pub use fault::{silence_injected_panics, FaultLedger, FaultPlan};
 pub use handle::ResponseHandle;
 pub use refresh::{
@@ -323,8 +321,8 @@ impl Service {
 
     /// Spins up a **network-distance** service: one pool of
     /// `config.workers` workers serving GNN queries on a road-network
-    /// backend (typically a `gnn_network::NetworkSnapshot` wrapped via its
-    /// `into_backend()`). Every request executes on
+    /// backend (typically an `Arc` of a `gnn_network::NetworkSnapshot`).
+    /// Every request executes on
     /// [`gnn_core::Target::Network`], through the same submission surface,
     /// supervision, shedding and telemetry as a Euclidean service; each
     /// worker keeps the backend's reusable state inside its own scratch,

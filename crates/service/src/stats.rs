@@ -212,7 +212,7 @@ pub struct ServiceStats {
     pub flight: FlightLog,
     /// The SIMD dispatch level the distance kernels ran at: `"avx2+fma"`
     /// or `"scalar"` ([`gnn_geom::SimdLevel::label`]) — so
-    /// exported metrics name the ISA they were measured on.
+    /// reported metrics name the ISA they were measured on.
     pub simd_level: &'static str,
 }
 

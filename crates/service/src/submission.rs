@@ -21,7 +21,6 @@
 
 use gnn_core::{QueryRequest, QueryResponse};
 use std::fmt;
-use std::time::Duration;
 
 /// A typed per-query failure delivered **through a [`ResponseHandle`]**:
 /// the request was accepted, but no result was produced for it. Other
@@ -175,22 +174,6 @@ impl Submission {
     /// rejection as dropping the whole batch.
     pub fn blocking(mut self, blocking: bool) -> Submission {
         self.blocking = blocking;
-        self
-    }
-
-    /// Sets a queue-wait deadline on every request of this submission (see
-    /// [`QueryRequest::deadline`]): a request still queued when the budget
-    /// expires is shed with [`QueryError::DeadlineExceeded`] instead of
-    /// executed. Sheds apply per request: the rest of a batch still runs.
-    pub fn deadline(mut self, deadline: Duration) -> Submission {
-        match &mut self.kind {
-            SubmissionKind::Request(request) => request.deadline = Some(deadline),
-            SubmissionKind::Batch(requests) => {
-                for request in requests {
-                    request.deadline = Some(deadline);
-                }
-            }
-        }
         self
     }
 }

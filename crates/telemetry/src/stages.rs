@@ -17,7 +17,6 @@
 //! tolerated; shed ones tell you the wait you refused).
 
 use crate::histogram::{LatencyHistogram, LatencySnapshot};
-use std::time::Duration;
 
 /// Per-stage latency histograms (one writer side per worker).
 #[derive(Debug, Default)]
@@ -36,13 +35,6 @@ impl StageHistograms {
     /// Four empty histograms.
     pub fn new() -> StageHistograms {
         StageHistograms::default()
-    }
-
-    /// Records one served query's full stage decomposition.
-    pub fn record_served(&self, queue_wait: Duration, execution: Duration, reply: Duration) {
-        self.queue_wait.record(queue_wait);
-        self.execution.record(execution);
-        self.reply.record(reply);
     }
 
     /// A point-in-time copy of all four histograms.
@@ -103,16 +95,15 @@ impl StageSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn served_samples_land_in_all_three_stage_histograms() {
         let s = StageHistograms::new();
         for i in 1..=10u64 {
-            s.record_served(
-                Duration::from_micros(i),
-                Duration::from_micros(10 * i),
-                Duration::from_nanos(100),
-            );
+            s.queue_wait.record(Duration::from_micros(i));
+            s.execution.record(Duration::from_micros(10 * i));
+            s.reply.record(Duration::from_nanos(100));
         }
         let snap = s.snapshot();
         assert_eq!(snap.queue_wait.count(), 10);
@@ -128,11 +119,9 @@ mod tests {
     fn merge_is_component_wise() {
         let a = StageHistograms::new();
         let b = StageHistograms::new();
-        a.record_served(
-            Duration::from_micros(1),
-            Duration::from_micros(2),
-            Duration::from_nanos(50),
-        );
+        a.queue_wait.record(Duration::from_micros(1));
+        a.execution.record(Duration::from_micros(2));
+        a.reply.record(Duration::from_nanos(50));
         b.shed_wait.record(Duration::from_millis(3));
         let mut m = StageSnapshot::empty();
         m.merge(&a.snapshot());

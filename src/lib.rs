@@ -50,7 +50,7 @@
 //! | [`datasets`] | `gnn-datasets` | PP/TS dataset substitutes, workloads |
 //! | [`core`] | `gnn-core` | MQM, SPM, MBM, GCP, F-MQM, F-MBM |
 //! | [`telemetry`] | `gnn-telemetry` | latency histograms, stage decomposition, flight recorder |
-//! | [`service`] | `gnn-service` | sharded multi-threaded query serving + metrics export |
+//! | [`service`] | `gnn-service` | sharded multi-threaded query serving |
 //! | [`network`] | `gnn-network` | the future-work extension: GNN under network distance, with packed serving snapshots |
 
 pub use gnn_core as core;
@@ -80,8 +80,8 @@ pub mod prelude {
     };
     pub use gnn_service::{
         DriverError, FaultLedger, FaultPlan, PublishRecord, QueryError, RefreshDriver,
-        RefreshPolicy, ResponseHandle, Service, ServiceConfig, ServiceStats, StatsLogger,
-        Submission, SubmitError, Update, WaitError,
+        RefreshPolicy, ResponseHandle, Service, ServiceConfig, ServiceStats, Submission,
+        SubmitError, Update, WaitError,
     };
     pub use gnn_telemetry::{
         FlightEvent, FlightEventKind, FlightLog, LatencySnapshot, StageSnapshot,

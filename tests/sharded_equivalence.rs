@@ -15,6 +15,7 @@
 //! multiset and compares distances-only in that (measure-zero) case, ids +
 //! distance bits otherwise.
 
+use gnn::core::baseline::linear_scan_points;
 use gnn::core::sharded::sharded_k_gnn_in;
 use gnn::core::QueryScratch;
 use gnn::prelude::*;
@@ -198,4 +199,138 @@ proptest! {
         let total: usize = a.shards().iter().map(|s| s.len()).sum();
         prop_assert_eq!(total, data.len());
     }
+}
+
+/// Side of the tie lattice; every node is stored [`COPIES`] times.
+const SIDE: usize = 24;
+const COPIES: usize = 3;
+
+/// A `SIDE × SIDE` integer lattice with every node stored `COPIES` times
+/// (ids are positions in the returned vector).
+fn tie_lattice() -> Vec<Point> {
+    (0..COPIES * SIDE * SIDE)
+        .map(|i| {
+            let node = i % (SIDE * SIDE);
+            Point::new((node % SIDE) as f64, (node / SIDE) as f64)
+        })
+        .collect()
+}
+
+/// Groups on lattice nodes and between them: every distance ties with at
+/// least two other copies, and most with whole rings of nodes.
+fn tie_groups() -> Vec<Vec<Point>> {
+    vec![
+        vec![Point::new(11.0, 11.0)],
+        vec![Point::new(11.5, 11.5)],
+        vec![Point::new(4.0, 4.0), Point::new(8.0, 4.0)],
+        vec![
+            Point::new(5.5, 5.5),
+            Point::new(5.5, 17.5),
+            Point::new(17.5, 5.5),
+            Point::new(17.5, 17.5),
+        ],
+    ]
+}
+
+const TIE_KS: [usize; 9] = [1, 2, 3, 4, 7, 13, 50, 1_728, 1_729];
+
+/// Distance bits at every rank equal the oracle's, and the answer holds
+/// `min(k, N)` distinct stored points.
+fn assert_tie_answer(data: &[Point], got: &[Neighbor], want: &[Neighbor], k: usize, what: &str) {
+    assert_eq!(got.len(), k.min(data.len()), "{what}: count");
+    for (rank, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            g.dist.to_bits(),
+            w.dist.to_bits(),
+            "{what}: distance at rank {rank}"
+        );
+        let stored = data.get(g.id.0 as usize);
+        assert_eq!(stored, Some(&g.point), "{what}: rank {rank} id {:?}", g.id);
+    }
+    let mut ids: Vec<u64> = got.iter().map(|n| n.id.0).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), got.len(), "{what}: an id reported twice");
+}
+
+/// Ties at the k-th boundary, across shards: the proptest above skips its
+/// id check on a boundary tie, and random floats almost never tie. Here
+/// nearly every rank ties, on a lattice whose copies land in different
+/// shards.
+#[test]
+fn boundary_ties_across_shards_keep_the_oracle_bits_and_distinct_ids() {
+    let data = tie_lattice();
+    let packed = tree_of(&data).freeze();
+    let partitions: Vec<ShardedSnapshot> = [1usize, 2, 3, 4, 7, 8]
+        .into_iter()
+        .map(|shards| packed.partition(shards))
+        .collect();
+    let direct: [(&str, &dyn MemoryGnnAlgorithm); 4] = [
+        ("MBM", &Mbm::best_first()),
+        ("MBM-df", &Mbm::depth_first()),
+        ("SPM", &Spm::best_first()),
+        ("MQM", &Mqm::new()),
+    ];
+    let mut scratch = QueryScratch::new();
+    for members in tie_groups() {
+        for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
+            let group = QueryGroup::with_aggregate(members.clone(), agg).unwrap();
+            for k in TIE_KS {
+                let want = linear_scan_points(&data, &group, k).neighbors;
+                for (name, algo) in direct {
+                    if !algo.supports(agg, false) {
+                        continue;
+                    }
+                    for sharded in &partitions {
+                        let cursors: Vec<TreeCursor<'_>> =
+                            sharded.shards().iter().map(|s| s.cursor()).collect();
+                        let (got, ..) =
+                            sharded_k_gnn_in(algo, sharded, &cursors, &group, k, &mut scratch);
+                        let what = format!(
+                            "{name} {agg} {members:?} k={k} @ {} shards",
+                            sharded.shard_count()
+                        );
+                        assert_tie_answer(&data, got, &want, k, &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The same draws through a two-shard service: every handle resolves with
+/// the oracle's bits and distinct ids, and no worker panics.
+#[test]
+fn boundary_ties_through_a_sharded_service_keep_the_oracle_bits() {
+    let data = tie_lattice();
+    let service = Service::start_sharded(
+        std::sync::Arc::new(tree_of(&data).freeze_sharded(2)),
+        ServiceConfig::with_workers(2),
+    );
+    let algos = [Algo::Auto, Algo::Mbm, Algo::Spm, Algo::Mqm];
+    for members in tie_groups() {
+        for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
+            let group = QueryGroup::with_aggregate(members.clone(), agg).unwrap();
+            let draws: Vec<(usize, Algo)> = TIE_KS
+                .into_iter()
+                .flat_map(|k| algos.map(|algo| (k, algo)))
+                .collect();
+            let handles: Vec<_> = draws
+                .iter()
+                .map(|&(k, algo)| {
+                    service
+                        .submit(QueryRequest::with_algo(group.clone(), k, algo))
+                        .expect("submitted")
+                })
+                .collect();
+            for (&(k, algo), handle) in draws.iter().zip(handles) {
+                let reply = handle.wait().expect("a tie is answered, not failed");
+                let want = linear_scan_points(&data, &group, k).neighbors;
+                let what = format!("service {algo:?} {agg} {members:?} k={k}");
+                assert_tie_answer(&data, &reply.neighbors, &want, k, &what);
+            }
+        }
+    }
+    assert_eq!(service.stats().faults.panics, 0);
+    service.shutdown();
 }
