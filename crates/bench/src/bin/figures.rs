@@ -28,7 +28,7 @@ use gnn_bench::{
 };
 use gnn_core::{CentroidMethod, Mbm, MemoryGnnAlgorithm, Spm, Traversal};
 use gnn_geom::Point;
-use gnn_rtree::{RTree, RTreeParams};
+use gnn_rtree::{PackedRTree, RTree, RTreeParams};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -166,7 +166,7 @@ fn memory_figure(
     opts: &Options,
     fig: &str,
     dataset: Dataset,
-    tree: &RTree,
+    tree: &PackedRTree,
     sweep: &[(String, usize, f64, usize)], // (x label, n, M, k)
 ) -> SeriesTable {
     let algos = memory_algorithms();
@@ -274,50 +274,54 @@ fn run_disk_figures(opts: &Options, report: &mut Report) {
     );
 
     for fig in needed {
-        let (data_tree, qpoints, with_gcp, sweep): (&RTree, &[Point], bool, Vec<(String, f64)>) =
-            match fig {
-                // Fig 5.4: P=TS, Q=PP, M 2..32% centered. GCP included.
-                "fig5_4" => (
-                    &ts_tree,
-                    &pp,
-                    true,
-                    [0.02f64, 0.04, 0.08, 0.16, 0.32]
-                        .iter()
-                        .map(|&m| (format!("{}%", (m * 100.0) as u32), m))
-                        .collect(),
-                ),
-                // Fig 5.5: P=PP, Q=TS. GCP omitted (paper: excessive cost).
-                "fig5_5" => (
-                    &pp_tree,
-                    &ts,
-                    false,
-                    [0.02f64, 0.04, 0.08, 0.16, 0.32]
-                        .iter()
-                        .map(|&m| (format!("{}%", (m * 100.0) as u32), m))
-                        .collect(),
-                ),
-                // Fig 5.6: P=TS, Q=PP, equal workspaces, overlap 0..100%.
-                "fig5_6" => (
-                    &ts_tree,
-                    &pp,
-                    true,
-                    [0.0f64, 0.25, 0.5, 0.75, 1.0]
-                        .iter()
-                        .map(|&o| (format!("{}%", (o * 100.0) as u32), o))
-                        .collect(),
-                ),
-                // Fig 5.7: P=PP, Q=TS, overlap sweep. GCP omitted.
-                "fig5_7" => (
-                    &pp_tree,
-                    &ts,
-                    false,
-                    [0.0f64, 0.25, 0.5, 0.75, 1.0]
-                        .iter()
-                        .map(|&o| (format!("{}%", (o * 100.0) as u32), o))
-                        .collect(),
-                ),
-                _ => unreachable!(),
-            };
+        let (data_tree, qpoints, with_gcp, sweep): (
+            &PackedRTree,
+            &[Point],
+            bool,
+            Vec<(String, f64)>,
+        ) = match fig {
+            // Fig 5.4: P=TS, Q=PP, M 2..32% centered. GCP included.
+            "fig5_4" => (
+                &ts_tree,
+                &pp,
+                true,
+                [0.02f64, 0.04, 0.08, 0.16, 0.32]
+                    .iter()
+                    .map(|&m| (format!("{}%", (m * 100.0) as u32), m))
+                    .collect(),
+            ),
+            // Fig 5.5: P=PP, Q=TS. GCP omitted (paper: excessive cost).
+            "fig5_5" => (
+                &pp_tree,
+                &ts,
+                false,
+                [0.02f64, 0.04, 0.08, 0.16, 0.32]
+                    .iter()
+                    .map(|&m| (format!("{}%", (m * 100.0) as u32), m))
+                    .collect(),
+            ),
+            // Fig 5.6: P=TS, Q=PP, equal workspaces, overlap 0..100%.
+            "fig5_6" => (
+                &ts_tree,
+                &pp,
+                true,
+                [0.0f64, 0.25, 0.5, 0.75, 1.0]
+                    .iter()
+                    .map(|&o| (format!("{}%", (o * 100.0) as u32), o))
+                    .collect(),
+            ),
+            // Fig 5.7: P=PP, Q=TS, overlap sweep. GCP omitted.
+            "fig5_7" => (
+                &pp_tree,
+                &ts,
+                false,
+                [0.0f64, 0.25, 0.5, 0.75, 1.0]
+                    .iter()
+                    .map(|&o| (format!("{}%", (o * 100.0) as u32), o))
+                    .collect(),
+            ),
+            _ => unreachable!(),
+        };
         let is_overlap = fig == "fig5_6" || fig == "fig5_7";
 
         let mut algo_names: Vec<String> = Vec::new();
@@ -569,7 +573,8 @@ fn run_ablations(opts: &Options, report: &mut Report) {
                 .enumerate()
                 .map(|(i, &p)| gnn_rtree::LeafEntry::new(gnn_geom::PointId(i as u64), p)),
             0.7,
-        );
+        )
+        .freeze();
         let t_hil = t0.elapsed();
         let mbm = Mbm::best_first();
         let c_str = run_memory_cell(&str_tree, &wl, &mbm, defaults::K, defaults::BUFFER_PAGES);

@@ -18,7 +18,7 @@ use gnn_datasets::{
 };
 use gnn_geom::{Point, PointId, Rect};
 use gnn_qfile::{FileCursor, GroupedQueryFile};
-use gnn_rtree::{LeafEntry, RTree, RTreeParams, TreeCursor};
+use gnn_rtree::{LeafEntry, PackedRTree, RTree, RTreeParams, TreeCursor};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -76,8 +76,9 @@ impl Dataset {
     }
 }
 
-/// Builds the R*-tree over a point set with the paper's page parameters.
-pub fn build_tree(points: &[Point]) -> RTree {
+/// Builds the R*-tree over a point set with the paper's page parameters and
+/// freezes it: every cell queries the packed snapshot.
+pub fn build_tree(points: &[Point]) -> PackedRTree {
     RTree::bulk_load(
         RTreeParams::default(),
         points
@@ -85,6 +86,7 @@ pub fn build_tree(points: &[Point]) -> RTree {
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
     )
+    .freeze()
 }
 
 /// Average cost of one workload cell.
@@ -229,7 +231,7 @@ pub fn memory_algorithms() -> Vec<(String, Box<dyn MemoryGnnAlgorithm>)> {
 /// Runs one memory-resident workload cell: `queries` query groups against
 /// `tree`, averaging post-buffer node accesses and wall time.
 pub fn run_memory_cell(
-    tree: &RTree,
+    tree: &PackedRTree,
     queries: &[Vec<Point>],
     algo: &dyn MemoryGnnAlgorithm,
     k: usize,
@@ -252,7 +254,13 @@ pub fn run_memory_cell(
 }
 
 /// Generates the §5.1 workload for a dataset tree.
-pub fn workload_for(tree: &RTree, n: usize, area: f64, count: usize, seed: u64) -> Vec<Vec<Point>> {
+pub fn workload_for(
+    tree: &PackedRTree,
+    n: usize,
+    area: f64,
+    count: usize,
+    seed: u64,
+) -> Vec<Vec<Point>> {
     query_workload(
         tree.root_mbr(),
         QuerySpec {
@@ -266,7 +274,7 @@ pub fn workload_for(tree: &RTree, n: usize, area: f64, count: usize, seed: u64) 
 
 /// The disk-resident algorithms of §5.2 running over a grouped query file.
 pub fn run_file_cell(
-    tree: &RTree,
+    tree: &PackedRTree,
     qfile: &GroupedQueryFile,
     algo: &dyn FileGnnAlgorithm,
     k: usize,
@@ -285,7 +293,12 @@ pub fn run_file_cell(
 }
 
 /// GCP over two trees (builds the query-side tree internally).
-pub fn run_gcp_cell(tree: &RTree, query_points: &[Point], k: usize, buffer_pages: usize) -> Cost {
+pub fn run_gcp_cell(
+    tree: &PackedRTree,
+    query_points: &[Point],
+    k: usize,
+    buffer_pages: usize,
+) -> Cost {
     let qtree = build_tree(query_points);
     let dc = TreeCursor::with_buffer(tree, buffer_pages);
     let qc = TreeCursor::with_buffer(&qtree, buffer_pages);
@@ -316,13 +329,13 @@ pub fn disk_query_file(points: &[Point], target: Rect, quick: bool) -> GroupedQu
 }
 
 /// §5.2 varying-M geometry: a centered sub-rectangle of the data workspace.
-pub fn varying_m_target(tree: &RTree, area: f64) -> Rect {
+pub fn varying_m_target(tree: &PackedRTree, area: f64) -> Rect {
     centered_subrect(tree.root_mbr(), area)
 }
 
 /// §5.2 varying-overlap geometry: an equal-size workspace shifted to the
 /// requested overlap fraction.
-pub fn overlap_target(tree: &RTree, overlap: f64) -> Rect {
+pub fn overlap_target(tree: &PackedRTree, overlap: f64) -> Rect {
     overlap_shifted_rect(tree.root_mbr(), overlap)
 }
 

@@ -129,8 +129,9 @@ mod tests {
         let tree = RTree::bulk_load(
             RTreeParams::with_capacity(4),
             (0..100).map(|i| LeafEntry::new(PointId(i), Point::new(i as f64, (i % 7) as f64))),
-        );
-        let cursor = TreeCursor::unbuffered(&tree);
+        )
+        .freeze();
+        let cursor = tree.cursor();
         let group = QueryGroup::sum(vec![Point::new(3.0, 3.0)]).unwrap();
         let r = full_scan_tree(&cursor, &group, 2);
         assert_eq!(r.stats.data_tree.logical as usize, tree.node_count());

@@ -167,8 +167,9 @@ mod tests {
             data.iter()
                 .enumerate()
                 .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-        );
-        let cursor = TreeCursor::unbuffered(&tree);
+        )
+        .freeze();
+        let cursor = tree.cursor();
         let group = QueryGroup::sum(random_points(6, 5)).unwrap();
         let mut scratch = QueryScratch::new();
         let (choice, neighbors, ..) = QueryRequest::new(group, 3).execute_on(

@@ -391,7 +391,7 @@ mod tests {
     use crate::baseline::linear_scan_entries;
     use crate::QueryGroup;
     use gnn_geom::PointId;
-    use gnn_rtree::{RTree, RTreeParams};
+    use gnn_rtree::{PackedRTree, RTree, RTreeParams};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -407,7 +407,7 @@ mod tests {
             .collect()
     }
 
-    fn data_tree(points: &[Point]) -> RTree {
+    fn data_tree(points: &[Point]) -> PackedRTree {
         RTree::bulk_load(
             RTreeParams::with_capacity(8),
             points
@@ -415,6 +415,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
         )
+        .freeze()
     }
 
     fn check_against_oracle(
@@ -426,7 +427,7 @@ mod tests {
         fmbm: Fmbm,
     ) {
         let tree = data_tree(data_pts);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let qf = GroupedQueryFile::build_with(query_pts.clone(), 16, group_capacity);
         let fc = FileCursor::new(qf.file());
         let got = fmbm.k_gnn(&cursor, &qf, &fc, k, aggregate);
@@ -485,7 +486,7 @@ mod tests {
     fn scratch_reuse_matches_fresh_runs() {
         let data = random_points(300, 50, 0.0, 100.0);
         let tree = data_tree(&data);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let mut scratch = QueryScratch::new();
         for seed in 0..4 {
             let queries = random_points(80, 900 + seed, 10.0, 90.0);
@@ -505,7 +506,7 @@ mod tests {
         // whole tree.
         let data = random_points(5000, 38, 0.0, 100.0);
         let tree = data_tree(&data);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let queries = random_points(200, 39, 0.0, 10.0);
         let qf = GroupedQueryFile::build_with(queries, 16, 64);
         let fc = FileCursor::new(qf.file());
@@ -523,7 +524,7 @@ mod tests {
     fn group_loads_are_charged() {
         let data = random_points(200, 40, 0.0, 100.0);
         let tree = data_tree(&data);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let queries = random_points(64, 41, 40.0, 60.0);
         let qf = GroupedQueryFile::build_with(queries, 16, 32);
         let fc = FileCursor::new(qf.file());
@@ -535,7 +536,7 @@ mod tests {
     fn empty_query_file() {
         let data = random_points(50, 42, 0.0, 10.0);
         let tree = data_tree(&data);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let qf = GroupedQueryFile::build_with(vec![], 16, 32);
         let fc = FileCursor::new(qf.file());
         let r = Fmbm::best_first().k_gnn(&cursor, &qf, &fc, 3, Aggregate::Sum);

@@ -350,7 +350,7 @@ mod tests {
     use super::*;
     use crate::baseline::linear_scan_entries;
     use gnn_geom::Point;
-    use gnn_rtree::{LeafEntry, RTree, RTreeParams};
+    use gnn_rtree::{LeafEntry, PackedRTree, RTree, RTreeParams};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -366,7 +366,7 @@ mod tests {
             .collect()
     }
 
-    fn data_tree(points: &[Point]) -> RTree {
+    fn data_tree(points: &[Point]) -> PackedRTree {
         RTree::bulk_load(
             RTreeParams::with_capacity(8),
             points
@@ -374,6 +374,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
         )
+        .freeze()
     }
 
     fn check_against_oracle(
@@ -384,7 +385,7 @@ mod tests {
         aggregate: Aggregate,
     ) {
         let tree = data_tree(data_pts);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let qf = GroupedQueryFile::build_with(query_pts.clone(), 16, group_capacity);
         let fc = FileCursor::new(qf.file());
         let got = Fmqm::new().k_gnn(&cursor, &qf, &fc, k, aggregate);
@@ -458,7 +459,7 @@ mod tests {
     fn scratch_reuse_matches_fresh_runs() {
         let data = random_points(300, 60, 0.0, 100.0);
         let tree = data_tree(&data);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let mut scratch = QueryScratch::new();
         for seed in 0..4 {
             let queries = random_points(96, 800 + seed, 15.0, 85.0);
@@ -476,7 +477,7 @@ mod tests {
     fn charges_query_file_io_per_round() {
         let data = random_points(500, 21, 0.0, 100.0);
         let tree = data_tree(&data);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let queries = random_points(128, 22, 40.0, 60.0);
         let qf = GroupedQueryFile::build_with(queries, 16, 32); // 4 groups, 2 pages each
         let fc = FileCursor::new(qf.file());
@@ -494,7 +495,7 @@ mod tests {
     fn empty_query_file() {
         let data = random_points(50, 23, 0.0, 10.0);
         let tree = data_tree(&data);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let qf = GroupedQueryFile::build_with(vec![], 16, 32);
         let fc = FileCursor::new(qf.file());
         let r = Fmqm::new().k_gnn(&cursor, &qf, &fc, 3, Aggregate::Sum);

@@ -218,11 +218,11 @@ mod tests {
     use crate::baseline::linear_scan_entries;
     use crate::QueryGroup;
     use gnn_geom::PointId;
-    use gnn_rtree::{LeafEntry, RTree, RTreeParams};
+    use gnn_rtree::{LeafEntry, PackedRTree, RTree, RTreeParams};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn tree_of(points: &[Point], id_base: u64, cap: usize) -> RTree {
+    fn tree_of(points: &[Point], id_base: u64, cap: usize) -> PackedRTree {
         RTree::bulk_load(
             RTreeParams::with_capacity(cap),
             points
@@ -230,6 +230,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &p)| LeafEntry::new(PointId(id_base + i as u64), p)),
         )
+        .freeze()
     }
 
     fn random_points(n: usize, seed: u64, lo: f64, hi: f64) -> Vec<Point> {
@@ -251,8 +252,8 @@ mod tests {
             let queries = random_points(12, 1000 + seed, 30.0, 70.0);
             let dt = tree_of(&data, 0, 8);
             let qt = tree_of(&queries, 0, 8);
-            let dc = TreeCursor::unbuffered(&dt);
-            let qc = TreeCursor::unbuffered(&qt);
+            let dc = dt.cursor();
+            let qc = qt.cursor();
             let group = QueryGroup::sum(queries.clone()).unwrap();
             for &k in &[1usize, 5] {
                 let got = Gcp::new().k_gnn(&dc, &qc, k);
@@ -285,8 +286,8 @@ mod tests {
         ];
         let dt = tree_of(&data, 0, 4);
         let qt = tree_of(&q, 0, 4);
-        let dc = TreeCursor::unbuffered(&dt);
-        let qc = TreeCursor::unbuffered(&qt);
+        let dc = dt.cursor();
+        let qc = qt.cursor();
         let got = Gcp::new().k_gnn(&dc, &qc, 1);
         let group = QueryGroup::sum(q).unwrap();
         let want = linear_scan_entries(dt.iter(), &group, 1);
@@ -303,8 +304,8 @@ mod tests {
         let queries = random_points(50, 2, 45.0, 55.0);
         let dt = tree_of(&data, 0, 16);
         let qt = tree_of(&queries, 0, 16);
-        let dc = TreeCursor::unbuffered(&dt);
-        let qc = TreeCursor::unbuffered(&qt);
+        let dc = dt.cursor();
+        let qc = qt.cursor();
         let got = Gcp::new().k_gnn(&dc, &qc, 1);
         assert!(!got.stats.aborted);
         assert!(
@@ -323,8 +324,8 @@ mod tests {
         let queries = random_points(500, 4, 200.0, 300.0); // disjoint: low pruning
         let dt = tree_of(&data, 0, 8);
         let qt = tree_of(&queries, 0, 8);
-        let dc = TreeCursor::unbuffered(&dt);
-        let qc = TreeCursor::unbuffered(&qt);
+        let dc = dt.cursor();
+        let qc = qt.cursor();
         let got = Gcp {
             heap_limit: 256,
             ..Gcp::default()
@@ -340,8 +341,8 @@ mod tests {
         let queries = random_points(50, 31, 0.0, 100.0);
         let dt = tree_of(&data, 0, 8);
         let qt = tree_of(&queries, 0, 8);
-        let dc = TreeCursor::unbuffered(&dt);
-        let qc = TreeCursor::unbuffered(&qt);
+        let dc = dt.cursor();
+        let qc = qt.cursor();
         let got = Gcp {
             pair_limit: 100,
             ..Gcp::default()
@@ -355,14 +356,14 @@ mod tests {
     fn empty_inputs() {
         let data = tree_of(&[], 0, 4);
         let queries = tree_of(&random_points(5, 5, 0.0, 1.0), 0, 4);
-        let dc = TreeCursor::unbuffered(&data);
-        let qc = TreeCursor::unbuffered(&queries);
+        let dc = data.cursor();
+        let qc = queries.cursor();
         assert!(Gcp::new().k_gnn(&dc, &qc, 1).neighbors.is_empty());
         // Empty query side.
         let dt = tree_of(&random_points(5, 6, 0.0, 1.0), 0, 4);
         let qe = tree_of(&[], 0, 4);
-        let dc2 = TreeCursor::unbuffered(&dt);
-        let qc2 = TreeCursor::unbuffered(&qe);
+        let dc2 = dt.cursor();
+        let qc2 = qe.cursor();
         assert!(Gcp::new().k_gnn(&dc2, &qc2, 2).neighbors.is_empty());
     }
 
@@ -372,8 +373,8 @@ mod tests {
         let queries = random_points(4, 8, 2.0, 8.0);
         let dt = tree_of(&data, 0, 4);
         let qt = tree_of(&queries, 0, 4);
-        let dc = TreeCursor::unbuffered(&dt);
-        let qc = TreeCursor::unbuffered(&qt);
+        let dc = dt.cursor();
+        let qc = qt.cursor();
         let got = Gcp::new().k_gnn(&dc, &qc, 20);
         let group = QueryGroup::sum(queries).unwrap();
         let want = linear_scan_entries(dt.iter(), &group, 20);
@@ -389,8 +390,8 @@ mod tests {
         let queries = random_points(30, 10, 10.0, 40.0);
         let dt = tree_of(&data, 0, 8);
         let qt = tree_of(&queries, 0, 8);
-        let dc = TreeCursor::unbuffered(&dt);
-        let qc = TreeCursor::unbuffered(&qt);
+        let dc = dt.cursor();
+        let qc = qt.cursor();
         let got = Gcp::new().k_gnn(&dc, &qc, 3);
         assert!(got.stats.heap_watermark > 0);
         assert!(got.stats.query_tree.logical > 0);

@@ -17,21 +17,21 @@
 //!   `W·mindist(N, c_w) ≤ Σ wᵢ·mindist(N, qᵢ)`) and pays its `n` terms
 //!   when it reaches the top.
 //!
-//! On packed snapshots two best-first drivers share two page-scoring steps.
-//! The steps: `score_branches` keys every child of an internal page
-//! (batched `mindist²` to `M`, then H3 for the children that pass H2), and
-//! `score_leaf` computes the exact aggregate distance of a whole leaf in
-//! one fused kernel call straight over the page's lane-padded coordinates.
-//! The drivers:
+//! Every cursor reads a packed snapshot, so two best-first drivers share
+//! two page-scoring steps over its SoA pages. The steps: `score_branches`
+//! keys every child of an internal page (batched `mindist²` to `M`, then
+//! H3 for the children that pass H2), and `score_leaf` computes the exact
+//! aggregate distance of a whole leaf in one fused kernel call straight
+//! over the page's lane-padded coordinates. The drivers:
 //!
 //! * **bounded top-k** (MBM's [`MemoryGnnAlgorithm::k_gnn_in`], the paper's
-//!   Figure 3.6): a heap
-//!   of *nodes only*; a child is pushed only while its key is below
-//!   `best_dist`, a leaf's distances go straight to the [`KBestList`], and
-//!   the loop ends when the popped key reaches `best_dist`. From `LAZY_MIN`
-//!   SUM members up, children that pass H2 wait in a second heap of
-//!   unresolved keys and enter the node heap under exactly their eager key
-//!   when they resolve, so pages are read in the same order. Once
+//!   Figure 3.6): a heap of *nodes only*; a child is pushed only while its
+//!   key is below `best_dist`, a leaf's distances go straight to the
+//!   [`KBestList`], and the loop ends when the popped key reaches
+//!   `best_dist`. From `LAZY_MIN` SUM members up, children that pass H2
+//!   wait in a second heap of unresolved keys and enter the node heap
+//!   under exactly their eager key when they resolve, so pages are read in
+//!   the same order. Once
 //!   `best_dist` is finite a SUM leaf is scored through a cascade
 //!   (`filter_leaf`): from `LAZY_MIN` members a rounded-down block bound
 //!   (one `f64` term per block of Q) over the whole page, then on AVX2 a
@@ -44,10 +44,11 @@
 //!   and of network IER.
 //!
 //! A node is read iff fewer than `k` exact distances `<=` its key have been
-//! seen, under either driver, so both read exactly the same pages. Arena
-//! cursors keep the seed's reference stream (scalar bounds, one lazily
-//! converted `mindist(p, M)` filter key per entry); `packed_equivalence`
-//! pins the bounded loop against it — ids, distance bits, node accesses.
+//! seen, under either driver, so both read exactly the same pages. The
+//! seed's reference stream (scalar bounds, one lazily converted
+//! `mindist(p, M)` filter key per entry) lives on as a test oracle over the
+//! same snapshot pages: `packed_equivalence` and `mbm_bounded` pin the
+//! bounded loop against it — ids, distance bits, node accesses.
 //!
 //! The hot path is allocation-free in steady state: all per-query storage —
 //! the heaps, the key and distance buffers, the result list — lives in a
@@ -110,10 +111,10 @@ impl Mbm {
         }
     }
 
-    /// The paper's best-first MBM (Figure 3.6) over a packed cursor: a heap
-    /// of nodes only, children pushed only while their key is below
-    /// `best_dist`, leaves scored whole into `best`, and the loop over as
-    /// soon as the smallest pending key reaches `best_dist`.
+    /// The paper's best-first MBM (Figure 3.6): a heap of nodes only,
+    /// children pushed only while their key is below `best_dist`, leaves
+    /// scored whole into `best`, and the loop over as soon as the smallest
+    /// pending key reaches `best_dist`.
     ///
     /// A leaf read while `best_dist` is still infinite (the first of a
     /// query) is scored exactly, every entry — there is nothing to compare
@@ -333,20 +334,9 @@ impl MemoryGnnAlgorithm for Mbm {
         let mut lower_bound_pruned = 0u64;
 
         match self.traversal {
-            Traversal::BestFirst if cursor.is_packed() => {
+            Traversal::BestFirst => {
                 (dist_computations, lower_bound_pruned) =
                     self.bounded_top_k(cursor, group, best, mbm);
-            }
-            Traversal::BestFirst => {
-                // Arena reference: the stream ascends, so its first k items
-                // are exactly the k-GNN; pulling a (k+1)-th would only waste
-                // node accesses.
-                let mut stream = MbmStream::new_in(cursor, group, self.use_h3, mbm);
-                while best.len() < k {
-                    let Some(n) = stream.next() else { break };
-                    best.offer(n);
-                }
-                dist_computations += stream.dist_computations();
             }
             Traversal::DepthFirst => {
                 if !cursor.is_empty() {
@@ -375,7 +365,7 @@ impl MemoryGnnAlgorithm for Mbm {
     }
 }
 
-/// Keys every child of a packed internal page into `keys` (cleared and
+/// Keys every child of an internal page into `keys` (cleared and
 /// refilled): batched `mindist²(N, M)` over the whole page, then — for the
 /// children that pass heuristic 2 against `bound`, when `use_tight` — the
 /// tight bound through the fused SoA kernel (footnote 3: H3 only where H2
@@ -403,18 +393,16 @@ fn score_branches(
     evals
 }
 
-/// Exact aggregate distances of a whole packed leaf into `dists` (cleared
-/// and refilled): one fused kernel call straight over the page's own
+/// Exact aggregate distances of a whole leaf into `dists` (cleared and
+/// refilled): one fused kernel call straight over the page's own
 /// lane-padded coordinates. Returns the distance evaluations performed.
 fn score_leaf(leaf: &LeafRef<'_>, group: &QueryGroup, dists: &mut Vec<f64>) -> u64 {
-    let (xs, ys) = leaf
-        .coords()
-        .expect("pages of a packed cursor carry their SoA coordinates");
+    let (xs, ys) = leaf.coords();
     group.dist_many_padded(xs, ys, leaf.len(), dists);
     (leaf.len() * group.len()) as u64
 }
 
-/// The rounded-down bounds a packed SUM leaf is filtered through once
+/// The rounded-down bounds a SUM leaf is filtered through once
 /// `best_dist` is finite, cheapest first; at least one is armed.
 struct LeafFilter<'a> {
     /// `m` `f64` terms an entry: SUM, H3 on, `LAZY_MIN` members and up.
@@ -437,7 +425,7 @@ fn gather_padded(src: &[f64], at: &[u32], out: &mut Vec<f64>) {
     out.resize(pad_len(at.len()), 0.0);
 }
 
-/// Filter, then verify: scores a packed SUM leaf against a finite
+/// Filter, then verify: scores a SUM leaf against a finite
 /// `best_dist` through a cascade. The block bound, where armed, scores the
 /// whole page over its own lane-padded coordinates against `best.bound()`
 /// as the leaf starts; the entries it leaves are gathered into lane-padded
@@ -453,9 +441,7 @@ fn filter_leaf(
     s: &mut MbmScratch,
     best: &mut KBestList,
 ) -> u64 {
-    let (xs, ys) = leaf
-        .coords()
-        .expect("pages of a packed cursor carry their SoA coordinates");
+    let (xs, ys) = leaf.coords();
     let entries = leaf.entries();
     let Some(blocks) = &filter.blocks else {
         let lanes = filter.lanes.as_ref().expect("a leaf filter arms a stage");
@@ -530,21 +516,16 @@ fn check_drop(group: &QueryGroup, e: &LeafEntry, at_least: f64, bound: f64, stag
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct StreamItem {
     key: OrderedF64,
-    /// Exact points pop before approximations and nodes on ties, surfacing
-    /// results as early as possible.
+    /// Points pop before nodes on ties, surfacing results as early as
+    /// possible.
     kind: StreamKind,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum StreamKind {
     Node(PageId),
-    /// Reference (arena) engine only: a data point keyed by its cheap bound;
-    /// its exact distance is computed lazily if and when it reaches the top
-    /// (the paper's `mindist(p, M)` filter: points pruned before that never
-    /// pay the `n`-distance computation).
-    PointApprox(LeafEntry),
     /// A data point keyed by its exact aggregate distance.
-    PointExact(LeafEntry),
+    Point(LeafEntry),
 }
 
 impl Eq for StreamItem {}
@@ -557,9 +538,8 @@ impl Ord for StreamItem {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         fn rank(k: &StreamKind) -> (u8, u64) {
             match k {
-                StreamKind::PointExact(e) => (0, e.id.0),
-                StreamKind::PointApprox(e) => (1, e.id.0),
-                StreamKind::Node(p) => (2, u64::from(p.raw())),
+                StreamKind::Point(e) => (0, e.id.0),
+                StreamKind::Node(p) => (1, u64::from(p.raw())),
             }
         }
         self.key
@@ -818,64 +798,30 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
         let group = self.group;
         let cursor = self.cursor;
         let use_tight = self.use_tight;
-        // Packed pages go through the two shared scoring steps; arena pages
-        // keep the seed's reference mechanics. Neither steers node
-        // expansion — a node is read iff its own key beats the k-th result
-        // distance — so node accesses are identical on both backends.
-        let packed = cursor.is_packed();
         let s = &mut *self.scratch;
         while let Some(Reverse(item)) = s.heap.pop() {
             match item.kind {
-                StreamKind::PointExact(e) => {
+                StreamKind::Point(e) => {
                     return Some(Neighbor {
                         id: e.id,
                         point: e.point,
                         dist: item.key.get(),
                     });
                 }
-                StreamKind::PointApprox(e) => {
-                    let dist = group.dist(e.point);
-                    s.dist_computations += group.len() as u64;
-                    s.push(dist, StreamKind::PointExact(e));
-                }
                 StreamKind::Node(id) => match cursor.read(id) {
-                    PageRef::Leaf(leaf) if packed => {
+                    PageRef::Leaf(leaf) => {
                         // `k` is unknown, so every scored point is kept.
                         s.dist_computations += score_leaf(&leaf, group, &mut s.dists);
                         for (i, &e) in leaf.entries().iter().enumerate() {
-                            s.push(s.dists[i], StreamKind::PointExact(e));
+                            s.push(s.dists[i], StreamKind::Point(e));
                         }
                     }
-                    PageRef::Leaf(leaf) => {
-                        // Reference (arena) engine: the seed's flow — one
-                        // `mindist(p, M)` filter key per entry, pushed
-                        // individually.
-                        for &e in leaf.entries() {
-                            s.dist_computations += 1;
-                            s.push(group.cheap_bound_point(e.point), StreamKind::PointApprox(e));
-                        }
-                    }
-                    PageRef::Internal(view) if packed => {
+                    PageRef::Internal(view) => {
                         // No `best_dist` to prune with: every child is kept.
                         s.dist_computations +=
                             score_branches(&view, group, use_tight, f64::INFINITY, &mut s.keys);
                         for i in 0..view.len() {
                             s.push(s.keys[i], StreamKind::Node(view.child(i)));
-                        }
-                    }
-                    PageRef::Internal(view) => {
-                        // Reference engine: the seed's scalar per-branch
-                        // bounds.
-                        for (mbr, child) in view.iter() {
-                            let cheap = group.cheap_bound_rect(&mbr);
-                            s.dist_computations += 1;
-                            let key = if use_tight {
-                                s.dist_computations += group.len() as u64;
-                                cheap.max(group.tight_bound_rect_reference(&mbr))
-                            } else {
-                                cheap
-                            };
-                            s.push(key, StreamKind::Node(child));
                         }
                     }
                 },
@@ -890,11 +836,11 @@ mod tests {
     use super::*;
     use crate::baseline::linear_scan_entries;
     use gnn_geom::{Point, PointId};
-    use gnn_rtree::{RTree, RTreeParams};
+    use gnn_rtree::{PackedRTree, RTree, RTreeParams};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_tree(n: usize, seed: u64) -> RTree {
+    fn random_tree(n: usize, seed: u64) -> PackedRTree {
         let mut rng = StdRng::seed_from_u64(seed);
         RTree::bulk_load(
             RTreeParams::with_capacity(8),
@@ -905,6 +851,7 @@ mod tests {
                 )
             }),
         )
+        .freeze()
     }
 
     fn random_group(n: usize, seed: u64, agg: Aggregate) -> QueryGroup {
@@ -934,8 +881,7 @@ mod tests {
     #[test]
     fn all_variants_match_oracle() {
         let tree = random_tree(700, 1);
-        let packed = tree.freeze();
-        let cursors = [TreeCursor::unbuffered(&tree), TreeCursor::packed(&packed)];
+        let cursor = tree.cursor();
         let variants = [
             Mbm::best_first(),
             Mbm::depth_first(),
@@ -960,15 +906,12 @@ mod tests {
                 let group = random_group(6, seed, Aggregate::Sum);
                 let want = linear_scan_entries(tree.iter(), &group, k);
                 for mbm in variants {
-                    for cursor in &cursors {
-                        let got = mbm.k_gnn(cursor, &group, k);
-                        assert_eq!(
-                            got.distances(),
-                            want.distances(),
-                            "{mbm:?} seed={seed} k={k} packed={}",
-                            cursor.is_packed()
-                        );
-                    }
+                    let got = mbm.k_gnn(&cursor, &group, k);
+                    assert_eq!(
+                        got.distances(),
+                        want.distances(),
+                        "{mbm:?} seed={seed} k={k}"
+                    );
                 }
             }
         }
@@ -977,7 +920,7 @@ mod tests {
     #[test]
     fn scratch_reuse_matches_fresh_runs() {
         let tree = random_tree(600, 9);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let mut scratch = QueryScratch::new();
         for seed in 0..8 {
             let group = random_group(5, 60 + seed, Aggregate::Sum);
@@ -989,37 +932,17 @@ mod tests {
     }
 
     #[test]
-    fn packed_backend_identical_results_and_accesses() {
-        let tree = random_tree(900, 10);
-        let packed = tree.freeze();
-        let ac = TreeCursor::unbuffered(&tree);
-        let pc = TreeCursor::packed(&packed);
-        for seed in 0..5 {
-            let group = random_group(6, 80 + seed, Aggregate::Sum);
-            let a = Mbm::best_first().k_gnn(&ac, &group, 5);
-            let p = Mbm::best_first().k_gnn(&pc, &group, 5);
-            assert_eq!(a.distances(), p.distances(), "seed={seed}");
-            assert_eq!(
-                a.stats.data_tree.logical, p.stats.data_tree.logical,
-                "node accesses diverged (seed={seed})"
-            );
-        }
-    }
-
-    #[test]
     fn max_and_min_aggregates_match_oracle() {
         let tree = random_tree(500, 2);
-        let packed = tree.freeze();
-        for cursor in [TreeCursor::unbuffered(&tree), TreeCursor::packed(&packed)] {
-            for agg in [Aggregate::Max, Aggregate::Min] {
-                for seed in 0..5 {
-                    let group = random_group(5, 50 + seed, agg);
-                    let want = linear_scan_entries(tree.iter(), &group, 4);
-                    for mbm in [Mbm::best_first(), Mbm::depth_first()] {
-                        let got = mbm.k_gnn(&cursor, &group, 4);
-                        for (a, b) in got.distances().iter().zip(want.distances()) {
-                            assert!((a - b).abs() < 1e-9, "{agg} seed={seed}");
-                        }
+        let cursor = tree.cursor();
+        for agg in [Aggregate::Max, Aggregate::Min] {
+            for seed in 0..5 {
+                let group = random_group(5, 50 + seed, agg);
+                let want = linear_scan_entries(tree.iter(), &group, 4);
+                for mbm in [Mbm::best_first(), Mbm::depth_first()] {
+                    let got = mbm.k_gnn(&cursor, &group, 4);
+                    for (a, b) in got.distances().iter().zip(want.distances()) {
+                        assert!((a - b).abs() < 1e-9, "{agg} seed={seed}");
                     }
                 }
             }
@@ -1029,25 +952,22 @@ mod tests {
     #[test]
     fn stream_yields_ascending_and_complete() {
         let tree = random_tree(300, 3);
-        let packed = tree.freeze();
         let group = random_group(4, 9, Aggregate::Sum);
-        for cursor in [TreeCursor::unbuffered(&tree), TreeCursor::packed(&packed)] {
-            let all = stream_prefix(&cursor, &group, usize::MAX);
-            assert_eq!(all.len(), 300);
-            for w in all.windows(2) {
-                assert!(w[0].dist <= w[1].dist);
-            }
-            // Exact distances, whichever engine scored the page.
-            for n in &all {
-                assert_eq!(n.dist, group.dist(n.point));
-            }
+        let all = stream_prefix(&tree.cursor(), &group, usize::MAX);
+        assert_eq!(all.len(), 300);
+        for w in all.windows(2) {
+            assert!(w[0].dist <= w[1].dist);
+        }
+        // Exact distances: the fused leaf kernel is bit-identical to `dist`.
+        for n in &all {
+            assert_eq!(n.dist, group.dist(n.point));
         }
     }
 
     #[test]
     fn stream_prefix_equals_k_gnn() {
         let tree = random_tree(400, 4);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let group = random_group(8, 10, Aggregate::Sum);
         let by_stream: Vec<f64> = stream_prefix(&cursor, &group, 6)
             .iter()
@@ -1060,31 +980,29 @@ mod tests {
     #[test]
     fn suspended_stream_resumes_where_it_stopped() {
         let tree = random_tree(400, 12);
-        let packed = tree.freeze();
         let group = random_group(4, 13, Aggregate::Sum);
-        for cursor in [TreeCursor::unbuffered(&tree), TreeCursor::packed(&packed)] {
-            let want: Vec<f64> = stream_prefix(&cursor, &group, 10)
-                .iter()
-                .map(|n| n.dist)
-                .collect();
-            let mut scratch = MbmScratch::default();
-            let mut got = Vec::new();
-            {
-                let mut s = MbmStream::new_in(&cursor, &group, true, &mut scratch);
-                got.extend(s.by_ref().take(4).map(|n| n.dist));
-            }
-            for _ in 0..6 {
-                let mut s = MbmStream::resume_in(&cursor, &group, true, &mut scratch);
-                got.push(s.next().unwrap().dist);
-            }
-            assert_eq!(got, want);
+        let cursor = tree.cursor();
+        let want: Vec<f64> = stream_prefix(&cursor, &group, 10)
+            .iter()
+            .map(|n| n.dist)
+            .collect();
+        let mut scratch = MbmScratch::default();
+        let mut got = Vec::new();
+        {
+            let mut s = MbmStream::new_in(&cursor, &group, true, &mut scratch);
+            got.extend(s.by_ref().take(4).map(|n| n.dist));
         }
+        for _ in 0..6 {
+            let mut s = MbmStream::resume_in(&cursor, &group, true, &mut scratch);
+            got.push(s.next().unwrap().dist);
+        }
+        assert_eq!(got, want);
     }
 
     #[test]
     fn peek_bound_is_valid() {
         let tree = random_tree(200, 5);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let group = random_group(3, 11, Aggregate::Sum);
         let mut scratch = MbmScratch::default();
         let mut stream = MbmStream::new_in(&cursor, &group, true, &mut scratch);
@@ -1101,7 +1019,6 @@ mod tests {
     #[test]
     fn weighted_sum_matches_oracle() {
         let tree = random_tree(300, 6);
-        let packed = tree.freeze();
         let mut rng = StdRng::seed_from_u64(13);
         let pts: Vec<Point> = (0..5)
             .map(|_| Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0))
@@ -1109,11 +1026,9 @@ mod tests {
         let w: Vec<f64> = (0..5).map(|_| 0.1 + rng.gen::<f64>() * 2.0).collect();
         let group = QueryGroup::weighted_sum(pts, w).unwrap();
         let want = linear_scan_entries(tree.iter(), &group, 3);
-        for cursor in [TreeCursor::unbuffered(&tree), TreeCursor::packed(&packed)] {
-            let got = Mbm::best_first().k_gnn(&cursor, &group, 3);
-            for (a, b) in got.distances().iter().zip(want.distances()) {
-                assert!((a - b).abs() < 1e-9);
-            }
+        let got = Mbm::best_first().k_gnn(&tree.cursor(), &group, 3);
+        for (a, b) in got.distances().iter().zip(want.distances()) {
+            assert!((a - b).abs() < 1e-9);
         }
     }
 
@@ -1141,7 +1056,7 @@ mod tests {
     fn child_at_best_dist_is_neither_pushed_nor_read() {
         let packed = tie_tree().freeze();
         let group = QueryGroup::sum(vec![Point::new(0.0, 0.0)]).unwrap();
-        let probe = TreeCursor::packed(&packed);
+        let probe = packed.cursor();
         let PageRef::Internal(root) = probe.read(probe.root()) else {
             panic!("scenario needs an internal root");
         };
@@ -1151,7 +1066,7 @@ mod tests {
 
         // Pop time: after leaf A the 3-best bound is exactly 5 == key(B), so
         // B is never read — and the tying point inside it is not needed.
-        let cursor = TreeCursor::packed(&packed);
+        let cursor = packed.cursor();
         let got = Mbm::best_first().k_gnn(&cursor, &group, 3);
         assert_eq!(got.distances(), [1.0, 13f64.sqrt(), 5.0]);
         assert_eq!(got.neighbors[2].id, PointId(2));
@@ -1216,7 +1131,7 @@ mod tests {
         .freeze();
         let group = split_group(3.0);
         let m = LAZY_MIN as f64;
-        let probe = TreeCursor::packed(&packed);
+        let probe = packed.cursor();
         let PageRef::Internal(root) = probe.read(probe.root()) else {
             panic!("scenario needs an internal root");
         };
@@ -1235,7 +1150,7 @@ mod tests {
 
         // After A the 3-best bound is 5m: B's pending key 4m is below it,
         // so B resolves — one tight key — to 5m and is dropped unread.
-        let cursor = TreeCursor::packed(&packed);
+        let cursor = packed.cursor();
         let got = Mbm::best_first().k_gnn(&cursor, &group, 3);
         assert_eq!(got.distances(), [3.0 * m, 3.0 * m, 5.0 * m]);
         assert_eq!(
@@ -1269,7 +1184,7 @@ mod tests {
         .freeze();
         let group = split_group(6.0);
         let m = LAZY_MIN as f64;
-        let cursor = TreeCursor::packed(&packed);
+        let cursor = packed.cursor();
         let PageRef::Internal(root) = cursor.read(cursor.root()) else {
             panic!("scenario needs an internal root");
         };
@@ -1305,9 +1220,9 @@ mod tests {
 
         // And through the whole loop: the stream pops the same way.
         for k in [1, 2, 4] {
-            let bc = TreeCursor::packed(&packed);
+            let bc = packed.cursor();
             let bounded = Mbm::best_first().k_gnn(&bc, &group, k);
-            let sc = TreeCursor::packed(&packed);
+            let sc = packed.cursor();
             let streamed = stream_prefix(&sc, &group, k);
             assert_eq!(bounded.neighbors, streamed, "k={k}");
             assert_eq!(bc.stats(), sc.stats(), "k={k}: node accesses");
@@ -1316,14 +1231,13 @@ mod tests {
 
     #[test]
     fn bounded_loop_reads_the_pages_the_stream_reads() {
-        let tree = random_tree(3000, 21);
-        let packed = tree.freeze();
+        let packed = random_tree(3000, 21);
         for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
             for (seed, k) in [(0u64, 1usize), (1, 8), (2, 64), (3, 3000), (4, 3001)] {
                 let group = random_group(4, 300 + seed, agg);
-                let bc = TreeCursor::packed(&packed);
+                let bc = packed.cursor();
                 let bounded = Mbm::best_first().k_gnn(&bc, &group, k);
-                let sc = TreeCursor::packed(&packed);
+                let sc = packed.cursor();
                 let streamed = stream_prefix(&sc, &group, k);
                 assert_eq!(bounded.neighbors, streamed, "{agg} k={k}");
                 assert_eq!(bc.stats(), sc.stats(), "{agg} k={k}: node accesses");
@@ -1337,9 +1251,9 @@ mod tests {
         // alone (the paper's footnote-3 ablation).
         let tree = random_tree(5000, 7);
         let group = random_group(16, 14, Aggregate::Sum);
-        let c_full = TreeCursor::unbuffered(&tree);
+        let c_full = tree.cursor();
         Mbm::best_first().k_gnn(&c_full, &group, 8);
-        let c_h2 = TreeCursor::unbuffered(&tree);
+        let c_h2 = tree.cursor();
         Mbm {
             traversal: Traversal::BestFirst,
             use_h2: true,
@@ -1370,8 +1284,8 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let tree = RTree::new(RTreeParams::default());
-        let cursor = TreeCursor::unbuffered(&tree);
+        let tree = RTree::new(RTreeParams::default()).freeze();
+        let cursor = tree.cursor();
         let group = QueryGroup::sum(vec![Point::new(0.0, 0.0)]).unwrap();
         assert!(Mbm::best_first()
             .k_gnn(&cursor, &group, 1)
@@ -1384,7 +1298,7 @@ mod tests {
     #[should_panic(expected = "at least one pruning heuristic")]
     fn rejects_no_heuristics() {
         let tree = random_tree(10, 8);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let group = QueryGroup::sum(vec![Point::new(0.0, 0.0)]).unwrap();
         Mbm {
             traversal: Traversal::BestFirst,

@@ -152,11 +152,11 @@ mod tests {
     use super::*;
     use crate::baseline::linear_scan_entries;
     use gnn_geom::{Point, PointId};
-    use gnn_rtree::{LeafEntry, RTree, RTreeParams};
+    use gnn_rtree::{LeafEntry, PackedRTree, RTree, RTreeParams};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_tree(n: usize, seed: u64) -> RTree {
+    fn random_tree(n: usize, seed: u64) -> PackedRTree {
         let mut rng = StdRng::seed_from_u64(seed);
         RTree::bulk_load(
             RTreeParams::with_capacity(8),
@@ -167,6 +167,7 @@ mod tests {
                 )
             }),
         )
+        .freeze()
     }
 
     fn random_group(n: usize, seed: u64, agg: Aggregate) -> QueryGroup {
@@ -195,8 +196,9 @@ mod tests {
                 LeafEntry::new(PointId(11), Point::new(3.0, 0.0)),  // p11: 3 + 3 = 6
                 LeafEntry::new(PointId(12), Point::new(9.0, 0.0)),  // 9 + 3 = 12
             ],
-        );
-        let cursor = TreeCursor::unbuffered(&tree);
+        )
+        .freeze();
+        let cursor = tree.cursor();
         let group = QueryGroup::sum(vec![q1, q2]).unwrap();
         let r = Mqm::new().k_gnn(&cursor, &group, 1);
         assert_eq!(r.best().unwrap().id, PointId(11));
@@ -206,7 +208,7 @@ mod tests {
     #[test]
     fn matches_oracle_on_random_inputs() {
         let tree = random_tree(400, 1);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         for seed in 0..8 {
             for &k in &[1usize, 4] {
                 let group = random_group(6, seed, Aggregate::Sum);
@@ -220,7 +222,7 @@ mod tests {
     #[test]
     fn supports_max_and_min_aggregates() {
         let tree = random_tree(300, 2);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         for agg in [Aggregate::Max, Aggregate::Min] {
             for seed in 0..5 {
                 let group = random_group(5, 100 + seed, agg);
@@ -239,7 +241,7 @@ mod tests {
     #[test]
     fn weighted_sum_agrees_with_oracle() {
         let tree = random_tree(300, 3);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let mut rng = StdRng::seed_from_u64(9);
         let pts: Vec<Point> = (0..5)
             .map(|_| Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0))
@@ -256,7 +258,7 @@ mod tests {
     #[test]
     fn single_query_point_degenerates_to_point_nn() {
         let tree = random_tree(200, 4);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let group = QueryGroup::sum(vec![Point::new(50.0, 50.0)]).unwrap();
         let got = Mqm::new().k_gnn(&cursor, &group, 5);
         let want = linear_scan_entries(tree.iter(), &group, 5);
@@ -268,7 +270,7 @@ mod tests {
         // On a big tree with a small query MBR, MQM must not evaluate every
         // data point.
         let tree = random_tree(5000, 5);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let group = random_group(4, 6, Aggregate::Sum);
         let r = Mqm::new().k_gnn(&cursor, &group, 1);
         assert!(
@@ -281,8 +283,8 @@ mod tests {
 
     #[test]
     fn empty_tree_returns_nothing() {
-        let tree = RTree::new(RTreeParams::default());
-        let cursor = TreeCursor::unbuffered(&tree);
+        let tree = RTree::new(RTreeParams::default()).freeze();
+        let cursor = tree.cursor();
         let group = QueryGroup::sum(vec![Point::new(1.0, 1.0)]).unwrap();
         let r = Mqm::new().k_gnn(&cursor, &group, 3);
         assert!(r.neighbors.is_empty());
@@ -291,7 +293,7 @@ mod tests {
     #[test]
     fn duplicate_query_points_are_fine() {
         let tree = random_tree(200, 9);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let p = Point::new(42.0, 43.0);
         let group = QueryGroup::sum(vec![p, p, p]).unwrap();
         let got = Mqm::new().k_gnn(&cursor, &group, 2);

@@ -296,10 +296,13 @@ impl QueryGroup {
     }
 
     /// The seed's sequential-fold implementation of
-    /// [`QueryGroup::tight_bound_rect`], kept bit-for-bit as the reference:
-    /// the arena query engine prunes with it, and the property suite uses it
-    /// as the oracle for the batched kernel (which reassociates the
-    /// floating-point sum and may differ in the last ulps).
+    /// [`QueryGroup::tight_bound_rect`], kept as a test oracle: the
+    /// reference MBM stream the bounded loop is checked against keys its
+    /// children with it, and `proptest_invariants` pins it bit-identical to
+    /// the batched kernels for SUM, weighted SUM, MAX and MIN (they fold in
+    /// the same order; MAX/MIN take one `sqrt` of the folded square, which
+    /// `sqrt`'s monotone correct rounding makes exact). No query prunes
+    /// with it.
     pub fn tight_bound_rect_reference(&self, rect: &Rect) -> f64 {
         let mut acc = self.aggregate.identity();
         for (i, q) in self.points.iter().enumerate() {

@@ -27,7 +27,7 @@ static MQM: Mqm = Mqm::new();
 /// a network backend. The single-shard sharded case degenerates exactly to
 /// the single-tree case (same results, same node accesses).
 pub enum Target<'a, 't> {
-    /// One tree (arena or packed snapshot) behind one metering cursor.
+    /// One packed snapshot behind one metering cursor.
     Single(&'a TreeCursor<'t>),
     /// A spatially partitioned snapshot with one cursor per shard, answered
     /// by the cross-shard best-first merge of [`crate::sharded`].
@@ -280,8 +280,9 @@ mod tests {
             data.iter()
                 .enumerate()
                 .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-        );
-        let cursor = gnn_rtree::TreeCursor::unbuffered(&tree);
+        )
+        .freeze();
+        let cursor = tree.cursor();
         let planner = Planner::new();
         let mut scratch = QueryScratch::new();
         let group = QueryGroup::sum(random_points(6, 2)).unwrap();
@@ -312,8 +313,9 @@ mod tests {
             data.iter()
                 .enumerate()
                 .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-        );
-        let cursor = gnn_rtree::TreeCursor::unbuffered(&tree);
+        )
+        .freeze();
+        let cursor = tree.cursor();
         let group = QueryGroup::with_aggregate(random_points(5, 4), Aggregate::Max).unwrap();
         let req = QueryRequest::with_algo(group, 3, Algo::Spm);
         let mut scratch = QueryScratch::new();

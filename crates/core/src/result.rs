@@ -28,12 +28,12 @@ pub struct QueryStats {
     pub query_file_pages: u64,
     /// Point-to-point / point-to-rectangle distance evaluations (CPU proxy).
     /// Counts the evaluations the engine actually **performed**, so —
-    /// unlike node accesses — it depends on the mechanism: the packed
-    /// engine scores whole pages where the arena reference filters and
-    /// converts entry by entry, and the two report different counts for
-    /// the same query. **Exact** evaluations only: the terms the bounded
-    /// MBM loop's rounded-down leaf bounds (block and `f32`) compute are
-    /// not counted here (what they drop is counted in
+    /// unlike node accesses — it depends on the mechanism: the bounded MBM
+    /// loop scores whole pages where the seed's reference stream (now a
+    /// test oracle) filters and converts entry by entry, and the two count
+    /// differently for the same query. **Exact** evaluations only: the
+    /// terms the bounded MBM loop's rounded-down leaf bounds (block and
+    /// `f32`) compute are not counted here (what they drop is counted in
     /// [`QueryStats::lower_bound_pruned`]), so on large SUM groups this
     /// reads 3–4× lower than the all-exact loop's count for the same
     /// pages. Heuristic 3 counts `n` per tight key **actually
@@ -46,10 +46,10 @@ pub struct QueryStats {
     /// Leaf entries the bounded MBM loop dropped on a rounded-down lower
     /// bound of `dist(p, Q)`, without computing their exact distance,
     /// counted over both stages of its leaf cascade: the `f64` block bound
-    /// (packed SUM queries of 48 members and more with heuristic 3 on,
-    /// every tier) and the `f32` bound (packed SUM queries on the AVX2
-    /// tier); `0` everywhere else. Each is an entry
-    /// [`crate::KBestList::offer`] would have refused.
+    /// (SUM queries of 48 members and more with heuristic 3 on, every
+    /// tier) and the `f32` bound (SUM queries on the AVX2 tier); `0`
+    /// everywhere else. Each is an entry [`crate::KBestList::offer`] would
+    /// have refused.
     pub lower_bound_pruned: u64,
     /// Individual nearest neighbors pulled from NN streams (MQM, F-MQM) or
     /// closest pairs consumed (GCP).

@@ -240,11 +240,11 @@ mod tests {
     use super::*;
     use crate::baseline::linear_scan_entries;
     use gnn_geom::PointId;
-    use gnn_rtree::{LeafEntry, RTree, RTreeParams};
+    use gnn_rtree::{LeafEntry, PackedRTree, RTree, RTreeParams};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_tree(n: usize, seed: u64) -> RTree {
+    fn random_tree(n: usize, seed: u64) -> PackedRTree {
         let mut rng = StdRng::seed_from_u64(seed);
         RTree::bulk_load(
             RTreeParams::with_capacity(8),
@@ -255,6 +255,7 @@ mod tests {
                 )
             }),
         )
+        .freeze()
     }
 
     fn random_group(n: usize, seed: u64) -> QueryGroup {
@@ -270,7 +271,7 @@ mod tests {
     #[test]
     fn both_traversals_match_oracle() {
         let tree = random_tree(600, 1);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         for seed in 0..8 {
             for &k in &[1usize, 5] {
                 let group = random_group(7, seed);
@@ -293,7 +294,7 @@ mod tests {
         // Lemma 1 holds for any anchor: even the crude mean must yield exact
         // results (just with more node accesses).
         let tree = random_tree(500, 2);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let group = random_group(12, 3);
         let want = linear_scan_entries(tree.iter(), &group, 3);
         for method in [
@@ -313,7 +314,7 @@ mod tests {
     #[test]
     fn weighted_group_is_exact() {
         let tree = random_tree(400, 4);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let mut rng = StdRng::seed_from_u64(11);
         let pts: Vec<Point> = (0..6)
             .map(|_| Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0))
@@ -331,7 +332,7 @@ mod tests {
     #[should_panic(expected = "SUM aggregate")]
     fn rejects_max_aggregate() {
         let tree = random_tree(10, 5);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let group = QueryGroup::with_aggregate(vec![Point::new(0.0, 0.0)], Aggregate::Max).unwrap();
         Spm::best_first().k_gnn(&cursor, &group, 1);
     }
@@ -349,7 +350,7 @@ mod tests {
         // Query clustered in a corner: SPM should access far fewer nodes
         // than a full scan.
         let tree = random_tree(5000, 6);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let mut rng = StdRng::seed_from_u64(12);
         let group = QueryGroup::sum(
             (0..8)
@@ -368,8 +369,8 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let tree = RTree::new(RTreeParams::default());
-        let cursor = TreeCursor::unbuffered(&tree);
+        let tree = RTree::new(RTreeParams::default()).freeze();
+        let cursor = tree.cursor();
         let group = QueryGroup::sum(vec![Point::new(0.0, 0.0)]).unwrap();
         for spm in [Spm::best_first(), Spm::depth_first()] {
             assert!(spm.k_gnn(&cursor, &group, 2).neighbors.is_empty());

@@ -149,9 +149,9 @@ pub mod scalar {
     /// The fold is deliberately **sequential**, making the result
     /// bit-identical to the scalar reference
     /// (`Σ w_i · Rect::mindist_point(q_i)` evaluated in order). Node keys
-    /// computed through this kernel therefore match the reference engine's
-    /// exactly, which is what lets the property suite pin packed-vs-arena
-    /// node accesses with strict equality.
+    /// computed through this kernel therefore match the seed's reference
+    /// stream's exactly, which is what lets the test oracle pin the bounded
+    /// MBM loop's node accesses with strict equality.
     ///
     /// # Panics
     ///

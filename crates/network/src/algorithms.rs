@@ -16,7 +16,7 @@ use crate::packed::PackedGraph;
 use crate::scratch::{DijkstraState, NetworkScratch};
 use gnn_core::{Aggregate, KBestList, MbmScratch, MbmStream, Neighbor, QueryGroup};
 use gnn_geom::PointId;
-use gnn_rtree::{LeafEntry, PackedRTree, RTree, RTreeParams, TreeCursor};
+use gnn_rtree::{LeafEntry, PackedRTree, RTree, RTreeParams};
 use std::time::{Duration, Instant};
 
 /// One network group nearest neighbor.
@@ -460,8 +460,9 @@ impl NetworkIer {
             RTreeParams::default(),
             data.iter()
                 .map(|&v| LeafEntry::new(PointId(u64::from(v.0)), graph.position(v))),
-        );
-        let cursor = TreeCursor::unbuffered(&tree);
+        )
+        .freeze();
+        let cursor = tree.cursor();
         let group = QueryGroup::with_aggregate(
             query.iter().map(|&q| graph.position(q)).collect(),
             aggregate,
@@ -513,9 +514,8 @@ impl NetworkIer {
     /// scratch's `MbmScratch`, and refinement runs epoch-stamped packed
     /// Dijkstra states only as far as `best_dist` allows. Results and the
     /// Euclidean-filter counters are bit-identical to [`NetworkIer::k_gnn`]
-    /// when `data_tree` is the frozen image of the arena tree that entry
-    /// point builds (same bulk load, same order); the Dijkstra counters
-    /// never exceed its.
+    /// when `data_tree` is the snapshot that entry point freezes (same
+    /// bulk load, same order); the Dijkstra counters never exceed its.
     pub fn k_gnn_in<'s>(
         &self,
         graph: &PackedGraph,
@@ -528,7 +528,7 @@ impl NetworkIer {
         assert!(!query.is_empty(), "query group must be non-empty");
         let t0 = Instant::now();
         scratch.begin(graph.vertex_count(), query.len(), k);
-        let cursor = TreeCursor::packed(data_tree);
+        let cursor = data_tree.cursor();
         let group = QueryGroup::with_aggregate(
             query.iter().map(|&q| graph.position(q)).collect(),
             aggregate,

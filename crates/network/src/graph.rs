@@ -2,7 +2,7 @@
 //! vertices are embedded in the plane.
 
 use gnn_geom::{Point, PointId, Rect};
-use gnn_rtree::{LeafEntry, NearestNeighbors, NnScratch, RTree, RTreeParams, TreeCursor};
+use gnn_rtree::{LeafEntry, NearestNeighbors, NnScratch, PackedRTree, RTree, RTreeParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
@@ -42,7 +42,7 @@ pub struct RoadNetwork {
     /// Lazily built vertex R\*-tree backing [`RoadNetwork::snap`] (ids =
     /// vertex ids). Built on first snap, invalidated whenever a vertex is
     /// added; never cloned (a clone rebuilds on demand).
-    snap_index: OnceLock<RTree>,
+    snap_index: OnceLock<PackedRTree>,
 }
 
 impl Clone for RoadNetwork {
@@ -152,8 +152,9 @@ impl RoadNetwork {
                     .enumerate()
                     .map(|(i, &q)| LeafEntry::new(PointId(i as u64), q)),
             )
+            .freeze()
         });
-        let cursor = TreeCursor::unbuffered(tree);
+        let cursor = tree.cursor();
         NearestNeighbors::new_in(&cursor, p, &mut NnScratch::default())
             .next()
             .map(|n| VertexId(n.entry.id.0 as u32))

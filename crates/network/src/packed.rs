@@ -21,9 +21,7 @@
 
 use crate::graph::{RoadNetwork, VertexId};
 use gnn_geom::{Point, PointId, Rect};
-use gnn_rtree::{
-    LeafEntry, NearestNeighbors, NnScratch, PackedRTree, RTree, RTreeParams, TreeCursor,
-};
+use gnn_rtree::{LeafEntry, NearestNeighbors, NnScratch, PackedRTree, RTree, RTreeParams};
 
 /// An immutable, contiguous snapshot of a [`RoadNetwork`].
 ///
@@ -145,7 +143,7 @@ impl PackedGraph {
     /// allocation-free in steady state (serving workers snap every group
     /// member this way).
     pub fn snap_in(&self, p: Point, scratch: &mut NnScratch) -> Option<VertexId> {
-        let cursor = TreeCursor::packed(&self.vertex_tree);
+        let cursor = self.vertex_tree.cursor();
         NearestNeighbors::new_in(&cursor, p, scratch)
             .next()
             .map(|n| VertexId(n.entry.id.0 as u32))
@@ -200,7 +198,7 @@ mod tests {
             let want = g.snap_linear(q);
             assert_eq!(p.snap(q), want);
             assert_eq!(p.snap_in(q, &mut scratch), want);
-            assert_eq!(g.snap(q), want, "arena R-tree snap vs linear oracle");
+            assert_eq!(g.snap(q), want, "RoadNetwork::snap vs linear oracle");
         }
     }
 

@@ -29,8 +29,8 @@ pub struct NetworkSnapshot {
     graph: PackedGraph,
     data: Vec<VertexId>,
     /// Frozen Euclidean index over the data vertices (ids = vertex ids),
-    /// structurally identical to the per-query tree the arena IER builds
-    /// (same bulk load over the same entry order) — the anchor of the
+    /// identical to the per-query snapshot the arena IER freezes (same
+    /// bulk load over the same entry order) — the anchor of the
     /// packed-vs-arena equivalence on the Euclidean-filter counters.
     data_tree: PackedRTree,
 }

@@ -221,12 +221,12 @@ impl<'p, 'q> ClosestPairs<'p, 'q> {
 mod tests {
     use super::*;
     use crate::node::LeafEntry;
-    use crate::{RTree, RTreeParams};
+    use crate::{PackedRTree, RTree, RTreeParams};
     use gnn_geom::{Point, PointId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn tree_from(points: &[(f64, f64)], id_base: u64) -> RTree {
+    fn tree_from(points: &[(f64, f64)], id_base: u64) -> PackedRTree {
         RTree::bulk_load(
             RTreeParams::with_capacity(4),
             points
@@ -234,6 +234,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &(x, y))| LeafEntry::new(PointId(id_base + i as u64), Point::new(x, y))),
         )
+        .freeze()
     }
 
     fn all_pairs_sorted(ps: &[(f64, f64)], qs: &[(f64, f64)]) -> Vec<f64> {
@@ -259,8 +260,8 @@ mod tests {
             .collect();
         let tp = tree_from(&ps, 0);
         let tq = tree_from(&qs, 1000);
-        let cp_p = TreeCursor::unbuffered(&tp);
-        let cp_q = TreeCursor::unbuffered(&tq);
+        let cp_p = tp.cursor();
+        let cp_q = tq.cursor();
         let mut cp = ClosestPairs::new(&cp_p, &cp_q);
         let mut got = Vec::new();
         while let Some(pair) = cp.next() {
@@ -281,8 +282,8 @@ mod tests {
         let qs = [(5.1, 5.1), (20.0, 20.0)];
         let tp = tree_from(&ps, 0);
         let tq = tree_from(&qs, 100);
-        let cp_p = TreeCursor::unbuffered(&tp);
-        let cp_q = TreeCursor::unbuffered(&tq);
+        let cp_p = tp.cursor();
+        let cp_q = tq.cursor();
         let mut cp = ClosestPairs::new(&cp_p, &cp_q);
         let first = cp.next().unwrap();
         assert_eq!(first.p.id, PointId(2));
@@ -292,9 +293,9 @@ mod tests {
     #[test]
     fn empty_tree_yields_nothing() {
         let tp = tree_from(&[(0.0, 0.0)], 0);
-        let tq = RTree::new(RTreeParams::default());
-        let cp_p = TreeCursor::unbuffered(&tp);
-        let cp_q = TreeCursor::unbuffered(&tq);
+        let tq = RTree::new(RTreeParams::default()).freeze();
+        let cp_p = tp.cursor();
+        let cp_q = tq.cursor();
         let mut cp = ClosestPairs::new(&cp_p, &cp_q);
         assert!(cp.next().is_none());
         assert!(!cp.overflowed());
@@ -311,8 +312,8 @@ mod tests {
             .collect();
         let tp = tree_from(&ps, 0);
         let tq = tree_from(&qs, 10_000);
-        let cp_p = TreeCursor::unbuffered(&tp);
-        let cp_q = TreeCursor::unbuffered(&tq);
+        let cp_p = tp.cursor();
+        let cp_q = tq.cursor();
         let mut cp = ClosestPairs::with_heap_limit(&cp_p, &cp_q, 64);
         let mut count = 0;
         while cp.next().is_some() {
@@ -334,8 +335,8 @@ mod tests {
             .collect();
         let tp = tree_from(&ps, 0);
         let tq = tree_from(&qs, 10_000);
-        let cp_p = TreeCursor::unbuffered(&tp);
-        let cp_q = TreeCursor::unbuffered(&tq);
+        let cp_p = tp.cursor();
+        let cp_q = tq.cursor();
         let mut cp = ClosestPairs::new(&cp_p, &cp_q);
         for _ in 0..50 {
             cp.next();
@@ -350,8 +351,8 @@ mod tests {
         let ps = [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0), (5.0, 5.0)];
         let tp = tree_from(&ps, 0);
         let tq = tree_from(&ps, 100);
-        let cp_p = TreeCursor::unbuffered(&tp);
-        let cp_q = TreeCursor::unbuffered(&tq);
+        let cp_p = tp.cursor();
+        let cp_q = tq.cursor();
         let mut cp = ClosestPairs::new(&cp_p, &cp_q);
         let first = cp.next().unwrap();
         assert_eq!(first.dist, 0.0);

@@ -1,21 +1,20 @@
 //! Disk simulation: page-access accounting and an LRU buffer pool.
 //!
 //! The paper's primary cost metric is the number of *node accesses* (NA).
-//! Algorithms never touch [`crate::RTree`] or [`crate::PackedRTree`] pages
-//! directly; they read them through a [`TreeCursor`], which counts every
-//! logical access and — when a buffer pool is attached — every buffer miss
-//! (the simulated I/O). The paper notes that MQM "benefits from the
-//! existence of an LRU buffer" (§5.1); giving every algorithm the same
-//! buffered cursor keeps the comparison fair.
+//! Algorithms never touch [`crate::PackedRTree`] pages directly; they read
+//! them through a [`TreeCursor`], which counts every logical access and —
+//! when a buffer pool is attached — every buffer miss (the simulated I/O).
+//! The paper notes that MQM "benefits from the existence of an LRU buffer"
+//! (§5.1); giving every algorithm the same buffered cursor keeps the
+//! comparison fair.
 //!
-//! The cursor abstracts over both storage backends: queries written against
-//! [`TreeCursor::read`]'s [`PageRef`] view run unchanged on the mutable
-//! arena tree and on the packed read-optimized snapshot, with identical
-//! accounting.
+//! A cursor reads a packed snapshot, the one page layout queries see. There
+//! are two ways to open one: [`crate::PackedRTree::cursor`] (unbuffered)
+//! and [`TreeCursor::with_buffer`] (an LRU pool of a given number of
+//! pages). The mutable [`crate::RTree`] is the builder; freeze it first.
 
-use crate::node::{LeafRef, Node, PageId, PageRef};
+use crate::node::{PageId, PageRef};
 use crate::packed::PackedRTree;
-use crate::tree::RTree;
 use gnn_geom::Rect;
 use std::cell::RefCell;
 
@@ -52,10 +51,10 @@ impl AccessStats {
 /// intrusive doubly-linked list kept in a slab, reached through a
 /// **direct-mapped slot table** indexed by page id.
 ///
-/// Page ids are dense in both backends (arena indices, or BFS positions in
-/// a packed snapshot), so the table stays proportional to the tree size and
-/// the simulated-I/O path performs no hashing at all — `access` is two
-/// array reads plus list splicing.
+/// A packed snapshot numbers its pages densely (BFS positions), so the
+/// table stays proportional to the tree size and the simulated-I/O path
+/// performs no hashing at all — `access` is two array reads plus list
+/// splicing.
 #[derive(Debug)]
 pub struct LruBuffer {
     capacity: usize,
@@ -195,7 +194,7 @@ impl LruBuffer {
 }
 
 /// A distinct-page set for batch-scoped physical-read accounting: a dense
-/// bitset over page ids (both backends number pages densely) plus a count.
+/// bitset over the snapshot's (dense) page ids plus a count.
 ///
 /// A batch executor runs many queries through one cursor; every query's
 /// *logical* accesses stay metered per query in [`AccessStats`] (the paper's
@@ -237,14 +236,7 @@ impl PageTracker {
     }
 }
 
-/// The storage a cursor reads from.
-#[derive(Clone, Copy)]
-enum Backend<'t> {
-    Arena(&'t RTree),
-    Packed(&'t PackedRTree),
-}
-
-/// A metered read handle over an R-tree — arena or packed snapshot.
+/// A metered read handle over a packed R-tree snapshot.
 ///
 /// Cheap to create; hold one per experiment (or per algorithm run) and call
 /// [`TreeCursor::take_stats`] between queries.
@@ -254,18 +246,17 @@ enum Backend<'t> {
 /// A cursor is `Send` but **intentionally `!Sync`**: the access counters
 /// and optional LRU buffer live in a `RefCell`, so `read` works through
 /// `&self` with no locking on the hot path — at the price of confining each
-/// cursor to one thread. Concurrent engines share the tree itself (both
-/// backends are `Send + Sync`) behind an `Arc` and give every worker its
-/// own cursor via [`crate::PackedRTree::cursor`]; that also keeps the
-/// per-query node-access accounting exact, which a shared cursor would
-/// scramble.
+/// cursor to one thread. Concurrent engines share the snapshot itself
+/// (`Send + Sync`) behind an `Arc` and give every worker its own cursor via
+/// [`PackedRTree::cursor`]; that also keeps the per-query node-access
+/// accounting exact, which a shared cursor would scramble.
 ///
 /// ```compile_fail
 /// fn needs_sync<T: Sync>() {}
 /// needs_sync::<gnn_rtree::TreeCursor<'static>>();
 /// ```
 pub struct TreeCursor<'t> {
-    backend: Backend<'t>,
+    tree: &'t PackedRTree,
     state: RefCell<CursorState>,
 }
 
@@ -280,9 +271,12 @@ struct CursorState {
 }
 
 impl<'t> TreeCursor<'t> {
-    fn with_backend(backend: Backend<'t>, buffer: Option<LruBuffer>) -> Self {
+    /// A cursor over `tree`, buffered when `buffer` is given. Public
+    /// callers open one with [`PackedRTree::cursor`] or
+    /// [`TreeCursor::with_buffer`].
+    pub(crate) fn open(tree: &'t PackedRTree, buffer: Option<LruBuffer>) -> Self {
         TreeCursor {
-            backend,
+            tree,
             state: RefCell::new(CursorState {
                 stats: AccessStats::default(),
                 buffer,
@@ -291,31 +285,13 @@ impl<'t> TreeCursor<'t> {
         }
     }
 
-    /// A cursor where every logical access is an I/O (no buffer pool).
-    pub fn unbuffered(tree: &'t RTree) -> Self {
-        Self::with_backend(Backend::Arena(tree), None)
-    }
-
-    /// A cursor backed by an LRU buffer pool of `capacity` pages.
-    pub fn with_buffer(tree: &'t RTree, capacity: usize) -> Self {
-        Self::with_backend(Backend::Arena(tree), Some(LruBuffer::new(capacity)))
-    }
-
-    /// An unbuffered cursor over a packed snapshot.
-    pub fn packed(tree: &'t PackedRTree) -> Self {
-        Self::with_backend(Backend::Packed(tree), None)
-    }
-
-    /// A buffered cursor over a packed snapshot.
-    pub fn packed_with_buffer(tree: &'t PackedRTree, capacity: usize) -> Self {
-        Self::with_backend(Backend::Packed(tree), Some(LruBuffer::new(capacity)))
-    }
-
-    /// Whether the cursor reads a packed snapshot (the read-optimized
-    /// backend; query engines may enable batched fast paths on it).
-    #[inline]
-    pub fn is_packed(&self) -> bool {
-        matches!(self.backend, Backend::Packed(_))
+    /// A cursor backed by an LRU buffer pool of `pages` pages.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pages` is zero (use [`PackedRTree::cursor`] instead).
+    pub fn with_buffer(tree: &'t PackedRTree, pages: usize) -> Self {
+        Self::open(tree, Some(LruBuffer::new(pages)))
     }
 
     /// Reads a page, recording the access.
@@ -337,40 +313,25 @@ impl<'t> TreeCursor<'t> {
                 }
             }
         }
-        match self.backend {
-            Backend::Arena(tree) => match tree.node(id) {
-                Node::Leaf(es) => PageRef::Leaf(LeafRef::aos(es)),
-                Node::Internal(bs) => PageRef::Internal(crate::node::BranchesRef::Aos(bs)),
-            },
-            Backend::Packed(tree) => tree.page(id),
-        }
+        self.tree.page(id)
     }
 
     /// Root page id (reading the root later still counts as an access).
     #[inline]
     pub fn root(&self) -> PageId {
-        match self.backend {
-            Backend::Arena(tree) => tree.root(),
-            Backend::Packed(tree) => tree.root(),
-        }
+        self.tree.root()
     }
 
     /// Dataset MBR; metadata, not a counted page access.
     #[inline]
     pub fn root_mbr(&self) -> Rect {
-        match self.backend {
-            Backend::Arena(tree) => tree.root_mbr(),
-            Backend::Packed(tree) => tree.root_mbr(),
-        }
+        self.tree.root_mbr()
     }
 
     /// Number of data points in the tree behind the cursor.
     #[inline]
     pub fn len(&self) -> usize {
-        match self.backend {
-            Backend::Arena(tree) => tree.len(),
-            Backend::Packed(tree) => tree.len(),
-        }
+        self.tree.len()
     }
 
     /// Whether the tree behind the cursor stores no points.
@@ -382,19 +343,13 @@ impl<'t> TreeCursor<'t> {
     /// Number of levels (1 = the root is a leaf).
     #[inline]
     pub fn height(&self) -> usize {
-        match self.backend {
-            Backend::Arena(tree) => tree.height(),
-            Backend::Packed(tree) => tree.height(),
-        }
+        self.tree.height()
     }
 
-    /// Number of live pages in the tree behind the cursor.
+    /// Number of pages in the tree behind the cursor.
     #[inline]
     pub fn node_count(&self) -> usize {
-        match self.backend {
-            Backend::Arena(tree) => tree.node_count(),
-            Backend::Packed(tree) => tree.node_count(),
-        }
+        self.tree.node_count()
     }
 
     /// Starts (or restarts) batch-scoped distinct-page tracking: every page
@@ -461,7 +416,7 @@ impl<'t> TreeCursor<'t> {
 mod tests {
     use super::*;
     use crate::node::LeafEntry;
-    use crate::RTreeParams;
+    use crate::{RTree, RTreeParams};
     use gnn_geom::{Point, PointId};
 
     #[test]
@@ -539,15 +494,20 @@ mod tests {
         assert_eq!(lru.len(), 2);
     }
 
-    #[test]
-    fn cursor_counts_accesses() {
+    fn snapshot(n: u64) -> PackedRTree {
         let mut tree = RTree::new(RTreeParams::with_capacity(4));
-        for i in 0..20 {
+        for i in 0..n {
             tree.insert(LeafEntry::new(PointId(i), Point::new(i as f64, 0.0)));
         }
-        let cursor = TreeCursor::unbuffered(&tree);
-        cursor.read(tree.root());
-        cursor.read(tree.root());
+        tree.freeze()
+    }
+
+    #[test]
+    fn cursor_counts_accesses() {
+        let packed = snapshot(20);
+        let cursor = packed.cursor();
+        cursor.read(cursor.root());
+        cursor.read(cursor.root());
         assert_eq!(cursor.stats(), AccessStats { logical: 2, io: 2 });
         let taken = cursor.take_stats();
         assert_eq!(taken.logical, 2);
@@ -556,48 +516,25 @@ mod tests {
 
     #[test]
     fn buffered_cursor_absorbs_repeats() {
-        let mut tree = RTree::new(RTreeParams::with_capacity(4));
-        for i in 0..20 {
-            tree.insert(LeafEntry::new(PointId(i), Point::new(i as f64, 0.0)));
-        }
-        let cursor = TreeCursor::with_buffer(&tree, 16);
+        let packed = snapshot(50);
+        let cursor = TreeCursor::with_buffer(&packed, 16);
+        assert_eq!(cursor.len(), 50);
+        assert_eq!(cursor.height(), packed.height());
+        assert_eq!(cursor.root_mbr(), packed.root_mbr());
         for _ in 0..5 {
-            cursor.read(tree.root());
+            cursor.read(cursor.root());
         }
         let s = cursor.stats();
         assert_eq!(s.logical, 5);
         assert_eq!(s.io, 1);
         cursor.reset();
-        cursor.read(tree.root());
+        cursor.read(cursor.root());
         assert_eq!(cursor.stats().io, 1, "reset cleared the buffer");
     }
 
     #[test]
-    fn packed_cursor_reads_and_meters() {
-        let mut tree = RTree::new(RTreeParams::with_capacity(4));
-        for i in 0..50 {
-            tree.insert(LeafEntry::new(PointId(i), Point::new(i as f64, 1.0)));
-        }
-        let packed = tree.freeze();
-        let cursor = TreeCursor::packed_with_buffer(&packed, 8);
-        assert_eq!(cursor.len(), 50);
-        assert_eq!(cursor.height(), packed.height());
-        assert_eq!(cursor.root_mbr(), tree.root_mbr());
-        for _ in 0..3 {
-            cursor.read(cursor.root());
-        }
-        let s = cursor.stats();
-        assert_eq!(s.logical, 3);
-        assert_eq!(s.io, 1);
-    }
-
-    #[test]
     fn page_tracking_counts_distinct_pages_without_touching_stats() {
-        let mut tree = RTree::new(RTreeParams::with_capacity(4));
-        for i in 0..50 {
-            tree.insert(LeafEntry::new(PointId(i), Point::new(i as f64, 1.0)));
-        }
-        let packed = tree.freeze();
+        let packed = snapshot(50);
         let cursor = packed.cursor();
         // Inactive tracker: finish with no begin reports zero.
         assert_eq!(cursor.finish_page_tracking(), 0);

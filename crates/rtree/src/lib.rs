@@ -4,16 +4,16 @@
 //! GCP, the query set `Q`) is indexed by an R\*-tree \[BKSS90\] with 1 KByte
 //! pages holding 50 entries. This crate provides, from scratch:
 //!
-//! * [`RTree`] — paged R\*-tree with `ChooseSubtree`, forced reinsertion and
-//!   the topological split; deletion with tree condensation; STR and Hilbert
-//!   bulk loading;
-//! * [`PackedRTree`] — a read-optimized snapshot ([`RTree::freeze`]):
-//!   contiguous page arenas, SoA rectangle coordinates and dense BFS page
-//!   ids, so query scans are linear passes over packed memory; under mixed
-//!   update/query traffic, [`RTree::refreeze`] rebuilds the next snapshot
-//!   incrementally by copying the spans of every page untouched since the
-//!   previous one (page-level copy-on-write, pinned identical to a full
-//!   freeze);
+//! * [`RTree`] — the builder: paged R\*-tree with `ChooseSubtree`, forced
+//!   reinsertion and the topological split; deletion with tree
+//!   condensation; STR and Hilbert bulk loading;
+//! * [`PackedRTree`] — the read-optimized snapshot ([`RTree::freeze`]) every
+//!   query reads: contiguous page arenas, SoA rectangle coordinates and
+//!   dense BFS page ids, so query scans are linear passes over packed
+//!   memory; under mixed update/query traffic, [`RTree::refreeze`] rebuilds
+//!   the next snapshot incrementally by copying the spans of every page
+//!   untouched since the previous one (page-level copy-on-write, pinned
+//!   identical to a full freeze);
 //! * [`TreeCursor`] / [`AccessStats`] / [`LruBuffer`] — the disk simulation:
 //!   every page read is metered, optionally through an LRU buffer pool, and
 //!   reported as the paper's *node accesses* (NA) metric;
@@ -34,7 +34,8 @@
 //!         let f = i as f64;
 //!         LeafEntry::new(PointId(i), Point::new(f % 31.0, f % 17.0))
 //!     }),
-//! );
+//! )
+//! .freeze();
 //! let cursor = TreeCursor::with_buffer(&tree, 128);
 //! let mut scratch = NnScratch::default();
 //! let nearest: Vec<_> = NearestNeighbors::new_in(&cursor, Point::new(5.2, 4.9), &mut scratch)
@@ -63,7 +64,7 @@ pub use bulk::DEFAULT_BULK_FILL;
 pub use closest_pairs::{ClosestPairs, PairResult};
 pub use cursor::{AccessStats, LruBuffer, TreeCursor};
 pub use nn::{NearestNeighbors, NnScratch, PointNeighbor};
-pub use node::{Branch, BranchesRef, LeafEntry, LeafRef, Node, PageId, PageRef, SoaBranches};
+pub use node::{BranchesRef, LeafEntry, LeafRef, PageId, PageRef};
 pub use packed::PackedRTree;
 pub use params::RTreeParams;
 pub use sharded::{ShardedSnapshot, ShardedTree};

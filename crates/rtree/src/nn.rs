@@ -8,12 +8,10 @@
 //! The best-first heap is keyed by **squared** distance — squared values
 //! order identically, so the `sqrt` is paid only when an item is actually
 //! yielded — and node/leaf expansions run through the batched `mindist²`
-//! kernels (vectorized on packed snapshots). There is one engine: arena and
-//! packed cursors differ only in the page layout behind [`PageRef`], every
-//! leaf entry is one heap item on both, so neighbors, distance bits and node
-//! accesses agree by construction. A search borrows its heap and bound
-//! buffer from a [`NnScratch`], so steady-state searches through a
-//! warmed-up scratch are allocation-free.
+//! kernels, straight over the snapshot's lane-padded SoA pages; every leaf
+//! entry is one heap item. A search borrows its heap and bound buffer from
+//! a [`NnScratch`], so steady-state searches through a warmed-up scratch
+//! are allocation-free.
 
 use crate::cursor::TreeCursor;
 use crate::node::{LeafEntry, PageId, PageRef};
@@ -101,13 +99,14 @@ impl NnScratch {
 ///
 /// ```
 /// use gnn_geom::{Point, PointId};
-/// use gnn_rtree::{LeafEntry, NearestNeighbors, NnScratch, RTree, RTreeParams, TreeCursor};
+/// use gnn_rtree::{LeafEntry, NearestNeighbors, NnScratch, RTree, RTreeParams};
 ///
 /// let mut tree = RTree::new(RTreeParams::default());
 /// for (i, xy) in [(0.0, 0.0), (5.0, 5.0), (1.0, 1.0)].iter().enumerate() {
 ///     tree.insert(LeafEntry::new(PointId(i as u64), Point::new(xy.0, xy.1)));
 /// }
-/// let cursor = TreeCursor::unbuffered(&tree);
+/// let snapshot = tree.freeze();
+/// let cursor = snapshot.cursor();
 /// let mut scratch = NnScratch::default();
 /// let mut nn = NearestNeighbors::new_in(&cursor, Point::new(0.9, 0.9), &mut scratch);
 /// assert_eq!(nn.next().unwrap().entry.id, PointId(2));
@@ -225,12 +224,12 @@ impl Iterator for NearestNeighbors<'_, '_, '_> {
 mod tests {
     use super::*;
     use crate::node::LeafEntry;
-    use crate::{RTree, RTreeParams};
+    use crate::{PackedRTree, RTree, RTreeParams};
     use gnn_geom::PointId;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_tree(n: usize, seed: u64) -> (RTree, Vec<LeafEntry>) {
+    fn random_tree(n: usize, seed: u64) -> (PackedRTree, Vec<LeafEntry>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut tree = RTree::new(RTreeParams::with_capacity(8));
         let mut entries = Vec::with_capacity(n);
@@ -242,7 +241,7 @@ mod tests {
             tree.insert(e);
             entries.push(e);
         }
-        (tree, entries)
+        (tree.freeze(), entries)
     }
 
     fn brute_force_knn(entries: &[LeafEntry], q: Point, k: usize) -> Vec<(u64, f64)> {
@@ -263,7 +262,7 @@ mod tests {
     #[test]
     fn incremental_nn_is_sorted_and_complete() {
         let (tree, entries) = random_tree(500, 1);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let q = Point::new(42.0, 17.0);
         let results = k_nearest(&cursor, q, usize::MAX);
         assert_eq!(results.len(), entries.len());
@@ -280,7 +279,7 @@ mod tests {
     #[test]
     fn knn_matches_brute_force() {
         let (tree, entries) = random_tree(800, 2);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         for &k in &[1usize, 5, 32] {
             for seed in 0..10u64 {
                 let mut rng = StdRng::seed_from_u64(seed + 100);
@@ -301,7 +300,7 @@ mod tests {
     #[test]
     fn scratch_reuse_matches_brute_force_and_does_not_regrow() {
         let (tree, entries) = random_tree(800, 11);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let mut scratch = NnScratch::default();
         let mut rng = StdRng::seed_from_u64(77);
         let queries: Vec<Point> = (0..20)
@@ -335,35 +334,9 @@ mod tests {
     }
 
     #[test]
-    fn packed_backend_gives_identical_results() {
-        let (tree, _) = random_tree(900, 12);
-        let packed = tree.freeze();
-        let arena_cursor = TreeCursor::unbuffered(&tree);
-        let packed_cursor = TreeCursor::packed(&packed);
-        let mut rng = StdRng::seed_from_u64(13);
-        for _ in 0..10 {
-            let q = Point::new(rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0);
-            let a: Vec<(u64, f64)> = k_nearest(&arena_cursor, q, 7)
-                .iter()
-                .map(|r| (r.entry.id.0, r.dist))
-                .collect();
-            let p: Vec<(u64, f64)> = k_nearest(&packed_cursor, q, 7)
-                .iter()
-                .map(|r| (r.entry.id.0, r.dist))
-                .collect();
-            assert_eq!(a, p);
-        }
-        assert_eq!(
-            arena_cursor.stats().logical,
-            packed_cursor.stats().logical,
-            "node accesses must match across backends"
-        );
-    }
-
-    #[test]
     fn knn_with_k_larger_than_dataset() {
         let (tree, entries) = random_tree(10, 5);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         for k in [50, usize::MAX] {
             let got = k_nearest(&cursor, Point::new(0.0, 0.0), k);
             assert_eq!(got.len(), entries.len());
@@ -372,15 +345,15 @@ mod tests {
 
     #[test]
     fn knn_on_empty_tree() {
-        let tree = RTree::new(RTreeParams::default());
-        let cursor = TreeCursor::unbuffered(&tree);
+        let tree = RTree::new(RTreeParams::default()).freeze();
+        let cursor = tree.cursor();
         assert!(k_nearest(&cursor, Point::ORIGIN, 3).is_empty());
     }
 
     #[test]
     fn peek_bound_is_a_valid_lower_bound() {
         let (tree, _) = random_tree(300, 6);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let q = Point::new(50.0, 50.0);
         let mut scratch = NnScratch::default();
         let mut nn = NearestNeighbors::new_in(&cursor, q, &mut scratch);
@@ -399,21 +372,22 @@ mod tests {
         for i in 0..25 {
             tree.insert(LeafEntry::new(PointId(i), Point::new(1.0, 1.0)));
         }
-        let cursor = TreeCursor::unbuffered(&tree);
+        let packed = tree.freeze();
+        let cursor = packed.cursor();
         let res = k_nearest(&cursor, Point::new(0.0, 0.0), usize::MAX);
         assert_eq!(res.len(), 25);
         assert!(res.iter().all(|r| (r.dist - 2f64.sqrt()).abs() < 1e-12));
     }
 
     #[test]
-    fn cross_leaf_distance_ties_emit_in_arena_id_order() {
-        // Regression: runs tie-break by their head's point id, exactly like
-        // arena `Point` items. (6,8) and (8,6) are both at d²=100 from the
+    fn cross_leaf_distance_ties_emit_in_point_id_order() {
+        // Regression: equal distances tie-break by point id, whatever leaf
+        // the points came from. (6,8) and (8,6) are both at d²=100 from the
         // origin but live in different leaves (each padded with neighbors
-        // so both leaves are expanded before the tie pops); with a run-id
-        // tie-break the packed engine emitted them in leaf-expansion order,
-        // returning a different 5th neighbor than the arena engine.
+        // so both leaves are expanded before the tie pops); a tie-break by
+        // leaf-expansion order once returned a different 5th neighbor.
         let mut tree = RTree::new(RTreeParams::with_capacity(4));
+        let mut entries = Vec::new();
         for (id, x, y) in [
             (20u64, 6.0, 8.0),
             (21, 6.0, 7.5),
@@ -424,52 +398,45 @@ mod tests {
             (5, 8.1, 6.1),
             (6, 7.9, 6.2),
         ] {
-            tree.insert(LeafEntry::new(PointId(id), Point::new(x, y)));
+            let e = LeafEntry::new(PointId(id), Point::new(x, y));
+            tree.insert(e);
+            entries.push(e);
         }
         let packed = tree.freeze();
         let q = Point::ORIGIN;
-        let ids = |cursor: &TreeCursor<'_>| -> Vec<u64> {
-            k_nearest(cursor, q, usize::MAX)
-                .iter()
-                .map(|r| r.entry.id.0)
-                .collect()
-        };
-        let arena_ids = ids(&TreeCursor::unbuffered(&tree));
-        let packed_ids = ids(&TreeCursor::packed(&packed));
-        assert_eq!(arena_ids, packed_ids, "tie order diverged across backends");
+        let got: Vec<u64> = k_nearest(&packed.cursor(), q, usize::MAX)
+            .iter()
+            .map(|r| r.entry.id.0)
+            .collect();
+        entries.sort_by(|a, b| {
+            a.point
+                .dist_sq(q)
+                .total_cmp(&b.point.dist_sq(q))
+                .then(a.id.cmp(&b.id))
+        });
+        let want: Vec<u64> = entries.iter().map(|e| e.id.0).collect();
+        assert_eq!(got, want, "ties must emit in point-id order");
+        let at = |id: u64| got.iter().position(|&g| g == id).unwrap();
+        assert!(at(3) < at(20), "scenario: the tie at d² = 100");
     }
 
     #[test]
-    fn duplicate_points_do_not_inflate_packed_node_accesses() {
-        // Regression: run heap items must carry point rank (0). With node
+    fn duplicate_points_do_not_inflate_node_accesses() {
+        // Regression: point heap items must carry point rank (0). With node
         // rank they lose every distance tie to pending nodes, so a tree of
-        // duplicate points made the packed engine expand *every* tied leaf
-        // before emitting anything — node accesses above the arena
-        // reference. One internal level (8 points, capacity 4, k smaller
-        // than any leaf) isolates the run-vs-node tie: both backends must
-        // read exactly root + one leaf.
-        //
-        // (On deeper trees, ties *between nodes* may still expand in
-        // different page-id order on the two backends — arena allocation
-        // vs BFS renumbering — which is a pre-existing property of exact
-        // ties, not of the run fast path.)
+        // duplicate points made the engine expand *every* tied leaf before
+        // emitting anything. One internal level (8 points, capacity 4, k
+        // smaller than any leaf) isolates the point-vs-node tie: the search
+        // must read exactly root + one leaf.
         let mut tree = RTree::new(RTreeParams::with_capacity(4));
         for i in 0..8 {
             tree.insert(LeafEntry::new(PointId(i), Point::new(1.0, 1.0)));
         }
         assert_eq!(tree.height(), 2, "one internal level wanted");
         let packed = tree.freeze();
-        let arena_cursor = TreeCursor::unbuffered(&tree);
-        let packed_cursor = TreeCursor::packed(&packed);
-        let a = k_nearest(&arena_cursor, Point::new(0.0, 0.0), 2);
-        let p = k_nearest(&packed_cursor, Point::new(0.0, 0.0), 2);
-        assert_eq!(a.len(), 2);
-        assert_eq!(p.len(), 2);
-        assert_eq!(arena_cursor.stats().logical, 2, "root + one leaf");
-        assert_eq!(
-            packed_cursor.stats().logical,
-            2,
-            "packed engine read extra tied nodes"
-        );
+        let cursor = packed.cursor();
+        let got = k_nearest(&cursor, Point::new(0.0, 0.0), 2);
+        assert_eq!(got.len(), 2);
+        assert_eq!(cursor.stats().logical, 2, "root + one leaf");
     }
 }

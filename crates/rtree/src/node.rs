@@ -1,16 +1,24 @@
-//! Node and entry types of the paged R*-tree.
+//! Page and entry types of the paged R*-tree.
+//!
+//! Two layouts, one job each. The builder [`crate::RTree`] mutates
+//! crate-private arena pages ([`Node`], [`Branch`]); every query reads a
+//! [`crate::PackedRTree`] snapshot through the borrowed views [`PageRef`],
+//! [`LeafRef`] and [`BranchesRef`], which hold that snapshot's lane-padded
+//! SoA slices.
 
 use gnn_geom::{Point, PointId, Rect};
 
-/// Identifier of a page (node) in the tree's page arena.
+/// Identifier of a page (node).
 ///
-/// Page ids are stable for the lifetime of the node; deleting a node recycles
-/// its id through a free list.
+/// In the builder's arena an id is stable for the lifetime of the node, and
+/// deleting a node recycles its id through a free list; a packed snapshot
+/// renumbers its pages densely in BFS order (the root is page 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub(crate) u32);
 
 impl PageId {
-    /// The arena slot backing this page.
+    /// The page's position: its slot in the builder's arena, its BFS
+    /// position in a snapshot.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -42,7 +50,7 @@ impl LeafEntry {
 
 /// An entry of an internal node: the MBR of a child subtree and its page id.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Branch {
+pub(crate) struct Branch {
     /// Minimum bounding rectangle of everything below `child`.
     pub mbr: Rect,
     /// Page id of the child node.
@@ -52,7 +60,7 @@ pub struct Branch {
 /// A page of the tree: either a leaf holding data points or an internal node
 /// holding child branches.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Node {
+pub(crate) enum Node {
     /// Leaf node with data entries.
     Leaf(Vec<LeafEntry>),
     /// Internal node with child branches.
@@ -60,12 +68,6 @@ pub enum Node {
 }
 
 impl Node {
-    /// Whether this is a leaf page.
-    #[inline]
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf(_))
-    }
-
     /// Number of entries stored in the page.
     #[inline]
     pub fn len(&self) -> usize {
@@ -73,12 +75,6 @@ impl Node {
             Node::Leaf(es) => es.len(),
             Node::Internal(bs) => bs.len(),
         }
-    }
-
-    /// Whether the page holds no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The minimum bounding rectangle of the page's contents
@@ -100,15 +96,6 @@ impl Node {
         r
     }
 
-    /// Leaf entries; panics when called on an internal node.
-    #[inline]
-    pub fn leaf_entries(&self) -> &[LeafEntry] {
-        match self {
-            Node::Leaf(es) => es,
-            Node::Internal(_) => panic!("leaf_entries() on internal node"),
-        }
-    }
-
     /// Child branches; panics when called on a leaf.
     #[inline]
     pub fn branches(&self) -> &[Branch] {
@@ -119,12 +106,8 @@ impl Node {
     }
 }
 
-/// A borrowed view of one page, as produced by [`crate::TreeCursor::read`].
-///
-/// Both storage backends — the mutable arena [`crate::RTree`] and the
-/// read-optimized [`crate::PackedRTree`] snapshot — surface their pages
-/// through this type, so query algorithms are written once and run on
-/// either.
+/// A borrowed view of one page of a [`crate::PackedRTree`] snapshot, as
+/// produced by [`crate::TreeCursor::read`].
 #[derive(Debug, Clone, Copy)]
 pub enum PageRef<'t> {
     /// A leaf page of data entries.
@@ -156,44 +139,28 @@ impl<'t> PageRef<'t> {
     }
 }
 
-/// A borrowed leaf page: the entry slice, plus SoA coordinate mirrors when
-/// the page comes from a packed snapshot (enabling the batched point
-/// kernels). The mirrors are **lane-padded**: they hold at least
-/// `pad_len(entries.len())` readable lanes (sentinel-filled past the
-/// entries), which is what lets the SIMD kernels run full vectors with no
-/// scalar tail. Exactly `entries.len()` results ever come out of the
+/// A borrowed leaf page: the entry slice plus its SoA coordinate mirror
+/// (for the batched point kernels). The mirror is **lane-padded**: it holds
+/// at least `pad_len(entries.len())` readable lanes (sentinel-filled past
+/// the entries), which is what lets the SIMD kernels run full vectors with
+/// no scalar tail. Exactly `entries.len()` results ever come out of the
 /// batched methods. Dereferences to `[LeafEntry]`.
 #[derive(Debug, Clone, Copy)]
 pub struct LeafRef<'t> {
     entries: &'t [LeafEntry],
-    /// `Some` on packed snapshots: x/y coordinates of `entries`, parallel
-    /// and lane-padded.
-    xs: Option<&'t [f64]>,
-    ys: Option<&'t [f64]>,
+    /// x/y coordinates of `entries`, parallel and lane-padded.
+    xs: &'t [f64],
+    ys: &'t [f64],
 }
 
 impl<'t> LeafRef<'t> {
-    /// A view over an arena leaf (no SoA mirror).
-    #[inline]
-    pub(crate) fn aos(entries: &'t [LeafEntry]) -> Self {
-        LeafRef {
-            entries,
-            xs: None,
-            ys: None,
-        }
-    }
-
     /// A view over a packed leaf with its lane-padded SoA coordinate
     /// mirror.
     #[inline]
-    pub(crate) fn soa(entries: &'t [LeafEntry], xs: &'t [f64], ys: &'t [f64]) -> Self {
+    pub(crate) fn new(entries: &'t [LeafEntry], xs: &'t [f64], ys: &'t [f64]) -> Self {
         let pad = gnn_geom::simd::pad_len(entries.len());
         debug_assert!(xs.len() >= pad && ys.len() >= pad);
-        LeafRef {
-            entries,
-            xs: Some(xs),
-            ys: Some(ys),
-        }
+        LeafRef { entries, xs, ys }
     }
 
     /// The entries of the page.
@@ -202,31 +169,25 @@ impl<'t> LeafRef<'t> {
         self.entries
     }
 
-    /// The lane-padded SoA coordinate mirror `(xs, ys)` of the entries —
-    /// `Some` on packed snapshots only. Both slices hold at least
-    /// `pad_len(entries().len())` readable lanes, so a padded kernel can run
-    /// over the page's own storage with no staging copy.
+    /// The lane-padded SoA coordinate mirror `(xs, ys)` of the entries.
+    /// Both slices hold at least `pad_len(entries().len())` readable lanes,
+    /// so a padded kernel can run over the page's own storage with no
+    /// staging copy.
     #[inline]
-    pub fn coords(&self) -> Option<(&'t [f64], &'t [f64])> {
-        self.xs.zip(self.ys)
+    pub fn coords(&self) -> (&'t [f64], &'t [f64]) {
+        (self.xs, self.ys)
     }
 
-    /// `out[i] = |entries[i].point, q|²`, batched over the SoA mirror when
-    /// present. `out` is cleared and refilled (capacity reused).
+    /// `out[i] = |entries[i].point, q|²`, batched over the SoA mirror.
+    /// `out` is cleared and refilled (capacity reused).
     pub fn dist_sq_into(&self, q: Point, out: &mut Vec<f64>) {
-        match (self.xs, self.ys) {
-            (Some(xs), Some(ys)) => gnn_geom::batch::BatchKernels::auto().points_dist_sq_padded(
-                xs,
-                ys,
-                self.entries.len(),
-                q,
-                out,
-            ),
-            _ => {
-                out.clear();
-                out.extend(self.entries.iter().map(|e| e.point.dist_sq(q)));
-            }
-        }
+        gnn_geom::batch::BatchKernels::auto().points_dist_sq_padded(
+            self.xs,
+            self.ys,
+            self.entries.len(),
+            q,
+            out,
+        );
     }
 }
 
@@ -248,45 +209,33 @@ impl<'a, 't> IntoIterator for &'a LeafRef<'t> {
     }
 }
 
-/// A borrowed internal page: either the arena's `[Branch]` slice (AoS) or
-/// the packed snapshot's parallel coordinate slices (SoA). The SoA form is
-/// what lets a node scan run through the branch-free batched kernels.
-#[derive(Debug, Clone, Copy)]
-pub enum BranchesRef<'t> {
-    /// Arena storage: array of [`Branch`] structs.
-    Aos(&'t [Branch]),
-    /// Packed storage: four rectangle coordinate slices plus child ids.
-    Soa(SoaBranches<'t>),
-}
-
-/// The SoA form of an internal page's branches (packed snapshots).
+/// A borrowed internal page: four parallel rectangle-coordinate slices plus
+/// the child ids (SoA), so a node scan runs through the branch-free batched
+/// kernels.
 ///
 /// The coordinate slices are **lane-padded**: they hold at least
 /// `pad_len(children.len())` readable lanes, the tail filled with `0.0`
 /// sentinels. `children` stops at the page's true length and is what bounds
 /// every loop; the batched methods emit exactly `children.len()` results.
 #[derive(Debug, Clone, Copy)]
-pub struct SoaBranches<'t> {
+pub struct BranchesRef<'t> {
     /// `lo.x` of every child MBR (lane-padded).
-    pub lo_x: &'t [f64],
+    pub(crate) lo_x: &'t [f64],
     /// `lo.y` of every child MBR (lane-padded).
-    pub lo_y: &'t [f64],
+    pub(crate) lo_y: &'t [f64],
     /// `hi.x` of every child MBR (lane-padded).
-    pub hi_x: &'t [f64],
+    pub(crate) hi_x: &'t [f64],
     /// `hi.y` of every child MBR (lane-padded).
-    pub hi_y: &'t [f64],
+    pub(crate) hi_y: &'t [f64],
     /// Child page ids — exactly the page's true length (no padding).
-    pub children: &'t [PageId],
+    pub(crate) children: &'t [PageId],
 }
 
 impl<'t> BranchesRef<'t> {
     /// Number of branches in the page.
     #[inline]
     pub fn len(&self) -> usize {
-        match self {
-            BranchesRef::Aos(bs) => bs.len(),
-            BranchesRef::Soa(s) => s.children.len(),
-        }
+        self.children.len()
     }
 
     /// Whether the page holds no branches.
@@ -298,66 +247,44 @@ impl<'t> BranchesRef<'t> {
     /// Child page id of branch `i`.
     #[inline]
     pub fn child(&self, i: usize) -> PageId {
-        match self {
-            BranchesRef::Aos(bs) => bs[i].child,
-            BranchesRef::Soa(s) => s.children[i],
-        }
+        self.children[i]
     }
 
     /// MBR of branch `i`.
     #[inline]
     pub fn mbr(&self, i: usize) -> Rect {
-        match self {
-            BranchesRef::Aos(bs) => bs[i].mbr,
-            BranchesRef::Soa(s) => Rect::new(
-                Point::new(s.lo_x[i], s.lo_y[i]),
-                Point::new(s.hi_x[i], s.hi_y[i]),
-            ),
-        }
+        Rect::new(
+            Point::new(self.lo_x[i], self.lo_y[i]),
+            Point::new(self.hi_x[i], self.hi_y[i]),
+        )
     }
 
-    /// `out[i] = mindist²(branch_i.mbr, q)`, batched over the SoA slices
-    /// when available. `out` is cleared and refilled (capacity reused).
+    /// `out[i] = mindist²(branch_i.mbr, q)`, batched over the SoA slices.
+    /// `out` is cleared and refilled (capacity reused).
     pub fn mindist_sq_point_into(&self, q: Point, out: &mut Vec<f64>) {
-        match self {
-            BranchesRef::Aos(bs) => {
-                out.clear();
-                out.extend(bs.iter().map(|b| b.mbr.mindist_point_sq(q)));
-            }
-            BranchesRef::Soa(s) => {
-                gnn_geom::batch::BatchKernels::auto().rects_mindist_sq_point_padded(
-                    s.lo_x,
-                    s.lo_y,
-                    s.hi_x,
-                    s.hi_y,
-                    s.children.len(),
-                    q,
-                    out,
-                );
-            }
-        }
+        gnn_geom::batch::BatchKernels::auto().rects_mindist_sq_point_padded(
+            self.lo_x,
+            self.lo_y,
+            self.hi_x,
+            self.hi_y,
+            self.children.len(),
+            q,
+            out,
+        );
     }
 
-    /// `out[i] = mindist²(branch_i.mbr, m)`, batched over the SoA slices
-    /// when available. `out` is cleared and refilled.
+    /// `out[i] = mindist²(branch_i.mbr, m)`, batched over the SoA slices.
+    /// `out` is cleared and refilled.
     pub fn mindist_sq_rect_into(&self, m: &Rect, out: &mut Vec<f64>) {
-        match self {
-            BranchesRef::Aos(bs) => {
-                out.clear();
-                out.extend(bs.iter().map(|b| b.mbr.mindist_rect_sq(m)));
-            }
-            BranchesRef::Soa(s) => {
-                gnn_geom::batch::BatchKernels::auto().rects_mindist_sq_rect_padded(
-                    s.lo_x,
-                    s.lo_y,
-                    s.hi_x,
-                    s.hi_y,
-                    s.children.len(),
-                    m,
-                    out,
-                );
-            }
-        }
+        gnn_geom::batch::BatchKernels::auto().rects_mindist_sq_rect_padded(
+            self.lo_x,
+            self.lo_y,
+            self.hi_x,
+            self.hi_y,
+            self.children.len(),
+            m,
+            out,
+        );
     }
 
     /// Iterates the branches as `(mbr, child)` pairs, in page order.
@@ -416,7 +343,6 @@ mod tests {
         ]);
         assert_eq!(node.mbr(), Rect::from_corners(0.0, 1.0, 3.0, 5.0));
         assert_eq!(node.len(), 2);
-        assert!(node.is_leaf());
     }
 
     #[test]
@@ -432,24 +358,16 @@ mod tests {
             },
         ]);
         assert_eq!(node.mbr(), Rect::from_corners(0.0, -1.0, 3.0, 1.0));
-        assert!(!node.is_leaf());
     }
 
     #[test]
     fn empty_node_mbr_is_empty() {
         assert!(Node::Leaf(vec![]).mbr().is_empty());
-        assert!(Node::Leaf(vec![]).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "branches() on leaf")]
     fn branches_on_leaf_panics() {
         let _ = Node::Leaf(vec![]).branches();
-    }
-
-    #[test]
-    #[should_panic(expected = "leaf_entries() on internal")]
-    fn leaf_entries_on_internal_panics() {
-        let _ = Node::Internal(vec![]).leaf_entries();
     }
 }

@@ -26,13 +26,13 @@
 //! direct-mapped slot table instead of a hash map.
 //!
 //! The snapshot preserves the page *structure* of the source tree exactly —
-//! same pages, same entries per page, same branch order within a page — so
-//! every query algorithm performs the identical node accesses on either
-//! backend (the property suite pins this). What changes is purely the memory
-//! layout: no `Option<Node>` indirection, no per-page heap allocations, no
-//! pointer chasing.
+//! same pages, same entries per page, same branch order within a page
+//! (`packed_pages_mirror_arena_pages` pins this); only page ids and the
+//! memory layout change: no `Option<Node>` indirection, no per-page heap
+//! allocations, no pointer chasing. Queries read nothing else: the arena
+//! tree is the builder, and a [`crate::TreeCursor`] opens only snapshots.
 
-use crate::node::{BranchesRef, LeafEntry, LeafRef, Node, PageId, PageRef, SoaBranches};
+use crate::node::{BranchesRef, LeafEntry, LeafRef, Node, PageId, PageRef};
 use crate::tree::RTree;
 use crate::RTreeParams;
 use gnn_geom::simd::pad_len;
@@ -65,8 +65,9 @@ struct PageSpan {
 ///
 /// Built with [`RTree::freeze`] (full rebuild) or [`RTree::refreeze`]
 /// (page-level copy-on-write reuse of a previous snapshot); queried through
-/// [`crate::TreeCursor::packed`] exactly like the arena tree. Mutations go
-/// to the source [`RTree`]; re-freeze (or refreeze) to refresh the snapshot.
+/// [`PackedRTree::cursor`] or [`crate::TreeCursor::with_buffer`] — the one
+/// page layout every query reads. Mutations go to the source [`RTree`];
+/// re-freeze (or refreeze) to refresh the snapshot.
 ///
 /// `PartialEq` compares the *structural* content — parameters, page spans,
 /// all five SoA arenas, the leaf arena and mirrors, root MBR, height and
@@ -392,7 +393,7 @@ impl PackedRTree {
         self.spans.len()
     }
 
-    /// Borrows a page as the backend-neutral [`PageRef`] view.
+    /// Borrows a page as a [`PageRef`] view.
     ///
     /// # Panics
     ///
@@ -407,19 +408,19 @@ impl PackedRTree {
         // the true length, which is what bounds every loop and output.
         let pad_hi = lo + pad_len(span.len as usize);
         if span.leaf {
-            PageRef::Leaf(LeafRef::soa(
+            PageRef::Leaf(LeafRef::new(
                 &self.leaves[lo..hi],
                 &self.leaf_xs[lo..pad_hi],
                 &self.leaf_ys[lo..pad_hi],
             ))
         } else {
-            PageRef::Internal(BranchesRef::Soa(SoaBranches {
+            PageRef::Internal(BranchesRef {
                 lo_x: &self.br_lo_x[lo..pad_hi],
                 lo_y: &self.br_lo_y[lo..pad_hi],
                 hi_x: &self.br_hi_x[lo..pad_hi],
                 hi_y: &self.br_hi_y[lo..pad_hi],
                 children: &self.br_child[lo..hi],
-            }))
+            })
         }
     }
 
@@ -432,13 +433,15 @@ impl PackedRTree {
         })
     }
 
-    /// A fresh unbuffered [`crate::TreeCursor`] over this snapshot — the
-    /// cheap per-thread constructor concurrent engines use. The snapshot
-    /// itself is `Send + Sync` (share it behind an `Arc`); each worker
-    /// thread owns its own cursor, because cursors carry per-thread access
-    /// counters in a `RefCell` and are intentionally `!Sync`.
+    /// A fresh unbuffered [`crate::TreeCursor`] over this snapshot (every
+    /// logical access is an I/O; [`crate::TreeCursor::with_buffer`] opens
+    /// a buffered one) — the cheap per-thread constructor concurrent
+    /// engines use. The snapshot itself is `Send + Sync` (share it behind
+    /// an `Arc`); each worker thread owns its own cursor, because cursors
+    /// carry per-thread access counters in a `RefCell` and are
+    /// intentionally `!Sync`.
     pub fn cursor(&self) -> crate::TreeCursor<'_> {
-        crate::TreeCursor::packed(self)
+        crate::TreeCursor::open(self, None)
     }
 }
 

@@ -19,10 +19,11 @@ fn next_tree_id() -> u64 {
 
 /// A paged R*-tree over 2-D points \[BKSS90\].
 ///
-/// Nodes live in an in-memory page arena; a [`crate::TreeCursor`] layered on
-/// top simulates the disk by counting page reads (optionally through an LRU
-/// buffer pool), which is how the paper's *node access* (NA) metric is
-/// produced.
+/// The builder: nodes live in an in-memory page arena that insertion and
+/// deletion mutate. Queries read its [`RTree::freeze`] snapshot, through a
+/// [`crate::TreeCursor`] that simulates the disk by counting page reads
+/// (optionally through an LRU buffer pool), which is how the paper's *node
+/// access* (NA) metric is produced.
 ///
 /// The tree supports one-by-one insertion (R\* `ChooseSubtree`, forced
 /// reinsertion and topological split), deletion with condensation, and two
@@ -169,7 +170,7 @@ impl RTree {
     ///
     /// Panics if `id` refers to a freed page.
     #[inline]
-    pub fn node(&self, id: PageId) -> &Node {
+    pub(crate) fn node(&self, id: PageId) -> &Node {
         self.nodes[id.index()].as_ref().expect("dangling page id")
     }
 
@@ -582,11 +583,10 @@ impl RTree {
     /// Packs the tree into a read-optimized [`crate::PackedRTree`] snapshot:
     /// contiguous arenas, SoA rectangle coordinates, dense BFS page ids.
     ///
-    /// The snapshot preserves the page structure exactly, so queries perform
-    /// the same node accesses — only faster, because a node scan walks
-    /// contiguous memory instead of chasing `Option<Node>` pointers. Freeze
-    /// once after loading (or after a batch of updates) and point the query
-    /// cursors at the snapshot.
+    /// The snapshot preserves the page structure exactly; a node scan walks
+    /// contiguous memory instead of chasing `Option<Node>` pointers. Queries
+    /// read only snapshots: freeze once after loading (or after a batch of
+    /// updates) and open the query cursors on the snapshot.
     pub fn freeze(&self) -> crate::PackedRTree {
         crate::PackedRTree::freeze(self)
     }

@@ -25,7 +25,8 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-    );
+    )
+    .freeze();
 
     // Q: five couriers, one far out east.
     let couriers = vec![
@@ -43,7 +44,7 @@ fn main() {
     );
     for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
         let group = QueryGroup::with_aggregate(couriers.clone(), agg).expect("valid query group");
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         // MBM supports all aggregates; SPM would reject MAX/MIN.
         let r = Mbm::best_first().k_gnn(&cursor, &group, 1);
         let best = r.best().expect("non-empty dataset");
@@ -60,7 +61,7 @@ fn main() {
     // The incremental stream: walk candidates in ascending SUM distance
     // until one satisfies a side constraint (here: inside the west half).
     let group = QueryGroup::sum(couriers).expect("valid");
-    let cursor = TreeCursor::unbuffered(&tree);
+    let cursor = tree.cursor();
     let mut scratch = gnn::core::MbmScratch::default();
     let mut stream = MbmStream::new_in(&cursor, &group, true, &mut scratch);
     let mut inspected = 0usize;

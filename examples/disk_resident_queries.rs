@@ -31,7 +31,8 @@ fn main() {
         data.iter()
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-    );
+    )
+    .freeze();
 
     // --- F-MQM / F-MBM consume a Hilbert-sorted paged file of Q, split in
     //     memory-sized groups (here 1 000 points per group).
@@ -76,7 +77,8 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-    );
+    )
+    .freeze();
     let dc = TreeCursor::with_buffer(&data_tree, 128);
     let qc = TreeCursor::with_buffer(&query_tree, 128);
     let r = Gcp::new().k_gnn(&dc, &qc, k);

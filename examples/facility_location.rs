@@ -21,7 +21,8 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-    );
+    )
+    .freeze();
     println!(
         "R*-tree: {} points, {} nodes, height {}.\n",
         tree.len(),
@@ -86,7 +87,7 @@ fn main() {
     weights[2] = 4.0;
     let weighted = QueryGroup::weighted_sum(group_pts.clone(), weights).expect("valid");
     let plain = QueryGroup::sum(group_pts).expect("valid");
-    let cursor = TreeCursor::unbuffered(&tree);
+    let cursor = tree.cursor();
     let w_best = Mbm::best_first().k_gnn(&cursor, &weighted, 1);
     let p_best = Mbm::best_first().k_gnn(&cursor, &plain, 1);
     println!(

@@ -8,7 +8,8 @@
 use gnn::prelude::*;
 
 fn main() {
-    // The static dataset P: candidate restaurants, indexed by an R*-tree.
+    // The static dataset P: candidate restaurants, indexed by an R*-tree
+    // and frozen into the packed snapshot every query reads.
     let restaurants = [
         ("Noodle Bar", Point::new(1.0, 1.0)),
         ("Trattoria", Point::new(4.0, 5.0)),
@@ -22,7 +23,8 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, &(_, p))| LeafEntry::new(PointId(i as u64), p)),
-    );
+    )
+    .freeze();
 
     // The query group Q: three users at their current locations.
     let users = QueryGroup::sum(vec![
@@ -34,7 +36,7 @@ fn main() {
 
     // Ask for the 2 best meeting points with MBM (the paper's best
     // memory-resident algorithm).
-    let cursor = TreeCursor::unbuffered(&tree);
+    let cursor = tree.cursor();
     let result = Mbm::best_first().k_gnn(&cursor, &users, 2);
 
     println!("Best meeting restaurants for the group:");

@@ -67,9 +67,10 @@ fn main() {
         cafes
             .iter()
             .map(|&v| LeafEntry::new(PointId(u64::from(v.0)), city.position(v))),
-    );
+    )
+    .freeze();
     let group = QueryGroup::sum(friends.iter().map(|&v| city.position(v)).collect()).unwrap();
-    let cursor = TreeCursor::unbuffered(&tree);
+    let cursor = tree.cursor();
     let euclid = Mbm::best_first().k_gnn(&cursor, &group, 1);
     let e_best = euclid.best().unwrap();
     let n_best = NetworkTa.k_gnn(&city, &cafes, &friends, 1, Aggregate::Sum);

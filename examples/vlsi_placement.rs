@@ -23,7 +23,8 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-    );
+    )
+    .freeze();
 
     // A 6-pad net that must connect to one new buffer.
     let net = vec![
@@ -36,7 +37,7 @@ fn main() {
     ];
 
     let group = QueryGroup::sum(net.clone()).expect("valid net");
-    let cursor = TreeCursor::unbuffered(&tree);
+    let cursor = tree.cursor();
 
     // Compare all three memory algorithms: identical answers, different I/O.
     println!(

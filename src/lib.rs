@@ -27,7 +27,8 @@
 //!         .iter()
 //!         .enumerate()
 //!         .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-//! );
+//! )
+//! .freeze(); // queries read the packed snapshot
 //! let users = QueryGroup::sum(vec![
 //!     Point::new(2.0, 2.0),
 //!     Point::new(3.0, 6.0),
@@ -35,7 +36,7 @@
 //! ])
 //! .unwrap();
 //!
-//! let cursor = TreeCursor::unbuffered(&tree);
+//! let cursor = tree.cursor();
 //! let found = Mbm::best_first().k_gnn(&cursor, &users, 1);
 //! assert_eq!(found.neighbors[0].id, PointId(1)); // the restaurant at (4, 5)
 //! ```

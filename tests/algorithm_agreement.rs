@@ -19,7 +19,7 @@ fn random_points(n: usize, seed: u64, lo: f64, hi: f64) -> Vec<Point> {
         .collect()
 }
 
-fn build_tree(points: &[Point], capacity: usize) -> RTree {
+fn build_tree(points: &[Point], capacity: usize) -> PackedRTree {
     RTree::bulk_load(
         RTreeParams::with_capacity(capacity),
         points
@@ -27,6 +27,7 @@ fn build_tree(points: &[Point], capacity: usize) -> RTree {
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
     )
+    .freeze()
 }
 
 fn assert_distances_match(name: &str, got: &[f64], want: &[f64]) {
@@ -62,7 +63,7 @@ fn memory_algorithms_agree_across_many_scenarios() {
             ("MBM-df", Box::new(Mbm::depth_first())),
         ];
         for (name, algo) in algos {
-            let cursor = TreeCursor::unbuffered(&tree);
+            let cursor = tree.cursor();
             let got = algo.k_gnn(&cursor, &group, k);
             assert_distances_match(
                 &format!("{name} scenario {si}"),
@@ -94,7 +95,7 @@ fn disk_algorithms_agree_with_memory_algorithms() {
             ("F-MBM bf", Box::new(Fmbm::best_first())),
             ("F-MBM df", Box::new(Fmbm::depth_first())),
         ] {
-            let cursor = TreeCursor::unbuffered(&tree);
+            let cursor = tree.cursor();
             let fc = FileCursor::new(qf.file());
             let got = algo.k_gnn(&cursor, &qf, &fc, k, Aggregate::Sum);
             assert_distances_match(
@@ -106,8 +107,8 @@ fn disk_algorithms_agree_with_memory_algorithms() {
 
         // GCP over an R-tree on Q.
         let qtree = build_tree(&qpts, 8);
-        let dc = TreeCursor::unbuffered(&tree);
-        let qc = TreeCursor::unbuffered(&qtree);
+        let dc = tree.cursor();
+        let qc = qtree.cursor();
         let got = Gcp::new().k_gnn(&dc, &qc, k);
         assert!(!got.stats.aborted, "GCP aborted on a small scenario");
         assert_distances_match(
@@ -127,7 +128,7 @@ fn aggregates_agree_between_memory_and_file_algorithms() {
         let group = QueryGroup::with_aggregate(qpts.clone(), agg).unwrap();
         let want = linear_scan_entries(tree.iter(), &group, 4);
 
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let mqm = Mqm::new().k_gnn(&cursor, &group, 4);
         assert_distances_match(&format!("MQM {agg}"), &mqm.distances(), &want.distances());
         let mbm = Mbm::best_first().k_gnn(&cursor, &group, 4);
@@ -167,7 +168,7 @@ fn agreement_on_clustered_data_with_ties_and_duplicates() {
         ("SPM", Box::new(Spm::best_first())),
         ("MBM", Box::new(Mbm::best_first())),
     ] {
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let got = algo.k_gnn(&cursor, &group, 10);
         assert_distances_match(name, &got.distances(), &want.distances());
     }
@@ -183,7 +184,7 @@ fn buffered_and_unbuffered_cursors_give_identical_results() {
         ("SPM", Box::new(Spm::best_first())),
         ("MBM", Box::new(Mbm::best_first())),
     ] {
-        let unbuffered = TreeCursor::unbuffered(&tree);
+        let unbuffered = tree.cursor();
         let buffered = TreeCursor::with_buffer(&tree, 64);
         let a = algo.k_gnn(&unbuffered, &group, 6);
         let b = algo.k_gnn(&buffered, &group, 6);
@@ -206,8 +207,9 @@ fn incremental_trees_and_bulk_loaded_trees_agree() {
     }
     let bulk = build_tree(&data, 10);
     let group = QueryGroup::sum(random_points(8, 8, 20.0, 70.0)).unwrap();
-    let ci = TreeCursor::unbuffered(&incremental);
-    let cb = TreeCursor::unbuffered(&bulk);
+    let incremental = incremental.freeze();
+    let ci = incremental.cursor();
+    let cb = bulk.cursor();
     let a = Mbm::best_first().k_gnn(&ci, &group, 5);
     let b = Mbm::best_first().k_gnn(&cb, &group, 5);
     assert_eq!(a.distances(), b.distances());

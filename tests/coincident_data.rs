@@ -1,8 +1,9 @@
 //! Hostile data: every stored point is the same point. Each node MBR and
 //! leaf MBR is that point, every exact distance ties with every other, and
 //! from `LAZY_MIN` = 48 SUM members up the bounded MBM loop runs its leaf
-//! cascade on zero-area pages. A tree of 1 000 copies — arena and packed,
-//! at page capacities 4 and 50 — is queried through `execute_on` and the
+//! cascade on zero-area pages. A tree of 1 000 copies — frozen at page
+//! capacities 4 and 50, read through an unbuffered and a buffered cursor —
+//! is queried through `execute_on` and the
 //! direct MBM / SPM / MQM entry points, under SUM, MAX and MIN, with
 //! `k ∈ {1, 8, 1 000, 1 001}` and groups of `n ∈ {1, 4, 48, 256}` spread
 //! around the point (and, under SUM, also stacked on it). Every answer must carry the
@@ -22,13 +23,12 @@ use gnn::prelude::*;
 const COPIES: usize = 1_000;
 const AT: Point = Point::new(3.0, -4.0);
 
-fn index(capacity: usize) -> (RTree, PackedRTree) {
-    let tree = RTree::bulk_load(
+fn index(capacity: usize) -> PackedRTree {
+    RTree::bulk_load(
         RTreeParams::with_capacity(capacity),
         (0..COPIES).map(|i| LeafEntry::new(PointId(i as u64), AT)),
-    );
-    let packed = tree.freeze();
-    (tree, packed)
+    )
+    .freeze()
 }
 
 /// `n` members around the data point on a spiral (the first on the point
@@ -66,22 +66,19 @@ fn assert_oracle(got: &[Neighbor], want: &[Neighbor], k: usize, what: &str) {
 #[test]
 fn every_entry_point_answers_all_coincident_data_like_the_oracle() {
     let data = vec![AT; COPIES];
-    let trees: Vec<(usize, RTree, PackedRTree)> = [4usize, 50]
+    let trees: Vec<(usize, PackedRTree)> = [4usize, 50]
         .into_iter()
-        .map(|capacity| {
-            let (tree, packed) = index(capacity);
-            (capacity, tree, packed)
-        })
+        .map(|capacity| (capacity, index(capacity)))
         .collect();
     let cursors: Vec<(String, TreeCursor<'_>)> = trees
         .iter()
-        .flat_map(|(capacity, tree, packed)| {
+        .flat_map(|(capacity, tree)| {
             [
                 (
-                    format!("arena cap={capacity}"),
-                    TreeCursor::unbuffered(tree),
+                    format!("buffered cap={capacity}"),
+                    TreeCursor::with_buffer(tree, 16),
                 ),
-                (format!("packed cap={capacity}"), packed.cursor()),
+                (format!("unbuffered cap={capacity}"), tree.cursor()),
             ]
         })
         .collect();

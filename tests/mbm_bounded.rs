@@ -1,8 +1,9 @@
 //! Ties and boundaries of the bounded best-first MBM loop.
 //!
-//! On a packed cursor `Mbm::k_gnn_in` runs the paper's `best_dist`-bounded
-//! loop (a heap of nodes only, whole-leaf scoring); on an arena cursor it
-//! pulls `k` items from the seed's reference stream. The two mechanisms
+//! `Mbm::k_gnn_in` runs the paper's `best_dist`-bounded loop (a heap of
+//! nodes only, whole-leaf scoring). The seed's reference stream
+//! (`tests/common/mbm_reference.rs`) reads the same snapshot pages with
+//! one heap of children and lazily converted entries. The two mechanisms
 //! share no heap, no key and no conversion code, so agreement between them —
 //! and with the index-free oracle — on data built to collide is the
 //! strongest equivalence the engine has: lattice coordinates with duplicate
@@ -10,19 +11,21 @@
 //! `k` at and beyond the dataset size the common case instead of the
 //! measure-zero one.
 //!
-//! Node accesses are pinned *bounded loop ≡ incremental stream on the same
-//! packed tree*: both pop nodes by `(key, page id)`, so they must read the
-//! same pages however many keys tie. They are deliberately not compared
-//! with the arena's count here: `freeze()` renumbers pages, so which of two
-//! nodes with *equal* keys is read first — and whether the second is still
-//! needed — differs between the two trees on lattice data (it did before
-//! the bounded loop existed). `packed_equivalence` holds packed ≡ arena
-//! node accesses on tie-free data.
+//! Node accesses are pinned *bounded loop ≡ reference stream ≡ the
+//! library's incremental `MbmStream`*: all three pop nodes by `(key, page
+//! id)` on the same snapshot, so they must read the same pages however
+//! many keys tie. Ids are pinned at every rank the oracle's ranking leaves
+//! untied; inside a tie each side may keep a different copy, but it must be
+//! a real data point at exactly that distance.
 
 use gnn::core::baseline::linear_scan_points;
 use gnn::core::MbmScratch;
 use gnn::prelude::*;
 use proptest::prelude::*;
+
+#[path = "common/mbm_reference.rs"]
+mod mbm_reference;
+use mbm_reference::reference_k_gnn;
 
 /// Small-integer lattice points, duplicates welcome.
 fn lattice(max: usize) -> impl Strategy<Value = Vec<Point>> {
@@ -52,13 +55,7 @@ proptest! {
         data in lattice(40),
         query in queries(),
     ) {
-        let tree = RTree::bulk_load(
-            RTreeParams::with_capacity(4),
-            data.iter()
-                .enumerate()
-                .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-        );
-        let packed = tree.freeze();
+        let packed = index(&data, 4);
         let len = data.len();
 
         for n in [1usize, 2, 4] {
@@ -77,8 +74,8 @@ proptest! {
                     }
                     let what = format!("n={n} {agg} k={k} N={len}");
                     let oracle = linear_scan_points(&data, &group, k).neighbors;
-                    let ac = TreeCursor::unbuffered(&tree);
-                    let arena = Mbm::best_first().k_gnn(&ac, &group, k).neighbors;
+                    let rc = packed.cursor();
+                    let reference = reference_k_gnn(&rc, &group, k);
                     let pc = packed.cursor();
                     let bounded = Mbm::best_first().k_gnn(&pc, &group, k).neighbors;
                     let sc = packed.cursor();
@@ -87,14 +84,14 @@ proptest! {
                         MbmStream::new_in(&sc, &group, true, &mut ms).take(k).collect();
 
                     prop_assert_eq!(oracle.len(), k.min(len), "{}: oracle count", what);
-                    prop_assert_eq!(arena.len(), oracle.len(), "{}: arena count", what);
+                    prop_assert_eq!(reference.len(), oracle.len(), "{}: reference count", what);
                     prop_assert_eq!(bounded.len(), oracle.len(), "{}: bounded count", what);
                     prop_assert_eq!(streamed.len(), oracle.len(), "{}: stream count", what);
                     for (i, want) in oracle.iter().enumerate() {
                         for (name, got) in [
-                            ("arena", &arena[i]),
+                            ("reference", &reference[i]),
                             ("bounded", &bounded[i]),
-                            ("packed stream", &streamed[i]),
+                            ("incremental stream", &streamed[i]),
                         ] {
                             prop_assert_eq!(
                                 got.dist.to_bits(), want.dist.to_bits(),
@@ -122,6 +119,10 @@ proptest! {
                     prop_assert_eq!(ids.len(), bounded.len(), "{}: duplicate id", what);
 
                     prop_assert_eq!(
+                        pc.stats().logical, rc.stats().logical,
+                        "{}: node accesses, bounded loop vs reference stream", what
+                    );
+                    prop_assert_eq!(
                         pc.stats().logical, sc.stats().logical,
                         "{}: node accesses, bounded loop vs incremental stream", what
                     );
@@ -136,10 +137,10 @@ proptest! {
 // Once `best_dist` is finite the bounded loop scores a SUM leaf in two steps
 // on the AVX2 tier: an `f32` lower bound per entry, then the exact distance
 // for the entries the bound could not rule out. Nothing about an answer may
-// depend on it, so each case below holds the bounded loop to the packed
+// depend on it, so each case below holds the bounded loop to the library's
 // incremental stream (which never filters: it runs under bound = ∞), to the
-// arena reference and to the index-free oracle — distance bits at every
-// rank, ids wherever the rank is untied, node accesses against the stream —
+// reference stream and to the index-free oracle — distance bits at every
+// rank, ids wherever the rank is untied, node accesses against both streams —
 // on data chosen to sit where an `f32` bound is weakest. Under
 // `GNN_FORCE_SCALAR=1` (and below AVX2) the same cases run without the `f32`
 // stage: groups below `LAZY_MIN` run the all-exact loop and must drop
@@ -164,7 +165,6 @@ fn may_drop(group: &QueryGroup) -> bool {
 
 /// One query, four engines; returns the bounded loop's counters.
 fn assert_equivalent(
-    tree: &RTree,
     packed: &PackedRTree,
     data: &[Point],
     group: &QueryGroup,
@@ -177,8 +177,8 @@ fn assert_equivalent(
         (i > 0 && full[i - 1].dist == full[i].dist)
             || (i + 1 < len && full[i + 1].dist == full[i].dist)
     };
-    let ac = TreeCursor::unbuffered(tree);
-    let arena = Mbm::best_first().k_gnn(&ac, group, k).neighbors;
+    let rc = packed.cursor();
+    let reference = reference_k_gnn(&rc, group, k);
     let pc = packed.cursor();
     let bounded = Mbm::best_first().k_gnn(&pc, group, k);
     let sc = packed.cursor();
@@ -188,9 +188,9 @@ fn assert_equivalent(
         .collect();
 
     for (name, got) in [
-        ("arena", &arena),
+        ("reference", &reference),
         ("bounded", &bounded.neighbors),
-        ("packed stream", &streamed),
+        ("incremental stream", &streamed),
     ] {
         assert_eq!(got.len(), k.min(len), "{what}: {name} count");
         for (i, (g, want)) in got.iter().zip(&full).enumerate() {
@@ -210,6 +210,11 @@ fn assert_equivalent(
             }
         }
     }
+    assert_eq!(
+        pc.stats().logical,
+        rc.stats().logical,
+        "{what}: node accesses, bounded loop vs reference stream"
+    );
     assert_eq!(
         pc.stats().logical,
         sc.stats().logical,
@@ -235,15 +240,14 @@ fn tripled_lattice(exp: i32) -> Vec<Point> {
         .collect()
 }
 
-fn index(data: &[Point], capacity: usize) -> (RTree, PackedRTree) {
-    let tree = RTree::bulk_load(
+fn index(data: &[Point], capacity: usize) -> PackedRTree {
+    RTree::bulk_load(
         RTreeParams::with_capacity(capacity),
         data.iter()
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-    );
-    let packed = tree.freeze();
-    (tree, packed)
+    )
+    .freeze()
 }
 
 /// Off-lattice query points around the middle of the (scaled) lattice.
@@ -274,7 +278,7 @@ fn ties_at_the_kth_distance_survive_the_leaf_filter() {
     // on and `offer` refuses it — the answer cannot tell which of the two
     // said no, and the entries further out are the filter's to drop.
     let data = tripled_lattice(0);
-    let (tree, packed) = index(&data, 16);
+    let packed = index(&data, 16);
     let mut dropped = 0;
     for n in [1usize, 4, 6] {
         let group = lattice_group(n, 0, None);
@@ -286,8 +290,7 @@ fn ties_at_the_kth_distance_survive_the_leaf_filter() {
                 "scenario: rank {k} must tie with the k-th distance (n={n})"
             );
             let what = format!("tie lattice n={n} k={k}");
-            dropped +=
-                assert_equivalent(&tree, &packed, &data, &group, k, &what).lower_bound_pruned;
+            dropped += assert_equivalent(&packed, &data, &group, k, &what).lower_bound_pruned;
         }
     }
     assert_eq!(
@@ -305,12 +308,12 @@ fn scales_beyond_f32_fall_back_to_exact_scoring() {
     // bit for bit, with nothing dropped.
     for exp in [-80, 100] {
         let data = tripled_lattice(exp);
-        let (tree, packed) = index(&data, 16);
+        let packed = index(&data, 16);
         for n in [1usize, 4, 6] {
             let group = lattice_group(n, exp, None);
             for k in [1usize, 5, 8] {
                 let what = format!("lattice·2^{exp} n={n} k={k}");
-                let stats = assert_equivalent(&tree, &packed, &data, &group, k, &what);
+                let stats = assert_equivalent(&packed, &data, &group, k, &what);
                 assert_eq!(
                     stats.lower_bound_pruned, 0,
                     "{what}: f32 cannot see this scale"
@@ -326,7 +329,7 @@ fn weights_sixty_orders_apart_keep_the_filter_sound() {
     // f32 accumulator cannot hold; the far end of the second weighting
     // leaves f32 altogether (narrowed toward zero: 0 below, MAX above).
     let data = tripled_lattice(0);
-    let (tree, packed) = index(&data, 16);
+    let packed = index(&data, 16);
     let mut dropped = 0;
     for (label, w) in [
         ("1e±30", vec![1e-30, 1e30, 1e-18, 1e12, 1.0, 1e-6]),
@@ -335,8 +338,7 @@ fn weights_sixty_orders_apart_keep_the_filter_sound() {
         let group = lattice_group(6, 0, Some(w));
         for k in [1usize, 5, 8, 31] {
             let what = format!("weights {label} k={k}");
-            dropped +=
-                assert_equivalent(&tree, &packed, &data, &group, k, &what).lower_bound_pruned;
+            dropped += assert_equivalent(&packed, &data, &group, k, &what).lower_bound_pruned;
         }
     }
     assert_eq!(dropped > 0, filters());
@@ -352,7 +354,7 @@ fn large_groups_on_clustered_data_drop_most_entries_and_change_nothing() {
         background: 0.1,
     };
     let data = gaussian_clusters(12_000, workspace, spec, 22);
-    let (tree, packed) = index(&data, 50);
+    let packed = index(&data, 50);
     let (mut dropped, mut exact_pairs) = (0, 0);
     for seed in 0..4u64 {
         // 256 members around one of the data's own points.
@@ -374,15 +376,7 @@ fn large_groups_on_clustered_data_drop_most_entries_and_change_nothing() {
         );
         let group = QueryGroup::sum(members).unwrap();
         let what = format!("gaussian n=256 k=8 seed={seed}");
-        let stats = assert_equivalent(&tree, &packed, &data, &group, 8, &what);
-
-        // Tie-free data: the arena reads the same pages too.
-        let ac = TreeCursor::unbuffered(&tree);
-        let arena = Mbm::best_first().k_gnn(&ac, &group, 8);
-        assert_eq!(
-            arena.stats.data_tree.logical, stats.data_tree.logical,
-            "{what}: NA"
-        );
+        let stats = assert_equivalent(&packed, &data, &group, 8, &what);
         dropped += stats.lower_bound_pruned;
         exact_pairs += stats.dist_computations;
     }
@@ -401,8 +395,8 @@ fn large_groups_on_clustered_data_drop_most_entries_and_change_nothing() {
 // a one-term centroid key and pays its n-term tight key only when the child
 // reaches the top of the heap. Pages must be read in the eager loop's order
 // all the same, so the sizes on either side of the threshold and the
-// benchmark's 256 hold the bounded loop to the stream (which keys eagerly),
-// the arena and the oracle on the tie lattice, where equal keys are the
+// benchmark's 256 hold the bounded loop to both streams (which key
+// eagerly) and the oracle on the tie lattice, where equal keys are the
 // common case. From the same size up the leaf cascade scores an entry
 // against one weighted centroid per block of the group first, in `f64` and
 // on every tier. At 2⁻⁸⁰ and 2¹⁰⁰ the `f32` stage is blind (every square
@@ -427,14 +421,13 @@ fn spread_group(n: usize, exp: i32) -> QueryGroup {
 fn lazy_keys_read_the_eager_pages_at_and_around_the_threshold() {
     for exp in [0, -80, 100] {
         let data = tripled_lattice(exp);
-        let (tree, packed) = index(&data, 16);
+        let packed = index(&data, 16);
         for n in [47usize, 48, 256] {
             let group = spread_group(n, exp);
             let mut dropped = 0;
             for k in [1usize, 5, 8, 31] {
                 let what = format!("lattice·2^{exp} n={n} k={k}");
-                dropped +=
-                    assert_equivalent(&tree, &packed, &data, &group, k, &what).lower_bound_pruned;
+                dropped += assert_equivalent(&packed, &data, &group, k, &what).lower_bound_pruned;
             }
             if exp != 0 {
                 assert_eq!(

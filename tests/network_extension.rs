@@ -35,9 +35,10 @@ fn euclidean_gnn_lower_bounds_network_gnn() {
             RTreeParams::default(),
             data.iter()
                 .map(|&v| LeafEntry::new(PointId(u64::from(v.0)), g.position(v))),
-        );
+        )
+        .freeze();
         let group = QueryGroup::sum(query.iter().map(|&v| g.position(v)).collect()).unwrap();
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let euclid = Mbm::best_first().k_gnn(&cursor, &group, 1);
         assert!(
             euclid.best().unwrap().dist <= net.neighbors[0].dist + 1e-9,

@@ -1,24 +1,32 @@
-//! Packed-vs-arena equivalence: every algorithm must return identical
-//! results — same ids, same distances — and perform the **same node
-//! accesses** on a [`PackedRTree`] snapshot as on the arena [`RTree`] it
-//! was frozen from.
+//! The bounded best-first MBM loop against the seed's reference stream
+//! (`tests/common/mbm_reference.rs`), and every algorithm against the
+//! answers that oracle gives, on packed snapshots — the one page layout
+//! queries read.
 //!
-//! This is the contract that makes `freeze()` a pure performance lever. For
-//! best-first MBM the two sides are genuinely different mechanisms: the
-//! packed cursor runs the `best_dist`-bounded top-k loop (a heap of nodes
-//! only, children pruned at push time, leaves scored whole by one fused
-//! kernel call), the arena cursor pulls `k` items from the seed's reference
-//! stream (every child and every entry on one heap, lazily converted
-//! `mindist(p, M)` filter keys). Both read a node iff fewer than `k` exact
-//! distances `<=` its key have been seen, so the search trace is the same;
-//! exact distances are computed by the same (association-fixed) kernel on
-//! both paths, so even the float values are bit-identical. The point-NN
-//! engine under SPM and MQM is one best-first loop on both page layouts.
+//! The two MBM sides are genuinely different mechanisms over the same
+//! pages: the bounded loop is a heap of nodes only, children pruned at push
+//! time, leaves scored whole by one fused kernel call (and, for SUM
+//! groups, filtered through rounded-down bounds first); the reference keeps
+//! every child and every entry on one heap, with scalar heuristic-3 keys
+//! and lazily converted `mindist(p, M)` filter keys. Both read a node iff
+//! fewer than `k` exact distances `<=` its key have been seen, so the
+//! search trace is the same — ids, distance bits and node accesses must
+//! match. Exact distances are computed by the same (association-fixed)
+//! kernel on both paths, so even the float values are bit-identical.
+//!
+//! The other memory algorithms (MQM, SPM and the depth-first MBM) must
+//! return the reference's ids and distance bits; the file algorithms
+//! (F-MQM, F-MBM), which fold a distance group by group, its ids and its
+//! distances to within rounding.
 
 use gnn::core::QueryScratch;
 use gnn::prelude::*;
 use gnn::rtree::PackedRTree;
 use proptest::prelude::*;
+
+#[path = "common/mbm_reference.rs"]
+mod mbm_reference;
+use mbm_reference::reference_k_gnn;
 
 fn coord() -> impl Strategy<Value = f64> {
     prop_oneof![-100.0..100.0f64, 0.0..10_000.0f64,]
@@ -32,33 +40,45 @@ fn points(max: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(point(), 1..max)
 }
 
-fn tree_of(pts: &[Point]) -> RTree {
+fn tree_of(pts: &[Point]) -> PackedRTree {
     RTree::bulk_load(
         RTreeParams::with_capacity(8),
         pts.iter()
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
     )
+    .freeze()
 }
 
-fn assert_same(
+/// `got` carries the reference's ids and distance bits, rank by rank.
+fn assert_same(name: &str, reference: &[Neighbor], got: &[Neighbor]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(reference.len(), got.len(), "{}: result count", name);
+    for (r, g) in reference.iter().zip(got) {
+        prop_assert_eq!(r.id, g.id, "{}: id", name);
+        prop_assert_eq!(r.dist.to_bits(), g.dist.to_bits(), "{}: distance", name);
+    }
+    Ok(())
+}
+
+/// The bounded loop against the reference: ids, distance bits and node
+/// accesses.
+fn assert_mbm_matches_reference(
     name: &str,
-    arena: &GnnResult,
-    arena_na: u64,
-    packed: &GnnResult,
-    packed_na: u64,
+    tree: &PackedRTree,
+    group: &QueryGroup,
+    k: usize,
 ) -> Result<(), TestCaseError> {
+    let rc = tree.cursor();
+    let reference = reference_k_gnn(&rc, group, k);
+    let bc = tree.cursor();
+    let bounded = Mbm::best_first().k_gnn(&bc, group, k);
+    assert_same(name, &reference, &bounded.neighbors)?;
     prop_assert_eq!(
-        arena.neighbors.len(),
-        packed.neighbors.len(),
-        "{}: result count",
+        rc.stats().logical,
+        bc.stats().logical,
+        "{}: node accesses",
         name
     );
-    for (a, p) in arena.neighbors.iter().zip(&packed.neighbors) {
-        prop_assert_eq!(a.id, p.id, "{}: id", name);
-        prop_assert_eq!(a.dist, p.dist, "{}: distance", name);
-    }
-    prop_assert_eq!(arena_na, packed_na, "{}: node accesses", name);
     Ok(())
 }
 
@@ -76,36 +96,26 @@ proptest! {
         k in 1usize..7,
     ) {
         let tree = tree_of(&data);
-        let packed: PackedRTree = tree.freeze();
         for agg in aggregates() {
             let group = QueryGroup::with_aggregate(query.clone(), agg).unwrap();
+            assert_mbm_matches_reference("MBM", &tree, &group, k)?;
+            let reference = reference_k_gnn(&tree.cursor(), &group, k);
             let algos: Vec<(&str, Box<dyn MemoryGnnAlgorithm>)> = if agg == Aggregate::Sum {
                 vec![
                     ("MQM", Box::new(Mqm::new())),
                     ("SPM", Box::new(Spm::best_first())),
                     ("SPM-df", Box::new(Spm::depth_first())),
-                    ("MBM", Box::new(Mbm::best_first())),
                     ("MBM-df", Box::new(Mbm::depth_first())),
                 ]
             } else {
                 vec![
                     ("MQM", Box::new(Mqm::new())),
-                    ("MBM", Box::new(Mbm::best_first())),
                     ("MBM-df", Box::new(Mbm::depth_first())),
                 ]
             };
             for (name, algo) in algos {
-                let ac = TreeCursor::unbuffered(&tree);
-                let a = algo.k_gnn(&ac, &group, k);
-                let pc = TreeCursor::packed(&packed);
-                let p = algo.k_gnn(&pc, &group, k);
-                assert_same(
-                    name,
-                    &a,
-                    ac.stats().logical,
-                    &p,
-                    pc.stats().logical,
-                )?;
+                let got = algo.k_gnn(&tree.cursor(), &group, k);
+                assert_same(name, &reference, &got.neighbors)?;
             }
         }
     }
@@ -117,33 +127,26 @@ proptest! {
         k in 1usize..5,
     ) {
         let tree = tree_of(&data);
-        let packed: PackedRTree = tree.freeze();
-        let qf = GroupedQueryFile::build_with(query, 8, 20);
+        let qf = GroupedQueryFile::build_with(query.clone(), 8, 20);
         for agg in aggregates() {
+            let group = QueryGroup::with_aggregate(query.clone(), agg).unwrap();
+            let reference = reference_k_gnn(&tree.cursor(), &group, k);
             let algos: Vec<(&str, Box<dyn FileGnnAlgorithm>)> = vec![
                 ("F-MQM", Box::new(Fmqm::new())),
                 ("F-MBM", Box::new(Fmbm::best_first())),
                 ("F-MBM-df", Box::new(Fmbm::depth_first())),
             ];
             for (name, algo) in algos {
-                let ac = TreeCursor::unbuffered(&tree);
-                let afc = FileCursor::new(qf.file());
-                let a = algo.k_gnn(&ac, &qf, &afc, k, agg);
-                let pc = TreeCursor::packed(&packed);
-                let pfc = FileCursor::new(qf.file());
-                let p = algo.k_gnn(&pc, &qf, &pfc, k, agg);
-                assert_same(
-                    name,
-                    &a,
-                    ac.stats().logical,
-                    &p,
-                    pc.stats().logical,
-                )?;
-                prop_assert_eq!(
-                    afc.page_reads(),
-                    pfc.page_reads(),
-                    "{}: query-file pages", name
-                );
+                let fc = FileCursor::new(qf.file());
+                let got = algo.k_gnn(&tree.cursor(), &qf, &fc, k, agg).neighbors;
+                prop_assert_eq!(reference.len(), got.len(), "{}: result count", name);
+                for (r, g) in reference.iter().zip(&got) {
+                    prop_assert_eq!(r.id, g.id, "{}: id", name);
+                    prop_assert!(
+                        (r.dist - g.dist).abs() <= 1e-12 * r.dist.abs(),
+                        "{}: distance {} vs {}", name, g.dist, r.dist
+                    );
+                }
             }
         }
     }
@@ -163,8 +166,7 @@ proptest! {
         for base in [8usize, 16, 64, 128, 256] {
             let n = base - 1 + jitter; // base-1, base, base+1
             // Low-discrepancy coordinates: unique, well-spread, and —
-            // unlike a grid — free of exact node-mindist ties (tie pop
-            // order is the one thing freeze() does not preserve).
+            // unlike a grid — free of exact node-mindist ties.
             let data: Vec<Point> = (0..n)
                 .map(|i| {
                     if i == 0 {
@@ -178,20 +180,9 @@ proptest! {
                 })
                 .collect();
             let tree = tree_of(&data);
-            let packed: PackedRTree = tree.freeze();
             for agg in aggregates() {
                 let group = QueryGroup::with_aggregate(query.clone(), agg).unwrap();
-                let ac = TreeCursor::unbuffered(&tree);
-                let a = Mbm::best_first().k_gnn(&ac, &group, k);
-                let pc = TreeCursor::packed(&packed);
-                let p = Mbm::best_first().k_gnn(&pc, &group, k);
-                assert_same(
-                    "MBM@boundary",
-                    &a,
-                    ac.stats().logical,
-                    &p,
-                    pc.stats().logical,
-                )?;
+                assert_mbm_matches_reference("MBM@boundary", &tree, &group, k)?;
             }
         }
     }
@@ -205,13 +196,11 @@ proptest! {
         // The allocating wrapper and the scratch-reusing entry point must
         // be the same computation.
         let tree = tree_of(&data);
-        let packed = tree.freeze();
         let group = QueryGroup::sum(query).unwrap();
         let mut scratch = QueryScratch::new();
-        for cursor in [TreeCursor::unbuffered(&tree), TreeCursor::packed(&packed)] {
-            let fresh = Mbm::best_first().k_gnn(&cursor, &group, k);
-            let (neighbors, _) = Mbm::best_first().k_gnn_in(&cursor, &group, k, &mut scratch);
-            prop_assert_eq!(&fresh.neighbors[..], neighbors);
-        }
+        let cursor = tree.cursor();
+        let fresh = Mbm::best_first().k_gnn(&cursor, &group, k);
+        let (neighbors, _) = Mbm::best_first().k_gnn_in(&cursor, &group, k, &mut scratch);
+        prop_assert_eq!(&fresh.neighbors[..], neighbors);
     }
 }

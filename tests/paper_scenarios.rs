@@ -23,7 +23,7 @@ fn mini_pp(n: usize, seed: u64) -> Vec<Point> {
     )
 }
 
-fn build_tree(points: &[Point]) -> RTree {
+fn build_tree(points: &[Point]) -> PackedRTree {
     RTree::bulk_load(
         RTreeParams::default(),
         points
@@ -31,6 +31,7 @@ fn build_tree(points: &[Point]) -> RTree {
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
     )
+    .freeze()
 }
 
 /// Average logical node accesses of a memory algorithm over a workload.
@@ -39,7 +40,12 @@ fn build_tree(points: &[Point]) -> RTree {
 /// enough that a realistic buffer pool would cache most of the hot region
 /// and flatten the trends the assertions look for. The full-scale harness
 /// (`gnn-bench`) reports both.
-fn avg_na(tree: &RTree, workload: &[Vec<Point>], algo: &dyn MemoryGnnAlgorithm, k: usize) -> f64 {
+fn avg_na(
+    tree: &PackedRTree,
+    workload: &[Vec<Point>],
+    algo: &dyn MemoryGnnAlgorithm,
+    k: usize,
+) -> f64 {
     let mut total = 0u64;
     for q in workload {
         let cursor = TreeCursor::with_buffer(tree, 128);
@@ -193,16 +199,16 @@ fn figure_5_4_shape_gcp_heap_explodes_when_workspaces_match() {
     // Small centered query workspace: cheap.
     let tiny = scale_points_to_rect(&query_raw, Rect::from_corners(0.48, 0.48, 0.52, 0.52));
     let tiny_tree = build_tree(&tiny);
-    let dc = TreeCursor::unbuffered(&tree);
-    let qc = TreeCursor::unbuffered(&tiny_tree);
+    let dc = tree.cursor();
+    let qc = tiny_tree.cursor();
     let small_run = Gcp::unbounded().k_gnn(&dc, &qc, 8);
     assert!(!small_run.stats.aborted);
 
     // Full-workspace query set: heap pressure must be much larger.
     let big = scale_points_to_rect(&query_raw, ws);
     let big_tree = build_tree(&big);
-    let dc2 = TreeCursor::unbuffered(&tree);
-    let qc2 = TreeCursor::unbuffered(&big_tree);
+    let dc2 = tree.cursor();
+    let qc2 = big_tree.cursor();
     let big_run = Gcp::unbounded().k_gnn(&dc2, &qc2, 8);
     assert!(
         big_run.stats.heap_watermark > small_run.stats.heap_watermark * 5,

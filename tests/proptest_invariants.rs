@@ -26,13 +26,14 @@ fn points(max: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(point(), 1..max)
 }
 
-fn tree_of(pts: &[Point]) -> RTree {
+fn tree_of(pts: &[Point]) -> PackedRTree {
     RTree::bulk_load(
         RTreeParams::with_capacity(8),
         pts.iter()
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
     )
+    .freeze()
 }
 
 proptest! {
@@ -47,7 +48,7 @@ proptest! {
         let tree = tree_of(&data);
         let group = QueryGroup::sum(query).unwrap();
         let want = linear_scan_entries(tree.iter(), &group, k);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         for (name, got) in [
             ("MQM", Mqm::new().k_gnn(&cursor, &group, k)),
             ("SPM", Spm::best_first().k_gnn(&cursor, &group, k)),
@@ -73,7 +74,7 @@ proptest! {
         let group = QueryGroup::sum(query.clone()).unwrap();
         let want = linear_scan_entries(tree.iter(), &group, k);
         let qf = GroupedQueryFile::build_with(query, 8, 16);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let fc = FileCursor::new(qf.file());
         for (name, got) in [
             ("F-MQM", Fmqm::new().k_gnn(&cursor, &qf, &fc, k, Aggregate::Sum)),
@@ -110,6 +111,24 @@ proptest! {
         }),
         inside in (0.0..1.0f64, 0.0..1.0f64),
     ) {
+        // The seed's sequential fold and the batched kernel are the same
+        // function, bit for bit, for every aggregate (the weights of the
+        // weighted SUM are read off the draw's own coordinates).
+        let weights: Vec<f64> = query.iter().map(|q| 0.25 + q.y.abs().fract() * 4.0).collect();
+        for g in [
+            QueryGroup::sum(query.clone()).unwrap(),
+            QueryGroup::weighted_sum(query.clone(), weights).unwrap(),
+            QueryGroup::with_aggregate(query.clone(), Aggregate::Max).unwrap(),
+            QueryGroup::with_aggregate(query.clone(), Aggregate::Min).unwrap(),
+        ] {
+            prop_assert_eq!(
+                g.tight_bound_rect(&rect).to_bits(),
+                g.tight_bound_rect_reference(&rect).to_bits(),
+                "{} weighted={}: batched vs reference heuristic 3",
+                g.aggregate(),
+                g.is_weighted()
+            );
+        }
         // For a point inside the rectangle, cheap <= tight <= exact.
         let group = QueryGroup::sum(query).unwrap();
         let p = Point::new(
@@ -185,7 +204,7 @@ proptest! {
     #[test]
     fn knn_stream_is_monotone(data in points(150), q in point()) {
         let tree = tree_of(&data);
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let mut scratch = gnn::rtree::NnScratch::default();
         let dists: Vec<f64> = gnn::rtree::NearestNeighbors::new_in(&cursor, q, &mut scratch)
             .map(|r| r.dist)
@@ -203,7 +222,7 @@ proptest! {
     ) {
         let tree = tree_of(&data);
         let group = QueryGroup::sum(query).unwrap();
-        let cursor = TreeCursor::unbuffered(&tree);
+        let cursor = tree.cursor();
         let mut scratch = MbmScratch::default();
         let out: Vec<Neighbor> = MbmStream::new_in(&cursor, &group, true, &mut scratch).collect();
         prop_assert_eq!(out.len(), data.len());
@@ -222,8 +241,8 @@ proptest! {
     ) {
         let ta = tree_of(&a);
         let tb = tree_of(&b);
-        let ca = TreeCursor::unbuffered(&ta);
-        let cb = TreeCursor::unbuffered(&tb);
+        let ca = ta.cursor();
+        let cb = tb.cursor();
         let mut cp = gnn::rtree::ClosestPairs::new(&ca, &cb);
         let mut got = Vec::new();
         while let Some(pair) = cp.next() {

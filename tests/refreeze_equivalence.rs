@@ -115,9 +115,9 @@ proptest! {
             ("MBM", Box::new(Mbm::best_first())),
         ];
         for (name, algo) in memory {
-            let fc = TreeCursor::packed(&full);
+            let fc = full.cursor();
             let a = algo.k_gnn(&fc, &group, k);
-            let rc = TreeCursor::packed(&refrozen);
+            let rc = refrozen.cursor();
             let b = algo.k_gnn(&rc, &group, k);
             prop_assert_eq!(&a.neighbors, &b.neighbors, "{}: neighbors", name);
             prop_assert_eq!(
@@ -135,9 +135,9 @@ proptest! {
             ("F-MBM", Box::new(Fmbm::best_first())),
         ];
         for (name, algo) in file {
-            let fc = TreeCursor::packed(&full);
+            let fc = full.cursor();
             let a = algo.k_gnn(&fc, &qf, &FileCursor::new(qf.file()), k, Aggregate::Sum);
-            let rc = TreeCursor::packed(&refrozen);
+            let rc = refrozen.cursor();
             let b = algo.k_gnn(&rc, &qf, &FileCursor::new(qf.file()), k, Aggregate::Sum);
             prop_assert_eq!(&a.neighbors, &b.neighbors, "{}: neighbors", name);
             prop_assert_eq!(
@@ -148,20 +148,21 @@ proptest! {
             );
         }
 
-        // GCP: the query set gets its own (arena) tree; the data side runs
-        // on the two snapshots.
+        // GCP: the query set gets its own tree; the data side runs on the
+        // two snapshots.
         let qtree = RTree::bulk_load(
             RTreeParams::with_capacity(8),
             query
                 .iter()
                 .enumerate()
                 .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-        );
+        )
+        .freeze();
         let gcp = Gcp::default();
-        let fc = TreeCursor::packed(&full);
-        let a = gcp.k_gnn(&fc, &TreeCursor::unbuffered(&qtree), k);
-        let rc = TreeCursor::packed(&refrozen);
-        let b = gcp.k_gnn(&rc, &TreeCursor::unbuffered(&qtree), k);
+        let fc = full.cursor();
+        let a = gcp.k_gnn(&fc, &qtree.cursor(), k);
+        let rc = refrozen.cursor();
+        let b = gcp.k_gnn(&rc, &qtree.cursor(), k);
         prop_assert_eq!(&a.neighbors, &b.neighbors, "GCP: neighbors");
         prop_assert_eq!(fc.stats().logical, rc.stats().logical, "GCP: node accesses");
     }

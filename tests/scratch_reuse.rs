@@ -26,13 +26,14 @@ fn random_points(n: usize, seed: u64, lo: f64, hi: f64) -> Vec<Point> {
         .collect()
 }
 
-fn tree_of(pts: &[Point]) -> RTree {
+fn tree_of(pts: &[Point]) -> PackedRTree {
     RTree::bulk_load(
         RTreeParams::default(),
         pts.iter()
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
     )
+    .freeze()
 }
 
 fn groups(count: usize, n: usize, seed: u64) -> Vec<QueryGroup> {
@@ -79,41 +80,35 @@ fn assert_steady_state<S: Profiled>(scratch: &mut S, mut work: impl FnMut(&mut S
 #[test]
 fn memory_algorithms_are_allocation_free_in_steady_state() {
     let data = random_points(4000, 1, 0.0, 100.0);
-    let tree = tree_of(&data);
-    let packed = tree.freeze();
+    let packed = tree_of(&data);
     let workload = groups(24, 16, 500);
 
-    for (backend, cursor) in [
-        ("arena", TreeCursor::unbuffered(&tree)),
-        ("packed", TreeCursor::packed(&packed)),
-    ] {
-        let algos: Vec<(&str, Box<dyn MemoryGnnAlgorithm>)> = vec![
-            ("MQM", Box::new(Mqm::new())),
-            ("SPM", Box::new(Spm::best_first())),
-            ("MBM", Box::new(Mbm::best_first())),
-            ("MBM-df", Box::new(Mbm::depth_first())),
-        ];
-        for (name, algo) in algos {
-            let mut scratch = QueryScratch::new();
-            assert_steady_state(
-                &mut scratch,
-                |s| {
-                    for g in &workload {
-                        let (neighbors, _) = algo.k_gnn_in(&cursor, g, 8, s);
-                        assert_eq!(neighbors.len(), 8);
-                    }
-                },
-                &format!("{name} on {backend}"),
-            );
-        }
+    let cursor = packed.cursor();
+    let algos: Vec<(&str, Box<dyn MemoryGnnAlgorithm>)> = vec![
+        ("MQM", Box::new(Mqm::new())),
+        ("SPM", Box::new(Spm::best_first())),
+        ("MBM", Box::new(Mbm::best_first())),
+        ("MBM-df", Box::new(Mbm::depth_first())),
+    ];
+    for (name, algo) in algos {
+        let mut scratch = QueryScratch::new();
+        assert_steady_state(
+            &mut scratch,
+            |s| {
+                for g in &workload {
+                    let (neighbors, _) = algo.k_gnn_in(&cursor, g, 8, s);
+                    assert_eq!(neighbors.len(), 8);
+                }
+            },
+            name,
+        );
     }
 }
 
 #[test]
 fn planner_run_many_is_allocation_free_in_steady_state() {
     let data = random_points(3000, 2, 0.0, 100.0);
-    let tree = tree_of(&data);
-    let packed = tree.freeze();
+    let packed = tree_of(&data);
     let requests: Vec<QueryRequest> = groups(16, 8, 900)
         .into_iter()
         .map(|g| QueryRequest::new(g, 4))
@@ -141,9 +136,8 @@ fn file_algorithms_scratch_capacities_stabilize() {
     // state — stream heaps, thresholds, candidate masks, leaf matrices —
     // lives in the scratch and must stop growing once warmed up.
     let data = random_points(2000, 3, 0.0, 100.0);
-    let tree = tree_of(&data);
-    let packed = tree.freeze();
-    let cursor = TreeCursor::packed(&packed);
+    let packed = tree_of(&data);
+    let cursor = packed.cursor();
     let qpts = random_points(96, 4, 10.0, 90.0);
     let qf = GroupedQueryFile::build_with(qpts, 16, 24);
 
@@ -170,9 +164,8 @@ fn scratch_shrinks_nothing_when_k_varies() {
     // Alternating k must reuse the same buffers (KBestList keeps its
     // capacity across resets).
     let data = random_points(2000, 5, 0.0, 100.0);
-    let tree = tree_of(&data);
-    let packed = tree.freeze();
-    let cursor = TreeCursor::packed(&packed);
+    let packed = tree_of(&data);
+    let cursor = packed.cursor();
     let workload = groups(8, 8, 700);
     let mbm = Mbm::best_first();
     let mut scratch = QueryScratch::new();
@@ -196,9 +189,8 @@ fn bounded_mbm_stays_allocation_free_as_k_swings() {
     // buffers sized by the k = 64 pass must serve the k = 1 passes around
     // it, and the other way round nothing may shrink.
     let data = random_points(4000, 6, 0.0, 100.0);
-    let tree = tree_of(&data);
-    let packed = tree.freeze();
-    let cursor = TreeCursor::packed(&packed);
+    let packed = tree_of(&data);
+    let cursor = packed.cursor();
     let workload = groups(12, 4, 1100);
     let mbm = Mbm::best_first();
     let mut scratch = QueryScratch::new();
@@ -228,7 +220,7 @@ fn lazy_keying_buffers_grow_once_as_group_sizes_swing() {
     // the first 256 pass — and once both sizes have run, nothing grows
     // again.
     let data = random_points(4000, 8, 0.0, 100.0);
-    let packed = tree_of(&data).freeze();
+    let packed = tree_of(&data);
     let requests = |n: usize, seed: u64| -> Vec<QueryRequest> {
         groups(6, n, seed)
             .into_iter()
@@ -265,39 +257,33 @@ fn lazy_keying_buffers_grow_once_as_group_sizes_swing() {
 fn suspended_streams_resume_without_allocating() {
     // F-MQM's usage: a stream seeded with `new_in`, dropped, and continued
     // through `resume_in` one neighbor at a time. Once one full pass has
-    // sized the scratch, replaying the pass must not grow any buffer — on
-    // either backend.
+    // sized the scratch, replaying the pass must not grow any buffer.
     let data = random_points(3000, 7, 0.0, 100.0);
-    let tree = tree_of(&data);
-    let packed = tree.freeze();
+    let packed = tree_of(&data);
     let workload = groups(6, 8, 1300);
-    for (backend, cursor) in [
-        ("arena", TreeCursor::unbuffered(&tree)),
-        ("packed", TreeCursor::packed(&packed)),
-    ] {
-        let mut scratch = MbmScratch::default();
-        let pass = |scratch: &mut MbmScratch| {
-            for g in &workload {
-                let first = MbmStream::new_in(&cursor, g, true, scratch).next();
-                let mut last = first.expect("non-empty tree").dist;
-                for _ in 0..40 {
-                    let n = MbmStream::resume_in(&cursor, g, true, scratch).next();
-                    let dist = n.expect("3000 points").dist;
-                    assert!(dist >= last, "{backend}: stream went backwards");
-                    last = dist;
-                }
+    let cursor = packed.cursor();
+    let mut scratch = MbmScratch::default();
+    let pass = |scratch: &mut MbmScratch| {
+        for g in &workload {
+            let first = MbmStream::new_in(&cursor, g, true, scratch).next();
+            let mut last = first.expect("non-empty tree").dist;
+            for _ in 0..40 {
+                let n = MbmStream::resume_in(&cursor, g, true, scratch).next();
+                let dist = n.expect("3000 points").dist;
+                assert!(dist >= last, "stream went backwards");
+                last = dist;
             }
-        };
-        pass(&mut scratch);
-        let profile: Vec<usize> = scratch.capacity_profile().collect();
-        for round in 0..3 {
-            pass(&mut scratch);
-            assert_eq!(
-                profile,
-                scratch.capacity_profile().collect::<Vec<_>>(),
-                "{backend}: a stream buffer regrew on resume (round {round})"
-            );
         }
+    };
+    pass(&mut scratch);
+    let profile: Vec<usize> = scratch.capacity_profile().collect();
+    for round in 0..3 {
+        pass(&mut scratch);
+        assert_eq!(
+            profile,
+            scratch.capacity_profile().collect::<Vec<_>>(),
+            "a stream buffer regrew on resume (round {round})"
+        );
     }
 }
 

@@ -21,8 +21,9 @@ fn mqm_spm_mbm_agree_on_1k_uniform_points() {
         data.iter()
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-    );
-    let cursor = TreeCursor::unbuffered(&tree);
+    )
+    .freeze();
+    let cursor = tree.cursor();
 
     // A few group shapes: clustered, spread, and degenerate (single point).
     let groups = [
@@ -75,8 +76,9 @@ fn results_are_deterministic_across_runs() {
             data.iter()
                 .enumerate()
                 .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-        );
-        let cursor = TreeCursor::unbuffered(&tree);
+        )
+        .freeze();
+        let cursor = tree.cursor();
         let group = QueryGroup::sum(vec![Point::new(0.3, 0.6), Point::new(0.7, 0.4)]).unwrap();
         let found = Mbm::best_first().k_gnn(&cursor, &group, 5);
         found

@@ -5,7 +5,7 @@
 use gnn::datasets::uniform_points;
 use gnn::prelude::*;
 
-fn setup(n: usize, seed: u64) -> (Vec<Point>, RTree) {
+fn setup(n: usize, seed: u64) -> (Vec<Point>, PackedRTree) {
     let ws = Rect::from_corners(0.0, 0.0, 100.0, 100.0);
     let pts = uniform_points(n, ws, seed);
     let tree = RTree::bulk_load(
@@ -13,7 +13,8 @@ fn setup(n: usize, seed: u64) -> (Vec<Point>, RTree) {
         pts.iter()
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-    );
+    )
+    .freeze();
     (pts, tree)
 }
 
@@ -72,7 +73,7 @@ fn mqm_gains_most_from_the_buffer() {
     ))
     .unwrap();
 
-    let unbuffered = TreeCursor::unbuffered(&tree);
+    let unbuffered = tree.cursor();
     let r_cold = Mqm::new().k_gnn(&unbuffered, &group, 8);
     let buffered = TreeCursor::with_buffer(&tree, 256);
     let r_warm = Mqm::new().k_gnn(&buffered, &group, 8);
@@ -88,18 +89,18 @@ fn mqm_gains_most_from_the_buffer() {
 fn take_stats_resets_counters_but_not_the_buffer() {
     let (_, tree) = setup(500, 7);
     let cursor = TreeCursor::with_buffer(&tree, 64);
-    cursor.read(tree.root());
+    cursor.read(cursor.root());
     let first = cursor.take_stats();
     assert_eq!(first.logical, 1);
     assert_eq!(first.io, 1);
     // Same page again: counter restarted, but the page is still cached.
-    cursor.read(tree.root());
+    cursor.read(cursor.root());
     let second = cursor.take_stats();
     assert_eq!(second.logical, 1);
     assert_eq!(second.io, 0, "buffer survived take_stats");
     // reset() clears the buffer too.
     cursor.reset();
-    cursor.read(tree.root());
+    cursor.read(cursor.root());
     assert_eq!(cursor.stats().io, 1);
 }
 
@@ -142,9 +143,10 @@ fn disk_algorithm_stats_are_complete() {
         qpts.iter()
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-    );
-    let dc = TreeCursor::unbuffered(&tree);
-    let qc = TreeCursor::unbuffered(&qtree);
+    )
+    .freeze();
+    let dc = tree.cursor();
+    let qc = qtree.cursor();
     let r3 = Gcp::new().k_gnn(&dc, &qc, 4);
     assert!(r3.stats.query_tree.logical > 0);
     assert_eq!(r3.stats.query_file_pages, 0);

@@ -53,15 +53,14 @@ fn execute_on_answers_k_zero_without_reading_a_page() {
                 &mut scratch,
             );
 
-            for cursor in [TreeCursor::unbuffered(&tree), packed.cursor()] {
-                let (choice, neighbors, stats, routing) =
-                    req.execute_on(&planner, &Target::Single(&cursor), &mut scratch);
-                assert_eq!(choice, want_choice, "{algo:?} {agg}");
-                assert!(neighbors.is_empty(), "{algo:?} {agg}");
-                assert_eq!(stats, QueryStats::default(), "{algo:?} {agg}");
-                assert_eq!(routing, ShardRouting::default());
-                assert_eq!(cursor.stats().logical, 0, "{algo:?} {agg}: a page was read");
-            }
+            let cursor = packed.cursor();
+            let (choice, neighbors, stats, routing) =
+                req.execute_on(&planner, &Target::Single(&cursor), &mut scratch);
+            assert_eq!(choice, want_choice, "{algo:?} {agg}");
+            assert!(neighbors.is_empty(), "{algo:?} {agg}");
+            assert_eq!(stats, QueryStats::default(), "{algo:?} {agg}");
+            assert_eq!(routing, ShardRouting::default());
+            assert_eq!(cursor.stats().logical, 0, "{algo:?} {agg}: a page was read");
 
             let cursors: Vec<_> = sharded.shards().iter().map(|s| s.cursor()).collect();
             let target = Target::Sharded {
@@ -109,30 +108,29 @@ fn every_direct_entry_point_answers_k_zero_empty() {
     let sum = group(Aggregate::Sum);
     let mut scratch = QueryScratch::new();
 
-    for cursor in [TreeCursor::unbuffered(&tree), packed.cursor()] {
-        for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
-            let algos: Vec<(&str, Box<dyn MemoryGnnAlgorithm>)> = vec![
-                ("MBM", Box::new(Mbm::best_first())),
-                ("MBM-DF", Box::new(Mbm::depth_first())),
-                ("SPM", Box::new(Spm::best_first())),
-                ("SPM-DF", Box::new(Spm::depth_first())),
-                ("MQM", Box::new(Mqm::new())),
-            ];
-            for (name, algo) in algos {
-                if !algo.supports(agg, false) {
-                    continue;
-                }
-                let g = group(agg);
-                assert!(
-                    algo.k_gnn(&cursor, &g, 0).neighbors.is_empty(),
-                    "{name} {agg}"
-                );
-                let (neighbors, _) = algo.k_gnn_in(&cursor, &g, 0, &mut scratch);
-                assert!(neighbors.is_empty(), "{name} {agg} through scratch");
+    let cursor = packed.cursor();
+    for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
+        let algos: Vec<(&str, Box<dyn MemoryGnnAlgorithm>)> = vec![
+            ("MBM", Box::new(Mbm::best_first())),
+            ("MBM-DF", Box::new(Mbm::depth_first())),
+            ("SPM", Box::new(Spm::best_first())),
+            ("SPM-DF", Box::new(Spm::depth_first())),
+            ("MQM", Box::new(Mqm::new())),
+        ];
+        for (name, algo) in algos {
+            if !algo.supports(agg, false) {
+                continue;
             }
+            let g = group(agg);
+            assert!(
+                algo.k_gnn(&cursor, &g, 0).neighbors.is_empty(),
+                "{name} {agg}"
+            );
+            let (neighbors, _) = algo.k_gnn_in(&cursor, &g, 0, &mut scratch);
+            assert!(neighbors.is_empty(), "{name} {agg} through scratch");
         }
-        assert!(full_scan_tree(&cursor, &sum, 0).neighbors.is_empty());
     }
+    assert!(full_scan_tree(&cursor, &sum, 0).neighbors.is_empty());
     let points: Vec<Point> = tree.iter().map(|e| e.point).collect();
     assert!(linear_scan_points(&points, &sum, 0).neighbors.is_empty());
 
@@ -155,9 +153,10 @@ fn every_direct_entry_point_answers_k_zero_empty() {
             .iter()
             .enumerate()
             .map(|(i, &p)| LeafEntry::new(PointId(i as u64), p)),
-    );
-    let data = TreeCursor::unbuffered(&tree);
-    let gcp = Gcp::new().k_gnn(&data, &TreeCursor::unbuffered(&query_tree), 0);
+    )
+    .freeze();
+    let data = packed.cursor();
+    let gcp = Gcp::new().k_gnn(&data, &query_tree.cursor(), 0);
     assert!(gcp.neighbors.is_empty(), "GCP");
     let qf = GroupedQueryFile::build_with(sum.points().to_vec(), 16, 32);
     let fc = FileCursor::new(qf.file());
