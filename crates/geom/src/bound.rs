@@ -1,7 +1,8 @@
 //! Rounded-down lower bounds on the weighted SUM aggregate
 //! `dist(p, Q) = Σ wᵢ·|p qᵢ|`: values built **once per query** that let a
 //! search rule a leaf entry or a node out without paying the exact `n`-term
-//! `f64` sum, and that never exceed the value they stand for.
+//! `f64` sum, and that never exceed the value they stand for — and one on
+//! a network distance, built once per graph.
 //!
 //! * [`LeafBound`] — the whole group's sum over a lane-padded leaf, in
 //!   `f32` at twice the lanes of the exact kernel, rounded down by a
@@ -12,14 +13,19 @@
 //! * [`BlockBound`] — one `f64` term a block for a leaf entry:
 //!   `Σⱼ Wⱼ·|p cⱼ|` over the group cut into the cells of a grid, rounded
 //!   down below the computed `dist(p, Q)`. Every tier.
+//! * [`LandmarkBound`] — `|d(L, a) − d(L, b)|` over a table of rounded-down
+//!   `f32` landmark distances, rounded down below the computed
+//!   shortest-path label `d̂(a → b)` of an undirected graph.
 //!
 //! None ever stands in for a distance: a caller drops an entry or parks
 //! a node only where the bound already reaches its threshold, and computes
 //! the exact value otherwise. The margins are derived below in one form —
 //! what is rounded, the bound on each error, the subnormal allowance, the
-//! non-finite fallback. `crates/geom/tests/bounds.rs` sweeps all three over
-//! one grid of scales, weights and degenerate shapes on every [`SimdLevel`],
-//! and names the case each hand mutation of a margin fails.
+//! non-finite fallback. `crates/geom/tests/bounds.rs` sweeps the three SUM
+//! bounds over one grid of scales, weights and degenerate shapes on every
+//! [`SimdLevel`], and names the case each hand mutation of a margin fails;
+//! it checks the landmark bound on path graphs, and `gnn-network`'s
+//! `landmark_bound_never_exceeds_a_settled_label` on whole networks.
 //!
 //! # The `f32` leaf bound
 //!
@@ -141,6 +147,48 @@
 //!   `1/Ŵⱼ` is not a normal number. An overflowed `ĉⱼ`, square or sum makes
 //!   `K` infinite or NaN, an overflowed `F` makes the bound `−∞` or NaN:
 //!   either way the bound is not finite and promises nothing.
+//!
+//! # The landmark bound
+//!
+//! On an undirected graph with non-negative edge weights the triangle
+//! inequality gives `d(a, b) >= |d(L, a) − d(L, b)|` for any vertex `L`.
+//! A graph of `V` vertices keeps, per landmark `L` and vertex `x`, the
+//! entry `ℓₓ`: the largest `f32` `<=` the label `d̂(L, x)` a Dijkstra
+//! expansion from `L` settles `x` at, or `+∞` where `L` does not reach
+//! `x` ([`LandmarkBound::entry`]). For a pair with entries `lo <= hi`,
+//! both finite, the term is `(hi − lo − g) − c·(lo + hi + g)`, where
+//! `g = next_up(lo) − lo` (exact in `f64`), `c = 4·(V + 2)·ε = 8·(V + 2)·u`
+//! and `u = 2⁻⁵³`; the bound is the largest term, or `0`. It is `<=` the
+//! **computed** label `d̂(a → b)` of an expansion from `a` — what a search
+//! compares with a threshold — not only the true distance.
+//!
+//! * *Rounded:* every label, a left fold of rounded additions of
+//!   non-negative weights; the narrowing to `f32`; the term's five
+//!   additions and subtractions and its product.
+//! * *Error bounds, `γ = m·u/(1 − m·u)` for `m = V − 1`.* A label is the
+//!   fold along its predecessor chain, a simple path of at most `m` edges,
+//!   and each addition of non-negatives rounds by at most `u` relative:
+//!   `d̂ >= (1 − γ)·len >= (1 − γ)·d`. Rounding is monotone and never
+//!   decreases a sum, so the expansion settles each vertex at the least
+//!   fold over all paths, which is at most the fold along a shortest one:
+//!   `d̂ <= (1 + γ)·d`. With `x` the vertex of `lo` and `y` that of `hi`,
+//!   `d(L, y) >= hi·(1 − γ)` and `d(L, x) <= (lo + g)·(1 + 2γ)`, so
+//!   `d(a, b) >= d(L, y) − d(L, x) >= (hi − lo − g) − 2γ·S` with
+//!   `S = lo + hi + g` (both orders of the pair, by symmetry). The label
+//!   from `a` is `>= (1 − γ)·d(a, b)`, which costs at most `γ·S` more
+//!   wherever that bound is positive; the term's own six roundings are
+//!   each at most `u·S`. In all `(3γ + 6u)·S`: under `(3V + 4)·u·S` for
+//!   `V < 2²⁵`, which `c·S = 8·(V + 2)·u·S` holds twice over, and under
+//!   `6V·u·S < c·S` for any `V` with `(V − 1)·u <= 1/2`. From `c >= 1` on,
+//!   every term is `<= 0`: the bound rules nothing out, soundly.
+//! * *Subnormal allowance: none.* An addition whose result is subnormal is
+//!   exact, so the fold's relative bound holds all the way down; every
+//!   non-zero `f32` is a normal `f64`, so `g`, `S` and `c·S` do not
+//!   underflow.
+//! * *Non-finite fallback.* An infinite entry says the landmark reaches
+//!   one of the pair, or neither, and is skipped. A label above `f32::MAX`
+//!   narrows to `f32::MAX`, whose `g` is `∞`: as `lo` its term is `−∞`,
+//!   as `hi` it is below the label it stands for. No term is NaN.
 
 // The only `unsafe` here is the one call into the AVX2 body of the `f32`
 // leaf bound, sound because a `LeafBound` exists only at `Avx2Fma` (see its
@@ -152,6 +200,18 @@ use crate::batch::BatchKernels;
 use crate::simd;
 use crate::simd::{pad_len, SimdLevel};
 use crate::{Point, Rect};
+
+/// The largest `f32` `<=` a value `>= 0` (`+∞` for `+∞`).
+#[inline]
+fn narrow_down(v: f64) -> f32 {
+    match v as f32 {
+        // Positive and above a value `>= 0`, so not zero: the next float
+        // down is one bit pattern below (and `f32::MAX` below an overflowed
+        // `+∞`).
+        f if f64::from(f) > v => f32::from_bits(f.to_bits() - 1),
+        f => f,
+    }
+}
 
 /// The rounded-down `f32` lower bound on a weighted SUM group's distance to
 /// every entry of a lane-padded leaf (margin: module docs). It exists only
@@ -193,13 +253,7 @@ impl<'a> LeafBound<'a> {
             return None;
         }
         buf.clear();
-        buf.extend(w.iter().map(|&w| match w as f32 {
-            // Positive and above a positive weight, so not zero: the next
-            // float down is one bit pattern below (and `f32::MAX` below an
-            // overflowed `+∞`).
-            f if f64::from(f) > w => f32::from_bits(f.to_bits() - 1),
-            f => f,
-        }));
+        buf.extend(w.iter().map(|&w| narrow_down(w)));
         // Four running sums, weight `i` into lane `i % 4`: the margin's bits
         // depend on this association, so it stays fixed.
         let mut sums = [0.0f64; 4];
@@ -487,6 +541,52 @@ impl<'a> BlockBound<'a> {
         for v in out.iter_mut() {
             *v = *v * self.factor - self.floor;
         }
+    }
+}
+
+/// The rounded-down landmark lower bound on a shortest-path distance in an
+/// undirected graph of `V` vertices, read off two rows of a landmark table
+/// (margin: module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct LandmarkBound {
+    /// `c = 4·(V + 2)·ε`.
+    margin: f64,
+}
+
+impl LandmarkBound {
+    /// The bound for a graph of `vertices` vertices.
+    pub fn new(vertices: usize) -> Self {
+        LandmarkBound {
+            margin: 4.0 * (vertices as f64 + 2.0) * f64::EPSILON,
+        }
+    }
+
+    /// A table entry: the largest `f32` `<=` a settled label (`>= 0`), or
+    /// `+∞` for an unreached vertex's `+∞`.
+    #[inline]
+    pub fn entry(label: f64) -> f32 {
+        narrow_down(label)
+    }
+
+    /// A lower bound on the computed label `d̂(a → b)`, given the table rows
+    /// of `a` and `b` (one [`LandmarkBound::entry`] a landmark, in the same
+    /// landmark order): `0` where no landmark tells them apart.
+    #[inline]
+    pub fn lower(&self, a: &[f32], b: &[f32]) -> f64 {
+        let mut bound = 0.0f64;
+        for (&x, &y) in a.iter().zip(b) {
+            let (lo, hi) = if x < y { (x, y) } else { (y, x) };
+            if hi == f32::INFINITY {
+                continue; // this landmark misses one of the pair, or both
+            }
+            let gap = f64::from(lo.next_up()) - f64::from(lo);
+            let (lo, hi) = (f64::from(lo), f64::from(hi));
+            let term = (hi - lo - gap) - self.margin * (lo + hi + gap);
+            if term > bound {
+                bound = term;
+            }
+        }
+        bound
     }
 }
 

@@ -11,9 +11,10 @@
 //! * [`batch`] — branch-free batched distance kernels over SoA coordinate
 //!   slices (the packed R-tree's scan primitives), with scalar and explicit
 //!   SIMD backends behind one dispatch ([`batch::BatchKernels`]),
-//! * [`bound`] — the two rounded-down lower bounds on the weighted SUM
-//!   ([`bound::LeafBound`], [`bound::CentroidBound`]), built once per
-//!   query, with their margin derivations,
+//! * [`bound`] — the rounded-down lower bounds on the weighted SUM
+//!   ([`bound::LeafBound`], [`bound::CentroidBound`],
+//!   [`bound::BlockBound`]), built once per query, and on a network
+//!   distance ([`bound::LandmarkBound`]), with their margin derivations,
 //! * [`simd`] — the AVX2 kernel bodies, runtime dispatch level
 //!   ([`SimdLevel`]) and the lane-padding helpers,
 //! * [`aligned`] — [`AlignedVec`], a 64-byte-aligned growable `f64` buffer
@@ -21,10 +22,11 @@
 //! * [`hilbert`] — the 2-D Hilbert space-filling curve used to sort query
 //!   points for access locality (paper §3.1, §4.2, §4.3).
 //!
-//! All computations are `f64` (save the `f32` lower bound); the crate has
-//! no dependencies. `unsafe` is denied everywhere except [`aligned`]'s raw
-//! slice views, [`simd`]'s `core::arch` intrinsics and the calls into them
-//! from [`batch`] and [`bound`], each carrying its own safety argument.
+//! All computations are `f64` (save the `f32` leaf bound and landmark
+//! entries); the crate has no dependencies. `unsafe` is denied everywhere
+//! except [`aligned`]'s raw slice views, [`simd`]'s `core::arch`
+//! intrinsics and the calls into them from [`batch`] and [`bound`], each
+//! carrying its own safety argument.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,10 @@
 //! One soundness harness for the rounded-down bounds of `gnn_geom::bound`.
 //!
-//! Every bound there must never exceed the value it stands for. All three
-//! run over one grid of query groups — scales `2^{0, ±40, ±80, ±127, ±200,
-//! ±500}`, sizes 1–17, 32, 33, 256 and 1000, six weightings from unit to
-//! `10^±300`, and three layouts (spread, coincident, far from the origin) —
-//! on every [`SimdLevel`] the host can run:
+//! Every bound there must never exceed the value it stands for. The three
+//! SUM bounds run over one grid of query groups — scales `2^{0, ±40, ±80,
+//! ±127, ±200, ±500}`, sizes 1–17, 32, 33, 256 and 1000, six weightings
+//! from unit to `10^±300`, and three layouts (spread, coincident, far from
+//! the origin) — on every [`SimdLevel`] the host can run:
 //!
 //! * [`CentroidBound`] against the tight heuristic-3 sum of the same level,
 //!   over rects around, through and far from each group, down to points
@@ -44,10 +44,20 @@
 //! * block `ρ` doubled: "2^0 n=1 weights unit Coincident: block page m=8
 //!   on Scalar" (tightness);
 //! * block `F` doubled: "2^0 n=1 weights unit Coincident: block page m=1
-//!   on Scalar" (tightness).
+//!   on Scalar" (tightness);
+//! * landmark entries narrowed to nearest: "2^0 1 edges 0.1–10";
+//! * landmark `c = 0`: "fold-order path".
+//!
+//! [`LandmarkBound`] runs on path graphs instead, where every label is the
+//! fold along the one path: at scales `2^{0, ±40, ±80, ±127, ±140, ±200}`
+//! (`f32` subnormal and overflowing entries), over weights from unit to
+//! twenty orders of magnitude apart, `0 <= bound <= label` for every pair
+//! and every direction, and within two entry gaps and four margins of the
+//! label where a landmark starts the path (tightness). Its soundness on
+//! whole networks is `gnn-network`'s harness (`packed.rs`' tests).
 
 use gnn_geom::batch::{scalar, BatchKernels};
-use gnn_geom::bound::{BlockBound, CentroidBound, LeafBound};
+use gnn_geom::bound::{BlockBound, CentroidBound, LandmarkBound, LeafBound};
 use gnn_geom::simd::pad_len;
 use gnn_geom::{Point, Rect, SimdLevel};
 
@@ -513,4 +523,120 @@ fn no_centroid_bound_without_a_normal_total_weight() {
             "{total:e}"
         );
     }
+}
+
+/// Labels along a path graph, as an expansion from `from` settles them:
+/// each vertex's label is the left fold of the weights between (`w[i]`
+/// joins vertices `i` and `i + 1`).
+fn path_labels(w: &[f64], from: usize) -> Vec<f64> {
+    let mut label = vec![0.0; w.len() + 1];
+    for i in from + 1..label.len() {
+        label[i] = label[i - 1] + w[i - 1];
+    }
+    for i in (0..from).rev() {
+        label[i] = label[i + 1] + w[i];
+    }
+    label
+}
+
+#[test]
+fn landmark_bound_is_sound_and_tight_on_path_graphs() {
+    // Path graphs at every scale, `f32`'s subnormal and overflowing ranges
+    // included, with weights from unit to twenty orders of magnitude apart
+    // (so folds round, and round differently in the two directions), and
+    // one path whose folds differ by direction exactly where `f32` holds
+    // the larger: 2⁻⁵⁵, 2⁻⁵⁵, 1 − 2⁻⁵³ folds to 1 from one end and to
+    // 1 − 2⁻⁵³ from the other.
+    let mut rng = Lcg(39);
+    let mut paths: Vec<(String, Vec<f64>)> = vec![(
+        "fold-order path".into(),
+        vec![2f64.powi(-55), 2f64.powi(-55), 1.0 - 2f64.powi(-53)],
+    )];
+    for e in [0, 40, -40, 80, -80, 127, -127, 140, -140, 200, -200] {
+        for len in [1usize, 2, 16, 63] {
+            for weighting in ["unit", "0.1–10", "10^±10"] {
+                let w = (0..len)
+                    .map(|_| match weighting {
+                        "unit" => 1.0,
+                        "0.1–10" => rng.range(0.1, 10.0),
+                        _ => 10f64.powf(rng.range(-10.0, 10.0)),
+                    })
+                    .map(|w| w * 2f64.powi(e))
+                    .collect();
+                paths.push((format!("2^{e} {len} edges {weighting}"), w));
+            }
+        }
+    }
+    let (mut pairs, mut tight) = (0u64, 0u64);
+    for (what, w) in &paths {
+        let n = w.len() + 1;
+        let bound = LandmarkBound::new(n);
+        // Landmarks at both ends, the middle and next to the start; row `v`
+        // holds `v`'s entry for each.
+        let landmarks = [0, n - 1, n / 2, 1];
+        let columns: Vec<Vec<f64>> = landmarks.iter().map(|&l| path_labels(w, l)).collect();
+        let rows: Vec<Vec<f32>> = (0..n)
+            .map(|v| columns.iter().map(|c| LandmarkBound::entry(c[v])).collect())
+            .collect();
+        for a in 0..n {
+            let settled = path_labels(w, a);
+            for b in 0..n {
+                let lower = bound.lower(&rows[a], &rows[b]);
+                assert!(
+                    lower >= 0.0 && lower <= settled[b],
+                    "{what}: bound(v{a}, v{b}) = {lower:e} above settled {:e}",
+                    settled[b]
+                );
+                pairs += 1;
+                // The first landmark starts the path, so its difference is
+                // the distance itself: the bound gives up only the two
+                // entries' rounding and a few margins.
+                let (ea, eb) = (rows[a][0], rows[b][0]);
+                let gaps = f64::from(ea.next_up() - ea) + f64::from(eb.next_up() - eb);
+                let s = f64::from(ea) + f64::from(eb);
+                if a < b && gaps.is_finite() {
+                    let margin = 4.0 * (n as f64 + 2.0) * f64::EPSILON;
+                    let slack = 2.0 * gaps + 4.0 * margin * s;
+                    assert!(
+                        lower >= settled[b] - slack,
+                        "{what}: bound(v{a}, v{b}) = {lower:e} far below {:e}",
+                        settled[b]
+                    );
+                    tight += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        tight * 3 > pairs,
+        "{tight} tightness checks of {pairs} pairs"
+    );
+}
+
+#[test]
+fn landmark_entries_round_down_to_f32() {
+    let labels = [
+        0.0,
+        1.0,
+        0.1,
+        1e-50,
+        3.5e38,
+        1e300,
+        16_777_217.0,
+        f64::INFINITY,
+    ];
+    let entries = labels.map(LandmarkBound::entry);
+    for (&e, &l) in entries.iter().zip(&labels) {
+        assert!(f64::from(e) <= l, "{e:e} vs {l:e}");
+        if l < f64::INFINITY {
+            assert!(
+                f64::from(e.next_up()) > l,
+                "{e:e} is not the largest below {l:e}"
+            );
+        }
+    }
+    assert_eq!(entries[3], 0.0);
+    assert_eq!(entries[4], f32::MAX);
+    assert_eq!(entries[6], 16_777_216.0);
+    assert_eq!(entries[7], f32::INFINITY);
 }

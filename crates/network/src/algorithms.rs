@@ -128,8 +128,11 @@ fn probe(
 /// the exact aggregate of candidate `v` and offers it to `best` — unless a
 /// lower bound on it reaches `best.bound()` first, in which case expansion
 /// stops there and `true` ("pruned") is returned. `lb[i]` is `d_i(v)` where
-/// stream `i` has settled `v`, else `max(|q_i v|, frontier_i)`; unsettled
-/// streams are stepped in index order, each settled distance raising `lb[i]`.
+/// stream `i` has settled `v`, else `max(|q_i v|, frontier_i, landmark_i(v))`
+/// (the last from the graph's landmark table, `PackedGraph::landmark_bound`);
+/// unsettled streams are stepped in index order, each settled distance
+/// raising `lb[i]`. The landmark bound prunes, it never steers: the
+/// expansions run as before, and stop sooner.
 /// Every `lb[i] <= d_i(v)` and the fold below is the one that computes the
 /// aggregate (same order, monotone rounding), so a pruned candidate is one
 /// `KBestList::offer` would have rejected, and an offered one carries the
@@ -148,9 +151,11 @@ fn refine(
 ) -> bool {
     let point = graph.position(v);
     for ((l, s), &q) in lb.iter_mut().zip(states.iter()).zip(query) {
-        *l = s
-            .settled_distance(v)
-            .unwrap_or_else(|| s.frontier().max(point.dist(graph.position(q))));
+        *l = s.settled_distance(v).unwrap_or_else(|| {
+            s.frontier()
+                .max(point.dist(graph.position(q)))
+                .max(graph.landmark_bound(q, v))
+        });
     }
     let fold = |lb: &[f64]| aggregate.aggregate(lb.iter().copied());
     let bound = best.bound();
@@ -747,11 +752,12 @@ mod tests {
     #[test]
     fn bound_equal_to_best_dist_settles_nothing_further() {
         // Path 0-1-2-3-4, unit edges, one source at vertex 0 that has not
-        // expanded yet: a candidate's only bound is Euclidean. With
-        // best_dist = 3, vertex 3 (bound exactly 3) must be discarded
-        // before any vertex settles — pruning is `>=`, as everywhere.
-        // `spur` hangs off the far end: 0.71 away as the crow flies, 7.5 by
-        // road, so only the frontier can discard it.
+        // expanded yet: a candidate's bounds are Euclidean and landmark
+        // ones. With best_dist = 3, vertex 3 (Euclidean bound exactly 3)
+        // must be discarded before any vertex settles — pruning is `>=`,
+        // as everywhere. `spur` hangs off the far end: 0.71 away as the
+        // crow flies, 7.5 by road. `detour` hangs off vertex 2: 2.06 away
+        // as the crow flies, 3 + 1e-7 by road.
         let mut g = RoadNetwork::new();
         let vs: Vec<VertexId> = (0..5)
             .map(|i| g.add_vertex(Point::new(i as f64, 0.0)))
@@ -761,6 +767,9 @@ mod tests {
         }
         let spur = g.add_vertex(Point::new(0.5, 0.5));
         g.add_edge(vs[4], spur);
+        let detour = g.add_vertex(Point::new(2.0, 0.5));
+        g.add_edge_weighted(vs[2], detour, 1.0 + 1e-7);
+        // Seven vertices, so every one is a landmark, the source too.
         let packed = g.freeze();
         let query = [vs[0]];
         let mut states = [DijkstraState::default()];
@@ -788,9 +797,16 @@ mod tests {
             };
         assert_eq!(refine_one(vs[3], &mut best, &mut states), (true, 0));
         assert_eq!(refine_one(vs[4], &mut best, &mut states), (true, 0));
-        // The spur is expanded for until the frontier itself — vertex 3
-        // settling at distance 3 — equals best_dist, and no further.
-        assert_eq!(refine_one(spur, &mut best, &mut states), (true, 4));
+        // The source is a landmark, and its column puts the spur ~7.5
+        // away: discarded with nothing settled, though 0.71 by air.
+        assert_eq!(refine_one(spur, &mut best, &mut states), (true, 0));
+        // The detour's label, 3 + 1e-7, narrows to the `f32` 3.0, so its
+        // landmark bound stays a hair below best_dist: it is expanded for
+        // until the frontier itself — vertex 3 settling at distance 3 —
+        // equals best_dist, and no further.
+        let (q, d) = (query[0], detour);
+        assert!(packed.landmark_bound(q, d) < 3.0 && packed.landmark_bound(q, d) > 2.99);
+        assert_eq!(refine_one(detour, &mut best, &mut states), (true, 4));
         // Vertex 2 settled on the way: exact at once, offered, kept.
         assert_eq!(refine_one(vs[2], &mut best, &mut states), (false, 4));
         assert_eq!(best.bound(), 2.0);

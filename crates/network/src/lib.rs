@@ -30,8 +30,9 @@
 //! serving goes through packed snapshots:
 //!
 //! * [`PackedGraph`] — [`RoadNetwork::freeze`] lays the adjacency lists
-//!   into contiguous CSR arenas, mirrors positions into SoA arrays, and
-//!   freezes a vertex R\*-tree for packed NN snapping;
+//!   into contiguous CSR arenas, mirrors positions into SoA arrays,
+//!   freezes a vertex R\*-tree for packed NN snapping, and keeps a table
+//!   of landmark distances the refinement reads lower bounds from;
 //! * [`NetworkScratch`] — reusable epoch-stamped per-query state threaded
 //!   through [`NetworkTa::k_gnn_in`] / [`NetworkIer::k_gnn_in`], making
 //!   steady-state queries allocation-free. Those two refine a candidate only

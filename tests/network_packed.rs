@@ -7,7 +7,8 @@
 //! an exact tie (which id survives a tie is the algorithm's choice, as
 //! between any two algorithms here), `settled_vertices` / `relaxed_edges`
 //! packed `<=` arena, and `euclidean_candidates` / `rtree_accesses` equal
-//! (the Euclidean stream is consumed identically).
+//! (the Euclidean stream is consumed identically). Every snapshot passes
+//! `PackedGraph::validate` first.
 
 use gnn::network::{
     network_oracle, NetworkGnnResult, NetworkGnnStats, NetworkIer, NetworkScratch, NetworkTa,
@@ -136,6 +137,7 @@ fn check_network(
     total: &mut Expansion,
 ) {
     let packed = g.freeze();
+    assert_eq!(packed.validate(), Ok(()), "{label}");
     let tree = data_tree(g, data);
     let mut scratch = NetworkScratch::new();
     for aggregate in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
@@ -287,6 +289,7 @@ proptest! {
         }
 
         let packed = g.freeze();
+        prop_assert_eq!(packed.validate(), Ok(()));
         let tree = data_tree(&g, &data);
         let mut scratch = NetworkScratch::new();
         for aggregate in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
