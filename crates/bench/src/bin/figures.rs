@@ -26,7 +26,7 @@ use gnn_bench::{
     run_gcp_cell, run_memory_cell, scaled_query_points, varying_m_target, Cost, Dataset,
     SeriesTable,
 };
-use gnn_core::{CentroidMethod, Mbm, MemoryGnnAlgorithm, Spm, Traversal};
+use gnn_core::Mbm;
 use gnn_geom::Point;
 use gnn_rtree::{PackedRTree, RTree, RTreeParams};
 use std::collections::BTreeSet;
@@ -62,12 +62,7 @@ impl Report {
 
 const MEMORY_FIGS: [&str; 3] = ["fig5_1", "fig5_2", "fig5_3"];
 const DISK_FIGS: [&str; 4] = ["fig5_4", "fig5_5", "fig5_6", "fig5_7"];
-const ABLATIONS: [&str; 4] = [
-    "ablation_heuristics",
-    "ablation_traversal",
-    "ablation_buffer",
-    "ablation_centroid",
-];
+const ABLATIONS: [&str; 2] = ["ablation_buffer", "ablation_bulk_load"];
 
 fn parse_args() -> Options {
     let mut opts = Options {
@@ -400,7 +395,7 @@ fn run_disk_figures(opts: &Options, report: &mut Report) {
     }
 }
 
-/// Ablations called out in DESIGN.md §6.
+/// The ablations: the LRU buffer sweep and STR vs Hilbert bulk loading.
 fn run_ablations(opts: &Options, report: &mut Report) {
     if !ABLATIONS.iter().any(|a| opts.experiments.contains(*a)) {
         return;
@@ -409,80 +404,6 @@ fn run_ablations(opts: &Options, report: &mut Report) {
     let pts = Dataset::Pp.points(opts.quick);
     let tree = build_tree(&pts);
     let wl = gnn_bench::workload_for(&tree, 64, 0.08, opts.queries, 0xAB1A7E);
-
-    if opts.experiments.contains("ablation_heuristics") {
-        // MBM heuristic ablation (paper footnote 3): H2-only vs H3-only vs both.
-        let variants: Vec<(String, Mbm)> = vec![
-            (
-                "H2-only".into(),
-                Mbm {
-                    traversal: Traversal::BestFirst,
-                    use_h2: true,
-                    use_h3: false,
-                },
-            ),
-            (
-                "H3-only".into(),
-                Mbm {
-                    traversal: Traversal::DepthFirst,
-                    use_h2: false,
-                    use_h3: true,
-                },
-            ),
-            ("H2+H3".into(), Mbm::best_first()),
-        ];
-        let mut cells = Vec::new();
-        for (_, v) in &variants {
-            cells.push(vec![run_memory_cell(
-                &tree,
-                &wl,
-                v,
-                defaults::K,
-                defaults::BUFFER_PAGES,
-            )]);
-        }
-        emit(
-            opts,
-            report,
-            SeriesTable {
-                title: "ablation_heuristics (MBM pruning, PP, n=64 M=8% k=8)".into(),
-                x_label: "".into(),
-                x_values: vec!["cost".into()],
-                algorithms: variants.into_iter().map(|(n, _)| n).collect(),
-                cells,
-            },
-        );
-    }
-
-    if opts.experiments.contains("ablation_traversal") {
-        let variants: Vec<(String, Box<dyn MemoryGnnAlgorithm>)> = vec![
-            ("SPM-BF".into(), Box::new(Spm::best_first())),
-            ("SPM-DF".into(), Box::new(Spm::depth_first())),
-            ("MBM-BF".into(), Box::new(Mbm::best_first())),
-            ("MBM-DF".into(), Box::new(Mbm::depth_first())),
-        ];
-        let mut cells = Vec::new();
-        for (_, v) in &variants {
-            cells.push(vec![run_memory_cell(
-                &tree,
-                &wl,
-                v.as_ref(),
-                defaults::K,
-                defaults::BUFFER_PAGES,
-            )]);
-        }
-        emit(
-            opts,
-            report,
-            SeriesTable {
-                title: "ablation_traversal (best-first vs depth-first, PP, n=64 M=8% k=8)".into(),
-                x_label: "".into(),
-                x_values: vec!["cost".into()],
-                algorithms: variants.into_iter().map(|(n, _)| n).collect(),
-                cells,
-            },
-        );
-    }
 
     if opts.experiments.contains("ablation_buffer") {
         let sweeps = [1usize, 16, 64, 128, 512, 2048];
@@ -512,57 +433,7 @@ fn run_ablations(opts: &Options, report: &mut Report) {
         );
     }
 
-    if opts.experiments.contains("ablation_centroid") {
-        let variants: Vec<(String, Spm)> = vec![
-            (
-                "grad-desc".into(),
-                Spm {
-                    traversal: Traversal::BestFirst,
-                    centroid: CentroidMethod::GradientDescent,
-                },
-            ),
-            (
-                "weiszfeld".into(),
-                Spm {
-                    traversal: Traversal::BestFirst,
-                    centroid: CentroidMethod::Weiszfeld,
-                },
-            ),
-            (
-                "mean".into(),
-                Spm {
-                    traversal: Traversal::BestFirst,
-                    centroid: CentroidMethod::Mean,
-                },
-            ),
-        ];
-        let mut cells = Vec::new();
-        for (_, v) in &variants {
-            cells.push(vec![run_memory_cell(
-                &tree,
-                &wl,
-                v,
-                defaults::K,
-                defaults::BUFFER_PAGES,
-            )]);
-        }
-        emit(
-            opts,
-            report,
-            SeriesTable {
-                title: "ablation_centroid (SPM anchor quality, PP, n=64 M=8% k=8)".into(),
-                x_label: "".into(),
-                x_values: vec!["cost".into()],
-                algorithms: variants.into_iter().map(|(n, _)| n).collect(),
-                cells,
-            },
-        );
-    }
-
-    // Bulk-loading ablation is cheap enough to always include with ablations.
-    if opts.experiments.contains("ablation_heuristics")
-        || opts.experiments.contains("ablation_traversal")
-    {
+    if opts.experiments.contains("ablation_bulk_load") {
         let t0 = Instant::now();
         let str_tree = build_tree(&pts);
         let t_str = t0.elapsed();

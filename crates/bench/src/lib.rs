@@ -27,7 +27,7 @@ pub mod defaults {
     /// Queries per workload (the paper averages over 100).
     pub const WORKLOAD_QUERIES: usize = 100;
     /// LRU buffer pool size in pages (the paper does not state its size;
-    /// see DESIGN.md §6, swept by `ablation_buffer`).
+    /// swept by `ablation_buffer`).
     pub const BUFFER_PAGES: usize = 128;
     /// Neighbors retrieved unless the experiment sweeps `k`.
     pub const K: usize = 8;
@@ -242,9 +242,10 @@ pub fn run_memory_cell(
     for q in queries {
         let group = QueryGroup::sum(q.clone()).expect("valid workload query");
         let cursor = TreeCursor::with_buffer(tree, buffer_pages);
+        let t0 = Instant::now();
         let r = algo.k_gnn(&cursor, &group, k);
+        cpu += t0.elapsed().as_secs_f64();
         na += r.stats.data_tree.io;
-        cpu += r.stats.elapsed.as_secs_f64();
     }
     Cost {
         na: na as f64 / queries.len() as f64,

@@ -6,7 +6,6 @@ use crate::query::QueryGroup;
 use crate::result::{GnnResult, Neighbor, QueryStats};
 use gnn_geom::Point;
 use gnn_rtree::{LeafEntry, TreeCursor};
-use std::time::Instant;
 
 /// Exact k-GNN by scanning an explicit entry list: `O(|P| · n)` distance
 /// computations, no index. The ground truth for correctness tests.
@@ -14,7 +13,6 @@ pub fn linear_scan_entries<I>(entries: I, group: &QueryGroup, k: usize) -> GnnRe
 where
     I: IntoIterator<Item = LeafEntry>,
 {
-    let t0 = Instant::now();
     let mut best = KBestList::new(k);
     let mut dist_computations = 0u64;
     for e in entries {
@@ -30,7 +28,6 @@ where
         neighbors: best.into_sorted(),
         stats: QueryStats {
             dist_computations,
-            elapsed: t0.elapsed(),
             ..QueryStats::default()
         },
     }
@@ -40,7 +37,6 @@ where
 /// cursor** — i.e. a full sequential scan paying one access per page. The
 /// "no cleverness" upper bound on node accesses.
 pub fn full_scan_tree(cursor: &TreeCursor<'_>, group: &QueryGroup, k: usize) -> GnnResult {
-    let t0 = Instant::now();
     let before = cursor.stats();
     let mut best = KBestList::new(k);
     let mut dist_computations = 0u64;
@@ -66,7 +62,6 @@ pub fn full_scan_tree(cursor: &TreeCursor<'_>, group: &QueryGroup, k: usize) -> 
         stats: QueryStats {
             data_tree: cursor.stats().since(before),
             dist_computations,
-            elapsed: t0.elapsed(),
             ..QueryStats::default()
         },
     }

@@ -3,11 +3,12 @@
 //! SPM anchors its search at a point `q` minimising
 //! `dist(q, Q) = Σ w_i |q q_i|`. The minimiser (the *geometric median*, or
 //! Fermat–Weber point) has no closed form for `n > 2`; the paper evaluates
-//! it numerically by gradient descent. We provide that solver plus
-//! Weiszfeld's fixed-point iteration as a cross-check. **Correctness of SPM
-//! never depends on the quality of the approximation** — Lemma 1 holds for
-//! an arbitrary anchor point — only its efficiency does, so an approximate
-//! solution "suffices for the purposes of SPM" (§3.2).
+//! it numerically by gradient descent, and SPM anchors with that solver.
+//! Weiszfeld's fixed-point iteration stays beside it as the cross-check the
+//! tests hold it to. **Correctness of SPM never depends on the quality of
+//! the approximation** — Lemma 1 holds for an arbitrary anchor point — only
+//! its efficiency does, so an approximate solution "suffices for the
+//! purposes of SPM" (§3.2).
 
 use gnn_geom::Point;
 
@@ -34,7 +35,7 @@ fn weight(weights: Option<&[f64]>, i: usize) -> f64 {
 
 /// Arithmetic mean — the gradient-descent starting point the paper suggests
 /// (`x = (1/n) Σ x_i`).
-pub fn arithmetic_mean(points: &[Point], weights: Option<&[f64]>) -> Point {
+fn arithmetic_mean(points: &[Point], weights: Option<&[f64]>) -> Point {
     assert!(!points.is_empty(), "centroid of an empty group");
     let mut sx = 0.0;
     let mut sy = 0.0;

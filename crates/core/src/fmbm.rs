@@ -14,29 +14,24 @@
 //!   reaches `best_dist` is dropped before any further distance
 //!   computation.
 //!
-//! Both the best-first (paper's experimental setup) and depth-first
-//! (Figure 4.7 as printed) traversals are provided. All per-query state —
-//! the traversal heap, the leaf-processing matrices, the group load buffer —
-//! lives in [`FmbmScratch`] inside [`crate::QueryScratch`].
+//! The traversal is best-first, as in the paper's experiments (§5);
+//! Figure 4.7's depth-first walk-through is not implemented. All per-query
+//! state — the traversal heap, the leaf-processing matrices, the group load
+//! buffer — lives in [`FmbmScratch`] inside [`crate::QueryScratch`].
 
 use crate::best_list::KBestList;
 use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
-use crate::{Aggregate, FileGnnAlgorithm, Traversal};
+use crate::{Aggregate, FileGnnAlgorithm};
 use gnn_geom::{OrderedF64, Point, Rect};
 use gnn_qfile::{FileCursor, GroupSpec, GroupedQueryFile};
 use gnn_rtree::{LeafEntry, LeafRef, PageId, PageRef, TreeCursor};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
-/// The file minimum bounding method.
+/// The file minimum bounding method: best-first, with heuristics 5 and 6.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Fmbm {
-    /// Best-first (default, matches the paper's experiments) or depth-first
-    /// (Figure 4.7) traversal.
-    pub traversal: Traversal,
-}
+pub struct Fmbm;
 
 /// One live point of a leaf being processed: its entry, the accumulated
 /// aggregate over the groups loaded so far, and the row of its heuristic-6
@@ -80,60 +75,9 @@ impl FmbmScratch {
 }
 
 impl Fmbm {
-    /// F-MBM with best-first traversal.
-    pub fn best_first() -> Self {
-        Fmbm {
-            traversal: Traversal::BestFirst,
-        }
-    }
-
-    /// F-MBM with depth-first traversal.
-    pub fn depth_first() -> Self {
-        Fmbm {
-            traversal: Traversal::DepthFirst,
-        }
-    }
-
-    /// Figure 4.7's depth-first recursion: children in ascending weighted
-    /// mindist, stop at the first failing heuristic 5. Sort buffers come
-    /// from the per-level scratch pool.
-    fn df_visit(
-        &self,
-        data: &TreeCursor<'_>,
-        id: PageId,
-        node_mbr: &Rect,
-        ctx: &mut SearchCtx<'_, '_, '_, '_>,
-        pool: &mut Vec<Vec<(f64, u32)>>,
-        depth: usize,
-    ) {
-        match data.read(id) {
-            PageRef::Internal(view) => {
-                if pool.len() <= depth {
-                    pool.resize_with(depth + 1, Vec::new);
-                }
-                let mut order = std::mem::take(&mut pool[depth]);
-                order.clear();
-                order.extend(
-                    (0..view.len()).map(|i| (ctx.weighted_mindist_rect(&view.mbr(i)), i as u32)),
-                );
-                order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                for &(wmd, i) in &order {
-                    if wmd >= ctx.best.bound() {
-                        break; // heuristic 5; sorted, so the rest fail too
-                    }
-                    self.df_visit(
-                        data,
-                        view.child(i as usize),
-                        &view.mbr(i as usize),
-                        ctx,
-                        pool,
-                        depth + 1,
-                    );
-                }
-                pool[depth] = order;
-            }
-            PageRef::Leaf(es) => ctx.process_leaf(&es, node_mbr),
-        }
+    /// F-MBM as the paper runs it (§5): best-first.
+    pub const fn best_first() -> Self {
+        Fmbm
     }
 }
 
@@ -151,15 +95,10 @@ impl FileGnnAlgorithm for Fmbm {
         aggregate: Aggregate,
         scratch: &'s mut QueryScratch,
     ) -> (&'s [Neighbor], QueryStats) {
-        let t0 = Instant::now();
         let data_before = data.stats();
         let qpages_before = query_cursor.page_reads();
         let QueryScratch {
-            best,
-            out,
-            fmbm,
-            df_pool,
-            ..
+            best, out, fmbm, ..
         } = scratch;
         if query.group_count() == 0 || data.is_empty() {
             out.clear();
@@ -176,42 +115,35 @@ impl FileGnnAlgorithm for Fmbm {
             scratch: fmbm,
         };
 
-        match self.traversal {
-            Traversal::BestFirst => {
-                // Min-heap of nodes keyed by weighted mindist (heuristic 5
-                // is the termination rule: once the key reaches best_dist,
-                // nothing below any pending node can win).
-                let root_key = ctx.weighted_mindist_rect(&data.root_mbr());
-                ctx.scratch.heap.clear();
-                ctx.scratch.heap.push(Reverse((
-                    OrderedF64(root_key),
-                    data.root(),
-                    Rect2(data.root_mbr()),
-                )));
-                while let Some(Reverse((key, id, mbr))) = ctx.scratch.heap.pop() {
-                    if key.get() >= ctx.best.bound() {
-                        break;
-                    }
-                    match data.read(id) {
-                        PageRef::Leaf(es) => ctx.process_leaf(&es, &mbr.0),
-                        PageRef::Internal(view) => {
-                            for i in 0..view.len() {
-                                let child_mbr = view.mbr(i);
-                                let child_key = ctx.weighted_mindist_rect(&child_mbr);
-                                if child_key < ctx.best.bound() {
-                                    ctx.scratch.heap.push(Reverse((
-                                        OrderedF64(child_key),
-                                        view.child(i),
-                                        Rect2(child_mbr),
-                                    )));
-                                }
-                            }
+        // Min-heap of nodes keyed by weighted mindist (heuristic 5 is the
+        // termination rule: once the key reaches best_dist, nothing below
+        // any pending node can win).
+        let root_key = ctx.weighted_mindist_rect(&data.root_mbr());
+        ctx.scratch.heap.clear();
+        ctx.scratch.heap.push(Reverse((
+            OrderedF64(root_key),
+            data.root(),
+            Rect2(data.root_mbr()),
+        )));
+        while let Some(Reverse((key, id, mbr))) = ctx.scratch.heap.pop() {
+            if key.get() >= ctx.best.bound() {
+                break;
+            }
+            match data.read(id) {
+                PageRef::Leaf(es) => ctx.process_leaf(&es, &mbr.0),
+                PageRef::Internal(view) => {
+                    for i in 0..view.len() {
+                        let child_mbr = view.mbr(i);
+                        let child_key = ctx.weighted_mindist_rect(&child_mbr);
+                        if child_key < ctx.best.bound() {
+                            ctx.scratch.heap.push(Reverse((
+                                OrderedF64(child_key),
+                                view.child(i),
+                                Rect2(child_mbr),
+                            )));
                         }
                     }
                 }
-            }
-            Traversal::DepthFirst => {
-                self.df_visit(data, data.root(), &data.root_mbr(), &mut ctx, df_pool, 0);
             }
         }
 
@@ -219,7 +151,6 @@ impl FileGnnAlgorithm for Fmbm {
             data_tree: data.stats().since(data_before),
             query_file_pages: query_cursor.page_reads() - qpages_before,
             dist_computations: ctx.dist_computations,
-            elapsed: t0.elapsed(),
             ..QueryStats::default()
         };
         best.drain_sorted_into(out);
@@ -424,34 +355,31 @@ mod tests {
         group_capacity: usize,
         k: usize,
         aggregate: Aggregate,
-        fmbm: Fmbm,
     ) {
         let tree = data_tree(data_pts);
         let cursor = tree.cursor();
         let qf = GroupedQueryFile::build_with(query_pts.clone(), 16, group_capacity);
         let fc = FileCursor::new(qf.file());
-        let got = fmbm.k_gnn(&cursor, &qf, &fc, k, aggregate);
+        let got = Fmbm::best_first().k_gnn(&cursor, &qf, &fc, k, aggregate);
         let group = QueryGroup::with_aggregate(query_pts, aggregate).unwrap();
         let want = linear_scan_entries(tree.iter(), &group, k);
         let g = got.distances();
         let w = want.distances();
-        assert_eq!(g.len(), w.len(), "agg={aggregate} k={k} {fmbm:?}");
+        assert_eq!(g.len(), w.len(), "agg={aggregate} k={k}");
         for (a, b) in g.iter().zip(&w) {
             assert!(
                 (a - b).abs() < 1e-6 * (1.0 + b.abs()),
-                "agg={aggregate} k={k} {fmbm:?}: {a} vs {b}"
+                "agg={aggregate} k={k}: {a} vs {b}"
             );
         }
     }
 
     #[test]
-    fn both_traversals_match_oracle() {
+    fn matches_oracle() {
         for seed in 0..5 {
             let data = random_points(300, seed, 0.0, 100.0);
             let queries = random_points(120, 700 + seed, 20.0, 80.0);
-            for fmbm in [Fmbm::best_first(), Fmbm::depth_first()] {
-                check_against_oracle(&data, queries.clone(), 32, 1, Aggregate::Sum, fmbm);
-            }
+            check_against_oracle(&data, queries, 32, 1, Aggregate::Sum);
         }
     }
 
@@ -459,9 +387,7 @@ mod tests {
     fn k_greater_than_one() {
         let data = random_points(400, 31, 0.0, 100.0);
         let queries = random_points(100, 32, 10.0, 90.0);
-        for fmbm in [Fmbm::best_first(), Fmbm::depth_first()] {
-            check_against_oracle(&data, queries.clone(), 40, 8, Aggregate::Sum, fmbm);
-        }
+        check_against_oracle(&data, queries, 40, 8, Aggregate::Sum);
     }
 
     #[test]
@@ -469,7 +395,7 @@ mod tests {
         let data = random_points(250, 33, 0.0, 100.0);
         let queries = random_points(80, 34, 30.0, 70.0);
         for agg in [Aggregate::Max, Aggregate::Min] {
-            check_against_oracle(&data, queries.clone(), 30, 3, agg, Fmbm::best_first());
+            check_against_oracle(&data, queries.clone(), 30, 3, agg);
         }
     }
 
@@ -477,9 +403,9 @@ mod tests {
     fn disjoint_and_overlapping_workspaces() {
         let data = random_points(300, 35, 0.0, 50.0);
         let far = random_points(60, 36, 200.0, 260.0);
-        check_against_oracle(&data, far, 20, 2, Aggregate::Sum, Fmbm::best_first());
+        check_against_oracle(&data, far, 20, 2, Aggregate::Sum);
         let within = random_points(60, 37, 10.0, 40.0);
-        check_against_oracle(&data, within, 20, 2, Aggregate::Sum, Fmbm::best_first());
+        check_against_oracle(&data, within, 20, 2, Aggregate::Sum);
     }
 
     #[test]
@@ -547,7 +473,7 @@ mod tests {
     fn k_larger_than_dataset() {
         let data = random_points(12, 43, 0.0, 10.0);
         let queries = random_points(50, 44, 0.0, 10.0);
-        check_against_oracle(&data, queries, 20, 40, Aggregate::Sum, Fmbm::best_first());
+        check_against_oracle(&data, queries, 20, 40, Aggregate::Sum);
     }
 
     #[test]
@@ -555,6 +481,6 @@ mod tests {
         // group_capacity == page_capacity: every group is one page.
         let data = random_points(100, 45, 0.0, 20.0);
         let queries = random_points(48, 46, 5.0, 15.0);
-        check_against_oracle(&data, queries, 16, 2, Aggregate::Sum, Fmbm::best_first());
+        check_against_oracle(&data, queries, 16, 2, Aggregate::Sum);
     }
 }

@@ -43,7 +43,6 @@ use gnn_geom::PointId;
 use gnn_qfile::{FileCursor, GroupedQueryFile};
 use gnn_rtree::TreeCursor;
 use std::collections::HashSet;
-use std::time::Instant;
 
 /// The file multiple query method.
 #[derive(Debug, Clone, Copy, Default)]
@@ -126,7 +125,6 @@ impl FileGnnAlgorithm for Fmqm {
         aggregate: Aggregate,
         scratch: &'s mut QueryScratch,
     ) -> (&'s [Neighbor], QueryStats) {
-        let t0 = Instant::now();
         let data_before = data.stats();
         let qpages_before = query_cursor.page_reads();
         let m = query.group_count();
@@ -160,7 +158,7 @@ impl FileGnnAlgorithm for Fmqm {
             fmqm.streams.resize_with(m, MbmScratch::default);
         }
         for (gi, group) in groups.iter().enumerate() {
-            MbmStream::new_in(data, group, true, &mut fmqm.streams[gi]);
+            MbmStream::new_in(data, group, &mut fmqm.streams[gi]);
         }
         fmqm.stream_done.clear();
         fmqm.stream_done.resize(m, false);
@@ -190,7 +188,7 @@ impl FileGnnAlgorithm for Fmqm {
                 // Advance this group's incremental GNN stream.
                 if !fmqm.stream_done[gi] {
                     let next =
-                        MbmStream::resume_in(data, &groups[gi], true, &mut fmqm.streams[gi]).next();
+                        MbmStream::resume_in(data, &groups[gi], &mut fmqm.streams[gi]).next();
                     match next {
                         Some(nb) => {
                             any_stream_alive = true;
@@ -316,7 +314,6 @@ impl FileGnnAlgorithm for Fmqm {
             query_file_pages: query_cursor.page_reads() - qpages_before,
             dist_computations: dist_computations + stream_dist,
             items_pulled,
-            elapsed: t0.elapsed(),
             ..QueryStats::default()
         };
         best.drain_sorted_into(out);

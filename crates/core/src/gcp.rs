@@ -29,7 +29,6 @@ use crate::result::{GnnResult, Neighbor, QueryStats};
 use gnn_geom::Point;
 use gnn_rtree::{ClosestPairs, TreeCursor};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Default bound on the closest-pair heap: ~64 M pending pairs (about 3 GB
 /// of heap items) — generous for the paper-scale workloads, small enough to
@@ -84,7 +83,6 @@ impl Gcp {
     /// When the heap limit is hit, the returned neighbors are best-effort
     /// and `stats.aborted` is set.
     pub fn k_gnn(&self, data: &TreeCursor<'_>, query: &TreeCursor<'_>, k: usize) -> GnnResult {
-        let t0 = Instant::now();
         let data_before = data.stats();
         let query_before = query.stats();
         let n = query.len();
@@ -193,7 +191,6 @@ impl Gcp {
                 items_pulled: pairs_consumed,
                 heap_watermark: cp.heap_watermark(),
                 aborted,
-                elapsed: t0.elapsed(),
                 ..QueryStats::default()
             };
             return GnnResult {
@@ -205,7 +202,6 @@ impl Gcp {
         GnnResult {
             neighbors: Vec::new(),
             stats: QueryStats {
-                elapsed: t0.elapsed(),
                 ..QueryStats::default()
             },
         }

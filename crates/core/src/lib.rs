@@ -39,6 +39,12 @@
 //! query, and [`execute_batch_in`] is a loop of `execute_on` in submission
 //! order.
 //!
+//! Every tree traversal is best-first, as in the paper's experiments
+//! ("All implementations are based on the best-first traversal", §5). The
+//! depth-first forms of SPM, MBM and F-MBM (Figures 3.4, 3.7 and 4.7) are
+//! the paper's printed walk-throughs and are not implemented, and each
+//! algorithm applies all of its pruning heuristics.
+//!
 //! ## Symbol glossary (paper Table 3.1)
 //!
 //! | symbol | meaning | here |
@@ -97,25 +103,10 @@ pub use request::{Algo, QueryRequest, QueryResponse, QueryTrace, Target};
 pub use result::{GnnResult, Neighbor, QueryStats};
 pub use scratch::QueryScratch;
 pub use sharded::ShardRouting;
-pub use spm::{CentroidMethod, Spm};
+pub use spm::Spm;
 
 use gnn_qfile::{FileCursor, GroupedQueryFile};
 use gnn_rtree::TreeCursor;
-
-/// R-tree traversal order for the algorithms that support both.
-///
-/// The paper's experiments use best-first everywhere ("All implementations
-/// are based on the best-first traversal", §5), and so does
-/// [`QueryRequest::execute_on`]. The depth-first variants serve the
-/// `figures` binary's SPM-DF / MBM-DF columns and the tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Traversal {
-    /// Best-first \[HS99\]: I/O-optimal, needs a priority queue.
-    #[default]
-    BestFirst,
-    /// Depth-first \[RKV95\]: bounded memory, possibly more node accesses.
-    DepthFirst,
-}
 
 /// A GNN algorithm for memory-resident query groups (paper §3). Each
 /// algorithm's one entry point is its [`MemoryGnnAlgorithm::k_gnn_in`];

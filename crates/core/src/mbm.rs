@@ -43,6 +43,10 @@
 //!   every scored point on its heap — the building block of F-MQM (§4.2)
 //!   and of network IER.
 //!
+//! Both apply heuristics 2 and 3. Figure 3.7's depth-first walk-through is
+//! not implemented: the paper's experiments are best-first throughout
+//! (§5).
+//!
 //! A node is read iff fewer than `k` exact distances `<=` its key have been
 //! seen, under either driver, so both read exactly the same pages. The
 //! seed's reference stream (scalar bounds, one lazily converted
@@ -58,7 +62,7 @@ use crate::best_list::KBestList;
 use crate::query::QueryGroup;
 use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
-use crate::{Aggregate, MemoryGnnAlgorithm, Traversal};
+use crate::{Aggregate, MemoryGnnAlgorithm};
 use gnn_geom::batch::BatchKernels;
 use gnn_geom::bound::{BlockBound, CentroidBound, LeafBound};
 use gnn_geom::simd::pad_len;
@@ -66,7 +70,6 @@ use gnn_geom::{OrderedF64, Rect};
 use gnn_rtree::{BranchesRef, LeafEntry, LeafRef, PageId, PageRef, TreeCursor};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 /// Smallest SUM group the bounded loop keys heuristic 3 lazily for: the
 /// smallest size measured ahead in 9 of 10 pairs. Below it an `n`-term
@@ -74,41 +77,14 @@ use std::time::Instant;
 /// parity at 32 (EXPERIMENTS.md, "Audit: eager heuristic-3 keys").
 const LAZY_MIN: usize = 48;
 
-/// The minimum bounding method.
-#[derive(Debug, Clone, Copy)]
-pub struct Mbm {
-    /// Best-first (paper's experimental default) or depth-first traversal.
-    pub traversal: Traversal,
-    /// Apply heuristic 2 (cheap MBR bound). Disabling it is an ablation: the
-    /// paper keeps it "because it reduces the CPU time requirements".
-    pub use_h2: bool,
-    /// Apply heuristic 3 (tight per-query-point bound). Disabling it leaves
-    /// H2 only — the configuration the paper found inferior even to SPM.
-    pub use_h3: bool,
-}
-
-impl Default for Mbm {
-    fn default() -> Self {
-        Mbm::best_first()
-    }
-}
+/// The minimum bounding method: best-first, with heuristics 2 and 3.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Mbm;
 
 impl Mbm {
-    /// MBM with best-first traversal and both heuristics (paper default).
+    /// MBM as the paper runs it (§5): best-first, both heuristics.
     pub const fn best_first() -> Self {
-        Mbm {
-            traversal: Traversal::BestFirst,
-            use_h2: true,
-            use_h3: true,
-        }
-    }
-
-    /// MBM with depth-first traversal (Figure 3.7's walkthrough).
-    pub fn depth_first() -> Self {
-        Mbm {
-            traversal: Traversal::DepthFirst,
-            ..Mbm::default()
-        }
+        Mbm
     }
 
     /// The paper's best-first MBM (Figure 3.6): a heap of nodes only,
@@ -121,7 +97,7 @@ impl Mbm {
     /// a bound with. From then on, where the group has rounded-down leaf
     /// bounds, `filter_leaf` lets them pick the entries that pay for an
     /// exact distance: the block bound ([`BlockBound`]) on a SUM group of
-    /// at least `LAZY_MIN` points with H3 on, on every tier; the `f32` bound
+    /// at least `LAZY_MIN` points, on every tier; the `f32` bound
     /// ([`LeafBound`]) on any SUM group on the AVX2 tier. What they drop is
     /// exactly what [`KBestList::offer`] would have refused, so neighbors,
     /// distance bits and page reads are those of the all-exact loop, which
@@ -138,7 +114,6 @@ impl Mbm {
     /// Returns the exact distance evaluations performed and the leaf
     /// entries either bound dropped.
     fn bounded_top_k(
-        &self,
         cursor: &TreeCursor<'_>,
         group: &QueryGroup,
         best: &mut KBestList,
@@ -151,14 +126,14 @@ impl Mbm {
         let mut leaf_weights = std::mem::take(&mut s.leaf_weights);
         let mut block_lanes = std::mem::take(&mut s.block_lanes);
         // The group's rounded-down SUM bounds, where it has them: the `f32`
-        // leaf bound on the AVX2 tier; from `LAZY_MIN` with H3 on, the
-        // centroid key and the block bound on every tier.
+        // leaf bound on the AVX2 tier; from `LAZY_MIN`, the centroid key and
+        // the block bound on every tier.
         let sum = group.sum_arrays();
         let kernels = BatchKernels::auto();
         let lanes =
             sum.and_then(|(qx, qy, w)| LeafBound::new(kernels, qx, qy, w, &mut leaf_weights));
         let (lazy, blocks) = match sum {
-            Some((qx, qy, w)) if self.use_h3 && group.len() >= LAZY_MIN => (
+            Some((qx, qy, w)) if group.len() >= LAZY_MIN => (
                 CentroidBound::new(qx, qy, w, group.total_weight(), &group.mbr()),
                 BlockBound::new(kernels, qx, qy, w, &group.mbr(), &mut block_lanes),
             ),
@@ -199,7 +174,7 @@ impl Mbm {
                 PageRef::Internal(view) => {
                     evals += match &lazy {
                         Some(centroid) => s.defer_children(&view, group, centroid, best.bound()),
-                        None => s.push_children(&view, group, self.use_h3, best.bound()),
+                        None => s.push_children(&view, group, best.bound()),
                     };
                 }
                 PageRef::Leaf(leaf) => match &filter {
@@ -225,79 +200,6 @@ impl Mbm {
         s.block_lanes = block_lanes;
         (evals, dropped)
     }
-
-    /// Figure 3.7's depth-first recursion. Per-level sort buffers come from
-    /// the scratch pool, so the recursion allocates nothing in steady state.
-    #[allow(clippy::too_many_arguments)]
-    fn df_visit(
-        &self,
-        cursor: &TreeCursor<'_>,
-        id: PageId,
-        group: &QueryGroup,
-        best: &mut KBestList,
-        dist_computations: &mut u64,
-        pool: &mut Vec<Vec<(f64, u32)>>,
-        depth: usize,
-    ) {
-        if pool.len() <= depth {
-            pool.resize_with(depth + 1, Vec::new);
-        }
-        let mut order = std::mem::take(&mut pool[depth]);
-        order.clear();
-        match cursor.read(id) {
-            PageRef::Internal(view) => {
-                // Children sorted by mindist² to M (same order as mindist).
-                let m = group.mbr();
-                order.extend((0..view.len()).map(|i| (view.mbr(i).mindist_rect_sq(&m), i as u32)));
-                order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                for &(d2, i) in &order {
-                    if self.use_h2 && group.cheap_bound_from_sq(d2) >= best.bound() {
-                        break; // sorted by the same metric: the rest fail too
-                    }
-                    if self.use_h3 {
-                        *dist_computations += group.len() as u64;
-                        if group.tight_bound_rect(&view.mbr(i as usize)) >= best.bound() {
-                            continue;
-                        }
-                    }
-                    self.df_visit(
-                        cursor,
-                        view.child(i as usize),
-                        group,
-                        best,
-                        dist_computations,
-                        pool,
-                        depth + 1,
-                    );
-                }
-            }
-            PageRef::Leaf(es) => {
-                let m = group.mbr();
-                order.extend(
-                    es.entries()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, e)| (m.mindist_point_sq(e.point), i as u32)),
-                );
-                *dist_computations += es.len() as u64;
-                order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                for &(d2, i) in &order {
-                    if group.cheap_bound_from_sq(d2) >= best.bound() {
-                        break;
-                    }
-                    let e = es.entries()[i as usize];
-                    let dist = group.dist(e.point);
-                    *dist_computations += group.len() as u64;
-                    best.offer(Neighbor {
-                        id: e.id,
-                        point: e.point,
-                        dist,
-                    });
-                }
-            }
-        }
-        pool[depth] = order;
-    }
 }
 
 impl MemoryGnnAlgorithm for Mbm {
@@ -316,48 +218,14 @@ impl MemoryGnnAlgorithm for Mbm {
         k: usize,
         scratch: &'s mut QueryScratch,
     ) -> (&'s [Neighbor], QueryStats) {
-        assert!(
-            self.use_h2 || self.use_h3,
-            "MBM needs at least one pruning heuristic enabled"
-        );
-        let t0 = Instant::now();
         let before = cursor.stats();
-        let QueryScratch {
-            best,
-            out,
-            mbm,
-            df_pool,
-            ..
-        } = scratch;
+        let QueryScratch { best, out, mbm, .. } = scratch;
         best.reset(k);
-        let mut dist_computations = 0u64;
-        let mut lower_bound_pruned = 0u64;
-
-        match self.traversal {
-            Traversal::BestFirst => {
-                (dist_computations, lower_bound_pruned) =
-                    self.bounded_top_k(cursor, group, best, mbm);
-            }
-            Traversal::DepthFirst => {
-                if !cursor.is_empty() {
-                    self.df_visit(
-                        cursor,
-                        cursor.root(),
-                        group,
-                        best,
-                        &mut dist_computations,
-                        df_pool,
-                        0,
-                    );
-                }
-            }
-        }
-
+        let (dist_computations, lower_bound_pruned) = Mbm::bounded_top_k(cursor, group, best, mbm);
         let stats = QueryStats {
             data_tree: cursor.stats().since(before),
             dist_computations,
             lower_bound_pruned,
-            elapsed: t0.elapsed(),
             ..QueryStats::default()
         };
         best.drain_sorted_into(out);
@@ -367,15 +235,14 @@ impl MemoryGnnAlgorithm for Mbm {
 
 /// Keys every child of an internal page into `keys` (cleared and
 /// refilled): batched `mindist²(N, M)` over the whole page, then — for the
-/// children that pass heuristic 2 against `bound`, when `use_tight` — the
-/// tight bound through the fused SoA kernel (footnote 3: H3 only where H2
-/// fails to prune). A child at or beyond `bound` keeps its cheap key, which
-/// is already enough to discard it. Returns the distance evaluations
+/// children that pass heuristic 2 against `bound` — the tight bound
+/// through the fused SoA kernel (footnote 3: H3 only where H2 fails to
+/// prune). A child at or beyond `bound` keeps its cheap key, which is
+/// already enough to discard it. Returns the distance evaluations
 /// performed.
 fn score_branches(
     view: &BranchesRef<'_>,
     group: &QueryGroup,
-    use_tight: bool,
     bound: f64,
     keys: &mut Vec<f64>,
 ) -> u64 {
@@ -383,7 +250,7 @@ fn score_branches(
     let mut evals = view.len() as u64;
     for (i, key) in keys.iter_mut().enumerate() {
         let cheap = group.cheap_bound_from_sq(*key);
-        *key = if use_tight && cheap < bound {
+        *key = if cheap < bound {
             evals += group.len() as u64;
             cheap.max(group.tight_bound_rect(&view.mbr(i)))
         } else {
@@ -405,7 +272,7 @@ fn score_leaf(leaf: &LeafRef<'_>, group: &QueryGroup, dists: &mut Vec<f64>) -> u
 /// The rounded-down bounds a SUM leaf is filtered through once
 /// `best_dist` is finite, cheapest first; at least one is armed.
 struct LeafFilter<'a> {
-    /// `m` `f64` terms an entry: SUM, H3 on, `LAZY_MIN` members and up.
+    /// `m` `f64` terms an entry: SUM, `LAZY_MIN` members and up.
     blocks: Option<BlockBound<'a>>,
     /// `n` `f32` lanes an entry: SUM on the AVX2 tier.
     lanes: Option<LeafBound<'a>>,
@@ -643,14 +510,8 @@ impl MbmScratch {
     /// The bounded loop's internal-page step: scores the page and pushes the
     /// children whose key is below `bound` (a child *at* `bound` cannot hold
     /// a strictly better neighbor). Returns the distance evaluations.
-    fn push_children(
-        &mut self,
-        view: &BranchesRef<'_>,
-        group: &QueryGroup,
-        use_tight: bool,
-        bound: f64,
-    ) -> u64 {
-        let evals = score_branches(view, group, use_tight, bound, &mut self.keys);
+    fn push_children(&mut self, view: &BranchesRef<'_>, group: &QueryGroup, bound: f64) -> u64 {
+        let evals = score_branches(view, group, bound, &mut self.keys);
         for (i, &key) in self.keys.iter().enumerate() {
             if key < bound {
                 self.nodes.push(Reverse((OrderedF64(key), view.child(i))));
@@ -733,18 +594,14 @@ impl MbmScratch {
 pub struct MbmStream<'t, 'c, 'g, 's> {
     cursor: &'c TreeCursor<'t>,
     group: &'g QueryGroup,
-    use_tight: bool,
     scratch: &'s mut MbmScratch,
 }
 
 impl<'t, 'c, 'g, 's> MbmStream<'t, 'c, 'g, 's> {
-    /// Opens a stream in `scratch` (cleared and re-seeded first), with
-    /// heuristic-3 (tight) node bounds when `use_tight`, else heuristic 2
-    /// alone.
+    /// Opens a stream in `scratch` (cleared and re-seeded first).
     pub fn new_in(
         cursor: &'c TreeCursor<'t>,
         group: &'g QueryGroup,
-        use_tight: bool,
         scratch: &'s mut MbmScratch,
     ) -> MbmStream<'t, 'c, 'g, 's> {
         scratch.reset();
@@ -755,39 +612,25 @@ impl<'t, 'c, 'g, 's> MbmStream<'t, 'c, 'g, 's> {
         MbmStream {
             cursor,
             group,
-            use_tight,
             scratch,
         }
     }
 
     /// Re-attaches to a suspended stream whose state lives in `scratch`
-    /// (seeded earlier by [`MbmStream::new_in`] with the same `use_tight`):
-    /// nothing is cleared, the stream continues exactly where it stopped.
-    /// This is how F-MQM serves many group streams round-robin without
-    /// keeping borrow-holding stream objects alive.
+    /// (seeded earlier by [`MbmStream::new_in`]): nothing is cleared, the
+    /// stream continues exactly where it stopped. This is how F-MQM serves
+    /// many group streams round-robin without keeping borrow-holding stream
+    /// objects alive.
     pub fn resume_in(
         cursor: &'c TreeCursor<'t>,
         group: &'g QueryGroup,
-        use_tight: bool,
         scratch: &'s mut MbmScratch,
     ) -> MbmStream<'t, 'c, 'g, 's> {
         MbmStream {
             cursor,
             group,
-            use_tight,
             scratch,
         }
-    }
-
-    /// Point-distance evaluations performed so far (CPU proxy).
-    pub fn dist_computations(&self) -> u64 {
-        self.scratch.dist_computations
-    }
-
-    /// Lower bound on the aggregate distance of every not-yet-yielded data
-    /// point (`None` when the stream is exhausted).
-    pub fn peek_bound(&self) -> Option<f64> {
-        self.scratch.heap.peek().map(|Reverse(i)| i.key.get())
     }
 }
 
@@ -797,7 +640,6 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
     fn next(&mut self) -> Option<Neighbor> {
         let group = self.group;
         let cursor = self.cursor;
-        let use_tight = self.use_tight;
         let s = &mut *self.scratch;
         while let Some(Reverse(item)) = s.heap.pop() {
             match item.kind {
@@ -819,7 +661,7 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
                     PageRef::Internal(view) => {
                         // No `best_dist` to prune with: every child is kept.
                         s.dist_computations +=
-                            score_branches(&view, group, use_tight, f64::INFINITY, &mut s.keys);
+                            score_branches(&view, group, f64::INFINITY, &mut s.keys);
                         for i in 0..view.len() {
                             s.push(s.keys[i], StreamKind::Node(view.child(i)));
                         }
@@ -870,49 +712,24 @@ mod tests {
         .unwrap()
     }
 
-    /// The first `k` items of a fresh stream with heuristic-3 bounds.
+    /// The first `k` items of a fresh stream.
     fn stream_prefix(cursor: &TreeCursor<'_>, group: &QueryGroup, k: usize) -> Vec<Neighbor> {
         let mut scratch = MbmScratch::default();
-        MbmStream::new_in(cursor, group, true, &mut scratch)
+        MbmStream::new_in(cursor, group, &mut scratch)
             .take(k)
             .collect()
     }
 
     #[test]
-    fn all_variants_match_oracle() {
+    fn matches_oracle() {
         let tree = random_tree(700, 1);
         let cursor = tree.cursor();
-        let variants = [
-            Mbm::best_first(),
-            Mbm::depth_first(),
-            Mbm {
-                traversal: Traversal::BestFirst,
-                use_h2: true,
-                use_h3: false,
-            },
-            Mbm {
-                traversal: Traversal::DepthFirst,
-                use_h2: true,
-                use_h3: false,
-            },
-            Mbm {
-                traversal: Traversal::DepthFirst,
-                use_h2: false,
-                use_h3: true,
-            },
-        ];
         for seed in 0..6 {
             for &k in &[1usize, 8] {
                 let group = random_group(6, seed, Aggregate::Sum);
                 let want = linear_scan_entries(tree.iter(), &group, k);
-                for mbm in variants {
-                    let got = mbm.k_gnn(&cursor, &group, k);
-                    assert_eq!(
-                        got.distances(),
-                        want.distances(),
-                        "{mbm:?} seed={seed} k={k}"
-                    );
-                }
+                let got = Mbm::best_first().k_gnn(&cursor, &group, k);
+                assert_eq!(got.distances(), want.distances(), "seed={seed} k={k}");
             }
         }
     }
@@ -939,11 +756,9 @@ mod tests {
             for seed in 0..5 {
                 let group = random_group(5, 50 + seed, agg);
                 let want = linear_scan_entries(tree.iter(), &group, 4);
-                for mbm in [Mbm::best_first(), Mbm::depth_first()] {
-                    let got = mbm.k_gnn(&cursor, &group, 4);
-                    for (a, b) in got.distances().iter().zip(want.distances()) {
-                        assert!((a - b).abs() < 1e-9, "{agg} seed={seed}");
-                    }
+                let got = Mbm::best_first().k_gnn(&cursor, &group, 4);
+                for (a, b) in got.distances().iter().zip(want.distances()) {
+                    assert!((a - b).abs() < 1e-9, "{agg} seed={seed}");
                 }
             }
         }
@@ -989,31 +804,14 @@ mod tests {
         let mut scratch = MbmScratch::default();
         let mut got = Vec::new();
         {
-            let mut s = MbmStream::new_in(&cursor, &group, true, &mut scratch);
+            let mut s = MbmStream::new_in(&cursor, &group, &mut scratch);
             got.extend(s.by_ref().take(4).map(|n| n.dist));
         }
         for _ in 0..6 {
-            let mut s = MbmStream::resume_in(&cursor, &group, true, &mut scratch);
+            let mut s = MbmStream::resume_in(&cursor, &group, &mut scratch);
             got.push(s.next().unwrap().dist);
         }
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn peek_bound_is_valid() {
-        let tree = random_tree(200, 5);
-        let cursor = tree.cursor();
-        let group = random_group(3, 11, Aggregate::Sum);
-        let mut scratch = MbmScratch::default();
-        let mut stream = MbmStream::new_in(&cursor, &group, true, &mut scratch);
-        while let Some(bound) = stream.peek_bound() {
-            let Some(n) = stream.next() else { break };
-            assert!(
-                n.dist >= bound - 1e-9,
-                "yielded {} below bound {bound}",
-                n.dist
-            );
-        }
     }
 
     #[test]
@@ -1061,7 +859,7 @@ mod tests {
             panic!("scenario needs an internal root");
         };
         let mut keys = Vec::new();
-        score_branches(&root, &group, true, f64::INFINITY, &mut keys);
+        score_branches(&root, &group, f64::INFINITY, &mut keys);
         assert_eq!(keys, [1.0, 5.0], "scenario: child keys");
 
         // Pop time: after leaf A the 3-best bound is exactly 5 == key(B), so
@@ -1077,7 +875,7 @@ mod tests {
         // both are queued and both pay.
         let pending = |bound: f64| {
             let mut s = MbmScratch::default();
-            let evals = s.push_children(&root, &group, true, bound);
+            let evals = s.push_children(&root, &group, bound);
             let mut keys: Vec<f64> = s.nodes.drain().map(|Reverse((k, _))| k.get()).collect();
             keys.sort_by(f64::total_cmp);
             (keys, evals)
@@ -1136,7 +934,7 @@ mod tests {
             panic!("scenario needs an internal root");
         };
         let mut keys = Vec::new();
-        score_branches(&root, &group, true, f64::INFINITY, &mut keys);
+        score_branches(&root, &group, f64::INFINITY, &mut keys);
         assert_eq!(keys, [2.5 * m, 5.0 * m], "scenario: eager child keys");
         let mut s = MbmScratch::default();
         let centroid = centroid_of(&group);
@@ -1203,7 +1001,7 @@ mod tests {
                 pending.sort_by(f64::total_cmp);
                 assert_eq!(pending, [8.0 * m, 10.0 * m], "scenario: pending keys");
             } else {
-                s.push_children(&root, &group, true, f64::INFINITY);
+                s.push_children(&root, &group, f64::INFINITY);
             }
             let mut order = Vec::new();
             loop {
@@ -1246,29 +1044,6 @@ mod tests {
     }
 
     #[test]
-    fn h3_heuristic_saves_node_accesses() {
-        // On clustered queries, H2+H3 must access no more nodes than H2
-        // alone (the paper's footnote-3 ablation).
-        let tree = random_tree(5000, 7);
-        let group = random_group(16, 14, Aggregate::Sum);
-        let c_full = tree.cursor();
-        Mbm::best_first().k_gnn(&c_full, &group, 8);
-        let c_h2 = tree.cursor();
-        Mbm {
-            traversal: Traversal::BestFirst,
-            use_h2: true,
-            use_h3: false,
-        }
-        .k_gnn(&c_h2, &group, 8);
-        assert!(
-            c_full.stats().logical <= c_h2.stats().logical,
-            "H3 {} vs H2-only {}",
-            c_full.stats().logical,
-            c_h2.stats().logical
-        );
-    }
-
-    #[test]
     fn figure_3_5_heuristic_2() {
         // n=2, best_dist=5: node N1 with mindist(N1,M)=3 is pruned since
         // 2*3 >= 5; node N2 with mindist(N2,M)=2 passes H2 but its tight
@@ -1292,19 +1067,5 @@ mod tests {
             .neighbors
             .is_empty());
         assert!(stream_prefix(&cursor, &group, 1).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one pruning heuristic")]
-    fn rejects_no_heuristics() {
-        let tree = random_tree(10, 8);
-        let cursor = tree.cursor();
-        let group = QueryGroup::sum(vec![Point::new(0.0, 0.0)]).unwrap();
-        Mbm {
-            traversal: Traversal::BestFirst,
-            use_h2: false,
-            use_h3: false,
-        }
-        .k_gnn(&cursor, &group, 1);
     }
 }

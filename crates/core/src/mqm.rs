@@ -18,7 +18,6 @@ use crate::scratch::QueryScratch;
 use crate::{Aggregate, MemoryGnnAlgorithm};
 use gnn_geom::hilbert::HilbertMapper;
 use gnn_rtree::{NearestNeighbors, NnScratch, TreeCursor};
-use std::time::Instant;
 
 /// The multiple query method.
 ///
@@ -54,7 +53,6 @@ impl MemoryGnnAlgorithm for Mqm {
         k: usize,
         scratch: &'s mut QueryScratch,
     ) -> (&'s [Neighbor], QueryStats) {
-        let t0 = Instant::now();
         let before = cursor.stats();
         let n = group.len();
         let QueryScratch {
@@ -139,7 +137,6 @@ impl MemoryGnnAlgorithm for Mqm {
             data_tree: cursor.stats().since(before),
             dist_computations,
             items_pulled,
-            elapsed: t0.elapsed(),
             ..QueryStats::default()
         };
         best.drain_sorted_into(out);

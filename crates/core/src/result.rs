@@ -2,7 +2,6 @@
 
 use gnn_geom::{Point, PointId};
 use gnn_rtree::AccessStats;
-use std::time::Duration;
 
 /// One group nearest neighbor: a data point and its aggregate distance to
 /// the query group.
@@ -46,8 +45,7 @@ pub struct QueryStats {
     /// Leaf entries the bounded MBM loop dropped on a rounded-down lower
     /// bound of `dist(p, Q)`, without computing their exact distance,
     /// counted over both stages of its leaf cascade: the `f64` block bound
-    /// (SUM queries of 48 members and more with heuristic 3 on, every
-    /// tier) and the `f32` bound (SUM queries on the AVX2 tier); `0`
+    /// (SUM queries of 48 members and more, every tier) and the `f32` bound (SUM queries on the AVX2 tier); `0`
     /// everywhere else. Each is an entry [`crate::KBestList::offer`] would
     /// have refused.
     pub lower_bound_pruned: u64,
@@ -66,8 +64,6 @@ pub struct QueryStats {
     /// terminate" regime). The reported neighbors are then best-effort, not
     /// exact.
     pub aborted: bool,
-    /// Wall-clock time of the algorithm body (the paper's "CPU cost").
-    pub elapsed: Duration,
 }
 
 impl QueryStats {

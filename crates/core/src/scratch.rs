@@ -1,11 +1,10 @@
 //! Reusable per-query storage — the zero-allocation hot path.
 //!
 //! Every GNN algorithm needs the same kinds of transient state: a best-first
-//! priority queue, a [`KBestList`], per-query-point threshold buffers, sort
-//! buffers for the depth-first variants, and candidate bookkeeping for the
-//! file algorithms. The seed implementation allocated all of it afresh on
-//! every query; [`QueryScratch`] hoists it into one reusable bundle that an
-//! engine keeps per worker thread.
+//! priority queue, a [`KBestList`], per-query-point threshold buffers and
+//! candidate bookkeeping for the file algorithms. The seed implementation
+//! allocated all of it afresh on every query; [`QueryScratch`] hoists it
+//! into one reusable bundle that an engine keeps per worker thread.
 //!
 //! After a warm-up query, the buffers have reached their steady-state
 //! capacities and every further query through
@@ -40,8 +39,6 @@ pub struct QueryScratch {
     /// MBM state: the bounded top-k loop's node heap, the primary
     /// incremental stream's heap, and the page-scoring buffers they share.
     pub(crate) mbm: MbmScratch,
-    /// Depth-first sort buffers, one per recursion level.
-    pub(crate) df_pool: Vec<Vec<(f64, u32)>>,
     /// Best-first point-NN scratches, one per MQM stream (SPM uses slot 0).
     pub(crate) nn_pool: Vec<NnScratch>,
     /// MQM's Hilbert-ordered visiting order.
@@ -91,7 +88,6 @@ impl QueryScratch {
             best: KBestList::new(1),
             out: Vec::with_capacity(16),
             mbm: MbmScratch::with_capacity(256),
-            df_pool: Vec::new(),
             nn_pool: Vec::new(),
             order: Vec::new(),
             ts: Vec::new(),
@@ -149,14 +145,12 @@ impl QueryScratch {
         let mut prof = vec![
             self.best.capacity(),
             self.out.capacity(),
-            self.df_pool.capacity(),
             self.nn_pool.capacity(),
             self.order.capacity(),
             self.ts.capacity(),
             self.evaluated.capacity(),
         ];
         prof.extend(self.mbm.capacity_profile());
-        prof.extend(self.df_pool.iter().map(Vec::capacity));
         for nn in &self.nn_pool {
             prof.extend(nn.capacity_profile());
         }

@@ -210,7 +210,6 @@ fn accumulate(total: &mut QueryStats, shard: &QueryStats) {
     total.items_pulled += shard.items_pulled;
     total.heap_watermark = total.heap_watermark.max(shard.heap_watermark);
     total.aborted |= shard.aborted;
-    total.elapsed += shard.elapsed;
 }
 
 #[cfg(test)]

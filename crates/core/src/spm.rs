@@ -11,137 +11,28 @@
 //! The lemma sums triangle inequalities, so SPM is inherently a
 //! SUM-aggregate algorithm (weighted sums work: each inequality is scaled by
 //! `w_i` before summing). MAX/MIN queries are rejected.
+//!
+//! The traversal is best-first, as in the paper's experiments (§5): an
+//! incremental point-NN stream around the anchor. Figure 3.4's depth-first
+//! walk-through is not implemented.
 
-use crate::best_list::KBestList;
-use crate::centroid::{arithmetic_mean, gradient_descent_centroid, weiszfeld_centroid};
+use crate::centroid::gradient_descent_centroid;
 use crate::query::QueryGroup;
 use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
-use crate::{Aggregate, MemoryGnnAlgorithm, Traversal};
-use gnn_geom::Point;
-use gnn_rtree::{NearestNeighbors, NnScratch, PageId, PageRef, TreeCursor};
-use std::time::Instant;
+use crate::{Aggregate, MemoryGnnAlgorithm};
+use gnn_rtree::{NearestNeighbors, NnScratch, TreeCursor};
 
-/// How SPM computes its anchor point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CentroidMethod {
-    /// Gradient descent on `dist(q,Q)` (the paper's choice).
-    #[default]
-    GradientDescent,
-    /// Weiszfeld's fixed-point iteration (usually a sharper optimum).
-    Weiszfeld,
-    /// The arithmetic mean — a deliberately crude anchor for ablations.
-    Mean,
-}
-
-/// The single point method.
+/// The single point method: best-first, anchored at the gradient-descent
+/// centroid.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Spm {
-    /// Best-first (paper's experimental default) or depth-first traversal.
-    pub traversal: Traversal,
-    /// Anchor point solver.
-    pub centroid: CentroidMethod,
-}
+pub struct Spm;
 
 impl Spm {
-    /// SPM with best-first traversal and the paper's gradient-descent
-    /// centroid.
+    /// SPM as the paper runs it (§5): best-first, around the paper's
+    /// gradient-descent centroid.
     pub const fn best_first() -> Self {
-        Spm {
-            traversal: Traversal::BestFirst,
-            centroid: CentroidMethod::GradientDescent,
-        }
-    }
-
-    /// SPM with depth-first traversal (Figure 3.4 as printed).
-    pub fn depth_first() -> Self {
-        Spm {
-            traversal: Traversal::DepthFirst,
-            ..Spm::default()
-        }
-    }
-
-    fn anchor(&self, group: &QueryGroup) -> Point {
-        let weights = group.explicit_weights();
-        match self.centroid {
-            CentroidMethod::GradientDescent => gradient_descent_centroid(group.points(), weights),
-            CentroidMethod::Weiszfeld => weiszfeld_centroid(group.points(), weights),
-            CentroidMethod::Mean => arithmetic_mean(group.points(), weights),
-        }
-    }
-
-    /// Figure 3.4: recurse into children in ascending `mindist(N, q)`,
-    /// stopping at the first child failing heuristic 1 (the rest, being
-    /// sorted, fail too). Sort buffers come from the per-level scratch pool.
-    #[allow(clippy::too_many_arguments)]
-    fn df_visit(
-        &self,
-        cursor: &TreeCursor<'_>,
-        id: PageId,
-        q: Point,
-        dq: f64,
-        w: f64,
-        group: &QueryGroup,
-        best: &mut KBestList,
-        dist_computations: &mut u64,
-        pool: &mut Vec<Vec<(f64, u32)>>,
-        depth: usize,
-    ) {
-        if pool.len() <= depth {
-            pool.resize_with(depth + 1, Vec::new);
-        }
-        let mut order = std::mem::take(&mut pool[depth]);
-        order.clear();
-        match cursor.read(id) {
-            PageRef::Internal(view) => {
-                // Sorted by mindist² — same order as mindist.
-                order.extend((0..view.len()).map(|i| (view.mbr(i).mindist_point_sq(q), i as u32)));
-                order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                for &(d2, i) in &order {
-                    // Heuristic 1.
-                    if d2.sqrt() >= (best.bound() + dq) / w {
-                        break;
-                    }
-                    self.df_visit(
-                        cursor,
-                        view.child(i as usize),
-                        q,
-                        dq,
-                        w,
-                        group,
-                        best,
-                        dist_computations,
-                        pool,
-                        depth + 1,
-                    );
-                }
-            }
-            PageRef::Leaf(es) => {
-                order.extend(
-                    es.entries()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, e)| (e.point.dist_sq(q), i as u32)),
-                );
-                *dist_computations += es.len() as u64;
-                order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                for &(d2, i) in &order {
-                    // Heuristic 1 at the point level.
-                    if d2.sqrt() >= (best.bound() + dq) / w {
-                        break;
-                    }
-                    let e = es.entries()[i as usize];
-                    let dist = group.dist(e.point);
-                    *dist_computations += group.len() as u64;
-                    best.offer(Neighbor {
-                        id: e.id,
-                        point: e.point,
-                        dist,
-                    });
-                }
-            }
-        }
-        pool[depth] = order;
+        Spm
     }
 }
 
@@ -170,64 +61,35 @@ impl MemoryGnnAlgorithm for Spm {
             Aggregate::Sum,
             "SPM supports only the SUM aggregate (Lemma 1 is a sum of triangle inequalities)"
         );
-        let t0 = Instant::now();
         let before = cursor.stats();
-        let q = self.anchor(group);
+        let q = gradient_descent_centroid(group.points(), group.explicit_weights());
         let dq = group.dist(q); // dist(q, Q)
         let w = group.total_weight();
         let mut dist_computations = group.len() as u64;
         let QueryScratch {
-            best,
-            out,
-            nn_pool,
-            df_pool,
-            ..
+            best, out, nn_pool, ..
         } = scratch;
         best.reset(k);
-
-        match self.traversal {
-            Traversal::BestFirst => {
-                // Incremental NN around the anchor; Lemma 1 converts the
-                // ascending |pq| order into a stopping rule.
-                if nn_pool.is_empty() {
-                    nn_pool.push(NnScratch::default());
-                }
-                let mut nn = NearestNeighbors::new_in(cursor, q, &mut nn_pool[0]);
-                for pn in nn.by_ref() {
-                    if w * pn.dist - dq >= best.bound() {
-                        break;
-                    }
-                    let dist = group.dist(pn.entry.point);
-                    dist_computations += group.len() as u64;
-                    best.offer(Neighbor {
-                        id: pn.entry.id,
-                        point: pn.entry.point,
-                        dist,
-                    });
-                }
-            }
-            Traversal::DepthFirst => {
-                if !cursor.is_empty() {
-                    self.df_visit(
-                        cursor,
-                        cursor.root(),
-                        q,
-                        dq,
-                        w,
-                        group,
-                        best,
-                        &mut dist_computations,
-                        df_pool,
-                        0,
-                    );
-                }
-            }
+        // Incremental NN around the anchor; Lemma 1 converts the ascending
+        // |pq| order into a stopping rule (heuristic 1).
+        if nn_pool.is_empty() {
+            nn_pool.push(NnScratch::default());
         }
-
+        for pn in NearestNeighbors::new_in(cursor, q, &mut nn_pool[0]) {
+            if w * pn.dist - dq >= best.bound() {
+                break;
+            }
+            let dist = group.dist(pn.entry.point);
+            dist_computations += group.len() as u64;
+            best.offer(Neighbor {
+                id: pn.entry.id,
+                point: pn.entry.point,
+                dist,
+            });
+        }
         let stats = QueryStats {
             data_tree: cursor.stats().since(before),
             dist_computations,
-            elapsed: t0.elapsed(),
             ..QueryStats::default()
         };
         best.drain_sorted_into(out);
@@ -239,7 +101,7 @@ impl MemoryGnnAlgorithm for Spm {
 mod tests {
     use super::*;
     use crate::baseline::linear_scan_entries;
-    use gnn_geom::PointId;
+    use gnn_geom::{Point, PointId};
     use gnn_rtree::{LeafEntry, PackedRTree, RTree, RTreeParams};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -269,45 +131,16 @@ mod tests {
     }
 
     #[test]
-    fn both_traversals_match_oracle() {
+    fn matches_oracle() {
         let tree = random_tree(600, 1);
         let cursor = tree.cursor();
         for seed in 0..8 {
             for &k in &[1usize, 5] {
                 let group = random_group(7, seed);
                 let want = linear_scan_entries(tree.iter(), &group, k);
-                for spm in [Spm::best_first(), Spm::depth_first()] {
-                    let got = spm.k_gnn(&cursor, &group, k);
-                    assert_eq!(
-                        got.distances(),
-                        want.distances(),
-                        "{:?} seed={seed} k={k}",
-                        spm.traversal
-                    );
-                }
+                let got = Spm::best_first().k_gnn(&cursor, &group, k);
+                assert_eq!(got.distances(), want.distances(), "seed={seed} k={k}");
             }
-        }
-    }
-
-    #[test]
-    fn every_centroid_method_is_exact() {
-        // Lemma 1 holds for any anchor: even the crude mean must yield exact
-        // results (just with more node accesses).
-        let tree = random_tree(500, 2);
-        let cursor = tree.cursor();
-        let group = random_group(12, 3);
-        let want = linear_scan_entries(tree.iter(), &group, 3);
-        for method in [
-            CentroidMethod::GradientDescent,
-            CentroidMethod::Weiszfeld,
-            CentroidMethod::Mean,
-        ] {
-            let spm = Spm {
-                traversal: Traversal::BestFirst,
-                centroid: method,
-            };
-            let got = spm.k_gnn(&cursor, &group, 3);
-            assert_eq!(got.distances(), want.distances(), "{method:?}");
         }
     }
 
@@ -372,9 +205,10 @@ mod tests {
         let tree = RTree::new(RTreeParams::default()).freeze();
         let cursor = tree.cursor();
         let group = QueryGroup::sum(vec![Point::new(0.0, 0.0)]).unwrap();
-        for spm in [Spm::best_first(), Spm::depth_first()] {
-            assert!(spm.k_gnn(&cursor, &group, 2).neighbors.is_empty());
-        }
+        assert!(Spm::best_first()
+            .k_gnn(&cursor, &group, 2)
+            .neighbors
+            .is_empty());
     }
 
     #[test]

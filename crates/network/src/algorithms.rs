@@ -17,7 +17,6 @@ use crate::scratch::{DijkstraState, NetworkScratch};
 use gnn_core::{Aggregate, KBestList, MbmScratch, MbmStream, Neighbor, QueryGroup};
 use gnn_geom::PointId;
 use gnn_rtree::{LeafEntry, PackedRTree, RTree, RTreeParams};
-use std::time::{Duration, Instant};
 
 /// One network group nearest neighbor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,8 +45,6 @@ pub struct NetworkGnnStats {
     /// (IER) / probes abandoned (TA) before every source had settled them.
     /// Always `0` on the arena entry points, which refine to completion.
     pub bound_pruned: u64,
-    /// Wall time of the query.
-    pub elapsed: Duration,
 }
 
 /// Result and cost counters of a network GNN query (arena entry points;
@@ -250,7 +247,6 @@ impl NetworkTa {
         aggregate: Aggregate,
     ) -> NetworkGnnResult {
         assert!(!query.is_empty(), "query group must be non-empty");
-        let t0 = Instant::now();
         let mut is_data = vec![false; graph.vertex_count()];
         for &v in data {
             is_data[v.index()] = true;
@@ -341,7 +337,6 @@ impl NetworkTa {
                 euclidean_candidates: 0,
                 rtree_accesses: 0,
                 bound_pruned: 0,
-                elapsed: t0.elapsed(),
             },
         }
     }
@@ -363,7 +358,6 @@ impl NetworkTa {
         scratch: &'s mut NetworkScratch,
     ) -> (&'s [Neighbor], NetworkGnnStats) {
         assert!(!query.is_empty(), "query group must be non-empty");
-        let t0 = Instant::now();
         scratch.begin(graph.vertex_count(), query.len(), k);
         let NetworkScratch {
             states,
@@ -428,7 +422,6 @@ impl NetworkTa {
             euclidean_candidates: 0,
             rtree_accesses: 0,
             bound_pruned,
-            elapsed: t0.elapsed(),
         };
         best.drain_sorted_into(out);
         (&*out, stats)
@@ -459,7 +452,6 @@ impl NetworkIer {
         aggregate: Aggregate,
     ) -> NetworkGnnResult {
         assert!(!query.is_empty(), "query group must be non-empty");
-        let t0 = Instant::now();
         // Euclidean index over the data vertices (ids = vertex ids).
         let tree = RTree::bulk_load(
             RTreeParams::default(),
@@ -480,7 +472,7 @@ impl NetworkIer {
             .collect();
         let mut best = KBestList::new(k);
         let mut stream_scratch = MbmScratch::default();
-        let mut euclid_stream = MbmStream::new_in(&cursor, &group, true, &mut stream_scratch);
+        let mut euclid_stream = MbmStream::new_in(&cursor, &group, &mut stream_scratch);
         let mut candidates = 0u64;
         for cand in euclid_stream.by_ref() {
             // cand.dist is the Euclidean aggregate = a network lower bound.
@@ -507,7 +499,6 @@ impl NetworkIer {
                 euclidean_candidates: candidates,
                 rtree_accesses: cursor.stats().logical,
                 bound_pruned: 0,
-                elapsed: t0.elapsed(),
             },
         }
     }
@@ -531,7 +522,6 @@ impl NetworkIer {
         scratch: &'s mut NetworkScratch,
     ) -> (&'s [Neighbor], NetworkGnnStats) {
         assert!(!query.is_empty(), "query group must be non-empty");
-        let t0 = Instant::now();
         scratch.begin(graph.vertex_count(), query.len(), k);
         let cursor = data_tree.cursor();
         let group = QueryGroup::with_aggregate(
@@ -551,7 +541,7 @@ impl NetworkIer {
         for (s, &q) in states.iter_mut().zip(query) {
             s.begin(graph, q);
         }
-        let mut euclid_stream = MbmStream::new_in(&cursor, &group, true, mbm);
+        let mut euclid_stream = MbmStream::new_in(&cursor, &group, mbm);
         let mut candidates = 0u64;
         let mut bound_pruned = 0u64;
         for cand in euclid_stream.by_ref() {
@@ -571,7 +561,6 @@ impl NetworkIer {
             euclidean_candidates: candidates,
             rtree_accesses: cursor.stats().logical,
             bound_pruned,
-            elapsed: t0.elapsed(),
         };
         best.drain_sorted_into(out);
         (&*out, stats)

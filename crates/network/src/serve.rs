@@ -179,7 +179,6 @@ impl NetworkSnapshot {
             items_pulled: stats.euclidean_candidates,
             settled_vertices: stats.settled_vertices,
             relaxed_edges: stats.relaxed_edges,
-            elapsed: stats.elapsed,
             ..QueryStats::default()
         }
     }

@@ -166,15 +166,6 @@ impl<'t, 'c, 's> NearestNeighbors<'t, 'c, 's> {
     pub fn query(&self) -> Point {
         self.query
     }
-
-    /// Lower bound on the distance of every not-yet-returned point:
-    /// the key at the top of the heap (`None` when exhausted).
-    pub fn peek_bound(&self) -> Option<f64> {
-        self.scratch
-            .heap
-            .peek()
-            .map(|Reverse(item)| item.dist_sq.get().sqrt())
-    }
 }
 
 impl Iterator for NearestNeighbors<'_, '_, '_> {
@@ -348,22 +339,6 @@ mod tests {
         let tree = RTree::new(RTreeParams::default()).freeze();
         let cursor = tree.cursor();
         assert!(k_nearest(&cursor, Point::ORIGIN, 3).is_empty());
-    }
-
-    #[test]
-    fn peek_bound_is_a_valid_lower_bound() {
-        let (tree, _) = random_tree(300, 6);
-        let cursor = tree.cursor();
-        let q = Point::new(50.0, 50.0);
-        let mut scratch = NnScratch::default();
-        let mut nn = NearestNeighbors::new_in(&cursor, q, &mut scratch);
-        let mut last = 0.0;
-        while let Some(bound) = nn.peek_bound() {
-            let item = nn.next().unwrap();
-            assert!(item.dist >= bound - 1e-12);
-            assert!(item.dist >= last - 1e-12);
-            last = item.dist;
-        }
     }
 
     #[test]

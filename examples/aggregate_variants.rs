@@ -63,7 +63,7 @@ fn main() {
     let group = QueryGroup::sum(couriers).expect("valid");
     let cursor = tree.cursor();
     let mut scratch = gnn::core::MbmScratch::default();
-    let mut stream = MbmStream::new_in(&cursor, &group, true, &mut scratch);
+    let mut stream = MbmStream::new_in(&cursor, &group, &mut scratch);
     let mut inspected = 0usize;
     let chosen = stream.by_ref().find(|n| {
         inspected += 1;

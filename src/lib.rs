@@ -69,7 +69,7 @@ pub mod prelude {
         execute_batch_in, Aggregate, Algo, BatchAccounting, Choice, FileGnnAlgorithm, Fmbm, Fmqm,
         Gcp, GnnResult, Mbm, MbmStream, MemoryGnnAlgorithm, Mqm, Neighbor, NetworkBackend,
         NetworkQuery, Planner, QueryGroup, QueryRequest, QueryResponse, QueryScratch, QueryStats,
-        QueryTrace, ShardRouting, Spm, Target, Traversal,
+        QueryTrace, ShardRouting, Spm, Target,
     };
     pub use gnn_geom::{Point, PointId, Rect};
     pub use gnn_network::{

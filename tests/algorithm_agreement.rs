@@ -58,9 +58,7 @@ fn memory_algorithms_agree_across_many_scenarios() {
         let algos: Vec<(&str, Box<dyn MemoryGnnAlgorithm>)> = vec![
             ("MQM", Box::new(Mqm::new())),
             ("SPM-bf", Box::new(Spm::best_first())),
-            ("SPM-df", Box::new(Spm::depth_first())),
             ("MBM-bf", Box::new(Mbm::best_first())),
-            ("MBM-df", Box::new(Mbm::depth_first())),
         ];
         for (name, algo) in algos {
             let cursor = tree.cursor();
@@ -93,7 +91,6 @@ fn disk_algorithms_agree_with_memory_algorithms() {
         for (name, algo) in [
             ("F-MQM", Box::new(Fmqm::new()) as Box<dyn FileGnnAlgorithm>),
             ("F-MBM bf", Box::new(Fmbm::best_first())),
-            ("F-MBM df", Box::new(Fmbm::depth_first())),
         ] {
             let cursor = tree.cursor();
             let fc = FileCursor::new(qf.file());

@@ -107,11 +107,9 @@ fn every_entry_point_answers_all_coincident_data_like_the_oracle() {
                                 request.execute_on(&planner, &Target::Single(cursor), &mut scratch);
                             assert_oracle(got, &want, k, &format!("{what} execute_on {algo:?}"));
                         }
-                        let direct: [(&str, &dyn MemoryGnnAlgorithm); 5] = [
+                        let direct: [(&str, &dyn MemoryGnnAlgorithm); 3] = [
                             ("MBM", &Mbm::best_first()),
-                            ("MBM-DF", &Mbm::depth_first()),
                             ("SPM", &Spm::best_first()),
-                            ("SPM-DF", &Spm::depth_first()),
                             ("MQM", &Mqm::new()),
                         ];
                         for (name, algo) in direct {

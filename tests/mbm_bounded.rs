@@ -81,7 +81,7 @@ proptest! {
                     let sc = packed.cursor();
                     let mut ms = MbmScratch::default();
                     let streamed: Vec<Neighbor> =
-                        MbmStream::new_in(&sc, &group, true, &mut ms).take(k).collect();
+                        MbmStream::new_in(&sc, &group, &mut ms).take(k).collect();
 
                     prop_assert_eq!(oracle.len(), k.min(len), "{}: oracle count", what);
                     prop_assert_eq!(reference.len(), oracle.len(), "{}: reference count", what);
@@ -183,9 +183,7 @@ fn assert_equivalent(
     let bounded = Mbm::best_first().k_gnn(&pc, group, k);
     let sc = packed.cursor();
     let mut ms = MbmScratch::default();
-    let streamed: Vec<Neighbor> = MbmStream::new_in(&sc, group, true, &mut ms)
-        .take(k)
-        .collect();
+    let streamed: Vec<Neighbor> = MbmStream::new_in(&sc, group, &mut ms).take(k).collect();
 
     for (name, got) in [
         ("reference", &reference),

@@ -104,14 +104,9 @@ proptest! {
                 vec![
                     ("MQM", Box::new(Mqm::new())),
                     ("SPM", Box::new(Spm::best_first())),
-                    ("SPM-df", Box::new(Spm::depth_first())),
-                    ("MBM-df", Box::new(Mbm::depth_first())),
                 ]
             } else {
-                vec![
-                    ("MQM", Box::new(Mqm::new())),
-                    ("MBM-df", Box::new(Mbm::depth_first())),
-                ]
+                vec![("MQM", Box::new(Mqm::new()))]
             };
             for (name, algo) in algos {
                 let got = algo.k_gnn(&tree.cursor(), &group, k);
@@ -134,7 +129,6 @@ proptest! {
             let algos: Vec<(&str, Box<dyn FileGnnAlgorithm>)> = vec![
                 ("F-MQM", Box::new(Fmqm::new())),
                 ("F-MBM", Box::new(Fmbm::best_first())),
-                ("F-MBM-df", Box::new(Fmbm::depth_first())),
             ];
             for (name, algo) in algos {
                 let fc = FileCursor::new(qf.file());

@@ -53,7 +53,6 @@ proptest! {
             ("MQM", Mqm::new().k_gnn(&cursor, &group, k)),
             ("SPM", Spm::best_first().k_gnn(&cursor, &group, k)),
             ("MBM", Mbm::best_first().k_gnn(&cursor, &group, k)),
-            ("MBM-df", Mbm::depth_first().k_gnn(&cursor, &group, k)),
         ] {
             let g = got.distances();
             let w = want.distances();
@@ -224,7 +223,7 @@ proptest! {
         let group = QueryGroup::sum(query).unwrap();
         let cursor = tree.cursor();
         let mut scratch = MbmScratch::default();
-        let out: Vec<Neighbor> = MbmStream::new_in(&cursor, &group, true, &mut scratch).collect();
+        let out: Vec<Neighbor> = MbmStream::new_in(&cursor, &group, &mut scratch).collect();
         prop_assert_eq!(out.len(), data.len());
         for w in out.windows(2) {
             prop_assert!(w[0].dist <= w[1].dist);

@@ -88,7 +88,6 @@ fn memory_algorithms_are_allocation_free_in_steady_state() {
         ("MQM", Box::new(Mqm::new())),
         ("SPM", Box::new(Spm::best_first())),
         ("MBM", Box::new(Mbm::best_first())),
-        ("MBM-df", Box::new(Mbm::depth_first())),
     ];
     for (name, algo) in algos {
         let mut scratch = QueryScratch::new();
@@ -265,10 +264,10 @@ fn suspended_streams_resume_without_allocating() {
     let mut scratch = MbmScratch::default();
     let pass = |scratch: &mut MbmScratch| {
         for g in &workload {
-            let first = MbmStream::new_in(&cursor, g, true, scratch).next();
+            let first = MbmStream::new_in(&cursor, g, scratch).next();
             let mut last = first.expect("non-empty tree").dist;
             for _ in 0..40 {
-                let n = MbmStream::resume_in(&cursor, g, true, scratch).next();
+                let n = MbmStream::resume_in(&cursor, g, scratch).next();
                 let dist = n.expect("3000 points").dist;
                 assert!(dist >= last, "stream went backwards");
                 last = dist;

@@ -42,22 +42,19 @@ fn tree_of(pts: &[Point]) -> RTree {
     )
 }
 
-/// The six memory algorithm variants (planner-auto resolves to MBM and is
+/// The memory algorithms (planner-auto resolves to MBM and is
 /// covered by the service suites; SPM is SUM-only).
 fn algorithms(aggregate: Aggregate) -> Vec<(&'static str, Box<dyn MemoryGnnAlgorithm>)> {
     if aggregate == Aggregate::Sum {
         vec![
             ("MQM", Box::new(Mqm::new())),
             ("SPM", Box::new(Spm::best_first())),
-            ("SPM-df", Box::new(Spm::depth_first())),
             ("MBM", Box::new(Mbm::best_first())),
-            ("MBM-df", Box::new(Mbm::depth_first())),
         ]
     } else {
         vec![
             ("MQM", Box::new(Mqm::new())),
             ("MBM", Box::new(Mbm::best_first())),
-            ("MBM-df", Box::new(Mbm::depth_first())),
         ]
     }
 }
@@ -265,9 +262,8 @@ fn boundary_ties_across_shards_keep_the_oracle_bits_and_distinct_ids() {
         .into_iter()
         .map(|shards| packed.partition(shards))
         .collect();
-    let direct: [(&str, &dyn MemoryGnnAlgorithm); 4] = [
+    let direct: [(&str, &dyn MemoryGnnAlgorithm); 3] = [
         ("MBM", &Mbm::best_first()),
-        ("MBM-df", &Mbm::depth_first()),
         ("SPM", &Spm::best_first()),
         ("MQM", &Mqm::new()),
     ];

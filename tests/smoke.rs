@@ -50,7 +50,6 @@ fn mqm_spm_mbm_agree_on_1k_uniform_points() {
                 ("MQM", Mqm::new().k_gnn(&cursor, &group, k)),
                 ("SPM", Spm::best_first().k_gnn(&cursor, &group, k)),
                 ("MBM", Mbm::best_first().k_gnn(&cursor, &group, k)),
-                ("MBM-df", Mbm::depth_first().k_gnn(&cursor, &group, k)),
             ] {
                 let g = got.distances();
                 assert_eq!(g.len(), want.len(), "{name} group {gi} k={k}: wrong count");

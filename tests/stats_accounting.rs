@@ -132,7 +132,6 @@ fn disk_algorithm_stats_are_complete() {
     assert!(r.stats.query_file_pages > 0, "query pages recorded");
     assert!(r.stats.dist_computations > 0, "distance work recorded");
     assert!(r.stats.total_io() >= r.stats.data_tree.io + r.stats.query_file_pages);
-    assert!(r.stats.elapsed.as_nanos() > 0);
 
     let r2 = Fmbm::best_first().k_gnn(&cursor, &qf, &fc, 4, Aggregate::Sum);
     assert!(r2.stats.query_file_pages > 0);

@@ -196,13 +196,6 @@ fn traces_are_opt_in_consistent_and_result_neutral() {
         .wait_all()
         .unwrap();
 
-    // `QueryStats::elapsed` is wall-clock (nondeterministic by design);
-    // every counted field must be bit-identical across the three runs.
-    let counters = |s: &QueryStats| {
-        let mut s = *s;
-        s.elapsed = Duration::ZERO;
-        s
-    };
     for (i, (p, t)) in plain.iter().zip(&traced).enumerate() {
         assert!(p.trace.is_none(), "untraced response {i} carried a trace");
         let trace = t
@@ -213,7 +206,7 @@ fn traces_are_opt_in_consistent_and_result_neutral() {
         assert_eq!(trace.dist_computations, t.stats.dist_computations);
         // Result-neutral: everything but the trace is bit-identical.
         assert_eq!(p.neighbors, t.neighbors, "query {i}");
-        assert_eq!(counters(&p.stats), counters(&t.stats), "query {i}");
+        assert_eq!(p.stats, t.stats, "query {i}");
         let b = &batched[i];
         let btrace = b.trace.expect("batched response lost its trace");
         assert_eq!(btrace.node_accesses, b.stats.data_tree.logical);
@@ -235,7 +228,7 @@ fn traces_are_opt_in_consistent_and_result_neutral() {
     for (i, (r, p)) in requests.iter().zip(&plain).enumerate() {
         let q = silent.submit(r.clone()).unwrap().wait().unwrap();
         assert_eq!(p.neighbors, q.neighbors, "recorder-off query {i}");
-        assert_eq!(counters(&p.stats), counters(&q.stats), "query {i}");
+        assert_eq!(p.stats, q.stats, "query {i}");
     }
     let stats = silent.shutdown();
     assert!(stats.flight.events.is_empty(), "disabled recorder logged");

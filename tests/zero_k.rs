@@ -112,9 +112,7 @@ fn every_direct_entry_point_answers_k_zero_empty() {
     for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
         let algos: Vec<(&str, Box<dyn MemoryGnnAlgorithm>)> = vec![
             ("MBM", Box::new(Mbm::best_first())),
-            ("MBM-DF", Box::new(Mbm::depth_first())),
             ("SPM", Box::new(Spm::best_first())),
-            ("SPM-DF", Box::new(Spm::depth_first())),
             ("MQM", Box::new(Mqm::new())),
         ];
         for (name, algo) in algos {
