@@ -34,10 +34,13 @@
 //!   the same order. Once
 //!   `best_dist` is finite a SUM leaf is scored through a cascade
 //!   (`filter_leaf`): from `LAZY_MIN` members a rounded-down block bound
-//!   (one `f64` term per block of Q) over the whole page, then on AVX2 a
-//!   rounded-down `f32` bound over the entries left, then the exact
-//!   distance for the entries neither could rule out — the paper's reason
-//!   for keeping heuristic 2 beside heuristic 3, applied to leaf entries;
+//!   (one term per block of Q — eight `f32` lanes a vector on AVX2 where
+//!   the group's scale lets `f32` see it, `f64` otherwise) over the whole
+//!   page, then on AVX2 a rounded-down `f32` bound over the entries left,
+//!   then the exact distance for the entries neither could rule out (on
+//!   AVX2 its terms four lanes at a time, added in index order) — the
+//!   paper's reason for keeping heuristic 2 beside heuristic 3, applied to
+//!   leaf entries;
 //! * **incremental** ([`MbmStream`]): yields neighbors in ascending
 //!   `dist(p, Q)` with `k` unknown in advance, so it keeps every child and
 //!   every scored point on its heap — the building block of F-MQM (§4.2)
@@ -97,11 +100,13 @@ impl Mbm {
     /// a bound with. From then on, where the group has rounded-down leaf
     /// bounds, `filter_leaf` lets them pick the entries that pay for an
     /// exact distance: the block bound ([`BlockBound`]) on a SUM group of
-    /// at least `LAZY_MIN` points, on every tier; the `f32` bound
-    /// ([`LeafBound`]) on any SUM group on the AVX2 tier. What they drop is
-    /// exactly what [`KBestList::offer`] would have refused, so neighbors,
-    /// distance bits and page reads are those of the all-exact loop, which
-    /// MAX, MIN and small SUM groups below AVX2 still run.
+    /// at least `LAZY_MIN` points, on every tier (its terms in `f32` on the
+    /// AVX2 tier where the group's scale allows, in `f64` otherwise); the
+    /// `f32` bound ([`LeafBound`]) on any SUM group on the AVX2 tier. What
+    /// they drop is exactly what [`KBestList::offer`] would have refused,
+    /// so neighbors, distance bits and page reads are those of the
+    /// all-exact loop, which MAX, MIN and small SUM groups below AVX2 still
+    /// run.
     ///
     /// Heuristic 3 is applied only where H2 fails and, above `LAZY_MIN`,
     /// only where the heap gets there: a SUM group of at least `LAZY_MIN`
@@ -125,6 +130,7 @@ impl Mbm {
         // loop works on the rest of the scratch.
         let mut leaf_weights = std::mem::take(&mut s.leaf_weights);
         let mut block_lanes = std::mem::take(&mut s.block_lanes);
+        let mut block_weights = std::mem::take(&mut s.block_weights);
         // The group's rounded-down SUM bounds, where it has them: the `f32`
         // leaf bound on the AVX2 tier; from `LAZY_MIN`, the centroid key and
         // the block bound on every tier.
@@ -135,7 +141,15 @@ impl Mbm {
         let (lazy, blocks) = match sum {
             Some((qx, qy, w)) if group.len() >= LAZY_MIN => (
                 CentroidBound::new(qx, qy, w, group.total_weight(), &group.mbr()),
-                BlockBound::new(kernels, qx, qy, w, &group.mbr(), &mut block_lanes),
+                BlockBound::new(
+                    kernels,
+                    qx,
+                    qy,
+                    w,
+                    &group.mbr(),
+                    &mut block_lanes,
+                    &mut block_weights,
+                ),
             ),
             _ => (None, None),
         };
@@ -198,6 +212,7 @@ impl Mbm {
         }
         s.leaf_weights = leaf_weights;
         s.block_lanes = block_lanes;
+        s.block_weights = block_weights;
         (evals, dropped)
     }
 }
@@ -272,7 +287,8 @@ fn score_leaf(leaf: &LeafRef<'_>, group: &QueryGroup, dists: &mut Vec<f64>) -> u
 /// The rounded-down bounds a SUM leaf is filtered through once
 /// `best_dist` is finite, cheapest first; at least one is armed.
 struct LeafFilter<'a> {
-    /// `m` `f64` terms an entry: SUM, `LAZY_MIN` members and up.
+    /// `m` terms an entry, `f32` or `f64` (the block bound's scale rule):
+    /// SUM, `LAZY_MIN` members and up.
     blocks: Option<BlockBound<'a>>,
     /// `n` `f32` lanes an entry: SUM on the AVX2 tier.
     lanes: Option<LeafBound<'a>>,
@@ -445,6 +461,9 @@ pub struct MbmScratch {
     /// Bounded top-k: the [`BlockBound`]'s blocks, refilled per query
     /// (empty where there is none).
     block_lanes: Vec<f64>,
+    /// Bounded top-k: the blocks' narrowed weights, refilled per query
+    /// where the block bound runs in `f32` (empty where it never has).
+    block_weights: Vec<f32>,
     /// The cascade: indices of the leaf entries the block bound left.
     survivors: Vec<u32>,
     /// The cascade: those entries' coordinates, gathered lane-padded for
@@ -470,6 +489,7 @@ impl MbmScratch {
             dists: Vec::with_capacity(64),
             leaf_weights: Vec::new(),
             block_lanes: Vec::new(),
+            block_weights: Vec::new(),
             survivors: Vec::new(),
             lanes_x: Vec::new(),
             lanes_y: Vec::new(),
@@ -493,6 +513,7 @@ impl MbmScratch {
             self.dists.capacity(),
             self.leaf_weights.capacity(),
             self.block_lanes.capacity(),
+            self.block_weights.capacity(),
             self.survivors.capacity(),
             self.lanes_x.capacity(),
             self.lanes_y.capacity(),

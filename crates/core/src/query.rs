@@ -187,21 +187,18 @@ impl QueryGroup {
 
     /// The exact aggregate distance `dist(p, Q)`.
     ///
-    /// The SUM fold is sequential over the cached SoA mirror, which makes
-    /// every result **bit-identical** to the multi-point conversion kernel
+    /// The SUM fold is sequential in index order over the cached SoA mirror
+    /// ([`BatchKernels::point_weighted_dist_sum`](gnn_geom::batch::BatchKernels::point_weighted_dist_sum):
+    /// on AVX2 the terms four lanes at a time, their sum one at a time),
+    /// which makes every result **bit-identical** to the seed's scalar loop
+    /// and to the multi-point conversion kernel
     /// ([`QueryGroup::dist_many_padded`]) — so results never depend on
     /// which engine computed them.
     pub fn dist(&self, p: Point) -> f64 {
         use gnn_geom::batch::BatchKernels;
         match self.aggregate {
             Aggregate::Sum => {
-                let mut acc = 0.0;
-                for i in 0..self.qx.len() {
-                    let dx = self.qx[i] - p.x;
-                    let dy = self.qy[i] - p.y;
-                    acc += self.wts[i] * (dx * dx + dy * dy).sqrt();
-                }
-                acc
+                BatchKernels::auto().point_weighted_dist_sum(p, &self.qx, &self.qy, &self.wts)
             }
             Aggregate::Max => BatchKernels::auto()
                 .point_dist_sq_max(p, &self.qx, &self.qy)
@@ -225,9 +222,10 @@ impl QueryGroup {
     /// `best_dist` is still infinite; once it is finite, rounded-down
     /// bounds over the same lanes pick the few entries that pay
     /// [`QueryGroup::dist`] — the same bits, one entry at a time: from 48
-    /// members a block bound (this kernel's fold over one weighted centroid
-    /// per block of the group, a few `f64` terms an entry, every tier),
-    /// then on AVX2 an `f32` bound over the entries left.
+    /// members a block bound (one weighted centroid per block of the group,
+    /// a few terms an entry on every tier: `f32` on AVX2 where the group's
+    /// scale allows, this kernel's `f64` fold otherwise), then on AVX2 an
+    /// `f32` bound over the entries left.
     pub fn dist_many_padded(&self, xs: &[f64], ys: &[f64], n: usize, out: &mut Vec<f64>) {
         let k = gnn_geom::batch::BatchKernels::auto();
         match self.aggregate {

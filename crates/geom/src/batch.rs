@@ -30,8 +30,17 @@
 //! [`crate::simd::pad_len`]`(n)` readable lanes (packed-arena page spans are
 //! stored this way). Full vectors then cover the whole range with no scalar
 //! tail; exactly `n` results come back, so the sentinel values in the
-//! padding lanes never influence an output. The five group-dimension folds
+//! padding lanes never influence an output. The six group-dimension folds
 //! take the query group's exact (unpadded) arrays.
+//!
+//! One of them is the exact SUM distance of a single point
+//! ([`BatchKernels::point_weighted_dist_sum`], what `gnn-core`'s
+//! `QueryGroup::dist` runs for every entry the leaf bounds could not rule
+//! out). Its AVX2 body computes the terms four lanes at a time in the
+//! scalar rounding order and adds them one by one in index order, as the
+//! tight node bound's does: the fold's dependency chain stays, the scalar
+//! `sqrtsd` a pair goes. [`scalar::point_weighted_dist_sum`], the seed's
+//! loop, is its oracle.
 //!
 //! All kernels work in **squared** distance. Squared values order exactly
 //! like true distances, so callers compare in squared space where possible
@@ -164,6 +173,26 @@ pub mod scalar {
             let dx = interval_excess(qx[j], m.lo.x, m.hi.x);
             let dy = interval_excess(qy[j], m.lo.y, m.hi.y);
             acc += w[j] * (dx * dx + dy * dy).sqrt();
+        }
+        acc
+    }
+
+    /// `Σ_i w_i · |p q_i|` over query points in SoA form — the exact
+    /// weighted SUM of one point, folded sequentially in index order. This
+    /// is the seed's `QueryGroup::dist` loop, verbatim: every exact SUM
+    /// distance a query reports is this fold's bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slices disagree in length.
+    pub fn point_weighted_dist_sum(p: Point, qx: &[f64], qy: &[f64], w: &[f64]) -> f64 {
+        let n = qx.len();
+        assert!(qy.len() == n && w.len() == n);
+        let mut acc = 0.0f64;
+        for i in 0..n {
+            let dx = qx[i] - p.x;
+            let dy = qy[i] - p.y;
+            acc += w[i] * (dx * dx + dy * dy).sqrt();
         }
         acc
     }
@@ -556,6 +585,26 @@ impl BatchKernels {
                 simd::x86::rect_weighted_mindist_sum_avx2(m, qx, qy, w)
             },
             _ => scalar::rect_weighted_mindist_sum(m, qx, qy, w),
+        }
+    }
+
+    /// See [`scalar::point_weighted_dist_sum`]: the exact SUM distance of
+    /// one point. The AVX2 body computes four terms at a time in the scalar
+    /// rounding order (`sub`, `mul`, `mul`, `add`, `sqrt`, `mul`) and adds
+    /// them one by one in index order, so the result is bit-identical
+    /// across levels.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slices disagree in length.
+    pub fn point_weighted_dist_sum(&self, p: Point, qx: &[f64], qy: &[f64], w: &[f64]) -> f64 {
+        let n = qx.len();
+        assert!(qy.len() == n && w.len() == n);
+        match self.level {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `rect_weighted_mindist_sum`.
+            SimdLevel::Avx2Fma => unsafe { simd::x86::point_weighted_dist_sum_avx2(p, qx, qy, w) },
+            _ => scalar::point_weighted_dist_sum(p, qx, qy, w),
         }
     }
 

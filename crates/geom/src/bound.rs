@@ -10,9 +10,11 @@
 //! * [`CentroidBound`] — one term for a node: `W·mindist(N, c)` at the
 //!   group's weighted centroid `c`, rounded down below the computed
 //!   heuristic-3 sum `Σ wᵢ·mindist(N, qᵢ)`.
-//! * [`BlockBound`] — one `f64` term a block for a leaf entry:
-//!   `Σⱼ Wⱼ·|p cⱼ|` over the group cut into the cells of a grid, rounded
-//!   down below the computed `dist(p, Q)`. Every tier.
+//! * [`BlockBound`] — one term a block for a leaf entry: `Σⱼ Wⱼ·|p cⱼ|`
+//!   over the group cut into the cells of a grid, rounded down below the
+//!   computed `dist(p, Q)`. Every tier: in `f32` through the leaf bound's
+//!   kernel on AVX2 where the group's scale lets `f32` see it, in `f64`
+//!   otherwise.
 //! * [`LandmarkBound`] — `|d(L, a) − d(L, b)|` over a table of rounded-down
 //!   `f32` landmark distances, rounded down below the computed
 //!   shortest-path label `d̂(a → b)` of an undirected graph.
@@ -118,11 +120,25 @@
 //! is the centroid key's `W·|p c|`, `n` blocks the exact sum; the blocks
 //! here are the non-empty cells of a `g × g` grid over the group's MBR,
 //! `g = ⌈n^¼⌉` (16 cells at n = 256, 9 at n = 48), so an entry costs
-//! `m <= g²`, about `√n`, `f64` terms instead of `n` `f32` lanes. The bound is
-//! `K·(1 − ρ) − F`, where `K` is
-//! [`BatchKernels::points_weighted_dist_sum_multi_padded`] over the blocks'
-//! computed centroids `ĉⱼ` and weights `Ŵⱼ` (a sequential fold, so the same
-//! bits on every tier), `u = 2⁻⁵³` and `μ` as for the centroid key.
+//! `m <= g²`, about `√n`, terms instead of `n` `f32` lanes. It runs at one
+//! of two widths, chosen once per query by [`BlockBound::new`]:
+//!
+//! * **`f64`**, on every tier: the bound is `K·(1 − ρ) − F`, where `K` is
+//!   [`BatchKernels::points_weighted_dist_sum_multi_padded`] over the
+//!   blocks' computed centroids `ĉⱼ` and weights `Ŵⱼ` (a sequential fold,
+//!   so the same bits on every tier), `u = 2⁻⁵³` and `μ` as for the
+//!   centroid key. The margin is derived below.
+//! * **`f32`**, on the AVX2 tier where the *scale rule* holds — `μ` and
+//!   `Ŵ = Σⱼ Ŵⱼ` both in `[2⁻⁴⁸, 2⁴⁸]`: the bound is `L·(1 − ρ) − F` with
+//!   the same `ρ` and `F`, where `L` is the `f32` leaf bound over the
+//!   blocks — [`LeafBound`] built from `ĉⱼ` and `Ŵⱼ` as an `m`-member group
+//!   (`Ŵⱼ` narrowed toward zero once per query) — with its own `(1 − ρ₃₂,
+//!   α)` for `m` terms, `ρ₃₂ = (m + 16)·2⁻²³`. Outside the rule `f32` is
+//!   blind — squares that underflow or overflow it, weights it narrows to
+//!   `0` or `f32::MAX` — and filters nothing the `f64` fold would, so the
+//!   group keeps the `f64` width; below AVX2 there is no `f32` kernel.
+//!
+//! The `f64` width's margin:
 //!
 //! * *Rounded:* each block's `Ŵⱼ` and `ĉⱼ`, computed as the centroid
 //!   key's but in member order; in `K` each difference, square, sum,
@@ -147,6 +163,27 @@
 //!   `1/Ŵⱼ` is not a normal number. An overflowed `ĉⱼ`, square or sum makes
 //!   `K` infinite or NaN, an overflowed `F` makes the bound `−∞` or NaN:
 //!   either way the bound is not finite and promises nothing.
+//!
+//! The `f32` width's margin is a composition, not a new derivation:
+//!
+//! * *Rounded:* everything the leaf bound rounds, over `m` terms, and then
+//!   the `f64` width's last line — its product and difference — on `L`
+//!   instead of `K`.
+//! * *Error bounds.* Every finite `L` is `<= K` for the `f64` weights `Ŵⱼ`
+//!   (the leaf bound's own margin, `ρ₃₂` for `m` terms), and `x ↦ x·(1 −
+//!   ρ) − F`, each step rounded, is monotone: `L·(1 − ρ) − F <= K·(1 − ρ) −
+//!   F`, which the `f64` margin puts at or below the computed `dist(p, Q)`.
+//!   No new constant. On a coincident group inside `f32`'s normal range
+//!   the two margins stack: the bound is at least `exact·(1 − 1.5ρ)(1 −
+//!   2ρ₃₂) − 1.5F − α` (`crates/geom/tests/bounds.rs`).
+//! * *Subnormal allowance.* The leaf bound's `α = Ŵ₃₂·2⁻⁷³ + m·2⁻¹⁴⁹`
+//!   (`Ŵ₃₂` the narrowed total) covers squares and sums in `f32`'s
+//!   subnormal range, which an entry a hair from a block's centroid meets
+//!   inside the scale rule; `F` covers `f64`'s, as at the `f64` width.
+//! * *Non-finite fallback.* A non-finite `L` makes the bound non-finite,
+//!   which promises nothing. A finite `L` needs every narrowed square
+//!   below `2¹²⁸`, so every difference below `2⁶⁴`; with `Ŵ <= 2⁴⁸` that
+//!   leaves `K` below `2¹¹⁴`, finite, as the composition needs.
 //!
 //! # The landmark bound
 //!
@@ -192,7 +229,7 @@
 
 // The only `unsafe` here is the one call into the AVX2 body of the `f32`
 // leaf bound, sound because a `LeafBound` exists only at `Avx2Fma` (see its
-// SAFETY comment).
+// SAFETY comment) — the block bound's `f32` width reaches it through one.
 #![allow(unsafe_code)]
 
 use crate::batch::BatchKernels;
@@ -425,10 +462,17 @@ fn grid_side(n: usize) -> usize {
     side
 }
 
+/// The scale rule: whether a group's `μ` or `Ŵ` lies where the block
+/// bound's `f32` terms see it, `[2⁻⁴⁸, 2⁴⁸]` (module docs).
+fn f32_sees(v: f64) -> bool {
+    (2f64.powi(-48)..=2f64.powi(48)).contains(&v)
+}
+
 /// The rounded-down block bound on a weighted SUM group's distance to every
 /// entry of a lane-padded leaf: `Σⱼ Ŵⱼ·|p ĉⱼ|` over the non-empty cells of a
-/// `⌈n^¼⌉ × ⌈n^¼⌉` grid over the group's MBR, `m` `f64` terms an entry
-/// (margin: module docs). Built on every tier.
+/// `⌈n^¼⌉ × ⌈n^¼⌉` grid over the group's MBR, `m` terms an entry (margin:
+/// module docs). Built on every tier; the terms run in `f32` on the AVX2
+/// tier where the group's scale lets `f32` see them, in `f64` otherwise.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockBound<'a> {
     kernels: BatchKernels,
@@ -437,6 +481,8 @@ pub struct BlockBound<'a> {
     cx: &'a [f64],
     cy: &'a [f64],
     cw: &'a [f64],
+    /// The `f32` path: the leaf bound over the blocks, where it runs.
+    lanes: Option<LeafBound<'a>>,
     /// `1 − ρ`.
     factor: f64,
     /// `F`.
@@ -445,9 +491,11 @@ pub struct BlockBound<'a> {
 
 impl<'a> BlockBound<'a> {
     /// The bound for the group `(qx, qy)` with weights `w` and MBR `mbr`,
-    /// pinned to `kernels`; `buf` is refilled with the blocks (so a reused
-    /// buffer allocates nothing once warm). `None` where a block's `Ŵⱼ` or
-    /// `1/Ŵⱼ` is not a normal number.
+    /// pinned to `kernels`; `buf` is refilled with the blocks and `narrow`
+    /// with their weights narrowed toward zero where the `f32` path runs
+    /// (so reused buffers allocate nothing once warm; `narrow` is untouched
+    /// where it does not). `None` where a block's `Ŵⱼ` or `1/Ŵⱼ` is not a
+    /// normal number.
     ///
     /// # Panics
     ///
@@ -459,6 +507,7 @@ impl<'a> BlockBound<'a> {
         w: &[f64],
         mbr: &Rect,
         buf: &'a mut Vec<f64>,
+        narrow: &'a mut Vec<f32>,
     ) -> Option<Self> {
         let n = qx.len();
         assert!(qy.len() == n && w.len() == n);
@@ -500,20 +549,28 @@ impl<'a> BlockBound<'a> {
         }
         // Compact the non-empty cells to the front of each plane.
         let mu = coordinate_bound(mbr);
-        let (mut blocks, mut slack) = (0, 0.0);
+        let (mut blocks, mut slack, mut weight) = (0, 0.0, 0.0);
         for c in 0..cells {
             if count[c] > 0.0 {
                 slack += total[c] * centroid_slack(count[c], mu);
+                weight += total[c];
                 (total[blocks], sx[blocks], sy[blocks]) = (total[c], sx[c], sy[c]);
                 blocks += 1;
             }
         }
+        let (cx, cy, cw) = (&sx[..blocks], &sy[..blocks], &total[..blocks]);
+        let lanes = if f32_sees(mu) && f32_sees(weight) {
+            LeafBound::new(kernels, cx, cy, cw, narrow)
+        } else {
+            None
+        };
         let n = n as f64;
         Some(BlockBound {
             kernels,
-            cx: &sx[..blocks],
-            cy: &sy[..blocks],
-            cw: &total[..blocks],
+            cx,
+            cy,
+            cw,
+            lanes,
             factor: 1.0 - (6.0 * n + 32.0) * f64::EPSILON / 2.0,
             // (2n + 4)·2⁻¹⁰⁷⁴, exactly: the smallest subnormal's multiple.
             floor: slack + (2.0 * n + 4.0) * f64::from_bits(1),
@@ -523,6 +580,12 @@ impl<'a> BlockBound<'a> {
     /// The number of blocks `m`: the terms an entry costs.
     pub fn blocks(&self) -> usize {
         self.cw.len()
+    }
+
+    /// The blocks' weights narrowed toward zero where the terms run in
+    /// `f32`; `None` where they run in `f64`.
+    pub fn narrowed_weights(&self) -> Option<&[f32]> {
+        self.lanes.as_ref().map(LeafBound::weights)
     }
 
     /// Lower bounds on the exact weighted sums of `m` logical points whose
@@ -536,8 +599,14 @@ impl<'a> BlockBound<'a> {
     ///
     /// Panics when a point slice is shorter than `pad_len(m)`.
     pub fn lower_padded(&self, xs: &[f64], ys: &[f64], m: usize, out: &mut Vec<f64>) {
-        self.kernels
-            .points_weighted_dist_sum_multi_padded(xs, ys, m, self.cx, self.cy, self.cw, out);
+        match &self.lanes {
+            // At most the `f64` fold below, where finite: the margin's
+            // composition (module docs).
+            Some(lanes) => lanes.lower_padded(xs, ys, m, out),
+            None => self
+                .kernels
+                .points_weighted_dist_sum_multi_padded(xs, ys, m, self.cx, self.cy, self.cw, out),
+        }
         for v in out.iter_mut() {
             *v = *v * self.factor - self.floor;
         }

@@ -49,10 +49,11 @@
 //!
 //! One kernel stands outside the contract on purpose:
 //! [`crate::bound::LeafBound`] (AVX2 only) computes the weighted SUM in
-//! `f32` and rounds it *down* by a stated margin. It never produces a
-//! result — only the verdict that an entry's exact SUM cannot be below a
-//! bound — and `crates/geom/tests/bounds.rs` pins `lower <= exact` instead
-//! of equality.
+//! `f32` and rounds it *down* by a stated margin — over the group's
+//! members, and inside [`crate::bound::BlockBound`]'s `f32` width over its
+//! blocks. It never produces a result — only the verdict that an entry's
+//! exact SUM cannot be below a bound — and `crates/geom/tests/bounds.rs`
+//! pins `lower <= exact` instead of equality.
 
 #![allow(unsafe_code)] // core::arch intrinsics + raw-pointer kernel loops
 
@@ -504,11 +505,11 @@ pub(crate) mod x86 {
 
     // ---- group-dimension reductions ---------------------------------
     //
-    // These fold over the query points themselves. The weighted SUM keeps
-    // its accumulation strictly sequential (vectors only produce the
-    // per-element terms, added back in index order); MAX/MIN reduce
-    // vector-first, which is order-safe on squared distances (no NaN, no
-    // -0.0 — see module docs).
+    // These fold over the query points themselves. The weighted SUMs (of a
+    // rectangle's and of a point's distances) keep their accumulation
+    // strictly sequential (vectors only produce the per-element terms,
+    // added back in index order); MAX/MIN reduce vector-first, which is
+    // order-safe on squared distances (no NaN, no -0.0 — see module docs).
 
     /// `Σ_i w_i · √(mindist²(m, q_i))`, accumulated in index order.
     ///
@@ -551,6 +552,41 @@ pub(crate) mod x86 {
         for i in vec_n..n {
             let dx = (m.lo.x - qx[i]).max(qx[i] - m.hi.x).max(0.0);
             let dy = (m.lo.y - qy[i]).max(qy[i] - m.hi.y).max(0.0);
+            acc += w[i] * (dx * dx + dy * dy).sqrt();
+        }
+        acc
+    }
+
+    /// `Σ_i w_i · |p q_i|`, accumulated in index order: the terms four
+    /// lanes at a time, their sum one lane at a time.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA are available, and `qy` and `w` hold at least
+    /// `qx.len()` lanes.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn point_weighted_dist_sum_avx2(p: Point, qx: &[f64], qy: &[f64], w: &[f64]) -> f64 {
+        let n = qx.len();
+        let vec_n = n - n % V4::LANES;
+        let (pqx, pqy, pw) = (qx.as_ptr(), qy.as_ptr(), w.as_ptr());
+        let (vx, vy) = (V4::splat(p.x), V4::splat(p.y));
+        let mut buf = [0.0f64; V4::LANES];
+        let mut acc = 0.0f64;
+        let mut i = 0;
+        while i < vec_n {
+            let dx = V4::loadu(pqx.add(i)).sub(vx);
+            let dy = V4::loadu(pqy.add(i)).sub(vy);
+            let t = V4::loadu(pw.add(i)).mul(hypot_sq(dx, dy).vsqrt());
+            t.storeu(buf.as_mut_ptr());
+            // Sequential, as in `rect_weighted_mindist_sum_avx2`.
+            for &b in &buf {
+                acc += b;
+            }
+            i += V4::LANES;
+        }
+        for i in vec_n..n {
+            let dx = qx[i] - p.x;
+            let dy = qy[i] - p.y;
             acc += w[i] * (dx * dx + dy * dy).sqrt();
         }
         acc

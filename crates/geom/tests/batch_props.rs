@@ -9,10 +9,12 @@
 //! sentinel lanes that must never reach a result.
 //!
 //! Beside the random-size properties, one deterministic sweep runs every
-//! kernel at each ragged size around the lane blocks, and one
-//! `#[should_panic]` test per padded entry pins the length check that
-//! guards its `unsafe` kernel: a slice one lane short of `pad_len(n)` is
-//! refused before any lane is read.
+//! kernel at each ragged size around the lane blocks, a second runs the
+//! exact SUM distance of one point across magnitudes, weights and
+//! non-finite coordinates, and one `#[should_panic]` test per padded entry
+//! pins the length check that guards its `unsafe` kernel: a slice one lane
+//! short of `pad_len(n)` is refused before any lane is read (and a short
+//! `qy` or `w` before the exact SUM's).
 //!
 //! The bounds that promise an inequality instead of bits
 //! (`gnn_geom::bound`) have their own harness, `tests/bounds.rs`.
@@ -137,6 +139,11 @@ proptest! {
                 k.rect_weighted_mindist_sum(&m, &qx, &qy, &w).to_bits(),
                 scalar::rect_weighted_mindist_sum(&m, &qx, &qy, &w).to_bits(),
                 "rect wsum {}", label
+            );
+            prop_assert_eq!(
+                k.point_weighted_dist_sum(q, &qx, &qy, &w).to_bits(),
+                scalar::point_weighted_dist_sum(q, &qx, &qy, &w).to_bits(),
+                "point wsum {}", label
             );
             prop_assert_eq!(
                 k.rect_mindist_sq_max(&m, &qx, &qy).to_bits(),
@@ -360,6 +367,52 @@ fn every_available_level_matches_the_scalar_oracle_bitwise() {
     }
 }
 
+/// The exact SUM distance of one point on every level the host can run, at
+/// every ragged size around the four-lane blocks (0..=17), at 33 and at the
+/// benchmark's 256 members; with zero, unit and `10^±300` weights; with
+/// coordinates at `2^{0, ±80, ±500}` and with a NaN or an infinity among
+/// them: the result holds the scalar fold's bits.
+#[test]
+fn point_weighted_dist_sum_matches_the_scalar_fold_bitwise() {
+    let mut checked = 0;
+    for n in (0..=17).chain([33, 256]) {
+        for e in [0, 80, -80, 500, -500] {
+            let s = 2f64.powi(e);
+            for poison in [None, Some(f64::NAN), Some(f64::INFINITY)] {
+                let mut qx: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).sin() * 50.0 * s).collect();
+                let qy: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).cos() * 50.0 * s).collect();
+                if let (Some(v), true) = (poison, n > 0) {
+                    qx[n / 2] = v;
+                }
+                let p = Point::new(3.25 * s, -1.5 * s);
+                for weighting in ["zero", "unit", "10^±300"] {
+                    let w: Vec<f64> = (0..n)
+                        .map(|i| match weighting {
+                            "zero" => 0.0,
+                            "unit" => 1.0,
+                            _ => 10f64.powi(if i % 2 == 0 { 300 } else { -300 }),
+                        })
+                        .collect();
+                    let want = scalar::point_weighted_dist_sum(p, &qx, &qy, &w);
+                    for level in SimdLevel::available_levels() {
+                        let k = BatchKernels::for_level(level).expect("available");
+                        let got = k.point_weighted_dist_sum(p, &qx, &qy, &w);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "n={n} 2^{e} poison={poison:?} weights {weighting} level={}: \
+                             {got:e} vs {want:e}",
+                            level.label()
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked >= 20 * 5 * 3 * 3, "the sweep shrank: {checked}");
+}
+
 /// The short-slice tests below: `SHORT_N` logical elements with one lane
 /// fewer than `pad_len(SHORT_N)`. The slice still covers `SHORT_N`, so only
 /// the padding check can refuse it — on the best level the host runs,
@@ -439,4 +492,18 @@ fn points_dist_sq_min_multi_padded_refuses_a_short_slice() {
     let (f, s) = (full(), short());
     let q = [1.0; 3];
     best_level().points_dist_sq_min_multi_padded(&s, &f, SHORT_N, &q, &q, &mut Vec::new());
+}
+
+#[test]
+#[should_panic(expected = "w.len() == n")]
+fn point_weighted_dist_sum_refuses_a_short_y_slice() {
+    let (f, s) = (full(), short());
+    best_level().point_weighted_dist_sum(Point::ORIGIN, &f, &s, &f);
+}
+
+#[test]
+#[should_panic(expected = "w.len() == n")]
+fn point_weighted_dist_sum_refuses_a_short_weight_slice() {
+    let (f, s) = (full(), short());
+    best_level().point_weighted_dist_sum(Point::ORIGIN, &f, &f, &s);
 }

@@ -17,11 +17,18 @@
 //!   padding lanes inert, and no bound at all below AVX2. The page sizes
 //!   are the lane-boundary sweep of the one `unsafe` call behind it.
 //! * [`BlockBound`] against the exact `f64` sum over the same pages, on
-//!   every level: `lower <= exact` or `lower` not finite, padding lanes
-//!   inert, at most `⌈n^¼⌉²` blocks; on a coincident group (one block,
-//!   Jensen with equality) `lower >= exact·(1 − 1.5ρ) − 1.5·F` wherever the
-//!   exact sum is finite (tightness); and positive off the member on
-//!   spread pages in `f64`'s normal range.
+//!   every level, at both widths: `lower <= exact` or `lower` not finite,
+//!   padding lanes inert, at most `⌈n^¼⌉²` blocks, and the `f32` width
+//!   exactly on AVX2 inside the scale rule (`μ` and `W` in `[2⁻⁴⁸, 2⁴⁸]`);
+//!   on a coincident group (one block, Jensen with equality) `lower >=
+//!   exact·(1 − 1.5ρ) − 1.5·F` wherever the exact sum is finite at the
+//!   `f64` width — on Scalar and on AVX2's blind-scale fallback — and
+//!   `lower >= exact·(1 − 1.5ρ)(1 − 2ρ₃₂) − 1.5·F − α` at the `f32` width
+//!   inside `f32`'s normal range (tightness; the `f64` form fails there by
+//!   design, by `ρ₃₂ = 17·2⁻²³` at one block); positive off the member on
+//!   spread pages in `f64`'s normal range; and sound on a hair page of
+//!   entries `2⁻⁶⁰…2⁻⁸³` off a coincident group's member, where `f32`'s
+//!   squares go subnormal.
 //!
 //! Hand mutations of the margins, each alone in a scratch copy, and the
 //! case each fails first (AVX2 host; optimised build):
@@ -45,6 +52,12 @@
 //!   on Scalar" (tightness);
 //! * block `F` doubled: "2^0 n=1 weights unit Coincident: block page m=1
 //!   on Scalar" (tightness);
+//! * block `f32` width's `ρ₃₂ = 0`: "2^0 n=1 weights unit Spread: block
+//!   page m=2 on Avx2Fma" (soundness);
+//! * block `f32` width's `α = 0`: "2^-40 n=1 weights unit Coincident:
+//!   block hair page on Avx2Fma" (soundness);
+//! * block `f32` width without `F`: "2^0 n=1 weights 0.1–10 Spread: block
+//!   page m=1 on Avx2Fma" (soundness);
 //! * landmark entries narrowed to nearest: "2^0 1 edges 0.1–10";
 //! * landmark `c = 0`: "fold-order path".
 //!
@@ -382,6 +395,7 @@ fn block_bound_is_sound_on_the_grid_and_tight_on_coincident_groups() {
     let levels = SimdLevel::available_levels();
     let mut rng = Lcg(36);
     let (mut lanes, mut tight, mut positive, mut spread) = (0u64, 0u64, 0u64, 0u64);
+    let (mut narrow_lanes, mut narrow_tight, mut hair) = (0u64, 0u64, 0u64);
     let u = f64::EPSILON / 2.0;
     grid(|g| {
         let n = g.qx.len();
@@ -400,22 +414,47 @@ fn block_bound_is_sound_on_the_grid_and_tight_on_coincident_groups() {
             Layout::Coincident | Layout::Far => &[0, 1, 8, 9, 17, 33],
         };
         // Every product and sum of these cases stays in `f64`'s normal
-        // range.
+        // range, and in `f32`'s where the `f32` path runs at `|e| <= 40`.
         let normal = matches!(g.weighting, "unit" | "0.1–10") && g.e.abs() <= 200;
-        let mut buf = vec![7.0];
+        let normal32 = matches!(g.weighting, "unit" | "0.1–10") && g.e.abs() <= 40;
+        // The scale rule, from the group's MBR and total weight.
+        let sees = |v: f64| (2f64.powi(-48)..=2f64.powi(48)).contains(&v);
+        let (mut buf, mut narrow) = (vec![7.0], vec![7.0f32]);
         for &level in &levels {
             let k = BatchKernels::for_level(level).unwrap();
-            let bound = BlockBound::new(k, &g.qx, &g.qy, &g.w, &g.mbr, &mut buf)
+            let bound = BlockBound::new(k, &g.qx, &g.qy, &g.w, &g.mbr, &mut buf, &mut narrow)
                 .expect("every grid weighting sums to normal block weights");
+            let blocks = bound.blocks();
             assert!(
-                (1..=side * side).contains(&bound.blocks()),
-                "{}: {} blocks",
+                (1..=side * side).contains(&blocks),
+                "{}: {blocks} blocks",
                 g.what,
-                bound.blocks()
             );
             if let Layout::Coincident = g.layout {
-                assert_eq!(bound.blocks(), 1, "{}: a coincident group", g.what);
+                assert_eq!(blocks, 1, "{}: a coincident group", g.what);
             }
+            // The `f32` path runs exactly on AVX2 inside the scale rule; its
+            // composed margin is the leaf bound's over `m` terms, then `ρ`
+            // and `F`.
+            let narrowed = bound.narrowed_weights();
+            assert_eq!(
+                narrowed.is_some(),
+                level == SimdLevel::Avx2Fma && sees(mu) && sees(g.total),
+                "{}: the f32 path on {level:?}",
+                g.what
+            );
+            let (rho32, alpha) = match narrowed {
+                Some(wf) => {
+                    assert_eq!(wf.len(), blocks);
+                    let wsum: f64 = wf.iter().map(|&v| f64::from(v)).sum();
+                    let m = blocks as f64;
+                    (
+                        (m + 16.0) * 2f64.powi(-23),
+                        wsum * 2f64.powi(-73) + m * 2f64.powi(-149),
+                    )
+                }
+                None => (0.0, 0.0),
+            };
             for &m in sizes {
                 let what = format!("{}: block page m={m} on {level:?}", g.what);
                 let (xs, ys) = page(g, m, &mut rng);
@@ -442,8 +481,27 @@ fn block_bound_is_sound_on_the_grid_and_tight_on_coincident_groups() {
                         lower[j],
                         exact[j]
                     );
+                    if narrowed.is_some() {
+                        narrow_lanes += 1;
+                    }
                     match g.layout {
-                        Layout::Coincident if (exact[j] + floor).is_finite() => {
+                        // The `f32` path gives up the leaf bound's `ρ₃₂` and
+                        // `α` on top of the `f64` path's margin.
+                        Layout::Coincident if narrowed.is_some() && normal32 => {
+                            narrow_tight += 1;
+                            let want = exact[j] * (1.0 - 1.5 * rho) * (1.0 - 2.0 * rho32)
+                                - 1.5 * floor
+                                - alpha;
+                            assert!(
+                                lower[j] >= want,
+                                "{what} j={j}: lower {:e} too far below exact {:e} (f32 path)",
+                                lower[j],
+                                exact[j]
+                            );
+                        }
+                        Layout::Coincident
+                            if narrowed.is_none() && (exact[j] + floor).is_finite() =>
+                        {
                             tight += 1;
                             assert!(
                                 lower[j] >= exact[j] * (1.0 - 1.5 * rho) - 1.5 * floor,
@@ -460,10 +518,41 @@ fn block_bound_is_sound_on_the_grid_and_tight_on_coincident_groups() {
                     }
                 }
             }
+            // A hair page beside a coincident group: entries `2⁻⁶⁰` down to
+            // `2⁻⁸³` off the member along `x`, where `f32`'s squares go
+            // subnormal inside the scale rule (soundness only: no margin
+            // keeps a bound tight there).
+            if let Layout::Coincident = g.layout {
+                let (q, y) = (g.qx[0], g.qy[0]);
+                let xs: Vec<f64> = (60..84).map(|e| q + 1.375 * 2f64.powi(-e)).collect();
+                let ys = vec![y; xs.len()];
+                let m = xs.len();
+                let mut exact = Vec::new();
+                scalar::points_weighted_dist_sum_multi(&xs, &ys, &g.qx, &g.qy, &g.w, &mut exact);
+                let mut lower = Vec::new();
+                bound.lower_padded(&poisoned(&xs, 1e300), &poisoned(&ys, -1e300), m, &mut lower);
+                for j in 0..m {
+                    hair += 1;
+                    assert!(
+                        !lower[j].is_finite() || lower[j] <= exact[j],
+                        "{}: block hair page on {level:?} j={j}: lower {:e} above exact {:e}",
+                        g.what,
+                        lower[j],
+                        exact[j]
+                    );
+                }
+            }
         }
     });
     assert!(lanes > 1_000_000, "the sweep shrank: {lanes}");
+    assert!(hair > 60_000, "the hair pages shrank: {hair}");
     assert!(tight > lanes / 10, "{tight} tightness checks of {lanes}");
+    if SimdLevel::Avx2Fma.is_available() {
+        assert!(
+            narrow_lanes > 40_000 && narrow_tight > 5_000,
+            "the f32 path ran on {narrow_lanes} lanes, {narrow_tight} of them tight checks"
+        );
+    }
     // Away from the member entry 0 sits on, a spread page's entries are
     // bounded by a real value, not the margin.
     assert_eq!(positive, spread, "positive bounds on spread pages");
@@ -474,11 +563,13 @@ fn no_block_bound_without_normal_block_weights() {
     let (q, m) = ([1.0, 2.0], Rect::from_corners(1.0, 1.0, 2.0, 2.0));
     let k = BatchKernels::auto();
     let mut buf = Vec::new();
-    let bound = BlockBound::new(k, &q, &q, &[1.0, 1.0], &m, &mut buf).expect("normal weights");
+    let mut narrow = Vec::new();
+    let bound =
+        BlockBound::new(k, &q, &q, &[1.0, 1.0], &m, &mut buf, &mut narrow).expect("normal weights");
     assert_eq!(bound.blocks(), 2, "two members on a 2 × 2 grid's diagonal");
     for w in [[1e-310, 1.0], [1.0, 1e-310], [1e308, 1.0]] {
         assert!(
-            BlockBound::new(k, &q, &q, &w, &m, &mut buf).is_none(),
+            BlockBound::new(k, &q, &q, &w, &m, &mut buf, &mut narrow).is_none(),
             "{w:?}"
         );
     }

@@ -396,10 +396,12 @@ fn large_groups_on_clustered_data_drop_most_entries_and_change_nothing() {
 // benchmark's 256 hold the bounded loop to both streams (which key
 // eagerly) and the oracle on the tie lattice, where equal keys are the
 // common case. From the same size up the leaf cascade scores an entry
-// against one weighted centroid per block of the group first, in `f64` and
-// on every tier. At 2⁻⁸⁰ and 2¹⁰⁰ the `f32` stage is blind (every square
-// under- or overflows it), so whatever the loop drops there, the block
-// stage dropped — and the answers must not notice.
+// against one weighted centroid per block of the group first, on every
+// tier: in `f32` on AVX2 where the group's scale lets `f32` see it (the
+// lattice at 2⁰), in `f64` otherwise. At 2⁻⁸⁰ and 2¹⁰⁰ `f32` is blind
+// (every square under- or overflows it), so the block stage keeps its
+// `f64` width there, the `f32` stage drops nothing, and whatever the loop
+// drops, the `f64` blocks dropped — and the answers must not notice.
 
 /// `n` distinct off-lattice members over the middle of the (scaled)
 /// lattice, on a quarter-cell grid offset by an eighth.

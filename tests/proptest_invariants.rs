@@ -1,6 +1,7 @@
 //! Property-based tests over the core invariants:
 //!
 //! * every algorithm equals the linear-scan oracle on arbitrary inputs,
+//! * the exact SUM distance is the seed's sequential fold, bit for bit,
 //! * the paper's lemma and heuristics are genuine lower bounds,
 //! * the R*-tree keeps its structural invariants under arbitrary updates,
 //! * the Hilbert curve is a bijection with unit steps.
@@ -85,6 +86,33 @@ proptest! {
             for (a, b) in g.iter().zip(&w) {
                 prop_assert!((a - b).abs() < 1e-6 * (1.0 + b.abs()), "{}: {} vs {}", name, a, b);
             }
+        }
+    }
+
+    #[test]
+    fn sum_distance_is_the_seeds_sequential_fold(
+        query in points(300),
+        p in point(),
+    ) {
+        // `QueryGroup::dist` runs the dispatched kernel; the seed ran this
+        // loop. Same bits, weighted or not, at every group size the draw
+        // reaches (past the four-lane blocks and the benchmark's 256).
+        let weights: Vec<f64> = query.iter().map(|q| 0.25 + q.x.abs().fract() * 4.0).collect();
+        for (g, w) in [
+            (QueryGroup::sum(query.clone()).unwrap(), vec![1.0; query.len()]),
+            (QueryGroup::weighted_sum(query.clone(), weights.clone()).unwrap(), weights),
+        ] {
+            let mut acc = 0.0;
+            for (q, wi) in query.iter().zip(&w) {
+                let dx = q.x - p.x;
+                let dy = q.y - p.y;
+                acc += wi * (dx * dx + dy * dy).sqrt();
+            }
+            prop_assert_eq!(
+                g.dist(p).to_bits(),
+                acc.to_bits(),
+                "n={} weighted={}", query.len(), g.is_weighted()
+            );
         }
     }
 
