@@ -1,5 +1,5 @@
-//! Batch executor with a distinct-page ledger, for correlated (hotspot)
-//! query traffic.
+//! Batch executor with a distinct-page ledger: a measuring instrument for
+//! correlated (hotspot) query traffic, not a serving path.
 //!
 //! Hotspot workloads arrive in bursts of queries whose group MBRs overlap
 //! heavily — trip/meet-up traffic is the canonical case. This module runs
@@ -7,7 +7,7 @@
 //!
 //! 1. Each query runs, in **submission order**, through
 //!    [`QueryRequest::execute_on`], so per-query results and node accesses
-//!    are those of running it alone, on any worker count or batch split.
+//!    are those of running it alone, at any batch split.
 //! 2. A **distinct-page overlay** ([`gnn_rtree::TreeCursor::begin_page_tracking`])
 //!    counts every page once no matter how many queries of the batch touch
 //!    it. That count is what one shared traversal *would* pay; nothing here
@@ -18,10 +18,10 @@
 //! function of the target and the request, `unique_pages` is their union
 //! and `sequential_pages` their sum. A Hilbert order of the group MBRs ran
 //! here until it measured at parity with submission order from 2×10⁵ to
-//! 10⁷ points (EXPERIMENTS.md). The serving layer runs a batch job's
-//! members the same way, without the ledger. What remains here is what the
-//! repo benchmark's `core.batch_us_per_query` and `core.batch_page_savings`
-//! probes call; retiring it, with
+//! 10⁷ points (EXPERIMENTS.md). The serving layer has no batch
+//! submission: each request there is its own job. What remains here is
+//! what the repo benchmark's `core.batch_us_per_query` and
+//! `core.batch_page_savings` probes call; retiring it, with
 //! [`gnn_rtree::TreeCursor::begin_page_tracking`], is a later
 //! benchmark-typed change.
 

@@ -10,7 +10,7 @@
 //! are reproducible and their results can be checked against a sequential
 //! reference run.
 
-use crate::workload::{hotspot_query_workload, query_workload, HotspotSpec, QuerySpec};
+use crate::workload::{query_workload, QuerySpec};
 use gnn_geom::{Point, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,72 +75,6 @@ pub fn open_loop_arrivals(
             }
         })
         .collect()
-}
-
-/// One scheduled **batch** of an open-loop workload: several queries that
-/// arrive together (a hotspot burst, a coalescing window's worth of
-/// traffic) and are meant to be submitted as one batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchArrival {
-    /// Submission instant of the whole batch, in nanoseconds from the
-    /// start of the run.
-    pub offset_nanos: u64,
-    /// The batch's queries, each one §5.1-shaped group.
-    pub queries: Vec<Vec<Point>>,
-}
-
-/// Generates `count` hotspot-skewed queries (`hotspot_query_workload`),
-/// groups them into consecutive batches of `batch_size` (the last batch may
-/// be shorter), and schedules the batches on a Poisson process with mean
-/// rate `rate_bps` **batches**/second. The flattened queries are identical
-/// to `hotspot_query_workload(workspace, spec, count, seed)` — batching and
-/// timing never perturb the workload — so batch-executor results can be
-/// checked bit-for-bit against a sequential reference run over the same
-/// workload. Offsets are non-decreasing. Deterministic in `seed`.
-///
-/// Degenerate rates follow [`open_loop_arrivals`]: rate `0.0` yields an
-/// empty schedule, offsets that overflow the `u64` nanosecond range
-/// saturate at `u64::MAX`.
-///
-/// # Panics
-///
-/// Panics if `batch_size` is zero, if `rate_bps` is negative, NaN or
-/// infinite, or on the `hotspot_query_workload` preconditions.
-pub fn batched_arrivals(
-    workspace: Rect,
-    spec: HotspotSpec,
-    count: usize,
-    batch_size: usize,
-    rate_bps: f64,
-    seed: u64,
-) -> Vec<BatchArrival> {
-    assert!(batch_size > 0, "batch size must be positive");
-    assert!(
-        rate_bps.is_finite() && rate_bps >= 0.0,
-        "arrival rate must be finite and non-negative, got {rate_bps}"
-    );
-    if rate_bps == 0.0 {
-        return Vec::new();
-    }
-    let queries = hotspot_query_workload(workspace, spec, count, seed);
-    // Independent gap stream, with a different tweak than the per-query
-    // schedule so batched and unbatched runs of one seed don't correlate.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xC2B2_AE3D_27D4_EB4F);
-    let mut t = 0.0f64; // seconds
-    let mut queries = queries.into_iter();
-    let mut schedule = Vec::with_capacity(count.div_ceil(batch_size));
-    loop {
-        let batch: Vec<Vec<Point>> = queries.by_ref().take(batch_size).collect();
-        if batch.is_empty() {
-            return schedule;
-        }
-        let u: f64 = rng.gen();
-        t += -(1.0 - u).ln() / rate_bps;
-        schedule.push(BatchArrival {
-            offset_nanos: (t * 1e9) as u64,
-            queries: batch,
-        });
-    }
 }
 
 #[cfg(test)]
@@ -238,59 +172,6 @@ mod tests {
             let b = open_loop_arrivals(unit(), spec(), 20, rate, 9);
             assert_eq!(a, b, "rate {rate}");
         }
-    }
-
-    fn hotspec() -> HotspotSpec {
-        HotspotSpec {
-            query: QuerySpec {
-                n: 8,
-                area_fraction: 0.02,
-            },
-            hotspots: 4,
-            sigma: 0.05,
-            background: 0.25,
-        }
-    }
-
-    #[test]
-    fn batches_preserve_the_hotspot_workload() {
-        let arr = batched_arrivals(unit(), hotspec(), 50, 16, 500.0, 11);
-        // 50 queries in batches of 16: three full batches plus a short one.
-        let sizes: Vec<usize> = arr.iter().map(|b| b.queries.len()).collect();
-        assert_eq!(sizes, vec![16, 16, 16, 2]);
-        // Flattened, the queries are exactly the fixed-seed workload.
-        let wl = hotspot_query_workload(unit(), hotspec(), 50, 11);
-        let flat: Vec<Vec<Point>> = arr.iter().flat_map(|b| b.queries.clone()).collect();
-        assert_eq!(flat, wl);
-        for w in arr.windows(2) {
-            assert!(w[0].offset_nanos <= w[1].offset_nanos);
-        }
-    }
-
-    #[test]
-    fn batched_schedule_is_deterministic_and_seed_sensitive() {
-        let a = batched_arrivals(unit(), hotspec(), 40, 8, 200.0, 3);
-        let b = batched_arrivals(unit(), hotspec(), 40, 8, 200.0, 3);
-        assert_eq!(a, b);
-        let c = batched_arrivals(unit(), hotspec(), 40, 8, 200.0, 4);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn batch_rate_zero_yields_empty_schedule() {
-        assert!(batched_arrivals(unit(), hotspec(), 100, 8, 0.0, 0).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size")]
-    fn rejects_zero_batch_size() {
-        batched_arrivals(unit(), hotspec(), 10, 0, 100.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "arrival rate")]
-    fn batched_rejects_negative_rate() {
-        batched_arrivals(unit(), hotspec(), 10, 4, -1.0, 0);
     }
 
     #[test]

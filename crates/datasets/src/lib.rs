@@ -31,7 +31,7 @@ mod synthetic;
 mod trips;
 mod workload;
 
-pub use arrivals::{batched_arrivals, open_loop_arrivals, Arrival, BatchArrival};
+pub use arrivals::{open_loop_arrivals, Arrival};
 pub use mixed::{mixed_traffic, MixedEvent, MixedOp, MixedSpec};
 pub use synthetic::{
     gaussian_clusters, pp_synthetic, ts_synthetic, uniform_points, ClusterSpec, PP_CARDINALITY,

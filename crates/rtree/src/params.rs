@@ -1,6 +1,7 @@
 //! R*-tree tuning parameters.
 
-/// Structural parameters of an [`crate::RTree`].
+/// Structural parameters of an [`crate::RTree`], derived from one setting:
+/// the page capacity ([`RTreeParams::with_capacity`]).
 ///
 /// The defaults reproduce the paper's setup (§5): a 1 KByte page holds 50
 /// entries, the R*-tree minimum fill is 40 % of capacity, and the forced
@@ -9,13 +10,12 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RTreeParams {
     /// Maximum number of entries per node (page capacity). Paper: 50.
-    pub max_entries: usize,
+    pub(crate) max_entries: usize,
     /// Minimum number of entries per non-root node. R*: 40 % of capacity.
-    pub min_entries: usize,
+    pub(crate) min_entries: usize,
     /// Number of entries removed and reinserted on the first overflow of a
-    /// level per insertion (R* forced reinsert). 0 disables reinsertion,
-    /// degrading the tree to a plain R-tree with the R* split.
-    pub reinsert_count: usize,
+    /// level per insertion (R* forced reinsert).
+    pub(crate) reinsert_count: usize,
 }
 
 impl Default for RTreeParams {
@@ -26,7 +26,9 @@ impl Default for RTreeParams {
 
 impl RTreeParams {
     /// Derives the standard R* parameters from a page capacity:
-    /// `min = 40 %` and `reinsert = 30 %` of `max_entries`.
+    /// `min = 40 %` (at least 2) and `reinsert = 30 %` of `max_entries`,
+    /// so `2 <= min <= max / 2` and `reinsert <= max - min` hold by
+    /// construction.
     ///
     /// # Panics
     ///
@@ -43,27 +45,9 @@ impl RTreeParams {
         }
     }
 
-    /// Checks internal consistency; called by the tree constructors.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the invariants `2 <= min <= max/2` or
-    /// `reinsert <= max - min` are violated.
-    pub fn validate(&self) {
-        assert!(self.max_entries >= 4, "max_entries must be >= 4");
-        assert!(
-            self.min_entries >= 2 && self.min_entries <= self.max_entries / 2,
-            "min_entries must be in 2..=max_entries/2 (got {} of {})",
-            self.min_entries,
-            self.max_entries
-        );
-        assert!(
-            self.reinsert_count <= self.max_entries.saturating_sub(self.min_entries),
-            "reinsert_count {} would underflow a node of capacity {} (min {})",
-            self.reinsert_count,
-            self.max_entries,
-            self.min_entries
-        );
+    /// Maximum number of entries per node (page capacity).
+    pub fn max_entries(&self) -> usize {
+        self.max_entries
     }
 }
 
@@ -71,13 +55,19 @@ impl RTreeParams {
 mod tests {
     use super::*;
 
+    /// The invariants the tree's split, reinsert and condense rely on.
+    fn check(p: RTreeParams) {
+        assert!(p.min_entries >= 2 && p.min_entries <= p.max_entries / 2);
+        assert!(p.reinsert_count <= p.max_entries - p.min_entries);
+    }
+
     #[test]
     fn paper_defaults() {
         let p = RTreeParams::default();
-        assert_eq!(p.max_entries, 50);
+        assert_eq!(p.max_entries(), 50);
         assert_eq!(p.min_entries, 20);
         assert_eq!(p.reinsert_count, 15);
-        p.validate();
+        check(p);
     }
 
     #[test]
@@ -85,34 +75,17 @@ mod tests {
         let p = RTreeParams::with_capacity(4);
         assert_eq!(p.min_entries, 2);
         assert!(p.reinsert_count <= 2);
-        p.validate();
+        check(p);
+    }
+
+    #[test]
+    fn every_capacity_keeps_the_invariants() {
+        (4..=300).map(RTreeParams::with_capacity).for_each(check);
     }
 
     #[test]
     #[should_panic(expected = "capacity must be >= 4")]
     fn rejects_tiny_capacity() {
         RTreeParams::with_capacity(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "min_entries")]
-    fn rejects_overlarge_min() {
-        RTreeParams {
-            max_entries: 10,
-            min_entries: 6,
-            reinsert_count: 0,
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "reinsert_count")]
-    fn rejects_overlarge_reinsert() {
-        RTreeParams {
-            max_entries: 10,
-            min_entries: 5,
-            reinsert_count: 6,
-        }
-        .validate();
     }
 }

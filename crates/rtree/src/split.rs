@@ -114,11 +114,7 @@ mod tests {
     use gnn_geom::{Point, PointId};
 
     fn params4() -> RTreeParams {
-        RTreeParams {
-            max_entries: 4,
-            min_entries: 2,
-            reinsert_count: 0,
-        }
+        RTreeParams::with_capacity(4)
     }
 
     fn entries(points: &[(f64, f64)]) -> Vec<LeafEntry> {

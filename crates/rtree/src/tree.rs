@@ -87,7 +87,6 @@ enum InsertOutcome {
 impl RTree {
     /// Creates an empty tree.
     pub fn new(params: RTreeParams) -> Self {
-        params.validate();
         RTree {
             params,
             nodes: vec![Some(Node::Leaf(Vec::new()))],
@@ -640,11 +639,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn small_params() -> RTreeParams {
-        RTreeParams {
-            max_entries: 4,
-            min_entries: 2,
-            reinsert_count: 1,
-        }
+        RTreeParams::with_capacity(4)
     }
 
     fn entry(i: u64, x: f64, y: f64) -> LeafEntry {
@@ -789,21 +784,6 @@ mod tests {
         // Wrong coordinates: pruned away, nothing removed.
         assert!(!t.remove(PointId(5), Point::new(90.0, 90.0)));
         assert_eq!(t.len(), 100);
-    }
-
-    #[test]
-    fn no_reinsert_configuration_still_works() {
-        let mut t = RTree::new(RTreeParams {
-            max_entries: 4,
-            min_entries: 2,
-            reinsert_count: 0,
-        });
-        let mut rng = StdRng::seed_from_u64(5);
-        for i in 0..500 {
-            t.insert(entry(i, rng.gen::<f64>(), rng.gen::<f64>()));
-        }
-        assert_eq!(t.len(), 500);
-        check_invariants(&t);
     }
 
     #[test]

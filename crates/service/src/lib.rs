@@ -45,22 +45,16 @@
 //! a dirty-fraction policy; see its docs.
 //!
 //! Submission goes through **one entry point**, [`Service::submit`], which
-//! accepts anything convertible into a [`Submission`]: a prepared
+//! accepts anything convertible into a [`Submission`]: one prepared
 //! [`QueryRequest`] — the group `Q`, its aggregate and `k`, the whole query
-//! of paper §2 — or a [`Submission::batch`] of them: a burst of queries
-//! that costs **one queue slot and one wake-up per shard** instead of one
-//! per query. Each shard's sub-batch is one job whose members take the
-//! same worker step a single takes, one after another in submission
-//! order. Every member descends from the root on its own, so results and
-//! per-query node accesses are bit-identical to single submissions;
-//! [`ServiceStats`] counts the jobs (`batches`) and the queries served
-//! through them (`batch_queries`).
+//! of paper §2. A submission is one job on its shard's queue, and its
+//! [`ResponseHandle`] yields one reply.
 //!
 //! ```
 //! use gnn_core::{QueryGroup, QueryRequest};
 //! use gnn_geom::{Point, PointId};
 //! use gnn_rtree::{LeafEntry, RTree, RTreeParams};
-//! use gnn_service::{Service, ServiceConfig, Submission};
+//! use gnn_service::{Service, ServiceConfig, Submission, SubmitError};
 //! use std::sync::Arc;
 //!
 //! let mut tree = RTree::new(RTreeParams::default());
@@ -75,19 +69,18 @@
 //! let handle = service.submit(QueryRequest::new(group, 1)).unwrap();
 //! assert_eq!(handle.wait().unwrap().neighbors[0].id, PointId(4));
 //!
-//! // A hotspot burst: one job, answered in submission order.
-//! let burst: Vec<QueryRequest> = (0..4)
-//!     .map(|i| {
-//!         let q = vec![Point::new(40.0 + i as f64, 0.0)];
-//!         QueryRequest::new(QueryGroup::sum(q).unwrap(), 2)
-//!     })
-//!     .collect();
-//! let responses = service.submit(Submission::batch(burst)).unwrap().wait_all().unwrap();
-//! assert_eq!(responses.len(), 4);
+//! // Open-loop callers submit without blocking and count a full queue as
+//! // a drop.
+//! let group = QueryGroup::sum(vec![Point::new(40.0, 0.0)]).unwrap();
+//! let submission = Submission::request(QueryRequest::new(group, 2)).blocking(false);
+//! match service.submit(submission) {
+//!     Ok(handle) => assert_eq!(handle.wait().unwrap().neighbors.len(), 2),
+//!     Err(SubmitError::QueueFull) => {} // dropped
+//!     Err(e) => panic!("{e}"),
+//! }
 //!
 //! let stats = service.shutdown();
-//! assert_eq!(stats.queries_served, 5);
-//! assert_eq!(stats.batches, 1);
+//! assert_eq!(stats.faults.panics, 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -106,7 +99,7 @@ pub use refresh::{
     DriverError, PublishRecord, RefreshDriver, RefreshOutcome, RefreshPolicy, RefreshStats, Update,
 };
 pub use stats::{ServiceStats, ShardStats, WorkerSnapshot};
-pub use submission::{QueryError, Submission, SubmitError, WaitError};
+pub use submission::{QueryError, Submission, SubmitError};
 // The telemetry types `ServiceStats` embeds, re-exported so callers need
 // not depend on `gnn-telemetry` themselves.
 pub use gnn_telemetry::{
@@ -124,8 +117,7 @@ use std::sync::mpsc::{self, sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use submission::SubmissionKind;
-use worker::{Job, Lease, Member, Members, WorkerCtx};
+use worker::{Job, Lease, WorkerCtx};
 
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone)]
@@ -517,96 +509,29 @@ impl Service {
     /// The pool this request is queued on: the shard with the smallest
     /// aggregate-MBR lower bound for the group.
     fn route(&self, request: &QueryRequest) -> usize {
-        // Known trade-off: routing loads the slot (a brief mutex) and the
-        // worker recomputes the shard order anyway.
-        self.route_on(request, &mut None)
-    }
-
-    /// [`Service::route`] against a routing snapshot loaded at most once
-    /// per submission (a single pool needs none).
-    fn route_on(
-        &self,
-        request: &QueryRequest,
-        routing: &mut Option<Arc<ShardedSnapshot>>,
-    ) -> usize {
         if self.pools.len() == 1 {
             return 0;
         }
-        let snapshot = routing.get_or_insert_with(|| self.sharded_snapshot());
-        primary_shard(&request.group, snapshot) as usize
+        // Known trade-off: routing loads the slot (a brief mutex) and the
+        // worker recomputes the shard order anyway.
+        primary_shard(&request.group, &self.sharded_snapshot()) as usize
     }
 
     /// The one submission entry point: accepts anything convertible into a
-    /// [`Submission`] — a plain [`QueryRequest`] or a
-    /// [`Submission::batch`] — and returns one [`ResponseHandle`] or one
-    /// [`SubmitError`].
-    ///
-    /// * A **request** submission enqueues one job on its routed shard's
-    ///   queue; redeem the handle with [`ResponseHandle::wait`].
-    /// * A **batch** submission routes every request, then enqueues one
-    ///   job per involved shard, its members served in submission order;
-    ///   redeem with [`ResponseHandle::wait_all`], which restores
-    ///   submission order across shards.
-    /// * Blocking submissions (the default) wait out backpressure;
-    ///   `.blocking(false)` fails fast with [`SubmitError::QueueFull`].
+    /// [`Submission`] — a plain [`QueryRequest`] converts — enqueues one
+    /// job on the routed shard's queue, and returns one [`ResponseHandle`]
+    /// (redeem it with [`ResponseHandle::wait`]) or one [`SubmitError`].
+    /// Blocking submissions (the default) wait out backpressure;
+    /// `.blocking(false)` fails fast with [`SubmitError::QueueFull`].
     ///
     /// Per-query failures — a worker panic, a deadline shed — are **not**
     /// submission errors: they come back through the handle as typed
     /// [`QueryError`] outcomes.
     pub fn submit(&self, submission: impl Into<Submission>) -> Result<ResponseHandle, SubmitError> {
-        let submission = submission.into();
-        let blocking = submission.blocking;
-        match submission.kind {
-            SubmissionKind::Request(request) => self.enqueue_single(request, blocking),
-            SubmissionKind::Batch(requests) => self.enqueue_batch(requests, blocking),
-        }
-    }
-
-    /// Enqueues one request as a one-member job.
-    fn enqueue_single(
-        &self,
-        request: QueryRequest,
-        blocking: bool,
-    ) -> Result<ResponseHandle, SubmitError> {
+        let Submission { request, blocking } = submission.into();
         let shard = self.route(&request);
         let (reply, rx) = mpsc::channel();
-        let members = Members::One((0, request));
-        let submitted = Instant::now();
-        self.send(shard, Job::new(members, reply, submitted), blocking)?;
-        Ok(ResponseHandle::new(rx, 1))
-    }
-
-    /// Routes a batch into per-shard sub-batches (one routing snapshot for
-    /// the whole batch, submission order preserved inside each shard) and
-    /// enqueues one job per involved shard. A shutdown that lands mid-loop
-    /// rejects the batch like one that came first; sub-batches already
-    /// queued still execute, their replies dropped with the handle.
-    fn enqueue_batch(
-        &self,
-        requests: Vec<QueryRequest>,
-        blocking: bool,
-    ) -> Result<ResponseHandle, SubmitError> {
-        let expected = requests.len();
-        let (reply, rx) = mpsc::channel();
-        let mut routing = None;
-        let mut per_shard: Vec<Vec<Member>> = self.pools.iter().map(|_| Vec::new()).collect();
-        for (i, request) in requests.into_iter().enumerate() {
-            let shard = self.route_on(&request, &mut routing);
-            per_shard[shard].push((i as u32, request));
-        }
-        let submitted = Instant::now();
-        for (shard, members) in per_shard.into_iter().enumerate() {
-            if !members.is_empty() {
-                let job = Job::new(Members::Batch(members), reply.clone(), submitted);
-                self.send(shard, job, blocking)?;
-            }
-        }
-        Ok(ResponseHandle::new(rx, expected))
-    }
-
-    /// The one routed send: queues `job` on `shard` and counts its members
-    /// as routed there.
-    fn send(&self, shard: usize, job: Job, blocking: bool) -> Result<(), SubmitError> {
+        let job = Job::new(request, reply, Instant::now());
         // Clone-and-release: the bounded send may block on backpressure,
         // and holding the lock there would stall `initiate_shutdown` and
         // every other submitter.
@@ -614,7 +539,6 @@ impl Service {
             .as_ref()
             .map(|senders| senders[shard].clone())
             .ok_or(SubmitError::Shutdown)?;
-        let queries = job.members().len() as u64;
         if blocking {
             // Fails only when the shared receiver is gone: shutdown closed
             // the table after the clone and the pool drained out.
@@ -625,9 +549,8 @@ impl Service {
                 TrySendError::Disconnected(_) => SubmitError::Shutdown,
             })?;
         }
-        let routed = &self.pools[shard].routed;
-        routed.fetch_add(queries, Ordering::Relaxed);
-        Ok(())
+        self.pools[shard].routed.fetch_add(1, Ordering::Relaxed);
+        Ok(ResponseHandle::new(rx))
     }
 
     /// Aggregated counters so far (atomic loads plus lock-free ring
@@ -694,7 +617,7 @@ impl fmt::Debug for Service {
 mod tests {
     use super::*;
     use gnn_core::{
-        Algo, Mbm, MemoryGnnAlgorithm, Neighbor, Planner, QueryGroup, QueryResponse, QueryScratch,
+        Algo, Mbm, MemoryGnnAlgorithm, Planner, QueryGroup, QueryResponse, QueryScratch,
         ShardRouting, Target,
     };
     use gnn_geom::{Point, PointId};
@@ -751,20 +674,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_responses_come_back_in_submission_order() {
+    fn requests_in_flight_together_are_each_answered_and_counted() {
         let snap = snapshot(600, 3);
         let service = Service::start(snap, ServiceConfig::with_workers(4));
         let requests: Vec<QueryRequest> = (0..24)
             .map(|i| QueryRequest::new(random_group(4, 100 + i), 1 + (i as usize % 3)))
             .collect();
-        let responses = service
-            .submit(Submission::batch(requests.clone()))
-            .unwrap()
-            .wait_all()
-            .unwrap();
-        assert_eq!(responses.len(), 24);
-        for (req, r) in requests.iter().zip(&responses) {
-            assert_eq!(r.neighbors.len(), req.k);
+        let handles: Vec<ResponseHandle> = requests
+            .iter()
+            .map(|r| service.submit(r.clone()).unwrap())
+            .collect();
+        for (req, handle) in requests.iter().zip(handles) {
+            assert_eq!(handle.wait().unwrap().neighbors.len(), req.k);
         }
         let stats = service.shutdown();
         assert_eq!(stats.queries_served, 24);
@@ -776,55 +697,6 @@ mod tests {
         assert_eq!(stats.per_shard.len(), 1);
         assert_eq!(stats.per_shard[0].routed, 24);
         assert_eq!(stats.single_shard_fraction(), Some(1.0));
-        // Unsharded: the whole batch is one sub-batch, one job.
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.batch_queries, 24);
-        assert_eq!(stats.mean_batch_size(), Some(24.0));
-    }
-
-    #[test]
-    fn batched_responses_match_single_submissions_bit_for_bit() {
-        let snap = snapshot(900, 90);
-        let requests: Vec<QueryRequest> = (0..16)
-            .map(|i| QueryRequest::new(random_group(4, 900 + i), 3))
-            .collect();
-        let service = Service::start(Arc::clone(&snap), ServiceConfig::with_workers(2));
-        let singles: Vec<QueryResponse> = requests
-            .iter()
-            .map(|r| service.submit(r.clone()).unwrap().wait().unwrap())
-            .collect();
-        let batched = service
-            .submit(Submission::batch(requests))
-            .unwrap()
-            .wait_all()
-            .unwrap();
-        for (i, (single, batch)) in singles.iter().zip(&batched).enumerate() {
-            assert_eq!(single.neighbors, batch.neighbors, "query {i}");
-            assert_eq!(
-                single.stats.data_tree.logical, batch.stats.data_tree.logical,
-                "query {i}: sequential-mode NA"
-            );
-            assert_eq!(single.choice, batch.choice, "query {i}");
-            assert_eq!(single.routing, batch.routing, "query {i}");
-        }
-        let stats = service.shutdown();
-        // The batch counts cover only the batched half of the traffic.
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.batch_queries, 16);
-        assert_eq!(stats.queries_served, 32);
-    }
-
-    #[test]
-    fn empty_batch_yields_empty_responses() {
-        let snap = snapshot(200, 91);
-        let service = Service::start(snap, ServiceConfig::with_workers(1));
-        let handle = service.submit(Submission::batch(Vec::new())).unwrap();
-        assert_eq!(handle.expected(), 0);
-        assert_eq!(handle.wait_all().unwrap(), Vec::new());
-        let stats = service.shutdown();
-        assert_eq!(stats.queries_served, 0);
-        assert_eq!(stats.batches, 0);
-        assert_eq!(stats.mean_batch_size(), None);
     }
 
     #[test]
@@ -838,17 +710,18 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
-        let handle = service
-            .submit(Submission::batch(
-                (0..32).map(|i| QueryRequest::new(random_group(4, i), 2)),
-            ))
-            .unwrap();
+        let handles: Vec<ResponseHandle> = (0..32)
+            .map(|i| {
+                let request = QueryRequest::new(random_group(4, i), 2);
+                service.submit(request).unwrap()
+            })
+            .collect();
         // Shut down immediately: every already-queued request must still be
         // answered.
         let stats = service.shutdown();
         assert_eq!(stats.queries_served, 32);
-        for r in handle.wait_all().unwrap() {
-            assert_eq!(r.neighbors.len(), 2);
+        for handle in handles {
+            assert_eq!(handle.wait().unwrap().neighbors.len(), 2);
         }
     }
 
@@ -975,11 +848,12 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
-        let accepted = service
-            .submit(Submission::batch(
-                (0..16).map(|i| QueryRequest::new(random_group(4, 50 + i), 2)),
-            ))
-            .unwrap();
+        let accepted: Vec<ResponseHandle> = (0..16)
+            .map(|i| {
+                let request = QueryRequest::new(random_group(4, 50 + i), 2);
+                service.submit(request).unwrap()
+            })
+            .collect();
         service.initiate_shutdown();
         // Post-close submissions fail cleanly, blocking or not.
         assert_eq!(
@@ -996,26 +870,17 @@ mod tests {
                 .err(),
             Some(SubmitError::Shutdown)
         );
-        assert_eq!(
-            service
-                .submit(Submission::batch([QueryRequest::new(
-                    random_group(4, 97),
-                    1
-                )]))
-                .err(),
-            Some(SubmitError::Shutdown)
-        );
         // Everything accepted before the close is answered exactly once.
-        for r in accepted.wait_all().unwrap() {
-            assert_eq!(r.neighbors.len(), 2);
+        for handle in accepted {
+            assert_eq!(handle.wait().unwrap().neighbors.len(), 2);
         }
         let stats = service.shutdown();
         assert_eq!(stats.queries_served, 16);
     }
 
     #[test]
-    fn shutdown_racing_submit_batch_drains_deterministically() {
-        // Several threads pour batches in through the bounded queue while
+    fn shutdown_racing_submissions_drains_deterministically() {
+        // Several threads pour requests in through the bounded queue while
         // another thread closes it at an arbitrary point. The invariant
         // that must hold for every interleaving: each submitted request
         // resolves to exactly one outcome — a response (iff it was accepted
@@ -1138,55 +1003,6 @@ mod tests {
             "every request routed to exactly one pool"
         );
         assert_eq!(stats.queries_served, 24);
-    }
-
-    #[test]
-    fn sharded_batch_splits_into_per_shard_sub_batches() {
-        let snap = sharded_snapshot(3000, 4, 85);
-        let service = Service::start_sharded(Arc::clone(&snap), ServiceConfig::with_workers(4));
-        // Queries centered in every shard, interleaved, so the batch
-        // fans out into one sub-batch per shard.
-        let mut requests = Vec::new();
-        for round in 0..3 {
-            for mbr in snap.directory() {
-                let c = mbr.center();
-                let g = QueryGroup::sum(vec![
-                    c,
-                    Point::new(c.x + 0.3 + round as f64 * 0.1, c.y + 0.2),
-                ])
-                .unwrap();
-                requests.push(QueryRequest::new(g, 2));
-            }
-        }
-        // Reference: each request alone through the sequential merge.
-        let planner = Planner::new();
-        let mut scratch = QueryScratch::new();
-        let cursors: Vec<_> = snap.shards().iter().map(|s| s.cursor()).collect();
-        let reference: Vec<(Vec<Neighbor>, u64)> = requests
-            .iter()
-            .map(|r| {
-                let (_, n, stats, _) =
-                    r.execute_on(&planner, &sharded_target(&snap, &cursors), &mut scratch);
-                (n.to_vec(), stats.data_tree.logical)
-            })
-            .collect();
-        let responses = service
-            .submit(Submission::batch(requests.clone()))
-            .unwrap()
-            .wait_all()
-            .unwrap();
-        for (i, ((want, want_na), got)) in reference.iter().zip(&responses).enumerate() {
-            assert_eq!(&got.neighbors, want, "query {i}");
-            assert_eq!(got.stats.data_tree.logical, *want_na, "query {i}: NA");
-        }
-        let stats = service.shutdown();
-        assert_eq!(stats.queries_served, 12);
-        assert_eq!(stats.batch_queries, 12);
-        assert_eq!(stats.batches, 4, "one sub-batch per shard");
-        assert_eq!(stats.mean_batch_size(), Some(3.0));
-        for s in &stats.per_shard {
-            assert_eq!(s.routed, 3, "shard {}", s.shard);
-        }
     }
 
     #[test]

@@ -30,8 +30,6 @@ pub(crate) struct WorkerCounters {
     pub(crate) busy_nanos: AtomicU64,
     pub(crate) single_shard_hits: AtomicU64,
     pub(crate) shards_consulted: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) batch_queries: AtomicU64,
     pub(crate) panics: AtomicU64,
     pub(crate) respawns: AtomicU64,
     pub(crate) shed: AtomicU64,
@@ -53,8 +51,6 @@ impl WorkerCounters {
             busy_nanos: AtomicU64::new(0),
             single_shard_hits: AtomicU64::new(0),
             shards_consulted: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batch_queries: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -63,14 +59,6 @@ impl WorkerCounters {
             stages: StageHistograms::new(),
             flight: FlightRecorder::new(worker as u32, flight_capacity, epoch),
         }
-    }
-
-    /// Records one batch job and how many of its members were served
-    /// (per-query counters go through [`WorkerCounters::record`] as for any
-    /// other query).
-    pub(crate) fn record_batch(&self, served: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_queries.fetch_add(served, Ordering::Relaxed);
     }
 
     /// Records one served query: cost counters, the end-to-end latency
@@ -185,12 +173,6 @@ pub struct ServiceStats {
     pub dist_computations: u64,
     /// Served queries that needed only their primary shard.
     pub single_shard_hits: u64,
-    /// Batch jobs executed (each per-shard sub-batch of a batch submission
-    /// counts once).
-    pub batches: u64,
-    /// Queries served as batch members
-    /// ([`ServiceStats::mean_batch_size`] = this / `batches`).
-    pub batch_queries: u64,
     /// Panics, respawns, shed requests, and missed deadlines across all
     /// workers. Panicked queries are **not** in `queries_served`.
     pub faults: FaultLedger,
@@ -223,11 +205,6 @@ impl ServiceStats {
         (self.queries_served > 0)
             .then(|| self.single_shard_hits as f64 / self.queries_served as f64)
     }
-
-    /// Mean queries per executed sub-batch (`None` before any batch ran).
-    pub fn mean_batch_size(&self) -> Option<f64> {
-        (self.batches > 0).then(|| self.batch_queries as f64 / self.batches as f64)
-    }
 }
 
 /// Aggregates every pool's counters plus the non-worker flight `rings`
@@ -244,8 +221,6 @@ pub(crate) fn collect(
         io: 0,
         dist_computations: 0,
         single_shard_hits: 0,
-        batches: 0,
-        batch_queries: 0,
         faults: FaultLedger::default(),
         per_worker: Vec::new(),
         per_shard: Vec::new(),
@@ -274,8 +249,6 @@ pub(crate) fn collect(
             pool.queries += worker.queries;
             pool.single_shard_hits += c.single_shard_hits.load(Ordering::Relaxed);
             pool.shards_consulted += c.shards_consulted.load(Ordering::Relaxed);
-            stats.batches += c.batches.load(Ordering::Relaxed);
-            stats.batch_queries += c.batch_queries.load(Ordering::Relaxed);
             stats.faults.panics += c.panics.load(Ordering::Relaxed);
             stats.faults.respawns += c.respawns.load(Ordering::Relaxed);
             stats.faults.shed += c.shed.load(Ordering::Relaxed);

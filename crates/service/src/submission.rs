@@ -1,12 +1,11 @@
 //! The unified submission surface: one entry point, one error enum.
 //!
 //! Everything a caller can hand to [`Service::submit`](crate::Service::submit)
-//! is (convertible into) a [`Submission`]: a prepared [`QueryRequest`]
-//! ([`Submission::request`]) or a batch of them ([`Submission::batch`]).
-//! Either accepts `.blocking(false)` to turn backpressure into a
-//! [`SubmitError::QueueFull`] instead of blocking — the open-loop
-//! load-generator contract — and every failure mode comes back through the
-//! single exhaustive [`SubmitError`].
+//! is (convertible into) a [`Submission`]: one prepared [`QueryRequest`]
+//! ([`Submission::request`]). It accepts `.blocking(false)` to turn
+//! backpressure into a [`SubmitError::QueueFull`] instead of blocking — the
+//! open-loop load-generator contract — and every failure mode comes back
+//! through the single exhaustive [`SubmitError`].
 //!
 //! ```
 //! use gnn_core::{QueryGroup, QueryRequest};
@@ -19,13 +18,13 @@
 //! # let _ = single;
 //! ```
 
-use gnn_core::{QueryRequest, QueryResponse};
+use gnn_core::QueryRequest;
 use std::fmt;
 
 /// A typed per-query failure delivered **through a [`ResponseHandle`]**:
 /// the request was accepted, but no result was produced for it. Other
-/// requests — including the rest of the same batch — are unaffected; a
-/// query error is a response, never a lost reply.
+/// requests are unaffected; a query error is a response, never a lost
+/// reply.
 ///
 /// [`ResponseHandle`]: crate::ResponseHandle
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +66,8 @@ pub enum SubmitError {
     /// the orderly-drain signal. Requests accepted before the close are
     /// still answered.
     Shutdown,
-    /// A worker disappeared before answering: the reply channel died with
-    /// responses still owed — a job dropped during teardown, not a panic
+    /// A worker disappeared before answering: the reply channel died
+    /// without a reply — a job dropped during teardown, not a panic
     /// (that comes back as
     /// [`SubmitError::Query`]`(`[`QueryError::WorkerPanicked`]`)`).
     WorkerDied,
@@ -90,55 +89,16 @@ impl fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A batch wait that could not complete — but did not lose what it had.
-/// Returned by [`ResponseHandle::wait_all`](crate::ResponseHandle::wait_all)
-/// when any request of the batch resolved to a typed [`QueryError`] or the
-/// reply channel died. `error` is the **first** failure in submission
-/// order; a `None` slot in `received` belongs to a request that failed or
-/// was never answered.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaitError {
-    /// Successful responses collected before/around the failure, indexed
-    /// by submission position (`received[i]` answers request `i`).
-    pub received: Vec<Option<QueryResponse>>,
-    /// The first failure, in submission order: a typed per-query error
-    /// ([`SubmitError::Query`]) or [`SubmitError::WorkerDied`].
-    pub error: SubmitError,
-}
-
-impl fmt::Display for WaitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let got = self.received.iter().filter(|s| s.is_some()).count();
-        write!(
-            f,
-            "batch wait failed ({got}/{} responses received): {}",
-            self.received.len(),
-            self.error
-        )
-    }
-}
-
-impl std::error::Error for WaitError {}
-
 /// One unit of work for [`Service::submit`](crate::Service::submit): a
-/// single request or a batch.
+/// prepared request and whether its submission blocks on backpressure.
 ///
-/// Constructed through [`Submission::request`], [`Submission::batch`] or
-/// `From<QueryRequest>` — and [`Service::submit`](crate::Service::submit)
-/// takes `impl Into<Submission>`, so plain requests are passed directly.
+/// Constructed through [`Submission::request`] or `From<QueryRequest>` —
+/// and [`Service::submit`](crate::Service::submit) takes
+/// `impl Into<Submission>`, so plain requests are passed directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Submission {
-    pub(crate) kind: SubmissionKind,
+    pub(crate) request: QueryRequest,
     pub(crate) blocking: bool,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum SubmissionKind {
-    /// A fully prepared request.
-    Request(QueryRequest),
-    /// A batch: routed into per-shard sub-batches, each one job whose
-    /// members run in submission order.
-    Batch(Vec<QueryRequest>),
 }
 
 impl Submission {
@@ -147,31 +107,13 @@ impl Submission {
     /// [`Submission::blocking`] to change that).
     pub fn request(request: QueryRequest) -> Submission {
         Submission {
-            kind: SubmissionKind::Request(request),
-            blocking: true,
-        }
-    }
-
-    /// A batch submission, blocking on backpressure: the requests are
-    /// routed to their shards, each shard's sub-batch is **one job** — one
-    /// queue slot and one wake-up however many members it has — served in
-    /// submission order (every member descends from the root on its own),
-    /// and the returned handle yields every response, indexed by submission
-    /// order ([`ResponseHandle::wait_all`](crate::ResponseHandle::wait_all)).
-    pub fn batch(requests: impl IntoIterator<Item = QueryRequest>) -> Submission {
-        Submission {
-            kind: SubmissionKind::Batch(requests.into_iter().collect()),
+            request,
             blocking: true,
         }
     }
 
     /// Sets whether the submission blocks on a full queue (`true`, the
     /// default) or fails fast with [`SubmitError::QueueFull`] (`false`).
-    ///
-    /// A batch enqueues one job per shard: sub-batches already queued when
-    /// a later one hits a full queue still execute, their responses
-    /// discarded with the failed handle — treat a non-blocking batch
-    /// rejection as dropping the whole batch.
     pub fn blocking(mut self, blocking: bool) -> Submission {
         self.blocking = blocking;
         self

@@ -39,16 +39,15 @@ pub const SOURCE_DRIVER: u32 = u32::MAX - 1;
 pub enum FlightEventKind {
     /// A job entered a shard queue. Timestamp is the submission instant
     /// (recorded retroactively by the worker that dequeued it, which is
-    /// what keeps the ring single-producer); payload = requests in the job
-    /// (1 for singles).
+    /// what keeps the ring single-producer); payload = 1, the one request
+    /// a job carries.
     Enqueued,
     /// A worker picked the job up. Payload = queue wait in nanoseconds.
     Dequeued,
     /// A request was shed at dequeue (deadline already expired). Payload =
     /// how long it had waited, in nanoseconds.
     Shed,
-    /// One query started executing (a batch job logs one per member, in
-    /// the order they run). Payload = 1.
+    /// The job's query started executing. Payload = 1.
     ExecStart,
     /// Execution completed normally. Payload = execution nanoseconds.
     ExecEnd,

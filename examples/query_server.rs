@@ -1,7 +1,7 @@
 //! A miniature GNN query server: freeze a snapshot, start a 4-worker
 //! service, and stream an open-loop §5.1 workload through it, reporting
 //! throughput, tail latency, and the paper's node-access metric — then
-//! replay a hotspot burst workload as batches, one job per burst.
+//! replay a hotspot workload in bursts of concurrent requests.
 //!
 //! ```text
 //! cargo run --release --example query_server
@@ -12,18 +12,19 @@
 //! their scheduled instants whether or not earlier queries have finished —
 //! the honest way to measure a server's latency percentiles. If the server
 //! falls behind, arrivals queue up (bounded by the service's queue depth)
-//! and the tail percentiles show it. The batched phase uses
-//! [`gnn::datasets::batched_arrivals`]: bursts of hotspot queries arriving
-//! together, submitted through [`Submission::batch`] so each burst costs one
-//! queue slot and one worker wake-up, its queries answered in submission
-//! order (every query still descends from the root on its own).
+//! and the tail percentiles show it. The burst phase draws skewed queries
+//! from [`gnn::datasets::hotspot_query_workload`] and submits each burst's
+//! requests one by one before waiting on any of them, so the four workers
+//! share the burst.
 //!
 //! A final overload probe sheds a burst of zero-deadline queries, then the
 //! report prints the telemetry the service kept while serving: per-stage
 //! latency decomposition (queue-wait / execution / reply / shed-wait) and
 //! the tail of the flight recorder's merged postmortem timeline.
 
-use gnn::datasets::{batched_arrivals, open_loop_arrivals, pp_synthetic, HotspotSpec, QuerySpec};
+use gnn::datasets::{
+    hotspot_query_workload, open_loop_arrivals, pp_synthetic, HotspotSpec, QuerySpec,
+};
 use gnn::prelude::*;
 use gnn::service::QueryError;
 use std::sync::Arc;
@@ -87,8 +88,8 @@ fn main() {
     }
     let wall = started.elapsed();
 
-    // 4. A hotspot burst phase: 192 skewed queries arriving in bursts of
-    //    16, each burst submitted as ONE batch: one job, one wake-up.
+    // 4. A hotspot burst phase: 192 skewed queries in bursts of 16, each
+    //    burst in flight at once, every request its own submission.
     let hotspot = HotspotSpec {
         query: QuerySpec {
             n: 64,
@@ -98,24 +99,23 @@ fn main() {
         sigma: 0.02,
         background: 0.2,
     };
-    let bursts = batched_arrivals(snapshot.root_mbr(), hotspot, 192, 16, 500.0, 0xCAFE);
-    let burst_started = Instant::now();
-    let mut batch_answered = 0usize;
-    for burst in bursts {
-        let due = Duration::from_nanos(burst.offset_nanos);
-        if let Some(wait) = due.checked_sub(burst_started.elapsed()) {
-            std::thread::sleep(wait);
+    let hot = hotspot_query_workload(snapshot.root_mbr(), hotspot, 192, 0xCAFE);
+    let mut burst_answered = 0usize;
+    for burst in hot.chunks(16) {
+        let burst_handles: Vec<_> = burst
+            .iter()
+            .map(|points| {
+                let group = QueryGroup::sum(points.clone()).expect("workload query");
+                service
+                    .submit(QueryRequest::new(group, 8))
+                    .expect("query submitted")
+            })
+            .collect();
+        for handle in burst_handles {
+            let response = handle.wait().expect("query served");
+            assert_eq!(response.neighbors.len(), 8, "every burst query is answered");
+            burst_answered += 1;
         }
-        let requests = burst
-            .queries
-            .into_iter()
-            .map(|points| QueryRequest::new(QueryGroup::sum(points).expect("workload query"), 8));
-        let responses = service
-            .submit(Submission::batch(requests))
-            .expect("batch submitted")
-            .wait_all()
-            .expect("batch served");
-        batch_answered += responses.iter().filter(|r| !r.neighbors.is_empty()).count();
     }
 
     // 5. An overload probe: a burst of zero-deadline queries. Each is
@@ -162,11 +162,7 @@ fn main() {
         total_na as f64 / answered as f64,
         total_na
     );
-    println!(
-        "batches: {} executed, mean size {:.1}",
-        stats.batches,
-        stats.mean_batch_size().unwrap_or(0.0)
-    );
+    println!("hotspot bursts: {burst_answered}/192 queries answered");
     for w in &stats.per_worker {
         println!(
             "  worker {}: {} queries, {} NA, busy {:.1}ms",
@@ -200,10 +196,7 @@ fn main() {
     print!("{}", tail.render());
 
     assert_eq!(answered, 200, "every query must return results");
-    assert_eq!(
-        batch_answered, 192,
-        "every batched query must return results"
-    );
+    assert_eq!(burst_answered, 192, "every burst query must return results");
     assert_eq!(shed, 32, "every zero-deadline probe query must be shed");
     assert_eq!(stats.stages.shed_wait.count(), 32);
 }

@@ -30,14 +30,16 @@ fn main() {
         .map(|_| VertexId(rng.gen_range(0..city.vertex_count() as u32)))
         .collect();
 
-    // Three friends at street corners.
+    // Three friends at street corners, snapped onto the network through
+    // its frozen snapshot's vertex R-tree.
+    let frozen = city.freeze();
     let friends: Vec<VertexId> = [
         Point::new(5.0, 5.0),
         Point::new(12.0, 8.0),
         Point::new(7.0, 14.0),
     ]
     .iter()
-    .map(|&p| city.snap(p).expect("non-empty city"))
+    .map(|&p| frozen.snap(p).expect("non-empty city"))
     .collect();
 
     for agg in [Aggregate::Sum, Aggregate::Max] {

@@ -82,7 +82,7 @@ pub mod prelude {
     pub use gnn_service::{
         DriverError, FaultLedger, FaultPlan, PublishRecord, QueryError, RefreshDriver,
         RefreshPolicy, ResponseHandle, Service, ServiceConfig, ServiceStats, Submission,
-        SubmitError, Update, WaitError,
+        SubmitError, Update,
     };
     pub use gnn_telemetry::{
         FlightEvent, FlightEventKind, FlightLog, LatencySnapshot, StageSnapshot,

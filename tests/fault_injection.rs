@@ -5,7 +5,7 @@
 //! capacity is invariant; expired requests are shed at dequeue with
 //! [`QueryError::DeadlineExceeded`]; and every query a fault did *not*
 //! touch stays bit-identical to the sequential reference — on any worker
-//! count, sharded or not, and across a mid-batch panic.
+//! count, sharded or not, whichever attempt panics.
 
 use gnn::core::QueryScratch;
 use gnn::datasets::{query_workload, QuerySpec};
@@ -154,99 +154,72 @@ fn worker_panics_are_typed_and_respawn_restores_capacity() {
     }
 }
 
-/// Satellite (d): a batch whose K-th executed member panics — the first,
-/// a middle one, the last — must answer every other member exactly once,
-/// bit-identical to the reference: the worker respawns in place and carries
-/// on with the members still to run.
+/// A panic on the K-th attempt — the 1st, the 3rd or the 8th — is one
+/// typed reply, and every other request of a workload submitted before
+/// any wait is answered exactly once,
+/// bit-identical to the reference: the worker respawns in place and
+/// serves on. Every worker carries the panic point and the workload is
+/// large enough that on 1, 2 and 8 workers at least one reaches it.
 #[test]
-fn mid_batch_panic_answers_every_other_query_exactly_once() {
+fn panic_on_the_kth_attempt_answers_every_other_request_exactly_once() {
     gnn::service::silence_injected_panics();
     let pts = base_points(6_000, 33);
     let tree = tree_of(&pts);
     let snapshot = sharded_snapshot(&tree, 1);
-    let requests = workload(tree.root_mbr(), 8, 1234);
+    let count = 64usize;
+    let requests = workload(tree.root_mbr(), count, 1234);
     let reference = references(&snapshot, &requests);
 
-    for nth in [1u64, 3, 8] {
-        let service = Service::start_sharded(
-            Arc::clone(&snapshot),
-            ServiceConfig {
-                workers: 1,
-                fault_plan: FaultPlan::none().panic_on(0, nth),
-                ..ServiceConfig::default()
-            },
-        );
-        let handle = service
-            .submit(Submission::batch(requests.clone()))
-            .expect("batch submitted");
-        let outcomes = handle.wait_each();
-        // Everything the job counted is visible the moment its last reply
-        // is: one batch job, and the seven members it served.
-        let at_reply = service.stats();
-        assert_eq!(at_reply.faults.panics, 1, "panic on member {nth}");
-        assert_eq!(at_reply.faults.respawns, 1, "panic on member {nth}");
-        assert_eq!(at_reply.queries_served, 7, "panic on member {nth}");
-        assert_eq!(at_reply.batch_queries, 7, "panic on member {nth}");
-        assert_eq!(at_reply.batches, 1, "panic on member {nth}");
-
-        assert_eq!(outcomes.len(), 8);
-        let mut panicked = 0u64;
-        for (i, outcome) in outcomes.iter().enumerate() {
-            match outcome {
-                Ok(r) => assert_eq!(
-                    fingerprint(&r.neighbors),
-                    reference[i],
-                    "batch member {i} diverged after the panic-resume"
-                ),
-                Err(SubmitError::Query(QueryError::WorkerPanicked)) => panicked += 1,
-                Err(e) => panic!("unexpected outcome for batch member {i}: {e:?}"),
+    for workers in [1usize, 2, 8] {
+        for nth in [1u64, 3, 8] {
+            let plan = (0..workers).fold(FaultPlan::none(), |plan, w| plan.panic_on(w, nth));
+            let service = Service::start_sharded(
+                Arc::clone(&snapshot),
+                ServiceConfig {
+                    workers,
+                    fault_plan: plan,
+                    ..ServiceConfig::default()
+                },
+            );
+            let handles: Vec<_> = requests
+                .iter()
+                .map(|r| service.submit(r.clone()).expect("submit"))
+                .collect();
+            let (mut served, mut panicked) = (0u64, 0u64);
+            for (i, handle) in handles.into_iter().enumerate() {
+                match handle.wait() {
+                    Ok(r) => {
+                        served += 1;
+                        assert_eq!(
+                            fingerprint(&r.neighbors),
+                            reference[i],
+                            "query {i} diverged ({workers} workers, panic on attempt {nth})"
+                        );
+                    }
+                    Err(SubmitError::Query(QueryError::WorkerPanicked)) => panicked += 1,
+                    Err(e) => panic!("unexpected outcome for query {i}: {e:?}"),
+                }
             }
-        }
-        assert_eq!(panicked, 1, "exactly the in-flight query fails");
-
-        let stats = service.shutdown();
-        assert_eq!(stats.faults.panics, 1);
-        assert_eq!(stats.faults.respawns, 1);
-        assert_eq!(stats.queries_served, 7);
-    }
-}
-
-/// Satellite (c): `wait_all` on a batch with one failed member returns the
-/// partial responses alongside the typed error instead of discarding them.
-#[test]
-fn wait_all_hands_back_partial_responses_on_failure() {
-    gnn::service::silence_injected_panics();
-    let pts = base_points(5_000, 55);
-    let tree = tree_of(&pts);
-    let snapshot = sharded_snapshot(&tree, 1);
-    let requests = workload(tree.root_mbr(), 8, 77);
-    let reference = references(&snapshot, &requests);
-
-    let service = Service::start_sharded(
-        Arc::clone(&snapshot),
-        ServiceConfig {
-            workers: 1,
-            fault_plan: FaultPlan::none().panic_on(0, 5),
-            ..ServiceConfig::default()
-        },
-    );
-    let handle = service
-        .submit(Submission::batch(requests))
-        .expect("batch submitted");
-    let err = handle.wait_all().expect_err("one member panicked");
-    assert_eq!(
-        err.error,
-        SubmitError::Query(QueryError::WorkerPanicked),
-        "typed per-query error surfaces as the batch error"
-    );
-    assert_eq!(err.received.len(), 8);
-    assert_eq!(err.received.iter().filter(|r| r.is_some()).count(), 7);
-    for (i, r) in err.received.iter().enumerate() {
-        if let Some(r) = r {
-            assert_eq!(fingerprint(&r.neighbors), reference[i]);
+            let what = format!("{workers} workers, panic on attempt {nth}");
+            assert_eq!(served + panicked, count as u64, "{what}");
+            // 64 requests over at most 8 workers: some worker reaches its
+            // 8th attempt; one worker reaches every attempt.
+            assert!(panicked >= 1, "{what}: no injected panic fired");
+            if workers == 1 {
+                assert_eq!(panicked, 1, "{what}");
+            }
+            assert!(
+                panicked <= workers as u64,
+                "{what}: a panic point fired twice"
+            );
+            // Counted before the reply was sent: visible once `wait` returned.
+            let at_reply = service.stats();
+            assert_eq!(at_reply.faults.panics, panicked, "{what}");
+            assert_eq!(at_reply.faults.respawns, panicked, "{what}");
+            assert_eq!(at_reply.queries_served, served, "{what}");
+            service.shutdown();
         }
     }
-    service.shutdown();
 }
 
 /// Deadlines shed expired requests at dequeue with a typed error: behind a

@@ -3,8 +3,8 @@
 //! generation** — every response is tagged with the generation that served
 //! it, and all responses of one generation are bit-identical to the
 //! sequential reference on that generation's snapshot. Workers pick swaps
-//! up between queries, so a batch submitted after `publish` returns is
-//! served entirely on the new generation.
+//! up between queries, so every request submitted after `publish` returns
+//! is served on the new generation.
 
 mod common;
 
@@ -96,15 +96,19 @@ fn every_generation_matches_its_sequential_reference() {
         let generation = phase as u64 + 1;
         assert_eq!(service.generation(), generation);
         let want = reference(&snapshot, query_chunk, k);
-        // One shared-traversal batch per phase: a batch job loads the
-        // snapshot once, so it is served entirely on one generation.
-        let responses = service
-            .submit(Submission::batch(
-                query_chunk.iter().map(|g| QueryRequest::new(g.clone(), k)),
-            ))
-            .expect("batch submitted")
-            .wait_all()
-            .expect("batch served");
+        // Every request of the phase is submitted after the previous
+        // phase's publish returned, so each is served on this generation.
+        let handles: Vec<ResponseHandle> = query_chunk
+            .iter()
+            .map(|g| {
+                let request = QueryRequest::new(g.clone(), k);
+                service.submit(request).expect("submitted")
+            })
+            .collect();
+        let responses: Vec<QueryResponse> = handles
+            .into_iter()
+            .map(|h| h.wait().expect("served"))
+            .collect();
         for (i, r) in responses.iter().enumerate() {
             assert_eq!(
                 r.generation, generation,

@@ -3,7 +3,7 @@
 //! the same choice, neighbor ids, bit-identical distances, and the same
 //! expansion counters as the sequential packed reference
 //! (`Target::Network` + `execute_on` on one scratch), on every worker
-//! count and through batch submission.
+//! count.
 
 use gnn::datasets::{trip_workload, TripSpec};
 use gnn::network::{NetworkSnapshot, RoadNetwork, VertexId};
@@ -120,28 +120,6 @@ fn trip_workload_is_identical_on_1_2_and_8_workers() {
         assert_eq!(stats.queries_served, requests.len() as u64);
         assert_eq!(stats.latency.count(), requests.len() as u64);
     }
-}
-
-#[test]
-fn batched_network_submission_matches_sequential() {
-    let (network, backend) = build_backend(33);
-    let requests = mixed_requests(&network, 40, 0xF00D);
-    let reference = sequential_reference(&backend, &requests);
-
-    let service = Service::start_network(
-        Arc::clone(&backend) as Arc<dyn NetworkBackend>,
-        ServiceConfig::with_workers(2),
-    );
-    let handle = service
-        .submit(Submission::batch(requests.clone()))
-        .expect("network batch submit");
-    let responses = handle.wait_all().expect("network batch served");
-    assert_eq!(responses.len(), reference.len());
-    for (i, r) in responses.iter().enumerate() {
-        let got = fingerprint(r.choice, &r.neighbors, &r.stats);
-        assert_eq!(got, reference[i], "batched query {i} diverged");
-    }
-    service.shutdown();
 }
 
 #[test]

@@ -5,9 +5,8 @@
 //! * The flight recorder's merged timeline reconstructs the **exact**
 //!   served/panicked/shed event sequence of a seeded [`FaultPlan`] run,
 //!   time-ordered, with zero drops when the rings are large enough.
-//! * `stats()` observed right after a batch handle resolves already shows
-//!   the batch ledger — the worker flushes the ledger before releasing the
-//!   batch's last reply (the PR 6 eventual-consistency window is closed).
+//! * `stats()` observed right after a handle resolves already counts that
+//!   query — the worker records before it sends the reply.
 //! * [`QueryRequest::with_trace`] returns a consistent per-query trace and
 //!   changes nothing else; an untraced request carries `None`.
 //! * Stage histogram counts reconcile exactly with the serving ledger, and
@@ -126,11 +125,11 @@ fn postmortem_reconstructs_the_fault_sequence() {
     assert!(rendered.contains("shed"));
 }
 
-/// The batch ledger is flushed before the batch's last reply is released:
-/// `stats()` taken immediately after `wait_all` returns already counts the
-/// sub-batch and its queries — no warm-up dance, no retry loop.
+/// The worker records a served query before it sends the reply: `stats()`
+/// taken immediately after `wait` returns already counts the query, its
+/// latency sample and its stage samples — no warm-up dance, no retry loop.
 #[test]
-fn batch_ledger_is_visible_once_wait_all_returns() {
+fn ledger_is_visible_once_wait_returns() {
     let snapshot = snapshot_of(5_000, 13);
     let requests = workload(&snapshot, 8, 17);
     let service = Service::start_sharded(
@@ -140,28 +139,31 @@ fn batch_ledger_is_visible_once_wait_all_returns() {
             ..ServiceConfig::default()
         },
     );
+    let mut served = 0u64;
     for round in 1..=10u64 {
-        let responses = service
-            .submit(Submission::batch(requests.clone()))
-            .expect("submit batch")
-            .wait_all()
-            .expect("batch completes");
-        assert_eq!(responses.len(), 8);
-        let stats = service.stats();
-        assert_eq!(
-            stats.batches, round,
-            "ledger lagged the replies on round {round}"
-        );
-        assert_eq!(stats.batch_queries, round * 8);
-        assert_eq!(stats.queries_served, round * 8);
+        for request in &requests {
+            let response = service
+                .submit(request.clone())
+                .expect("submit")
+                .wait()
+                .expect("served");
+            assert_eq!(response.neighbors.len(), 4);
+            served += 1;
+            let stats = service.stats();
+            assert_eq!(
+                stats.queries_served, served,
+                "ledger lagged the reply on round {round}"
+            );
+            assert_eq!(stats.latency.count(), served);
+            assert_eq!(stats.stages.execution.count(), served);
+        }
     }
     service.shutdown();
 }
 
 /// Trace opt-in: a traced request carries a consistent [`QueryTrace`], an
 /// untraced one carries `None`, and the answers are bit-identical either
-/// way — for single submissions and through the shared-traversal batch
-/// path alike, and with the flight recorder on or off.
+/// way, with the flight recorder on or off.
 #[test]
 fn traces_are_opt_in_consistent_and_result_neutral() {
     let snapshot = snapshot_of(5_000, 23);
@@ -188,13 +190,6 @@ fn traces_are_opt_in_consistent_and_result_neutral() {
                 .unwrap()
         })
         .collect();
-    let batched = service
-        .submit(Submission::batch(
-            requests.iter().map(|r| r.clone().with_trace()),
-        ))
-        .unwrap()
-        .wait_all()
-        .unwrap();
 
     for (i, (p, t)) in plain.iter().zip(&traced).enumerate() {
         assert!(p.trace.is_none(), "untraced response {i} carried a trace");
@@ -207,10 +202,6 @@ fn traces_are_opt_in_consistent_and_result_neutral() {
         // Result-neutral: everything but the trace is bit-identical.
         assert_eq!(p.neighbors, t.neighbors, "query {i}");
         assert_eq!(p.stats, t.stats, "query {i}");
-        let b = &batched[i];
-        let btrace = b.trace.expect("batched response lost its trace");
-        assert_eq!(btrace.node_accesses, b.stats.data_tree.logical);
-        assert_eq!(p.neighbors, b.neighbors, "batched query {i}");
     }
     let stats = service.shutdown();
     assert!(!stats.flight.events.is_empty(), "default recorder is on");

@@ -219,17 +219,18 @@ fn service_replies_ok_to_k_zero_without_a_worker_panic() {
             assert!(reply.neighbors.is_empty(), "{algo:?}");
             assert_eq!(reply.stats.data_tree.logical, 0, "{algo:?}");
         }
-        // A batch mixing k = 0 with ordinary members.
-        let batch: Vec<QueryRequest> = [0usize, 2, 0, 5]
+        // k = 0 in flight beside ordinary requests.
+        let handles: Vec<ResponseHandle> = [0usize, 2, 0, 5]
             .iter()
-            .map(|&k| QueryRequest::new(group(Aggregate::Sum), k))
+            .map(|&k| {
+                let request = QueryRequest::new(group(Aggregate::Sum), k);
+                service.submit(request).expect("submitted")
+            })
             .collect();
-        let replies = service
-            .submit(Submission::batch(batch))
-            .expect("batch submitted")
-            .wait_all()
-            .expect("batch served");
-        let counts: Vec<usize> = replies.iter().map(|r| r.neighbors.len()).collect();
+        let counts: Vec<usize> = handles
+            .into_iter()
+            .map(|h| h.wait().expect("served").neighbors.len())
+            .collect();
         assert_eq!(counts, [0, 2, 0, 5]);
 
         let stats = service.shutdown();
@@ -289,15 +290,13 @@ fn service_answers_k_beyond_the_data_with_every_point() {
                 assert_eq!(sorted_ids(&reply.neighbors), everyone, "{algo:?} {agg}");
                 served += 1;
             }
-            // The same through a batch, beside an ordinary member.
-            let replies = service
-                .submit(Submission::batch([
-                    QueryRequest::new(group(agg), k),
-                    QueryRequest::new(group(agg), 2),
-                ]))
-                .expect("batch submitted")
-                .wait_all()
-                .expect("batch served");
+            // The same in flight beside an ordinary request.
+            let replies: [QueryResponse; 2] = [k, 2]
+                .map(|k| {
+                    let request = QueryRequest::new(group(agg), k);
+                    service.submit(request).expect("submitted")
+                })
+                .map(|h| h.wait().expect("served"));
             assert_eq!(dist_bits(&replies[0].neighbors), dist_bits(&want), "{agg}");
             assert_eq!(dist_bits(&replies[1].neighbors), dist_bits(&want[..2]));
             served += 2;
