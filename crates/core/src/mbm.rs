@@ -40,7 +40,11 @@
 //!   then the exact distance for the entries neither could rule out (on
 //!   AVX2 its terms four lanes at a time, added in index order) — the
 //!   paper's reason for keeping heuristic 2 beside heuristic 3, applied to
-//!   leaf entries;
+//!   leaf entries. From `LAZY_MIN` members the first leaf, read while
+//!   `best_dist` is still `∞`, goes through the same cascade when it holds
+//!   more than `k` entries: the `k` with the smallest block bounds pay
+//!   their exact distance first, and the largest of those sums is a
+//!   ceiling the stages drop against;
 //! * **incremental** ([`MbmStream`]): yields neighbors in ascending
 //!   `dist(p, Q)` with `k` unknown in advance, so it keeps every child and
 //!   every scored point on its heap — the building block of F-MQM (§4.2)
@@ -95,18 +99,22 @@ impl Mbm {
     /// scored whole into `best`, and the loop over as soon as the smallest
     /// pending key reaches `best_dist`.
     ///
-    /// A leaf read while `best_dist` is still infinite (the first of a
-    /// query) is scored exactly, every entry — there is nothing to compare
-    /// a bound with. From then on, where the group has rounded-down leaf
-    /// bounds, `filter_leaf` lets them pick the entries that pay for an
-    /// exact distance: the block bound ([`BlockBound`]) on a SUM group of
-    /// at least `LAZY_MIN` points, on every tier (its terms in `f32` on the
-    /// AVX2 tier where the group's scale allows, in `f64` otherwise); the
-    /// `f32` bound ([`LeafBound`]) on any SUM group on the AVX2 tier. What
-    /// they drop is exactly what [`KBestList::offer`] would have refused,
-    /// so neighbors, distance bits and page reads are those of the
-    /// all-exact loop, which MAX, MIN and small SUM groups below AVX2 still
-    /// run.
+    /// Where the group has rounded-down leaf bounds, `filter_leaf` lets
+    /// them pick the entries that pay for an exact distance: the block
+    /// bound ([`BlockBound`]) on a SUM group of at least `LAZY_MIN` points,
+    /// on every tier (its terms in `f32` on the AVX2 tier where the group's
+    /// scale allows, in `f64` otherwise); the `f32` bound ([`LeafBound`])
+    /// on any SUM group on the AVX2 tier. Each stage drops against
+    /// `best_dist`, which is finite from the second leaf on. The first
+    /// leaf, read while `best_dist` is still `∞`, is filtered only where
+    /// the group has a block bound and the leaf holds more than `k`
+    /// entries: the `k` entries with the smallest block bounds are its
+    /// witnesses and pay their exact distance first, and the stages drop
+    /// what lies strictly above the largest of those sums. Any other first
+    /// leaf is scored exactly, every entry. What the stages drop cannot be
+    /// in the list once the leaf is done (the argument is at the loop), so
+    /// neighbors, distance bits and page reads are those of the all-exact
+    /// loop, which MAX, MIN and small SUM groups below AVX2 still run.
     ///
     /// Heuristic 3 is applied only where H2 fails and, above `LAZY_MIN`,
     /// only where the heap gets there: a SUM group of at least `LAZY_MIN`
@@ -176,6 +184,27 @@ impl Mbm {
         // falls, and every node popped before that resolve was keyed below
         // the child, so the eager loop would meet the child no earlier and
         // stop at it: neither loop reads it.
+        //
+        // Why the first leaf's ceiling leaves the list as the all-exact loop
+        // leaves it, ties included, whichever k entries are the witnesses.
+        // Let V be the largest of the witnesses' sums and B the bound once
+        // the all-exact loop has offered the leaf. (i) B <= V: every witness
+        // is offered; if all k remain, they are the list; otherwise one was
+        // refused (then at dist >= bound) or evicted (the new bound was <=
+        // its dist), and a full list's bound never rises. (ii) Until k
+        // entries at dist <= B have been offered, a full list holds one
+        // above B, so the bound is above B and every entry at dist <= B
+        // offered so far is taken and kept: when the k-th is offered the
+        // list is exactly those k, and from then on the bound is <= B and
+        // an entry above B is refused. This holds in any run that offers
+        // the same entries at dist <= B in the same order, whatever it
+        // offers above B. (iii) A dropped entry's bound is finite and
+        // strictly above V, so its computed sum is above V >= B; the stages
+        // drop only such entries and ones `offer` would refuse then, so the
+        // cascade offers the leaf's entries at dist <= B in entry order and
+        // ends with the all-exact loop's list. Hence `best_dist` after the
+        // leaf, and every page read after it, are the all-exact loop's.
+        // Later leaves run under the ceiling `∞`.
         loop {
             evals += s.resolve_pending(group, best.bound());
             let Some(Reverse((key, id))) = s.nodes.pop() else {
@@ -192,7 +221,12 @@ impl Mbm {
                     };
                 }
                 PageRef::Leaf(leaf) => match &filter {
-                    Some(filter) if best.bound() < f64::INFINITY => {
+                    Some(filter)
+                        if best.bound() < f64::INFINITY
+                            || filter.blocks.is_some()
+                                && best.is_empty()
+                                && leaf.len() > best.k() =>
+                    {
                         let kept = filter_leaf(&leaf, group, filter, s, best);
                         evals += kept * group.len() as u64;
                         dropped += leaf.len() as u64 - kept;
@@ -284,8 +318,8 @@ fn score_leaf(leaf: &LeafRef<'_>, group: &QueryGroup, dists: &mut Vec<f64>) -> u
     (leaf.len() * group.len()) as u64
 }
 
-/// The rounded-down bounds a SUM leaf is filtered through once
-/// `best_dist` is finite, cheapest first; at least one is armed.
+/// The rounded-down bounds a SUM leaf is filtered through, cheapest first;
+/// at least one is armed.
 struct LeafFilter<'a> {
     /// `m` terms an entry, `f32` or `f64` (the block bound's scale rule):
     /// SUM, `LAZY_MIN` members and up.
@@ -294,11 +328,20 @@ struct LeafFilter<'a> {
     lanes: Option<LeafBound<'a>>,
 }
 
-/// Whether a rounded-down bound rules an entry out under `bound`. A
-/// non-finite one (overflow, NaN data) promises nothing.
+/// Where a leaf's rounded-down bounds are cut: at `best_dist` (`offer`
+/// refuses a tie with it) or at the first value strictly above the
+/// ceiling (an entry tying the witnesses' largest sum may still be taken),
+/// whichever is lower. A NaN ceiling cuts nothing: `min` passes over it.
 #[inline]
-fn rules_out(at_least: f64, bound: f64) -> bool {
-    at_least.is_finite() && at_least >= bound
+fn cut_at(bound: f64, ceiling: f64) -> f64 {
+    bound.min(ceiling.next_up())
+}
+
+/// Whether a rounded-down bound rules an entry out at `cut`. A non-finite
+/// one (overflow, NaN data) promises nothing.
+#[inline]
+fn rules_out(at_least: f64, cut: f64) -> bool {
+    at_least.is_finite() && at_least >= cut
 }
 
 /// `src[j]` for each `j` in `at`, zero-padded to [`pad_len`] lanes.
@@ -308,15 +351,18 @@ fn gather_padded(src: &[f64], at: &[u32], out: &mut Vec<f64>) {
     out.resize(pad_len(at.len()), 0.0);
 }
 
-/// Filter, then verify: scores a SUM leaf against a finite
-/// `best_dist` through a cascade. The block bound, where armed, scores the
-/// whole page over its own lane-padded coordinates against `best.bound()`
-/// as the leaf starts; the entries it leaves are gathered into lane-padded
-/// scratch for the `f32` bound, where armed (without blocks the `f32` bound
-/// scores the page itself); then [`verify`]. A stage drops an entry only
-/// when its bound is finite and `>= best.bound()`, and `offer` refuses
-/// `dist >= bound`, so nothing dropped here could have entered `best`.
-/// Returns how many entries were scored exactly.
+/// Filter, then verify: scores a SUM leaf through a cascade. The block
+/// bound, where armed, scores the whole page over its own lane-padded
+/// coordinates as the leaf starts; on the first leaf (`best_dist` still
+/// `∞`) [`witness_ceiling`] then scores its `k` witnesses exactly. The
+/// other entries the block stage leaves are gathered into lane-padded
+/// scratch for the `f32` bound, where armed (without blocks the `f32`
+/// bound scores the page itself); then [`verify`], between the witnesses,
+/// so that the leaf is offered in entry order. A stage drops an entry only
+/// when its bound is finite and `>= best.bound()` (`offer` refuses
+/// `dist >= bound`) or strictly above the ceiling (the argument at the
+/// loop). Returns how many entries were scored exactly, witnesses
+/// included.
 fn filter_leaf(
     leaf: &LeafRef<'_>,
     group: &QueryGroup,
@@ -329,48 +375,126 @@ fn filter_leaf(
     let Some(blocks) = &filter.blocks else {
         let lanes = filter.lanes.as_ref().expect("a leaf filter arms a stage");
         lanes.lower_padded(xs, ys, entries.len(), &mut s.lower);
-        return verify(
-            group,
-            best,
-            entries.iter().zip(s.lower.iter().map(|&l| Some(l))),
-        );
+        return verify(group, best, f64::INFINITY, entries.iter().zip(&s.lower));
     };
     blocks.lower_padded(xs, ys, entries.len(), &mut s.dists);
     let bound = best.bound();
+    let ceiling = if bound == f64::INFINITY {
+        witness_ceiling(group, entries, &s.dists, best.k(), &mut s.witnesses)
+    } else {
+        s.witnesses.clear();
+        f64::INFINITY
+    };
+    let cut = cut_at(bound, ceiling);
     s.survivors.clear();
     for (j, (e, &at_least)) in entries.iter().zip(&s.dists).enumerate() {
-        if rules_out(at_least, bound) {
-            check_drop(group, e, at_least, bound, "block");
+        if rules_out(at_least, cut) {
+            check_drop(group, e, at_least, cut, "block");
         } else {
             s.survivors.push(j as u32);
         }
     }
-    let survivors = s.survivors.iter().map(|&j| &entries[j as usize]);
+    if !s.witnesses.is_empty() {
+        // Scored already, so the `f32` stage skips them. Every witness is
+        // left: its bound is at most its sum, at most the ceiling.
+        let mut witnesses = s.witnesses.iter().map(|&(w, _)| w).peekable();
+        s.survivors.retain(|&j| witnesses.next_if_eq(&j).is_none());
+        debug_assert!(witnesses.next().is_none(), "a witness was dropped");
+    }
     match &filter.lanes {
         Some(lanes) => {
             gather_padded(xs, &s.survivors, &mut s.lanes_x);
             gather_padded(ys, &s.survivors, &mut s.lanes_y);
             lanes.lower_padded(&s.lanes_x, &s.lanes_y, s.survivors.len(), &mut s.lower);
-            verify(group, best, survivors.zip(s.lower.iter().map(|&l| Some(l))))
         }
-        None => verify(group, best, survivors.map(|e| (e, None))),
+        // No `f32` stage: bounds that promise nothing.
+        None => {
+            s.lower.clear();
+            s.lower.resize(s.survivors.len(), f64::NAN);
+        }
     }
+    offer_in_entry_order(group, best, entries, ceiling, s)
 }
 
-/// The cascade's last step, over the entries the earlier stages left, in
-/// entry order: one whose `f32` bound (where there is one) reaches the
-/// bound of its turn is dropped, every other pays the exact
-/// [`QueryGroup::dist`] and is offered. Returns how many were scored
-/// exactly.
+/// The first leaf's ceiling: the `k` entries with the smallest block
+/// bounds (`bounds`, in entry order; ties to the lower index) are its
+/// witnesses, left in `witnesses` as `(index, exact distance)` in entry
+/// order, and the ceiling is the largest of their distances — NaN, which
+/// rules nothing out, if any is NaN. Runs at most once a query, so it stays
+/// out of the per-leaf loop.
+#[inline(never)]
+fn witness_ceiling(
+    group: &QueryGroup,
+    entries: &[LeafEntry],
+    bounds: &[f64],
+    k: usize,
+    witnesses: &mut Vec<(u32, f64)>,
+) -> f64 {
+    witnesses.clear();
+    witnesses.extend(bounds.iter().enumerate().map(|(j, &b)| (j as u32, b)));
+    if k < witnesses.len() {
+        witnesses.select_nth_unstable_by(k, |a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        witnesses.truncate(k);
+    }
+    witnesses.sort_unstable_by_key(|&(j, _)| j);
+    let mut ceiling = f64::NEG_INFINITY;
+    for (j, dist) in witnesses.iter_mut() {
+        *dist = group.dist(entries[*j as usize].point);
+        // A NaN sticks: nothing is strictly above it.
+        if dist.is_nan() || *dist > ceiling {
+            ceiling = *dist;
+        }
+    }
+    ceiling
+}
+
+/// The cascade's offers, in entry order: each of `s.witnesses` at the
+/// distance it was scored at and, around them, `s.survivors` through
+/// [`verify`] (`s.lower[i]` is `s.survivors[i]`'s `f32` bound). Returns
+/// how many were scored exactly, witnesses included.
+fn offer_in_entry_order(
+    group: &QueryGroup,
+    best: &mut KBestList,
+    entries: &[LeafEntry],
+    ceiling: f64,
+    s: &MbmScratch,
+) -> u64 {
+    let segment = |from: usize, to: usize| {
+        let at = s.survivors[from..to].iter().map(|&j| &entries[j as usize]);
+        at.zip(&s.lower[from..to])
+    };
+    let mut kept = s.witnesses.len() as u64;
+    let mut from = 0;
+    for &(w, dist) in &s.witnesses {
+        let to = from + s.survivors[from..].partition_point(|&j| j < w);
+        kept += verify(group, best, ceiling, segment(from, to));
+        let e = &entries[w as usize];
+        best.offer(Neighbor {
+            id: e.id,
+            point: e.point,
+            dist,
+        });
+        from = to;
+    }
+    kept + verify(group, best, ceiling, segment(from, s.survivors.len()))
+}
+
+/// The cascade's last step, over entries the earlier stages left, in
+/// entry order, each with its `f32` bound (NaN where there is none): one
+/// whose bound reaches the cut of its turn is dropped, every other pays
+/// the exact [`QueryGroup::dist`] and is offered. Returns how many were
+/// scored exactly.
 fn verify<'e>(
     group: &QueryGroup,
     best: &mut KBestList,
-    entries: impl Iterator<Item = (&'e LeafEntry, Option<f64>)>,
+    ceiling: f64,
+    entries: impl Iterator<Item = (&'e LeafEntry, &'e f64)>,
 ) -> u64 {
     let mut kept = 0u64;
-    for (e, lower) in entries {
-        if let Some(at_least) = lower.filter(|&at_least| rules_out(at_least, best.bound())) {
-            check_drop(group, e, at_least, best.bound(), "f32");
+    for (e, &at_least) in entries {
+        let cut = cut_at(best.bound(), ceiling);
+        if rules_out(at_least, cut) {
+            check_drop(group, e, at_least, cut, "f32");
             continue;
         }
         kept += 1;
@@ -386,10 +510,10 @@ fn verify<'e>(
 /// Debug builds re-score every entry a stage drops: the whole suite doubles
 /// as the bounds' soundness test.
 #[inline]
-fn check_drop(group: &QueryGroup, e: &LeafEntry, at_least: f64, bound: f64, stage: &str) {
+fn check_drop(group: &QueryGroup, e: &LeafEntry, at_least: f64, cut: f64, stage: &str) {
     debug_assert!(
-        group.dist(e.point) >= bound,
-        "{stage} bound {at_least:e} dropped {e:?} under best_dist {bound:e}"
+        group.dist(e.point) >= cut,
+        "{stage} bound {at_least:e} dropped {e:?} at the cut {cut:e}"
     );
 }
 
@@ -436,7 +560,8 @@ impl Ord for StreamItem {
 /// (which must survive suspend/resume cycles — F-MQM serves its group
 /// streams round-robin through [`MbmStream::resume_in`]), the two
 /// page-scoring buffers both drivers share, and the bounded loop's leaf
-/// bounds (the blocks, the `f32` weights) with the cascade's buffers.
+/// bounds (the blocks, the `f32` weights) with the cascade's buffers and
+/// the first leaf's witnesses.
 #[derive(Debug, Default)]
 pub struct MbmScratch {
     /// Bounded top-k: pending nodes by `(key, page id)` — the order nodes
@@ -473,6 +598,9 @@ pub struct MbmScratch {
     /// The `f32` bounds on the entries the block stage left (on every
     /// entry of the page where there is no block stage).
     lower: Vec<f64>,
+    /// The first leaf's witnesses: entry index and exact distance, in
+    /// entry order (empty on every other leaf).
+    witnesses: Vec<(u32, f64)>,
     dist_computations: u64,
 }
 
@@ -494,6 +622,7 @@ impl MbmScratch {
             lanes_x: Vec::new(),
             lanes_y: Vec::new(),
             lower: Vec::new(),
+            witnesses: Vec::new(),
             dist_computations: 0,
         }
     }
@@ -518,6 +647,7 @@ impl MbmScratch {
             self.lanes_x.capacity(),
             self.lanes_y.capacity(),
             self.lower.capacity(),
+            self.witnesses.capacity(),
         ]
         .into_iter()
     }
@@ -1061,6 +1191,153 @@ mod tests {
                 assert_eq!(bounded.neighbors, streamed, "{agg} k={k}");
                 assert_eq!(bc.stats(), sc.stats(), "{agg} k={k}: node accesses");
             }
+        }
+    }
+
+    #[test]
+    fn first_leaf_ceiling_leaves_the_all_exact_list() {
+        // One leaf of 40 entries over 13 positions, so bit-equal distances
+        // sit at most k-th boundaries and span witnesses and non-witnesses.
+        // For every k below the leaf's length the cascade's list after the
+        // leaf is the one offering every exact distance in entry order
+        // leaves: ids, points and distance bits, rank by rank.
+        let mut rng = StdRng::seed_from_u64(31);
+        let cells: Vec<(f64, f64)> = (0..13)
+            .map(|_| (rng.gen::<f64>() * 60.0, rng.gen::<f64>() * 60.0))
+            .collect();
+        let pts: Vec<(f64, f64)> = (0..40).map(|i| cells[(i * 7) % 13]).collect();
+        let packed = RTree::bulk_load(
+            RTreeParams::with_capacity(64),
+            pts.iter()
+                .enumerate()
+                .map(|(i, &(x, y))| LeafEntry::new(PointId(i as u64), Point::new(x, y))),
+        )
+        .freeze();
+        let cursor = packed.cursor();
+        let PageRef::Leaf(leaf) = cursor.read(cursor.root()) else {
+            panic!("scenario needs a leaf root");
+        };
+        let key = |n: &Neighbor| (n.id, n.point, n.dist.to_bits());
+        for n in [LAZY_MIN, 256] {
+            let group = random_group(n, 40 + n as u64, Aggregate::Sum);
+            // The leaf filter as `bounded_top_k` arms it.
+            let (qx, qy, w) = group.sum_arrays().unwrap();
+            let kernels = BatchKernels::auto();
+            let (mut leaf_weights, mut block_lanes, mut block_weights) = Default::default();
+            let mbr = group.mbr();
+            let filter = LeafFilter {
+                blocks: BlockBound::new(
+                    kernels,
+                    qx,
+                    qy,
+                    w,
+                    &mbr,
+                    &mut block_lanes,
+                    &mut block_weights,
+                ),
+                lanes: LeafBound::new(kernels, qx, qy, w, &mut leaf_weights),
+            };
+            assert!(filter.blocks.is_some(), "scenario: a block bound");
+            let mut s = MbmScratch::default();
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            let mut dropped = 0;
+            for k in 1..leaf.len() {
+                let mut exact = KBestList::new(k);
+                score_leaf(&leaf, &group, &mut s.dists);
+                for (e, &dist) in leaf.entries().iter().zip(&s.dists) {
+                    exact.offer(Neighbor {
+                        id: e.id,
+                        point: e.point,
+                        dist,
+                    });
+                }
+                let mut filtered = KBestList::new(k);
+                let kept = filter_leaf(&leaf, &group, &filter, &mut s, &mut filtered);
+                assert!(kept >= k as u64, "n={n} k={k}: the witnesses are scored");
+                assert_eq!(s.witnesses.len(), k, "n={n} k={k}");
+                dropped += leaf.len() as u64 - kept;
+                exact.drain_sorted_into(&mut want);
+                filtered.drain_sorted_into(&mut got);
+                let want: Vec<_> = want.iter().map(key).collect();
+                let got: Vec<_> = got.iter().map(key).collect();
+                assert_eq!(got, want, "n={n} k={k}");
+            }
+            assert!(dropped > 0, "n={n}: the ceiling dropped nothing");
+        }
+    }
+
+    #[test]
+    fn a_tie_ahead_of_a_witness_keeps_its_place() {
+        // Entries 0 and 1 are one point, and entry 1 is the witness (as if
+        // its block bound were the smaller). At k = 1 the all-exact loop
+        // keeps entry 0: offered first, it makes the witness a tie that
+        // `offer` refuses. The cascade must keep it too.
+        let group = random_group(LAZY_MIN, 5, Aggregate::Sum);
+        let p = Point::new(30.0, 30.0);
+        let entries = [
+            LeafEntry::new(PointId(0), p),
+            LeafEntry::new(PointId(1), p),
+            LeafEntry::new(PointId(2), Point::new(90.0, 90.0)),
+        ];
+        let d = group.dist(p);
+        let s = MbmScratch {
+            witnesses: vec![(1, d)],
+            survivors: vec![0, 2],
+            lower: vec![f64::NAN; 2],
+            ..MbmScratch::default()
+        };
+        let mut best = KBestList::new(1);
+        let kept = offer_in_entry_order(&group, &mut best, &entries, d, &s);
+        assert_eq!(kept, 3, "no bound: both survivors are scored");
+        let mut out = Vec::new();
+        best.drain_sorted_into(&mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].id, PointId(0), "entry order decides the tie");
+    }
+
+    #[test]
+    fn the_ceiling_drops_only_strictly_above_it() {
+        let v = 12.5f64;
+        // An entry whose bound, or sum, equals V may still be taken.
+        assert!(!rules_out(v, cut_at(f64::INFINITY, v)));
+        assert!(rules_out(v.next_up(), cut_at(f64::INFINITY, v)));
+        // `best_dist` keeps its `>=`: `offer` refuses a tie with it.
+        assert!(rules_out(v, cut_at(v, f64::INFINITY)));
+        assert!(rules_out(v, cut_at(v, v)));
+        // A NaN or infinite ceiling, or a non-finite bound, drops nothing.
+        for ceiling in [f64::NAN, f64::INFINITY] {
+            assert!(!rules_out(f64::MAX, cut_at(f64::INFINITY, ceiling)));
+        }
+        for at_least in [f64::NAN, f64::INFINITY] {
+            assert!(!rules_out(at_least, cut_at(f64::INFINITY, v)));
+        }
+    }
+
+    #[test]
+    fn witnesses_are_the_k_smallest_bounds_in_entry_order() {
+        let group = random_group(LAZY_MIN, 7, Aggregate::Sum);
+        let entries: Vec<LeafEntry> = (0..6u32)
+            .map(|i| LeafEntry::new(PointId(u64::from(i)), Point::new(f64::from(i), 1.0)))
+            .collect();
+        let bounds = [3.0, 1.0, f64::NAN, 1.0, 0.5, 2.0];
+        let mut w = Vec::new();
+        for (k, want) in [
+            (1, &[4][..]),
+            (2, &[1, 4]),
+            (3, &[1, 3, 4]),
+            (6, &[0, 1, 2, 3, 4, 5]),
+        ] {
+            let ceiling = witness_ceiling(&group, &entries, &bounds, k, &mut w);
+            let at: Vec<u32> = w.iter().map(|&(j, _)| j).collect();
+            assert_eq!(at, want, "k={k}: ties to the lower index, NaN last");
+            for &(j, dist) in &w {
+                assert_eq!(
+                    dist.to_bits(),
+                    group.dist(entries[j as usize].point).to_bits()
+                );
+            }
+            let largest = w.iter().map(|&(_, d)| d).fold(f64::NEG_INFINITY, f64::max);
+            assert_eq!(ceiling.to_bits(), largest.to_bits(), "k={k}");
         }
     }
 

@@ -218,14 +218,17 @@ impl QueryGroup {
     /// scalar tail; exactly `n` results are written.
     ///
     /// For SUM this is the `vsqrtpd`-bound kernel (~1 ns a pair on every
-    /// tier). The bounded MBM loop therefore calls it only while
-    /// `best_dist` is still infinite; once it is finite, rounded-down
-    /// bounds over the same lanes pick the few entries that pay
-    /// [`QueryGroup::dist`] — the same bits, one entry at a time: from 48
-    /// members a block bound (one weighted centroid per block of the group,
-    /// a few terms an entry on every tier: `f32` on AVX2 where the group's
-    /// scale allows, this kernel's `f64` fold otherwise), then on AVX2 an
-    /// `f32` bound over the entries left.
+    /// tier). The bounded MBM loop therefore calls it only on a first leaf
+    /// it has no bound for; everywhere else rounded-down bounds over the
+    /// same lanes pick the few entries that pay [`QueryGroup::dist`] — the
+    /// same bits, one entry at a time: from 48 members a block bound (one
+    /// weighted centroid per block of the group, a few terms an entry on
+    /// every tier: `f32` on AVX2 where the group's scale allows, this
+    /// kernel's `f64` fold otherwise), then on AVX2 an `f32` bound over the
+    /// entries left. They drop against `best_dist` once it is finite and,
+    /// on the first leaf of a group of 48 or more with more than `k`
+    /// entries, against the largest exact distance of the `k` entries
+    /// with the smallest block bounds.
     pub fn dist_many_padded(&self, xs: &[f64], ys: &[f64], n: usize, out: &mut Vec<f64>) {
         let k = gnn_geom::batch::BatchKernels::auto();
         match self.aggregate {

@@ -34,7 +34,7 @@ pub struct QueryStats {
     /// terms the bounded MBM loop's rounded-down leaf bounds (block and
     /// `f32`) compute are not counted here (what they drop is counted in
     /// [`QueryStats::lower_bound_pruned`]), so on large SUM groups this
-    /// reads 3–4× lower than the all-exact loop's count for the same
+    /// reads several times lower than the all-exact loop's count for the same
     /// pages. Heuristic 3 counts `n` per tight key **actually
     /// computed**: on SUM groups of 48 points and more the bounded loop keys
     /// children lazily, under one centroid distance each, and pays the `n`
@@ -44,10 +44,13 @@ pub struct QueryStats {
     pub dist_computations: u64,
     /// Leaf entries the bounded MBM loop dropped on a rounded-down lower
     /// bound of `dist(p, Q)`, without computing their exact distance,
-    /// counted over both stages of its leaf cascade: the `f64` block bound
-    /// (SUM queries of 48 members and more, every tier) and the `f32` bound (SUM queries on the AVX2 tier); `0`
-    /// everywhere else. Each is an entry [`crate::KBestList::offer`] would
-    /// have refused.
+    /// counted over both stages of its leaf cascade: the block bound (SUM
+    /// queries of 48 members and more, every tier; its terms in `f32` on
+    /// the AVX2 tier where the group's scale allows, in `f64` otherwise)
+    /// and the `f32` bound (SUM queries on the AVX2 tier); `0` everywhere
+    /// else. Each lies at or above `best_dist` or, on the first leaf of a
+    /// group of 48 members and more, strictly above the exact sums of `k`
+    /// other entries of that leaf, so none could be in the answer.
     pub lower_bound_pruned: u64,
     /// Individual nearest neighbors pulled from NN streams (MQM, F-MQM) or
     /// closest pairs consumed (GCP).

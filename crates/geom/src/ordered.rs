@@ -9,8 +9,10 @@ use std::fmt;
 ///
 /// NaN sorts above `+∞` under `total_cmp`; search code never produces NaN
 /// (all inputs are validated as finite), so the heap ordering is the usual
-/// numeric one in practice.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// numeric one in practice. Equality is `total_cmp`'s too, so `a == b`
+/// exactly when `a.cmp(&b)` is `Equal`: a NaN equals itself, and `-0.0`
+/// differs from `0.0`.
+#[derive(Debug, Clone, Copy)]
 pub struct OrderedF64(pub f64);
 
 impl OrderedF64 {
@@ -18,6 +20,14 @@ impl OrderedF64 {
     #[inline]
     pub fn get(self) -> f64 {
         self.0
+    }
+}
+
+impl PartialEq for OrderedF64 {
+    /// `total_cmp` is `Equal` exactly on equal bits.
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.0.to_bits() == other.0.to_bits()
     }
 }
 
@@ -71,8 +81,32 @@ mod tests {
 
     #[test]
     fn zero_signs_are_distinguished_consistently() {
-        // total_cmp puts -0.0 before +0.0; both compare equal under ==.
+        // total_cmp puts -0.0 before +0.0, and `==` agrees with it.
         assert!(OrderedF64(-0.0) < OrderedF64(0.0));
+        assert_ne!(OrderedF64(-0.0), OrderedF64(0.0));
+        assert_eq!(OrderedF64(0.0), OrderedF64(0.0));
+        assert_eq!(OrderedF64(-0.0), OrderedF64(-0.0));
+    }
+
+    #[test]
+    fn equality_is_the_order_s_equality() {
+        let nan = OrderedF64(f64::NAN);
+        let values = [
+            nan,
+            OrderedF64(-f64::NAN),
+            OrderedF64(f64::NEG_INFINITY),
+            OrderedF64(-0.0),
+            OrderedF64(0.0),
+            OrderedF64(1.5),
+            OrderedF64(f64::INFINITY),
+        ];
+        // Reflexive, NaN included.
+        assert_eq!(nan, nan);
+        for a in values {
+            for b in values {
+                assert_eq!(a == b, a.cmp(&b) == Ordering::Equal, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -230,9 +230,15 @@ fn assert_equivalent(
 /// A 12 × 12 integer lattice with every point stored three times — every
 /// exact distance occurs at least thrice, bit for bit — scaled by `2^exp`.
 fn tripled_lattice(exp: i32) -> Vec<Point> {
+    tripled_cells(12, 12, exp)
+}
+
+/// A `w × h` integer lattice, every point stored three times, scaled by
+/// `2^exp`.
+fn tripled_cells(w: u32, h: u32, exp: i32) -> Vec<Point> {
     let s = 2f64.powi(exp);
-    (0..12u32)
-        .flat_map(|x| (0..12u32).map(move |y| (x, y)))
+    (0..w)
+        .flat_map(|x| (0..h).map(move |y| (x, y)))
         .flat_map(|cell| [cell; 3])
         .map(|(x, y)| Point::new(f64::from(x) * s, f64::from(y) * s))
         .collect()
@@ -378,9 +384,9 @@ fn large_groups_on_clustered_data_drop_most_entries_and_change_nothing() {
         dropped += stats.lower_bound_pruned;
         exact_pairs += stats.dist_computations;
     }
-    // Every entry the cascade looked at was dropped or paid 256 exact pairs
-    // (as did the first leaf's, and heuristic 3): most are dropped, on every
-    // tier — the block stage runs on all of them.
+    // Every entry the cascade looked at, the first leaf's included, was
+    // dropped or paid 256 exact pairs (as did heuristic 3's keys): most are
+    // dropped, on every tier — the block stage runs on all of them.
     assert!(
         dropped * 256 > exact_pairs,
         "dropped {dropped} entries against {exact_pairs} exact pairs"
@@ -441,6 +447,239 @@ fn lazy_keys_read_the_eager_pages_at_and_around_the_threshold() {
                     "lattice n={n}: the block stage dropped nothing"
                 );
             }
+        }
+    }
+}
+
+// ---- the first leaf's ceiling ----------------------------------------------
+//
+// The first leaf is read while `best_dist` is still ∞. From `LAZY_MIN`
+// members up, where it holds more than k entries, the k entries with the
+// smallest block bounds (ties to the lower entry index) pay their exact
+// sum first, and the stages drop what lies strictly above the largest of
+// those sums, V. The list after the leaf must be the all-exact loop's,
+// ties included, so these cases pin ids at *every* rank to the reference
+// stream's — on lattices where the k-th distance is shared by a witness
+// and a non-witness — besides everything `assert_equivalent` pins. On the
+// scalar tier the block stage is the ceiling's only stage; at 2⁻⁸⁰ and
+// 2¹⁰⁰ it keeps its `f64` width on AVX2 too.
+
+/// `assert_equivalent`, plus the bounded loop's ids at every rank, tied
+/// or not, against the reference stream's.
+fn assert_reference_ids(
+    packed: &PackedRTree,
+    data: &[Point],
+    group: &QueryGroup,
+    k: usize,
+    what: &str,
+) -> QueryStats {
+    let stats = assert_equivalent(packed, data, group, k, what);
+    let reference = reference_k_gnn(&packed.cursor(), group, k);
+    let bounded = Mbm::best_first()
+        .k_gnn(&packed.cursor(), group, k)
+        .neighbors;
+    let ids = |ns: &[Neighbor]| ns.iter().map(|nb| nb.id).collect::<Vec<_>>();
+    assert_eq!(ids(&bounded), ids(&reference), "{what}: ids at tied ranks");
+    stats
+}
+
+/// [`tripled_cells`] in one leaf page: the root is the leaf the loop reads
+/// first.
+fn one_leaf_lattice(w: u32, h: u32, exp: i32) -> (Vec<Point>, PackedRTree) {
+    let data = tripled_cells(w, h, exp);
+    let packed = index(&data, data.len());
+    let cursor = packed.cursor();
+    assert!(
+        matches!(cursor.read(cursor.root()), gnn::rtree::PageRef::Leaf(_)),
+        "scenario: one leaf page"
+    );
+    (data, packed)
+}
+
+/// The block bounds of the one-leaf tree's entries, as the loop computes
+/// them for an unweighted `group`, in entry order with their ids.
+fn block_bounds(packed: &PackedRTree, group: &QueryGroup) -> (Vec<PointId>, Vec<f64>, bool) {
+    use gnn::geom::batch::BatchKernels;
+    use gnn::geom::bound::BlockBound;
+    let (qx, qy): (Vec<f64>, Vec<f64>) = group.points().iter().map(|p| (p.x, p.y)).unzip();
+    let ones = vec![1.0; qx.len()];
+    let (mut buf, mut narrow) = (Vec::new(), Vec::new());
+    let mbr = group.mbr();
+    let blocks = BlockBound::new(
+        BatchKernels::auto(),
+        &qx,
+        &qy,
+        &ones,
+        &mbr,
+        &mut buf,
+        &mut narrow,
+    )
+    .expect("scenario: the group has a block bound");
+    let cursor = packed.cursor();
+    let gnn::rtree::PageRef::Leaf(leaf) = cursor.read(cursor.root()) else {
+        unreachable!("one leaf page")
+    };
+    let (xs, ys) = leaf.coords();
+    let mut bounds = Vec::new();
+    blocks.lower_padded(xs, ys, leaf.len(), &mut bounds);
+    let ids = leaf.entries().iter().map(|e| e.id).collect();
+    (ids, bounds, blocks.narrowed_weights().is_some())
+}
+
+/// The first leaf's witnesses as the loop picks them: the k smallest block
+/// bounds, ties to the lower entry index.
+fn witnesses(packed: &PackedRTree, group: &QueryGroup, k: usize) -> Vec<PointId> {
+    let (ids, bounds, _) = block_bounds(packed, group);
+    let mut order: Vec<usize> = (0..ids.len()).collect();
+    order.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
+    order[..k].iter().map(|&j| ids[j]).collect()
+}
+
+#[test]
+fn first_leaf_ties_across_witnesses_keep_the_reference_ids() {
+    // 8 × 6 cells, three copies each: 144 entries in one leaf. A k that is
+    // not a multiple of three cuts a run of bit-equal distances, and the
+    // witnesses take the lower-index copies of that run: the k-th distance
+    // is shared by a witness and a non-witness, and which of them the list
+    // keeps is decided by entry order alone.
+    let (data, packed) = one_leaf_lattice(8, 6, 0);
+    for n in [LAZY_MIN, 256] {
+        let group = spread_group(n, 0);
+        let full = linear_scan_points(&data, &group, data.len()).neighbors;
+        let (mut split, mut dropped) = (0, 0);
+        for k in [1usize, 2, 4, 5, 7, 8, 13, 31] {
+            let what = format!("one-leaf lattice n={n} k={k}");
+            let kth = full[k - 1].dist;
+            let chosen = witnesses(&packed, &group, k);
+            let (inside, outside): (Vec<&Neighbor>, Vec<&Neighbor>) = full
+                .iter()
+                .filter(|nb| nb.dist == kth)
+                .partition(|nb| chosen.contains(&nb.id));
+            split += usize::from(!inside.is_empty() && !outside.is_empty());
+            dropped += assert_reference_ids(&packed, &data, &group, k, &what).lower_bound_pruned;
+        }
+        assert!(
+            split >= 4,
+            "n={n}: the k-th tie spans witnesses {split} times"
+        );
+        assert!(dropped > 0, "n={n}: the ceiling dropped nothing");
+    }
+    // And across many leaves: the first one the loop reads is ceilinged,
+    // the rest run under `best_dist`.
+    let data = tripled_lattice(0);
+    let packed = index(&data, 16);
+    for n in [LAZY_MIN, 256] {
+        let group = spread_group(n, 0);
+        for k in [1usize, 2, 4, 5, 8, 13] {
+            let what = format!("tie lattice n={n} k={k}");
+            assert_reference_ids(&packed, &data, &group, k, &what);
+        }
+    }
+}
+
+#[test]
+fn an_entry_at_exactly_the_ceiling_is_offered() {
+    // Every entry has two bit-equal copies, so the copy after the witness
+    // with the largest sum has an exact sum equal to V. It must be offered
+    // (only a bound *strictly* above V drops). Each k below 15 that is not
+    // a multiple of three cuts one of the first five runs.
+    let (data, packed) = one_leaf_lattice(8, 6, 0);
+    let group = spread_group(LAZY_MIN, 0);
+    let len = data.len() as u64;
+    for k in (1..15usize).filter(|k| k % 3 != 0) {
+        let chosen = witnesses(&packed, &group, k);
+        let ceiling = chosen
+            .iter()
+            .map(|id| group.dist(data[id.0 as usize]))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let at_ceiling = data
+            .iter()
+            .enumerate()
+            .filter(|&(i, p)| !chosen.contains(&PointId(i as u64)) && group.dist(*p) == ceiling)
+            .count() as u64;
+        assert!(at_ceiling > 0, "scenario k={k}: a non-witness ties V");
+        let what = format!("at the ceiling k={k}");
+        let stats = assert_reference_ids(&packed, &data, &group, k, &what);
+        // The root is the leaf: every exact pair is a leaf entry's.
+        let exact = stats.dist_computations / LAZY_MIN as u64;
+        assert_eq!(
+            exact + stats.lower_bound_pruned,
+            len,
+            "{what}: every entry accounted"
+        );
+        // Without an `f32` stage (which may drop an entry at V against a
+        // `best_dist` already below it) every entry at V is scored.
+        if !filters() {
+            assert!(
+                exact >= k as u64 + at_ceiling,
+                "{what}: {exact} exact, {at_ceiling} at V besides {k} witnesses"
+            );
+        }
+    }
+}
+
+#[test]
+fn first_leaves_of_k_entries_or_fewer_run_no_ceiling() {
+    // 5 × 3 cells, three copies each: 45 entries in one leaf. At k = 45
+    // and beyond the leaf is scored exactly, every entry; at k = 44 and
+    // k = 1 the ceiling runs.
+    let (data, packed) = one_leaf_lattice(5, 3, 0);
+    let len = data.len();
+    for n in [LAZY_MIN, 256] {
+        let group = spread_group(n, 0);
+        for k in [len, len + 1, 2 * len] {
+            let what = format!("one-leaf n={n} k={k}");
+            let stats = assert_reference_ids(&packed, &data, &group, k, &what);
+            assert_eq!(stats.lower_bound_pruned, 0, "{what}: no ceiling");
+            assert_eq!(
+                stats.dist_computations,
+                (len * n) as u64,
+                "{what}: all exact"
+            );
+        }
+        let mut dropped = 0;
+        for k in [1, len - 1] {
+            let what = format!("one-leaf n={n} k={k}");
+            let stats = assert_reference_ids(&packed, &data, &group, k, &what);
+            assert_eq!(
+                stats.dist_computations / n as u64 + stats.lower_bound_pruned,
+                len as u64,
+                "{what}: every entry accounted"
+            );
+            dropped += stats.lower_bound_pruned;
+        }
+        assert!(dropped > 0, "n={n}: the ceiling dropped nothing at k = 1");
+    }
+}
+
+#[test]
+fn the_ceiling_holds_where_the_block_stage_keeps_its_f64_width() {
+    // At 2⁻⁸⁰ and 2¹⁰⁰ `f32` cannot see the group: the block stage runs in
+    // `f64` on every tier and the `f32` stage drops nothing, so whatever the
+    // first leaf drops, the `f64` blocks dropped against V.
+    for exp in [-80, 100] {
+        let (data, packed) = one_leaf_lattice(8, 6, exp);
+        for n in [LAZY_MIN, 256] {
+            let group = spread_group(n, exp);
+            let (_, _, narrowed) = block_bounds(&packed, &group);
+            assert!(!narrowed, "lattice·2^{exp} n={n}: the blocks keep f64");
+            let mut dropped = 0;
+            for k in [1usize, 5, 8, 31] {
+                let what = format!("one-leaf lattice·2^{exp} n={n} k={k}");
+                dropped +=
+                    assert_reference_ids(&packed, &data, &group, k, &what).lower_bound_pruned;
+            }
+            assert!(
+                dropped > 0,
+                "lattice·2^{exp} n={n}: the ceiling dropped nothing"
+            );
+        }
+        let data = tripled_lattice(exp);
+        let packed = index(&data, 16);
+        for k in [1usize, 5, 8] {
+            let group = spread_group(256, exp);
+            let what = format!("lattice·2^{exp} n=256 k={k}");
+            assert_reference_ids(&packed, &data, &group, k, &what);
         }
     }
 }
