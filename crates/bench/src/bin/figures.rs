@@ -26,9 +26,8 @@ use gnn_bench::{
     run_gcp_cell, run_memory_cell, scaled_query_points, varying_m_target, Cost, Dataset,
     SeriesTable,
 };
-use gnn_core::Mbm;
 use gnn_geom::Point;
-use gnn_rtree::{PackedRTree, RTree, RTreeParams};
+use gnn_rtree::PackedRTree;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -62,7 +61,7 @@ impl Report {
 
 const MEMORY_FIGS: [&str; 3] = ["fig5_1", "fig5_2", "fig5_3"];
 const DISK_FIGS: [&str; 4] = ["fig5_4", "fig5_5", "fig5_6", "fig5_7"];
-const ABLATIONS: [&str; 2] = ["ablation_buffer", "ablation_bulk_load"];
+const ABLATIONS: [&str; 1] = ["ablation_buffer"];
 
 fn parse_args() -> Options {
     let mut opts = Options {
@@ -395,81 +394,40 @@ fn run_disk_figures(opts: &Options, report: &mut Report) {
     }
 }
 
-/// The ablations: the LRU buffer sweep and STR vs Hilbert bulk loading.
+/// The ablation: the LRU buffer sweep.
 fn run_ablations(opts: &Options, report: &mut Report) {
-    if !ABLATIONS.iter().any(|a| opts.experiments.contains(*a)) {
+    if !opts.experiments.contains("ablation_buffer") {
         return;
     }
     eprintln!("[build] PP dataset for ablations...");
     let pts = Dataset::Pp.points(opts.quick);
     let tree = build_tree(&pts);
     let wl = gnn_bench::workload_for(&tree, 64, 0.08, opts.queries, 0xAB1A7E);
-
-    if opts.experiments.contains("ablation_buffer") {
-        let sweeps = [1usize, 16, 64, 128, 512, 2048];
-        let algos = memory_algorithms();
-        let mut cells = vec![Vec::new(); algos.len()];
-        for &pages in &sweeps {
-            for (ai, (_, algo)) in algos.iter().enumerate() {
-                cells[ai].push(run_memory_cell(
-                    &tree,
-                    &wl,
-                    algo.as_ref(),
-                    defaults::K,
-                    pages,
-                ));
-            }
+    let sweeps = [1usize, 16, 64, 128, 512, 2048];
+    let algos = memory_algorithms();
+    let mut cells = vec![Vec::new(); algos.len()];
+    for &pages in &sweeps {
+        for (ai, (_, algo)) in algos.iter().enumerate() {
+            cells[ai].push(run_memory_cell(
+                &tree,
+                &wl,
+                algo.as_ref(),
+                defaults::K,
+                pages,
+            ));
         }
-        emit(
-            opts,
-            report,
-            SeriesTable {
-                title: "ablation_buffer (LRU pages, PP, n=64 M=8% k=8)".into(),
-                x_label: "pages".into(),
-                x_values: sweeps.iter().map(|p| p.to_string()).collect(),
-                algorithms: algos.into_iter().map(|(n, _)| n).collect(),
-                cells,
-            },
-        );
     }
-
-    if opts.experiments.contains("ablation_bulk_load") {
-        let t0 = Instant::now();
-        let str_tree = build_tree(&pts);
-        let t_str = t0.elapsed();
-        let t0 = Instant::now();
-        let hil_tree = RTree::bulk_load_hilbert(
-            RTreeParams::default(),
-            pts.iter()
-                .enumerate()
-                .map(|(i, &p)| gnn_rtree::LeafEntry::new(gnn_geom::PointId(i as u64), p)),
-            0.7,
-        )
-        .freeze();
-        let t_hil = t0.elapsed();
-        let mbm = Mbm::best_first();
-        let c_str = run_memory_cell(&str_tree, &wl, &mbm, defaults::K, defaults::BUFFER_PAGES);
-        let c_hil = run_memory_cell(&hil_tree, &wl, &mbm, defaults::K, defaults::BUFFER_PAGES);
-        println!("== ablation_bulk_load (MBM over STR vs Hilbert packing) ==");
-        println!(
-            "{:<10} {:>10} {:>12} {:>14}",
-            "loader", "nodes", "build (ms)", "MBM avg NA"
-        );
-        println!(
-            "{:<10} {:>10} {:>12.1} {:>14.1}",
-            "STR",
-            str_tree.node_count(),
-            t_str.as_secs_f64() * 1e3,
-            c_str.na
-        );
-        println!(
-            "{:<10} {:>10} {:>12.1} {:>14.1}\n",
-            "Hilbert",
-            hil_tree.node_count(),
-            t_hil.as_secs_f64() * 1e3,
-            c_hil.na
-        );
-    }
+    emit(
+        opts,
+        report,
+        SeriesTable {
+            title: "ablation_buffer (LRU pages, PP, n=64 M=8% k=8)".into(),
+            x_label: "pages".into(),
+            x_values: sweeps.iter().map(|p| p.to_string()).collect(),
+            algorithms: algos.into_iter().map(|(n, _)| n).collect(),
+            cells,
+        },
+    );
 }
 
 fn main() {

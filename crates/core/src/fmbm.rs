@@ -82,10 +82,6 @@ impl Fmbm {
 }
 
 impl FileGnnAlgorithm for Fmbm {
-    fn name(&self) -> &'static str {
-        "F-MBM"
-    }
-
     fn k_gnn_in<'s>(
         &self,
         data: &TreeCursor<'_>,

@@ -112,10 +112,6 @@ impl Fmqm {
 }
 
 impl FileGnnAlgorithm for Fmqm {
-    fn name(&self) -> &'static str {
-        "F-MQM"
-    }
-
     fn k_gnn_in<'s>(
         &self,
         data: &TreeCursor<'_>,

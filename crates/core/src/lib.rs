@@ -112,14 +112,6 @@ use gnn_rtree::TreeCursor;
 /// algorithm's one entry point is its [`MemoryGnnAlgorithm::k_gnn_in`];
 /// served queries reach it through [`QueryRequest::execute_on`].
 pub trait MemoryGnnAlgorithm {
-    /// Display name ("MQM", "SPM", "MBM").
-    fn name(&self) -> &'static str;
-
-    /// Whether the algorithm supports this aggregate / weighting
-    /// combination. Calling [`MemoryGnnAlgorithm::k_gnn`] with an
-    /// unsupported combination panics.
-    fn supports(&self, aggregate: Aggregate, weighted: bool) -> bool;
-
     /// Retrieves the `k` group nearest neighbors of `group` through a fresh
     /// [`QueryScratch`] (the seed behavior: one new set of heaps and lists
     /// per query).
@@ -147,9 +139,6 @@ pub trait MemoryGnnAlgorithm {
 /// A GNN algorithm for disk-resident, non-indexed query files (paper
 /// §4.2–4.3).
 pub trait FileGnnAlgorithm {
-    /// Display name ("F-MQM", "F-MBM").
-    fn name(&self) -> &'static str;
-
     /// Retrieves the `k` group nearest neighbors of the (Hilbert-sorted,
     /// grouped) query file through a fresh [`QueryScratch`].
     fn k_gnn(

@@ -69,7 +69,7 @@ use crate::best_list::KBestList;
 use crate::query::QueryGroup;
 use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
-use crate::{Aggregate, MemoryGnnAlgorithm};
+use crate::MemoryGnnAlgorithm;
 use gnn_geom::batch::BatchKernels;
 use gnn_geom::bound::{BlockBound, CentroidBound, LeafBound};
 use gnn_geom::simd::pad_len;
@@ -252,14 +252,6 @@ impl Mbm {
 }
 
 impl MemoryGnnAlgorithm for Mbm {
-    fn name(&self) -> &'static str {
-        "MBM"
-    }
-
-    fn supports(&self, _aggregate: Aggregate, _weighted: bool) -> bool {
-        true
-    }
-
     fn k_gnn_in<'s>(
         &self,
         cursor: &TreeCursor<'_>,
@@ -828,6 +820,7 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
 mod tests {
     use super::*;
     use crate::baseline::linear_scan_entries;
+    use crate::Aggregate;
     use gnn_geom::{Point, PointId};
     use gnn_rtree::{PackedRTree, RTree, RTreeParams};
     use rand::rngs::StdRng;

@@ -15,7 +15,7 @@
 use crate::query::QueryGroup;
 use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
-use crate::{Aggregate, MemoryGnnAlgorithm};
+use crate::MemoryGnnAlgorithm;
 use gnn_geom::hilbert::HilbertMapper;
 use gnn_rtree::{NearestNeighbors, NnScratch, TreeCursor};
 
@@ -35,14 +35,6 @@ impl Mqm {
 }
 
 impl MemoryGnnAlgorithm for Mqm {
-    fn name(&self) -> &'static str {
-        "MQM"
-    }
-
-    fn supports(&self, _aggregate: Aggregate, _weighted: bool) -> bool {
-        true
-    }
-
     /// The per-stream NN heaps live in the scratch's pool and are
     /// suspended/resumed between round-robin turns, so a warmed-up scratch
     /// performs no per-query heap allocations.
@@ -148,6 +140,7 @@ impl MemoryGnnAlgorithm for Mqm {
 mod tests {
     use super::*;
     use crate::baseline::linear_scan_entries;
+    use crate::Aggregate;
     use gnn_geom::{Point, PointId};
     use gnn_rtree::{LeafEntry, PackedRTree, RTree, RTreeParams};
     use rand::rngs::StdRng;

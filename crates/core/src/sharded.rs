@@ -65,32 +65,12 @@ impl Default for ShardRouting {
 /// `s`: the minimum of the heuristic-3 bound over the shard's refined
 /// routing directory (each shard point lies in at least one of those
 /// rectangles). `∞` for an empty shard — it can never be selected.
-pub fn shard_bound(group: &QueryGroup, snapshot: &ShardedSnapshot, s: usize) -> f64 {
+fn shard_bound(group: &QueryGroup, snapshot: &ShardedSnapshot, s: usize) -> f64 {
     snapshot
         .shard_bounds(s)
         .iter()
         .map(|r| group.tight_bound_rect(r))
         .fold(f64::INFINITY, f64::min)
-}
-
-/// The shard a router should send this query to: the non-empty shard with
-/// the smallest aggregate-distance lower bound for the group (ties go to the
-/// lower index; 0 when every shard is empty). The cross-shard merge visits
-/// shards in exactly this order, so the routed pool's own shard is the one
-/// the query reads first — the cache-locality contract of per-shard pools.
-pub fn primary_shard(group: &QueryGroup, snapshot: &ShardedSnapshot) -> u32 {
-    let mut best: Option<(f64, u32)> = None;
-    for s in 0..snapshot.shard_count() {
-        if snapshot.shard(s).is_empty() {
-            continue;
-        }
-        let candidate = (shard_bound(group, snapshot, s), s as u32);
-        best = Some(match best {
-            Some(b) if b.0 <= candidate.0 => b,
-            _ => candidate,
-        });
-    }
-    best.map_or(0, |(_, s)| s)
 }
 
 /// Runs `algo` as a cross-shard k-GNN over `cursors` (one per shard, in
@@ -282,7 +262,6 @@ mod tests {
         let (_, _, outcome) =
             sharded_k_gnn_in(&Mbm::best_first(), &sharded, &cursors, &g, 2, &mut scratch);
         assert_eq!(outcome.consulted, 1, "local query consulted {outcome:?}");
-        assert_eq!(primary_shard(&g, &sharded), outcome.primary);
     }
 
     #[test]

@@ -37,18 +37,9 @@ impl Spm {
 }
 
 impl MemoryGnnAlgorithm for Spm {
-    fn name(&self) -> &'static str {
-        "SPM"
-    }
-
-    fn supports(&self, aggregate: Aggregate, _weighted: bool) -> bool {
-        aggregate == Aggregate::Sum
-    }
-
     /// # Panics
     ///
-    /// Panics for MAX/MIN aggregates (Lemma 1 does not apply); check
-    /// [`MemoryGnnAlgorithm::supports`] first.
+    /// Panics for MAX/MIN aggregates (Lemma 1 does not apply).
     fn k_gnn_in<'s>(
         &self,
         cursor: &TreeCursor<'_>,
@@ -168,14 +159,6 @@ mod tests {
         let cursor = tree.cursor();
         let group = QueryGroup::with_aggregate(vec![Point::new(0.0, 0.0)], Aggregate::Max).unwrap();
         Spm::best_first().k_gnn(&cursor, &group, 1);
-    }
-
-    #[test]
-    fn supports_reports_sum_only() {
-        let spm = Spm::best_first();
-        assert!(MemoryGnnAlgorithm::supports(&spm, Aggregate::Sum, true));
-        assert!(!MemoryGnnAlgorithm::supports(&spm, Aggregate::Max, false));
-        assert!(!MemoryGnnAlgorithm::supports(&spm, Aggregate::Min, false));
     }
 
     #[test]

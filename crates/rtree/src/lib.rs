@@ -6,7 +6,7 @@
 //!
 //! * [`RTree`] — the builder: paged R\*-tree with `ChooseSubtree`, forced
 //!   reinsertion and the topological split; deletion with tree
-//!   condensation; STR and Hilbert bulk loading;
+//!   condensation; STR bulk loading;
 //! * [`PackedRTree`] — the read-optimized snapshot ([`RTree::freeze`]) every
 //!   query reads: contiguous page arenas, SoA rectangle coordinates and
 //!   dense BFS page ids, so query scans are linear passes over packed

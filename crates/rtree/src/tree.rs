@@ -26,9 +26,8 @@ fn next_tree_id() -> u64 {
 /// access* (NA) metric is produced.
 ///
 /// The tree supports one-by-one insertion (R\* `ChooseSubtree`, forced
-/// reinsertion and topological split), deletion with condensation, and two
-/// bulk-loading strategies (see [`RTree::bulk_load`] and
-/// [`RTree::bulk_load_hilbert`]).
+/// reinsertion and topological split), deletion with condensation, and STR
+/// bulk loading ([`RTree::bulk_load`]).
 #[derive(Debug)]
 pub struct RTree {
     params: RTreeParams,

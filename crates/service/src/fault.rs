@@ -51,9 +51,8 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Panics worker `worker` (0-based, global across pools) on the `nth`
-    /// query it executes (1-based). Chainable; duplicate points are
-    /// harmless.
+    /// Panics worker `worker` (0-based) on the `nth` query it executes
+    /// (1-based). Chainable; duplicate points are harmless.
     ///
     /// # Panics
     ///

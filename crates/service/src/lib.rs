@@ -1,4 +1,4 @@
-//! # gnn-service — spatially sharded, multi-threaded GNN query serving
+//! # gnn-service — multi-threaded GNN query serving over sharded snapshots
 //!
 //! The paper's algorithms answer one query at a time; the north star is a
 //! system that serves sustained multi-user traffic. This crate turns a
@@ -8,14 +8,13 @@
 //! * the snapshot is **immutable and shared** (`Arc`) and lives in a
 //!   **hot-swap slot**: [`Service::publish`] / [`Service::publish_sharded`]
 //!   atomically install a new snapshot (typically a cheap per-shard
-//!   [`gnn_rtree::ShardedTree::refreeze_all`]) while queries keep flowing —
-//!   workers pick the new generation up between queries with a single
-//!   atomic check, in-flight queries finish on the snapshot they started
-//!   on, and nobody ever blocks on the swap;
-//! * requests are **routed by their query group's aggregate-MBR bound** to
-//!   the pool of the shard that can serve them cheapest, one bounded queue
-//!   and a fixed set of worker threads per shard — so a pool's workers
-//!   keep their own shard hot in cache under skewed traffic;
+//!   [`gnn_rtree::ShardedTree::refreeze_all`], with any shard count) while
+//!   queries keep flowing — workers pick the new generation up between
+//!   queries, in-flight queries finish on the snapshot they started on,
+//!   and nobody ever blocks on the swap;
+//! * requests go through **one bounded queue** to a fixed set of
+//!   `config.workers` threads. Shards are a layout of the snapshot, not
+//!   of the threads: every worker answers any query on every shard;
 //! * every worker owns its per-shard cursors, scratch and
 //!   [`gnn_core::Planner`], so the zero-allocation hot path of the packed
 //!   engine holds **per core** — no shared mutable state is touched while
@@ -24,10 +23,9 @@
 //!   through the cross-shard best-first merge ([`gnn_core::sharded`]); the
 //!   response's routing tag records the primary shard and how many shards
 //!   were consulted;
-//! * per-worker counters, per-shard routing counters and fixed-bucket
-//!   latency histograms aggregate on demand into a [`ServiceStats`]
-//!   snapshot, so the paper's node-access cost metric survives concurrency
-//!   exactly.
+//! * per-worker counters and fixed-bucket latency histograms aggregate on
+//!   demand into a [`ServiceStats`] snapshot, so the paper's node-access
+//!   cost metric survives concurrency exactly.
 //!
 //! Determinism is the correctness anchor: a query's node accesses and
 //! results depend only on the snapshot and the request (per-worker cursors
@@ -38,7 +36,9 @@
 //! `service_determinism` and `sharded_equivalence` tests). Under live
 //! updates the anchor holds **per generation**: every response is tagged
 //! with the generation of the snapshot that served it (`hot_swap`,
-//! `refresh_driver`).
+//! `refresh_driver`), and generations never go backwards in dequeue
+//! order: a job dequeued later is never served on an older generation
+//! than one dequeued earlier.
 //!
 //! For continuous refresh, [`RefreshDriver`] runs the full mutate →
 //! per-shard refreeze → publish lifecycle on a background thread driven by
@@ -46,9 +46,9 @@
 //!
 //! Submission goes through **one entry point**, [`Service::submit`], which
 //! accepts anything convertible into a [`Submission`]: one prepared
-//! [`QueryRequest`] — the group `Q`, its aggregate and `k`, the whole query
-//! of paper §2. A submission is one job on its shard's queue, and its
-//! [`ResponseHandle`] yields one reply.
+//! [`QueryRequest`](gnn_core::QueryRequest) — the group `Q`, its aggregate
+//! and `k`, the whole query of paper §2. A submission is one job on the
+//! queue, and its [`ResponseHandle`] yields one reply.
 //!
 //! ```
 //! use gnn_core::{QueryGroup, QueryRequest};
@@ -98,7 +98,7 @@ pub use handle::ResponseHandle;
 pub use refresh::{
     DriverError, PublishRecord, RefreshDriver, RefreshOutcome, RefreshPolicy, RefreshStats, Update,
 };
-pub use stats::{ServiceStats, ShardStats, WorkerSnapshot};
+pub use stats::{ServiceStats, WorkerSnapshot};
 pub use submission::{QueryError, Submission, SubmitError};
 // The telemetry types `ServiceStats` embeds, re-exported so callers need
 // not depend on `gnn-telemetry` themselves.
@@ -107,8 +107,7 @@ pub use gnn_telemetry::{
     RingSnapshot, StageSnapshot, BUCKETS, SOURCE_CONTROL, SOURCE_DRIVER,
 };
 
-use gnn_core::sharded::primary_shard;
-use gnn_core::{NetworkBackend, QueryRequest};
+use gnn_core::NetworkBackend;
 use gnn_rtree::{PackedRTree, ShardedSnapshot};
 use stats::WorkerCounters;
 use std::fmt;
@@ -122,14 +121,13 @@ use worker::{Job, Lease, WorkerCtx};
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads (≥ 1). A single-shard service puts all of them in
-    /// one pool; [`Service::start_sharded`] distributes them near-evenly
-    /// across the per-shard pools, every pool getting at least one (so the
-    /// effective total is `max(workers, shard_count)`).
+    /// Worker threads (≥ 1), all serving the one queue. Every worker
+    /// answers queries on every shard, so a sharded service spawns exactly
+    /// this many threads too.
     pub workers: usize,
-    /// Bounded per-pool request-queue depth (≥ 1): once this many jobs are
-    /// pending on the routed shard's queue a blocking [`Service::submit`]
-    /// waits and a non-blocking one fails with [`SubmitError::QueueFull`].
+    /// Bounded request-queue depth (≥ 1): once this many jobs are pending
+    /// a blocking [`Service::submit`] waits and a non-blocking one fails
+    /// with [`SubmitError::QueueFull`].
     pub queue_depth: usize,
     /// Deterministic fault injection for tests and resilience benchmarks
     /// (see [`FaultPlan`]). The default injects nothing.
@@ -167,7 +165,7 @@ impl ServiceConfig {
 }
 
 /// Locks a mutex, recovering from poisoning: every structure guarded here
-/// (the snapshot slot, a dequeue end, the sender table) stays sound under a
+/// (the snapshot slot, the dequeue end, the sender) stays sound under a
 /// panic — none can be left mid-mutation. One policy, one place.
 fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match mutex.lock() {
@@ -178,9 +176,9 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// The hot-swap publication slot: the current sharded snapshot plus its
 /// generation — a hand-rolled `ArcSwap`. Publishers replace the `Arc` under
-/// a mutex and bump the generation; workers watch the generation with one
-/// atomic load between queries (the hot path never locks) and reload the
-/// `Arc` only when it changed. Readers of an old generation keep their
+/// a mutex and bump the generation; a worker reads the generation with one
+/// atomic load at each dequeue (a query never locks the slot) and reloads
+/// the `Arc` only when it changed. Readers of an old generation keep their
 /// `Arc` alive, so old snapshots are freed exactly when the last worker
 /// moves off them.
 struct SnapshotSlot {
@@ -253,24 +251,16 @@ impl Backend {
     }
 }
 
-/// One shard's worker pool; its queue is entry `shard` of the sender table.
-pub(crate) struct Pool {
-    workers: Vec<JoinHandle<()>>,
-    pub(crate) counters: Vec<Arc<WorkerCounters>>,
-    /// Requests the router queued on this pool.
-    pub(crate) routed: AtomicU64,
-}
-
 /// The serving engine: a hot-swappable sharded snapshot slot, one bounded
-/// queue + worker pool per shard, and an aggregate-MBR router. See the
-/// crate docs for the design.
+/// queue and one worker pool. See the crate docs for the design.
 pub struct Service {
-    /// Per-shard senders; `None` once shutdown has been initiated — behind
-    /// one mutex so [`Service::initiate_shutdown`] closes every queue
-    /// atomically and [`Service::try_publish_sharded`] serializes with it.
-    senders: Mutex<Option<Vec<SyncSender<Job>>>>,
+    /// The queue's sending end; `None` once shutdown has been initiated —
+    /// behind a mutex so [`Service::try_publish_sharded`] serializes with
+    /// [`Service::initiate_shutdown`].
+    sender: Mutex<Option<SyncSender<Job>>>,
     backend: Arc<Backend>,
-    pools: Vec<Pool>,
+    workers: Vec<JoinHandle<()>>,
+    counters: Vec<Arc<WorkerCounters>>,
     config: ServiceConfig,
     /// Zero point of every flight-recorder timestamp, shared by all rings.
     epoch: Instant,
@@ -284,8 +274,8 @@ pub struct Service {
 }
 
 impl Service {
-    /// Spins up an **unsharded** service: one pool of `config.workers`
-    /// workers over one snapshot (wrapped, not rebuilt, as a single-shard
+    /// Spins up an **unsharded** service: `config.workers` workers over
+    /// one snapshot (wrapped, not rebuilt, as a single-shard
     /// [`ShardedSnapshot`]: node accesses are those of the snapshot itself).
     ///
     /// # Panics
@@ -295,24 +285,19 @@ impl Service {
         Self::start_sharded(Arc::new(ShardedSnapshot::single(snapshot)), config)
     }
 
-    /// Spins up a **sharded** service: one bounded queue and worker pool
-    /// per shard, requests routed by query aggregate-MBR bound. The first
-    /// `workers % shards` pools get one worker more; every pool gets one.
+    /// Spins up a **sharded** service: one bounded queue and
+    /// `config.workers` workers, each answering every query through the
+    /// cross-shard merge over its own per-shard cursors.
     ///
     /// # Panics
     ///
     /// Panics when `config.workers` or `config.queue_depth` is zero.
     pub fn start_sharded(snapshot: Arc<ShardedSnapshot>, config: ServiceConfig) -> Service {
-        let shards = snapshot.shard_count();
-        Self::start_on(
-            Backend::Euclidean(SnapshotSlot::new(snapshot)),
-            shards,
-            config,
-        )
+        Self::start_on(Backend::Euclidean(SnapshotSlot::new(snapshot)), config)
     }
 
-    /// Spins up a **network-distance** service: one pool of
-    /// `config.workers` workers serving GNN queries on a road-network
+    /// Spins up a **network-distance** service: `config.workers` workers
+    /// serving GNN queries on a road-network
     /// backend (typically an `Arc` of a `gnn_network::NetworkSnapshot`).
     /// Every request executes on
     /// [`gnn_core::Target::Network`], through the same submission surface,
@@ -329,56 +314,40 @@ impl Service {
     ///
     /// Panics when `config.workers` or `config.queue_depth` is zero.
     pub fn start_network(backend: Arc<dyn NetworkBackend>, config: ServiceConfig) -> Service {
-        Self::start_on(Backend::Network(backend), 1, config)
+        Self::start_on(Backend::Network(backend), config)
     }
 
-    fn start_on(backend: Backend, shards: usize, config: ServiceConfig) -> Service {
+    fn start_on(backend: Backend, config: ServiceConfig) -> Service {
         assert!(config.workers > 0, "service needs at least one worker");
         assert!(config.queue_depth > 0, "queue depth must be positive");
         let backend = Arc::new(backend);
         // One epoch for every flight ring: merged timelines compare
         // timestamps from different workers directly.
         let epoch = Instant::now();
-        let mut senders = Vec::with_capacity(shards);
-        let mut pools = Vec::with_capacity(shards);
-        let mut worker_id = 0usize;
-        for shard in 0..shards {
-            let (tx, rx) = sync_channel::<Job>(config.queue_depth);
-            senders.push(tx);
-            // std's Receiver is single-consumer: the pool shares it locked.
-            let rx = Arc::new(Mutex::new(rx));
-            let pool_workers =
-                (config.workers / shards + usize::from(shard < config.workers % shards)).max(1);
-            let mut workers = Vec::with_capacity(pool_workers);
-            let mut counters = Vec::with_capacity(pool_workers);
-            for _ in 0..pool_workers {
-                let counter = Arc::new(WorkerCounters::new(
-                    worker_id,
-                    config.flight_recorder,
-                    epoch,
-                ));
-                counters.push(Arc::clone(&counter));
-                let ctx = WorkerCtx::new(worker_id, &backend, &rx, &config, counter);
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("gnn-worker-{shard}-{worker_id}"))
-                        .spawn(move || ctx.run())
-                        .expect("spawn worker thread"),
-                );
-                worker_id += 1;
-            }
-            pools.push(Pool {
-                workers,
-                counters,
-                routed: AtomicU64::new(0),
-            });
-        }
+        let (tx, rx) = sync_channel::<Job>(config.queue_depth);
+        // std's Receiver is single-consumer: the workers share it locked.
+        let rx = Arc::new(Mutex::new(rx));
+        let counters: Vec<_> = (0..config.workers)
+            .map(|id| Arc::new(WorkerCounters::new(id, config.flight_recorder, epoch)))
+            .collect();
+        let workers = counters
+            .iter()
+            .enumerate()
+            .map(|(id, counter)| {
+                let ctx = WorkerCtx::new(id, &backend, &rx, &config, Arc::clone(counter));
+                std::thread::Builder::new()
+                    .name(format!("gnn-worker-{id}"))
+                    .spawn(move || ctx.run())
+                    .expect("spawn worker thread")
+            })
+            .collect();
         let control = FlightRecorder::new(SOURCE_CONTROL, config.flight_recorder, epoch);
         let driver_flight = FlightRecorder::new(SOURCE_DRIVER, config.flight_recorder, epoch);
         Service {
-            senders: Mutex::new(Some(senders)),
+            sender: Mutex::new(Some(tx)),
             backend,
-            pools,
+            workers,
+            counters,
             config,
             epoch,
             control,
@@ -386,8 +355,8 @@ impl Service {
         }
     }
 
-    /// Atomically publishes a new snapshot on a **single-shard** service
-    /// and returns its generation.
+    /// Atomically publishes a new single-shard snapshot and returns its
+    /// generation.
     ///
     /// Workers pick the new snapshot up **between** queries: an in-flight
     /// query finishes on the snapshot it started on, no worker ever blocks
@@ -397,9 +366,7 @@ impl Service {
     ///
     /// # Panics
     ///
-    /// Panics on a sharded service — publish a matching
-    /// [`ShardedSnapshot`] through [`Service::publish_sharded`] instead —
-    /// and on a network service.
+    /// Panics on a network service.
     pub fn publish(&self, snapshot: Arc<PackedRTree>) -> u64 {
         self.publish_sharded(Arc::new(ShardedSnapshot::single(snapshot)))
     }
@@ -408,40 +375,26 @@ impl Service {
     /// [`Service::publish`]) and returns its generation. An incremental
     /// refresh ([`gnn_rtree::ShardedTree::refreeze_all`]) shares the `Arc`
     /// of every untouched shard with the previous generation, so the swap
-    /// costs memory only for the shards that changed.
+    /// costs memory only for the shards that changed. The shard count may
+    /// change: workers rebuild their cursors for every generation.
     ///
     /// # Panics
     ///
-    /// Panics when the snapshot's shard count differs from the service's
-    /// pool count (the router's shard↔pool mapping is fixed at start), and
-    /// on a network service.
+    /// Panics on a network service.
     pub fn publish_sharded(&self, snapshot: Arc<ShardedSnapshot>) -> u64 {
-        let slot = self.publish_slot(&snapshot);
-        self.publish_on(slot, snapshot)
+        self.publish_on(self.backend.slot(), snapshot)
     }
 
     /// Like [`Service::publish_sharded`], but refuses (returns `None`)
-    /// once [`Service::initiate_shutdown`] has closed the queues — the
+    /// once [`Service::initiate_shutdown`] has closed the queue — the
     /// check and the publish are serialized against the close, so after
     /// `initiate_shutdown` returns the generation can never advance again.
     /// The [`RefreshDriver`]'s entry: a refresh that races shutdown is
     /// dropped instead of published into a draining service.
     pub fn try_publish_sharded(&self, snapshot: Arc<ShardedSnapshot>) -> Option<u64> {
-        let slot = self.publish_slot(&snapshot);
-        let open = lock_unpoisoned(&self.senders);
-        open.is_some().then(|| self.publish_on(slot, snapshot))
-    }
-
-    /// The slot `snapshot` may be published into: every publish entry
-    /// refuses a network service and a shard-count change here.
-    fn publish_slot(&self, snapshot: &ShardedSnapshot) -> &SnapshotSlot {
         let slot = self.backend.slot();
-        assert_eq!(
-            snapshot.shard_count(),
-            self.pools.len(),
-            "published snapshot must keep the shard count"
-        );
-        slot
+        let open = lock_unpoisoned(&self.sender);
+        open.is_some().then(|| self.publish_on(slot, snapshot))
     }
 
     fn publish_on(&self, slot: &SnapshotSlot, snapshot: Arc<ShardedSnapshot>) -> u64 {
@@ -462,16 +415,16 @@ impl Service {
         self.backend.generation()
     }
 
-    /// The currently published snapshot of a **single-shard** service.
+    /// The currently published snapshot when it has a single shard.
     ///
     /// # Panics
     ///
-    /// Panics on a sharded service — use [`Service::sharded_snapshot`] —
+    /// Panics when it has several — use [`Service::sharded_snapshot`] —
     /// and on a network service.
     pub fn snapshot(&self) -> Arc<PackedRTree> {
         let snapshot = self.sharded_snapshot();
         assert_eq!(
-            self.pools.len(),
+            snapshot.shard_count(),
             1,
             "snapshot() is the single-shard entry; use sharded_snapshot()"
         );
@@ -485,11 +438,6 @@ impl Service {
     /// Panics on a network service.
     pub fn sharded_snapshot(&self) -> Arc<ShardedSnapshot> {
         self.backend.slot().load().0
-    }
-
-    /// Number of shard pools (fixed at start).
-    pub fn shard_count(&self) -> usize {
-        self.pools.len()
     }
 
     /// The network backend this service executes on, when started through
@@ -506,21 +454,10 @@ impl Service {
         &self.config
     }
 
-    /// The pool this request is queued on: the shard with the smallest
-    /// aggregate-MBR lower bound for the group.
-    fn route(&self, request: &QueryRequest) -> usize {
-        if self.pools.len() == 1 {
-            return 0;
-        }
-        // Known trade-off: routing loads the slot (a brief mutex) and the
-        // worker recomputes the shard order anyway.
-        primary_shard(&request.group, &self.sharded_snapshot()) as usize
-    }
-
     /// The one submission entry point: accepts anything convertible into a
-    /// [`Submission`] — a plain [`QueryRequest`] converts — enqueues one
-    /// job on the routed shard's queue, and returns one [`ResponseHandle`]
-    /// (redeem it with [`ResponseHandle::wait`]) or one [`SubmitError`].
+    /// [`Submission`] — a plain [`gnn_core::QueryRequest`] converts —
+    /// enqueues one job, and returns one [`ResponseHandle`] (redeem it
+    /// with [`ResponseHandle::wait`]) or one [`SubmitError`].
     /// Blocking submissions (the default) wait out backpressure;
     /// `.blocking(false)` fails fast with [`SubmitError::QueueFull`].
     ///
@@ -529,19 +466,17 @@ impl Service {
     /// [`QueryError`] outcomes.
     pub fn submit(&self, submission: impl Into<Submission>) -> Result<ResponseHandle, SubmitError> {
         let Submission { request, blocking } = submission.into();
-        let shard = self.route(&request);
         let (reply, rx) = mpsc::channel();
         let job = Job::new(request, reply, Instant::now());
         // Clone-and-release: the bounded send may block on backpressure,
         // and holding the lock there would stall `initiate_shutdown` and
         // every other submitter.
-        let sender = lock_unpoisoned(&self.senders)
-            .as_ref()
-            .map(|senders| senders[shard].clone())
+        let sender = lock_unpoisoned(&self.sender)
+            .clone()
             .ok_or(SubmitError::Shutdown)?;
         if blocking {
             // Fails only when the shared receiver is gone: shutdown closed
-            // the table after the clone and the pool drained out.
+            // the queue after the clone and the workers drained out.
             sender.send(job).map_err(|_| SubmitError::Shutdown)?;
         } else {
             sender.try_send(job).map_err(|e| match e {
@@ -549,7 +484,6 @@ impl Service {
                 TrySendError::Disconnected(_) => SubmitError::Shutdown,
             })?;
         }
-        self.pools[shard].routed.fetch_add(1, Ordering::Relaxed);
         Ok(ResponseHandle::new(rx))
     }
 
@@ -558,38 +492,36 @@ impl Service {
     /// a point-in-time merge; workers keep recording while it is read.
     pub fn stats(&self) -> ServiceStats {
         let rings = vec![self.control.snapshot(), self.driver_flight.snapshot()];
-        stats::collect(self.generation(), &self.pools, rings)
+        stats::collect(self.generation(), &self.counters, rings)
     }
 
     /// Graceful shutdown: stops accepting new requests, lets the workers
     /// drain every queued request (their responses stay redeemable), joins
-    /// the pools, and returns the final counters.
+    /// them, and returns the final counters.
     pub fn shutdown(mut self) -> ServiceStats {
         self.stop_and_join();
         self.stats()
     }
 
-    /// Closes every shard queue from `&self` without joining the workers:
+    /// Closes the queue from `&self` without joining the workers:
     /// submissions from this point on fail cleanly
     /// ([`SubmitError::Shutdown`]), every request accepted **before** the
     /// close is still drained and answered exactly once, and no snapshot
     /// can be published past the close ([`Service::try_publish_sharded`]).
     /// Callable from any thread, so a shutdown can race in-flight
     /// submissions and a running [`RefreshDriver`] deterministically.
-    /// Follow with [`Service::shutdown`] to join the pools.
+    /// Follow with [`Service::shutdown`] to join the workers.
     pub fn initiate_shutdown(&self) {
-        // Every worker's `recv` fails once its queue is drained.
-        drop(lock_unpoisoned(&self.senders).take());
+        // Every worker's `recv` fails once the queue is drained.
+        drop(lock_unpoisoned(&self.sender).take());
     }
 
     fn stop_and_join(&mut self) {
         self.initiate_shutdown();
-        for pool in &mut self.pools {
-            for handle in pool.workers.drain(..) {
-                // A worker answers a panicked request itself, so no handle
-                // hangs; joining must not poison shutdown regardless.
-                let _ = handle.join();
-            }
+        for handle in self.workers.drain(..) {
+            // A worker answers a panicked request itself, so no handle
+            // hangs; joining must not poison shutdown regardless.
+            let _ = handle.join();
         }
     }
 }
@@ -602,9 +534,8 @@ impl Drop for Service {
 
 impl fmt::Debug for Service {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let running = lock_unpoisoned(&self.senders).is_some();
+        let running = lock_unpoisoned(&self.sender).is_some();
         f.debug_struct("Service")
-            .field("shards", &self.pools.len())
             .field("workers", &self.config.workers)
             .field("queue_depth", &self.config.queue_depth)
             .field("generation", &self.generation())
@@ -617,8 +548,8 @@ impl fmt::Debug for Service {
 mod tests {
     use super::*;
     use gnn_core::{
-        Algo, Mbm, MemoryGnnAlgorithm, Planner, QueryGroup, QueryResponse, QueryScratch,
-        ShardRouting, Target,
+        Algo, Mbm, MemoryGnnAlgorithm, Planner, QueryGroup, QueryRequest, QueryResponse,
+        QueryScratch, ShardRouting, Target,
     };
     use gnn_geom::{Point, PointId};
     use gnn_rtree::{LeafEntry, RTree, RTreeParams, TreeCursor};
@@ -694,8 +625,6 @@ mod tests {
         assert_eq!(stats.per_worker.len(), 4);
         let sum: u64 = stats.per_worker.iter().map(|w| w.queries).sum();
         assert_eq!(sum, 24);
-        assert_eq!(stats.per_shard.len(), 1);
-        assert_eq!(stats.per_shard[0].routed, 24);
         assert_eq!(stats.single_shard_fraction(), Some(1.0));
     }
 
@@ -996,60 +925,43 @@ mod tests {
             assert_eq!(r.routing, routing, "query {i}");
         }
         let stats = service.shutdown();
-        assert_eq!(stats.per_shard.len(), 4);
-        assert_eq!(
-            stats.per_shard.iter().map(|s| s.routed).sum::<u64>(),
-            24,
-            "every request routed to exactly one pool"
-        );
         assert_eq!(stats.queries_served, 24);
     }
 
     #[test]
-    fn workers_distribute_across_pools_with_a_floor_of_one() {
+    fn a_sharded_service_spawns_exactly_the_configured_workers() {
         let snap = sharded_snapshot(500, 4, 71);
-        // 6 workers over 4 shards: pools get 2,2,1,1.
-        let service = Service::start_sharded(Arc::clone(&snap), ServiceConfig::with_workers(6));
-        let stats = service.stats();
-        assert_eq!(stats.per_worker.len(), 6);
-        let mut per_pool = [0usize; 4];
-        for w in &stats.per_worker {
-            per_pool[w.shard] += 1;
+        for workers in [1, 2, 6] {
+            let service =
+                Service::start_sharded(Arc::clone(&snap), ServiceConfig::with_workers(workers));
+            assert_eq!(service.stats().per_worker.len(), workers);
         }
-        assert_eq!(per_pool, [2, 2, 1, 1]);
-        drop(service);
-        // 2 workers over 4 shards: every pool still gets one.
-        let service = Service::start_sharded(snap, ServiceConfig::with_workers(2));
-        assert_eq!(service.stats().per_worker.len(), 4);
-        drop(service);
     }
 
     #[test]
-    fn local_traffic_routes_to_distinct_pools() {
-        // Queries centered in each shard's MBR must route to that shard
-        // and (for tight groups) be answered by it alone.
+    fn local_traffic_is_answered_by_its_own_shard() {
+        // Tight groups centered in each shard's MBR lead with that shard
+        // and are answered by it alone.
         let snap = sharded_snapshot(4000, 4, 74);
         let service = Service::start_sharded(Arc::clone(&snap), ServiceConfig::with_workers(4));
         for (s, mbr) in snap.directory().iter().enumerate() {
             let c = mbr.center();
             let g = QueryGroup::sum(vec![c, Point::new(c.x + 0.2, c.y + 0.2)]).unwrap();
-            let req = QueryRequest::new(g, 1);
-            assert_eq!(service.route(&req), s, "shard {s}");
-            let r = service.submit(req).unwrap().wait().unwrap();
+            let r = service
+                .submit(QueryRequest::new(g, 1))
+                .unwrap()
+                .wait()
+                .unwrap();
             assert_eq!(r.routing.primary as usize, s);
         }
-        // A group spread over the space routes to its primary shard too.
-        let spread = QueryRequest::new(random_group(3, 73), 1);
-        let natural = primary_shard(&spread.group, &snap) as usize;
-        assert_eq!(service.route(&spread), natural);
-        let r = service.submit(spread).unwrap().wait().unwrap();
+        let r = service
+            .submit(QueryRequest::new(random_group(3, 73), 1))
+            .unwrap()
+            .wait()
+            .unwrap();
         assert!(!r.neighbors.is_empty());
         let stats = service.shutdown();
         assert_eq!(stats.queries_served, 5);
-        for s in &stats.per_shard {
-            let want = 1 + u64::from(s.shard == natural);
-            assert_eq!(s.routed, want, "shard {}", s.shard);
-        }
         assert!(stats.single_shard_hits >= 3, "{stats:?}");
     }
 
@@ -1071,11 +983,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "keep the shard count")]
-    fn publish_sharded_rejects_shard_count_changes() {
+    fn publishing_a_new_shard_count_serves_the_new_generation_exactly() {
         let service =
-            Service::start_sharded(sharded_snapshot(500, 2, 78), ServiceConfig::with_workers(2));
-        service.publish_sharded(sharded_snapshot(500, 3, 79));
+            Service::start_sharded(sharded_snapshot(800, 2, 78), ServiceConfig::with_workers(3));
+        let next = sharded_snapshot(1500, 3, 79);
+        assert_eq!(service.publish_sharded(Arc::clone(&next)), 2);
+        let planner = Planner::new();
+        let mut scratch = QueryScratch::new();
+        let cursors: Vec<_> = next.shards().iter().map(|s| s.cursor()).collect();
+        let requests: Vec<_> = (0..16u64)
+            .map(|i| QueryRequest::new(random_group(4, 400 + i), 3))
+            .collect();
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|r| service.submit(r.clone()).unwrap())
+            .collect();
+        for (i, (request, handle)) in requests.iter().zip(handles).enumerate() {
+            let (choice, want, stats, routing) =
+                request.execute_on(&planner, &sharded_target(&next, &cursors), &mut scratch);
+            let r = handle.wait().unwrap();
+            assert_eq!(r.generation, 2, "query {i}");
+            assert_eq!(r.choice, choice, "query {i}");
+            assert_eq!(r.neighbors, want, "query {i}");
+            assert_eq!(r.stats, stats, "query {i}");
+            assert_eq!(r.routing, routing, "query {i}");
+        }
+        service.shutdown();
     }
 
     #[test]

@@ -193,7 +193,7 @@ impl RefreshDriver {
         );
         assert_eq!(
             tree.shard_count(),
-            service.shard_count(),
+            service.sharded_snapshot().shard_count(),
             "driver tree and service must agree on the shard count"
         );
         assert!(

@@ -5,13 +5,13 @@
 //! [`Service::stats`]: crate::Service::stats
 
 use crate::fault::FaultLedger;
-use crate::Pool;
 use gnn_core::QueryResponse;
 use gnn_telemetry::{
     FlightEventKind, FlightLog, FlightRecorder, LatencyHistogram, LatencySnapshot, RingSnapshot,
     StageHistograms, StageSnapshot,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Saturating nanosecond count: the flight-recorder payload of a timing.
@@ -29,7 +29,6 @@ pub(crate) struct WorkerCounters {
     pub(crate) dist_computations: AtomicU64,
     pub(crate) busy_nanos: AtomicU64,
     pub(crate) single_shard_hits: AtomicU64,
-    pub(crate) shards_consulted: AtomicU64,
     pub(crate) panics: AtomicU64,
     pub(crate) respawns: AtomicU64,
     pub(crate) shed: AtomicU64,
@@ -50,7 +49,6 @@ impl WorkerCounters {
             dist_computations: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
             single_shard_hits: AtomicU64::new(0),
-            shards_consulted: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -71,7 +69,7 @@ impl WorkerCounters {
         execution: Duration,
         latency: Duration,
     ) {
-        let (stats, routing) = (&served.stats, served.routing);
+        let stats = &served.stats;
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.node_accesses
             .fetch_add(stats.data_tree.logical, Ordering::Relaxed);
@@ -82,11 +80,9 @@ impl WorkerCounters {
             u64::try_from(execution.as_nanos()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
         );
-        if routing.consulted <= 1 {
+        if served.routing.consulted <= 1 {
             self.single_shard_hits.fetch_add(1, Ordering::Relaxed);
         }
-        self.shards_consulted
-            .fetch_add(u64::from(routing.consulted), Ordering::Relaxed);
         self.latency.record(latency);
         self.stages.queue_wait.record(queue_wait);
         self.stages.execution.record(execution);
@@ -101,10 +97,9 @@ impl WorkerCounters {
             .record_at(at, FlightEventKind::Shed, duration_nanos(waited));
     }
 
-    fn snapshot(&self, worker: usize, shard: usize) -> WorkerSnapshot {
+    fn snapshot(&self, worker: usize) -> WorkerSnapshot {
         WorkerSnapshot {
             worker,
-            shard,
             queries: self.queries.load(Ordering::Relaxed),
             node_accesses: self.node_accesses.load(Ordering::Relaxed),
             io: self.io.load(Ordering::Relaxed),
@@ -117,10 +112,8 @@ impl WorkerCounters {
 /// Point-in-time counters of one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerSnapshot {
-    /// Worker index (0-based, global across pools).
+    /// Worker index (0-based).
     pub worker: usize,
-    /// The shard pool this worker serves.
-    pub shard: usize,
     /// Queries served by this worker.
     pub queries: u64,
     /// Logical node accesses performed (the paper's NA metric).
@@ -133,29 +126,8 @@ pub struct WorkerSnapshot {
     pub busy: Duration,
 }
 
-/// Point-in-time routing/serving counters of one shard pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard index.
-    pub shard: usize,
-    /// Requests the router queued on this pool.
-    pub routed: u64,
-    /// Queries served by this pool's workers.
-    pub queries: u64,
-    /// Served queries that consulted only this pool's own shard (the
-    /// routing-hit metric).
-    pub single_shard_hits: u64,
-    /// Total shards consulted across this pool's served queries
-    /// (`/ queries` = average fan-out of the cross-shard merge).
-    pub shards_consulted: u64,
-    /// Response-latency histogram of this pool alone (same contract as
-    /// [`ServiceStats::latency`]): exposes a hot shard the merged histogram
-    /// averages away.
-    pub latency: LatencySnapshot,
-}
-
-/// Aggregated service counters: per-worker and per-shard snapshots, their
-/// totals, and the merged latency histogram.
+/// Aggregated service counters: per-worker snapshots, their totals, and
+/// the merged latency histogram.
 #[derive(Debug, Clone)]
 pub struct ServiceStats {
     /// The snapshot generation currently published (1 at start; each
@@ -176,10 +148,8 @@ pub struct ServiceStats {
     /// Panics, respawns, shed requests, and missed deadlines across all
     /// workers. Panicked queries are **not** in `queries_served`.
     pub faults: FaultLedger,
-    /// Per-worker breakdown (length = total workers across pools).
+    /// Per-worker breakdown (length = `ServiceConfig::workers`).
     pub per_worker: Vec<WorkerSnapshot>,
-    /// Per-shard routing/serving breakdown (length = shard count).
-    pub per_shard: Vec<ShardStats>,
     /// Merged response-latency histogram. Samples measure **submit →
     /// response** — queueing plus execution — so an overloaded service
     /// shows its backlog in the tail (the open-loop contract).
@@ -207,11 +177,11 @@ impl ServiceStats {
     }
 }
 
-/// Aggregates every pool's counters plus the non-worker flight `rings`
+/// Aggregates every worker's counters plus the non-worker flight `rings`
 /// (control, driver) into one [`ServiceStats`].
 pub(crate) fn collect(
     generation: u64,
-    pools: &[Pool],
+    workers: &[Arc<WorkerCounters>],
     mut rings: Vec<RingSnapshot>,
 ) -> ServiceStats {
     let mut stats = ServiceStats {
@@ -222,44 +192,27 @@ pub(crate) fn collect(
         dist_computations: 0,
         single_shard_hits: 0,
         faults: FaultLedger::default(),
-        per_worker: Vec::new(),
-        per_shard: Vec::new(),
+        per_worker: Vec::with_capacity(workers.len()),
         latency: LatencySnapshot::empty(),
         stages: StageSnapshot::empty(),
         flight: FlightLog::empty(),
         simd_level: gnn_geom::simd::dispatch_level().label(),
     };
-    for (shard, pool) in pools.iter().enumerate() {
-        let counters = &pool.counters;
-        let mut pool = ShardStats {
-            shard,
-            routed: pool.routed.load(Ordering::Relaxed),
-            queries: 0,
-            single_shard_hits: 0,
-            shards_consulted: 0,
-            latency: LatencySnapshot::empty(),
-        };
-        for c in counters {
-            let worker = c.snapshot(stats.per_worker.len(), shard);
-            stats.queries_served += worker.queries;
-            stats.node_accesses += worker.node_accesses;
-            stats.io += worker.io;
-            stats.dist_computations += worker.dist_computations;
-            stats.per_worker.push(worker);
-            pool.queries += worker.queries;
-            pool.single_shard_hits += c.single_shard_hits.load(Ordering::Relaxed);
-            pool.shards_consulted += c.shards_consulted.load(Ordering::Relaxed);
-            stats.faults.panics += c.panics.load(Ordering::Relaxed);
-            stats.faults.respawns += c.respawns.load(Ordering::Relaxed);
-            stats.faults.shed += c.shed.load(Ordering::Relaxed);
-            stats.faults.deadline_missed += c.deadline_missed.load(Ordering::Relaxed);
-            pool.latency.merge(&c.latency.snapshot());
-            stats.stages.merge(&c.stages.snapshot());
-            rings.push(c.flight.snapshot());
-        }
-        stats.single_shard_hits += pool.single_shard_hits;
-        stats.latency.merge(&pool.latency);
-        stats.per_shard.push(pool);
+    for (id, c) in workers.iter().enumerate() {
+        let worker = c.snapshot(id);
+        stats.queries_served += worker.queries;
+        stats.node_accesses += worker.node_accesses;
+        stats.io += worker.io;
+        stats.dist_computations += worker.dist_computations;
+        stats.per_worker.push(worker);
+        stats.single_shard_hits += c.single_shard_hits.load(Ordering::Relaxed);
+        stats.faults.panics += c.panics.load(Ordering::Relaxed);
+        stats.faults.respawns += c.respawns.load(Ordering::Relaxed);
+        stats.faults.shed += c.shed.load(Ordering::Relaxed);
+        stats.faults.deadline_missed += c.deadline_missed.load(Ordering::Relaxed);
+        stats.latency.merge(&c.latency.snapshot());
+        stats.stages.merge(&c.stages.snapshot());
+        rings.push(c.flight.snapshot());
     }
     stats.flight = FlightLog::merge(rings);
     stats

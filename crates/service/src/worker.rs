@@ -5,6 +5,11 @@
 //! [`QueryRequest::execute_on`] under an unwind guard, and
 //! [`WorkerCtx::reply`] records and sends.
 //!
+//! **Generations:** the worker reads the generation while it still holds
+//! the dequeue lock, and when it moved it loads the new lease under that
+//! same lock. So a job dequeued later is never served on an older
+//! generation than a job dequeued earlier, whichever worker takes it.
+//!
 //! **Clock:** each stage boundary reads the clock once — `dequeued`,
 //! `executed`, `replied` — and the flight events, queue wait, deadline
 //! check, trace, histograms and `busy` are all computed from those stamps.
@@ -100,6 +105,15 @@ impl<'s> Serving<'s> {
     }
 }
 
+/// What [`WorkerCtx::next_job`] hands the worker.
+enum Dequeued {
+    /// A job to serve on the worker's current generation.
+    Current(Job),
+    /// A job dequeued after a publish, with the lease and generation
+    /// loaded under the same dequeue lock: the job is served on them.
+    Moved(Job, Lease, u64),
+}
+
 /// A query that executed: its response and the `executed` stamp.
 type Served = (QueryResponse, Instant);
 
@@ -139,23 +153,28 @@ impl WorkerCtx {
         }
     }
 
-    /// The thread body: serve on one generation until a newer one is
-    /// published, reload, repeat; return at shutdown.
+    /// The thread body: serve on one generation until a job is dequeued
+    /// after a publish, serve that job on the lease loaded with it, repeat;
+    /// return at shutdown.
     pub(crate) fn run(mut self) {
+        let (mut lease, mut generation) = self.backend.load();
+        self.warm(&lease);
         let mut carried = None;
-        let mut warmed = false;
         loop {
-            let (lease, generation) = self.backend.load();
             let mut serving = Serving::new(&lease, generation);
-            if !warmed {
-                warmed = true;
-                self.warm(&serving);
-            }
-            while let Some(job) = self.next_job(generation, &mut carried) {
+            if let Some(job) = carried.take() {
                 self.serve(&mut serving, &job);
             }
-            if carried.is_none() {
-                return; // senders dropped and queue drained: shutdown
+            loop {
+                match self.next_job(generation) {
+                    Some(Dequeued::Current(job)) => self.serve(&mut serving, &job),
+                    Some(Dequeued::Moved(job, next, at)) => {
+                        drop(serving);
+                        (lease, generation, carried) = (next, at, Some(job));
+                        break;
+                    }
+                    None => return, // sender dropped and queue drained: shutdown
+                }
             }
         }
     }
@@ -164,36 +183,36 @@ impl WorkerCtx {
     /// warm-up) sizes the scratch, so a worker's first real request does
     /// not pay the cold-start allocations inside a caller's latency. Only
     /// the worker can do this — a shared queue gives no per-worker routing.
-    /// Uncounted (it is not traffic), and once: the scratch survives swaps.
-    fn warm(&mut self, serving: &Serving<'_>) {
-        match serving.lease {
+    /// Uncounted (it is not traffic; its cursors are thrown away), and
+    /// once: the scratch survives swaps.
+    fn warm(&mut self, lease: &Lease) {
+        match lease {
             Lease::Network(backend) => backend.warm(&mut self.scratch),
             Lease::Euclidean(snapshot) if !snapshot.is_empty() => {
                 if let Ok(group) = QueryGroup::sum(vec![snapshot.root_mbr().center()]) {
+                    let serving = Serving::new(lease, 0);
                     let warm = QueryRequest::new(group, 1);
                     let _ = warm.execute_on(&self.planner, &serving.target(), &mut self.scratch);
-                    serving.cursors.iter().for_each(TreeCursor::reset);
                 }
             }
             Lease::Euclidean(_) => {}
         }
     }
 
-    /// Dequeue + generation hand-off: the next job to serve on `generation`,
-    /// or `None` — at shutdown, or with a job left in `carried` because a
-    /// newer generation was published (reload, then serve it: a job is
-    /// never dropped). The swap check costs one atomic load and comes after
-    /// the dequeue, so once `publish` returns no later-dequeued job sees
-    /// the old snapshot. The queue is locked for the dequeue only.
-    fn next_job(&self, generation: u64, carried: &mut Option<Job>) -> Option<Job> {
-        let job = carried
-            .take()
-            .or_else(|| lock_unpoisoned(&self.rx).recv().ok())?;
+    /// Dequeue + generation hand-off: the next job, to serve on
+    /// `generation` or on the lease loaded with it when a newer generation
+    /// was published; `None` at shutdown. The swap check costs one atomic
+    /// load and both it and the reload run under the dequeue lock, so no
+    /// later-dequeued job, on any worker, reads an older generation, and
+    /// once `publish` returns no later-dequeued job sees the old snapshot.
+    fn next_job(&self, generation: u64) -> Option<Dequeued> {
+        let rx = lock_unpoisoned(&self.rx);
+        let job = rx.recv().ok()?;
         if self.backend.generation() == generation {
-            return Some(job);
+            return Some(Dequeued::Current(job));
         }
-        *carried = Some(job);
-        None
+        let (lease, generation) = self.backend.load();
+        Some(Dequeued::Moved(job, lease, generation))
     }
 
     /// The step: admit, then execute and reply. After a panic the worker
@@ -340,6 +359,7 @@ fn inject_fault(fault: &FaultPlan, worker: usize, nth: u64) {
 mod tests {
     use super::*;
     use crate::SnapshotSlot;
+    use gnn_core::{Mbm, MemoryGnnAlgorithm};
     use gnn_geom::{Point, PointId};
     use gnn_rtree::{LeafEntry, RTree, RTreeParams};
     use std::sync::mpsc::{channel, sync_channel, SyncSender};
@@ -351,6 +371,23 @@ mod tests {
         backend: Arc<Backend>,
         counters: Arc<WorkerCounters>,
         queue: SyncSender<Job>,
+        rx: Arc<Mutex<Receiver<Job>>>,
+        config: ServiceConfig,
+    }
+
+    impl Rig {
+        /// One more worker context over the rig's queue and backend.
+        fn worker(&self, id: usize) -> WorkerCtx {
+            let counters = Arc::new(WorkerCounters::new(id, 64, Instant::now()));
+            WorkerCtx::new(id, &self.backend, &self.rx, &self.config, counters)
+        }
+
+        fn publish(&self, snapshot: Arc<ShardedSnapshot>) -> u64 {
+            let Backend::Euclidean(slot) = &*self.backend else {
+                unreachable!("the rig is Euclidean")
+            };
+            slot.publish(snapshot)
+        }
     }
 
     fn lattice(side: usize) -> Arc<ShardedSnapshot> {
@@ -381,6 +418,8 @@ mod tests {
             backend,
             counters,
             queue,
+            rx,
+            config,
         }
     }
 
@@ -519,31 +558,60 @@ mod tests {
         );
     }
 
-    #[test]
-    fn next_job_hands_a_job_dequeued_under_a_stale_generation_to_the_reload() {
-        let rig = rig(FaultPlan::none());
-        let (_, generation) = rig.backend.load();
-        let job = || Job::new(request(1.0, 1.0), channel().0, Instant::now());
-        let mut carried = None;
-        assert!(rig.queue.send(job()).is_ok());
-        assert!(rig.ctx.next_job(generation, &mut carried).is_some());
-        assert!(carried.is_none());
+    fn moved(dequeued: Option<Dequeued>) -> (Job, Lease, u64) {
+        match dequeued {
+            Some(Dequeued::Moved(job, lease, generation)) => (job, lease, generation),
+            _ => panic!("expected a job past a publish"),
+        }
+    }
 
-        // A publish between two dequeues: the second job is carried, not
-        // served on the old generation and not dropped.
-        assert!(rig.queue.send(job()).is_ok());
-        let Backend::Euclidean(slot) = &*rig.backend else {
+    #[test]
+    fn no_later_dequeued_job_reads_an_older_generation() {
+        // Two workers over one queue, both serving generation 1, and four
+        // queued jobs; publishes land between the dequeues.
+        let mut rig = rig(FaultPlan::none());
+        let other = rig.worker(1);
+        let mut replies = Vec::new();
+        for i in 0..4 {
+            let (job, reply) = job(request(1.0 + i as f64, 2.0), Instant::now());
+            assert!(rig.queue.send(job).is_ok());
+            replies.push(reply);
+        }
+        let first = rig.ctx.next_job(1);
+        assert!(matches!(first, Some(Dequeued::Current(_))));
+        let mut dequeued = vec![1];
+
+        // Job 1 is dequeued past a publish: it carries the lease loaded
+        // under the dequeue lock, and runs on it even though a second
+        // publish lands before it does.
+        let second = lattice(12);
+        assert_eq!(rig.publish(Arc::clone(&second)), 2);
+        let (job1, lease, generation) = moved(rig.ctx.next_job(1));
+        let Lease::Euclidean(leased) = &lease else {
             unreachable!("the rig is Euclidean")
         };
-        assert_eq!(slot.publish(lattice(10)), generation + 1);
-        assert!(rig.ctx.next_job(generation, &mut carried).is_none());
-        assert!(carried.is_some());
-        assert!(rig.ctx.next_job(generation + 1, &mut carried).is_some());
-        assert!(carried.is_none());
+        assert!(Arc::ptr_eq(leased, &second));
+        assert_eq!(generation, 2);
+        dequeued.push(generation);
+        assert_eq!(rig.publish(lattice(15)), 3);
+        let mut serving = Serving::new(&lease, generation);
+        rig.ctx.serve(&mut serving, &job1);
+        let response = replies[1].try_recv().expect("one reply").expect("served");
+        assert_eq!(response.generation, 2);
+        let want = Mbm::best_first().k_gnn(&second.shard(0).cursor(), &request(2.0, 2.0).group, 3);
+        assert_eq!(response.neighbors, want.neighbors);
 
-        // Senders gone and queue drained: `None` with nothing carried.
+        // Both workers dequeue the rest on the newest generation: the one
+        // still on generation 1 and the one on generation 2.
+        let (_, _, generation) = moved(other.next_job(1));
+        dequeued.push(generation);
+        let (_, _, generation) = moved(rig.ctx.next_job(2));
+        dequeued.push(generation);
+        assert_eq!(dequeued, [1, 2, 3, 3]);
+
+        // Sender gone and queue drained: `None`.
         drop(rig.queue);
-        assert!(rig.ctx.next_job(generation + 1, &mut carried).is_none());
-        assert!(carried.is_none());
+        assert!(rig.ctx.next_job(3).is_none());
+        assert!(other.next_job(3).is_none());
     }
 }

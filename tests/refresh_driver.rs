@@ -134,6 +134,14 @@ fn continuous_refresh_stays_pinnable_per_generation() {
         .into_iter()
         .map(|(_, h)| h.wait().expect("query served"))
         .collect();
+    // One submitter and one queue: submission order is dequeue order, and
+    // no job dequeued later is served on an older generation.
+    assert!(
+        responses
+            .windows(2)
+            .all(|w| w[0].generation <= w[1].generation),
+        "a generation went backwards in dequeue order"
+    );
 
     let outcome = driver.join().expect("driver run failed");
     assert_eq!(outcome.stats.applied, 900);
