@@ -102,11 +102,10 @@ pub struct QueryRequest {
     /// ([`QueryRequest::execute_on`]), which has no queue.
     pub deadline: Option<Duration>,
     /// Opt-in per-query trace: when set, a serving engine fills
-    /// [`QueryResponse::trace`] with the request's stage timings and cost
-    /// counters — a small `Copy` struct inline in the response, so nothing
-    /// allocates either way, and results, node accesses and reply
-    /// accounting never change. Ignored by direct execution, which has no
-    /// queue or stages.
+    /// [`QueryResponse::trace`] with the request's stage timings — a small
+    /// `Copy` struct inline in the response, so nothing allocates either
+    /// way, and results, node accesses and reply accounting never change.
+    /// Ignored by direct execution, which has no queue or stages.
     pub trace: bool,
     /// The network-domain payload: present exactly when this request is
     /// meant for a [`Target::Network`] backend (it pins or snaps the
@@ -239,22 +238,14 @@ pub struct QueryResponse {
 }
 
 /// The opt-in per-query trace a serving engine attaches to a
-/// [`QueryResponse`]: the request's own stage timings plus its cost
-/// counters, in one `Copy` struct. The counters duplicate
-/// [`QueryResponse::stats`] on purpose — a trace is designed to be logged
-/// or shipped on its own.
+/// [`QueryResponse`]: the request's own stage timings, in one `Copy`
+/// struct. Its cost counters are [`QueryResponse::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QueryTrace {
     /// Submission → dequeue by the serving worker.
     pub queue_wait: Duration,
     /// Execution wall time (includes any injected latency).
     pub execution: Duration,
-    /// Logical node accesses (the paper's NA metric).
-    pub node_accesses: u64,
-    /// Pages read (simulated I/O).
-    pub pages: u64,
-    /// Distance evaluations (CPU proxy).
-    pub dist_computations: u64,
 }
 
 #[cfg(test)]

@@ -39,9 +39,9 @@
 //!   as far as `best_dist` allows: against the arena `k_gnn` reference,
 //!   the same answers bit for bit, never more expansion;
 //! * [`NetworkSnapshot`] — graph + data vertices + frozen Euclidean filter
-//!   index behind [`gnn_core::NetworkBackend`], so `gnn-service` worker
-//!   pools serve network GNN through the same submission surface as
-//!   Euclidean queries, bit-identical to the sequential reference.
+//!   index behind [`gnn_core::NetworkBackend`], so `gnn-service`'s workers
+//!   serve network GNN through the same submission surface as Euclidean
+//!   queries, bit-identical to the sequential reference.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,7 +6,7 @@
 //! frozen Euclidean R\*-tree over the data vertices (IER's filter index,
 //! built **once** here instead of per query) — and implements the
 //! backend-generic execution trait, so `gnn-core`'s `Target::Network` and
-//! `gnn-service`'s worker pools serve it through the exact same
+//! `gnn-service`'s workers serve it through the exact same
 //! `QueryRequest::execute_on` path as Euclidean snapshots. Determinism is
 //! inherited by construction: the sequential reference and every service
 //! worker funnel through [`NetworkSnapshot::execute`].

@@ -23,8 +23,8 @@
 //! reference. An empty plan (the [`Default`]) costs one emptiness check per
 //! query.
 //!
-//! [`FaultLedger`] is the observability half: every panic, respawn, shed
-//! request, and missed deadline — injected or real — is counted into
+//! [`FaultLedger`] is the observability half: every panic, shed request,
+//! and missed deadline — injected or real — is counted into
 //! [`ServiceStats::faults`](crate::ServiceStats::faults).
 
 use std::time::Duration;
@@ -170,12 +170,10 @@ pub fn silence_injected_panics() {
 pub struct FaultLedger {
     /// Queries whose execution panicked. Each one was answered with
     /// [`QueryError::WorkerPanicked`](crate::QueryError) — a panic is a
-    /// typed response, never a lost reply.
+    /// typed response, never a lost reply — once its worker had rebuilt
+    /// its serving state (cursors + scratch) in place, so pool capacity is
+    /// invariant under panics.
     pub panics: u64,
-    /// Times a worker's serving state (cursors + scratch) was rebuilt
-    /// after a panic. Pool capacity is invariant: `respawns == panics`
-    /// in steady state.
-    pub respawns: u64,
     /// Requests shed at dequeue because their
     /// [`deadline`](gnn_core::QueryRequest::deadline) had already expired
     /// (answered with [`QueryError::DeadlineExceeded`](crate::QueryError)).

@@ -25,7 +25,11 @@
 //!   were consulted;
 //! * per-worker counters and fixed-bucket latency histograms aggregate on
 //!   demand into a [`ServiceStats`] snapshot, so the paper's node-access
-//!   cost metric survives concurrency exactly.
+//!   cost metric survives concurrency exactly. Each fact is recorded once:
+//!   the served and shed counts are the stage histograms' counts;
+//! * the service closes only through [`Service::shutdown`] or `Drop`, both
+//!   by value, so no submission or publish can race a close; a service
+//!   shared with a [`RefreshDriver`] closes when its last owner lets go.
 //!
 //! Determinism is the correctness anchor: a query's node accesses and
 //! results depend only on the snapshot and the request (per-worker cursors
@@ -165,8 +169,8 @@ impl ServiceConfig {
 }
 
 /// Locks a mutex, recovering from poisoning: every structure guarded here
-/// (the snapshot slot, the dequeue end, the sender) stays sound under a
-/// panic — none can be left mid-mutation. One policy, one place.
+/// (the snapshot slot, the dequeue end, the driver's counters) stays sound
+/// under a panic — none can be left mid-mutation. One policy, one place.
 fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
@@ -253,11 +257,12 @@ impl Backend {
 
 /// The serving engine: a hot-swappable sharded snapshot slot, one bounded
 /// queue and one worker pool. See the crate docs for the design.
+///
+/// Only [`Service::shutdown`] and `Drop` close the queue, and both take the
+/// service by value: no `submit` or publish can race a close.
 pub struct Service {
-    /// The queue's sending end; `None` once shutdown has been initiated —
-    /// behind a mutex so [`Service::try_publish_sharded`] serializes with
-    /// [`Service::initiate_shutdown`].
-    sender: Mutex<Option<SyncSender<Job>>>,
+    /// The queue's sending end; `None` only inside the close.
+    sender: Option<SyncSender<Job>>,
     backend: Arc<Backend>,
     workers: Vec<JoinHandle<()>>,
     counters: Vec<Arc<WorkerCounters>>,
@@ -344,7 +349,7 @@ impl Service {
         let control = FlightRecorder::new(SOURCE_CONTROL, config.flight_recorder, epoch);
         let driver_flight = FlightRecorder::new(SOURCE_DRIVER, config.flight_recorder, epoch);
         Service {
-            sender: Mutex::new(Some(tx)),
+            sender: Some(tx),
             backend,
             workers,
             counters,
@@ -382,23 +387,7 @@ impl Service {
     ///
     /// Panics on a network service.
     pub fn publish_sharded(&self, snapshot: Arc<ShardedSnapshot>) -> u64 {
-        self.publish_on(self.backend.slot(), snapshot)
-    }
-
-    /// Like [`Service::publish_sharded`], but refuses (returns `None`)
-    /// once [`Service::initiate_shutdown`] has closed the queue — the
-    /// check and the publish are serialized against the close, so after
-    /// `initiate_shutdown` returns the generation can never advance again.
-    /// The [`RefreshDriver`]'s entry: a refresh that races shutdown is
-    /// dropped instead of published into a draining service.
-    pub fn try_publish_sharded(&self, snapshot: Arc<ShardedSnapshot>) -> Option<u64> {
-        let slot = self.backend.slot();
-        let open = lock_unpoisoned(&self.sender);
-        open.is_some().then(|| self.publish_on(slot, snapshot))
-    }
-
-    fn publish_on(&self, slot: &SnapshotSlot, snapshot: Arc<ShardedSnapshot>) -> u64 {
-        let generation = slot.publish(snapshot);
+        let generation = self.backend.slot().publish(snapshot);
         self.control.record(FlightEventKind::Published, generation);
         generation
     }
@@ -468,20 +457,18 @@ impl Service {
         let Submission { request, blocking } = submission.into();
         let (reply, rx) = mpsc::channel();
         let job = Job::new(request, reply, Instant::now());
-        // Clone-and-release: the bounded send may block on backpressure,
-        // and holding the lock there would stall `initiate_shutdown` and
-        // every other submitter.
-        let sender = lock_unpoisoned(&self.sender)
-            .clone()
-            .ok_or(SubmitError::Shutdown)?;
+        let sender = self
+            .sender
+            .as_ref()
+            .expect("only a close by value takes the sender");
+        // A send fails only when the receiver is gone, that is, when every
+        // worker thread is.
         if blocking {
-            // Fails only when the shared receiver is gone: shutdown closed
-            // the queue after the clone and the workers drained out.
-            sender.send(job).map_err(|_| SubmitError::Shutdown)?;
+            sender.send(job).map_err(|_| SubmitError::WorkerDied)?;
         } else {
             sender.try_send(job).map_err(|e| match e {
                 TrySendError::Full(_) => SubmitError::QueueFull,
-                TrySendError::Disconnected(_) => SubmitError::Shutdown,
+                TrySendError::Disconnected(_) => SubmitError::WorkerDied,
             })?;
         }
         Ok(ResponseHandle::new(rx))
@@ -495,29 +482,18 @@ impl Service {
         stats::collect(self.generation(), &self.counters, rings)
     }
 
-    /// Graceful shutdown: stops accepting new requests, lets the workers
-    /// drain every queued request (their responses stay redeemable), joins
-    /// them, and returns the final counters.
+    /// Graceful shutdown: closes the queue, lets the workers drain every
+    /// queued request (their responses stay redeemable), joins them, and
+    /// returns the final counters. Dropping the service does the same and
+    /// discards the counters.
     pub fn shutdown(mut self) -> ServiceStats {
         self.stop_and_join();
         self.stats()
     }
 
-    /// Closes the queue from `&self` without joining the workers:
-    /// submissions from this point on fail cleanly
-    /// ([`SubmitError::Shutdown`]), every request accepted **before** the
-    /// close is still drained and answered exactly once, and no snapshot
-    /// can be published past the close ([`Service::try_publish_sharded`]).
-    /// Callable from any thread, so a shutdown can race in-flight
-    /// submissions and a running [`RefreshDriver`] deterministically.
-    /// Follow with [`Service::shutdown`] to join the workers.
-    pub fn initiate_shutdown(&self) {
-        // Every worker's `recv` fails once the queue is drained.
-        drop(lock_unpoisoned(&self.sender).take());
-    }
-
     fn stop_and_join(&mut self) {
-        self.initiate_shutdown();
+        // Every worker's `recv` fails once the queue is drained.
+        self.sender.take();
         for handle in self.workers.drain(..) {
             // A worker answers a panicked request itself, so no handle
             // hangs; joining must not poison shutdown regardless.
@@ -534,12 +510,10 @@ impl Drop for Service {
 
 impl fmt::Debug for Service {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let running = lock_unpoisoned(&self.sender).is_some();
         f.debug_struct("Service")
             .field("workers", &self.config.workers)
             .field("queue_depth", &self.config.queue_depth)
             .field("generation", &self.generation())
-            .field("running", &running)
             .finish()
     }
 }
@@ -548,8 +522,8 @@ impl fmt::Debug for Service {
 mod tests {
     use super::*;
     use gnn_core::{
-        Algo, Mbm, MemoryGnnAlgorithm, Planner, QueryGroup, QueryRequest, QueryResponse,
-        QueryScratch, ShardRouting, Target,
+        Algo, Mbm, MemoryGnnAlgorithm, Planner, QueryGroup, QueryRequest, QueryScratch,
+        ShardRouting, Target,
     };
     use gnn_geom::{Point, PointId};
     use gnn_rtree::{LeafEntry, RTree, RTreeParams, TreeCursor};
@@ -767,107 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn initiate_shutdown_rejects_new_submissions_but_drains_accepted() {
-        let snap = snapshot(400, 40);
-        let service = Service::start(
-            snap,
-            ServiceConfig {
-                workers: 1,
-                queue_depth: 64,
-                ..ServiceConfig::default()
-            },
-        );
-        let accepted: Vec<ResponseHandle> = (0..16)
-            .map(|i| {
-                let request = QueryRequest::new(random_group(4, 50 + i), 2);
-                service.submit(request).unwrap()
-            })
-            .collect();
-        service.initiate_shutdown();
-        // Post-close submissions fail cleanly, blocking or not.
-        assert_eq!(
-            service
-                .submit(QueryRequest::new(random_group(4, 99), 1))
-                .err(),
-            Some(SubmitError::Shutdown)
-        );
-        assert_eq!(
-            service
-                .submit(
-                    Submission::request(QueryRequest::new(random_group(4, 98), 1)).blocking(false)
-                )
-                .err(),
-            Some(SubmitError::Shutdown)
-        );
-        // Everything accepted before the close is answered exactly once.
-        for handle in accepted {
-            assert_eq!(handle.wait().unwrap().neighbors.len(), 2);
-        }
-        let stats = service.shutdown();
-        assert_eq!(stats.queries_served, 16);
-    }
-
-    #[test]
-    fn shutdown_racing_submissions_drains_deterministically() {
-        // Several threads pour requests in through the bounded queue while
-        // another thread closes it at an arbitrary point. The invariant
-        // that must hold for every interleaving: each submitted request
-        // resolves to exactly one outcome — a response (iff it was accepted
-        // before the close; the count must equal the workers' served
-        // counter) or a clean `Shutdown` error. Nothing hangs, nothing
-        // is answered twice, nothing is silently dropped.
-        let snap = snapshot(600, 60);
-        let service = Service::start(
-            snap,
-            ServiceConfig {
-                workers: 2,
-                queue_depth: 8, // far smaller than the load: submits block
-                ..ServiceConfig::default()
-            },
-        );
-        let outcomes: Vec<Result<QueryResponse, SubmitError>> = std::thread::scope(|s| {
-            let mut submitters = Vec::new();
-            for t in 0..3u64 {
-                let service = &service;
-                submitters.push(s.spawn(move || {
-                    (0..40)
-                        .map(|i| {
-                            let request = QueryRequest::new(random_group(4, 1000 + t * 100 + i), 1);
-                            service.submit(request).and_then(ResponseHandle::wait)
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-            s.spawn(|| {
-                // No sleep: yielding lands the close at a scheduler-chosen
-                // point inside the submission storm.
-                for _ in 0..50 {
-                    std::thread::yield_now();
-                }
-                service.initiate_shutdown();
-            });
-            submitters
-                .into_iter()
-                .flat_map(|j| j.join().expect("submitter panicked"))
-                .collect()
-        });
-        let stats = service.shutdown();
-        assert_eq!(outcomes.len(), 120);
-        let ok = outcomes.iter().filter(|o| o.is_ok()).count() as u64;
-        assert_eq!(
-            ok, stats.queries_served,
-            "answered responses must equal requests the workers served"
-        );
-        assert_eq!(stats.latency.count(), stats.queries_served);
-        for o in &outcomes {
-            match o {
-                Ok(r) => assert_eq!(r.neighbors.len(), 1),
-                Err(e) => assert_eq!(*e, SubmitError::Shutdown),
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let snap = Arc::new(RTree::new(RTreeParams::default()).freeze());
@@ -1008,22 +881,6 @@ mod tests {
             assert_eq!(r.stats, stats, "query {i}");
             assert_eq!(r.routing, routing, "query {i}");
         }
-        service.shutdown();
-    }
-
-    #[test]
-    fn try_publish_fails_after_shutdown_initiated() {
-        let snap = sharded_snapshot(500, 2, 80);
-        let service = Service::start_sharded(Arc::clone(&snap), ServiceConfig::with_workers(2));
-        assert_eq!(
-            service.try_publish_sharded(Arc::clone(&snap)),
-            Some(2),
-            "publish before close must succeed"
-        );
-        service.initiate_shutdown();
-        let generation = service.generation();
-        assert_eq!(service.try_publish_sharded(Arc::clone(&snap)), None);
-        assert_eq!(service.generation(), generation, "generation advanced");
         service.shutdown();
     }
 }

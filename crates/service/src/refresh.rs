@@ -16,9 +16,11 @@
 //!   apply every accepted update and perform one final flush refresh, joins
 //!   it, and hands back the tree plus one [`PublishRecord`] per cycle — or
 //!   a typed [`DriverError`] when the driver panicked or a refreeze failed;
-//! * publishes go through [`Service::try_publish_sharded`], which is
-//!   serialized against [`Service::initiate_shutdown`] — once the service
-//!   has closed its queues, a racing refresh is *dropped*, never published
+//! * the thread holds its `Arc<Service>` until it ends, and a service
+//!   closes only when its last owner shuts it down or drops it, so no
+//!   publish can race a close: every cycle, the final flush included, is
+//!   published. When the caller let go of its own handle first, the
+//!   driver thread is the last owner and drains the service as it ends
 //!   (pinned by the workspace `refresh_driver` test).
 //!
 //! Determinism stays pinnable under continuous refresh without the driver
@@ -122,19 +124,16 @@ pub struct RefreshStats {
     pub rejected: u64,
     /// Snapshots published to the service.
     pub published: u64,
-    /// Refreshes dropped because the service had initiated shutdown.
-    pub skipped_publishes: u64,
 }
 
 /// One refreeze + publish cycle of a driver run: what triggered it, what
-/// it cost, and whether it reached the service.
+/// it cost, and the generation it published.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PublishRecord {
     /// The 1-based refreeze cycle this record describes.
     pub cycle: u64,
-    /// The generation the publish produced, or `None` when the refresh
-    /// was dropped because the service had initiated shutdown.
-    pub generation: Option<u64>,
+    /// The generation the publish produced.
+    pub generation: u64,
     /// Updates the cycle's snapshot contains: the first `applied` accepted
     /// by the driver, in order (what "is in generation g" means).
     pub applied: u64,
@@ -155,8 +154,7 @@ pub struct RefreshOutcome {
     pub stats: RefreshStats,
     /// Per-cycle publish history: refreeze duration and
     /// dirty-fraction-at-trigger for every completed cycle, in cycle
-    /// order (`publishes.len()` = completed cycles; entries with
-    /// `generation: None` were dropped at shutdown).
+    /// order (`publishes.len()` = [`RefreshStats::published`]).
     pub publishes: Vec<PublishRecord>,
 }
 
@@ -178,7 +176,8 @@ impl RefreshDriver {
     /// The service keeps serving its current snapshot until the first
     /// policy-triggered publish; callers normally start the service on
     /// `tree.freeze_all()` so generation 1 matches the tree's initial
-    /// state.
+    /// state. The driver holds `service` until its thread ends; if it is
+    /// the last owner then, the service drains and closes there.
     ///
     /// # Panics
     ///
@@ -327,10 +326,7 @@ fn driver_loop(
         *lock_unpoisoned(shared) = stats;
     }
     if pending > 0 {
-        // Final flush: every accepted update reaches a snapshot — unless
-        // the service already closed, in which case the refresh is
-        // *dropped*, never published (`try_publish_sharded` is serialized
-        // against the close).
+        // Final flush: every accepted update reaches a snapshot.
         cycles += 1;
         if let Err(e) = refresh(
             &tree,
@@ -352,11 +348,11 @@ fn driver_loop(
     })
 }
 
-/// One refreeze + publish cycle. `last` chains: even a dropped (post-close)
-/// refresh keeps the incremental baseline current for the next cycle. A
-/// cycle the service's [`FaultPlan`](crate::FaultPlan) marks as failing
-/// aborts the run with [`DriverError::RefreezeFailed`] — the injected
-/// stand-in for a refreeze hitting resource exhaustion.
+/// One refreeze + publish cycle. `last` chains: the published snapshot is
+/// the next cycle's incremental baseline. A cycle the service's
+/// [`FaultPlan`](crate::FaultPlan) marks as failing aborts the run with
+/// [`DriverError::RefreezeFailed`] — the injected stand-in for a refreeze
+/// hitting resource exhaustion.
 fn refresh(
     tree: &ShardedTree,
     service: &Service,
@@ -377,12 +373,8 @@ fn refresh(
     let next = Arc::new(tree.refreeze_all(last));
     let refreeze = refreeze0.elapsed();
     flight.record(FlightEventKind::RefreezeEnd, duration_nanos(refreeze));
-    let generation = service.try_publish_sharded(Arc::clone(&next));
-    if generation.is_some() {
-        stats.published += 1;
-    } else {
-        stats.skipped_publishes += 1;
-    }
+    let generation = service.publish_sharded(Arc::clone(&next));
+    stats.published += 1;
     publishes.push(PublishRecord {
         cycle,
         generation,
@@ -477,16 +469,13 @@ mod tests {
         assert!(outcome.stats.published >= 1);
         // Every completed cycle left a publish record, cycles in order,
         // each with the generation its publish produced.
-        assert_eq!(
-            outcome.publishes.len() as u64,
-            outcome.stats.published + outcome.stats.skipped_publishes
-        );
+        assert_eq!(outcome.publishes.len() as u64, outcome.stats.published);
         // The driver was the only publisher: cycle c produced generation
         // c + 1, each holding a growing prefix of the update stream.
         let mut applied = 0;
         for (i, record) in outcome.publishes.iter().enumerate() {
             assert_eq!(record.cycle, i as u64 + 1);
-            assert_eq!(record.generation, Some(i as u64 + 2));
+            assert_eq!(record.generation, i as u64 + 2);
             assert!(record.dirty_fraction >= 0.0);
             assert!(record.applied > applied, "a cycle without new updates");
             applied = record.applied;
@@ -528,8 +517,7 @@ mod tests {
         // (never-triggering) policy threshold, publish accepted.
         assert_eq!(outcome.publishes.len(), 1);
         let record = outcome.publishes[0];
-        assert_eq!(record.cycle, 1);
-        assert!(record.generation.is_some());
+        assert_eq!((record.cycle, record.generation), (1, 2));
         assert!(record.dirty_fraction < 0.99);
         assert_eq!(record.applied, 10);
         assert_eq!(service.sharded_snapshot().len(), 410);

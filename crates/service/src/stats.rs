@@ -23,18 +23,15 @@ pub(crate) fn duration_nanos(d: Duration) -> u64 {
 /// [`collect`]).
 #[derive(Debug)]
 pub(crate) struct WorkerCounters {
-    pub(crate) queries: AtomicU64,
     pub(crate) node_accesses: AtomicU64,
-    pub(crate) io: AtomicU64,
     pub(crate) dist_computations: AtomicU64,
     pub(crate) busy_nanos: AtomicU64,
     pub(crate) single_shard_hits: AtomicU64,
     pub(crate) panics: AtomicU64,
-    pub(crate) respawns: AtomicU64,
-    pub(crate) shed: AtomicU64,
     pub(crate) deadline_missed: AtomicU64,
     pub(crate) latency: LatencyHistogram,
     /// Queue wait / execution / reply stages of `latency`, plus shed waits.
+    /// The execution and shed-wait counts are the served and shed counts.
     pub(crate) stages: StageHistograms,
     /// This worker's flight ring (the worker is its single producer).
     pub(crate) flight: FlightRecorder,
@@ -43,15 +40,11 @@ pub(crate) struct WorkerCounters {
 impl WorkerCounters {
     pub(crate) fn new(worker: usize, flight_capacity: usize, epoch: Instant) -> Self {
         WorkerCounters {
-            queries: AtomicU64::new(0),
             node_accesses: AtomicU64::new(0),
-            io: AtomicU64::new(0),
             dist_computations: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
             single_shard_hits: AtomicU64::new(0),
             panics: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
             deadline_missed: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             stages: StageHistograms::new(),
@@ -70,10 +63,8 @@ impl WorkerCounters {
         latency: Duration,
     ) {
         let stats = &served.stats;
-        self.queries.fetch_add(1, Ordering::Relaxed);
         self.node_accesses
             .fetch_add(stats.data_tree.logical, Ordering::Relaxed);
-        self.io.fetch_add(stats.data_tree.io, Ordering::Relaxed);
         self.dist_computations
             .fetch_add(stats.dist_computations, Ordering::Relaxed);
         self.busy_nanos.fetch_add(
@@ -88,21 +79,19 @@ impl WorkerCounters {
         self.stages.execution.record(execution);
     }
 
-    /// Records a request shed at the dequeue stamp `at`: the fault counter
-    /// plus its shed-wait stage sample and flight-recorder event.
+    /// Records a request shed at the dequeue stamp `at`: its shed-wait
+    /// stage sample and flight-recorder event.
     pub(crate) fn record_shed(&self, at: Instant, waited: Duration) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
         self.stages.shed_wait.record(waited);
         self.flight
             .record_at(at, FlightEventKind::Shed, duration_nanos(waited));
     }
 
-    fn snapshot(&self, worker: usize) -> WorkerSnapshot {
+    fn snapshot(&self, worker: usize, stages: &StageSnapshot) -> WorkerSnapshot {
         WorkerSnapshot {
             worker,
-            queries: self.queries.load(Ordering::Relaxed),
+            queries: stages.execution.count(),
             node_accesses: self.node_accesses.load(Ordering::Relaxed),
-            io: self.io.load(Ordering::Relaxed),
             dist_computations: self.dist_computations.load(Ordering::Relaxed),
             busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
         }
@@ -116,10 +105,9 @@ pub struct WorkerSnapshot {
     pub worker: usize,
     /// Queries served by this worker.
     pub queries: u64,
-    /// Logical node accesses performed (the paper's NA metric).
+    /// Logical node accesses performed (the paper's NA metric; worker
+    /// cursors are unbuffered, so every access is a page read too).
     pub node_accesses: u64,
-    /// Simulated I/O (equals `node_accesses`: worker cursors are unbuffered).
-    pub io: u64,
     /// Distance evaluations (CPU proxy).
     pub dist_computations: u64,
     /// Total wall time spent executing queries (queue wait excluded).
@@ -139,14 +127,12 @@ pub struct ServiceStats {
     /// Total logical node accesses — comparable 1:1 with a sequential run
     /// of the same workload on the same snapshot.
     pub node_accesses: u64,
-    /// Total simulated I/O.
-    pub io: u64,
     /// Total distance evaluations.
     pub dist_computations: u64,
     /// Served queries that needed only their primary shard.
     pub single_shard_hits: u64,
-    /// Panics, respawns, shed requests, and missed deadlines across all
-    /// workers. Panicked queries are **not** in `queries_served`.
+    /// Panics, shed requests, and missed deadlines across all workers.
+    /// Panicked queries are **not** in `queries_served`.
     pub faults: FaultLedger,
     /// Per-worker breakdown (length = `ServiceConfig::workers`).
     pub per_worker: Vec<WorkerSnapshot>,
@@ -156,7 +142,7 @@ pub struct ServiceStats {
     pub latency: LatencySnapshot,
     /// Queue-wait, execution, and reply histograms of the served traffic
     /// (each counts `queries_served`), plus the shed-wait histogram of
-    /// requests shed at dequeue.
+    /// requests shed at dequeue (it counts `faults.shed`).
     pub stages: StageSnapshot,
     /// Merged flight-recorder timeline: every worker's ring plus the
     /// control (publishes) and refresh-driver rings, sorted by timestamp,
@@ -188,7 +174,6 @@ pub(crate) fn collect(
         generation,
         queries_served: 0,
         node_accesses: 0,
-        io: 0,
         dist_computations: 0,
         single_shard_hits: 0,
         faults: FaultLedger::default(),
@@ -199,21 +184,20 @@ pub(crate) fn collect(
         simd_level: gnn_geom::simd::dispatch_level().label(),
     };
     for (id, c) in workers.iter().enumerate() {
-        let worker = c.snapshot(id);
-        stats.queries_served += worker.queries;
+        let stages = c.stages.snapshot();
+        let worker = c.snapshot(id, &stages);
         stats.node_accesses += worker.node_accesses;
-        stats.io += worker.io;
         stats.dist_computations += worker.dist_computations;
         stats.per_worker.push(worker);
         stats.single_shard_hits += c.single_shard_hits.load(Ordering::Relaxed);
         stats.faults.panics += c.panics.load(Ordering::Relaxed);
-        stats.faults.respawns += c.respawns.load(Ordering::Relaxed);
-        stats.faults.shed += c.shed.load(Ordering::Relaxed);
         stats.faults.deadline_missed += c.deadline_missed.load(Ordering::Relaxed);
         stats.latency.merge(&c.latency.snapshot());
-        stats.stages.merge(&c.stages.snapshot());
+        stats.stages.merge(&stages);
         rings.push(c.flight.snapshot());
     }
+    stats.queries_served = stats.stages.execution.count();
+    stats.faults.shed = stats.stages.shed_wait.count();
     stats.flight = FlightLog::merge(rings);
     stats
 }

@@ -56,20 +56,14 @@ impl std::error::Error for QueryError {}
 /// surface of the serving API.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// A non-blocking submission found the routed shard's bounded queue
-    /// full — the backpressure signal an open-loop load generator counts
-    /// as a drop. Retry, shed, or submit blocking.
+    /// A non-blocking submission found the service's bounded queue full —
+    /// the backpressure signal an open-loop load generator counts as a
+    /// drop. Retry, shed, or submit blocking.
     QueueFull,
-    /// The service refused the submission because
-    /// [`initiate_shutdown`](crate::Service::initiate_shutdown) /
-    /// [`shutdown`](crate::Service::shutdown) already closed the queues —
-    /// the orderly-drain signal. Requests accepted before the close are
-    /// still answered.
-    Shutdown,
-    /// A worker disappeared before answering: the reply channel died
-    /// without a reply — a job dropped during teardown, not a panic
-    /// (that comes back as
-    /// [`SubmitError::Query`]`(`[`QueryError::WorkerPanicked`]`)`).
+    /// A worker disappeared before answering: the queue had no worker
+    /// thread left to take the job, or the reply channel died without a
+    /// reply — a job dropped during teardown, not a panic (that comes back
+    /// as [`SubmitError::Query`]`(`[`QueryError::WorkerPanicked`]`)`).
     WorkerDied,
     /// The request was accepted but answered with a typed per-query error
     /// (panic or deadline shed) instead of a result.
@@ -80,7 +74,6 @@ impl fmt::Display for SubmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SubmitError::QueueFull => f.write_str("request queue is full"),
-            SubmitError::Shutdown => f.write_str("service is shutting down"),
             SubmitError::WorkerDied => f.write_str("worker terminated without responding"),
             SubmitError::Query(e) => write!(f, "query failed: {e}"),
         }

@@ -1,30 +1,32 @@
 //! Fixed-bucket latency histogram with lock-free recording.
 //!
 //! Workers record every query's wall time concurrently, so the histogram is
-//! an array of atomic counters over **log-linear** buckets: values 0–3 ns
+//! an array of atomic counters over **log-linear** buckets: values 0–15 ns
 //! map to their own buckets, and every further power of two is split into
-//! four sub-buckets, giving a worst-case relative quantile error of 25%
-//! across the full `u64` nanosecond range with a fixed 252-slot footprint
-//! (2 KiB per worker). No allocation, no locking, no floating point on the
-//! record path.
+//! sixteen sub-buckets, giving a worst-case relative quantile error of
+//! 6.25% across the full `u64` nanosecond range with a fixed 976-slot
+//! footprint (7.6 KiB per histogram). No allocation, no locking, no
+//! floating point on the record path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Sub-buckets per power of two (4 → ≤25% relative error).
-const SUB: u64 = 4;
+/// log2 of the sub-buckets per power of two.
+const SUB_BITS: usize = 4;
+/// Sub-buckets per power of two (16 → ≤ 6.25% relative error).
+const SUB: u64 = 1 << SUB_BITS;
 /// Total bucket count; covers every `u64` nanosecond value exactly: the
-/// largest reachable index is `4·(63−1)+3 = 251`.
-pub const BUCKETS: usize = 252;
+/// largest reachable index is `16·(63−4+1)+15 = 975`.
+pub const BUCKETS: usize = SUB as usize * (64 - SUB_BITS + 1);
 
 /// Bucket index of a nanosecond value.
 fn bucket_of(nanos: u64) -> usize {
     if nanos < SUB {
         return nanos as usize;
     }
-    let msb = 63 - nanos.leading_zeros() as usize; // 2..=63
-    let sub = ((nanos >> (msb - 2)) & (SUB - 1)) as usize;
-    SUB as usize * (msb - 1) + sub
+    let msb = 63 - nanos.leading_zeros() as usize; // SUB_BITS..=63
+    let sub = ((nanos >> (msb - SUB_BITS)) & (SUB - 1)) as usize;
+    SUB as usize * (msb - SUB_BITS + 1) + sub
 }
 
 /// Inclusive upper bound (in nanoseconds) of bucket `idx` — what quantiles
@@ -33,11 +35,11 @@ fn bucket_upper(idx: usize) -> u64 {
     if idx < SUB as usize {
         return idx as u64;
     }
-    let msb = idx / SUB as usize + 1;
+    let msb = idx / SUB as usize + SUB_BITS - 1;
     let sub = (idx % SUB as usize) as u128;
     // Start of the next sub-bucket, minus one (in u128: the top bucket's
-    // bound would overflow u64).
-    let upper = ((SUB as u128 + sub + 1) << (msb - 2)) - 1;
+    // next start is 2^64).
+    let upper = ((SUB as u128 + sub + 1) << (msb - SUB_BITS)) - 1;
     u64::try_from(upper).unwrap_or(u64::MAX)
 }
 
@@ -187,18 +189,29 @@ mod tests {
         }
     }
 
+    /// Every value in a bucket lies within its width of the bucket's upper
+    /// bound, so this bounds the quantile error by 1/16 of the value.
     #[test]
-    fn upper_bound_error_is_within_a_quarter() {
-        for shift in 2..60u64 {
-            for sub in 0..4u64 {
-                let v = (1u64 << shift) + sub * (1u64 << (shift - 2));
-                let upper = bucket_upper(bucket_of(v));
-                assert!(upper >= v);
-                assert!(
-                    (upper - v) as f64 <= v as f64 * 0.25 + 1.0,
-                    "error too large at {v}: upper {upper}"
-                );
-            }
+    fn buckets_above_the_unit_range_are_at_most_a_sixteenth_of_their_lower_edge_wide() {
+        assert_eq!(BUCKETS, 976);
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        assert_eq!(bucket_upper(BUCKETS - 1), u64::MAX);
+        for idx in 0..SUB as usize {
+            assert_eq!(
+                (bucket_of(idx as u64), bucket_upper(idx)),
+                (idx, idx as u64)
+            );
+        }
+        for idx in SUB as usize..BUCKETS {
+            let lower = bucket_upper(idx - 1) + 1;
+            let upper = bucket_upper(idx);
+            assert_eq!(bucket_of(lower), idx, "lower edge of bucket {idx}");
+            assert_eq!(bucket_of(upper), idx, "upper edge of bucket {idx}");
+            let width = u128::from(upper - lower) + 1;
+            assert!(
+                width * 16 <= u128::from(lower),
+                "bucket {idx}: [{lower}, {upper}] is wider than a sixteenth"
+            );
         }
     }
 
@@ -282,12 +295,12 @@ mod tests {
 
     use proptest::prelude::*;
 
-    /// Nanosecond values spanning every bucket regime: the four unit
-    /// buckets, the log-linear middle, and the saturating top (`u64::MAX`
-    /// itself is covered by the unit tests above — the vendored range
-    /// strategy is half-open).
+    /// Nanosecond values spanning every bucket regime: the sixteen unit
+    /// buckets and the first octaves above them, the log-linear middle, and
+    /// the saturating top (`u64::MAX` itself is covered by the unit tests
+    /// above — the vendored range strategy is half-open).
     fn nanos() -> impl Strategy<Value = u64> {
-        prop_oneof![0u64..16, 16u64..1_000_000, 1_000_000u64..u64::MAX,]
+        prop_oneof![0u64..64, 64u64..1_000_000, 1_000_000u64..u64::MAX,]
     }
 
     proptest! {
@@ -303,8 +316,9 @@ mod tests {
             let upper = bucket_upper(idx);
             prop_assert!(upper >= v, "value {} above bound {}", v, upper);
             prop_assert_eq!(bucket_of(upper), idx, "bound re-buckets elsewhere");
-            // Conservative error bound: ≤ 25% relative (+1 for the tiny buckets).
-            prop_assert!((upper - v) as f64 <= v as f64 * 0.25 + 1.0);
+            // Conservative error bound: ≤ 6.25% relative (+1 for the tiny
+            // buckets).
+            prop_assert!((upper - v) as f64 <= v as f64 / 16.0 + 1.0);
         }
 
         /// Bucket indices and upper bounds are monotone in the value, so

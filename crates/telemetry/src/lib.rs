@@ -3,9 +3,9 @@
 //! A std-only crate holding the pieces the serving layers (`gnn-service`,
 //! its refresh driver, and the benches) use to *see* themselves:
 //!
-//! * [`LatencyHistogram`] / [`LatencySnapshot`] — the lock-free 252-bucket
-//!   log-linear latency histogram (≤ 25% relative quantile error, 2 KiB
-//!   per instance, no allocation or locking on the record path);
+//! * [`LatencyHistogram`] / [`LatencySnapshot`] — the lock-free 976-bucket
+//!   log-linear latency histogram (≤ 6.25% relative quantile error,
+//!   7.6 KiB per instance, no allocation or locking on the record path);
 //! * [`StageHistograms`] / [`StageSnapshot`] — per-stage decomposition of
 //!   the end-to-end latency (queue wait / execution / reply, plus the
 //!   shed-wait distribution of dropped requests);

@@ -37,25 +37,22 @@ pub const SOURCE_DRIVER: u32 = u32::MAX - 1;
 /// each kind's payload meaning is documented on the variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightEventKind {
-    /// A job entered a shard queue. Timestamp is the submission instant
+    /// A job entered the service's queue. Timestamp is the submission instant
     /// (recorded retroactively by the worker that dequeued it, which is
     /// what keeps the ring single-producer); payload = 1, the one request
     /// a job carries.
     Enqueued,
-    /// A worker picked the job up. Payload = queue wait in nanoseconds.
+    /// A worker picked the job up; an admitted job starts executing at
+    /// this instant. Payload = queue wait in nanoseconds.
     Dequeued,
     /// A request was shed at dequeue (deadline already expired). Payload =
     /// how long it had waited, in nanoseconds.
     Shed,
-    /// The job's query started executing. Payload = 1.
-    ExecStart,
     /// Execution completed normally. Payload = execution nanoseconds.
     ExecEnd,
-    /// Execution panicked (injected or real). Payload = the worker's
-    /// 1-based attempt number.
+    /// Execution panicked (injected or real), and the worker has rebuilt
+    /// its serving state. Payload = the worker's 1-based attempt number.
     Panicked,
-    /// The worker rebuilt its serving state after a panic. Payload = 0.
-    Respawned,
     /// A refreeze cycle started (refresh driver). Payload = 1-based cycle.
     RefreezeStart,
     /// A refreeze cycle finished. Payload = refreeze nanoseconds.
@@ -71,10 +68,8 @@ impl FlightEventKind {
             FlightEventKind::Enqueued => "enqueued",
             FlightEventKind::Dequeued => "dequeued",
             FlightEventKind::Shed => "shed",
-            FlightEventKind::ExecStart => "exec_start",
             FlightEventKind::ExecEnd => "exec_end",
             FlightEventKind::Panicked => "panicked",
-            FlightEventKind::Respawned => "respawned",
             FlightEventKind::RefreezeStart => "refreeze_start",
             FlightEventKind::RefreezeEnd => "refreeze_end",
             FlightEventKind::Published => "published",
@@ -86,13 +81,11 @@ impl FlightEventKind {
             FlightEventKind::Enqueued => 0,
             FlightEventKind::Dequeued => 1,
             FlightEventKind::Shed => 2,
-            FlightEventKind::ExecStart => 3,
-            FlightEventKind::ExecEnd => 4,
-            FlightEventKind::Panicked => 5,
-            FlightEventKind::Respawned => 6,
-            FlightEventKind::RefreezeStart => 7,
-            FlightEventKind::RefreezeEnd => 8,
-            FlightEventKind::Published => 9,
+            FlightEventKind::ExecEnd => 3,
+            FlightEventKind::Panicked => 4,
+            FlightEventKind::RefreezeStart => 5,
+            FlightEventKind::RefreezeEnd => 6,
+            FlightEventKind::Published => 7,
         }
     }
 
@@ -101,12 +94,10 @@ impl FlightEventKind {
             0 => FlightEventKind::Enqueued,
             1 => FlightEventKind::Dequeued,
             2 => FlightEventKind::Shed,
-            3 => FlightEventKind::ExecStart,
-            4 => FlightEventKind::ExecEnd,
-            5 => FlightEventKind::Panicked,
-            6 => FlightEventKind::Respawned,
-            7 => FlightEventKind::RefreezeStart,
-            8 => FlightEventKind::RefreezeEnd,
+            3 => FlightEventKind::ExecEnd,
+            4 => FlightEventKind::Panicked,
+            5 => FlightEventKind::RefreezeStart,
+            6 => FlightEventKind::RefreezeEnd,
             _ => FlightEventKind::Published,
         }
     }
@@ -382,15 +373,15 @@ mod tests {
         );
         r.record_at(
             epoch + Duration::from_nanos(30),
-            FlightEventKind::ExecStart,
-            1,
+            FlightEventKind::ExecEnd,
+            10,
         );
         let snap = r.snapshot();
         assert_eq!(snap.dropped, 0);
         assert_eq!(snap.events.len(), 3);
         assert_eq!(snap.events[0].kind, FlightEventKind::Enqueued);
         assert_eq!(snap.events[0].ts_nanos, 10);
-        assert_eq!(snap.events[2].kind, FlightEventKind::ExecStart);
+        assert_eq!(snap.events[2].kind, FlightEventKind::ExecEnd);
         assert!(snap.events.iter().all(|e| e.source == 3));
         // Tickets are consecutive from 0.
         assert_eq!(
@@ -441,8 +432,8 @@ mod tests {
         let b = FlightRecorder::new(1, 8, epoch);
         a.record_at(
             epoch + Duration::from_nanos(5),
-            FlightEventKind::ExecStart,
-            0,
+            FlightEventKind::Dequeued,
+            4,
         );
         b.record_at(
             epoch + Duration::from_nanos(1),
@@ -457,7 +448,7 @@ mod tests {
             kinds,
             vec![
                 FlightEventKind::Enqueued,
-                FlightEventKind::ExecStart,
+                FlightEventKind::Dequeued,
                 FlightEventKind::Shed,
                 FlightEventKind::ExecEnd,
             ]
@@ -501,6 +492,25 @@ mod tests {
         // Alternating sources (interleaved odd/even timestamps survive).
         for (i, e) in log.events.iter().enumerate() {
             assert_eq!(e.source as usize, i % 2);
+        }
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_its_code() {
+        use FlightEventKind::*;
+        let kinds = [
+            Enqueued,
+            Dequeued,
+            Shed,
+            ExecEnd,
+            Panicked,
+            RefreezeStart,
+            RefreezeEnd,
+            Published,
+        ];
+        for (code, kind) in kinds.into_iter().enumerate() {
+            assert_eq!(kind.code(), code as u64, "{kind:?}");
+            assert_eq!(unpack(pack(kind, 42)), (kind, 42));
         }
     }
 

@@ -3,7 +3,7 @@
 //!
 //! The end-to-end submit → response latency of a served query decomposes
 //! into three stages, each recorded into its own [`LatencyHistogram`] on
-//! the same 252-bucket log-linear design:
+//! the same 976-bucket log-linear design:
 //!
 //! * **queue wait** — submission until a worker dequeues the request
 //!   (includes late-but-served queries, so deadline tuning sees the full

@@ -169,9 +169,6 @@ fn publish_and_refresh_refuse_a_network_service() {
     assert!(refused(&|| {
         service.publish_sharded(Arc::clone(&sharded));
     }));
-    assert!(refused(&|| {
-        service.try_publish_sharded(Arc::clone(&sharded));
-    }));
     assert!(refused(&|| drop(service.snapshot())));
     assert!(refused(&|| drop(service.sharded_snapshot())));
     let policy = gnn::service::RefreshPolicy::default();

@@ -6,13 +6,15 @@
 //! response is bit-identical to the sequential cross-shard reference on the
 //! test's own copy of the starting tree with that prefix replayed (the
 //! driver keeps no snapshot history to check against).
-//! Plus the shutdown hygiene contract: the driver joins cleanly, and once
-//! `Service::initiate_shutdown` has closed the queues, no refresh is ever
-//! published — the generation cannot advance after the close.
+//! Plus the ownership contract: the driver holds its `Arc<Service>` until
+//! it is joined, so a caller may let go of its own handle first — the
+//! driver thread is then the service's last owner, publishes its final
+//! flush, and drains every accepted request as it ends. Also: updates with
+//! a non-finite coordinate are refused, and inserted data is served once
+//! its refresh publishes.
 
-use gnn::datasets::{mixed_traffic, MixedOp, MixedSpec, QuerySpec};
+use gnn::datasets::{mixed_traffic, query_workload, MixedOp, MixedSpec, QuerySpec};
 use gnn::prelude::*;
-use gnn::service::RefreshStats;
 use std::sync::Arc;
 
 fn fingerprint(neighbors: &[Neighbor]) -> Vec<(u64, u64)> {
@@ -151,7 +153,6 @@ fn continuous_refresh_stays_pinnable_per_generation() {
         "policy never fired: {:?}",
         outcome.stats
     );
-    assert_eq!(outcome.stats.skipped_publishes, 0);
     // The driver was the only publisher: cycle c produced generation c + 1,
     // and the last one reflects every accepted update.
     assert_eq!(outcome.publishes.len() as u64 + 1, service.generation());
@@ -170,7 +171,7 @@ fn continuous_refresh_stays_pinnable_per_generation() {
             Arc::clone(&initial)
         } else {
             let record = outcome.publishes[g as usize - 2];
-            assert_eq!(record.generation, Some(g));
+            assert_eq!(record.generation, g);
             for update in &updates[replayed..record.applied as usize] {
                 match *update {
                     Update::Insert(entry) => {
@@ -205,11 +206,11 @@ fn continuous_refresh_stays_pinnable_per_generation() {
 }
 
 #[test]
-fn no_publish_after_service_queue_close() {
-    // The satellite contract: a refresh racing `initiate_shutdown` is
-    // dropped, never published — the generation is frozen at close time —
-    // and the driver still joins cleanly with every accepted update
-    // applied to its tree.
+fn a_driver_left_as_the_last_owner_publishes_its_flush_and_drains_the_service() {
+    // The caller submits, lets go of its own `Arc<Service>` and keeps
+    // feeding updates: the driver thread is then the service's only owner.
+    // Joining it publishes the final flush and drops the service there,
+    // which drains every request accepted before.
     let entries = base_entries(2_000, 88);
     let sharded_tree = ShardedTree::build(RTreeParams::with_capacity(16), entries, 2);
     let service = Arc::new(Service::start_sharded(
@@ -220,80 +221,58 @@ fn no_publish_after_service_queue_close() {
         sharded_tree,
         Arc::clone(&service),
         gnn::service::RefreshPolicy {
-            dirty_fraction: 1e-9, // every burst wants to publish
-            ..Default::default()
+            dirty_fraction: 0.99, // never fires: only the final flush publishes
+            max_pending: 1_000_000,
         },
     );
+    let spec = QuerySpec {
+        n: 4,
+        area_fraction: 0.05,
+    };
+    let workspace = gnn::geom::Rect::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
+    let handles: Vec<gnn::service::ResponseHandle> = query_workload(workspace, spec, 200, 8)
+        .into_iter()
+        .map(|points| {
+            let request = QueryRequest::new(QueryGroup::sum(points).unwrap(), 3);
+            service.submit(request).expect("query submitted")
+        })
+        .collect();
 
-    // Phase 1: updates flow and publish normally.
+    let owner = Arc::downgrade(&service);
+    drop(service);
     for i in 0..500u64 {
         assert!(driver.apply(Update::Insert(LeafEntry::new(
             PointId(100_000 + i),
             Point::new((i % 997) as f64, (i % 991) as f64),
         ))));
     }
-    let mut spins = 0u64;
-    while driver.stats().applied < 500 {
-        std::thread::yield_now();
-        spins += 1;
-        assert!(spins < 100_000_000, "driver never drained phase 1");
-    }
-    assert!(driver.stats().published >= 1, "phase 1 never published");
-
-    // Phase 2: close the service, then keep feeding — every refresh the
-    // driver now wants (in-loop and the shutdown flush) races a closed
-    // queue and must be dropped, never published.
-    service.initiate_shutdown();
-    let generation_at_close = service.generation();
-    for i in 0..500u64 {
-        assert!(driver.apply(Update::Insert(LeafEntry::new(
-            PointId(200_000 + i),
-            Point::new((i % 983) as f64, (i % 977) as f64),
-        ))));
-    }
+    assert_eq!(owner.strong_count(), 1, "the driver is the only owner");
     let outcome = driver.join().expect("driver run failed");
+    assert_eq!(
+        owner.strong_count(),
+        0,
+        "the driver thread dropped the service"
+    );
 
-    assert_eq!(
-        service.generation(),
-        generation_at_close,
-        "generation advanced after queue close"
-    );
-    assert_eq!(
-        outcome.stats.applied, 1_000,
-        "post-close updates still apply"
-    );
-    assert_eq!(outcome.tree.len(), 2_000 + 1_000);
-    let RefreshStats {
-        published,
-        skipped_publishes,
-        ..
-    } = outcome.stats;
-    assert_eq!(
-        published,
-        generation_at_close - 1,
-        "every published refresh must be a generation bump"
-    );
-    assert!(
-        skipped_publishes >= 1,
-        "the post-close flush must be dropped, not published: {:?}",
-        outcome.stats
-    );
-    // History still aligns with generations for what WAS published.
-    let published: Vec<u64> = outcome
-        .publishes
-        .iter()
-        .filter_map(|r| r.generation)
+    // The final flush is the one cycle, and it was published.
+    assert_eq!(outcome.stats.applied, 500);
+    assert_eq!(outcome.tree.len(), 2_500);
+    let flush = *outcome.publishes.last().expect("the final flush");
+    assert_eq!((flush.cycle, flush.applied), (1, 500));
+    assert_eq!(outcome.stats.published, flush.generation - 1);
+
+    // Every handle answers, and generations never fall in submission
+    // (hence dequeue) order.
+    let generations: Vec<u64> = handles
+        .into_iter()
+        .map(|h| {
+            let r = h.wait().expect("query served");
+            assert_eq!(r.neighbors.len(), 3);
+            r.generation
+        })
         .collect();
-    assert_eq!(
-        published,
-        (2..=generation_at_close).collect::<Vec<u64>>(),
-        "one record per generation bump, dropped cycles tagged `None`"
-    );
-
-    let stats = Arc::try_unwrap(service)
-        .expect("driver released its service handle")
-        .shutdown();
-    assert_eq!(stats.generation, generation_at_close);
+    assert!(generations.windows(2).all(|w| w[0] <= w[1]));
+    assert!(generations.iter().all(|&g| g <= flush.generation));
 }
 
 #[test]

@@ -118,7 +118,7 @@ fn interleaved_workload_is_identical_on_1_2_and_8_workers() {
 }
 
 #[test]
-fn service_agrees_with_planner_run_many_collect() {
+fn service_agrees_with_the_sequential_execute_on_loop() {
     // The determinism anchor: the same planner-routed workload through the
     // service and through the sequential `execute_on` loop gives identical
     // choices, ids, distances, and total node accesses.
