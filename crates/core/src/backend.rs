@@ -4,7 +4,7 @@
 //! [`crate::QueryRequest::execute_on`]) was built for Euclidean GNN over
 //! R\*-tree snapshots. Road networks — the paper's own future-work metric —
 //! need the same serving machinery (planner, scratch reuse, batch executor,
-//! worker pools) but a completely different index and algorithm family.
+//! one worker queue) but a completely different index and algorithm family.
 //!
 //! [`NetworkBackend`] is the seam: an object-safe trait a distance-domain
 //! implementation (today: `gnn-network`'s packed graph snapshot) plugs into

@@ -16,6 +16,13 @@
 //!   such a child waits under a one-term centroid key (Jensen:
 //!   `W·mindist(N, c_w) ≤ Σ wᵢ·mindist(N, qᵢ)`) and pays its `n` terms
 //!   when it reaches the top.
+//! * *The supporting plane* (SUM, 2 to `LAZY_MIN − 1` members, bounded
+//!   loop only): heuristic 3 lets each member take its own nearest point
+//!   of `N`. `dist(·, Q)` is convex, so the plane tangent to it at `N`'s
+//!   centre is a lower bound too, at `N`'s lowest corner
+//!   ([`PlaneBound`]) — much tighter near the group's optimum, where
+//!   best-first spends its reads. A node that reaches the top of the heap
+//!   below `best_dist` is dropped unread where its plane is not.
 //!
 //! Every cursor reads a packed snapshot, so two best-first drivers share
 //! two page-scoring steps over its SoA pages. The steps: `score_branches`
@@ -28,7 +35,9 @@
 //!   Figure 3.6): a heap of *nodes only*; a child is pushed only while its
 //!   key is below `best_dist`, a leaf's distances go straight to the
 //!   [`KBestList`], and the loop ends when the popped key reaches
-//!   `best_dist`. From `LAZY_MIN` SUM members up, children that pass H2
+//!   `best_dist`; below `LAZY_MIN` SUM members, from two, a popped node
+//!   is dropped unread where its supporting plane reaches `best_dist`.
+//!   From `LAZY_MIN` SUM members up, children that pass H2
 //!   wait in a second heap of unresolved keys and enter the node heap
 //!   under exactly their eager key when they resolve, so pages are read in
 //!   the same order. Once
@@ -54,12 +63,16 @@
 //! not implemented: the paper's experiments are best-first throughout
 //! (§5).
 //!
-//! A node is read iff fewer than `k` exact distances `<=` its key have been
-//! seen, under either driver, so both read exactly the same pages. The
+//! Without the plane a node is read iff fewer than `k` exact distances `<=`
+//! its key have been seen, under either driver, so both read exactly the
+//! same pages; with it the bounded loop reads those pages less the ones
+//! under a node the plane drops, and its answer does not change. The
 //! seed's reference stream (scalar bounds, one lazily converted
 //! `mindist(p, M)` filter key per entry) lives on as a test oracle over the
-//! same snapshot pages: `packed_equivalence` and `mbm_bounded` pin the
-//! bounded loop against it — ids, distance bits, node accesses.
+//! same snapshot pages, with a `k`-aware entry that drops a node as the
+//! plane does: `packed_equivalence` and `mbm_bounded` pin the bounded loop
+//! against it — ids, distance bits, node accesses — and `mbm_bounded` the
+//! incremental stream against the plain reference.
 //!
 //! The hot path is allocation-free in steady state: all per-query storage —
 //! the heaps, the key and distance buffers, the result list — lives in a
@@ -71,7 +84,7 @@ use crate::result::{Neighbor, QueryStats};
 use crate::scratch::QueryScratch;
 use crate::MemoryGnnAlgorithm;
 use gnn_geom::batch::BatchKernels;
-use gnn_geom::bound::{BlockBound, CentroidBound, LeafBound};
+use gnn_geom::bound::{BlockBound, CentroidBound, LeafBound, PlaneBound};
 use gnn_geom::simd::pad_len;
 use gnn_geom::{OrderedF64, Rect};
 use gnn_rtree::{BranchesRef, LeafEntry, LeafRef, PageId, PageRef, TreeCursor};
@@ -83,6 +96,10 @@ use std::collections::BinaryHeap;
 /// tight key costs less than the pending heap's traffic — 0.78× at n = 8,
 /// parity at 32 (EXPERIMENTS.md, "Audit: eager heuristic-3 keys").
 const LAZY_MIN: usize = 48;
+
+/// Where a node heap entry's MBR is kept when it has none in
+/// [`MbmScratch`]'s `rects`: the root, and children keyed lazily.
+const NO_RECT: u32 = u32::MAX;
 
 /// The minimum bounding method: best-first, with heuristics 2 and 3.
 #[derive(Debug, Clone, Copy, Default)]
@@ -124,6 +141,12 @@ impl Mbm {
     /// of the node heap. Every other group keys children eagerly, as
     /// before.
     ///
+    /// A SUM group of 2 to `LAZY_MIN − 1` points checks one more bound on
+    /// a node that reaches the top of the heap below `best_dist`: the plane
+    /// tangent to `dist(·, Q)` at the centre of its MBR ([`PlaneBound`]).
+    /// Where that is `>= best_dist` the node is dropped unread. The heap
+    /// stays keyed and ordered by heuristic 3, so nothing is re-pushed.
+    ///
     /// Returns the exact distance evaluations performed and the leaf
     /// entries either bound dropped.
     fn bounded_top_k(
@@ -162,12 +185,22 @@ impl Mbm {
             _ => (None, None),
         };
         let filter = (blocks.is_some() || lanes.is_some()).then_some(LeafFilter { blocks, lanes });
+        // One member's heuristic 3 is already the exact minimum over a rect.
+        let plane = match sum {
+            Some((qx, qy, w)) if (2..LAZY_MIN).contains(&group.len()) => {
+                Some(PlaneBound::new(qx, qy, w))
+            }
+            _ => None,
+        };
         s.nodes.clear();
         s.pending.clear();
         s.slots.clear();
+        s.rects.clear();
         if !cursor.is_empty() {
-            // The root must always be expanded.
-            s.nodes.push(Reverse((OrderedF64(0.0), cursor.root())));
+            // The root must always be expanded: `best_dist` is `∞`, so its
+            // plane is never asked for.
+            s.nodes
+                .push(Reverse((OrderedF64(0.0), cursor.root(), NO_RECT)));
         }
         // Why lazy keying reads the same pages in the same order as eager
         // keying, ties included. (i) Every pending key is `<=` the key the
@@ -205,13 +238,30 @@ impl Mbm {
         // ends with the all-exact loop's list. Hence `best_dist` after the
         // leaf, and every page read after it, are the all-exact loop's.
         // Later leaves run under the ceiling `∞`.
+        //
+        // Why a node the plane drops leaves the list as reading it would.
+        // Every point under it lies in its MBR, so its computed distance is
+        // at least the plane bound, at least `best_dist` now and later
+        // (`best_dist` only falls): reading it, or any page under it, would
+        // offer only entries `offer` refuses. So `best_dist` moves at the
+        // same leaves by the same steps as without the plane, every other
+        // node is pushed and popped as it would be, and the list ends the
+        // same, ties included; only the pages under the dropped node go
+        // unread.
         loop {
             evals += s.resolve_pending(group, best.bound());
-            let Some(Reverse((key, id))) = s.nodes.pop() else {
+            let Some(Reverse((key, id, at))) = s.nodes.pop() else {
                 break;
             };
-            if key.get() >= best.bound() {
+            let bound = best.bound();
+            if key.get() >= bound {
                 break; // every pending node is at least this far
+            }
+            if let Some(plane) = plane.as_ref().filter(|_| bound < f64::INFINITY) {
+                evals += group.len() as u64;
+                if plane.lower(&s.rects[at as usize]) >= bound {
+                    continue; // nothing under it beats `best_dist`
+                }
             }
             match cursor.read(id) {
                 PageRef::Internal(view) => {
@@ -557,8 +607,12 @@ impl Ord for StreamItem {
 #[derive(Debug, Default)]
 pub struct MbmScratch {
     /// Bounded top-k: pending nodes by `(key, page id)` — the order nodes
-    /// leave the stream's heap in, too.
-    nodes: BinaryHeap<Reverse<(OrderedF64, PageId)>>,
+    /// leave the stream's heap in, too — each with where its MBR is in
+    /// `rects` ([`NO_RECT`] where it has none there).
+    nodes: BinaryHeap<Reverse<(OrderedF64, PageId, u32)>>,
+    /// Bounded top-k, eager keying: the MBR of every child pushed this
+    /// query, for its supporting plane.
+    rects: Vec<Rect>,
     /// Bounded top-k, lazy keying: children waiting for their tight key,
     /// by `(max(cheap, centroid key), slot in slots)`.
     pending: BinaryHeap<Reverse<(OrderedF64, u32)>>,
@@ -601,6 +655,7 @@ impl MbmScratch {
     pub fn with_capacity(capacity: usize) -> Self {
         MbmScratch {
             nodes: BinaryHeap::with_capacity(capacity),
+            rects: Vec::with_capacity(capacity),
             pending: BinaryHeap::new(),
             slots: Vec::new(),
             heap: BinaryHeap::with_capacity(capacity),
@@ -626,6 +681,7 @@ impl MbmScratch {
     pub fn capacity_profile(&self) -> impl Iterator<Item = usize> + '_ {
         [
             self.nodes.capacity(),
+            self.rects.capacity(),
             self.pending.capacity(),
             self.slots.capacity(),
             self.heap.capacity(),
@@ -652,12 +708,16 @@ impl MbmScratch {
 
     /// The bounded loop's internal-page step: scores the page and pushes the
     /// children whose key is below `bound` (a child *at* `bound` cannot hold
-    /// a strictly better neighbor). Returns the distance evaluations.
+    /// a strictly better neighbor), each with its MBR kept in `rects`.
+    /// Returns the distance evaluations.
     fn push_children(&mut self, view: &BranchesRef<'_>, group: &QueryGroup, bound: f64) -> u64 {
         let evals = score_branches(view, group, bound, &mut self.keys);
         for (i, &key) in self.keys.iter().enumerate() {
             if key < bound {
-                self.nodes.push(Reverse((OrderedF64(key), view.child(i))));
+                let at = self.rects.len() as u32;
+                self.rects.push(view.mbr(i));
+                self.nodes
+                    .push(Reverse((OrderedF64(key), view.child(i), at)));
             }
         }
         evals
@@ -697,7 +757,7 @@ impl MbmScratch {
     fn resolve_pending(&mut self, group: &QueryGroup, bound: f64) -> u64 {
         let mut evals = 0;
         while let Some(&Reverse((pending_key, slot))) = self.pending.peek() {
-            if matches!(self.nodes.peek(), Some(&Reverse((top, _))) if pending_key > top)
+            if matches!(self.nodes.peek(), Some(&Reverse((top, ..))) if pending_key > top)
                 || pending_key.get() >= bound
             {
                 break;
@@ -712,7 +772,7 @@ impl MbmScratch {
             );
             evals += group.len() as u64;
             if key < bound {
-                self.nodes.push(Reverse((OrderedF64(key), child)));
+                self.nodes.push(Reverse((OrderedF64(key), child, NO_RECT)));
             }
         }
         evals
@@ -1020,7 +1080,7 @@ mod tests {
         let pending = |bound: f64| {
             let mut s = MbmScratch::default();
             let evals = s.push_children(&root, &group, bound);
-            let mut keys: Vec<f64> = s.nodes.drain().map(|Reverse((k, _))| k.get()).collect();
+            let mut keys: Vec<f64> = s.nodes.drain().map(|Reverse((k, ..))| k.get()).collect();
             keys.sort_by(f64::total_cmp);
             (keys, evals)
         };
@@ -1150,7 +1210,7 @@ mod tests {
             let mut order = Vec::new();
             loop {
                 s.resolve_pending(&group, f64::INFINITY);
-                let Some(Reverse((key, id))) = s.nodes.pop() else {
+                let Some(Reverse((key, id, _))) = s.nodes.pop() else {
                     break;
                 };
                 order.push((key.get(), id));
@@ -1172,19 +1232,36 @@ mod tests {
     }
 
     #[test]
-    fn bounded_loop_reads_the_pages_the_stream_reads() {
+    fn bounded_loop_reads_the_stream_pages_less_what_the_plane_drops() {
+        // Without a plane (MAX, MIN, one member) the bounded loop reads
+        // exactly the stream's pages; a SUM group of 4 reads fewer, as many
+        // as `tests/mbm_bounded.rs`' `k`-aware reference.
         let packed = random_tree(3000, 21);
+        let (mut bounded_reads, mut stream_reads) = (0, 0);
         for agg in [Aggregate::Sum, Aggregate::Max, Aggregate::Min] {
-            for (seed, k) in [(0u64, 1usize), (1, 8), (2, 64), (3, 3000), (4, 3001)] {
-                let group = random_group(4, 300 + seed, agg);
-                let bc = packed.cursor();
-                let bounded = Mbm::best_first().k_gnn(&bc, &group, k);
-                let sc = packed.cursor();
-                let streamed = stream_prefix(&sc, &group, k);
-                assert_eq!(bounded.neighbors, streamed, "{agg} k={k}");
-                assert_eq!(bc.stats(), sc.stats(), "{agg} k={k}: node accesses");
+            for n in [1, 4] {
+                for (seed, k) in [(0u64, 1usize), (1, 8), (2, 64), (3, 3000), (4, 3001)] {
+                    let group = random_group(n, 300 + seed, agg);
+                    let bc = packed.cursor();
+                    let bounded = Mbm::best_first().k_gnn(&bc, &group, k);
+                    let sc = packed.cursor();
+                    let streamed = stream_prefix(&sc, &group, k);
+                    assert_eq!(bounded.neighbors, streamed, "{agg} n={n} k={k}");
+                    let (b, s) = (bc.stats().logical, sc.stats().logical);
+                    if agg == Aggregate::Sum && n > 1 {
+                        assert!(b <= s, "{agg} n={n} k={k}: {b} pages, the stream {s}");
+                        bounded_reads += b;
+                        stream_reads += s;
+                    } else {
+                        assert_eq!(b, s, "{agg} n={n} k={k}: node accesses");
+                    }
+                }
             }
         }
+        assert!(
+            bounded_reads < stream_reads,
+            "the plane dropped nothing: {bounded_reads} pages"
+        );
     }
 
     #[test]
@@ -1332,6 +1409,68 @@ mod tests {
             let largest = w.iter().map(|&(_, d)| d).fold(f64::NEG_INFINITY, f64::max);
             assert_eq!(ceiling.to_bits(), largest.to_bits(), "k={k}");
         }
+    }
+
+    #[test]
+    fn a_node_the_plane_clears_is_dropped_unread() {
+        // Members (0, ±1). Leaf A = {(0,0), (1,0), (2.9,0)} at distances
+        // 2, 2√2 and 2·√9.41 ≈ 6.135; leaf B's MBR is [3,4]×[-1,1]. B's
+        // heuristic-3 key is 3 + 3 = 6, but its members pull apart: the
+        // plane at its centre (3.5, 0) is 2·√13.25 − 0.5·7/√13.25 ≈ 6.318,
+        // and B's nearest point sits at 6.606.
+        let packed = tree_of(&[
+            (0.0, 0.0),
+            (1.0, 0.0),
+            (2.9, 0.0),
+            (3.0, -1.0),
+            (4.0, 1.0),
+            (3.5, 0.0),
+        ])
+        .freeze();
+        let group = QueryGroup::sum(vec![Point::new(0.0, -1.0), Point::new(0.0, 1.0)]).unwrap();
+        let probe = packed.cursor();
+        let PageRef::Internal(root) = probe.read(probe.root()) else {
+            panic!("scenario needs an internal root");
+        };
+        let b = Rect::from_corners(3.0, -1.0, 4.0, 1.0);
+        assert_eq!(root.mbr(1), b, "scenario: leaf B");
+        let mut keys = Vec::new();
+        score_branches(&root, &group, f64::INFINITY, &mut keys);
+        assert_eq!(keys[1], 6.0, "scenario: B's key");
+        let (qx, qy, w) = group.sum_arrays().unwrap();
+        let plane = PlaneBound::new(qx, qy, w).lower(&b);
+        let kth = group.dist(Point::new(2.9, 0.0));
+        assert!(
+            6.0 < kth && kth <= plane,
+            "scenario: {kth} vs plane {plane}"
+        );
+
+        // After A the 3-best bound is that k-th distance: B's key is below
+        // it, its plane is not, and B is dropped unread; the stream, which
+        // has no bound, reads it.
+        let cursor = packed.cursor();
+        let got = Mbm::best_first().k_gnn(&cursor, &group, 3);
+        assert_eq!(got.distances(), [2.0, 8f64.sqrt(), kth]);
+        assert_eq!(cursor.stats().logical, 2, "root + leaf A only");
+        let sc = packed.cursor();
+        assert_eq!(stream_prefix(&sc, &group, 3), got.neighbors);
+        assert_eq!(sc.stats().logical, 3);
+        // Root: two H2 and two H3 keys; B: one plane; A: three exact sums.
+        assert_eq!(got.stats.dist_computations, 2 + 2 * 2 + 2 + 3 * 2);
+    }
+
+    #[test]
+    fn the_planes_rects_are_in_the_capacity_profile() {
+        let mut s = MbmScratch::default();
+        s.rects.reserve_exact(13);
+        let rects = s.rects.capacity();
+        assert!(s.capacity_profile().any(|c| c == rects));
+        // And a SUM query of four members fills them.
+        let tree = random_tree(500, 5);
+        let mut scratch = QueryScratch::new();
+        let group = random_group(4, 77, Aggregate::Sum);
+        Mbm::best_first().k_gnn_in(&tree.cursor(), &group, 4, &mut scratch);
+        assert!(!scratch.mbm.rects.is_empty());
     }
 
     #[test]

@@ -15,16 +15,19 @@
 //!   computed `dist(p, Q)`. Every tier: in `f32` through the leaf bound's
 //!   kernel on AVX2 where the group's scale lets `f32` see it, in `f64`
 //!   otherwise.
+//! * [`PlaneBound`] — one fold for a node: the plane tangent to
+//!   `dist(·, Q)` at the centre of its MBR, at the MBR's lowest corner,
+//!   rounded down below the computed `dist(p, Q)` of every point `p` in it.
 //! * [`LandmarkBound`] — `|d(L, a) − d(L, b)|` over a table of rounded-down
 //!   `f32` landmark distances, rounded down below the computed
 //!   shortest-path label `d̂(a → b)` of an undirected graph.
 //!
-//! None ever stands in for a distance: a caller drops an entry or parks
-//! a node only where the bound already reaches its threshold, and computes
-//! the exact value otherwise. The margins are derived below in one form —
-//! what is rounded, the bound on each error, the subnormal allowance, the
-//! non-finite fallback. `crates/geom/tests/bounds.rs` sweeps the three SUM
-//! bounds over one grid of scales, weights and degenerate shapes on every
+//! None ever stands in for a distance: a caller drops an entry, or a node,
+//! or parks a node only where the bound already reaches its threshold, and
+//! computes the exact value otherwise. The margins are derived below in one
+//! form — what is rounded, the bound on each error, the subnormal
+//! allowance, the non-finite fallback. `crates/geom/tests/bounds.rs` sweeps
+//! the four SUM bounds over one grid of scales, weights and degenerate shapes on every
 //! [`SimdLevel`], and names the case each hand mutation of a margin fails;
 //! it checks the landmark bound on path graphs, and `gnn-network`'s
 //! `landmark_bound_never_exceeds_a_settled_label` on whole networks.
@@ -184,6 +187,69 @@
 //!   which promises nothing. A finite `L` needs every narrowed square
 //!   below `2¹²⁸`, so every difference below `2⁶⁴`; with `Ŵ <= 2⁴⁸` that
 //!   leaves `K` below `2¹¹⁴`, finite, as the composition needs.
+//!
+//! # The supporting plane
+//!
+//! `dist(·, Q)` is a sum of norms, hence convex, so it lies above its
+//! tangent plane at any point `c`: `dist(p, Q) >= f(c) + g·(p − c)` with
+//! `f(c) = Σ wᵢ·|c qᵢ|` and the subgradient `g = Σ wᵢ·(c − qᵢ)/|c qᵢ|`, where
+//! a member on `c` may contribute any vector of length `<= wᵢ`, `0`
+//! included. Over a rect whose points lie within `hw` of `c` along `x` and
+//! `hh` along `y`, the plane is lowest at a corner: `dist(p, Q) >= f(c) −
+//! |gₓ|·hw − |g_y|·hh`. Heuristic 3 lets every member take its own nearest
+//! point of the rect; the plane makes them share one, which is far tighter
+//! where members pull in opposite directions — near the group's optimum,
+//! where a best-first search spends its reads. For one member heuristic 3
+//! is already the exact minimum over the rect. The computed bound is `f̃ −
+//! |g̃ₓ|·hw − |g̃_y|·hh − ρ·(f̃ + Ŵ′·(hw + hh)) − t`, with `u = 2⁻⁵³`, `ρ =
+//! 16(n + 8)·u`, `Ŵ′ = Ŵ + n·2⁻¹⁰²⁰` and `t = Ŵ·2⁻⁵³⁰ + (4n + 8)·2⁻¹⁰⁷⁴`;
+//! it is `<=` the **computed** `dist(p, Q)` of every `p` in the rect, on
+//! every SIMD level.
+//!
+//! * *Rounded:* the centre `c̃ = (fl((lo.x + hi.x)·½), …)` — any point
+//!   serves, so it needs no bound — and the reaches `hw = next_up(max(hi.x
+//!   − c̃ₓ, c̃ₓ − lo.x))`, `hh` likewise: an exact difference is below the
+//!   float after its rounding to nearest, so every `p` in the rect is
+//!   within `hw`, `hh` of `c̃` exactly. In one fold over the members, in index
+//!   order: the differences `dx`, `dy`, the squares and their sum `s`, the
+//!   root `r`, the product `wᵢ·r` and its addition to `f̃`, the reciprocal
+//!   `v = 1/r`, the products `wᵢ·(dx·v)`, `wᵢ·(dy·v)` and their additions to
+//!   `g̃`. A member with `s < 2⁻¹⁰²²` (on `c̃`, or so near that its square
+//!   left the normal range) is skipped: its term `wᵢ·|p qᵢ| >= 0` leaves
+//!   both the sum and the plane, which only lowers the bound. Then `Ŵ`, a
+//!   fold of the weights, and the last line's four products and six sums
+//!   and differences. On the other side every term and addition of the
+//!   computed `dist(p, Q)`.
+//! * *Error bounds.* Let `f` and `g` be the exact sum and subgradient at
+//!   `c̃` over the members kept. A kept term of `f̃` is within `4u` of
+//!   `wᵢ·|c̃ qᵢ|` (a difference, the square sum's `γ₂`, the root, the
+//!   product), so `f >= f̃·(1 − (n + 4)·u)` with the fold. A gradient term
+//!   is a unit vector's component times `wᵢ`, and its computed value is
+//!   within `7u·wᵢ` of it (one more rounding each for the reciprocal and the
+//!   two products), so `|gₓ − g̃ₓ| <= (n + 6)·u·W`, `g_y` alike. On the
+//!   other side each term of `dist(p, Q)` is `wᵢ`-Lipschitz and `|p c̃| <=
+//!   hw + hh`, so `dist(p, Q) <= f̃·(1 + (n + 4)·u) + W·(hw + hh)` (up to
+//!   the skipped members, below), and the computed `dist(p, Q)` is at least
+//!   `(1 − γₙ₊₄)` times the exact one in any order of its additions. With
+//!   the last line's roundings, each at most `u` of `f̃ + Ŵ·(hw + hh)` and
+//!   the margin, the computed sum can fall below the exact plane by at most
+//!   `(2n + 16)·u·(f̃ + Ŵ·(hw + hh))`; `ρ` is eight times that.
+//! * *Subnormal allowance.* A kept member's square sum is normal, so a
+//!   difference, square or quotient that underflows alone costs under
+//!   `u·s` or `u·wᵢ`. An underflowed product loses up to `2⁻¹⁰⁷⁵`: `n` of
+//!   them in `f̃`, and `2n` in `g̃`, whose error the reaches multiply —
+//!   which `Ŵ′`'s `n·2⁻¹⁰²⁰` covers through `ρ` once `hw + hh >= 1`, and
+//!   `t` below that. On the
+//!   exact side a square below `f64`'s normal range is off by up to
+//!   `2⁻⁵³⁷` after its root, `W·2⁻⁵³⁶` in all, and `n` products may
+//!   underflow; a skipped member lies under `2⁻⁵¹¹` from `c̃`, so it adds at
+//!   most `W·2⁻⁵¹¹·γₙ₊₄` to the exact side's error. `t` covers all of them,
+//!   and the last line's products.
+//! * *Non-finite fallback.* An overflowed centre, reach, square, sum or
+//!   margin leaves the last line infinite or NaN (`∞ − ∞`, `0·∞`); a NaN
+//!   square is kept, not skipped, so it reaches the last line too.
+//!   [`PlaneBound::lower`] returns `−∞` for anything not finite, which
+//!   rules nothing out.
 //!
 //! # The landmark bound
 //!
@@ -609,6 +675,77 @@ impl<'a> BlockBound<'a> {
         }
         for v in out.iter_mut() {
             *v = *v * self.factor - self.floor;
+        }
+    }
+}
+
+/// The rounded-down supporting-plane lower bound on a weighted SUM group's
+/// distance to every point of a rect: the plane tangent to `dist(·, Q)` at
+/// the rect's centre, at its lowest corner (margin: module docs). One
+/// scalar fold a rect, a root and a reciprocal a member.
+#[derive(Debug, Clone, Copy)]
+pub struct PlaneBound<'a> {
+    qx: &'a [f64],
+    qy: &'a [f64],
+    w: &'a [f64],
+    /// `ρ`.
+    rho: f64,
+    /// `Ŵ′`, the weight the reaches' margin scales with.
+    weight: f64,
+    /// `t`.
+    floor: f64,
+}
+
+impl<'a> PlaneBound<'a> {
+    /// The bound for the group `(qx, qy)` with weights `w`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `qx`, `qy` and `w` disagree in length.
+    pub fn new(qx: &'a [f64], qy: &'a [f64], w: &'a [f64]) -> Self {
+        let len = qx.len();
+        assert!(qy.len() == len && w.len() == len);
+        let total: f64 = w.iter().sum();
+        let n = len as f64;
+        PlaneBound {
+            qx,
+            qy,
+            w,
+            rho: 8.0 * (n + 8.0) * f64::EPSILON,
+            weight: total + n * 2f64.powi(-1020),
+            // (4n + 8)·2⁻¹⁰⁷⁴, exactly: the smallest subnormal's multiple.
+            floor: total * 2f64.powi(-530) + (4.0 * n + 8.0) * f64::from_bits(1),
+        }
+    }
+
+    /// A lower bound on the computed `dist(p, Q)` of every point `p` in
+    /// `rect`; `−∞` where the arithmetic left the finite range.
+    pub fn lower(&self, rect: &Rect) -> f64 {
+        let (lo, hi) = (rect.lo, rect.hi);
+        let (cx, cy) = (0.5 * (lo.x + hi.x), 0.5 * (lo.y + hi.y));
+        let hw = (hi.x - cx).max(cx - lo.x).next_up();
+        let hh = (hi.y - cy).max(cy - lo.y).next_up();
+        let (mut f, mut gx, mut gy) = (0.0f64, 0.0f64, 0.0f64);
+        for ((&qx, &qy), &w) in self.qx.iter().zip(self.qy).zip(self.w) {
+            let (dx, dy) = (cx - qx, cy - qy);
+            let s = dx * dx + dy * dy;
+            // On the centre, or too near for a normal square: no term. A
+            // NaN is kept, to reach the last line.
+            if s < f64::MIN_POSITIVE {
+                continue;
+            }
+            let r = s.sqrt();
+            f += w * r;
+            let v = 1.0 / r;
+            gx += w * (dx * v);
+            gy += w * (dy * v);
+        }
+        let margin = self.rho * (f + self.weight * (hw + hh)) + self.floor;
+        let bound = f - gx.abs() * hw - gy.abs() * hh - margin;
+        if bound.is_finite() {
+            bound
+        } else {
+            f64::NEG_INFINITY
         }
     }
 }

@@ -1,6 +1,6 @@
 //! One soundness harness for the rounded-down bounds of `gnn_geom::bound`.
 //!
-//! Every bound there must never exceed the value it stands for. The three
+//! Every bound there must never exceed the value it stands for. The four
 //! SUM bounds run over one grid of query groups — scales `2^{0, ±40, ±80,
 //! ±127, ±200, ±500}`, sizes 1–17, 32, 33, 256 and 1000, six weightings
 //! from unit to `10^±300`, and three layouts (spread, coincident, far from
@@ -29,6 +29,18 @@
 //!   spread pages in `f64`'s normal range; and sound on a hair page of
 //!   entries `2⁻⁶⁰…2⁻⁸³` off a coincident group's member, where `f32`'s
 //!   squares go subnormal.
+//! * [`PlaneBound`] against the computed `dist(p, Q)` of each level's
+//!   one-point fold (what `QueryGroup::dist` runs) at the corners, the
+//!   centre and random points of rects around, through and far from each
+//!   group, down to points and segments, and of rects centred on a member
+//!   (skipped members): `lower <= exact` or `lower = −∞`. On a rect of
+//!   `2⁻³⁰` of its distance from a group in `f64`'s normal range the plane
+//!   is tight to second order, and `lower` is within `1.5` margins and that
+//!   order of the lowest corner (tightness). Beside it, segment rects on
+//!   the line through a coincident group `2⁴⁰·s` out along `x`, where the
+//!   sum is affine along the rect and the computed centre sits up to
+//!   `2⁻¹³·s` off the true middle: the plane is exact at the near end, so
+//!   only a reach measured from the computed centre holds.
 //!
 //! Hand mutations of the margins, each alone in a scratch copy, and the
 //! case each fails first (AVX2 host; optimised build):
@@ -58,6 +70,20 @@
 //!   block hair page on Avx2Fma" (soundness);
 //! * block `f32` width without `F`: "2^0 n=1 weights 0.1–10 Spread: block
 //!   page m=1 on Avx2Fma" (soundness);
+//! * plane `ρ = 0` (`t` kept), or the whole margin removed: "2^0 n=1
+//!   weights 0.1–10 Spread: far tiny on Scalar" and "remote segment 2^0
+//!   n=2 weights 0.1–10 Coincident on Scalar" (soundness);
+//! * plane reach taken as half the width, `(hi − lo)/2`, not measured from
+//!   the computed centre: "remote segment 2^0 n=1 weights unit Coincident
+//!   on Scalar" (soundness);
+//! * plane reach not rounded up (`next_up` removed alone): passes, and no
+//!   case can fail it — one ulp of a reach costs at most `2u·W·hw`, which
+//!   `ρ`'s `Ŵ′·(hw + hh)` term holds `8(n + 8)` times over;
+//! * plane gradient term added, not subtracted: "2^0 n=1 weights unit
+//!   Spread: random rect on Scalar" and "remote segment 2^0 n=1 weights
+//!   unit Coincident on Scalar" (soundness);
+//! * plane `ρ` doubled: "2^0 n=1 weights unit Spread: far tiny"
+//!   (tightness);
 //! * landmark entries narrowed to nearest: "2^0 1 edges 0.1–10";
 //! * landmark `c = 0`: "fold-order path".
 //!
@@ -70,7 +96,7 @@
 //! whole networks is `gnn-network`'s harness (`packed.rs`' tests).
 
 use gnn_geom::batch::{scalar, BatchKernels};
-use gnn_geom::bound::{BlockBound, CentroidBound, LandmarkBound, LeafBound};
+use gnn_geom::bound::{BlockBound, CentroidBound, LandmarkBound, LeafBound, PlaneBound};
 use gnn_geom::simd::pad_len;
 use gnn_geom::{Point, Rect, SimdLevel};
 
@@ -556,6 +582,157 @@ fn block_bound_is_sound_on_the_grid_and_tight_on_coincident_groups() {
     // Away from the member entry 0 sits on, a spread page's entries are
     // bounded by a real value, not the margin.
     assert_eq!(positive, spread, "positive bounds on spread pages");
+}
+
+/// The rects a plane is checked on, named: the centroid key's families,
+/// a rect centred on a member (so the computed centre may sit on it and
+/// skip it), and a far tiny rect, `2⁻³⁰` of its distance across, where the
+/// plane is tight to second order.
+fn plane_rects(g: &Group, rng: &mut Lcg) -> Vec<(Rect, &'static str)> {
+    let s = 2f64.powi(g.e);
+    let mut out = rects(g, rng);
+    let (qx, qy) = (g.qx[0], g.qy[0]);
+    out.push((
+        Rect::from_corners(qx - s, qy - s, qx + s, qy + s),
+        "centred on a member",
+    ));
+    let angle = rng.range(0.0, std::f64::consts::TAU);
+    let (x, y) = (qx + 40.0 * s * angle.cos(), qy + 40.0 * s * angle.sin());
+    let side = 40.0 * s * 2f64.powi(-30);
+    out.push((Rect::from_corners(x, y, x + side, y + side), "far tiny"));
+    out
+}
+
+/// Points of `rect` a plane is checked at: its corners, its centre and
+/// four random points inside.
+fn points_in(rect: &Rect, rng: &mut Lcg) -> Vec<Point> {
+    let (lo, hi) = (rect.lo, rect.hi);
+    let mut out = vec![
+        lo,
+        hi,
+        Point::new(lo.x, hi.y),
+        Point::new(hi.x, lo.y),
+        Point::new(0.5 * (lo.x + hi.x), 0.5 * (lo.y + hi.y)),
+    ];
+    for _ in 0..4 {
+        let x = (lo.x + rng.unit() * (hi.x - lo.x)).clamp(lo.x, hi.x);
+        let y = (lo.y + rng.unit() * (hi.y - lo.y)).clamp(lo.y, hi.y);
+        out.push(Point::new(x, y));
+    }
+    out
+}
+
+/// The kernels of every level this host runs.
+fn all_kernels() -> Vec<BatchKernels> {
+    SimdLevel::available_levels()
+        .into_iter()
+        .map(|l| BatchKernels::for_level(l).unwrap())
+        .collect()
+}
+
+/// `lower` against each level's one-point fold at `p`: at most the computed
+/// sum, or `−∞`. Returns the lowest computed sum.
+fn assert_plane_below(
+    g: &Group,
+    lower: f64,
+    p: Point,
+    kernels: &[BatchKernels],
+    what: &str,
+) -> f64 {
+    let mut lowest = f64::INFINITY;
+    for k in kernels {
+        let exact = k.point_weighted_dist_sum(p, &g.qx, &g.qy, &g.w);
+        assert!(
+            lower == f64::NEG_INFINITY || lower <= exact,
+            "{what} on {:?}: plane {lower:e} above exact {exact:e} at {p:?}",
+            k.level()
+        );
+        lowest = lowest.min(exact);
+    }
+    lowest
+}
+
+#[test]
+fn plane_never_exceeds_the_computed_sum_on_the_grid() {
+    let kernels = all_kernels();
+    let mut rng = Lcg(45);
+    let u = f64::EPSILON / 2.0;
+    let (mut checks, mut planes, mut finite, mut tight) = (0u64, 0u64, 0u64, 0u64);
+    grid(|g| {
+        let n = g.qx.len() as f64;
+        let bound = PlaneBound::new(&g.qx, &g.qy, &g.w);
+        // Every product and sum of these cases stays in `f64`'s normal
+        // range.
+        let normal = matches!(g.weighting, "unit" | "0.1–10") && g.e.abs() <= 200;
+        for (rect, family) in plane_rects(g, &mut rng) {
+            let what = format!("{}: {family}", g.what);
+            let lower = bound.lower(&rect);
+            let mut corner = f64::INFINITY;
+            for (i, p) in points_in(&rect, &mut rng).into_iter().enumerate() {
+                checks += 1;
+                let exact = assert_plane_below(g, lower, p, &kernels, &what);
+                if i < 4 {
+                    corner = corner.min(exact);
+                }
+            }
+            planes += 1;
+            finite += u64::from(lower.is_finite());
+            if family == "far tiny" && normal {
+                // The plane at its lowest corner is within the curvature
+                // term `W·(hw² + hh²)/(2·r)` of the sum there, `r` the
+                // nearest member's distance to the centre.
+                let (cx, cy) = (0.5 * (rect.lo.x + rect.hi.x), 0.5 * (rect.lo.y + rect.hi.y));
+                let (hw, hh) = (rect.hi.x - cx, rect.hi.y - cy);
+                let r =
+                    g.qx.iter()
+                        .zip(&g.qy)
+                        .map(|(&x, &y)| (cx - x).hypot(cy - y))
+                        .fold(f64::INFINITY, f64::min);
+                let curvature = g.total * (hw * hw + hh * hh) / (2.0 * r);
+                let f = assert_plane_below(g, lower, Point::new(cx, cy), &kernels, &what);
+                let margin = 16.0 * (n + 8.0) * u * (f + g.total * (hw + hh));
+                assert!(
+                    lower >= corner - 1.5 * margin - 2.0 * curvature,
+                    "{what}: plane {lower:e} too far below the corner's {corner:e}"
+                );
+                tight += 1;
+            }
+        }
+    });
+    assert!(checks > 600_000, "the sweep shrank: {checks}");
+    // Overflow is the only way to `−∞`.
+    assert!(finite * 2 > planes, "{finite} finite planes of {planes}");
+    assert!(tight > 500, "{tight} tightness checks");
+}
+
+#[test]
+fn plane_reaches_are_measured_from_the_computed_centre() {
+    let kernels = all_kernels();
+    let mut rng = Lcg(46);
+    let mut checks = 0u64;
+    for e in SCALES {
+        let s = 2f64.powi(e);
+        for n in [1usize, 2, 5, 16] {
+            for weighting in ["unit", "0.1–10"] {
+                let q = Point::new((2f64.powi(40) + rng.unit()) * s, rng.range(-5.0, 5.0) * s);
+                let w = weights(weighting, n, &mut rng);
+                let g = Group::new(e, weighting, Layout::Coincident, vec![q; n], w);
+                let what = format!("remote segment {}", g.what);
+                let bound = PlaneBound::new(&g.qx, &g.qy, &g.w);
+                for _ in 0..16 {
+                    let a = rng.range(0.25, 3.0);
+                    let b = a + rng.range(0.0, 2.0);
+                    let rect = Rect::from_corners(q.x + a * s, q.y, q.x + b * s, q.y);
+                    let lower = bound.lower(&rect);
+                    for p in points_in(&rect, &mut rng) {
+                        assert_plane_below(&g, lower, p, &kernels, &what);
+                        checks += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(checks > 5_000, "{checks} checks");
 }
 
 #[test]

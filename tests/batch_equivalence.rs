@@ -123,7 +123,7 @@ fn run_batched(
 }
 
 #[test]
-fn unsharded_batches_are_bit_identical_to_run_many_collect() {
+fn unsharded_batches_are_bit_identical_to_a_loop_of_execute_on() {
     let pts = uniform_points(6_000, 21);
     let tree = tree_of(&pts);
     let packed = tree.freeze();

@@ -11,12 +11,15 @@
 //! `k` at and beyond the dataset size the common case instead of the
 //! measure-zero one.
 //!
-//! Node accesses are pinned *bounded loop ≡ reference stream ≡ the
-//! library's incremental `MbmStream`*: all three pop nodes by `(key, page
-//! id)` on the same snapshot, so they must read the same pages however
-//! many keys tie. Ids are pinned at every rank the oracle's ranking leaves
-//! untied; inside a tie each side may keep a different copy, but it must be
-//! a real data point at exactly that distance.
+//! All three pop nodes by `(key, page id)` on the same snapshot, so their
+//! node accesses are pinned however many keys tie: *the library's
+//! incremental `MbmStream` ≡ the reference stream*, and *bounded loop ≡
+//! the reference's `k`-aware entry*, which drops a node where the bounded
+//! loop's supporting plane does (SUM, 2 to `LAZY_MIN − 1` members). So the
+//! bounded loop reads at most what the stream reads, and exactly as much
+//! wherever there is no plane. Ids are pinned at every rank the oracle's
+//! ranking leaves untied; inside a tie each side may keep a different copy,
+//! but it must be a real data point at exactly that distance.
 
 use gnn::core::baseline::linear_scan_points;
 use gnn::core::MbmScratch;
@@ -25,7 +28,47 @@ use proptest::prelude::*;
 
 #[path = "common/mbm_reference.rs"]
 mod mbm_reference;
-use mbm_reference::reference_k_gnn;
+use mbm_reference::{reference_k_gnn, reference_stream_prefix, LAZY_MIN};
+
+/// Whether the bounded loop checks `group`'s supporting plane: SUM, 2 to
+/// `LAZY_MIN − 1` members.
+fn has_plane(group: &QueryGroup) -> bool {
+    group.aggregate() == Aggregate::Sum && (2..LAZY_MIN).contains(&group.len())
+}
+
+/// Node accesses of the bounded loop (`bounded`), the library's stream
+/// (`streamed`) and the reference's two entries, read on cursors that ran
+/// the same query for `k` neighbors.
+fn assert_node_accesses(
+    bounded: u64,
+    streamed: u64,
+    group: &QueryGroup,
+    k: usize,
+    packed: &PackedRTree,
+    what: &str,
+) {
+    let rc = packed.cursor();
+    reference_k_gnn(&rc, group, k);
+    let uc = packed.cursor();
+    reference_stream_prefix(&uc, group, k);
+    assert_eq!(
+        bounded,
+        rc.stats().logical,
+        "{what}: node accesses, bounded loop vs reference with the plane"
+    );
+    assert_eq!(
+        streamed,
+        uc.stats().logical,
+        "{what}: node accesses, incremental stream vs reference without it"
+    );
+    assert!(
+        bounded <= streamed,
+        "{what}: the bounded loop read {bounded} pages, the stream {streamed}"
+    );
+    if !has_plane(group) {
+        assert_eq!(bounded, streamed, "{what}: no plane, the same pages");
+    }
+}
 
 /// Small-integer lattice points, duplicates welcome.
 fn lattice(max: usize) -> impl Strategy<Value = Vec<Point>> {
@@ -74,8 +117,7 @@ proptest! {
                     }
                     let what = format!("n={n} {agg} k={k} N={len}");
                     let oracle = linear_scan_points(&data, &group, k).neighbors;
-                    let rc = packed.cursor();
-                    let reference = reference_k_gnn(&rc, &group, k);
+                    let reference = reference_k_gnn(&packed.cursor(), &group, k);
                     let pc = packed.cursor();
                     let bounded = Mbm::best_first().k_gnn(&pc, &group, k).neighbors;
                     let sc = packed.cursor();
@@ -118,13 +160,8 @@ proptest! {
                     ids.dedup();
                     prop_assert_eq!(ids.len(), bounded.len(), "{}: duplicate id", what);
 
-                    prop_assert_eq!(
-                        pc.stats().logical, rc.stats().logical,
-                        "{}: node accesses, bounded loop vs reference stream", what
-                    );
-                    prop_assert_eq!(
-                        pc.stats().logical, sc.stats().logical,
-                        "{}: node accesses, bounded loop vs incremental stream", what
+                    assert_node_accesses(
+                        pc.stats().logical, sc.stats().logical, &group, k, &packed, &what,
                     );
                 }
             }
@@ -151,11 +188,6 @@ fn filters() -> bool {
     gnn::geom::simd::dispatch_level() == gnn::geom::SimdLevel::Avx2Fma
 }
 
-/// The smallest SUM group the bounded loop keys lazily and filters through
-/// the block bound, on every tier (a private constant of `gnn-core`'s
-/// `mbm.rs`).
-const LAZY_MIN: usize = 48;
-
 /// Whether the bounded loop may drop leaf entries of `group`'s query: the
 /// `f32` stage on the AVX2 tier, the block stage from `LAZY_MIN` members
 /// on every tier; SUM only.
@@ -177,8 +209,7 @@ fn assert_equivalent(
         (i > 0 && full[i - 1].dist == full[i].dist)
             || (i + 1 < len && full[i + 1].dist == full[i].dist)
     };
-    let rc = packed.cursor();
-    let reference = reference_k_gnn(&rc, group, k);
+    let reference = reference_k_gnn(&packed.cursor(), group, k);
     let pc = packed.cursor();
     let bounded = Mbm::best_first().k_gnn(&pc, group, k);
     let sc = packed.cursor();
@@ -208,15 +239,13 @@ fn assert_equivalent(
             }
         }
     }
-    assert_eq!(
-        pc.stats().logical,
-        rc.stats().logical,
-        "{what}: node accesses, bounded loop vs reference stream"
-    );
-    assert_eq!(
+    assert_node_accesses(
         pc.stats().logical,
         sc.stats().logical,
-        "{what}: node accesses, bounded loop vs incremental stream"
+        group,
+        k,
+        packed,
+        what,
     );
     if !may_drop(group) {
         assert_eq!(
@@ -236,10 +265,16 @@ fn tripled_lattice(exp: i32) -> Vec<Point> {
 /// A `w × h` integer lattice, every point stored three times, scaled by
 /// `2^exp`.
 fn tripled_cells(w: u32, h: u32, exp: i32) -> Vec<Point> {
+    lattice_copies(w, h, 3, exp)
+}
+
+/// A `w × h` integer lattice, every point stored `copies` times, scaled by
+/// `2^exp`.
+fn lattice_copies(w: u32, h: u32, copies: usize, exp: i32) -> Vec<Point> {
     let s = 2f64.powi(exp);
     (0..w)
         .flat_map(|x| (0..h).map(move |y| (x, y)))
-        .flat_map(|cell| [cell; 3])
+        .flat_map(|cell| vec![cell; copies])
         .map(|(x, y)| Point::new(f64::from(x) * s, f64::from(y) * s))
         .collect()
 }
@@ -682,4 +717,119 @@ fn the_ceiling_holds_where_the_block_stage_keeps_its_f64_width() {
             assert_reference_ids(&packed, &data, &group, k, &what);
         }
     }
+}
+
+// ---- the supporting plane --------------------------------------------------
+//
+// A SUM group of 2 to `LAZY_MIN − 1` members drops, unread, a node whose
+// supporting plane reaches `best_dist`. The answer must not notice: each
+// case holds the bounded loop to the oracle (distance bits, untied ids),
+// to the reference's `k`-aware entry (every page it reads, exactly) and
+// to the stream (at most its pages), on shapes where the plane is at its
+// tightest or its rounding is: members on one line (the plane is flat
+// along the segment between them), members on one point (heuristic 3 is
+// then the exact minimum over a rect, and the plane drops nothing), leaves
+// whose MBR is a point, ties at the k-th rank, scales 2⁻⁸⁰ and 2¹⁰⁰, and
+// weights sixty and six hundred orders of magnitude apart. One member has
+// no plane: the bounded loop reads the stream's pages.
+
+/// The plane cases' groups at scale `2^exp`, named, with whether the plane
+/// must drop a node for them (`Some(true)`), must not (`Some(false)`), or
+/// either: one weight of `10³⁰` or more makes the group nearly one member,
+/// whose heuristic 3 the plane rarely beats.
+fn plane_groups(exp: i32) -> Vec<(&'static str, QueryGroup, Option<bool>)> {
+    let s = 2f64.powi(exp);
+    let at = |x: f64, y: f64| Point::new(x * s, y * s);
+    let sum = |pts: Vec<Point>| QueryGroup::sum(pts).unwrap();
+    let mut groups = vec![
+        ("one member", sum(vec![at(5.5, 5.5)]), Some(false)),
+        (
+            "collinear n=2",
+            sum(vec![at(2.25, 5.5), at(9.75, 5.5)]),
+            Some(true),
+        ),
+        (
+            "collinear n=3 diagonal",
+            sum(vec![at(2.5, 2.5), at(6.5, 6.5), at(9.5, 9.5)]),
+            Some(true),
+        ),
+        ("coincident n=5", sum(vec![at(5.25, 6.75); 5]), Some(false)),
+        ("spread n=6", lattice_group(6, exp, None), Some(true)),
+        ("spread n=47", spread_group(LAZY_MIN - 1, exp), Some(true)),
+    ];
+    if exp == 0 {
+        for (label, w) in [
+            ("weights 1e±30", vec![1e-30, 1e30, 1e-18, 1e12, 1.0, 1e-6]),
+            (
+                "weights 1e±300",
+                vec![1e-300, 1e20, 3e38, 1e-45, 1e300, 2.5],
+            ),
+        ] {
+            groups.push((label, lattice_group(6, 0, Some(w)), None));
+        }
+    }
+    groups
+}
+
+#[test]
+fn the_plane_drops_pages_and_changes_no_answer() {
+    for exp in [0, -80, 100] {
+        // Ties at the k-th rank: three copies of every lattice point, and
+        // k not a multiple of three cuts a run of bit-equal distances.
+        // Point rects: four copies of every point, four to a leaf.
+        let tripled = tripled_lattice(exp);
+        let quadrupled = lattice_copies(12, 12, 4, exp);
+        for (data, capacity, label) in [
+            (&tripled, 16, "tie lattice"),
+            (&quadrupled, 4, "point leaves"),
+        ] {
+            let packed = index(data, capacity);
+            for (name, group, drops) in plane_groups(exp) {
+                let (mut bounded, mut streamed) = (0, 0);
+                for k in [1usize, 2, 4, 5, 8, 31] {
+                    let what = format!("{label}·2^{exp} {name} k={k}");
+                    let stats = assert_equivalent(&packed, data, &group, k, &what);
+                    bounded += stats.data_tree.logical;
+                    let sc = packed.cursor();
+                    let mut ms = MbmScratch::default();
+                    MbmStream::new_in(&sc, &group, &mut ms)
+                        .take(k)
+                        .for_each(drop);
+                    streamed += sc.stats().logical;
+                }
+                let what = format!("{label}·2^{exp} {name}");
+                match drops {
+                    Some(true) => assert!(
+                        bounded < streamed,
+                        "{what}: the plane dropped nothing ({bounded} pages)"
+                    ),
+                    Some(false) => assert_eq!(bounded, streamed, "{what}: no plane drops here"),
+                    None => {}
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn point_leaves_are_point_rects() {
+    // The scenario of the plane's point-rect case: four copies of every
+    // lattice point, four to a page, give many leaves a point for an MBR.
+    let packed = index(&lattice_copies(12, 12, 4, 0), 4);
+    let cursor = packed.cursor();
+    let mut stack = vec![cursor.root()];
+    let (mut leaves, mut points) = (0, 0);
+    while let Some(page) = stack.pop() {
+        match cursor.read(page) {
+            gnn::rtree::PageRef::Internal(branches) => {
+                stack.extend(branches.iter().map(|(_, child)| child));
+            }
+            gnn::rtree::PageRef::Leaf(leaf) => {
+                leaves += 1;
+                let first = leaf.entries()[0].point;
+                points += usize::from(leaf.entries().iter().all(|e| e.point == first));
+            }
+        }
+    }
+    assert!(points * 3 >= leaves, "{points} point leaves of {leaves}");
 }

@@ -184,9 +184,11 @@ fn scratch_shrinks_nothing_when_k_varies() {
 #[test]
 fn bounded_mbm_stays_allocation_free_as_k_swings() {
     // The bounded top-k loop on a packed cursor, k going 1 → 64 → 1 on
-    // every group: the node heap, the best list and the page-scoring
-    // buffers sized by the k = 64 pass must serve the k = 1 passes around
-    // it, and the other way round nothing may shrink.
+    // every group: the node heap, the MBRs its children's supporting
+    // planes are read from (4-member SUM groups check the plane), the best
+    // list and the page-scoring buffers sized by the k = 64 pass must
+    // serve the k = 1 passes around it, and the other way round nothing
+    // may shrink.
     let data = random_points(4000, 6, 0.0, 100.0);
     let packed = tree_of(&data);
     let cursor = packed.cursor();
