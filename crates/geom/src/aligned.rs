@@ -163,6 +163,14 @@ impl From<&[f64]> for AlignedVec {
 
 #[cfg(test)]
 mod tests {
+    //! CI runs these under AddressSanitizer (nightly). A hand mutation, in
+    //! a scratch copy, that it must catch: an off-by-one length in
+    //! `extend_from_slice`'s copy (`src.len() + 1`) is a
+    //! `global-buffer-overflow` (`READ of size 32`) at the copy, from
+    //! `clear_keeps_capacity_and_alignment`; a debug build without ASan
+    //! died of `SIGSEGV` in `clone_and_eq_compare_lanes` instead, which
+    //! undefined behaviour does not promise.
+
     use super::*;
 
     fn is_aligned(v: &AlignedVec) -> bool {

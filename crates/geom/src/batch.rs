@@ -53,9 +53,10 @@
 //! [`crate::Point`]; the property suite (`crates/geom/tests/batch_props.rs`)
 //! pins all implementations together bit-for-bit.
 
-// The only `unsafe` in this module is calling the `#[target_feature]` AVX2
-// entry points, sound because `BatchKernels` holds `Avx2Fma` only after
-// runtime detection (see each SAFETY comment).
+// The only `unsafe` in this module is one call per dispatch arm into a safe
+// `#[target_feature]` AVX2 kernel, which checks its own slice lengths: the
+// call is sound because `BatchKernels` holds `Avx2Fma` only after runtime
+// detection (see each SAFETY comment).
 #![allow(unsafe_code)]
 
 use crate::simd::{self, pad_len, SimdLevel};
@@ -404,8 +405,7 @@ impl BatchKernels {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `BatchKernels` holds `Avx2Fma` only when runtime
             // detection confirmed avx2+fma (auto/for_level check
-            // `is_available`); the assert above proves every slice holds
-            // the `pad_len(n)` lanes the kernel reads.
+            // `is_available`).
             SimdLevel::Avx2Fma => unsafe {
                 simd::x86::rects_mindist_sq_point_avx2(lo_x, lo_y, hi_x, hi_y, n, q, out)
             },
@@ -579,8 +579,7 @@ impl BatchKernels {
         assert!(qy.len() == n && w.len() == n);
         match self.level {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: level as in `rects_mindist_sq_point_padded`; the kernel
-            // reads the `n` lanes of the exact slices asserted above.
+            // SAFETY: as in `rects_mindist_sq_point_padded`.
             SimdLevel::Avx2Fma => unsafe {
                 simd::x86::rect_weighted_mindist_sum_avx2(m, qx, qy, w)
             },
@@ -602,7 +601,7 @@ impl BatchKernels {
         assert!(qy.len() == n && w.len() == n);
         match self.level {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rect_weighted_mindist_sum`.
+            // SAFETY: as in `rects_mindist_sq_point_padded`.
             SimdLevel::Avx2Fma => unsafe { simd::x86::point_weighted_dist_sum_avx2(p, qx, qy, w) },
             _ => scalar::point_weighted_dist_sum(p, qx, qy, w),
         }
@@ -623,8 +622,7 @@ impl BatchKernels {
         assert_eq!(qy.len(), qx.len());
         match self.level {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: level as in `rects_mindist_sq_point_padded`; the kernel
-            // reads the `qx.len()` lanes of the exact slices asserted above.
+            // SAFETY: as in `rects_mindist_sq_point_padded`.
             SimdLevel::Avx2Fma => unsafe { simd::x86::rect_mindist_sq_fold_avx2::<MAX>(m, qx, qy) },
             _ if MAX => scalar::rect_mindist_sq_max(m, qx, qy),
             _ => scalar::rect_mindist_sq_min(m, qx, qy),
@@ -646,7 +644,7 @@ impl BatchKernels {
         assert_eq!(qy.len(), qx.len());
         match self.level {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rect_fold`.
+            // SAFETY: as in `rects_mindist_sq_point_padded`.
             SimdLevel::Avx2Fma => unsafe { simd::x86::point_dist_sq_fold_avx2::<MAX>(p, qx, qy) },
             _ if MAX => scalar::point_dist_sq_max(p, qx, qy),
             _ => scalar::point_dist_sq_min(p, qx, qy),

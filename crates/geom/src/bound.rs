@@ -293,8 +293,9 @@
 //!   narrows to `f32::MAX`, whose `g` is `∞`: as `lo` its term is `−∞`,
 //!   as `hi` it is below the label it stands for. No term is NaN.
 
-// The only `unsafe` here is the one call into the AVX2 body of the `f32`
-// leaf bound, sound because a `LeafBound` exists only at `Avx2Fma` (see its
+// The only `unsafe` here is the one call into the safe `#[target_feature]`
+// AVX2 body of the `f32` leaf bound, which checks its own slice lengths:
+// the call is sound because a `LeafBound` exists only at `Avx2Fma` (see its
 // SAFETY comment) — the block bound's `f32` width reaches it through one.
 #![allow(unsafe_code)]
 
@@ -403,9 +404,7 @@ impl<'a> LeafBound<'a> {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: a `LeafBound` is built only from kernels pinned at
         // `Avx2Fma`, which `BatchKernels` holds only after runtime detection
-        // confirmed avx2+fma; `new` asserted that `qx`, `qy` and the weights
-        // agree in length, and the assert above proves the point slices hold
-        // the `pad_len(m)` lanes the kernel reads.
+        // confirmed avx2+fma.
         unsafe {
             simd::x86::points_weighted_dist_sum_lower_avx2(
                 xs, ys, m, qx, qy, w, factor, floor, out,
@@ -801,8 +800,8 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    // The leaf kernel's SAFETY contract, pinned at its safe boundary: the
-    // length checks run before any lane is read.
+    // The leaf bound's length checks, pinned at its public boundary: they
+    // run before any lane is read, on both levels.
     #[test]
     #[should_panic]
     fn leaf_bound_refuses_query_slices_of_unequal_length() {

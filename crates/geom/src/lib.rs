@@ -24,11 +24,15 @@
 //!
 //! All computations are `f64` (save the `f32` leaf bound and landmark
 //! entries); the crate has no dependencies. `unsafe` is denied everywhere
-//! except [`aligned`]'s raw slice views, [`simd`]'s `core::arch`
-//! intrinsics and the calls into them from [`batch`] and [`bound`], each
-//! carrying its own safety argument.
+//! except [`aligned`]'s raw slice views, [`simd`]'s lane load and store
+//! helpers (its AVX2 kernels are safe `#[target_feature]` functions over
+//! slices) and the one call per dispatch arm into them from [`batch`] and
+//! [`bound`]. Every `unsafe` block carries a `SAFETY:` comment (clippy's
+//! `undocumented_unsafe_blocks` is denied), and CI runs the crate's tests
+//! under AddressSanitizer on nightly.
 
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod aligned;

@@ -55,7 +55,7 @@
 //! exact SUM cannot be below a bound — and `crates/geom/tests/bounds.rs`
 //! pins `lower <= exact` instead of equality.
 
-#![allow(unsafe_code)] // core::arch intrinsics + raw-pointer kernel loops
+#![allow(unsafe_code)] // `x86`'s lane load/store helpers and `fill_padded`'s `set_len`
 
 use std::sync::OnceLock;
 
@@ -151,99 +151,197 @@ pub(crate) mod x86 {
     //! reductions take exact slices: their leading multiple of four lanes
     //! runs as full vectors, the remainder runs the scalar reference code.
     //!
-    //! Every kernel is an `unsafe` `#[target_feature(enable = "avx2,fma")]`
-    //! function whose one call site — the dispatcher in `crate::batch`, or
-    //! for the `f32` lower bound `crate::bound::LeafBound` — holds
-    //! `Avx2Fma` only after runtime detection and asserts the slice lengths
-    //! each kernel's `# Safety` section names. A map or multi-point
-    //! kernel clears `out` and refills it with exactly `n` results.
+    //! Every kernel is a safe `#[target_feature(enable = "avx2,fma")]`
+    //! function over slices. It cuts each input to the lanes it reads
+    //! (`&xs[..pad_len(n)]`, or the group's `qx.len()`), so a short slice
+    //! panics instead of being read past, and walks those lanes as zipped
+    //! fixed-size arrays (`as_chunks`): no lane is indexed and no pointer is
+    //! offset. Four helpers keep an `unsafe` block, each over exactly the
+    //! lanes of the array it is given: `V4::load`, `V4::store`,
+    //! `V4::store_uninit` and the `set_len` of `fill_padded`. What a
+    //! caller still proves is the CPU: the dispatcher in `crate::batch`, or
+    //! for the `f32` lower bound `crate::bound::LeafBound`, calls a kernel
+    //! only at `Avx2Fma`, which it holds only after runtime detection. A
+    //! map or multi-point kernel clears `out` and refills it with exactly
+    //! `n` results.
 
-    use super::{pad_len, LANE_COUNT};
+    use super::pad_len;
     use crate::{Point, Rect};
     use core::arch::x86_64::*;
+    use core::mem::MaybeUninit;
 
-    /// Four `f64` lanes. Every method is `unsafe`: the intrinsics need the
-    /// AVX2 the kernels below enable, and loads/stores trust the pointer
-    /// range.
+    /// Four `f64` lanes. The arithmetic is safe wherever AVX2 is enabled;
+    /// the load and the stores take arrays of exactly four lanes.
     #[derive(Clone, Copy)]
     struct V4(__m256d);
 
     impl V4 {
-        const LANES: usize = 4;
-        #[inline(always)]
-        unsafe fn loadu(p: *const f64) -> Self {
-            V4(_mm256_loadu_pd(p))
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn load(a: &[f64; 4]) -> Self {
+            // SAFETY: `a` is four readable `f64`s; the load is unaligned.
+            V4(unsafe { _mm256_loadu_pd(a.as_ptr()) })
         }
-        #[inline(always)]
-        unsafe fn storeu(self, p: *mut f64) {
-            _mm256_storeu_pd(p, self.0)
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn store(self, a: &mut [f64; 4]) {
+            // SAFETY: `a` is four writable `f64`s; the store is unaligned.
+            unsafe { _mm256_storeu_pd(a.as_mut_ptr(), self.0) }
         }
-        #[inline(always)]
-        unsafe fn splat(v: f64) -> Self {
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn store_uninit(self, a: &mut [MaybeUninit<f64>; 4]) {
+            // SAFETY: `a` is four writable lanes with `f64`'s layout; the store is unaligned.
+            unsafe { _mm256_storeu_pd(a.as_mut_ptr().cast(), self.0) }
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn splat(v: f64) -> Self {
             V4(_mm256_set1_pd(v))
         }
-        #[inline(always)]
-        unsafe fn add(self, o: Self) -> Self {
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn add(self, o: Self) -> Self {
             V4(_mm256_add_pd(self.0, o.0))
         }
-        #[inline(always)]
-        unsafe fn sub(self, o: Self) -> Self {
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn sub(self, o: Self) -> Self {
             V4(_mm256_sub_pd(self.0, o.0))
         }
-        #[inline(always)]
-        unsafe fn mul(self, o: Self) -> Self {
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn mul(self, o: Self) -> Self {
             V4(_mm256_mul_pd(self.0, o.0))
         }
-        #[inline(always)]
-        unsafe fn vmax(self, o: Self) -> Self {
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn vmax(self, o: Self) -> Self {
             V4(_mm256_max_pd(self.0, o.0))
         }
-        #[inline(always)]
-        unsafe fn vmin(self, o: Self) -> Self {
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn vmin(self, o: Self) -> Self {
             V4(_mm256_min_pd(self.0, o.0))
         }
-        #[inline(always)]
-        unsafe fn vsqrt(self) -> Self {
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn vsqrt(self) -> Self {
             V4(_mm256_sqrt_pd(self.0))
+        }
+        /// `max` (`MAX`) or `min` of two vectors, lane by lane.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn fold<const MAX: bool>(self, o: Self) -> Self {
+            if MAX {
+                self.vmax(o)
+            } else {
+                self.vmin(o)
+            }
         }
     }
 
-    /// Clears `out`, guarantees capacity for `pad_len(n)` lanes (so full
-    /// vectors may store past `n` into spare capacity) and returns the
-    /// write pointer with that padded lane count — the span the kernel's
-    /// vector loop covers. Callers must `set_len(n)` after filling it.
-    #[inline(always)]
-    fn prep_out(out: &mut Vec<f64>, n: usize) -> (*mut f64, usize) {
-        let padded = pad_len(n);
+    /// The identity of the `MAX` (`−∞`) or `MIN` (`+∞`) fold.
+    const fn identity<const MAX: bool>() -> f64 {
+        if MAX {
+            f64::NEG_INFINITY
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// `max` (`MAX`) or `min` of two scalars, as the scalar folds take it.
+    #[inline]
+    fn fold<const MAX: bool>(a: f64, b: f64) -> f64 {
+        if MAX {
+            a.max(b)
+        } else {
+            a.min(b)
+        }
+    }
+
+    /// The `pad_len(n)` lanes of a padded span as 4-lane arrays.
+    ///
+    /// # Panics
+    ///
+    /// When `xs` is shorter than `pad_len(n)`.
+    #[inline]
+    fn lanes4(xs: &[f64], n: usize) -> &[[f64; 4]] {
+        xs[..pad_len(n)].as_chunks().0
+    }
+
+    /// [`lanes4`] in steps of eight lanes, two vectors each (`pad_len`'s
+    /// quantum is eight lanes, so no lane is left over).
+    #[inline]
+    fn lanes8(xs: &[f64], n: usize) -> &[[[f64; 4]; 2]] {
+        lanes4(xs, n).as_chunks().0
+    }
+
+    /// Clears `out`, stores `steps` into its spare capacity — `S` vectors a
+    /// step, over the `pad_len(n)` lanes rounded up to whole steps — and
+    /// exposes the first `n`.
+    ///
+    /// # Panics
+    ///
+    /// When `steps` ends before those lanes do.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn fill_padded<const S: usize>(
+        out: &mut Vec<f64>,
+        n: usize,
+        steps: impl Iterator<Item = [V4; S]>,
+    ) {
+        let span = pad_len(n).next_multiple_of(4 * S);
         out.clear();
-        out.reserve(padded);
-        (out.as_mut_ptr(), padded)
+        out.reserve(span);
+        let (lanes, rest) = out.spare_capacity_mut()[..span].as_chunks_mut::<4>();
+        let (spans, span_rest) = lanes.as_chunks_mut::<S>();
+        let mut filled = 0;
+        for (span, vs) in spans.iter_mut().zip(steps) {
+            for (lane, v) in span.iter_mut().zip(vs) {
+                v.store_uninit(lane);
+            }
+            filled += 1;
+        }
+        assert!(rest.is_empty() && span_rest.is_empty() && filled == spans.len());
+        // SAFETY: the loop stored a vector into every lane of `spans`, which cover `span >= n` lanes.
+        unsafe { out.set_len(n) }
     }
 
     /// `dx = max(max(a - v, v - b), 0.0)` — the branch-free
     /// interval-excess with the clamp LAST, so any signed-zero difference
     /// between `maxpd` and `f64::max` collapses to `+0.0` on both paths.
-    #[inline(always)]
-    unsafe fn excess(v: V4, lo: V4, hi: V4, zero: V4) -> V4 {
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn excess(v: V4, lo: V4, hi: V4, zero: V4) -> V4 {
         lo.sub(v).vmax(v.sub(hi)).vmax(zero)
     }
 
     /// `dx² + dy²` with the scalar's rounding order (mul, mul, add).
-    #[inline(always)]
-    unsafe fn hypot_sq(dx: V4, dy: V4) -> V4 {
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn hypot_sq(dx: V4, dy: V4) -> V4 {
         dx.mul(dx).add(dy.mul(dy))
+    }
+
+    /// A rectangle's four corner coordinates, each in every lane.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn splat_rect(m: &Rect) -> [V4; 4] {
+        let (lo, hi) = (m.lo, m.hi);
+        [
+            V4::splat(lo.x),
+            V4::splat(lo.y),
+            V4::splat(hi.x),
+            V4::splat(hi.y),
+        ]
     }
 
     // ---- elementwise maps -------------------------------------------
 
     /// `out[i] = mindist²(rect_i, q)`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 and FMA are available, and every coordinate slice holds
-    /// `pad_len(n)` readable lanes.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn rects_mindist_sq_point_avx2(
+    pub fn rects_mindist_sq_point_avx2(
         lo_x: &[f64],
         lo_y: &[f64],
         hi_x: &[f64],
@@ -252,29 +350,22 @@ pub(crate) mod x86 {
         q: Point,
         out: &mut Vec<f64>,
     ) {
-        let (po, vec_n) = prep_out(out, n);
-        let (plx, ply, phx, phy) = (lo_x.as_ptr(), lo_y.as_ptr(), hi_x.as_ptr(), hi_y.as_ptr());
-        let qx = V4::splat(q.x);
-        let qy = V4::splat(q.y);
-        let zero = V4::splat(0.0);
-        let mut i = 0;
-        while i < vec_n {
-            let dx = excess(qx, V4::loadu(plx.add(i)), V4::loadu(phx.add(i)), zero);
-            let dy = excess(qy, V4::loadu(ply.add(i)), V4::loadu(phy.add(i)), zero);
-            hypot_sq(dx, dy).storeu(po.add(i));
-            i += V4::LANES;
-        }
-        out.set_len(n);
+        let (qx, qy, zero) = (V4::splat(q.x), V4::splat(q.y), V4::splat(0.0));
+        let (lo, hi) = (
+            lanes4(lo_x, n).iter().zip(lanes4(lo_y, n)),
+            lanes4(hi_x, n).iter().zip(lanes4(hi_y, n)),
+        );
+        let steps = lo.zip(hi).map(|((lx, ly), (hx, hy))| {
+            let dx = excess(qx, V4::load(lx), V4::load(hx), zero);
+            let dy = excess(qy, V4::load(ly), V4::load(hy), zero);
+            [hypot_sq(dx, dy)]
+        });
+        fill_padded(out, n, steps);
     }
 
     /// `out[i] = mindist²(rect_i, m)`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 and FMA are available, and every coordinate slice holds
-    /// `pad_len(n)` readable lanes.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn rects_mindist_sq_rect_avx2(
+    pub fn rects_mindist_sq_rect_avx2(
         lo_x: &[f64],
         lo_y: &[f64],
         hi_x: &[f64],
@@ -283,77 +374,44 @@ pub(crate) mod x86 {
         m: &Rect,
         out: &mut Vec<f64>,
     ) {
-        let (po, vec_n) = prep_out(out, n);
-        let (plx, ply, phx, phy) = (lo_x.as_ptr(), lo_y.as_ptr(), hi_x.as_ptr(), hi_y.as_ptr());
-        let (mlx, mly, mhx, mhy) = (
-            V4::splat(m.lo.x),
-            V4::splat(m.lo.y),
-            V4::splat(m.hi.x),
-            V4::splat(m.hi.y),
-        );
+        let [mlx, mly, mhx, mhy] = splat_rect(m);
         let zero = V4::splat(0.0);
-        let mut i = 0;
-        while i < vec_n {
+        let (lo, hi) = (
+            lanes4(lo_x, n).iter().zip(lanes4(lo_y, n)),
+            lanes4(hi_x, n).iter().zip(lanes4(hi_y, n)),
+        );
+        let steps = lo.zip(hi).map(|((lx, ly), (hx, hy))| {
             // gap = max(max(b_lo - a_hi, a_lo - b_hi), 0.0), clamp last.
-            let dx = mlx
-                .sub(V4::loadu(phx.add(i)))
-                .vmax(V4::loadu(plx.add(i)).sub(mhx))
-                .vmax(zero);
-            let dy = mly
-                .sub(V4::loadu(phy.add(i)))
-                .vmax(V4::loadu(ply.add(i)).sub(mhy))
-                .vmax(zero);
-            hypot_sq(dx, dy).storeu(po.add(i));
-            i += V4::LANES;
-        }
-        out.set_len(n);
+            let dx = mlx.sub(V4::load(hx)).vmax(V4::load(lx).sub(mhx)).vmax(zero);
+            let dy = mly.sub(V4::load(hy)).vmax(V4::load(ly).sub(mhy)).vmax(zero);
+            [hypot_sq(dx, dy)]
+        });
+        fill_padded(out, n, steps);
     }
 
     /// `out[i] = |p_i q|²`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 and FMA are available, and every coordinate slice holds
-    /// `pad_len(n)` readable lanes.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn points_dist_sq_avx2(
-        xs: &[f64],
-        ys: &[f64],
-        n: usize,
-        q: Point,
-        out: &mut Vec<f64>,
-    ) {
-        let (po, vec_n) = prep_out(out, n);
-        let (px, py) = (xs.as_ptr(), ys.as_ptr());
-        let qx = V4::splat(q.x);
-        let qy = V4::splat(q.y);
-        let mut i = 0;
-        while i < vec_n {
-            let dx = V4::loadu(px.add(i)).sub(qx);
-            let dy = V4::loadu(py.add(i)).sub(qy);
-            hypot_sq(dx, dy).storeu(po.add(i));
-            i += V4::LANES;
-        }
-        out.set_len(n);
+    pub fn points_dist_sq_avx2(xs: &[f64], ys: &[f64], n: usize, q: Point, out: &mut Vec<f64>) {
+        let (qx, qy) = (V4::splat(q.x), V4::splat(q.y));
+        let steps = lanes4(xs, n)
+            .iter()
+            .zip(lanes4(ys, n))
+            .map(|(x, y)| [hypot_sq(V4::load(x).sub(qx), V4::load(y).sub(qy))]);
+        fill_padded(out, n, steps);
     }
 
     // ---- fused multi-point aggregates -------------------------------
     //
     // `out[j]` folds over the query points `i`; lanes are independent
     // output accumulators, so vectorizing over `j` keeps every fold
-    // sequential in `i` — bit-identical to the scalar kernels. The body
-    // is unrolled ×2 (two vectors of accumulators) to overlap the fold
-    // dependency chains. MAX and MIN only: the exact weighted SUM runs the
-    // scalar fold at both levels (module docs).
+    // sequential in `i` — bit-identical to the scalar kernels. A step
+    // holds two vectors of accumulators, to overlap the fold dependency
+    // chains. MAX and MIN only: the exact weighted SUM runs the scalar fold
+    // at both levels (module docs).
 
     /// `out[j] = max_i |p_j q_i|²` (`MAX`) or `min_i |p_j q_i|²`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 and FMA are available, `xs` and `ys` hold `pad_len(m)` readable
-    /// lanes, and `qy` at least `qx.len()`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn points_dist_sq_fold_multi_avx2<const MAX: bool>(
+    pub fn points_dist_sq_fold_multi_avx2<const MAX: bool>(
         xs: &[f64],
         ys: &[f64],
         m: usize,
@@ -361,44 +419,21 @@ pub(crate) mod x86 {
         qy: &[f64],
         out: &mut Vec<f64>,
     ) {
-        let identity = if MAX {
-            f64::NEG_INFINITY
-        } else {
-            f64::INFINITY
-        };
-        let (po, vec_m) = prep_out(out, m);
-        let (px, py) = (xs.as_ptr(), ys.as_ptr());
-        let n = qx.len();
-        #[inline(always)]
-        unsafe fn fold1<const MAX: bool>(acc: V4, d2: V4) -> V4 {
-            if MAX {
-                acc.vmax(d2)
-            } else {
-                acc.vmin(d2)
-            }
-        }
-        let mut j = 0;
-        while j + 2 * V4::LANES <= vec_m {
-            let x0 = V4::loadu(px.add(j));
-            let y0 = V4::loadu(py.add(j));
-            let x1 = V4::loadu(px.add(j + V4::LANES));
-            let y1 = V4::loadu(py.add(j + V4::LANES));
-            let mut a0 = V4::splat(identity);
-            let mut a1 = V4::splat(identity);
-            for i in 0..n {
-                let qxi = V4::splat(qx[i]);
-                let qyi = V4::splat(qy[i]);
-                a0 = fold1::<MAX>(a0, hypot_sq(x0.sub(qxi), y0.sub(qyi)));
-                a1 = fold1::<MAX>(a1, hypot_sq(x1.sub(qxi), y1.sub(qyi)));
-            }
-            a0.storeu(po.add(j));
-            a1.storeu(po.add(j + V4::LANES));
-            j += 2 * V4::LANES;
-        }
-        // `pad_len`'s quantum is 8 lanes, a whole number of unrolled steps
-        // (2 × 4): there is no remainder.
-        debug_assert!(vec_m % (2 * V4::LANES) == 0);
-        out.set_len(m);
+        let qy = &qy[..qx.len()];
+        let steps = lanes8(xs, m)
+            .iter()
+            .zip(lanes8(ys, m))
+            .map(|([x0, x1], [y0, y1])| {
+                let (x0, x1, y0, y1) = (V4::load(x0), V4::load(x1), V4::load(y0), V4::load(y1));
+                let (mut a0, mut a1) = (V4::splat(identity::<MAX>()), V4::splat(identity::<MAX>()));
+                for (&qxi, &qyi) in qx.iter().zip(qy) {
+                    let (qxi, qyi) = (V4::splat(qxi), V4::splat(qyi));
+                    a0 = a0.fold::<MAX>(hypot_sq(x0.sub(qxi), y0.sub(qyi)));
+                    a1 = a1.fold::<MAX>(hypot_sq(x1.sub(qxi), y1.sub(qyi)));
+                }
+                [a0, a1]
+            });
+        fill_padded(out, m, steps);
     }
 
     // ---- rounded-down f32 lower bound of the weighted SUM -----------
@@ -412,17 +447,19 @@ pub(crate) mod x86 {
     /// Eight consecutive `f64` coordinates as two vectors.
     type Coords8 = (__m256d, __m256d);
 
-    #[inline(always)]
-    unsafe fn load8(p: *const f64) -> Coords8 {
-        (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)))
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn load8([lo, hi]: &[[f64; 4]; 2]) -> Coords8 {
+        (V4::load(lo).0, V4::load(hi).0)
     }
 
     /// `(v - q)` over 8 entries, each difference taken in `f64` and then
     /// narrowed to `f32` (round to nearest): narrowing the *coordinates*
     /// first would cancel catastrophically wherever the data sits far
     /// from the origin.
-    #[inline(always)]
-    unsafe fn diff_narrow8(v: Coords8, q: __m256d) -> __m256 {
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn diff_narrow8(v: Coords8, q: __m256d) -> __m256 {
         let lo = _mm256_cvtpd_ps(_mm256_sub_pd(v.0, q));
         let hi = _mm256_cvtpd_ps(_mm256_sub_pd(v.1, q));
         _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi)
@@ -430,33 +467,55 @@ pub(crate) mod x86 {
 
     /// `|p_j q|` in `f32` for 8 entries `(x, y)` against one query point:
     /// `√(fma(dx, dx, dy·dy))`.
-    #[inline(always)]
-    unsafe fn dist8(x: Coords8, y: Coords8, qx: __m256d, qy: __m256d) -> __m256 {
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn dist8(x: Coords8, y: Coords8, qx: __m256d, qy: __m256d) -> __m256 {
         let (dx, dy) = (diff_narrow8(x, qx), diff_narrow8(y, qy));
         _mm256_sqrt_ps(_mm256_fmadd_ps(dx, dx, _mm256_mul_ps(dy, dy)))
     }
 
-    /// `acc * scale - abs` in `f64`, 8 lanes, into `po[0..8]`.
-    #[inline(always)]
-    unsafe fn store_lower8(acc: __m256, scale: __m256d, abs: __m256d, po: *mut f64) {
+    /// `Σ_i w_i · |p_j q_i|` in `f32` over `K` runs of 8 entries, the runs'
+    /// folds interleaved in one pass over the group so their dependency
+    /// chains overlap.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn wsum8<const K: usize>(
+        x: [&[[f64; 4]; 2]; K],
+        y: [&[[f64; 4]; 2]; K],
+        (qx, qy, w): (&[f64], &[f64], &[f32]),
+    ) -> [__m256; K] {
+        let zero = _mm256_setzero_pd();
+        let mut runs = [((zero, zero), (zero, zero)); K];
+        for (run, (x, y)) in runs.iter_mut().zip(x.into_iter().zip(y)) {
+            *run = (load8(x), load8(y));
+        }
+        let mut acc = [_mm256_setzero_ps(); K];
+        for ((&qxi, &qyi), &wi) in qx.iter().zip(qy).zip(w) {
+            let (qxi, qyi, wi) = (_mm256_set1_pd(qxi), _mm256_set1_pd(qyi), _mm256_set1_ps(wi));
+            for (a, &(x, y)) in acc.iter_mut().zip(&runs) {
+                *a = _mm256_fmadd_ps(wi, dist8(x, y, qxi, qyi), *a);
+            }
+        }
+        acc
+    }
+
+    /// `acc * scale - abs` in `f64`, 8 lanes as two vectors.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn lower8(acc: __m256, scale: __m256d, abs: __m256d) -> [V4; 2] {
         let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(acc));
         let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(acc));
-        _mm256_storeu_pd(po, _mm256_sub_pd(_mm256_mul_pd(lo, scale), abs));
-        _mm256_storeu_pd(po.add(4), _mm256_sub_pd(_mm256_mul_pd(hi, scale), abs));
+        let lower = |v| V4(_mm256_sub_pd(_mm256_mul_pd(v, scale), abs));
+        [lower(lo), lower(hi)]
     }
 
     /// `out[j] = (Σ_i w_i · |p_j q_i|, in f32) · scale − abs` for `m`
     /// logical points over `pad_len(m)` lanes; `out` is cleared and
-    /// refilled with exactly `m` values. Unrolled ×2 like the multi-point
-    /// folds.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 and FMA are available, `xs` and `ys` hold `pad_len(m)` readable
-    /// lanes, and `qx`, `qy`, `w` agree in length.
+    /// refilled with exactly `m` values. Two runs of 8 entries a step, and
+    /// one more where 8 are left.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn points_weighted_dist_sum_lower_avx2(
+    pub fn points_weighted_dist_sum_lower_avx2(
         xs: &[f64],
         ys: &[f64],
         m: usize,
@@ -467,40 +526,22 @@ pub(crate) mod x86 {
         abs: f64,
         out: &mut Vec<f64>,
     ) {
-        // `LANE_COUNT` f32 lanes fill one 256-bit vector exactly, so the
-        // padded span is a whole number of vectors.
-        const LANES: usize = LANE_COUNT;
-        let (po, vec_m) = prep_out(out, m);
-        let (px, py) = (xs.as_ptr(), ys.as_ptr());
-        let n = qx.len();
+        let group = (qx, &qy[..qx.len()], &w[..qx.len()]);
         let (scale, abs) = (_mm256_set1_pd(scale), _mm256_set1_pd(abs));
-        let mut j = 0;
-        while j + 2 * LANES <= vec_m {
-            let (x0, y0) = (load8(px.add(j)), load8(py.add(j)));
-            let (x1, y1) = (load8(px.add(j + LANES)), load8(py.add(j + LANES)));
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            for i in 0..n {
-                let qxi = _mm256_set1_pd(qx[i]);
-                let qyi = _mm256_set1_pd(qy[i]);
-                let wi = _mm256_set1_ps(w[i]);
-                a0 = _mm256_fmadd_ps(wi, dist8(x0, y0, qxi, qyi), a0);
-                a1 = _mm256_fmadd_ps(wi, dist8(x1, y1, qxi, qyi), a1);
-            }
-            store_lower8(a0, scale, abs, po.add(j));
-            store_lower8(a1, scale, abs, po.add(j + LANES));
-            j += 2 * LANES;
-        }
-        if j < vec_m {
-            let (x0, y0) = (load8(px.add(j)), load8(py.add(j)));
-            let mut a0 = _mm256_setzero_ps();
-            for i in 0..n {
-                let d = dist8(x0, y0, _mm256_set1_pd(qx[i]), _mm256_set1_pd(qy[i]));
-                a0 = _mm256_fmadd_ps(_mm256_set1_ps(w[i]), d, a0);
-            }
-            store_lower8(a0, scale, abs, po.add(j));
-        }
-        out.set_len(m);
+        let ((x16, x8), (y16, y8)) = (lanes8(xs, m).as_chunks(), lanes8(ys, m).as_chunks());
+        let pairs = x16.iter().zip(y16).map(|([x0, x1], [y0, y1])| {
+            let [a, b] = wsum8([x0, x1], [y0, y1], group);
+            let ([a0, a1], [b0, b1]) = (lower8(a, scale, abs), lower8(b, scale, abs));
+            [a0, a1, b0, b1]
+        });
+        // A page of `16k + 8` lanes ends in one run of 8, whose step repeats
+        // its two vectors into the spare lanes past `pad_len(m)`.
+        let tail = x8.iter().zip(y8).map(|(x, y)| {
+            let [a] = wsum8([x], [y], group);
+            let [a0, a1] = lower8(a, scale, abs);
+            [a0, a1, a0, a1]
+        });
+        fill_padded(out, m, pairs.chain(tail));
     }
 
     // ---- group-dimension reductions ---------------------------------
@@ -512,177 +553,102 @@ pub(crate) mod x86 {
     // order-safe on squared distances (no NaN, no -0.0 — see module docs).
 
     /// `Σ_i w_i · √(mindist²(m, q_i))`, accumulated in index order.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 and FMA are available, and `qy` and `w` hold at least
-    /// `qx.len()` lanes.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn rect_weighted_mindist_sum_avx2(
-        m: &Rect,
-        qx: &[f64],
-        qy: &[f64],
-        w: &[f64],
-    ) -> f64 {
+    pub fn rect_weighted_mindist_sum_avx2(m: &Rect, qx: &[f64], qy: &[f64], w: &[f64]) -> f64 {
         let n = qx.len();
-        let vec_n = n - n % V4::LANES;
-        let (px, py, pw) = (qx.as_ptr(), qy.as_ptr(), w.as_ptr());
-        let (mlx, mly, mhx, mhy) = (
-            V4::splat(m.lo.x),
-            V4::splat(m.lo.y),
-            V4::splat(m.hi.x),
-            V4::splat(m.hi.y),
+        let ((x4, x1), (y4, y1), (w4, w1)) = (
+            qx.as_chunks::<4>(),
+            qy[..n].as_chunks::<4>(),
+            w[..n].as_chunks::<4>(),
         );
+        let [mlx, mly, mhx, mhy] = splat_rect(m);
         let zero = V4::splat(0.0);
-        let mut buf = [0.0f64; V4::LANES];
+        let mut buf = [0.0f64; 4];
         let mut acc = 0.0f64;
-        let mut i = 0;
-        while i < vec_n {
-            let dx = excess(V4::loadu(px.add(i)), mlx, mhx, zero);
-            let dy = excess(V4::loadu(py.add(i)), mly, mhy, zero);
-            let t = V4::loadu(pw.add(i)).mul(hypot_sq(dx, dy).vsqrt());
-            t.storeu(buf.as_mut_ptr());
+        for ((x, y), w) in x4.iter().zip(y4).zip(w4) {
+            let dx = excess(V4::load(x), mlx, mhx, zero);
+            let dy = excess(V4::load(y), mly, mhy, zero);
+            V4::load(w).mul(hypot_sq(dx, dy).vsqrt()).store(&mut buf);
             // Strictly sequential accumulation in index order — the SUM
             // bound must match the scalar fold bit-for-bit.
-            for &b in &buf {
+            for b in buf {
                 acc += b;
             }
-            i += V4::LANES;
         }
-        for i in vec_n..n {
-            let dx = (m.lo.x - qx[i]).max(qx[i] - m.hi.x).max(0.0);
-            let dy = (m.lo.y - qy[i]).max(qy[i] - m.hi.y).max(0.0);
-            acc += w[i] * (dx * dx + dy * dy).sqrt();
+        for ((&x, &y), &w) in x1.iter().zip(y1).zip(w1) {
+            let dx = (m.lo.x - x).max(x - m.hi.x).max(0.0);
+            let dy = (m.lo.y - y).max(y - m.hi.y).max(0.0);
+            acc += w * (dx * dx + dy * dy).sqrt();
         }
         acc
     }
 
     /// `Σ_i w_i · |p q_i|`, accumulated in index order: the terms four
     /// lanes at a time, their sum one lane at a time.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 and FMA are available, and `qy` and `w` hold at least
-    /// `qx.len()` lanes.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn point_weighted_dist_sum_avx2(p: Point, qx: &[f64], qy: &[f64], w: &[f64]) -> f64 {
+    pub fn point_weighted_dist_sum_avx2(p: Point, qx: &[f64], qy: &[f64], w: &[f64]) -> f64 {
         let n = qx.len();
-        let vec_n = n - n % V4::LANES;
-        let (pqx, pqy, pw) = (qx.as_ptr(), qy.as_ptr(), w.as_ptr());
+        let ((x4, x1), (y4, y1), (w4, w1)) = (
+            qx.as_chunks::<4>(),
+            qy[..n].as_chunks::<4>(),
+            w[..n].as_chunks::<4>(),
+        );
         let (vx, vy) = (V4::splat(p.x), V4::splat(p.y));
-        let mut buf = [0.0f64; V4::LANES];
+        let mut buf = [0.0f64; 4];
         let mut acc = 0.0f64;
-        let mut i = 0;
-        while i < vec_n {
-            let dx = V4::loadu(pqx.add(i)).sub(vx);
-            let dy = V4::loadu(pqy.add(i)).sub(vy);
-            let t = V4::loadu(pw.add(i)).mul(hypot_sq(dx, dy).vsqrt());
-            t.storeu(buf.as_mut_ptr());
+        for ((x, y), w) in x4.iter().zip(y4).zip(w4) {
+            let (dx, dy) = (V4::load(x).sub(vx), V4::load(y).sub(vy));
+            V4::load(w).mul(hypot_sq(dx, dy).vsqrt()).store(&mut buf);
             // Sequential, as in `rect_weighted_mindist_sum_avx2`.
-            for &b in &buf {
+            for b in buf {
                 acc += b;
             }
-            i += V4::LANES;
         }
-        for i in vec_n..n {
-            let dx = qx[i] - p.x;
-            let dy = qy[i] - p.y;
-            acc += w[i] * (dx * dx + dy * dy).sqrt();
+        for ((&x, &y), &w) in x1.iter().zip(y1).zip(w1) {
+            let (dx, dy) = (x - p.x, y - p.y);
+            acc += w * (dx * dx + dy * dy).sqrt();
         }
         acc
     }
 
     /// `max_i mindist²(m, q_i)` (`MAX`) or `min_i`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 and FMA are available, and `qy` holds at least `qx.len()` lanes.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn rect_mindist_sq_fold_avx2<const MAX: bool>(
-        m: &Rect,
-        qx: &[f64],
-        qy: &[f64],
-    ) -> f64 {
-        let identity = if MAX {
-            f64::NEG_INFINITY
-        } else {
-            f64::INFINITY
-        };
-        let n = qx.len();
-        let vec_n = n - n % V4::LANES;
-        let (px, py) = (qx.as_ptr(), qy.as_ptr());
-        let (mlx, mly, mhx, mhy) = (
-            V4::splat(m.lo.x),
-            V4::splat(m.lo.y),
-            V4::splat(m.hi.x),
-            V4::splat(m.hi.y),
-        );
+    pub fn rect_mindist_sq_fold_avx2<const MAX: bool>(m: &Rect, qx: &[f64], qy: &[f64]) -> f64 {
+        let ((x4, x1), (y4, y1)) = (qx.as_chunks::<4>(), qy[..qx.len()].as_chunks::<4>());
+        let [mlx, mly, mhx, mhy] = splat_rect(m);
         let zero = V4::splat(0.0);
-        let mut vacc = V4::splat(identity);
-        let mut i = 0;
-        while i < vec_n {
-            let dx = excess(V4::loadu(px.add(i)), mlx, mhx, zero);
-            let dy = excess(V4::loadu(py.add(i)), mly, mhy, zero);
-            let d2 = hypot_sq(dx, dy);
-            vacc = if MAX { vacc.vmax(d2) } else { vacc.vmin(d2) };
-            i += V4::LANES;
+        let mut vacc = V4::splat(identity::<MAX>());
+        for (x, y) in x4.iter().zip(y4) {
+            let dx = excess(V4::load(x), mlx, mhx, zero);
+            let dy = excess(V4::load(y), mly, mhy, zero);
+            vacc = vacc.fold::<MAX>(hypot_sq(dx, dy));
         }
-        let mut buf = [0.0f64; V4::LANES];
-        vacc.storeu(buf.as_mut_ptr());
-        let mut acc = identity;
-        for &b in &buf {
-            acc = if MAX { acc.max(b) } else { acc.min(b) };
-        }
-        for i in vec_n..n {
-            let dx = (m.lo.x - qx[i]).max(qx[i] - m.hi.x).max(0.0);
-            let dy = (m.lo.y - qy[i]).max(qy[i] - m.hi.y).max(0.0);
-            let d2 = dx * dx + dy * dy;
-            acc = if MAX { acc.max(d2) } else { acc.min(d2) };
+        let mut buf = [0.0f64; 4];
+        vacc.store(&mut buf);
+        let mut acc = buf.into_iter().fold(identity::<MAX>(), fold::<MAX>);
+        for (&x, &y) in x1.iter().zip(y1) {
+            let dx = (m.lo.x - x).max(x - m.hi.x).max(0.0);
+            let dy = (m.lo.y - y).max(y - m.hi.y).max(0.0);
+            acc = fold::<MAX>(acc, dx * dx + dy * dy);
         }
         acc
     }
 
     /// `max_i |p q_i|²` (`MAX`) or `min_i`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 and FMA are available, and `qy` holds at least `qx.len()` lanes.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn point_dist_sq_fold_avx2<const MAX: bool>(
-        p: Point,
-        qx: &[f64],
-        qy: &[f64],
-    ) -> f64 {
-        let identity = if MAX {
-            f64::NEG_INFINITY
-        } else {
-            f64::INFINITY
-        };
-        let n = qx.len();
-        let vec_n = n - n % V4::LANES;
-        let (pqx, pqy) = (qx.as_ptr(), qy.as_ptr());
-        let vx = V4::splat(p.x);
-        let vy = V4::splat(p.y);
-        let mut vacc = V4::splat(identity);
-        let mut i = 0;
-        while i < vec_n {
-            let dx = V4::loadu(pqx.add(i)).sub(vx);
-            let dy = V4::loadu(pqy.add(i)).sub(vy);
-            let d2 = hypot_sq(dx, dy);
-            vacc = if MAX { vacc.vmax(d2) } else { vacc.vmin(d2) };
-            i += V4::LANES;
+    pub fn point_dist_sq_fold_avx2<const MAX: bool>(p: Point, qx: &[f64], qy: &[f64]) -> f64 {
+        let ((x4, x1), (y4, y1)) = (qx.as_chunks::<4>(), qy[..qx.len()].as_chunks::<4>());
+        let (vx, vy) = (V4::splat(p.x), V4::splat(p.y));
+        let mut vacc = V4::splat(identity::<MAX>());
+        for (x, y) in x4.iter().zip(y4) {
+            vacc = vacc.fold::<MAX>(hypot_sq(V4::load(x).sub(vx), V4::load(y).sub(vy)));
         }
-        let mut buf = [0.0f64; V4::LANES];
-        vacc.storeu(buf.as_mut_ptr());
-        let mut acc = identity;
-        for &b in &buf {
-            acc = if MAX { acc.max(b) } else { acc.min(b) };
-        }
-        for i in vec_n..n {
-            let dx = qx[i] - p.x;
-            let dy = qy[i] - p.y;
-            let d2 = dx * dx + dy * dy;
-            acc = if MAX { acc.max(d2) } else { acc.min(d2) };
+        let mut buf = [0.0f64; 4];
+        vacc.store(&mut buf);
+        let mut acc = buf.into_iter().fold(identity::<MAX>(), fold::<MAX>);
+        for (&x, &y) in x1.iter().zip(y1) {
+            let (dx, dy) = (x - p.x, y - p.y);
+            acc = fold::<MAX>(acc, dx * dx + dy * dy);
         }
         acc
     }

@@ -12,9 +12,25 @@
 //! kernel at each ragged size around the lane blocks, a second runs the
 //! exact SUM distance of one point across magnitudes, weights and
 //! non-finite coordinates, and one `#[should_panic]` test per padded entry
-//! pins the length check that guards its `unsafe` kernel: a slice one lane
-//! short of `pad_len(n)` is refused before any lane is read (and a short
-//! `qy` or `w` before the exact SUM's).
+//! pins its public length check: a slice one lane short of `pad_len(n)` is
+//! refused with the same message on every level, before any lane is read
+//! (and a short `qy` or `w` before the exact SUM's). The sweep also hands
+//! every padded kernel an `out` that arrives empty with no capacity and one
+//! holding 40 stale NaN lanes: the AVX2 kernels write their padded lanes
+//! into spare capacity and then set the length to `n`, the one `unsafe`
+//! step among them that is not a lane load or store.
+//!
+//! CI runs this file under AddressSanitizer (nightly, `-Zsanitizer=address`)
+//! on both dispatches. Hand mutations, each alone in a scratch copy, and
+//! what catches them (AVX2 host):
+//!
+//! * `V4::load` reading one lane past its array (`a.as_ptr().add(1)`):
+//!   under ASan, a `heap-buffer-overflow` (`READ of size 32` in
+//!   `V4::load`, from `points_dist_sq_avx2`) aborts the binary; without
+//!   it, only as wrong bits, in five tests here;
+//! * `fill_padded` exposing one lane more (`set_len(n + 1)`): the sweep,
+//!   on its empty `out` (`Vec::set_len`'s precondition check, debug
+//!   builds) or on its lane count (optimised builds).
 //!
 //! The bounds that promise an inequality instead of bits
 //! (`gnn_geom::bound`) have their own harness, `tests/bounds.rs`.
@@ -286,10 +302,23 @@ proptest! {
     }
 }
 
+/// Runs a padded kernel into an `out` that arrives in each state a reused
+/// buffer can be in — empty with no capacity, and holding 40 stale NaN
+/// lanes — and checks that it comes back holding exactly `want`: its `n`
+/// lanes, with the oracle's bits.
+fn check_padded(want: &[f64], at: &str, kernel: impl Fn(&mut Vec<f64>)) {
+    for (state, mut out) in [("empty", Vec::new()), ("stale", vec![f64::NAN; 40])] {
+        kernel(&mut out);
+        assert_eq!(out.len(), want.len(), "{at} out={state}: lanes");
+        assert_eq!(bits(want), bits(&out), "{at} out={state}");
+    }
+}
+
 /// Every kernel on every level the host can run, at every ragged size
 /// around the lane blocks (`0..=2 * LANE_COUNT + 1`) and one well past
-/// them, with padding lanes poisoned by a huge magnitude and by NaN: the
-/// output holds the scalar module's bits.
+/// them, with padding lanes poisoned by a huge magnitude and by NaN, and
+/// each padded kernel's `out` arriving empty or stale: the output holds
+/// the scalar module's bits.
 #[test]
 fn every_available_level_matches_the_scalar_oracle_bitwise() {
     for n in (0..=2 * LANE_COUNT + 1).chain([33]) {
@@ -301,7 +330,7 @@ fn every_available_level_matches_the_scalar_oracle_bitwise() {
         let w: Vec<f64> = (0..qn).map(|i| 0.25 + i as f64 * 0.5).collect();
         let q = Point::new(1.5, -2.5);
         let m = Rect::from_corners(-3.0, -3.0, 3.0, 3.0);
-        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let mut want = Vec::new();
 
         for poison in [1e300, f64::NAN] {
             let (xp, yp) = (poisoned(&xs, poison), poisoned(&ys, -poison));
@@ -310,28 +339,34 @@ fn every_available_level_matches_the_scalar_oracle_bitwise() {
                 let at = format!("n={n} poison={poison} level={}", level.label());
 
                 scalar::points_dist_sq(&xs, &ys, q, &mut want);
-                k.points_dist_sq_padded(&xp, &yp, n, q, &mut got);
-                assert_eq!(bits(&want), bits(&got), "points_dist_sq {at}");
+                check_padded(&want, &format!("points_dist_sq {at}"), |out| {
+                    k.points_dist_sq_padded(&xp, &yp, n, q, out)
+                });
 
                 scalar::rects_mindist_sq_point(&xs, &ys, &xs, &ys, q, &mut want);
-                k.rects_mindist_sq_point_padded(&xp, &yp, &xp, &yp, n, q, &mut got);
-                assert_eq!(bits(&want), bits(&got), "rects_mindist_sq_point {at}");
+                check_padded(&want, &format!("rects_mindist_sq_point {at}"), |out| {
+                    k.rects_mindist_sq_point_padded(&xp, &yp, &xp, &yp, n, q, out)
+                });
 
                 scalar::rects_mindist_sq_rect(&xs, &ys, &xs, &ys, &m, &mut want);
-                k.rects_mindist_sq_rect_padded(&xp, &yp, &xp, &yp, n, &m, &mut got);
-                assert_eq!(bits(&want), bits(&got), "rects_mindist_sq_rect {at}");
+                check_padded(&want, &format!("rects_mindist_sq_rect {at}"), |out| {
+                    k.rects_mindist_sq_rect_padded(&xp, &yp, &xp, &yp, n, &m, out)
+                });
 
                 scalar::points_weighted_dist_sum_multi(&xs, &ys, &qx, &qy, &w, &mut want);
-                k.points_weighted_dist_sum_multi_padded(&xp, &yp, n, &qx, &qy, &w, &mut got);
-                assert_eq!(bits(&want), bits(&got), "wsum_multi {at}");
+                check_padded(&want, &format!("wsum_multi {at}"), |out| {
+                    k.points_weighted_dist_sum_multi_padded(&xp, &yp, n, &qx, &qy, &w, out)
+                });
 
                 scalar::points_dist_sq_max_multi(&xs, &ys, &qx, &qy, &mut want);
-                k.points_dist_sq_max_multi_padded(&xp, &yp, n, &qx, &qy, &mut got);
-                assert_eq!(bits(&want), bits(&got), "max_multi {at}");
+                check_padded(&want, &format!("max_multi {at}"), |out| {
+                    k.points_dist_sq_max_multi_padded(&xp, &yp, n, &qx, &qy, out)
+                });
 
                 scalar::points_dist_sq_min_multi(&xs, &ys, &qx, &qy, &mut want);
-                k.points_dist_sq_min_multi_padded(&xp, &yp, n, &qx, &qy, &mut got);
-                assert_eq!(bits(&want), bits(&got), "min_multi {at}");
+                check_padded(&want, &format!("min_multi {at}"), |out| {
+                    k.points_dist_sq_min_multi_padded(&xp, &yp, n, &qx, &qy, out)
+                });
 
                 // The group-dimension folds take exact slices: `xs`/`ys`
                 // double as a ragged query group here.

@@ -15,7 +15,8 @@
 //!   exact·(1 − 2ρ) − α` where `f32` neither overflows nor goes subnormal
 //!   (tightness — a margin grown until it filters nothing fails here),
 //!   padding lanes inert, and no bound at all below AVX2. The page sizes
-//!   are the lane-boundary sweep of the one `unsafe` call behind it.
+//!   are the lane-boundary sweep of its safe AVX2 kernel, which CI also
+//!   runs here under AddressSanitizer.
 //! * [`BlockBound`] against the exact `f64` sum over the same pages, on
 //!   every level, at both widths: `lower <= exact` or `lower` not finite,
 //!   padding lanes inert, at most `⌈n^¼⌉²` blocks, and the `f32` width
