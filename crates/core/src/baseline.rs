@@ -43,8 +43,8 @@ pub fn full_scan_tree(cursor: &TreeCursor<'_>, group: &QueryGroup, k: usize) -> 
     let mut stack = vec![cursor.root()];
     while let Some(id) = stack.pop() {
         match cursor.read(id) {
-            gnn_rtree::PageRef::Leaf(es) => {
-                for e in es.entries() {
+            gnn_rtree::PageRef::Leaf(leaf) => {
+                for e in leaf.entries() {
                     let dist = group.dist(e.point);
                     dist_computations += group.len() as u64;
                     best.offer(Neighbor {

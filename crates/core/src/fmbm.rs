@@ -177,7 +177,6 @@ impl SearchCtx<'_, '_, '_, '_> {
     /// Processes one leaf: load groups in descending `mindist(N, M_i)`
     /// order, accumulating distances and shedding points via heuristic 6.
     fn process_leaf(&mut self, leaf: &LeafRef<'_>, node_mbr: &Rect) {
-        let entries = leaf.entries();
         let specs = self.query.groups();
         let m = specs.len();
         let s = &mut *self.scratch;
@@ -201,11 +200,11 @@ impl SearchCtx<'_, '_, '_, '_> {
         let stride = m + 1;
         s.suffix.clear();
         s.suffix
-            .resize(entries.len() * stride, self.aggregate.identity());
+            .resize(leaf.len() * stride, self.aggregate.identity());
         for j in (0..m).rev() {
             let spec = &specs[s.order[j]];
-            self.dist_computations += entries.len() as u64;
-            for (e, entry) in entries.iter().enumerate() {
+            self.dist_computations += leaf.len() as u64;
+            for (e, entry) in leaf.entries().enumerate() {
                 let d = spec.mbr.mindist_point_sq(entry.point).sqrt();
                 let weighted = match self.aggregate {
                     Aggregate::Sum => spec.count as f64 * d,
@@ -217,7 +216,7 @@ impl SearchCtx<'_, '_, '_, '_> {
         }
         s.alive.clear();
         s.alive
-            .extend(entries.iter().enumerate().map(|(e, &entry)| AliveSlot {
+            .extend(leaf.entries().enumerate().map(|(e, entry)| AliveSlot {
                 entry,
                 acc: self.aggregate.identity(),
                 row: e as u32,

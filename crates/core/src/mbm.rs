@@ -283,7 +283,7 @@ impl Mbm {
                     }
                     _ => {
                         evals += score_leaf(&leaf, group, &mut s.dists);
-                        for (e, &dist) in leaf.entries().iter().zip(&s.dists) {
+                        for (e, &dist) in leaf.entries().zip(&s.dists) {
                             best.offer(Neighbor {
                                 id: e.id,
                                 point: e.point,
@@ -413,23 +413,22 @@ fn filter_leaf(
     best: &mut KBestList,
 ) -> u64 {
     let (xs, ys) = leaf.coords();
-    let entries = leaf.entries();
     let Some(blocks) = &filter.blocks else {
         let lanes = filter.lanes.as_ref().expect("a leaf filter arms a stage");
-        lanes.lower_padded(xs, ys, entries.len(), &mut s.lower);
-        return verify(group, best, f64::INFINITY, entries.iter().zip(&s.lower));
+        lanes.lower_padded(xs, ys, leaf.len(), &mut s.lower);
+        return verify(group, best, f64::INFINITY, leaf.entries().zip(&s.lower));
     };
-    blocks.lower_padded(xs, ys, entries.len(), &mut s.dists);
+    blocks.lower_padded(xs, ys, leaf.len(), &mut s.dists);
     let bound = best.bound();
     let ceiling = if bound == f64::INFINITY {
-        witness_ceiling(group, entries, &s.dists, best.k(), &mut s.witnesses)
+        witness_ceiling(group, leaf, &s.dists, best.k(), &mut s.witnesses)
     } else {
         s.witnesses.clear();
         f64::INFINITY
     };
     let cut = cut_at(bound, ceiling);
     s.survivors.clear();
-    for (j, (e, &at_least)) in entries.iter().zip(&s.dists).enumerate() {
+    for (j, (e, &at_least)) in leaf.entries().zip(&s.dists).enumerate() {
         if rules_out(at_least, cut) {
             check_drop(group, e, at_least, cut, "block");
         } else {
@@ -455,7 +454,7 @@ fn filter_leaf(
             s.lower.resize(s.survivors.len(), f64::NAN);
         }
     }
-    offer_in_entry_order(group, best, entries, ceiling, s)
+    offer_in_entry_order(group, best, leaf, ceiling, s)
 }
 
 /// The first leaf's ceiling: the `k` entries with the smallest block
@@ -467,7 +466,7 @@ fn filter_leaf(
 #[inline(never)]
 fn witness_ceiling(
     group: &QueryGroup,
-    entries: &[LeafEntry],
+    leaf: &LeafRef<'_>,
     bounds: &[f64],
     k: usize,
     witnesses: &mut Vec<(u32, f64)>,
@@ -481,7 +480,7 @@ fn witness_ceiling(
     witnesses.sort_unstable_by_key(|&(j, _)| j);
     let mut ceiling = f64::NEG_INFINITY;
     for (j, dist) in witnesses.iter_mut() {
-        *dist = group.dist(entries[*j as usize].point);
+        *dist = group.dist(leaf.entry(*j as usize).point);
         // A NaN sticks: nothing is strictly above it.
         if dist.is_nan() || *dist > ceiling {
             ceiling = *dist;
@@ -497,12 +496,14 @@ fn witness_ceiling(
 fn offer_in_entry_order(
     group: &QueryGroup,
     best: &mut KBestList,
-    entries: &[LeafEntry],
+    leaf: &LeafRef<'_>,
     ceiling: f64,
     s: &MbmScratch,
 ) -> u64 {
     let segment = |from: usize, to: usize| {
-        let at = s.survivors[from..to].iter().map(|&j| &entries[j as usize]);
+        let at = s.survivors[from..to]
+            .iter()
+            .map(|&j| leaf.entry(j as usize));
         at.zip(&s.lower[from..to])
     };
     let mut kept = s.witnesses.len() as u64;
@@ -510,7 +511,7 @@ fn offer_in_entry_order(
     for &(w, dist) in &s.witnesses {
         let to = from + s.survivors[from..].partition_point(|&j| j < w);
         kept += verify(group, best, ceiling, segment(from, to));
-        let e = &entries[w as usize];
+        let e = leaf.entry(w as usize);
         best.offer(Neighbor {
             id: e.id,
             point: e.point,
@@ -530,7 +531,7 @@ fn verify<'e>(
     group: &QueryGroup,
     best: &mut KBestList,
     ceiling: f64,
-    entries: impl Iterator<Item = (&'e LeafEntry, &'e f64)>,
+    entries: impl Iterator<Item = (LeafEntry, &'e f64)>,
 ) -> u64 {
     let mut kept = 0u64;
     for (e, &at_least) in entries {
@@ -552,7 +553,7 @@ fn verify<'e>(
 /// Debug builds re-score every entry a stage drops: the whole suite doubles
 /// as the bounds' soundness test.
 #[inline]
-fn check_drop(group: &QueryGroup, e: &LeafEntry, at_least: f64, cut: f64, stage: &str) {
+fn check_drop(group: &QueryGroup, e: LeafEntry, at_least: f64, cut: f64, stage: &str) {
     debug_assert!(
         group.dist(e.point) >= cut,
         "{stage} bound {at_least:e} dropped {e:?} at the cut {cut:e}"
@@ -857,7 +858,7 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
                     PageRef::Leaf(leaf) => {
                         // `k` is unknown, so every scored point is kept.
                         s.dist_computations += score_leaf(&leaf, group, &mut s.dists);
-                        for (i, &e) in leaf.entries().iter().enumerate() {
+                        for (i, e) in leaf.entries().enumerate() {
                             s.push(s.dists[i], StreamKind::Point(e));
                         }
                     }
@@ -1106,6 +1107,25 @@ mod tests {
         QueryGroup::sum(pts).unwrap()
     }
 
+    /// A snapshot whose root is one leaf holding `entries` in their order.
+    fn one_leaf(entries: &[LeafEntry]) -> PackedRTree {
+        let mut tree = RTree::new(RTreeParams::with_capacity(64));
+        for &e in entries {
+            tree.insert(e);
+        }
+        let packed = tree.freeze();
+        let ids = packed.iter().map(|e| e.id);
+        assert!(ids.eq(entries.iter().map(|e| e.id)), "one leaf, in order");
+        packed
+    }
+
+    fn root_leaf(packed: &PackedRTree) -> LeafRef<'_> {
+        let PageRef::Leaf(leaf) = packed.page(packed.root()) else {
+            panic!("the root is a leaf");
+        };
+        leaf
+    }
+
     fn tree_of(pts: &[(f64, f64)]) -> RTree {
         RTree::bulk_load(
             RTreeParams::with_capacity(4),
@@ -1314,7 +1334,7 @@ mod tests {
             for k in 1..leaf.len() {
                 let mut exact = KBestList::new(k);
                 score_leaf(&leaf, &group, &mut s.dists);
-                for (e, &dist) in leaf.entries().iter().zip(&s.dists) {
+                for (e, &dist) in leaf.entries().zip(&s.dists) {
                     exact.offer(Neighbor {
                         id: e.id,
                         point: e.point,
@@ -1356,8 +1376,9 @@ mod tests {
             lower: vec![f64::NAN; 2],
             ..MbmScratch::default()
         };
+        let packed = one_leaf(&entries);
         let mut best = KBestList::new(1);
-        let kept = offer_in_entry_order(&group, &mut best, &entries, d, &s);
+        let kept = offer_in_entry_order(&group, &mut best, &root_leaf(&packed), d, &s);
         assert_eq!(kept, 3, "no bound: both survivors are scored");
         let mut out = Vec::new();
         best.drain_sorted_into(&mut out);
@@ -1389,6 +1410,8 @@ mod tests {
         let entries: Vec<LeafEntry> = (0..6u32)
             .map(|i| LeafEntry::new(PointId(u64::from(i)), Point::new(f64::from(i), 1.0)))
             .collect();
+        let packed = one_leaf(&entries);
+        let leaf = root_leaf(&packed);
         let bounds = [3.0, 1.0, f64::NAN, 1.0, 0.5, 2.0];
         let mut w = Vec::new();
         for (k, want) in [
@@ -1397,7 +1420,7 @@ mod tests {
             (3, &[1, 3, 4]),
             (6, &[0, 1, 2, 3, 4, 5]),
         ] {
-            let ceiling = witness_ceiling(&group, &entries, &bounds, k, &mut w);
+            let ceiling = witness_ceiling(&group, &leaf, &bounds, k, &mut w);
             let at: Vec<u32> = w.iter().map(|&(j, _)| j).collect();
             assert_eq!(at, want, "k={k}: ties to the lower index, NaN last");
             for &(j, dist) in &w {

@@ -208,7 +208,7 @@ impl<'p, 'q> ClosestPairs<'p, 'q> {
 
     fn children(&self, cursor: &TreeCursor<'_>, id: PageId) -> Vec<Side> {
         match cursor.read(id) {
-            PageRef::Leaf(es) => es.entries().iter().map(|&e| Side::Point(e)).collect(),
+            PageRef::Leaf(leaf) => leaf.entries().map(Side::Point).collect(),
             PageRef::Internal(view) => view
                 .iter()
                 .map(|(mbr, child)| Side::Node { id: child, mbr })

@@ -186,7 +186,7 @@ impl Iterator for NearestNeighbors<'_, '_, '_> {
                 BfKind::Node(id) => match cursor.read(id) {
                     PageRef::Leaf(leaf) => {
                         leaf.dist_sq_into(query, &mut scratch.bounds);
-                        for (&e, &d2) in leaf.entries().iter().zip(&scratch.bounds) {
+                        for (e, &d2) in leaf.entries().zip(&scratch.bounds) {
                             scratch.heap.push(Reverse(BfItem {
                                 dist_sq: OrderedF64(d2),
                                 rank: 0,

@@ -4,7 +4,9 @@
 //! crate-private arena pages ([`Node`], [`Branch`]); every query reads a
 //! [`crate::PackedRTree`] snapshot through the borrowed views [`PageRef`],
 //! [`LeafRef`] and [`BranchesRef`], which hold that snapshot's lane-padded
-//! SoA slices.
+//! SoA slices. A snapshot keeps one copy of each point: a leaf is its ids
+//! beside its coordinate lanes, and [`LeafRef::entries`] assembles
+//! [`LeafEntry`] values from them on the fly.
 
 use gnn_geom::{Point, PointId, Rect};
 
@@ -117,17 +119,11 @@ pub enum PageRef<'t> {
 }
 
 impl<'t> PageRef<'t> {
-    /// Whether this is a leaf page.
-    #[inline]
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, PageRef::Leaf(_))
-    }
-
     /// Number of entries stored in the page.
     #[inline]
     pub fn len(&self) -> usize {
         match self {
-            PageRef::Leaf(l) => l.entries.len(),
+            PageRef::Leaf(l) => l.len(),
             PageRef::Internal(b) => b.len(),
         }
     }
@@ -139,73 +135,87 @@ impl<'t> PageRef<'t> {
     }
 }
 
-/// A borrowed leaf page: the entry slice plus its SoA coordinate mirror
-/// (for the batched point kernels). The mirror is **lane-padded**: it holds
-/// at least `pad_len(entries.len())` readable lanes (sentinel-filled past
-/// the entries), which is what lets the SIMD kernels run full vectors with
-/// no scalar tail. Exactly `entries.len()` results ever come out of the
-/// batched methods. Dereferences to `[LeafEntry]`.
+/// A borrowed leaf page: its entries' ids plus their SoA coordinate lanes,
+/// the only copy of the coordinates (the batched point kernels run straight
+/// over them). The lanes are **lane-padded**: each holds at least
+/// `pad_len(len())` readable lanes (`0.0` past the entries), which is what
+/// lets the SIMD kernels run full vectors with no scalar tail. `ids` stops
+/// at the page's true length, and exactly `len()` results ever come out of
+/// the batched methods.
 #[derive(Debug, Clone, Copy)]
 pub struct LeafRef<'t> {
-    entries: &'t [LeafEntry],
-    /// x/y coordinates of `entries`, parallel and lane-padded.
+    ids: &'t [PointId],
+    /// x/y coordinates of the entries, parallel to `ids` and lane-padded.
     xs: &'t [f64],
     ys: &'t [f64],
 }
 
 impl<'t> LeafRef<'t> {
-    /// A view over a packed leaf with its lane-padded SoA coordinate
-    /// mirror.
+    /// A view over a packed leaf's ids and lane-padded coordinates.
     #[inline]
-    pub(crate) fn new(entries: &'t [LeafEntry], xs: &'t [f64], ys: &'t [f64]) -> Self {
-        let pad = gnn_geom::simd::pad_len(entries.len());
+    pub(crate) fn new(ids: &'t [PointId], xs: &'t [f64], ys: &'t [f64]) -> Self {
+        let pad = gnn_geom::simd::pad_len(ids.len());
         debug_assert!(xs.len() >= pad && ys.len() >= pad);
-        LeafRef { entries, xs, ys }
+        LeafRef { ids, xs, ys }
     }
 
-    /// The entries of the page.
+    /// Number of entries in the page.
     #[inline]
-    pub fn entries(&self) -> &'t [LeafEntry] {
-        self.entries
+    pub fn len(&self) -> usize {
+        self.ids.len()
     }
 
-    /// The lane-padded SoA coordinate mirror `(xs, ys)` of the entries.
-    /// Both slices hold at least `pad_len(entries().len())` readable lanes,
-    /// so a padded kernel can run over the page's own storage with no
-    /// staging copy.
+    /// Whether the page holds no entries.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The entries' ids, in page order.
+    #[inline]
+    pub fn ids(&self) -> &'t [PointId] {
+        self.ids
+    }
+
+    /// The lane-padded SoA coordinates `(xs, ys)` of the entries. Both
+    /// slices hold at least `pad_len(len())` readable lanes, so a padded
+    /// kernel can run over the page's own storage with no staging copy.
     #[inline]
     pub fn coords(&self) -> (&'t [f64], &'t [f64]) {
         (self.xs, self.ys)
     }
 
-    /// `out[i] = |entries[i].point, q|²`, batched over the SoA mirror.
+    /// Entry `j` of the page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= len()`.
+    #[inline]
+    pub fn entry(&self, j: usize) -> LeafEntry {
+        LeafEntry::new(self.ids[j], Point::new(self.xs[j], self.ys[j]))
+    }
+
+    /// The entries of the page, in page order.
+    #[inline]
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = LeafEntry> + 't {
+        let n = self.ids.len();
+        self.ids
+            .iter()
+            .zip(&self.xs[..n])
+            .zip(&self.ys[..n])
+            .map(|((&id, &x), &y)| LeafEntry::new(id, Point::new(x, y)))
+    }
+
+    /// `out[i] = |entry(i).point, q|²`, batched over the SoA lanes.
     /// `out` is cleared and refilled (capacity reused).
     pub fn dist_sq_into(&self, q: Point, out: &mut Vec<f64>) {
         gnn_geom::batch::BatchKernels::auto().points_dist_sq_padded(
             self.xs,
             self.ys,
-            self.entries.len(),
+            self.ids.len(),
             q,
             out,
         );
-    }
-}
-
-impl std::ops::Deref for LeafRef<'_> {
-    type Target = [LeafEntry];
-
-    #[inline]
-    fn deref(&self) -> &[LeafEntry] {
-        self.entries
-    }
-}
-
-impl<'a, 't> IntoIterator for &'a LeafRef<'t> {
-    type Item = &'a LeafEntry;
-    type IntoIter = std::slice::Iter<'a, LeafEntry>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter()
     }
 }
 

@@ -6,18 +6,22 @@
 //! * internal pages become spans over four parallel rectangle-coordinate
 //!   arrays plus a child-id array (SoA), so a node scan is one linear,
 //!   branch-predictable pass for the batched `gnn_geom::batch` kernels;
-//! * leaf pages become spans over one contiguous [`LeafEntry`] array with an
-//!   SoA coordinate mirror for the batched point kernels.
+//! * leaf pages become spans over an id array beside two coordinate
+//!   arrays (SoA), the only copy of each point: the batched point kernels
+//!   run over the coordinates, and [`LeafRef::entries`] pairs them with the
+//!   ids.
 //!
-//! The `f64` arenas live in 64-byte-aligned [`AlignedVec`] allocations and
-//! every page span is **lane-padded**: all parallel arrays of a page occupy
+//! Every page span is **lane-padded**: all parallel arrays of a page occupy
 //! `pad_len(len)` slots (a multiple of [`gnn_geom::simd::LANE_COUNT`]), so
-//! each span starts on a cache-line boundary and the explicit SIMD kernels
-//! cover it with full vectors — no scalar tail, no cache-line splits.
-//! Padding lanes hold fixed sentinels (`0.0` coordinates, [`PAD_CHILD`] ids,
-//! [`PAD_LEAF`] entries) that the padded kernels compute on but never emit:
-//! outputs are truncated at the page's true `len`, so results, distance bits
-//! and node-access counts stay bit-identical to the unpadded layout. The
+//! the explicit SIMD kernels cover it with full vectors and no scalar tail.
+//! The six `f64` arenas are plain `Vec`s, each sized once per pack (so it
+//! never reallocates) and entered at a leading offset that puts lane 0 of
+//! every span on a 64-byte boundary: SIMD loads never split a cache line.
+//! The offset affects speed only; a clone re-aligns its copy. Padding lanes
+//! hold fixed sentinels (`0.0` coordinates, [`PAD_CHILD`] and [`PAD_ID`]
+//! ids) that the padded kernels compute on but never emit: outputs are
+//! truncated at the page's true `len`, so results, distance bits and
+//! node-access counts stay bit-identical to the unpadded layout. The
 //! sentinels are deterministic, which keeps `PartialEq` (and the
 //! refreeze-equals-freeze invariant) exact.
 //!
@@ -35,29 +39,90 @@
 use crate::node::{BranchesRef, LeafEntry, LeafRef, Node, PageId, PageRef};
 use crate::tree::RTree;
 use crate::RTreeParams;
-use gnn_geom::simd::pad_len;
-use gnn_geom::{AlignedVec, Point, PointId, Rect};
+use gnn_geom::simd::{pad_len, LANE_COUNT};
+use gnn_geom::{PointId, Rect};
 
 /// Child-id sentinel filling the padding lanes of internal spans. Never a
 /// valid page (the id space is dense and bounded by `node_count`), and never
 /// read by queries: child iteration stops at the span's true `len`.
 const PAD_CHILD: PageId = PageId(u32::MAX);
 
-/// Leaf-entry sentinel filling the padding lanes of leaf spans. The id is
-/// reserved (no dataset uses `u64::MAX`) and the coordinates match the `0.0`
-/// the coordinate mirrors pad with.
-const PAD_LEAF: LeafEntry = LeafEntry::new(PointId(u64::MAX), Point::new(0.0, 0.0));
+/// Point-id sentinel filling the padding lanes of leaf spans. Reserved (no
+/// dataset uses `u64::MAX`), and never read by queries: a leaf's ids stop at
+/// the span's true `len`.
+const PAD_ID: PointId = PointId(u64::MAX);
+
+/// One `f64` arena: a plain `Vec` entered `head` lanes in, where its lane 0
+/// sits on a 64-byte boundary. It is sized once, for every lane it will
+/// hold, so it never reallocates and the boundary holds for its lifetime.
+/// `head` affects speed only: a misaligned arena reads the same values.
+#[derive(Debug)]
+struct Lanes {
+    buf: Vec<f64>,
+    head: usize,
+}
+
+impl Lanes {
+    /// An empty arena with room for `lanes` lanes after its offset.
+    fn with_capacity(lanes: usize) -> Self {
+        let mut buf: Vec<f64> = Vec::with_capacity(lanes + LANE_COUNT - 1);
+        // `align_offset` may decline (usize::MAX); then start unaligned.
+        let head = match buf.as_ptr().align_offset(64) {
+            head if head < LANE_COUNT => head,
+            _ => 0,
+        };
+        buf.resize(head, 0.0);
+        Lanes { buf, head }
+    }
+
+    /// Appends every lane of `src`.
+    #[inline]
+    fn extend_from_slice(&mut self, src: &[f64]) {
+        self.buf.extend_from_slice(src);
+    }
+
+    /// Appends one lane.
+    #[inline]
+    fn push(&mut self, v: f64) {
+        self.buf.push(v);
+    }
+}
+
+impl std::ops::Deref for Lanes {
+    type Target = [f64];
+
+    #[inline]
+    fn deref(&self) -> &[f64] {
+        &self.buf[self.head..]
+    }
+}
+
+impl Clone for Lanes {
+    /// A copy on a fresh allocation, aligned for itself.
+    fn clone(&self) -> Self {
+        let mut copy = Lanes::with_capacity(self.len());
+        copy.extend_from_slice(self);
+        copy
+    }
+}
+
+impl PartialEq for Lanes {
+    /// The lanes, not the allocations.
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
 
 /// Location of one page inside the packed arenas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PageSpan {
-    /// Offset into the branch arenas (internal) or the leaf arena (leaf).
+    /// Offset into the branch arenas (internal) or the leaf arenas (leaf).
     /// Always a multiple of the lane quantum (spans are lane-padded).
     offset: u32,
     /// Number of **real** entries in the page; the span occupies
     /// `pad_len(len)` arena slots.
     len: u32,
-    /// Whether the span indexes the leaf arena.
+    /// Whether the span indexes the leaf arenas.
     leaf: bool,
 }
 
@@ -70,26 +135,26 @@ struct PageSpan {
 /// re-freeze (or refreeze) to refresh the snapshot.
 ///
 /// `PartialEq` compares the *structural* content — parameters, page spans,
-/// all five SoA arenas, the leaf arena and mirrors, root MBR, height and
+/// the five branch arenas, the three leaf arenas (ids and coordinate
+/// lanes, padding included, not their allocations), root MBR, height and
 /// cardinality — i.e. everything a query can observe. Two equal snapshots
 /// produce bit-identical results and node accesses for every algorithm.
 #[derive(Debug, Clone)]
 pub struct PackedRTree {
     params: RTreeParams,
     spans: Vec<PageSpan>,
-    // Internal-page arena, SoA: child MBR coordinates and child ids.
-    // Coordinate arrays are 64-byte aligned and lane-padded per span.
-    br_lo_x: AlignedVec,
-    br_lo_y: AlignedVec,
-    br_hi_x: AlignedVec,
-    br_hi_y: AlignedVec,
+    // Internal-page arena, SoA: child MBR coordinates and child ids,
+    // lane-padded per span.
+    br_lo_x: Lanes,
+    br_lo_y: Lanes,
+    br_hi_x: Lanes,
+    br_hi_y: Lanes,
     br_child: Vec<PageId>,
-    // Leaf-page arena: entries plus an SoA coordinate mirror (aligned and
-    // lane-padded the same way; `leaves` carries `PAD_LEAF` sentinels so
-    // all three stay parallel).
-    leaves: Vec<LeafEntry>,
-    leaf_xs: AlignedVec,
-    leaf_ys: AlignedVec,
+    // Leaf-page arena, SoA: point ids and coordinates, lane-padded per
+    // span (`PAD_ID` and `0.0` sentinels), so one offset indexes all three.
+    leaf_ids: Vec<PointId>,
+    leaf_xs: Lanes,
+    leaf_ys: Lanes,
     root_mbr: Rect,
     height: usize,
     len: usize,
@@ -113,7 +178,7 @@ impl PartialEq for PackedRTree {
             && self.br_hi_x == other.br_hi_x
             && self.br_hi_y == other.br_hi_y
             && self.br_child == other.br_child
-            && self.leaves == other.leaves
+            && self.leaf_ids == other.leaf_ids
             && self.leaf_xs == other.leaf_xs
             && self.leaf_ys == other.leaf_ys
             && self.root_mbr == other.root_mbr
@@ -183,13 +248,19 @@ impl PackedRTree {
         let mut reuse: Vec<u32> = Vec::with_capacity(tree.node_count());
         order.push(tree.root());
         reuse.push(clean_prev_id(tree.root()));
+        // The padded lanes of every page are summed on the way, so each
+        // arena below is allocated once, at its final size.
+        let (mut leaf_lanes, mut branch_lanes) = (0, 0);
         let mut head = 0;
         while head < order.len() {
             let prev_id = reuse[head];
             if prev_id != u32::MAX {
                 let p = prev.expect("reuse implies prev");
                 let span = p.spans[prev_id as usize];
-                if !span.leaf {
+                if span.leaf {
+                    leaf_lanes += pad_len(span.len as usize);
+                } else {
+                    branch_lanes += pad_len(span.len as usize);
                     let lo = span.offset as usize;
                     let hi = lo + span.len as usize;
                     for c in &p.br_child[lo..hi] {
@@ -198,10 +269,16 @@ impl PackedRTree {
                         reuse.push(clean_prev_id(arena_child));
                     }
                 }
-            } else if let Node::Internal(bs) = tree.node(order[head]) {
-                for b in bs {
-                    order.push(b.child);
-                    reuse.push(clean_prev_id(b.child));
+            } else {
+                match tree.node(order[head]) {
+                    Node::Leaf(es) => leaf_lanes += pad_len(es.len()),
+                    Node::Internal(bs) => {
+                        branch_lanes += pad_len(bs.len());
+                        for b in bs {
+                            order.push(b.child);
+                            reuse.push(clean_prev_id(b.child));
+                        }
+                    }
                 }
             }
             head += 1;
@@ -215,14 +292,14 @@ impl PackedRTree {
         let mut packed = PackedRTree {
             params: *tree.params(),
             spans: Vec::with_capacity(order.len()),
-            br_lo_x: AlignedVec::new(),
-            br_lo_y: AlignedVec::new(),
-            br_hi_x: AlignedVec::new(),
-            br_hi_y: AlignedVec::new(),
-            br_child: Vec::new(),
-            leaves: Vec::with_capacity(tree.len()),
-            leaf_xs: AlignedVec::with_capacity(tree.len()),
-            leaf_ys: AlignedVec::with_capacity(tree.len()),
+            br_lo_x: Lanes::with_capacity(branch_lanes),
+            br_lo_y: Lanes::with_capacity(branch_lanes),
+            br_hi_x: Lanes::with_capacity(branch_lanes),
+            br_hi_y: Lanes::with_capacity(branch_lanes),
+            br_child: Vec::with_capacity(branch_lanes),
+            leaf_ids: Vec::with_capacity(leaf_lanes),
+            leaf_xs: Lanes::with_capacity(leaf_lanes),
+            leaf_ys: Lanes::with_capacity(leaf_lanes),
             root_mbr: tree.root_mbr(),
             height: tree.height(),
             len: tree.len(),
@@ -232,7 +309,7 @@ impl PackedRTree {
         };
         // Clean leaf pages that were adjacent in `prev` usually stay
         // adjacent in the new order, so instead of one copy per page the
-        // pending contiguous range of `prev`'s leaf arena is carried in
+        // pending contiguous range of `prev`'s leaf arenas is carried in
         // `run` and flushed as a single three-arena memcpy when it breaks.
         // Ranges are in *padded* arena slots: each span occupies
         // `pad_len(len)` of them, so merged runs copy the sentinels along
@@ -242,7 +319,7 @@ impl PackedRTree {
         let flush_run = |packed: &mut PackedRTree, run: &mut std::ops::Range<usize>| {
             if run.start < run.end {
                 let p = prev.expect("leaf run implies prev");
-                packed.leaves.extend_from_slice(&p.leaves[run.clone()]);
+                packed.leaf_ids.extend_from_slice(&p.leaf_ids[run.clone()]);
                 packed.leaf_xs.extend_from_slice(&p.leaf_xs[run.clone()]);
                 packed.leaf_ys.extend_from_slice(&p.leaf_ys[run.clone()]);
             }
@@ -263,7 +340,7 @@ impl PackedRTree {
                 if span.leaf {
                     let pending = run.end - run.start;
                     packed.spans.push(PageSpan {
-                        offset: u32::try_from(packed.leaves.len() + pending)
+                        offset: u32::try_from(packed.leaf_ids.len() + pending)
                             .expect("leaf arena overflow"),
                         len: span.len,
                         leaf: true,
@@ -305,17 +382,17 @@ impl PackedRTree {
             match tree.node(*old_id) {
                 Node::Leaf(es) => {
                     packed.spans.push(PageSpan {
-                        offset: u32::try_from(packed.leaves.len()).expect("leaf arena overflow"),
+                        offset: u32::try_from(packed.leaf_ids.len()).expect("leaf arena overflow"),
                         len: u32::try_from(es.len()).expect("page overflow"),
                         leaf: true,
                     });
                     for e in es {
-                        packed.leaves.push(*e);
+                        packed.leaf_ids.push(e.id);
                         packed.leaf_xs.push(e.point.x);
                         packed.leaf_ys.push(e.point.y);
                     }
                     for _ in es.len()..pad_len(es.len()) {
-                        packed.leaves.push(PAD_LEAF);
+                        packed.leaf_ids.push(PAD_ID);
                         packed.leaf_xs.push(0.0);
                         packed.leaf_ys.push(0.0);
                     }
@@ -345,6 +422,8 @@ impl PackedRTree {
             }
         }
         flush_run(&mut packed, &mut run);
+        debug_assert_eq!(packed.leaf_ids.len(), leaf_lanes);
+        debug_assert_eq!(packed.br_child.len(), branch_lanes);
         packed.arena_of = order;
         packed
     }
@@ -400,16 +479,21 @@ impl PackedRTree {
     /// Panics if `id` is out of range.
     #[inline]
     pub fn page(&self, id: PageId) -> PageRef<'_> {
-        let span = self.spans[id.index()];
+        self.span_page(self.spans[id.index()])
+    }
+
+    /// The page a span locates.
+    #[inline]
+    fn span_page(&self, span: PageSpan) -> PageRef<'_> {
         let lo = span.offset as usize;
         let hi = lo + span.len as usize;
         // Coordinate slices expose the full lane-padded span so the SIMD
-        // kernels can run full vectors over it; entry/child slices stop at
+        // kernels can run full vectors over it; id/child slices stop at
         // the true length, which is what bounds every loop and output.
         let pad_hi = lo + pad_len(span.len as usize);
         if span.leaf {
             PageRef::Leaf(LeafRef::new(
-                &self.leaves[lo..hi],
+                &self.leaf_ids[lo..hi],
                 &self.leaf_xs[lo..pad_hi],
                 &self.leaf_ys[lo..pad_hi],
             ))
@@ -427,10 +511,13 @@ impl PackedRTree {
     /// Iterates over every stored point (arbitrary order, no accounting).
     /// Skips the lane-padding sentinels by walking leaf spans.
     pub fn iter(&self) -> impl Iterator<Item = LeafEntry> + '_ {
-        self.spans.iter().filter(|s| s.leaf).flat_map(move |s| {
-            let lo = s.offset as usize;
-            self.leaves[lo..lo + s.len as usize].iter().copied()
-        })
+        self.spans
+            .iter()
+            .filter_map(move |&span| match self.span_page(span) {
+                PageRef::Leaf(leaf) => Some(leaf.entries()),
+                PageRef::Internal(_) => None,
+            })
+            .flatten()
     }
 
     /// A fresh unbuffered [`crate::TreeCursor`] over this snapshot (every
@@ -490,7 +577,10 @@ mod tests {
         while let Some((old_id, new_id)) = stack.pop() {
             match (tree.node(old_id), packed.page(new_id)) {
                 (Node::Leaf(es), PageRef::Leaf(l)) => {
-                    assert_eq!(es.as_slice(), l.entries());
+                    let bits = |e: LeafEntry| (e.id, e.point.x.to_bits(), e.point.y.to_bits());
+                    let got: Vec<_> = l.entries().map(bits).collect();
+                    let want: Vec<_> = es.iter().copied().map(bits).collect();
+                    assert_eq!(got, want);
                 }
                 (Node::Internal(bs), PageRef::Internal(v)) => {
                     assert_eq!(bs.len(), v.len());
@@ -529,57 +619,88 @@ mod tests {
         assert!(matches!(packed.page(packed.root()), PageRef::Leaf(_)));
     }
 
-    #[test]
-    fn arenas_are_lane_padded_aligned_and_sentinel_filled() {
+    /// The storage invariants of one snapshot: every `f64` arena starts on
+    /// a 64-byte boundary, every arena is exactly its spans' padded lanes,
+    /// and every padding lane holds its sentinel.
+    fn assert_lane_storage(packed: &PackedRTree, what: &str) {
         use gnn_geom::simd::{pad_len, LANE_COUNT};
-        let tree = random_tree(700, 21);
-        let packed = tree.freeze();
-        // Arena base pointers are 64-byte aligned (AlignedVec guarantee).
-        assert_eq!(packed.leaf_xs.as_slice().as_ptr() as usize % 64, 0);
-        assert_eq!(packed.leaf_ys.as_slice().as_ptr() as usize % 64, 0);
-        assert_eq!(packed.br_lo_x.as_slice().as_ptr() as usize % 64, 0);
-        // Every span starts on a lane boundary…
-        for span in &packed.spans {
-            assert_eq!(span.offset as usize % LANE_COUNT, 0);
+        for (name, lanes) in [
+            ("br_lo_x", &packed.br_lo_x),
+            ("br_lo_y", &packed.br_lo_y),
+            ("br_hi_x", &packed.br_hi_x),
+            ("br_hi_y", &packed.br_hi_y),
+            ("leaf_xs", &packed.leaf_xs),
+            ("leaf_ys", &packed.leaf_ys),
+        ] {
+            assert_eq!(lanes.as_ptr() as usize % 64, 0, "{what}: {name} misaligned");
         }
-        // …and the arenas are exactly the sum of padded span lengths.
-        let leaf_total: usize = packed
-            .spans
-            .iter()
-            .filter(|s| s.leaf)
-            .map(|s| pad_len(s.len as usize))
-            .sum();
-        assert_eq!(packed.leaves.len(), leaf_total);
-        assert_eq!(packed.leaf_xs.len(), leaf_total);
-        assert_eq!(packed.leaf_ys.len(), leaf_total);
-        let br_total: usize = packed
-            .spans
-            .iter()
-            .filter(|s| !s.leaf)
-            .map(|s| pad_len(s.len as usize))
-            .sum();
-        assert_eq!(packed.br_child.len(), br_total);
-        assert_eq!(packed.br_lo_x.len(), br_total);
+        for span in &packed.spans {
+            assert_eq!(span.offset as usize % LANE_COUNT, 0, "{what}");
+        }
+        let padded = |leaf: bool| -> usize {
+            let spans = packed.spans.iter().filter(|s| s.leaf == leaf);
+            spans.map(|s| pad_len(s.len as usize)).sum()
+        };
+        let leaf_total = padded(true);
+        assert_eq!(packed.leaf_ids.len(), leaf_total, "{what}");
+        assert_eq!(packed.leaf_xs.len(), leaf_total, "{what}");
+        assert_eq!(packed.leaf_ys.len(), leaf_total, "{what}");
+        let br_total = padded(false);
+        assert_eq!(packed.br_child.len(), br_total, "{what}");
+        for lanes in [
+            &packed.br_lo_x,
+            &packed.br_lo_y,
+            &packed.br_hi_x,
+            &packed.br_hi_y,
+        ] {
+            assert_eq!(lanes.len(), br_total, "{what}");
+        }
         // Padding lanes hold the fixed sentinels (determinism: equal trees
         // freeze to bitwise-equal arenas, padding included).
-        for s in packed.spans.iter().filter(|s| s.leaf) {
+        let zero = |v: f64| v.to_bits() == 0;
+        for s in &packed.spans {
             let lo = s.offset as usize;
             for i in lo + s.len as usize..lo + pad_len(s.len as usize) {
-                assert_eq!(packed.leaves[i], PAD_LEAF);
-                assert_eq!(packed.leaf_xs[i], 0.0);
-                assert_eq!(packed.leaf_ys[i], 0.0);
-            }
-        }
-        for s in packed.spans.iter().filter(|s| !s.leaf) {
-            let lo = s.offset as usize;
-            for i in lo + s.len as usize..lo + pad_len(s.len as usize) {
-                assert_eq!(packed.br_child[i], PAD_CHILD);
-                assert_eq!(packed.br_lo_x[i], 0.0);
+                if s.leaf {
+                    assert_eq!(packed.leaf_ids[i], PAD_ID, "{what}");
+                    assert!(zero(packed.leaf_xs[i]) && zero(packed.leaf_ys[i]), "{what}");
+                } else {
+                    assert_eq!(packed.br_child[i], PAD_CHILD, "{what}");
+                    let br = [
+                        &packed.br_lo_x,
+                        &packed.br_lo_y,
+                        &packed.br_hi_x,
+                        &packed.br_hi_y,
+                    ];
+                    assert!(br.iter().all(|lanes| zero(lanes[i])), "{what}");
+                }
             }
         }
         // iter() skips every sentinel.
-        assert_eq!(packed.iter().count(), tree.len());
-        assert!(packed.iter().all(|e| e.id.0 != u64::MAX));
+        assert_eq!(packed.iter().count(), packed.len(), "{what}");
+        assert!(packed.iter().all(|e| e.id != PAD_ID), "{what}");
+    }
+
+    #[test]
+    fn arenas_are_lane_padded_aligned_and_sentinel_filled() {
+        let mut tree = random_tree(700, 21);
+        let packed = tree.freeze();
+        assert_lane_storage(&packed, "freeze");
+        assert_lane_storage(&packed.clone(), "clone");
+        assert_eq!(packed.clone(), packed);
+        for (s, shard) in packed.partition(3).shards().iter().enumerate() {
+            assert_lane_storage(shard, &format!("shard {s}"));
+        }
+        // A refreeze that copies clean spans and repacks dirty ones.
+        for i in 0..5u64 {
+            let at = Point::new(10.0 + 15.0 * i as f64, 90.0 - 15.0 * i as f64);
+            tree.insert(LeafEntry::new(PointId(1_000 + i), at));
+        }
+        let dirty = tree.dirty_page_count(&packed);
+        assert!(dirty > 0 && dirty < tree.node_count() / 2, "dirty={dirty}");
+        let refrozen = tree.refreeze(&packed);
+        assert_lane_storage(&refrozen, "refreeze");
+        assert_eq!(refrozen, tree.freeze());
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl Iterator for ReferenceStream<'_, '_, '_> {
                     }
                     match self.cursor.read(page) {
                         PageRef::Leaf(leaf) => {
-                            for &e in leaf.entries() {
+                            for e in leaf.entries() {
                                 if let Some(rule) = &mut self.plane {
                                     rule.read(group.dist(e.point));
                                 }

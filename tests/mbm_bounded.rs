@@ -557,7 +557,7 @@ fn block_bounds(packed: &PackedRTree, group: &QueryGroup) -> (Vec<PointId>, Vec<
     let (xs, ys) = leaf.coords();
     let mut bounds = Vec::new();
     blocks.lower_padded(xs, ys, leaf.len(), &mut bounds);
-    let ids = leaf.entries().iter().map(|e| e.id).collect();
+    let ids = leaf.ids().to_vec();
     (ids, bounds, blocks.narrowed_weights().is_some())
 }
 
@@ -826,8 +826,8 @@ fn point_leaves_are_point_rects() {
             }
             gnn::rtree::PageRef::Leaf(leaf) => {
                 leaves += 1;
-                let first = leaf.entries()[0].point;
-                points += usize::from(leaf.entries().iter().all(|e| e.point == first));
+                let first = leaf.entry(0).point;
+                points += usize::from(leaf.entries().all(|e| e.point == first));
             }
         }
     }

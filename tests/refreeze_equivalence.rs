@@ -1,7 +1,7 @@
 //! Refreeze ≡ full freeze: after any interleaved insert/delete workload,
 //! [`RTree::refreeze`] against the previous snapshot must produce a
 //! snapshot **identical** to a from-scratch [`RTree::freeze`] — same pages,
-//! same dense BFS ids, same SoA arenas and leaf mirrors (pinned by
+//! same dense BFS ids, same SoA arenas, leaf ids and lanes (pinned by
 //! `PackedRTree`'s structural `PartialEq`) — and therefore bit-identical
 //! results and node accesses for all six algorithms (MQM, SPM, MBM, F-MQM,
 //! F-MBM, GCP). This is the contract that makes refreeze a pure build-cost
