@@ -36,11 +36,6 @@ pub struct NetworkQuery {
 }
 
 impl NetworkQuery {
-    /// A payload that snaps every group point onto the network.
-    pub fn snapped() -> Self {
-        NetworkQuery::default()
-    }
-
     /// A payload with explicit source vertices (parallel to the group).
     pub fn at_vertices(sources: Vec<u32>) -> Self {
         NetworkQuery { sources }

@@ -16,10 +16,11 @@ use std::collections::BinaryHeap;
 pub struct KBestList {
     k: usize,
     // Max-heap keyed by (dist, id): the worst retained neighbor on top.
-    heap: BinaryHeap<(OrderedF64, u64, HeapNeighbor)>,
+    heap: BinaryHeap<(OrderedF64, HeapNeighbor)>,
 }
 
-/// `Neighbor` without the float in `Ord` position (heap key carries it).
+/// `Neighbor` without the float in `Ord` position (heap key carries it);
+/// ordered by id first, so the heap's key is `(dist, id)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HeapNeighbor {
     id: u64,
@@ -108,7 +109,6 @@ impl KBestList {
         }
         self.heap.push((
             OrderedF64(n.dist),
-            n.id.0,
             HeapNeighbor {
                 id: n.id.0,
                 x_bits: n.point.x.to_bits(),
@@ -134,7 +134,7 @@ impl KBestList {
     /// capacity — the allocation-free sibling of [`KBestList::into_sorted`].
     pub fn drain_sorted_into(&mut self, out: &mut Vec<Neighbor>) {
         out.clear();
-        out.extend(self.heap.drain().map(|(d, _, h)| Neighbor {
+        out.extend(self.heap.drain().map(|(d, h)| Neighbor {
             id: gnn_geom::PointId(h.id),
             point: gnn_geom::Point::new(f64::from_bits(h.x_bits), f64::from_bits(h.y_bits)),
             dist: d.get(),

@@ -143,17 +143,6 @@ impl HilbertMapper {
         let gy = gy.clamp(0, i64::from(max_cell)) as u32;
         xy_to_d(self.order, gx, gy)
     }
-
-    /// Sorts `points` in place by Hilbert key (the paper's pre-processing
-    /// step for MQM, F-MQM and F-MBM).
-    pub fn sort_points(&self, points: &mut [Point]) {
-        points.sort_by_key(|&p| self.key(p));
-    }
-
-    /// The workspace this mapper covers.
-    pub fn workspace(&self) -> Rect {
-        self.workspace
-    }
 }
 
 /// Splits a **sorted** key sequence into `parts` near-even consecutive
@@ -262,23 +251,6 @@ mod tests {
         let k1 = m.key(Point::new(3.0, 1.0));
         let k2 = m.key(Point::new(3.0, 9.0));
         assert_ne!(k1, k2); // y still differentiates
-    }
-
-    #[test]
-    fn sort_points_groups_near_points() {
-        let ws = Rect::from_corners(0.0, 0.0, 1.0, 1.0);
-        let m = HilbertMapper::new(ws);
-        let mut pts = vec![
-            Point::new(0.1, 0.1),
-            Point::new(0.9, 0.9),
-            Point::new(0.12, 0.11),
-            Point::new(0.88, 0.91),
-        ];
-        m.sort_points(&mut pts);
-        // The two clusters end up adjacent after sorting.
-        let d01 = pts[0].dist(pts[1]);
-        let d23 = pts[2].dist(pts[3]);
-        assert!(d01 < 0.1 && d23 < 0.1, "sorted: {pts:?}");
     }
 
     #[test]

@@ -208,16 +208,6 @@ impl Rect {
         dx * dx + dy * dy
     }
 
-    /// `maxdist(N, q)`: maximum distance between any point of the rectangle
-    /// and `q` (distance to the farthest corner). An upper bound used by the
-    /// MAX-aggregate extension.
-    #[inline]
-    pub fn maxdist_point(&self, q: Point) -> f64 {
-        let dx = (q.x - self.lo.x).abs().max((q.x - self.hi.x).abs());
-        let dy = (q.y - self.lo.y).abs().max((q.y - self.hi.y).abs());
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// `mindist(N1, N2)`: minimum distance between any two points drawn from
     /// the two rectangles. Zero when they intersect. Used by the closest-pair
     /// algorithm (GCP substrate) and heuristics 2 and 5.
@@ -352,18 +342,6 @@ mod tests {
         assert_eq!(a.mindist_rect(&c), 5.0);
         // Symmetry.
         assert_eq!(c.mindist_rect(&a), 5.0);
-    }
-
-    #[test]
-    fn maxdist_point() {
-        let r = unit();
-        // From origin corner the farthest corner is (1,1).
-        assert!((r.maxdist_point(Point::new(0.0, 0.0)) - 2f64.sqrt()).abs() < 1e-12);
-        // From outside.
-        assert_eq!(
-            r.maxdist_point(Point::new(4.0, 1.0)),
-            (16.0f64 + 1.0).sqrt()
-        );
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl NetworkSnapshot {
         &self.graph
     }
 
-    /// The data vertices.
-    pub fn data(&self) -> &[VertexId] {
-        &self.data
-    }
-
     /// The frozen Euclidean index over the data vertices.
     pub fn data_tree(&self) -> &PackedRTree {
         &self.data_tree

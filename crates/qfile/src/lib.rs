@@ -122,12 +122,6 @@ impl<'f> FileCursor<'f> {
         }
     }
 
-    /// The underlying file.
-    #[inline]
-    pub fn file(&self) -> &'f PointFile {
-        self.file
-    }
-
     /// Reads one page, counting the access.
     #[inline]
     pub fn read_page(&self, idx: usize) -> &'f [Point] {

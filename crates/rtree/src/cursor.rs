@@ -346,12 +346,6 @@ impl<'t> TreeCursor<'t> {
         self.tree.height()
     }
 
-    /// Number of pages in the tree behind the cursor.
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.tree.node_count()
-    }
-
     /// Starts (or restarts) batch-scoped distinct-page tracking: every page
     /// read from here until [`TreeCursor::finish_page_tracking`] is recorded
     /// in a dense bitset, and the number of **distinct** pages touched is

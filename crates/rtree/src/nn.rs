@@ -161,11 +161,6 @@ impl<'t, 'c, 's> NearestNeighbors<'t, 'c, 's> {
             scratch,
         }
     }
-
-    /// The query point.
-    pub fn query(&self) -> Point {
-        self.query
-    }
 }
 
 impl Iterator for NearestNeighbors<'_, '_, '_> {

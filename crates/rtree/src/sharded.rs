@@ -152,11 +152,6 @@ impl ShardedSnapshot {
         }
         out
     }
-
-    /// Total pages across all shards.
-    pub fn node_count(&self) -> usize {
-        self.shards.iter().map(|s| s.node_count()).sum()
-    }
 }
 
 impl RTree {

@@ -267,8 +267,6 @@ pub struct Service {
     workers: Vec<JoinHandle<()>>,
     counters: Vec<Arc<WorkerCounters>>,
     config: ServiceConfig,
-    /// Zero point of every flight-recorder timestamp, shared by all rings.
-    epoch: Instant,
     /// Control-plane flight ring: [`FlightEventKind::Published`] events
     /// from the publish entry points (payload = new generation).
     control: FlightRecorder,
@@ -354,7 +352,6 @@ impl Service {
             workers,
             counters,
             config,
-            epoch,
             control,
             driver_flight,
         }
@@ -390,12 +387,6 @@ impl Service {
         let generation = self.backend.slot().publish(snapshot);
         self.control.record(FlightEventKind::Published, generation);
         generation
-    }
-
-    /// The instant every flight-recorder timestamp is measured from
-    /// ([`FlightEvent::ts_nanos`] is nanoseconds since this epoch).
-    pub fn epoch(&self) -> Instant {
-        self.epoch
     }
 
     /// Generation of the currently published snapshot (starts at 1, and
@@ -474,9 +465,11 @@ impl Service {
         Ok(ResponseHandle::new(rx))
     }
 
-    /// Aggregated counters so far (atomic loads plus lock-free ring
-    /// snapshots — safe to poll while traffic runs). The flight timeline is
-    /// a point-in-time merge; workers keep recording while it is read.
+    /// Aggregated counters so far (atomic loads plus a copy of every
+    /// flight ring — safe to poll while traffic runs). The flight timeline
+    /// is a point-in-time merge: each ring's copy holds that ring's lock
+    /// for at most `flight_recorder` events, and a worker recording at that
+    /// moment waits it out.
     pub fn stats(&self) -> ServiceStats {
         let rings = vec![self.control.snapshot(), self.driver_flight.snapshot()];
         stats::collect(self.generation(), &self.counters, rings)

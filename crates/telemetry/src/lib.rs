@@ -9,10 +9,10 @@
 //! * [`StageHistograms`] / [`StageSnapshot`] — per-stage decomposition of
 //!   the end-to-end latency (queue wait / execution / reply, plus the
 //!   shed-wait distribution of dropped requests);
-//! * [`FlightRecorder`] / [`FlightLog`] — fixed-capacity lock-free ring
-//!   buffers of structured serving events ([`FlightEventKind`]) with
-//!   monotonic timestamps and explicit drop counters, merged into a
-//!   time-ordered postmortem view.
+//! * [`FlightRecorder`] / [`FlightLog`] — fixed-capacity rings of
+//!   structured serving events ([`FlightEventKind`]), each a `VecDeque`
+//!   behind one `Mutex`, with monotonic timestamps and exact drop counters,
+//!   merged into a time-ordered postmortem view.
 //!
 //! Everything here is deliberately mechanism, not policy: this crate knows
 //! nothing about queries, shards, or snapshots — it provides the recording

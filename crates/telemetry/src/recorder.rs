@@ -1,29 +1,27 @@
-//! The flight recorder: fixed-capacity lock-free ring buffers of
-//! structured serving events, merged into a time-ordered postmortem view.
+//! The flight recorder: fixed-capacity rings of structured serving
+//! events, merged into a time-ordered postmortem view.
 //!
 //! Each producer (a worker thread, the refresh driver, the publish path)
-//! owns one [`FlightRecorder`] ring. Recording is a handful of atomic
-//! stores — no locks, no allocation — so it can sit on the serving hot
-//! path. When the ring is full the **oldest** events are overwritten and
-//! counted in an explicit drop counter: a postmortem always holds the most
-//! recent `capacity` events per producer, and always says how much history
-//! it lost. [`FlightLog::merge`] collects any number of ring snapshots
-//! into one timeline ordered by monotonic timestamp (nanoseconds since a
-//! shared epoch `Instant`), which is what a crash/shed investigation
-//! actually reads: "what happened, across all workers, in the 50 ms before
-//! that panic?".
+//! owns one [`FlightRecorder`] ring: a `VecDeque` behind a `Mutex`, sized
+//! once at construction, so recording never allocates. When the ring is
+//! full the **oldest** event is overwritten and counted: a postmortem
+//! always holds the most recent `capacity` events per producer, says
+//! exactly how much history it lost, and loses history only to overwrite.
+//! A payload keeps all 64 bits. [`FlightLog::merge`] collects any number
+//! of ring snapshots into one timeline ordered by monotonic timestamp
+//! (nanoseconds since a shared epoch `Instant`), which is what a
+//! crash/shed investigation actually reads: "what happened, across all
+//! workers, in the 50 ms before that panic?".
 //!
-//! Concurrency contract: a ring is designed for a **single producer**
-//! (SPSC: the owning thread writes, an aggregator thread snapshots).
-//! Writes are nevertheless safe under accidental producer concurrency — a
-//! slot is claimed with a compare-exchange on its sequence word, so a
-//! writer that finds its slot still mid-write by a lapped predecessor
-//! drops its own event (counted) instead of tearing the slot. Readers
-//! validate the sequence word before *and* after reading a slot, so a
-//! snapshot taken under live traffic skips slots being rewritten rather
-//! than returning torn events.
+//! A [`FlightRecorder::snapshot`] holds the ring's lock while it copies
+//! at most `capacity` events (256 per ring by default in `gnn-service`);
+//! a producer recording at that moment waits for the copy to finish.
+//! Producers record a few events per served query, refreeze or publish,
+//! and snapshots run only when the service's stats are read, so the lock
+//! is all but uncontended.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Source id conventionally used for publish-path events (the snapshot
@@ -38,9 +36,9 @@ pub const SOURCE_DRIVER: u32 = u32::MAX - 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightEventKind {
     /// A job entered the service's queue. Timestamp is the submission instant
-    /// (recorded retroactively by the worker that dequeued it, which is
-    /// what keeps the ring single-producer); payload = 1, the one request
-    /// a job carries.
+    /// (recorded retroactively by the worker that dequeued it, so each
+    /// worker's ring has one producer); payload = 1, the one request a
+    /// job carries.
     Enqueued,
     /// A worker picked the job up; an admitted job starts executing at
     /// this instant. Payload = queue wait in nanoseconds.
@@ -75,32 +73,6 @@ impl FlightEventKind {
             FlightEventKind::Published => "published",
         }
     }
-
-    fn code(self) -> u64 {
-        match self {
-            FlightEventKind::Enqueued => 0,
-            FlightEventKind::Dequeued => 1,
-            FlightEventKind::Shed => 2,
-            FlightEventKind::ExecEnd => 3,
-            FlightEventKind::Panicked => 4,
-            FlightEventKind::RefreezeStart => 5,
-            FlightEventKind::RefreezeEnd => 6,
-            FlightEventKind::Published => 7,
-        }
-    }
-
-    fn from_code(code: u64) -> FlightEventKind {
-        match code {
-            0 => FlightEventKind::Enqueued,
-            1 => FlightEventKind::Dequeued,
-            2 => FlightEventKind::Shed,
-            3 => FlightEventKind::ExecEnd,
-            4 => FlightEventKind::Panicked,
-            5 => FlightEventKind::RefreezeStart,
-            6 => FlightEventKind::RefreezeEnd,
-            _ => FlightEventKind::Published,
-        }
-    }
 }
 
 /// One recorded event: a monotonic timestamp (nanoseconds since the
@@ -123,61 +95,38 @@ pub struct FlightEvent {
     pub seq: u64,
 }
 
-/// Payloads are packed with the kind into one atomic word: kind in the top
-/// byte, payload in the low 56 bits (2^56 ns ≈ 2.3 years — no real
-/// duration or generation exceeds it; larger values saturate).
-const PAYLOAD_BITS: u32 = 56;
-const PAYLOAD_MASK: u64 = (1 << PAYLOAD_BITS) - 1;
-
-fn pack(kind: FlightEventKind, payload: u64) -> u64 {
-    (kind.code() << PAYLOAD_BITS) | payload.min(PAYLOAD_MASK)
-}
-
-fn unpack(data: u64) -> (FlightEventKind, u64) {
-    (
-        FlightEventKind::from_code(data >> PAYLOAD_BITS),
-        data & PAYLOAD_MASK,
-    )
-}
-
-/// One slot: a sequence word guarding a timestamp and a packed
-/// kind+payload word. For ticket `t` the sequence is `2t + 1` while the
-/// writer is inside the slot and `2t + 2` once the event is readable
-/// (0 = never written).
+/// The locked state of a ring: retained `(ts_nanos, kind, payload)`
+/// events oldest first, and how many were ever recorded. The retained
+/// events hold tickets `recorded - events.len() .. recorded`.
 #[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    ts: AtomicU64,
-    data: AtomicU64,
+struct Ring {
+    events: VecDeque<(u64, FlightEventKind, u64)>,
+    recorded: u64,
 }
 
-/// A fixed-capacity, overwrite-oldest ring of [`FlightEvent`]s. See the
-/// module docs for the concurrency contract. Capacity 0 disables the
-/// recorder entirely: [`FlightRecorder::record`] returns after one branch
-/// and nothing is ever retained.
+/// A fixed-capacity, overwrite-oldest ring of [`FlightEvent`]s (see the
+/// module docs). Capacity 0 disables the recorder entirely:
+/// [`FlightRecorder::record`] returns after one branch and nothing is
+/// ever retained.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    slots: Vec<Slot>,
-    /// Total events ever recorded (monotone ticket counter).
-    head: AtomicU64,
+    capacity: usize,
+    ring: Mutex<Ring>,
     source: u32,
     epoch: Instant,
 }
 
 impl FlightRecorder {
-    /// A ring of `capacity` slots for producer `source`, with timestamps
+    /// A ring of `capacity` events for producer `source`, with timestamps
     /// measured from `epoch` (share one epoch across every ring whose
     /// events will be merged).
     pub fn new(source: u32, capacity: usize, epoch: Instant) -> FlightRecorder {
         FlightRecorder {
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    ts: AtomicU64::new(0),
-                    data: AtomicU64::new(0),
-                })
-                .collect(),
-            head: AtomicU64::new(0),
+            capacity,
+            ring: Mutex::new(Ring {
+                events: VecDeque::with_capacity(capacity),
+                recorded: 0,
+            }),
             source,
             epoch,
         }
@@ -185,7 +134,7 @@ impl FlightRecorder {
 
     /// Whether this recorder retains anything (capacity > 0).
     pub fn enabled(&self) -> bool {
-        !self.slots.is_empty()
+        self.capacity > 0
     }
 
     /// The epoch timestamps are measured from.
@@ -203,82 +152,49 @@ impl FlightRecorder {
 
     /// Records an event with an explicit timestamp — how a worker logs an
     /// `Enqueued` event retroactively at dequeue time (the submitter's
-    /// clock reading, the worker's ring: the ring stays single-producer).
+    /// clock reading, the worker's ring).
     pub fn record_at(&self, at: Instant, kind: FlightEventKind, payload: u64) {
-        if self.slots.is_empty() {
+        if !self.enabled() {
             return;
         }
         let ts =
             u64::try_from(at.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX);
-        let cap = self.slots.len() as u64;
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % cap) as usize];
-        // Claim the slot: its sequence must still be the *completed* state
-        // of the ticket one lap behind (or 0 on the first lap). A failure
-        // means a lapped writer is still inside the slot — drop this event
-        // instead of tearing it (it stays counted via `head`).
-        let expected = if ticket >= cap {
-            2 * (ticket - cap) + 2
-        } else {
-            0
-        };
-        if slot
-            .seq
-            .compare_exchange(
-                expected,
-                2 * ticket + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            )
-            .is_err()
-        {
-            return;
+        let mut ring = self.lock();
+        ring.recorded += 1;
+        if ring.events.len() == self.capacity {
+            ring.events.pop_front();
         }
-        slot.ts.store(ts, Ordering::Relaxed);
-        slot.data.store(pack(kind, payload), Ordering::Relaxed);
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
+        ring.events.push_back((ts, kind, payload));
     }
 
     /// A point-in-time copy of the ring: the retained events **oldest
     /// first** (in ticket order) plus the exact count of events recorded
-    /// but no longer readable (evicted by overwrite, or skipped mid-write).
+    /// but overwritten since.
     pub fn snapshot(&self) -> RingSnapshot {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let start = if cap == 0 {
-            head
-        } else {
-            head.saturating_sub(cap)
-        };
-        let mut events = Vec::with_capacity((head - start) as usize);
-        for ticket in start..head {
-            let slot = &self.slots[(ticket % cap) as usize];
-            let want = 2 * ticket + 2;
-            if slot.seq.load(Ordering::Acquire) != want {
-                continue;
-            }
-            let ts = slot.ts.load(Ordering::Relaxed);
-            let data = slot.data.load(Ordering::Relaxed);
-            // Re-validate: a concurrent writer claiming this slot would
-            // have bumped the sequence before touching ts/data.
-            if slot.seq.load(Ordering::Acquire) != want {
-                continue;
-            }
-            let (kind, payload) = unpack(data);
-            events.push(FlightEvent {
-                ts_nanos: ts,
+        let ring = self.lock();
+        let first = ring.recorded - ring.events.len() as u64;
+        let events = (first..)
+            .zip(&ring.events)
+            .map(|(seq, &(ts_nanos, kind, payload))| FlightEvent {
+                ts_nanos,
                 source: self.source,
                 kind,
                 payload,
-                seq: ticket,
-            });
-        }
-        let dropped = head - events.len() as u64;
+                seq,
+            })
+            .collect();
         RingSnapshot {
             source: self.source,
             events,
-            dropped,
+            dropped: first,
         }
+    }
+
+    /// The ring's lock. `record_at` counts an event before it stores it,
+    /// so every step leaves `recorded >= events.len()`, and a lock
+    /// poisoned mid-update still guards a valid ring: it is taken over.
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -290,7 +206,7 @@ pub struct RingSnapshot {
     /// Retained events in ticket (recording) order.
     pub events: Vec<FlightEvent>,
     /// Events recorded on this ring but not retained (overwritten by newer
-    /// ones, or skipped because a snapshot raced the writer).
+    /// ones): the ring's recorded total minus `events.len()`.
     pub dropped: u64,
 }
 
@@ -496,32 +412,68 @@ mod tests {
     }
 
     #[test]
-    fn every_kind_round_trips_through_its_code() {
-        use FlightEventKind::*;
-        let kinds = [
-            Enqueued,
-            Dequeued,
-            Shed,
-            ExecEnd,
-            Panicked,
-            RefreezeStart,
-            RefreezeEnd,
-            Published,
-        ];
-        for (code, kind) in kinds.into_iter().enumerate() {
-            assert_eq!(kind.code(), code as u64, "{kind:?}");
-            assert_eq!(unpack(pack(kind, 42)), (kind, 42));
-        }
-    }
-
-    #[test]
-    fn payload_saturates_at_56_bits() {
+    fn full_u64_payload_round_trips() {
         let epoch = Instant::now();
         let r = FlightRecorder::new(0, 2, epoch);
         r.record_at(epoch, FlightEventKind::Published, u64::MAX);
         let snap = r.snapshot();
-        assert_eq!(snap.events[0].payload, (1 << 56) - 1);
+        assert_eq!(snap.events[0].payload, u64::MAX);
         assert_eq!(snap.events[0].kind, FlightEventKind::Published);
+    }
+
+    /// `threads` producers each record `per_thread` events into one ring
+    /// of `capacity`; payload `t * per_thread + i` names the event.
+    fn record_from_threads(capacity: usize, threads: u64, per_thread: u64) -> RingSnapshot {
+        let r = FlightRecorder::new(0, capacity, Instant::now());
+        let start = std::sync::Barrier::new(threads as usize);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (r, start) = (&r, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..per_thread {
+                        r.record(FlightEventKind::ExecEnd, t * per_thread + i);
+                    }
+                });
+            }
+        });
+        r.snapshot()
+    }
+
+    #[test]
+    fn several_producers_retain_every_event_once() {
+        let total = 4 * 2_000;
+        let snap = record_from_threads(total as usize, 4, 2_000);
+        assert_eq!(snap.dropped, 0);
+        assert_eq!(
+            snap.events.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            (0..total).collect::<Vec<_>>()
+        );
+        let mut payloads: Vec<_> = snap.events.iter().map(|e| e.payload).collect();
+        payloads.sort_unstable();
+        assert_eq!(payloads, (0..total).collect::<Vec<_>>());
+        // Each producer's own events stay in its recording order.
+        for t in 0..4 {
+            let mine: Vec<_> = snap
+                .events
+                .iter()
+                .map(|e| e.payload)
+                .filter(|p| p / 2_000 == t)
+                .collect();
+            assert!(mine.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    #[test]
+    fn several_producers_overflow_with_exact_drops() {
+        let (capacity, total) = (64, 4 * 5_000);
+        let snap = record_from_threads(capacity, 4, 5_000);
+        assert_eq!(snap.events.len(), capacity);
+        assert_eq!(snap.dropped, total - capacity as u64);
+        assert_eq!(
+            snap.events.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            (total - capacity as u64..total).collect::<Vec<_>>()
+        );
     }
 
     #[test]

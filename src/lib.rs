@@ -54,6 +54,8 @@
 //! | [`service`] | `gnn-service` | sharded multi-threaded query serving |
 //! | [`network`] | `gnn-network` | the future-work extension: GNN under network distance, with packed serving snapshots |
 
+#![forbid(unsafe_code)]
+
 pub use gnn_core as core;
 pub use gnn_datasets as datasets;
 pub use gnn_geom as geom;
